@@ -269,7 +269,7 @@ def cmd_scenario(args) -> int:
     scan = level_set_scan(args.name, math.radians(args.grid_step_deg),
                           refine_tol=args.refine_tol, delta=args.delta,
                           **kwargs)
-    checks = run_scenario_suites(args.name, args.samples, args.seed)
+    checks = run_scenario_suites(args.name, args.samples, args.seed, **kwargs)
     wall = time.perf_counter() - started
     print(f"scenario {args.name}: {len(scan.roots)} roots, "
           f"containment={'true' if scan.contained else 'false'}"

@@ -442,12 +442,16 @@ def concyclicity_determinant(p1: Point, p2: Point, p3: Point, p4: Point) -> Scal
 def concyclic(p1: Point, p2: Point, p3: Point, p4: Point) -> bool:
     """Exact zero test of the determinant, or |det| <= eps * scale^4 on floats.
 
-    Preconditions: four distinct points, no three collinear.
+    Preconditions: four distinct points (on floats, no two closer than
+    eps * scale), no three collinear.
     """
     pts = (p1, p2, p3, p4)
+    scale = None if p1.x.is_exact else coord_scale(*pts)
     for i in range(4):
         for j in range(i + 1, 4):
-            if squared_distance(pts[i], pts[j]).is_zero():
+            d2 = squared_distance(pts[i], pts[j])
+            if (d2.is_zero() if scale is None
+                    else d2.as_float() <= (d2.backend.eps * scale) ** 2):
                 raise DegenerateInputError("concyclicity needs 4 distinct points")
     for i in range(4):
         trio = [p for k, p in enumerate(pts) if k != i]
@@ -456,4 +460,4 @@ def concyclic(p1: Point, p2: Point, p3: Point, p4: Point) -> bool:
     det = concyclicity_determinant(*pts)
     if det.is_exact:
         return det.sign() == 0
-    return abs(det.as_float()) <= det.backend.eps * coord_scale(*pts) ** 4
+    return abs(det.as_float()) <= det.backend.eps * scale ** 4

@@ -4,13 +4,16 @@ A triangle shape is the pair of base angles (alpha at A, beta at B) with the
 base AB frozen to length 1, which quotients out similarity.  Each scenario
 defines a signed hypothesis residual over shape space whose zero set is the
 hypothesis locus of one classical statement, plus a full trace with labeled
-intermediate points for audits.
+intermediate points for audits.  One figure builder per scenario constructs
+the points; the residual and the trace both read them from it.
 
-``level_set_scan`` samples the residual on a grid, refines every sign change
-by bisection, and checks that each refined root lies within a containment
-tolerance of the scenario's conclusion set (a union of named branches such as
-alpha = beta or gamma = 60 degrees).  Scenario numerics run on raw binary64;
-the geometry kernel is the reference the test suite audits them against.
+Each conclusion branch is declared once, as a ``Branch``: a line in
+(alpha, beta) plus the range of its free angle.  ``level_set_scan`` samples
+the residual on a grid, refines every sign change by bisection, and checks
+that each refined root lies within a containment tolerance of one of the
+scenario's branches; the forward checks in ``suites`` walk the same lines.
+Scenario numerics run on raw binary64; the geometry kernel is the reference
+the test suite audits them against.
 
 Registered scenarios:
 
@@ -35,6 +38,8 @@ from typing import Callable, Dict, List, Optional, Tuple
 from .scalars import DegenerateInputError
 
 _GAMMA_FLOOR = 1e-3  # scan guard: skip the numerically wild sliver gamma < ~0.06 deg
+_COS_30 = math.cos(math.pi / 6)
+_RIGHT_ANGLE = math.pi / 2
 
 
 class UnknownScenarioError(ValueError):
@@ -68,6 +73,38 @@ class ShapeParams:
         return cls(math.radians(alpha_deg), math.radians(beta_deg))
 
 
+@dataclass(frozen=True)
+class Branch:
+    """A conclusion branch: the line ``alpha + k*beta = w`` in shape space.
+
+    ``distance`` is the defect |alpha + k*beta - w| in radians.  The free
+    angle is alpha, or beta on a line with k = 0; ``free_deg`` is the open
+    range, in degrees, over which the forward checks draw it.
+    """
+
+    name: str
+    k: float
+    w: float
+    free_deg: Tuple[float, float]
+
+    def distance(self, alpha: float, beta: float) -> float:
+        return abs(alpha + self.k * beta - self.w)
+
+    def point(self, free: float) -> Tuple[float, float]:
+        """(alpha, beta) on the line at free angle ``free`` (radians)."""
+        if self.k == 0.0:
+            return self.w, free
+        return free, (self.w - free) / self.k
+
+
+# gamma = g is the line alpha + beta = pi - g.  The free ranges keep clear of
+# degenerate slivers and, on isosceles and gamma-90, inside the square domain.
+ISOSCELES = Branch("isosceles", -1.0, 0.0, (1.0, 89.5))
+GAMMA_60 = Branch("gamma-60", 1.0, 2 * math.pi / 3, (0.6, 119.4))
+GAMMA_90 = Branch("gamma-90", 1.0, math.pi / 2, (1.0, 89.0))
+ALPHA_120 = Branch("alpha-120", 0.0, 2 * math.pi / 3, (0.5, 59.5))
+
+
 @dataclass
 class ScenarioTrace:
     """Labeled intermediates of one scenario instance.
@@ -92,8 +129,8 @@ def _apex(alpha: float, beta: float) -> Tuple[float, float]:
     # C for A=(0,0), B=(1,0); robust across right angles via the sine form
     g = math.pi - alpha - beta
     sg = math.sin(g)
-    return (math.sin(beta) * math.cos(alpha) / sg,
-            math.sin(beta) * math.sin(alpha) / sg)
+    sb = math.sin(beta)
+    return (sb * math.cos(alpha) / sg, sb * math.sin(alpha) / sg)
 
 
 def _d2(p, q):
@@ -106,41 +143,16 @@ def _cos_at(v, p, q):
     return (ux * wx + uy * wy) / math.sqrt((ux * ux + uy * uy) * (wx * wx + wy * wy))
 
 
-def _angle_at(v, p, q):
-    c = _cos_at(v, p, q)
-    return math.acos(max(-1.0, min(1.0, c)))
+def angle_at(v, p, q) -> float:
+    """Angle pvq in [0, pi] between raw (x, y) points; the atan2 form keeps
+    full precision near 0 and pi."""
+    ux, uy = p[0] - v[0], p[1] - v[1]
+    wx, wy = q[0] - v[0], q[1] - v[1]
+    return math.atan2(abs(ux * wy - uy * wx), ux * wx + uy * wy)
 
 
 def _lerp(p, q, s):
     return (p[0] + (q[0] - p[0]) * s, p[1] + (q[1] - p[1]) * s)
-
-
-def _incenter_parts(alpha, beta):
-    a_pt, b_pt = (0.0, 0.0), (1.0, 0.0)
-    c_pt = _apex(alpha, beta)
-    a = math.sqrt(_d2(b_pt, c_pt))
-    b = math.sqrt(_d2(a_pt, c_pt))
-    c = 1.0
-    p = a + b + c
-    j = ((a * a_pt[0] + b * b_pt[0] + c * c_pt[0]) / p,
-         (a * a_pt[1] + b * b_pt[1] + c * c_pt[1]) / p)
-    foot_a = _lerp(b_pt, c_pt, c / (b + c))   # on BC, from A
-    foot_b = _lerp(a_pt, c_pt, c / (a + c))   # on CA, from B
-    return a_pt, b_pt, c_pt, a, b, j, foot_a, foot_b
-
-
-# -- residuals (single source; traces call these) ----------------------------
-
-def medial_residual(alpha: float, beta: float) -> float:
-    """Signed distance from the medial-triangle circumcenter to the internal
-    bisector at C; positive on the side containing A."""
-    a_pt, b_pt = (0.0, 0.0), (1.0, 0.0)
-    c_pt = _apex(alpha, beta)
-    f = ((b_pt[0] + c_pt[0]) / 2, (b_pt[1] + c_pt[1]) / 2)
-    d = ((c_pt[0] + a_pt[0]) / 2, (c_pt[1] + a_pt[1]) / 2)
-    e = ((a_pt[0] + b_pt[0]) / 2, (a_pt[1] + b_pt[1]) / 2)
-    g = _circumcenter(f, d, e)
-    return _bisector_signed_distance(c_pt, a_pt, b_pt, g)
 
 
 def _circumcenter(p, q, r):
@@ -167,48 +179,95 @@ def _bisector_signed_distance(v, p, q, x):
     return nx * (x[0] - v[0]) + ny * (x[1] - v[1])
 
 
+# -- figure builders: the points each residual reads --------------------------
+
+def _medial_figure(alpha, beta):
+    """A, B, C, the midpoints F of BC, D of CA and E of AB, and G, the
+    circumcenter of the medial triangle FDE."""
+    a_pt, b_pt = (0.0, 0.0), (1.0, 0.0)
+    cx, cy = c_pt = _apex(alpha, beta)
+    f = ((b_pt[0] + cx) / 2, (b_pt[1] + cy) / 2)
+    d = ((cx + a_pt[0]) / 2, (cy + a_pt[1]) / 2)
+    e = (0.5, 0.0)
+    return a_pt, b_pt, c_pt, f, d, e, _circumcenter(f, d, e)
+
+
+def _incenter_figure(alpha, beta):
+    """A, B, C, the incenter J, and the feet A1 on BC and B1 on CA of the
+    bisectors from A and B."""
+    a_pt, b_pt = (0.0, 0.0), (1.0, 0.0)
+    c_pt = _apex(alpha, beta)
+    a = math.sqrt(_d2(b_pt, c_pt))
+    b = math.sqrt(_d2(a_pt, c_pt))
+    c = 1.0
+    p = a + b + c
+    j = ((a * a_pt[0] + b * b_pt[0] + c * c_pt[0]) / p,
+         (a * a_pt[1] + b * b_pt[1] + c * c_pt[1]) / p)
+    foot_a = _lerp(b_pt, c_pt, c / (b + c))   # on BC, from A
+    foot_b = _lerp(a_pt, c_pt, c / (a + c))   # on CA, from B
+    return a_pt, b_pt, c_pt, j, foot_a, foot_b
+
+
+def _square_domain(alpha, beta):
+    return alpha <= _RIGHT_ANGLE and beta <= _RIGHT_ANGLE
+
+
+def _inscribed_figure(alpha, beta, t=None):
+    """C, the rectangle MNPQ on AB of height fraction t over the altitude
+    from C, and its center O.  ``t=None`` is the inscribed square: its side
+    is s = h/(1+h) for base 1 and altitude h, so t = s/h = 1/(1+h)."""
+    if not _square_domain(alpha, beta):
+        raise FeetOffSegmentError(
+            "inscribed square/rectangle needs alpha, beta <= 90 deg "
+            "(feet would leave segment AB)")
+    cx, h = c_pt = _apex(alpha, beta)
+    if t is None:
+        t = 1.0 / (1.0 + h)
+    y0 = t * h
+    xq = t * cx
+    xp = 1.0 - t * (1.0 - cx)
+    return (c_pt, (xq, 0.0), (xp, 0.0), (xp, y0), (xq, y0),
+            ((xq + xp) / 2, y0 / 2))
+
+
+# -- residuals --------------------------------------------------------------
+
+def medial_residual(alpha: float, beta: float) -> float:
+    """Signed distance from the medial-triangle circumcenter to the internal
+    bisector at C; positive on the side containing A."""
+    a_pt, b_pt, c_pt, _, _, _, g = _medial_figure(alpha, beta)
+    return _bisector_signed_distance(c_pt, a_pt, b_pt, g)
+
+
 def incenter_residual(alpha: float, beta: float) -> float:
     """JA1^2 - JB1^2 for the incenter J and the bisector feet from A and B."""
-    *_, j, foot_a, foot_b = _incenter_parts(alpha, beta)
+    _, _, _, j, foot_a, foot_b = _incenter_figure(alpha, beta)
     return _d2(j, foot_a) - _d2(j, foot_b)
 
 
-def _square_feet(alpha, beta, t):
-    # rectangle of height fraction t over the altitude from C; t = h/(1+h)
-    # with h the altitude gives the inscribed square
-    c_pt = _apex(alpha, beta)
-    h = c_pt[1]
-    y0 = t * h
-    xq = t * c_pt[0]
-    xp = 1.0 - t * (1.0 - c_pt[0])
-    return c_pt, (xq, 0.0), (xp, 0.0), (xp, y0), (xq, y0)
+def _center_offset(c_pt, o):
+    # cos(angle ACO) - cos(angle BCO)
+    return _cos_at(c_pt, (0.0, 0.0), o) - _cos_at(c_pt, (1.0, 0.0), o)
 
 
 def square_residual(alpha: float, beta: float) -> float:
     """cos(angle ACO) - cos(angle BCO) for the inscribed-square center O."""
-    c_pt = _apex(alpha, beta)
-    h = c_pt[1]
-    # square side s = h/(1+h) for base 1, so the height fraction is s/h
-    return rectangle_residual(alpha, beta, 1.0 / (1.0 + h))
+    c_pt, _, _, _, _, o = _inscribed_figure(alpha, beta)
+    return _center_offset(c_pt, o)
 
 
 def rectangle_residual(alpha: float, beta: float, t: float = 0.5) -> float:
     """Same residual for the inscribed rectangle of height fraction t."""
     if not 0.0 < t < 1.0:
         raise DegenerateInputError("height fraction t must lie in (0, 1)")
-    if alpha > math.pi / 2 or beta > math.pi / 2:
-        raise FeetOffSegmentError(
-            "inscribed square/rectangle needs alpha, beta <= 90 deg "
-            "(feet would leave segment AB)")
-    c_pt, m, n, p, q = _square_feet(alpha, beta, t)
-    o = ((m[0] + p[0]) / 2, p[1] / 2)
-    return _cos_at(c_pt, (0.0, 0.0), o) - _cos_at(c_pt, (1.0, 0.0), o)
+    c_pt, _, _, _, _, o = _inscribed_figure(alpha, beta, t)
+    return _center_offset(c_pt, o)
 
 
 def bisector30_residual(alpha: float, beta: float) -> float:
     """cos(angle B B1 A1) - cos(30 deg) for the bisector feet A1, B1."""
-    _, b_pt, _, _, _, _, foot_a, foot_b = _incenter_parts(alpha, beta)
-    return _cos_at(foot_b, b_pt, foot_a) - math.cos(math.pi / 6)
+    _, b_pt, _, _, foot_a, foot_b = _incenter_figure(alpha, beta)
+    return _cos_at(foot_b, b_pt, foot_a) - _COS_30
 
 
 # -- trace builders -----------------------------------------------------------
@@ -216,8 +275,9 @@ def bisector30_residual(alpha: float, beta: float) -> float:
 _FLAG_TOL = 1e-9
 
 
-def _base_flags(params: ShapeParams) -> Dict[str, bool]:
-    return {"isosceles": abs(params.alpha - params.beta) <= _FLAG_TOL}
+def _flags(params: ShapeParams, *branches: Branch) -> Dict[str, bool]:
+    return {br.name: br.distance(params.alpha, params.beta) <= _FLAG_TOL
+            for br in branches}
 
 
 def medial_circumcenter(params: ShapeParams) -> ScenarioTrace:
@@ -226,23 +286,17 @@ def medial_circumcenter(params: ShapeParams) -> ScenarioTrace:
     The point G is cross-checkable as the nine-point center, the midpoint of
     circumcenter and orthocenter of ABC.
     """
-    a_pt, b_pt = (0.0, 0.0), (1.0, 0.0)
-    c_pt = _apex(params.alpha, params.beta)
-    f = ((b_pt[0] + c_pt[0]) / 2, (b_pt[1] + c_pt[1]) / 2)
-    d = ((c_pt[0] + a_pt[0]) / 2, (c_pt[1] + a_pt[1]) / 2)
-    e = (0.5, 0.0)
-    g = _circumcenter(f, d, e)
+    a_pt, b_pt, c_pt, f, d, e, g = _medial_figure(params.alpha, params.beta)
     o = _circumcenter(a_pt, b_pt, c_pt)
     # nine-point center: midpoint of O and the orthocenter H = A+B+C-2O
     hx = a_pt[0] + b_pt[0] + c_pt[0] - 2 * o[0]
     hy = a_pt[1] + b_pt[1] + c_pt[1] - 2 * o[1]
     nine = ((o[0] + hx) / 2, (o[1] + hy) / 2)
-    tr = ScenarioTrace(params, medial_residual(params.alpha, params.beta))
+    tr = ScenarioTrace(params, _bisector_signed_distance(c_pt, a_pt, b_pt, g))
     tr.points.update(A=a_pt, B=b_pt, C=c_pt, F=f, D=d, E=e, G=g, N=nine)
     tr.audits["G equals nine-point center"] = math.sqrt(_d2(g, nine))
     tr.audits["G equidistant from midpoints"] = abs(_d2(g, f) - _d2(g, d))
-    tr.flags = _base_flags(params)
-    tr.flags["gamma-60"] = abs(params.gamma - math.pi / 3) <= _FLAG_TOL
+    tr.flags = _flags(params, ISOSCELES, GAMMA_60)
     return tr
 
 
@@ -250,12 +304,12 @@ def incenter_equal_segments(params: ShapeParams) -> ScenarioTrace:
     """Incenter distances to the two bisector feet, with the exterior angles
     at the feet recorded; those satisfy angle(C B1 J) = alpha + beta/2 and
     angle(C A1 J) = beta + alpha/2 identically."""
-    a_pt, b_pt, c_pt, a, b, j, foot_a, foot_b = _incenter_parts(
+    a_pt, b_pt, c_pt, j, foot_a, foot_b = _incenter_figure(
         params.alpha, params.beta)
-    tr = ScenarioTrace(params, incenter_residual(params.alpha, params.beta))
+    tr = ScenarioTrace(params, _d2(j, foot_a) - _d2(j, foot_b))
     tr.points.update(A=a_pt, B=b_pt, C=c_pt, J=j, A1=foot_a, B1=foot_b)
-    tr.angles["CB1J"] = _angle_at(foot_b, c_pt, j)
-    tr.angles["CA1J"] = _angle_at(foot_a, c_pt, j)
+    tr.angles["CB1J"] = angle_at(foot_b, c_pt, j)
+    tr.angles["CA1J"] = angle_at(foot_a, c_pt, j)
     tr.angles["CB1J predicted"] = params.alpha + params.beta / 2
     tr.angles["CA1J predicted"] = params.beta + params.alpha / 2
     # feet sit on their sides
@@ -263,8 +317,7 @@ def incenter_equal_segments(params: ShapeParams) -> ScenarioTrace:
     tr.audits["B1 on CA"] = abs(_cross(a_pt, c_pt, foot_b))
     tr.audits["J on AA1"] = abs(_cross(a_pt, foot_a, j))
     tr.audits["J on BB1"] = abs(_cross(b_pt, foot_b, j))
-    tr.flags = _base_flags(params)
-    tr.flags["gamma-60"] = abs(params.gamma - math.pi / 3) <= _FLAG_TOL
+    tr.flags = _flags(params, ISOSCELES, GAMMA_60)
     return tr
 
 
@@ -272,11 +325,18 @@ def _cross(p, q, x):
     return (q[0] - p[0]) * (x[1] - p[1]) - (q[1] - p[1]) * (x[0] - p[0])
 
 
-def _require_square_domain(params: ShapeParams):
-    if params.alpha > math.pi / 2 or params.beta > math.pi / 2:
-        raise FeetOffSegmentError(
-            "inscribed square/rectangle needs alpha, beta <= 90 deg "
-            "(feet would leave segment AB)")
+def _inscribed_trace(params: ShapeParams, t) -> ScenarioTrace:
+    # shared by the square (t=None) and the rectangle traces
+    c_pt, m, n, p, q, o = _inscribed_figure(params.alpha, params.beta, t)
+    tr = ScenarioTrace(params, _center_offset(c_pt, o))
+    tr.points.update(A=(0.0, 0.0), B=(1.0, 0.0), C=c_pt, M=m, N=n, P=p, Q=q, O=o)
+    tr.audits["M on AB"] = abs(m[1])
+    tr.audits["N on AB"] = abs(n[1])
+    tr.audits["Q on CA"] = abs(_cross((0.0, 0.0), c_pt, q))
+    tr.audits["P on CB"] = abs(_cross((1.0, 0.0), c_pt, p))
+    tr.audits["diagonals share midpoint"] = math.sqrt(
+        _d2(o, ((n[0] + q[0]) / 2, (n[1] + q[1]) / 2)))
+    return tr
 
 
 def inscribed_square(params: ShapeParams) -> ScenarioTrace:
@@ -285,44 +345,23 @@ def inscribed_square(params: ShapeParams) -> ScenarioTrace:
     Valid for alpha, beta <= 90 deg; at equality a square vertex coincides
     with A or B, which is allowed.
     """
-    _require_square_domain(params)
-    c_pt = _apex(params.alpha, params.beta)
-    h = c_pt[1]
-    t = 1.0 / (1.0 + h)
-    c_pt, m, n, p, q = _square_feet(params.alpha, params.beta, t)
-    o = ((m[0] + p[0]) / 2, p[1] / 2)
-    tr = ScenarioTrace(params, square_residual(params.alpha, params.beta))
-    tr.points.update(A=(0.0, 0.0), B=(1.0, 0.0), C=c_pt, M=m, N=n, P=p, Q=q, O=o)
-    side = t * h
-    tr.audits["square sides equal"] = abs((n[0] - m[0]) - side)
-    tr.audits["M on AB"] = abs(m[1])
-    tr.audits["N on AB"] = abs(n[1])
-    tr.audits["Q on CA"] = abs(_cross((0.0, 0.0), c_pt, q))
-    tr.audits["P on CB"] = abs(_cross((1.0, 0.0), c_pt, p))
-    tr.audits["diagonals share midpoint"] = math.sqrt(
-        _d2(o, ((n[0] + q[0]) / 2, (n[1] + q[1]) / 2)))
-    tr.angles["ACO"] = _angle_at(c_pt, (0.0, 0.0), o)
-    tr.angles["BCO"] = _angle_at(c_pt, (1.0, 0.0), o)
-    tr.flags = _base_flags(params)
-    tr.flags["gamma-90"] = abs(params.gamma - math.pi / 2) <= _FLAG_TOL
+    tr = _inscribed_trace(params, None)
+    pts = tr.points
+    tr.audits["square sides equal"] = abs(
+        (pts["N"][0] - pts["M"][0]) - pts["P"][1])
+    tr.angles["ACO"] = angle_at(pts["C"], pts["A"], pts["O"])
+    tr.angles["BCO"] = angle_at(pts["C"], pts["B"], pts["O"])
+    tr.flags = _flags(params, ISOSCELES, GAMMA_90)
     return tr
 
 
 def inscribed_rectangle(params: ShapeParams, t: float = 0.5) -> ScenarioTrace:
     """Inscribed rectangle of height fraction t over the altitude from C."""
-    _require_square_domain(params)
-    c_pt, m, n, p, q = _square_feet(params.alpha, params.beta, t)
-    o = ((m[0] + p[0]) / 2, p[1] / 2)
-    tr = ScenarioTrace(params, rectangle_residual(params.alpha, params.beta, t))
-    tr.points.update(A=(0.0, 0.0), B=(1.0, 0.0), C=c_pt, M=m, N=n, P=p, Q=q, O=o)
-    tr.audits["width matches 1 - t"] = abs((n[0] - m[0]) - (1.0 - t))
-    tr.audits["M on AB"] = abs(m[1])
-    tr.audits["N on AB"] = abs(n[1])
-    tr.audits["Q on CA"] = abs(_cross((0.0, 0.0), c_pt, q))
-    tr.audits["P on CB"] = abs(_cross((1.0, 0.0), c_pt, p))
-    tr.audits["diagonals share midpoint"] = math.sqrt(
-        _d2(o, ((n[0] + q[0]) / 2, (n[1] + q[1]) / 2)))
-    tr.flags = _base_flags(params)
+    tr = _inscribed_trace(params, t)
+    pts = tr.points
+    tr.audits["width matches 1 - t"] = abs(
+        (pts["N"][0] - pts["M"][0]) - (1.0 - t))
+    tr.flags = _flags(params, ISOSCELES)
     return tr
 
 
@@ -333,9 +372,9 @@ def bisector_30(params: ShapeParams) -> ScenarioTrace:
     supplementary-or-congruent argument runs through.  The predicted values
     for AB1A1 and AA'A1 hold on the hypothesis locus (residual = 0).
     """
-    a_pt, b_pt, c_pt, a, b, j, foot_a, foot_b = _incenter_parts(
+    a_pt, b_pt, c_pt, j, foot_a, foot_b = _incenter_figure(
         params.alpha, params.beta)
-    tr = ScenarioTrace(params, bisector30_residual(params.alpha, params.beta))
+    tr = ScenarioTrace(params, _cos_at(foot_b, b_pt, foot_a) - _COS_30)
     # reflect A1 over line B B1
     dx, dy = foot_b[0] - b_pt[0], foot_b[1] - b_pt[1]
     n2 = dx * dx + dy * dy
@@ -351,29 +390,27 @@ def bisector_30(params: ShapeParams) -> ScenarioTrace:
     if c1 is not None:
         tr.points["C1"] = c1
     half_a, half_b, half_g = params.alpha / 2, params.beta / 2, params.gamma / 2
-    tr.angles["BB1A1"] = _angle_at(foot_b, b_pt, foot_a)
-    tr.angles["AB1A1"] = _angle_at(foot_b, a_pt, foot_a)
-    tr.angles["AA'A1"] = _angle_at(a_mirror, a_pt, foot_a)
-    tr.angles["AJB"] = _angle_at(j, a_pt, b_pt)
+    tr.angles["BB1A1"] = angle_at(foot_b, b_pt, foot_a)
+    tr.angles["AB1A1"] = angle_at(foot_b, a_pt, foot_a)
+    tr.angles["AA'A1"] = angle_at(a_mirror, a_pt, foot_a)
+    tr.angles["AJB"] = angle_at(j, a_pt, b_pt)
     tr.angles["AB1A1 predicted"] = 2 * math.pi / 3 + half_g - half_a
     tr.angles["AA'A1 predicted"] = math.pi / 2 + half_b
     tr.audits["A' mirrors A1"] = abs(_d2(foot_b, a_mirror) - _d2(foot_b, foot_a))
     tr.audits["A1 on BC"] = abs(_cross(b_pt, c_pt, foot_a))
     tr.audits["B1 on CA"] = abs(_cross(a_pt, c_pt, foot_b))
-    gamma_60 = abs(params.gamma - math.pi / 3) <= _FLAG_TOL
-    alpha_120 = abs(params.alpha - 2 * math.pi / 3) <= _FLAG_TOL
-    if gamma_60:
+    tr.flags = _flags(params, GAMMA_60, ALPHA_120)
+    if tr.flags["gamma-60"]:
         # angle AJB = 90 + gamma/2 = 120 deg here, and C, A1, J, B1 lie on
         # one circle
         tr.audits["CA1JB1 concyclic"] = abs(
             _concyclic_det(c_pt, foot_a, j, foot_b))
-    if alpha_120:
+    if tr.flags["alpha-120"]:
         d_ba = _line_distance(b_pt, a_pt, foot_b)
         d_bc = _line_distance(b_pt, c_pt, foot_b)
         d_aa1 = _line_distance(a_pt, foot_a, foot_b)
         tr.audits["B1 equidistant from BA, BC"] = abs(d_ba - d_bc)
         tr.audits["B1 equidistant from BA, AA1"] = abs(d_ba - d_aa1)
-    tr.flags = {"gamma-60": gamma_60, "alpha-120": alpha_120}
     return tr
 
 
@@ -403,47 +440,28 @@ def _line_meet(p1, p2, q1, q2):
 
 # -- registry and scanning ----------------------------------------------------
 
-def _dist_isosceles(a, b, g):
-    return abs(a - b)
-
-
-def _dist_gamma(target):
-    return lambda a, b, g: abs(g - target)
-
-
-def _dist_alpha(target):
-    return lambda a, b, g: abs(a - target)
-
-
 @dataclass(frozen=True)
 class Scenario:
     name: str
     residual: Callable[..., float]
     trace: Callable[..., ScenarioTrace]
-    branches: Tuple[Tuple[str, Callable[[float, float, float], float]], ...]
+    branches: Tuple[Branch, ...]
     asserted: bool = True          # containment is an established conclusion
     domain: Optional[Callable[[float, float], bool]] = None
-
-
-def _square_domain(alpha, beta):
-    return alpha <= math.pi / 2 and beta <= math.pi / 2
 
 
 SCENARIOS: Dict[str, Scenario] = {
     s.name: s for s in (
         Scenario("medial-circumcenter", medial_residual, medial_circumcenter,
-                 (("isosceles", _dist_isosceles), ("gamma-60", _dist_gamma(math.pi / 3)))),
+                 (ISOSCELES, GAMMA_60)),
         Scenario("incenter-segments", incenter_residual, incenter_equal_segments,
-                 (("isosceles", _dist_isosceles), ("gamma-60", _dist_gamma(math.pi / 3)))),
+                 (ISOSCELES, GAMMA_60)),
         Scenario("square-center", square_residual, inscribed_square,
-                 (("isosceles", _dist_isosceles), ("gamma-90", _dist_gamma(math.pi / 2))),
-                 domain=_square_domain),
+                 (ISOSCELES, GAMMA_90), domain=_square_domain),
         Scenario("rectangle-center", rectangle_residual, inscribed_rectangle,
-                 (("isosceles", _dist_isosceles),),
-                 asserted=False, domain=_square_domain),
+                 (ISOSCELES,), asserted=False, domain=_square_domain),
         Scenario("bisector-30", bisector30_residual, bisector_30,
-                 (("gamma-60", _dist_gamma(math.pi / 3)),
-                  ("alpha-120", _dist_alpha(2 * math.pi / 3)))),
+                 (GAMMA_60, ALPHA_120)),
     )
 }
 
@@ -564,16 +582,15 @@ def level_set_scan(name: str, grid_step: float, refine_tol: float = 1e-12,
     roots: List[ScanRoot] = []
     violations: List[ScanRoot] = []
     for a, b, r in sorted(raw_roots):
-        g = math.pi - a - b
         branch, dist = None, math.inf
-        for bname, bdist in sc.branches:
-            d = bdist(a, b, g)
+        for br in sc.branches:
+            d = br.distance(a, b)
             if d <= delta:
-                branch, dist = bname, d
+                branch, dist = br.name, d
                 break
             if d < dist:
                 dist = d
-        root = ScanRoot(a, b, g, r, branch, dist)
+        root = ScanRoot(a, b, math.pi - a - b, r, branch, dist)
         roots.append(root)
         if branch is None:
             violations.append(root)

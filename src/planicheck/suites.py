@@ -6,6 +6,10 @@ so results are reproducible.  Sample counts scale the acceptance defaults:
 with the standard 100000 samples the verify runner executes 100000 oracle
 comparisons, 10000 float and 1000 exact dichotomy classifications, 1000
 lemma configurations, and 1000 backend cross-validations.
+
+The scenario forward checks are not written per scenario: ``suite_forward``
+walks one ``Branch`` of the scenario registry, so every claimed branch of
+every scenario gets one check.
 """
 
 from __future__ import annotations
@@ -14,9 +18,9 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from random import Random
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
-from .scalars import EXACT, FloatBackend, Scalar
+from .scalars import EXACT, DegenerateInputError, FloatBackend
 from .kernel import Point, Triangle, coord_scale, point
 from .congruence import ElementTriple, Correspondence
 from .ssa import (Congruent, NotSsaMatched, SsaSpec, Supplementary,
@@ -44,14 +48,6 @@ class CheckResult:
         self.passed = False
         if len(self.witnesses) < 5:
             self.witnesses.append(witness)
-
-
-def _angle_at(v: Point, p: Point, q: Point) -> float:
-    ux = p.x.as_float() - v.x.as_float()
-    uy = p.y.as_float() - v.y.as_float()
-    wx = q.x.as_float() - v.x.as_float()
-    wy = q.y.as_float() - v.y.as_float()
-    return math.atan2(abs(ux * wy - uy * wx), ux * wx + uy * wy)
 
 
 # -- law-of-sines oracle -------------------------------------------------------
@@ -107,9 +103,10 @@ def suite_ssa_oracle(samples: int, rng: Random, tol: float = 1e-9,
             continue
         worst = 0.0
         for tri, (apex, base, _third) in zip(sols.triangles, expected):
-            worst = max(worst,
-                        abs(_angle_at(tri.B, tri.A, tri.C) - apex),
-                        abs(_angle_at(tri.C, tri.A, tri.B) - base))
+            a, b, c = [(p.x.as_float(), p.y.as_float())
+                       for p in (tri.A, tri.B, tri.C)]
+            worst = max(worst, abs(sc.angle_at(b, a, c) - apex),
+                        abs(sc.angle_at(c, a, b) - base))
         result.worst_residual = max(result.worst_residual, worst)
         if worst > tol:
             result.add_failure({**witness, "angle_diff": worst})
@@ -258,7 +255,7 @@ def _rational_triangle(rng: Random) -> Triangle:
             return Triangle(Point(EXACT.scalar(coords[0]), EXACT.scalar(coords[1])),
                             Point(EXACT.scalar(coords[2]), EXACT.scalar(coords[3])),
                             Point(EXACT.scalar(coords[4]), EXACT.scalar(coords[5])))
-        except Exception:
+        except DegenerateInputError:
             continue
 
 
@@ -321,66 +318,21 @@ def suite_backend_cross(samples: int, rng: Random) -> CheckResult:
 
 # -- proven forward implications ------------------------------------------------
 
-def suite_forward_right_angle_square(samples: int, rng: Random,
-                                     tol: float = 1e-9) -> CheckResult:
-    """Right angle at C puts the inscribed-square center on the bisector."""
-    result = CheckResult("forward-right-angle-square", True, samples, 0.0)
+def suite_forward(scenario: sc.Scenario, branch: sc.Branch, samples: int,
+                  rng: Random, tol: float = 1e-9,
+                  **scenario_kwargs) -> CheckResult:
+    """Shapes drawn uniformly along one claimed branch of a scenario must
+    zero its residual within ``tol``; ``scenario_kwargs`` go to the residual
+    as in the scan."""
+    result = CheckResult(f"forward-{branch.name}", True, samples, 0.0)
+    lo, hi = branch.free_deg
     for _ in range(samples):
-        alpha = math.radians(rng.uniform(1.0, 89.0))
-        resid = abs(sc.square_residual(alpha, math.pi / 2 - alpha))
+        alpha, beta = branch.point(math.radians(rng.uniform(lo, hi)))
+        resid = abs(scenario.residual(alpha, beta, **scenario_kwargs))
         result.worst_residual = max(result.worst_residual, resid)
         if resid > tol:
             result.add_failure({"alpha_deg": math.degrees(alpha),
-                                "residual": resid})
-    return result
-
-
-RECTANGLE_HEIGHTS = tuple(Fraction(j, 11) for j in range(1, 11))
-
-
-def suite_forward_isosceles_square(samples: int, rng: Random,
-                                   tol: float = 1e-9) -> CheckResult:
-    """Isosceles shape centers the square and every rectangle of the family
-    (checked at ten heights per sample)."""
-    result = CheckResult("forward-isosceles-square-rectangles", True,
-                         samples, 0.0)
-    for _ in range(samples):
-        alpha = math.radians(rng.uniform(1.0, 89.5))
-        resid = abs(sc.square_residual(alpha, alpha))
-        for t in RECTANGLE_HEIGHTS:
-            resid = max(resid, abs(sc.rectangle_residual(alpha, alpha, float(t))))
-        result.worst_residual = max(result.worst_residual, resid)
-        if resid > tol:
-            result.add_failure({"alpha_deg": math.degrees(alpha),
-                                "residual": resid})
-    return result
-
-
-def suite_forward_gamma60_bisector(samples: int, rng: Random,
-                                   tol: float = 1e-9) -> CheckResult:
-    """A 60-degree angle at C forces the 30-degree bisector-foot angle."""
-    result = CheckResult("forward-gamma-60-bisector", True, samples, 0.0)
-    for _ in range(samples):
-        alpha = math.radians(rng.uniform(0.6, 119.4))
-        beta = math.radians(120.0) - alpha
-        resid = abs(sc.bisector30_residual(alpha, beta))
-        result.worst_residual = max(result.worst_residual, resid)
-        if resid > tol:
-            result.add_failure({"alpha_deg": math.degrees(alpha),
-                                "residual": resid})
-    return result
-
-
-def suite_forward_alpha120_bisector(samples: int, rng: Random,
-                                    tol: float = 1e-9) -> CheckResult:
-    """A 120-degree angle at A forces the 30-degree bisector-foot angle."""
-    result = CheckResult("forward-alpha-120-bisector", True, samples, 0.0)
-    for _ in range(samples):
-        beta = math.radians(rng.uniform(0.5, 59.5))
-        resid = abs(sc.bisector30_residual(math.radians(120.0), beta))
-        result.worst_residual = max(result.worst_residual, resid)
-        if resid > tol:
-            result.add_failure({"beta_deg": math.degrees(beta),
+                                "beta_deg": math.degrees(beta),
                                 "residual": resid})
     return result
 
@@ -417,14 +369,6 @@ VERIFY_SUITES: Tuple[Tuple[str, int, Callable[[int, Random], CheckResult]], ...]
     ("backend-cross-validation", 100, suite_backend_cross),
 )
 
-SCENARIO_SUITES: Dict[str, Tuple[Callable[..., CheckResult], ...]] = {
-    "square-center": (suite_forward_right_angle_square,
-                      suite_forward_isosceles_square),
-    "rectangle-center": (suite_forward_isosceles_square,),
-    "bisector-30": (suite_forward_gamma60_bisector,
-                    suite_forward_alpha120_bisector),
-}
-
 
 def run_verify_suites(samples: int, seed: int, backend: str = "float",
                       eps: float = 1e-9) -> List[CheckResult]:
@@ -455,14 +399,17 @@ def run_verify_suites(samples: int, seed: int, backend: str = "float",
     return results
 
 
-def run_scenario_suites(name: str, samples: int, seed: int) -> List[CheckResult]:
-    """Forward-implication samples attached to a scenario, plus the spot set
-    for the bisector scenario; scenarios without proven forward directions
-    return an empty list."""
+def run_scenario_suites(name: str, samples: int, seed: int,
+                        **scenario_kwargs) -> List[CheckResult]:
+    """One forward check per claimed branch of the scenario, in registry
+    order and each on its own seeded stream, plus the off-branch spot set
+    for bisector-30.  ``scenario_kwargs`` are the scan's residual
+    arguments (the rectangle height ``t``)."""
+    scenario = sc.get_scenario(name)
     master = Random(seed)
-    results = []
-    for fn in SCENARIO_SUITES.get(name, ()):
-        results.append(fn(samples, Random(master.getrandbits(64))))
+    results = [suite_forward(scenario, branch, samples,
+                             Random(master.getrandbits(64)), **scenario_kwargs)
+               for branch in scenario.branches]
     if name == "bisector-30":
         results.append(suite_offset_bisector_spots())
     return results

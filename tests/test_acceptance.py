@@ -12,16 +12,13 @@ from random import Random
 
 from planicheck import report as rpt
 from planicheck.logic import equivalent, parse_formula, verify_scheme_equivalences
-from planicheck.scenarios import level_set_scan
+from planicheck.scenarios import SCENARIOS, level_set_scan
 from planicheck.suites import (
     run_verify_suites,
     suite_backend_cross,
     suite_dichotomy_exact,
     suite_dichotomy_float,
-    suite_forward_alpha120_bisector,
-    suite_forward_gamma60_bisector,
-    suite_forward_isosceles_square,
-    suite_forward_right_angle_square,
+    suite_forward,
     suite_lemma,
     suite_offset_bisector_spots,
     suite_ssa_oracle,
@@ -103,26 +100,39 @@ def test_criterion_4_containment_scans(capsys):
         assert scan.roots, name
 
 
+def forward_checks(seed):
+    """(scenario, residual kwargs, result) for every claimed branch of every
+    scenario at 1000 samples, with rectangle-center at each height j/11."""
+    master = Random(seed)
+    out = []
+    for scenario in SCENARIOS.values():
+        settings = ([{"t": j / 11} for j in range(1, 11)]
+                    if scenario.name == "rectangle-center" else [{}])
+        for kwargs in settings:
+            for branch in scenario.branches:
+                res = suite_forward(scenario, branch, 1000,
+                                    Random(master.getrandbits(64)), **kwargs)
+                out.append((scenario.name, kwargs, res))
+    return out
+
+
 def test_criterion_5_forward_implications(capsys):
-    suites = (
-        ("right-angle-square", suite_forward_right_angle_square(1000, Random(46))),
-        ("isosceles-square-rectangles",
-         suite_forward_isosceles_square(1000, Random(47))),
-        ("gamma-60-bisector", suite_forward_gamma60_bisector(1000, Random(48))),
-        ("alpha-120-bisector", suite_forward_alpha120_bisector(1000, Random(49))),
-    )
+    suites = forward_checks(46)
+    pairs = {(name, res.name) for name, _, res in suites}
     spots = suite_offset_bisector_spots(min_gap=1e-3)
-    worst = max(res.worst_residual for _, res in suites)
-    ok = (all(res.passed for _, res in suites) and worst <= 1e-9
+    worst = max(res.worst_residual for _, _, res in suites)
+    ok = (all(res.passed for _, _, res in suites) and worst <= 1e-9
           and spots.passed)
     announce(capsys,
              f"criterion 5 (forward-implications): {verdict(ok)}  "
-             f"4 suites x 1000 samples, worst residual={worst:.3e} "
-             f"(budget 1e-9); spot-set min gap={spots.worst_residual:.4f} rad "
-             f"(must exceed 1e-3)")
-    for name, res in suites:
-        assert res.passed and res.samples == 1000, (name, res.witnesses)
-        assert res.worst_residual <= 1e-9, name
+             f"{len(suites)} checks over {len(pairs)} branch pairs x 1000 "
+             f"samples, worst residual={worst:.3e} (budget 1e-9); spot-set "
+             f"min gap={spots.worst_residual:.4f} rad (must exceed 1e-3)")
+    assert len(pairs) == 9
+    for name, kwargs, res in suites:
+        where = (name, res.name, kwargs)
+        assert res.passed and res.samples == 1000, (where, res.witnesses)
+        assert res.worst_residual <= 1e-9, where
     assert spots.passed, spots.witnesses
     assert spots.worst_residual > 1e-3
 

@@ -130,6 +130,17 @@ def test_scenario_scan_and_report(tmp_path, capsys):
         assert abs(root["residual"]) <= 1e-9
 
 
+def test_scenario_forward_check_per_branch(tmp_path):
+    out = tmp_path / "medial.json"
+    assert run(["scenario", "medial-circumcenter", "--grid-step-deg", "2",
+                "--samples", "50", "--report", str(out)]) == 0
+    checks = json.loads(out.read_text())["checks"]
+    assert [c["name"] for c in checks] == ["forward-isosceles",
+                                           "forward-gamma-60"]
+    for c in checks:
+        assert c["pass"] and c["samples"] == 50, c
+
+
 def test_scenario_unknown_name(capsys):
     assert run(["scenario", "no-such"]) == 2
     assert "medial-circumcenter" in capsys.readouterr().err

@@ -165,6 +165,18 @@ def test_concyclic_degenerate_inputs_raise():
         concyclic(exact_pt(0, 0), exact_pt(0, 0), exact_pt(1, 0), exact_pt(0, 1))
 
 
+def test_concyclic_float_distinctness_is_a_length_test():
+    # a lemma configuration from verify seed 60: C lies 4.7e-6 from B, far
+    # above eps * scale, though its squared distance is below eps
+    pts = [point(FB, 0.9674774153305156, 0),
+           point(FB, 2.0799278754502017e-07, 4.742178447868172e-06),
+           point(FB, 0, 0),
+           point(FB, 0.003714947036079352, -0.08469977241712791)]
+    assert concyclic(*pts)
+    with pytest.raises(DegenerateInputError):
+        concyclic(pts[0], point(FB, 1e-10, 1e-10), pts[2], pts[3])
+
+
 def test_reflect_examples():
     x_axis = line_through(exact_pt(0, 0), exact_pt(1, 0))
     y_axis = line_through(exact_pt(0, 0), exact_pt(0, 1))

@@ -24,6 +24,7 @@ from planicheck.scenarios import (
     rectangle_residual,
     square_residual,
 )
+from planicheck.suites import run_scenario_suites
 
 STEP_1DEG = math.radians(1.0)
 
@@ -248,6 +249,32 @@ def test_bisector30_swap_matches_mirrored_angle():
         mirrored = angle_at(tr.points["A1"], tr.points["A"], tr.points["B1"])
         assert bisector30_residual(b, a) == pytest.approx(
             math.cos(mirrored) - math.cos(math.pi / 6), abs=1e-12)
+
+
+# -- branch registry ---------------------------------------------------------
+
+def test_branch_points_lie_on_their_lines_inside_the_domain():
+    for sc in SCENARIOS.values():
+        for branch in sc.branches:
+            for free_deg in branch.free_deg:
+                a, b = branch.point(math.radians(free_deg))
+                assert branch.distance(a, b) < 1e-15, (sc.name, branch.name)
+                ShapeParams(a, b)
+                assert sc.domain is None or sc.domain(a, b), sc.name
+
+
+def test_trace_flags_follow_the_branches():
+    for sc in SCENARIOS.values():
+        tr = sc.trace(shape(45.0, 45.0))
+        assert list(tr.flags) == [br.name for br in sc.branches], sc.name
+
+
+def test_forward_checks_pass_the_scan_kwargs():
+    checks = run_scenario_suites("rectangle-center", 20, 1, t=0.3)
+    assert [c.name for c in checks] == ["forward-isosceles"]
+    assert checks[0].passed
+    with pytest.raises(DegenerateInputError):
+        run_scenario_suites("rectangle-center", 20, 1, t=1.5)
 
 
 # -- scans -------------------------------------------------------------------

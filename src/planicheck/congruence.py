@@ -12,6 +12,9 @@ criterion_d is three-valued: when the designated angle sits opposite the
 smaller (or an equal) matched side its premise fails, which is reported as
 NOT_APPLICABLE rather than False; that regime is exactly where two distinct
 triangles can share the designated elements.
+
+``congruent_any`` searches the six correspondences over the same measured
+sets, so a caller measures each triangle once and hands the sets on.
 """
 
 from __future__ import annotations
@@ -192,14 +195,14 @@ def criterion_d(e1: TriangleElements, e2: TriangleElements,
 
 
 def _canonical_key(corr: Correspondence):
-    # inversion-symmetric key so congruent_any(t1, t2) and congruent_any(t2, t1)
+    # inversion-symmetric key so congruent_any(e1, e2) and congruent_any(e2, e1)
     # pick mutually inverse correspondences even for symmetric triangles
     return (min(corr.mapping, corr.inverse().mapping), corr.mapping)
 
 
-def congruent_any(t1: Triangle, t2: Triangle) -> Optional[Correspondence]:
+def congruent_any(e1: TriangleElements,
+                  e2: TriangleElements) -> Optional[Correspondence]:
     """Search all six correspondences for a full side match (criterion_c)."""
-    e1, e2 = measure(t1), measure(t2)
     found = [c for c in ALL_CORRESPONDENCES if criterion_c(e1, e2, c)]
     if not found:
         return None

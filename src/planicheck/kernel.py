@@ -12,17 +12,14 @@ concyclicity eps*scale^4.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Union
+from typing import NamedTuple, Optional
 
 from .scalars import (
-    EXACT,
     Backend,
     BackendMismatchError,
     DegenerateInputError,
     ExactValueError,
-    FloatBackend,
     LengthMismatchError,
     Scalar,
 )
@@ -92,8 +89,6 @@ def orient(p: Point, q: Point, r: Point) -> Scalar:
 
 def collinear(p: Point, q: Point, r: Point) -> bool:
     d = orient(p, q, r)
-    if d.is_zero() and not d.is_exact:
-        return True
     if d.is_exact:
         return d.sign() == 0
     return abs(d.as_float()) <= d.backend.eps * coord_scale(p, q, r) ** 2
@@ -325,40 +320,18 @@ class Triangle:
     def __post_init__(self):
         if not (self.A.backend == self.B.backend == self.C.backend):
             raise BackendMismatchError("triangle vertices from different backends")
-        d = orient(self.A, self.B, self.C)
-        if d.is_exact:
-            if d.sign() == 0:
-                raise DegenerateInputError("collinear triangle")
-        else:
-            s = coord_scale(self.A, self.B, self.C)
-            if abs(d.as_float()) <= d.backend.eps * s * s:
-                raise DegenerateInputError("triangle is collinear within tolerance")
+        if collinear(self.A, self.B, self.C):
+            raise DegenerateInputError("collinear triangle")
 
     @property
     def backend(self) -> Backend:
         return self.A.backend
-
-    @property
-    def labels(self):
-        return LABELS
 
     def vertex(self, label: str) -> Point:
         return getattr(self, label)
 
     def others(self, label: str):
         return tuple(l for l in LABELS if l != label)
-
-    def side_sq(self, label: str) -> Scalar:
-        """Squared length of the side opposite ``label``."""
-        p, q = self.others(label)
-        return squared_distance(self.vertex(p), self.vertex(q))
-
-    def cos_at(self, label: str) -> Scalar:
-        p, q = self.others(label)
-        return angle_cos(self.vertex(label), self.vertex(p), self.vertex(q))
-
-    def orientation(self) -> Scalar:
-        return orient(self.A, self.B, self.C)
 
 
 def triangle(backend: Backend, a, b, c) -> Triangle:
@@ -385,9 +358,9 @@ class IncenterResult(NamedTuple):
 
 def _side_lengths(t: Triangle):
     try:
-        a = t.side_sq("A").sqrt()
-        b = t.side_sq("B").sqrt()
-        c = t.side_sq("C").sqrt()
+        a = squared_distance(t.B, t.C).sqrt()
+        b = squared_distance(t.A, t.C).sqrt()
+        c = squared_distance(t.A, t.B).sqrt()
     except ExactValueError:
         raise ExactValueError(
             "construction needs rational side lengths on the exact backend") from None

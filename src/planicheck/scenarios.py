@@ -514,24 +514,22 @@ def level_set_scan(name: str, grid_step: float, refine_tol: float = 1e-12,
     def f(a, b):
         return sc.residual(a, b, **scenario_kwargs)
 
-    def valid(a, b):
-        if not (a > 0 and b > 0 and math.pi - a - b >= _GAMMA_FLOOR):
-            return False
-        if sc.domain is not None and not sc.domain(a, b):
-            return False
-        return region is None or region(a, b)
-
+    # nodes go in increasing (i, j) order, which the sign-change walk below
+    # keeps; gamma = pi - a - b falls as j grows, so a row ends at the first
+    # node under the floor
     vals = {}
-    evaluations = 0
     imax = int(math.pi / h) + 1
     for i in range(1, imax + 1):
         a = i * h
         for j in range(1, imax + 1):
             b = j * h
-            if not valid(a, b):
+            if math.pi - a - b < _GAMMA_FLOOR:
+                break
+            if sc.domain is not None and not sc.domain(a, b):
                 continue
-            vals[(i, j)] = f(a, b)
-            evaluations += 1
+            if region is None or region(a, b):
+                vals[(i, j)] = f(a, b)
+    evaluations = len(vals)
     if not vals:
         raise DegenerateInputError("scan region contains no valid grid nodes")
 
@@ -568,7 +566,7 @@ def level_set_scan(name: str, grid_step: float, refine_tol: float = 1e-12,
                 hi = mid
         return best
 
-    for (i, j), f1 in sorted(vals.items()):
+    for (i, j), f1 in vals.items():
         if f1 == 0.0:
             note(i * h, j * h, 0.0)
             continue

@@ -19,18 +19,11 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Tuple, Union
 
-from .congruence import (
-    Correspondence,
-    ElementTriple,
-    TriangleElements,
-    congruent_any,
-    measure,
-)
+from .congruence import Correspondence, ElementTriple, congruent_any, measure
 from .kernel import (
     Isometry,
     Point,
     Triangle,
-    angle_cos,
     concyclic,
     concyclicity_determinant,
     isometry_taking_segment_to_segment,
@@ -147,7 +140,8 @@ def _solve_float(spec: SsaSpec) -> SsaSolutions:
     sin_t = math.sqrt(sin2)
     s = max(1.0, a, b)
     disc = a * a - b * b * sin2
-    if abs(disc) <= eps * s * s:
+    on_boundary = abs(disc) <= eps * s * s
+    if on_boundary:
         roots = [b * c0]  # right-angle boundary: one triangle, not two coincident
     elif disc < 0.0:
         roots = []
@@ -163,9 +157,7 @@ def _solve_float(spec: SsaSpec) -> SsaSolutions:
     roots = [t for t in roots if keeps_triangle(t)]
     tris, thirds, apex, base = [], [], [], []
     for t in roots:
-        apex_cos = (t - b * c0) / a
-        if abs(disc) <= eps * s * s:
-            apex_cos = 0.0
+        apex_cos = 0.0 if on_boundary else (t - b * c0) / a
         tris.append(Triangle(
             Point(be.scalar(0.0), be.scalar(0.0)),
             Point(be.scalar(t * c0), be.scalar(t * sin_t)),
@@ -253,9 +245,10 @@ def classify_pair(t1: Triangle, t2: Triangle, corr: Correspondence,
 
     Returns NotSsaMatched unless the designated sides and angle agree under
     ``corr``; then either Congruent (with a witnessing correspondence found by
-    a fresh full-side search, not taken on trust from the caller) or
-    Supplementary with the two remaining angles, which must sum to a straight
-    angle.  The theorem guarantees no third outcome; a violation raises.
+    a fresh full-side search over the same measured element sets, not taken
+    on trust from the caller) or Supplementary with the two remaining angles,
+    which must sum to a straight angle.  The theorem guarantees no third
+    outcome; a violation raises.
     """
     e1, e2 = measure(t1), measure(t2)
     if not (all(e1.side_sq[l].eq(e2.side_sq[corr.image(l)])
@@ -263,7 +256,7 @@ def classify_pair(t1: Triangle, t2: Triangle, corr: Correspondence,
             and e1.cos_at[matched.angle_label].eq(
                 e2.cos_at[corr.image(matched.angle_label)])):
         return NotSsaMatched()
-    witness = congruent_any(t1, t2)
+    witness = congruent_any(e1, e2)
     if witness is not None:
         return Congruent(witness)
     if matched.included:
@@ -303,15 +296,17 @@ def lemma_common_side_check(t_abc: Triangle, t_abd: Triangle) -> LemmaReport:
     a2, b2, d = t_abd.A, t_abd.B, t_abd.C
     if not (a1.eq(a2) and b1.eq(b2)):
         raise LemmaPreconditionError("shared-side", "triangles do not share side AB")
-    if not squared_distance(a1, c).eq(squared_distance(a2, d)):
+    e_abc, e_abd = measure(t_abc), measure(t_abd)
+    # side_sq["B"] is AC (resp. AD), side_sq["C"] is AB
+    if not e_abc.side_sq["B"].eq(e_abd.side_sq["B"]):
         raise LemmaPreconditionError("unequal-ac-ad", "AC and AD differ")
-    if not angle_cos(b1, a1, c).eq(angle_cos(b2, a2, d)):
+    if not e_abc.cos_at["B"].eq(e_abd.cos_at["B"]):
         raise LemmaPreconditionError("unequal-angles", "angles at B differ")
-    if congruent_any(t_abc, t_abd) is not None:
+    if congruent_any(e_abc, e_abd) is not None:
         raise LemmaPreconditionError("congruent", "the triangles are congruent")
 
-    cos_acb = angle_cos(c, a1, b1)
-    cos_adb = angle_cos(d, a2, b2)
+    cos_acb = e_abc.cos_at["C"]
+    cos_adb = e_abd.cos_at["C"]
     supp = supplementary(cos_acb, cos_adb)
 
     ab = line_through(a1, b1)
@@ -322,7 +317,7 @@ def lemma_common_side_check(t_abc: Triangle, t_abd: Triangle) -> LemmaReport:
         is_cyc = concyclic(a1, c, b1, d)
         det = concyclicity_determinant(a1, c, b1, d)
 
-    ac_lt_ab = squared_distance(a1, c).lt(squared_distance(a1, b1))
+    ac_lt_ab = e_abc.side_sq["B"].lt(e_abc.side_sq["C"])
     return LemmaReport(supp, cos_acb, cos_adb, opposite, is_cyc, det, ac_lt_ab)
 
 

@@ -117,17 +117,17 @@ def test_criterion_d_rejects_included_designation():
 
 def test_congruent_any_mirror_image():
     axis = line_through(point(EXACT, 0, 0), point(EXACT, 1, 3))
-    assert congruent_any(T345, reflect(T345, axis)) is not None
+    assert congruent_any(measure(T345), measure(reflect(T345, axis))) is not None
 
 
 def test_congruent_any_similar_but_scaled_is_none():
     t2 = triangle(EXACT, (0, 0), (10, 0), (Fraction(32, 5), Fraction(24, 5)))
-    assert congruent_any(T345, t2) is None
+    assert congruent_any(measure(T345), measure(t2)) is None
 
 
 def test_congruent_any_finds_the_relabeling():
     t2 = type(T345)(T345.B, T345.C, T345.A)
-    corr = congruent_any(T345, t2)
+    corr = congruent_any(measure(T345), measure(t2))
     assert corr.mapping == ("C", "A", "B")
 
 
@@ -139,8 +139,8 @@ def test_congruent_any_is_inverse_symmetric():
          triangle(FB, (2.0, 0.0), (3.0, 0.0), (2.5, math.sqrt(3) / 2))),
     ]
     for t1, t2 in cases:
-        c12 = congruent_any(t1, t2)
-        c21 = congruent_any(t2, t1)
+        c12 = congruent_any(measure(t1), measure(t2))
+        c21 = congruent_any(measure(t2), measure(t1))
         assert c21.mapping == c12.inverse().mapping
 
 
@@ -160,8 +160,8 @@ def test_sss_implies_sas_and_aas():
                      EXACT.scalar(rng.randint(-3, 3)),
                      mirror=rng.random() < 0.5)
         t2 = g.apply(t1)
-        corr = congruent_any(t1, t2)
         e1, e2 = measure(t1), measure(t2)
+        corr = congruent_any(e1, e2)
         assert criterion_c(e1, e2, corr)
         assert criterion_a(e1, e2, corr)
         assert criterion_b(e1, e2, corr)

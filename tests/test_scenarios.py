@@ -5,7 +5,17 @@ import random
 
 import pytest
 
-from planicheck.scalars import DegenerateInputError
+from planicheck.kernel import (
+    Triangle,
+    circumcircle,
+    incenter_and_bisector_feet,
+    internal_bisector_line,
+    line_through,
+    point,
+    reflect,
+    signed_distance,
+)
+from planicheck.scalars import DegenerateInputError, FloatBackend
 from planicheck.scenarios import (
     SCENARIOS,
     FeetOffSegmentError,
@@ -57,6 +67,40 @@ def test_shape_params_validation():
     with pytest.raises(DegenerateInputError):
         shape(120.0, 60.0)
     assert shape(60.0, 60.0).gamma == pytest.approx(math.pi / 3)
+
+
+# -- raw-float figures against the float-backend kernel ----------------------
+
+FB = FloatBackend()
+
+
+def kernel_points(trace, labels):
+    return [point(FB, *trace.points[k]) for k in labels]
+
+
+def gap(p, xy):
+    return math.hypot(p.x.as_float() - xy[0], p.y.as_float() - xy[1])
+
+
+def test_traces_match_kernel_constructions():
+    for params in random_shapes(40, 707):
+        tr = medial_circumcenter(params)
+        t = Triangle(*kernel_points(tr, "ABC"))
+        g = circumcircle(Triangle(*kernel_points(tr, "FDE"))).center
+        assert gap(g, tr.points["G"]) < 1e-9
+        bisector_c = internal_bisector_line(t, "C")
+        assert abs(abs(signed_distance(bisector_c, g).as_float())
+                   - abs(tr.residual)) < 1e-9
+
+        tr = incenter_equal_segments(params)
+        feet = incenter_and_bisector_feet(t)
+        assert gap(feet.incenter, tr.points["J"]) < 1e-9
+        assert gap(feet.foot_a, tr.points["A1"]) < 1e-9
+        assert gap(feet.foot_b, tr.points["B1"]) < 1e-9
+
+        tr = bisector_30(params)
+        a_prime = reflect(feet.foot_a, line_through(t.B, feet.foot_b))
+        assert gap(a_prime, tr.points["A_prime"]) < 1e-9
 
 
 # -- medial-circumcenter ------------------------------------------------------

@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from planicheck.congruence import Correspondence, ElementTriple
+from planicheck import congruence, kernel, ssa
+from planicheck.congruence import Correspondence, ElementTriple, measure
 from planicheck.kernel import (
     Isometry,
     collinear,
@@ -93,7 +94,7 @@ def test_solutions_reproduce_the_given_elements():
                                 spec.side_a.as_float() ** 2, rel_tol=1e-9)
             assert math.isclose(squared_distance(t.A, t.C).as_float(),
                                 spec.side_b.as_float() ** 2, rel_tol=1e-9)
-            assert math.isclose(t.cos_at("A").as_float(),
+            assert math.isclose(measure(t).cos_at["A"].as_float(),
                                 spec.cos_angle.as_float(), abs_tol=1e-9)
 
 
@@ -226,6 +227,56 @@ def test_lemma_precondition_reasons():
     with pytest.raises(LemmaPreconditionError) as err:
         lemma_common_side_check(t_abc, other_angle)
     assert err.value.reason == "unequal-angles"
+
+
+def count_measuring(monkeypatch):
+    """Rebind ``measure`` and ``angle_cos`` wherever a module holds them and
+    count the calls; ``angle_cos_outside`` counts those not made by measure."""
+    counts = {"measure": 0, "angle_cos": 0, "angle_cos_outside": 0}
+    depth = 0
+    real_measure, real_angle_cos = congruence.measure, kernel.angle_cos
+
+    def counting_measure(t):
+        nonlocal depth
+        counts["measure"] += 1
+        depth += 1
+        try:
+            return real_measure(t)
+        finally:
+            depth -= 1
+
+    def counting_angle_cos(vertex, end1, end2):
+        counts["angle_cos"] += 1
+        counts["angle_cos_outside"] += depth == 0
+        return real_angle_cos(vertex, end1, end2)
+
+    for mod in (kernel, congruence, ssa):
+        for name, value in list(vars(mod).items()):
+            if value is real_measure:
+                monkeypatch.setattr(mod, name, counting_measure)
+            elif value is real_angle_cos:
+                monkeypatch.setattr(mod, name, counting_angle_cos)
+    return counts
+
+
+def test_matched_classify_pair_measures_each_triangle_once(monkeypatch):
+    sols = solve_ssa(float_spec(1.3, 2.0, 35.0))
+    t1 = triangle(EXACT, (0, 0), (5, 0), (Fraction(16, 5), Fraction(12, 5)))
+    g = Isometry(EXACT.scalar(Fraction(3, 5)), EXACT.scalar(Fraction(4, 5)),
+                 EXACT.scalar(2), EXACT.scalar(-7), mirror=True)
+    counts = count_measuring(monkeypatch)
+    pairs = ((sols.triangles[0], sols.triangles[1], Supplementary),
+             (t1, g.apply(t1), Congruent))
+    for a, b, verdict in pairs:
+        assert isinstance(classify_pair(a, b, IDENT, SSA), verdict)
+    assert counts["measure"] == 2 * len(pairs)
+
+
+def test_lemma_reads_every_angle_from_the_two_measures(monkeypatch):
+    t_abc, t_abd = lemma_pair(1.2, 2.0, 30.0)
+    counts = count_measuring(monkeypatch)
+    assert lemma_common_side_check(t_abc, t_abd).supplementary_angles
+    assert counts == {"measure": 2, "angle_cos": 6, "angle_cos_outside": 0}
 
 
 def test_lemma_longer_equal_sides_leave_no_pair():

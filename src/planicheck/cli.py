@@ -28,8 +28,8 @@ from .kernel import Point
 from .ssa import (SsaSpec, Supplementary, classify_pair, predict_case,
                   solve_ssa)
 from .scenarios import UnknownScenarioError, get_scenario, level_set_scan
-from .logic import (FormulaSyntaxError, equivalent, format_formula,
-                    parse_formula, verify_scheme_equivalences)
+from .logic import (AtomBudgetError, FormulaSyntaxError, equivalent,
+                    format_formula, parse_formula, verify_scheme_equivalences)
 from .suites import (IDENTITY, SSA_TRIPLE, CheckResult, run_scenario_suites,
                      run_verify_suites)
 from . import report as rpt
@@ -298,16 +298,20 @@ def cmd_logic(args) -> int:
         print("error: --formula and --equiv must be given together",
               file=sys.stderr)
         return 2
+    if args.constraint is not None and args.formula is None:
+        print("error: --constraint needs --formula and --equiv",
+              file=sys.stderr)
+        return 2
     if args.formula is not None:
         try:
             f1 = parse_formula(args.formula)
             f2 = parse_formula(args.equiv)
             constraint = (parse_formula(args.constraint)
                           if args.constraint else None)
-        except FormulaSyntaxError as exc:
+            result = equivalent(f1, f2, constraint)
+        except (FormulaSyntaxError, AtomBudgetError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        result = equivalent(f1, f2, constraint)
         if result.equivalent:
             print(f"equivalent: {format_formula(f1)}  <=>  "
                   f"{format_formula(f2)}"

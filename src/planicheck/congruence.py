@@ -39,25 +39,6 @@ class TriangleElements:
     side_sq: Dict[str, Scalar]
     cos_at: Dict[str, Scalar]
 
-    def check_consistent(self) -> None:
-        """Validate positivity, the triangle inequality and the law of cosines."""
-        a, b, c = (self.side_sq[l] for l in LABELS)
-        for s in (a, b, c):
-            if s.sign() <= 0:
-                raise ValueError("squared sides must be positive")
-        # sqrt(x) + sqrt(y) > sqrt(z) rewritten radical-free
-        for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
-            strict = z.le(x + y) or (x * y * 4).gt((z - x - y) * (z - x - y))
-            if not strict:
-                raise ValueError("triangle inequality violated")
-        for label in LABELS:
-            y, z = (l for l in LABELS if l != label)
-            num = self.side_sq[y] + self.side_sq[z] - self.side_sq[label]
-            den4 = self.side_sq[y] * self.side_sq[z] * 4
-            want = (num * num / den4).sqrt() * num.sign()
-            if not self.cos_at[label].eq(want):
-                raise ValueError(f"cosine at {label} breaks the law of cosines")
-
 
 def measure(t: Triangle) -> TriangleElements:
     """Extract the element set of a triangle once; criteria then reuse it."""

@@ -6,14 +6,15 @@ below the CLI.  Degenerate inputs raise, they are not silently patched.
 
 Float predicates use relative tolerances scaled by the configuration size
 ``coord_scale`` (max of 1 and the coordinate magnitudes).  Documented scale
-powers: collinearity/orientation eps*scale^2, point-on-line eps*scale,
-concyclicity eps*scale^4.
+powers: collinearity/orientation eps*scale^2, concyclicity eps*scale^4 (its
+points must lie more than eps*scale apart).  A float line carries a unit
+normal, so ``Line.eval`` gives a signed distance.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 from .scalars import (
     Backend,
@@ -63,10 +64,6 @@ def dot(u: Point, v: Point) -> Scalar:
 
 def cross(u: Point, v: Point) -> Scalar:
     return u.x * v.y - u.y * v.x
-
-
-def midpoint(p: Point, q: Point) -> Point:
-    return Point((p.x + q.x) / 2, (p.y + q.y) / 2)
 
 
 def squared_distance(p: Point, q: Point) -> Scalar:
@@ -131,17 +128,6 @@ class Line:
     def eval(self, p: Point) -> Scalar:
         return self.u * p.x + self.v * p.y + self.w
 
-    def eq(self, other: "Line") -> bool:
-        """Equality as point sets (coefficients proportional)."""
-        c1 = self.u * other.v - other.u * self.v
-        c2 = self.u * other.w - other.u * self.w
-        c3 = self.v * other.w - other.v * self.w
-        if self.u.is_exact:
-            return c1.sign() == 0 and c2.sign() == 0 and c3.sign() == 0
-        eps = self.backend.eps
-        s = max(1.0, abs(self.w.as_float()), abs(other.w.as_float()))
-        return all(abs(c.as_float()) <= eps * s for c in (c1, c2, c3))
-
 
 def line_through(p: Point, q: Point) -> Line:
     if squared_distance(p, q).sign() == 0:
@@ -152,24 +138,6 @@ def line_through(p: Point, q: Point) -> Line:
     return Line(u, v, w)
 
 
-def line_intersection(l1: Line, l2: Line) -> Optional[Point]:
-    """Intersection point, or None for parallel (including equal) lines."""
-    det = l1.u * l2.v - l2.u * l1.v
-    if det.is_zero():
-        return None
-    x = (l1.v * l2.w - l2.v * l1.w) / det
-    y = (l2.u * l1.w - l1.u * l2.w) / det
-    return Point(x, y)
-
-
-def point_on_line(l: Line, p: Point) -> bool:
-    val = l.eval(p)
-    if val.is_exact:
-        return val.sign() == 0
-    # unit normal, so eval is a distance; scale power 1
-    return abs(val.as_float()) <= l.backend.eps * coord_scale(p)
-
-
 def signed_distance(l: Line, p: Point) -> Scalar:
     """Signed distance from p to l (sign follows the stored normal)."""
     val = l.eval(p)
@@ -177,12 +145,6 @@ def signed_distance(l: Line, p: Point) -> Scalar:
         return val
     n2 = l.u * l.u + l.v * l.v
     return (val * val / n2).sqrt() * val.sign()
-
-
-def foot_of_perpendicular(p: Point, l: Line) -> Point:
-    n2 = l.u * l.u + l.v * l.v
-    k = l.eval(p) / n2
-    return Point(p.x - k * l.u, p.y - k * l.v)
 
 
 def reflect_point(p: Point, l: Line) -> Point:
@@ -209,9 +171,6 @@ class Circle:
     def __post_init__(self):
         if self.radius_sq.sign() <= 0:
             raise DegenerateInputError("circle needs positive squared radius")
-
-    def contains(self, p: Point) -> bool:
-        return squared_distance(self.center, p).eq(self.radius_sq)
 
 
 def angle_cos(vertex: Point, end1: Point, end2: Point) -> Scalar:
@@ -253,11 +212,6 @@ class Isometry:
         if not n.eq(1):
             raise ValueError("rotation part must satisfy cos^2 + sin^2 = 1")
 
-    @classmethod
-    def identity(cls, backend: Backend) -> "Isometry":
-        one, zero = backend.scalar(1), backend.scalar(0)
-        return cls(one, zero, zero, zero, False)
-
     def _linear(self, p: Point) -> Point:
         x, y = (p.x, -p.y) if self.mirror else (p.x, p.y)
         return Point(self.cos_t * x - self.sin_t * y,
@@ -270,17 +224,6 @@ class Isometry:
         if isinstance(obj, Triangle):
             return Triangle(self.apply(obj.A), self.apply(obj.B), self.apply(obj.C))
         raise TypeError(f"cannot apply isometry to {type(obj).__name__}")
-
-    def compose(self, other: "Isometry") -> "Isometry":
-        """self after other: (self.compose(other)).apply(p) == self.apply(other.apply(p))."""
-        c1, s1 = other.cos_t, other.sin_t
-        c2, s2 = self.cos_t, self.sin_t
-        if self.mirror:
-            c, s = c2 * c1 + s2 * s1, s2 * c1 - c2 * s1
-        else:
-            c, s = c2 * c1 - s2 * s1, s2 * c1 + c2 * s1
-        t = self.apply(Point(other.tx, other.ty))
-        return Isometry(c, s, t.x, t.y, self.mirror != other.mirror)
 
 
 def isometry_taking_segment_to_segment(src1: Point, src2: Point,

@@ -9,19 +9,20 @@ relative because the exclusive-disjunction algebra is valid only under the
 mutual-exclusivity assumption NOT (p AND q); the engine can demonstrate both
 the failure without the constraint and the success with it.
 
-Concrete syntax (ASCII): ``!`` NOT, ``&`` AND, ``|`` OR, ``^`` XOR, ``->``
-IMPLIES, ``<->`` IFF; precedence NOT > AND > OR = XOR > IMPLIES > IFF, all
-binary connectives left-associative, parentheses allowed.
+Each binary connective is declared once, in ``_CONNECTIVES``: its ASCII
+symbol, AST class, precedence (its level's position, loosest first; all group
+left) and truth function.  Tokenizer, parser, formatter and evaluator derive
+from that table.  ``!`` (NOT) binds tightest; parentheses group.
 
-Truth tables, not SAT: the atom counts here are tiny, and an exhaustive
-table is simple to audit.
+Truth tables, not SAT: the atom counts here are small, and an exhaustive
+table is simple to audit.  A table is packed into one integer, bit r holding
+the value on row r, so one pass over the formula evaluates all 2**n rows.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import product
 from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 
@@ -55,36 +56,50 @@ class Not:
 
 
 @dataclass(frozen=True)
-class And:
+class _Binary:
     lhs: "Formula"
     rhs: "Formula"
 
 
-@dataclass(frozen=True)
-class Or:
-    lhs: "Formula"
-    rhs: "Formula"
+class And(_Binary):
+    pass
 
 
-@dataclass(frozen=True)
-class Xor:
-    lhs: "Formula"
-    rhs: "Formula"
+class Or(_Binary):
+    pass
 
 
-@dataclass(frozen=True)
-class Implies:
-    lhs: "Formula"
-    rhs: "Formula"
+class Xor(_Binary):
+    pass
 
 
-@dataclass(frozen=True)
-class Iff:
-    lhs: "Formula"
-    rhs: "Formula"
+class Implies(_Binary):
+    pass
+
+
+class Iff(_Binary):
+    pass
 
 
 Formula = Union[Atom, Not, And, Or, Xor, Implies, Iff]
+
+# Binary connectives by precedence level, loosest first.  A truth function
+# maps the packed tables of the two operands to the compound's packed table;
+# ``full`` has one bit per row, so ``full ^ a`` is NOT a.
+_CONNECTIVES = (
+    (("<->", Iff, lambda a, b, full: full ^ a ^ b),),
+    (("->", Implies, lambda a, b, full: (full ^ a) | b),),
+    (("|", Or, lambda a, b, full: a | b),
+     ("^", Xor, lambda a, b, full: a ^ b)),
+    (("&", And, lambda a, b, full: a & b),),
+)
+_BY_SYMBOL = {symbol: (level, cls)
+              for level, entries in enumerate(_CONNECTIVES)
+              for symbol, cls, _ in entries}
+_SYMBOL = {cls: symbol for symbol, (_, cls) in _BY_SYMBOL.items()}
+_TRUTH = {cls: truth for entries in _CONNECTIVES for _, cls, truth in entries}
+_PREC = {**{cls: level + 1 for level, cls in _BY_SYMBOL.values()},
+         Not: len(_CONNECTIVES) + 1, Atom: len(_CONNECTIVES) + 2}
 
 
 def atom_names(formula: Formula) -> frozenset:
@@ -95,27 +110,27 @@ def atom_names(formula: Formula) -> frozenset:
     return atom_names(formula.lhs) | atom_names(formula.rhs)
 
 
-def evaluate(formula: Formula, assignment: Mapping[str, bool]) -> bool:
+def _table(formula: Formula, columns: Mapping[str, int], full: int) -> int:
+    """Packed truth table of ``formula``, given each atom's packed table."""
     if isinstance(formula, Atom):
-        return bool(assignment[formula.name])
+        return columns[formula.name]
     if isinstance(formula, Not):
-        return not evaluate(formula.operand, assignment)
-    a = evaluate(formula.lhs, assignment)
-    b = evaluate(formula.rhs, assignment)
-    if isinstance(formula, And):
-        return a and b
-    if isinstance(formula, Or):
-        return a or b
-    if isinstance(formula, Xor):
-        return a != b
-    if isinstance(formula, Implies):
-        return (not a) or b
-    return a == b
+        return full ^ _table(formula.operand, columns, full)
+    return _TRUTH[type(formula)](_table(formula.lhs, columns, full),
+                                 _table(formula.rhs, columns, full), full)
+
+
+def evaluate(formula: Formula, assignment: Mapping[str, bool]) -> bool:
+    """The formula's value on one assignment: a one-row table."""
+    columns = {name: 1 if assignment[name] else 0
+               for name in atom_names(formula)}
+    return bool(_table(formula, columns, 1))
 
 
 # -- parsing ------------------------------------------------------------------
 
-_TOKEN_RE = re.compile(r"\s*(?:(?P<name>[A-Za-z_]\w*)|(?P<op><->|->|[!&|^()]))")
+_TOKEN_RE = re.compile(r"\s*(?:(?P<name>[A-Za-z_]\w*)|(?P<op>%s))" % "|".join(
+    map(re.escape, [*_BY_SYMBOL, "!", "(", ")"])))
 
 
 def _tokenize(text: str) -> List[Tuple[str, str]]:
@@ -155,40 +170,23 @@ class _Parser:
         self.index += 1
 
     def parse(self) -> Formula:
-        node = self.parse_iff()
+        node = self.parse_binary()
         if self.index != len(self.tokens):
             raise FormulaSyntaxError(
                 f"unexpected {self.tokens[self.index][1]!r}", self.position)
         return node
 
-    def parse_iff(self) -> Formula:
-        node = self.parse_implies()
-        while self.peek_op() == "<->":
-            self.advance()
-            node = Iff(node, self.parse_implies())
-        return node
-
-    def parse_implies(self) -> Formula:
-        node = self.parse_or()
-        while self.peek_op() == "->":
-            self.advance()
-            node = Implies(node, self.parse_or())
-        return node
-
-    def parse_or(self) -> Formula:
-        node = self.parse_and()
-        while self.peek_op() in ("|", "^"):
-            op = self.peek_op()
-            self.advance()
-            rhs = self.parse_and()
-            node = Or(node, rhs) if op == "|" else Xor(node, rhs)
-        return node
-
-    def parse_and(self) -> Formula:
+    def parse_binary(self, min_level: int = 0) -> Formula:
+        """Precedence climbing over connectives of level ``min_level`` or
+        tighter; right operands take only tighter ones, so equal levels
+        group left."""
         node = self.parse_not()
-        while self.peek_op() == "&":
+        while self.peek_op() in _BY_SYMBOL:
+            level, cls = _BY_SYMBOL[self.peek_op()]
+            if level < min_level:
+                break
             self.advance()
-            node = And(node, self.parse_not())
+            node = cls(node, self.parse_binary(level + 1))
         return node
 
     def parse_not(self) -> Formula:
@@ -206,7 +204,7 @@ class _Parser:
             return Atom(text)
         if text == "(":
             self.advance()
-            node = self.parse_iff()
+            node = self.parse_binary()
             if self.peek_op() != ")":
                 raise FormulaSyntaxError("expected ')'", self.position)
             self.advance()
@@ -217,10 +215,6 @@ class _Parser:
 
 def parse_formula(text: str) -> Formula:
     return _Parser(_tokenize(text)).parse()
-
-
-_PREC = {Iff: 1, Implies: 2, Or: 3, Xor: 3, And: 4, Not: 5, Atom: 6}
-_SYMBOL = {Iff: "<->", Implies: "->", Or: "|", Xor: "^", And: "&"}
 
 
 def format_formula(formula: Formula) -> str:
@@ -268,22 +262,26 @@ def equivalent(f1: Formula, f2: Formula,
     if constraint is not None:
         names |= atom_names(constraint)
     ordered = sorted(names)
-    if len(ordered) > MAX_ATOMS:
+    n = len(ordered)
+    if n > MAX_ATOMS:
         raise AtomBudgetError(
-            f"{len(ordered)} atoms exceed the exhaustive budget of {MAX_ATOMS}")
-    rows = 0
-    constrained = 0
+            f"{n} atoms exceed the exhaustive budget of {MAX_ATOMS}")
+    # row r gives sorted atom i bit n-1-i of r (lexicographic row order):
+    # each atom added in front doubles the table and is true on the new half
+    full, tables = 1, []
+    for _ in ordered:
+        rows = full.bit_length()
+        tables = [full << rows] + [t | t << rows for t in tables]
+        full |= full << rows
+    columns = dict(zip(ordered, tables))
+    scope = full if constraint is None else _table(constraint, columns, full)
+    differ = (_table(f1, columns, full) ^ _table(f2, columns, full)) & scope
     witness = None
-    for values in product((False, True), repeat=len(ordered)):
-        rows += 1
-        assignment = dict(zip(ordered, values))
-        if constraint is not None and not evaluate(constraint, assignment):
-            continue
-        constrained += 1
-        if witness is None and \
-                evaluate(f1, assignment) != evaluate(f2, assignment):
-            witness = assignment
-    return EquivalenceResult(witness is None, witness, rows, constrained)
+    if differ:
+        row = (differ & -differ).bit_length() - 1
+        witness = {name: bool(row >> (n - 1 - i) & 1)
+                   for i, name in enumerate(ordered)}
+    return EquivalenceResult(not differ, witness, 1 << n, scope.bit_count())
 
 
 # -- composition schemes ------------------------------------------------------

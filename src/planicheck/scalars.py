@@ -289,9 +289,6 @@ class Scalar:
     def gt(self, other) -> bool:
         return self._mate(other).lt(self)
 
-    def ge(self, other) -> bool:
-        return self.eq(other) or self.gt(other)
-
     def is_zero(self) -> bool:
         if self.is_exact:
             return self._v == 0

@@ -190,6 +190,20 @@ def test_logic_formula_requires_equiv():
     assert run(["logic", "--formula", "p"]) == 2
 
 
+def test_logic_constraint_requires_formula(capsys):
+    assert run(["logic", "--constraint", "!(p & q)"]) == 2
+    captured = capsys.readouterr()
+    assert "--constraint needs --formula and --equiv" in captured.err
+    assert "checks pass" not in captured.out
+
+
+def test_logic_atom_budget_is_a_usage_error(capsys):
+    wide = " | ".join(f"x{i}" for i in range(21))
+    assert run(["logic", "--formula", wide, "--equiv", wide]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: 21 atoms exceed the exhaustive budget of 20\n"
+
+
 def test_markdown_report(tmp_path):
     out = tmp_path / "r.md"
     assert run(["verify", "--samples", "100", "--seed", "1",

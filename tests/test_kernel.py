@@ -17,16 +17,12 @@ from planicheck.kernel import (
     collinear,
     concyclic,
     concyclicity_determinant,
-    foot_of_perpendicular,
     incenter_and_bisector_feet,
     internal_bisector_line,
     isometry_taking_segment_to_segment,
-    line_intersection,
     line_through,
-    midpoint,
     orient,
     point,
-    point_on_line,
     reflect,
     signed_distance,
     squared_distance,
@@ -140,8 +136,8 @@ def test_internal_bisector_line_passes_through_foot():
     t = triangle(EXACT, (0, 0), (4, 0), (0, 3))
     res = incenter_and_bisector_feet(t)
     bis = internal_bisector_line(t, "A")
-    assert point_on_line(bis, res.foot_a)
-    assert point_on_line(bis, res.incenter)
+    assert bis.eval(res.foot_a).sign() == 0
+    assert bis.eval(res.incenter).sign() == 0
 
 
 def test_concyclic_unit_circle_and_square():
@@ -199,27 +195,7 @@ def test_reflect_is_an_exact_isometric_involution():
                 squared_distance(images[i], images[j]))
 
 
-def test_line_basics():
-    l1 = line_through(exact_pt(0, 0), exact_pt(2, 2))
-    l2 = line_through(exact_pt(1, 1), exact_pt(3, 3))
-    assert l1.eq(l2)
-    assert line_intersection(l1, l2) is None
-    l3 = line_through(exact_pt(0, 2), exact_pt(2, 0))
-    cut = line_intersection(l1, l3)
-    assert cut.eq(exact_pt(1, 1))
-    assert point_on_line(l3, cut)
-
-
-def test_foot_of_perpendicular():
-    l = line_through(exact_pt(0, 0), exact_pt(1, 1))
-    f = foot_of_perpendicular(exact_pt(2, 0), l)
-    assert f.eq(exact_pt(1, 1))
-    assert point_on_line(l, f)
-
-
-def test_midpoint_and_collinear():
-    m = midpoint(exact_pt(1, 3), exact_pt(5, 7))
-    assert m.eq(exact_pt(3, 5))
+def test_collinear():
     assert collinear(exact_pt(0, 0), exact_pt(2, 1), exact_pt(4, 2))
     assert not collinear(exact_pt(0, 0), exact_pt(2, 1), exact_pt(4, 3))
 
@@ -243,15 +219,6 @@ def test_isometry_length_mismatch_raises():
             exact_pt(0, 0), exact_pt(1, 0), exact_pt(0, 0), exact_pt(2, 0))
 
 
-def test_isometry_compose_matches_sequential_application():
-    g1 = Isometry(EXACT.scalar(Fraction(3, 5)), EXACT.scalar(Fraction(4, 5)),
-                  EXACT.scalar(1), EXACT.scalar(-2))
-    g2 = Isometry(EXACT.scalar(Fraction(5, 13)), EXACT.scalar(Fraction(12, 13)),
-                  EXACT.scalar(0), EXACT.scalar(3), mirror=True)
-    p = exact_pt(Fraction(7, 2), -1)
-    assert g1.compose(g2).apply(p).eq(g1.apply(g2.apply(p)))
-
-
 def test_angle_cos_is_isometry_invariant():
     g = Isometry(EXACT.scalar(Fraction(3, 5)), EXACT.scalar(Fraction(4, 5)),
                  EXACT.scalar(2), EXACT.scalar(-1), mirror=True)
@@ -266,10 +233,7 @@ def test_float_triangle_collinear_within_tolerance_raises():
         triangle(FB, (0.0, 0.0), (1.0, 0.0), (0.5, 1e-12))
 
 
-def test_circle_contains():
-    k = Circle(exact_pt(0, 0), EXACT.scalar(25))
-    assert k.contains(exact_pt(3, 4))
-    assert not k.contains(exact_pt(3, 5))
+def test_circle_rejects_zero_radius():
     with pytest.raises(DegenerateInputError):
         Circle(exact_pt(0, 0), EXACT.scalar(0))
 

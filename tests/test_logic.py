@@ -1,6 +1,7 @@
 """Formula parsing, truth-table equivalence and the composition templates."""
 
 import random
+from itertools import product
 
 import pytest
 
@@ -150,6 +151,87 @@ def test_atom_budget():
     with pytest.raises(AtomBudgetError):
         equivalent(big, big)
     assert atom_names(big) == frozenset(names)
+
+
+def oracle_atoms(formula):
+    if isinstance(formula, Atom):
+        return {formula.name}
+    if isinstance(formula, Not):
+        return oracle_atoms(formula.operand)
+    return oracle_atoms(formula.lhs) | oracle_atoms(formula.rhs)
+
+
+def oracle_value(formula, row):
+    """Row-by-row semantics in plain Python, kept apart from the engine."""
+    if isinstance(formula, Atom):
+        return row[formula.name]
+    if isinstance(formula, Not):
+        return not oracle_value(formula.operand, row)
+    a = oracle_value(formula.lhs, row)
+    b = oracle_value(formula.rhs, row)
+    if isinstance(formula, And):
+        return a and b
+    if isinstance(formula, Or):
+        return a or b
+    if isinstance(formula, Xor):
+        return a != b
+    if isinstance(formula, Implies):
+        return (not a) or b
+    assert isinstance(formula, Iff)
+    return a == b
+
+
+def oracle_equivalent(f1, f2, constraint):
+    """(witness, rows, constrained_rows) by walking itertools.product rows."""
+    names = oracle_atoms(f1) | oracle_atoms(f2)
+    if constraint is not None:
+        names |= oracle_atoms(constraint)
+    names = sorted(names)
+    rows = [dict(zip(names, values))
+            for values in product((False, True), repeat=len(names))]
+    in_scope = [row for row in rows
+                if constraint is None or oracle_value(constraint, row)]
+    witness = next((row for row in in_scope
+                    if oracle_value(f1, row) != oracle_value(f2, row)), None)
+    return witness, len(rows), len(in_scope)
+
+
+def test_equivalent_and_evaluate_match_row_by_row_oracle():
+    rng = random.Random(5)
+    verdicts = set()
+    for n in range(1, 9):
+        names = [f"a{i}" for i in range(n)]
+        for trial in range(30):
+            f1 = random_formula(rng, names, 5)
+            f2 = rng.choice([random_formula(rng, names, 5), Not(Not(f1)),
+                             Xor(f1, And(Atom(names[0]), Atom(names[-1])))])
+            constraint = (random_formula(rng, names, 3) if trial % 2
+                          else None)
+            witness, rows, in_scope = oracle_equivalent(f1, f2, constraint)
+            res = equivalent(f1, f2, constraint)
+            assert res.equivalent == (witness is None)
+            assert res.witness == witness
+            assert (res.rows, res.constrained_rows) == (rows, in_scope)
+            verdicts.add(res.equivalent)
+            for values in product((False, True), repeat=n):
+                row = dict(zip(names, values))
+                assert evaluate(f1, row) == oracle_value(f1, row)
+    assert verdicts == {True, False}
+
+
+def test_max_atoms_differ_only_on_the_all_true_row():
+    names = [f"x{i:02d}" for i in range(MAX_ATOMS)]
+    every = Atom(names[0])
+    for name in names[1:]:
+        every = And(every, Atom(name))
+    never = And(every, Not(Atom(names[0])))
+    res = equivalent(every, never)
+    assert not res
+    assert res.witness == {name: True for name in names}
+    assert res.rows == res.constrained_rows == 2 ** 20
+    res = equivalent(every, never, Not(every))
+    assert res and res.witness is None
+    assert res.constrained_rows == 2 ** 20 - 1
 
 
 def test_compose_scheme_inclusive():

@@ -307,7 +307,7 @@ def cmd_logic(args) -> int:
             f1 = parse_formula(args.formula)
             f2 = parse_formula(args.equiv)
             constraint = (parse_formula(args.constraint)
-                          if args.constraint else None)
+                          if args.constraint is not None else None)
             result = equivalent(f1, f2, constraint)
         except (FormulaSyntaxError, AtomBudgetError) as exc:
             print(f"error: {exc}", file=sys.stderr)

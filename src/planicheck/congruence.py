@@ -64,10 +64,6 @@ class Correspondence:
         if sorted(self.mapping) != sorted(LABELS):
             raise ValueError("mapping must be a permutation of A, B, C")
 
-    @classmethod
-    def identity(cls) -> "Correspondence":
-        return cls(LABELS)
-
     def image(self, label: str) -> str:
         return self.mapping[LABELS.index(label)]
 

@@ -1,8 +1,13 @@
-"""Planar geometry kernel: points, lines, circles, isometries, triangles.
+"""Planar geometry kernel: points, lines, isometries, triangles, and the
+angle, orientation and concyclicity predicates the SSA solver and the
+common-side lemma run on.
 
 All values are immutable and tied to one scalar backend.  Angles are handled
 through their cosines, which are injective on (0, pi); degrees never appear
 below the CLI.  Degenerate inputs raise, they are not silently patched.
+Constructions that only an audit needs (the circle through three points,
+the incenter, mirror images) are not part of it; the test suite builds them
+from this public API.
 
 Float predicates use relative tolerances scaled by the configuration size
 ``coord_scale`` (max of 1 and the coordinate magnitudes).  Documented scale
@@ -14,13 +19,11 @@ normal, so ``Line.eval`` gives a signed distance.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .scalars import (
     Backend,
     BackendMismatchError,
     DegenerateInputError,
-    ExactValueError,
     LengthMismatchError,
     Scalar,
 )
@@ -41,14 +44,8 @@ class Point:
     def backend(self) -> Backend:
         return self.x.backend
 
-    def __add__(self, other: "Point") -> "Point":
-        return Point(self.x + other.x, self.y + other.y)
-
     def __sub__(self, other: "Point") -> "Point":
         return Point(self.x - other.x, self.y - other.y)
-
-    def times(self, k) -> "Point":
-        return Point(self.x * k, self.y * k)
 
     def eq(self, other: "Point") -> bool:
         return self.x.eq(other.x) and self.y.eq(other.y)
@@ -136,41 +133,6 @@ def line_through(p: Point, q: Point) -> Line:
     v = q.x - p.x
     w = p.x * q.y - q.x * p.y
     return Line(u, v, w)
-
-
-def signed_distance(l: Line, p: Point) -> Scalar:
-    """Signed distance from p to l (sign follows the stored normal)."""
-    val = l.eval(p)
-    if not val.is_exact:
-        return val
-    n2 = l.u * l.u + l.v * l.v
-    return (val * val / n2).sqrt() * val.sign()
-
-
-def reflect_point(p: Point, l: Line) -> Point:
-    n2 = l.u * l.u + l.v * l.v
-    k = (l.eval(p) / n2) * 2
-    return Point(p.x - k * l.u, p.y - k * l.v)
-
-
-def reflect(obj, l: Line):
-    """Mirror a Point or Triangle across a line."""
-    if isinstance(obj, Point):
-        return reflect_point(obj, l)
-    if isinstance(obj, Triangle):
-        return Triangle(reflect_point(obj.A, l), reflect_point(obj.B, l),
-                        reflect_point(obj.C, l))
-    raise TypeError(f"cannot reflect {type(obj).__name__}")
-
-
-@dataclass(frozen=True)
-class Circle:
-    center: Point
-    radius_sq: Scalar
-
-    def __post_init__(self):
-        if self.radius_sq.sign() <= 0:
-            raise DegenerateInputError("circle needs positive squared radius")
 
 
 def angle_cos(vertex: Point, end1: Point, end2: Point) -> Scalar:
@@ -275,70 +237,6 @@ class Triangle:
 
     def others(self, label: str):
         return tuple(l for l in LABELS if l != label)
-
-
-def triangle(backend: Backend, a, b, c) -> Triangle:
-    return Triangle(point(backend, *a), point(backend, *b), point(backend, *c))
-
-
-def circumcircle(t: Triangle) -> Circle:
-    """Circle through the three vertices (perpendicular-bisector intersection)."""
-    a, b, c = t.A, t.B, t.C
-    d = orient(a, b, c) * 2
-    aa, bb, cc = dot(a, a), dot(b, b), dot(c, c)
-    ux = (aa * (b.y - c.y) + bb * (c.y - a.y) + cc * (a.y - b.y)) / d
-    uy = (aa * (c.x - b.x) + bb * (a.x - c.x) + cc * (b.x - a.x)) / d
-    center = Point(ux, uy)
-    return Circle(center, squared_distance(center, a))
-
-
-class IncenterResult(NamedTuple):
-    incenter: Point
-    foot_a: Point  # internal bisector from A meets BC
-    foot_b: Point  # from B, on CA
-    foot_c: Point  # from C, on AB
-
-
-def _side_lengths(t: Triangle):
-    try:
-        a = squared_distance(t.B, t.C).sqrt()
-        b = squared_distance(t.A, t.C).sqrt()
-        c = squared_distance(t.A, t.B).sqrt()
-    except ExactValueError:
-        raise ExactValueError(
-            "construction needs rational side lengths on the exact backend") from None
-    return a, b, c
-
-
-def incenter_and_bisector_feet(t: Triangle) -> IncenterResult:
-    """Incenter (aA + bB + cC)/(a+b+c) and the three bisector feet.
-
-    Each foot divides its side in the ratio of the adjacent sides, e.g. the
-    foot from A splits BC with BA1 : A1C = c : b.
-    """
-    a, b, c = _side_lengths(t)
-    p = a + b + c
-    j = Point((t.A.x * a + t.B.x * b + t.C.x * c) / p,
-              (t.A.y * a + t.B.y * b + t.C.y * c) / p)
-    foot_a = t.B + (t.C - t.B).times(c / (b + c))
-    foot_b = t.A + (t.C - t.A).times(c / (a + c))
-    foot_c = t.A + (t.B - t.A).times(b / (a + b))
-    return IncenterResult(j, foot_a, foot_b, foot_c)
-
-
-def internal_bisector_line(t: Triangle, label: str) -> Line:
-    """Internal angle bisector at the given vertex, as a full line."""
-    v = t.vertex(label)
-    p, q = (t.vertex(l) for l in t.others(label))
-    try:
-        lp = squared_distance(v, p).sqrt()
-        lq = squared_distance(v, q).sqrt()
-    except ExactValueError:
-        raise ExactValueError(
-            "bisector needs rational arm lengths on the exact backend") from None
-    d = Point((p.x - v.x) / lp + (q.x - v.x) / lq,
-              (p.y - v.y) / lp + (q.y - v.y) / lq)
-    return line_through(v, Point(v.x + d.x, v.y + d.y))
 
 
 def concyclicity_determinant(p1: Point, p2: Point, p3: Point, p4: Point) -> Scalar:

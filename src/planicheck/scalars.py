@@ -283,9 +283,6 @@ class Scalar:
             return _exact_cmp(self._v, o._v) < 0
         return self._v < o._v and not self.eq(o)
 
-    def le(self, other) -> bool:
-        return self.eq(other) or self.lt(other)
-
     def gt(self, other) -> bool:
         return self._mate(other).lt(self)
 

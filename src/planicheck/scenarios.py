@@ -3,17 +3,16 @@
 A triangle shape is the pair of base angles (alpha at A, beta at B) with the
 base AB frozen to length 1, which quotients out similarity.  Each scenario
 defines a signed hypothesis residual over shape space whose zero set is the
-hypothesis locus of one classical statement, plus a full trace with labeled
-intermediate points for audits.  One figure builder per scenario constructs
-the points; the residual and the trace both read them from it.
+hypothesis locus of one classical statement.  One figure builder per scenario
+constructs the points that its residual reads.
 
 Each conclusion branch is declared once, as a ``Branch``: a line in
 (alpha, beta) plus the range of its free angle.  ``level_set_scan`` samples
 the residual on a grid, refines every sign change by bisection, and checks
 that each refined root lies within a containment tolerance of one of the
 scenario's branches; the forward checks in ``suites`` walk the same lines.
-Scenario numerics run on raw binary64; the geometry kernel is the reference
-the test suite audits them against.
+Scenario numerics run on raw binary64; the test suite audits the figure
+builders against constructions made on the geometry kernel's points.
 
 Registered scenarios:
 
@@ -32,7 +31,7 @@ Registered scenarios:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .scalars import DegenerateInputError
@@ -50,27 +49,6 @@ class UnknownScenarioError(ValueError):
 
 class FeetOffSegmentError(DegenerateInputError):
     """Inscribed square/rectangle feet would leave segment AB."""
-
-
-@dataclass(frozen=True)
-class ShapeParams:
-    """Base angles at A and B in radians; AB = 1."""
-
-    alpha: float
-    beta: float
-
-    def __post_init__(self):
-        if not (self.alpha > 0 and self.beta > 0
-                and self.alpha + self.beta < math.pi):
-            raise DegenerateInputError("need alpha, beta > 0 and alpha + beta < pi")
-
-    @property
-    def gamma(self) -> float:
-        return math.pi - self.alpha - self.beta
-
-    @classmethod
-    def from_degrees(cls, alpha_deg: float, beta_deg: float) -> "ShapeParams":
-        return cls(math.radians(alpha_deg), math.radians(beta_deg))
 
 
 @dataclass(frozen=True)
@@ -103,24 +81,6 @@ ISOSCELES = Branch("isosceles", -1.0, 0.0, (1.0, 89.5))
 GAMMA_60 = Branch("gamma-60", 1.0, 2 * math.pi / 3, (0.6, 119.4))
 GAMMA_90 = Branch("gamma-90", 1.0, math.pi / 2, (1.0, 89.0))
 ALPHA_120 = Branch("alpha-120", 0.0, 2 * math.pi / 3, (0.5, 59.5))
-
-
-@dataclass
-class ScenarioTrace:
-    """Labeled intermediates of one scenario instance.
-
-    ``points`` maps labels to (x, y); ``angles`` holds measured (and, where
-    noted, hypothesis-predicted) values in radians; ``audits`` holds named
-    construction-incidence residuals that should all be ~0; ``flags`` are the
-    conclusion-branch indicators at this shape.
-    """
-
-    params: ShapeParams
-    residual: float
-    points: Dict[str, Tuple[float, float]] = field(default_factory=dict)
-    angles: Dict[str, float] = field(default_factory=dict)
-    audits: Dict[str, float] = field(default_factory=dict)
-    flags: Dict[str, bool] = field(default_factory=dict)
 
 
 # -- raw-float helpers ------------------------------------------------------
@@ -270,181 +230,12 @@ def bisector30_residual(alpha: float, beta: float) -> float:
     return _cos_at(foot_b, b_pt, foot_a) - _COS_30
 
 
-# -- trace builders -----------------------------------------------------------
-
-_FLAG_TOL = 1e-9
-
-
-def _flags(params: ShapeParams, *branches: Branch) -> Dict[str, bool]:
-    return {br.name: br.distance(params.alpha, params.beta) <= _FLAG_TOL
-            for br in branches}
-
-
-def medial_circumcenter(params: ShapeParams) -> ScenarioTrace:
-    """Medial-triangle circumcenter against the bisector at C.
-
-    The point G is cross-checkable as the nine-point center, the midpoint of
-    circumcenter and orthocenter of ABC.
-    """
-    a_pt, b_pt, c_pt, f, d, e, g = _medial_figure(params.alpha, params.beta)
-    o = _circumcenter(a_pt, b_pt, c_pt)
-    # nine-point center: midpoint of O and the orthocenter H = A+B+C-2O
-    hx = a_pt[0] + b_pt[0] + c_pt[0] - 2 * o[0]
-    hy = a_pt[1] + b_pt[1] + c_pt[1] - 2 * o[1]
-    nine = ((o[0] + hx) / 2, (o[1] + hy) / 2)
-    tr = ScenarioTrace(params, _bisector_signed_distance(c_pt, a_pt, b_pt, g))
-    tr.points.update(A=a_pt, B=b_pt, C=c_pt, F=f, D=d, E=e, G=g, N=nine)
-    tr.audits["G equals nine-point center"] = math.sqrt(_d2(g, nine))
-    tr.audits["G equidistant from midpoints"] = abs(_d2(g, f) - _d2(g, d))
-    tr.flags = _flags(params, ISOSCELES, GAMMA_60)
-    return tr
-
-
-def incenter_equal_segments(params: ShapeParams) -> ScenarioTrace:
-    """Incenter distances to the two bisector feet, with the exterior angles
-    at the feet recorded; those satisfy angle(C B1 J) = alpha + beta/2 and
-    angle(C A1 J) = beta + alpha/2 identically."""
-    a_pt, b_pt, c_pt, j, foot_a, foot_b = _incenter_figure(
-        params.alpha, params.beta)
-    tr = ScenarioTrace(params, _d2(j, foot_a) - _d2(j, foot_b))
-    tr.points.update(A=a_pt, B=b_pt, C=c_pt, J=j, A1=foot_a, B1=foot_b)
-    tr.angles["CB1J"] = angle_at(foot_b, c_pt, j)
-    tr.angles["CA1J"] = angle_at(foot_a, c_pt, j)
-    tr.angles["CB1J predicted"] = params.alpha + params.beta / 2
-    tr.angles["CA1J predicted"] = params.beta + params.alpha / 2
-    # feet sit on their sides
-    tr.audits["A1 on BC"] = abs(_cross(b_pt, c_pt, foot_a))
-    tr.audits["B1 on CA"] = abs(_cross(a_pt, c_pt, foot_b))
-    tr.audits["J on AA1"] = abs(_cross(a_pt, foot_a, j))
-    tr.audits["J on BB1"] = abs(_cross(b_pt, foot_b, j))
-    tr.flags = _flags(params, ISOSCELES, GAMMA_60)
-    return tr
-
-
-def _cross(p, q, x):
-    return (q[0] - p[0]) * (x[1] - p[1]) - (q[1] - p[1]) * (x[0] - p[0])
-
-
-def _inscribed_trace(params: ShapeParams, t) -> ScenarioTrace:
-    # shared by the square (t=None) and the rectangle traces
-    c_pt, m, n, p, q, o = _inscribed_figure(params.alpha, params.beta, t)
-    tr = ScenarioTrace(params, _center_offset(c_pt, o))
-    tr.points.update(A=(0.0, 0.0), B=(1.0, 0.0), C=c_pt, M=m, N=n, P=p, Q=q, O=o)
-    tr.audits["M on AB"] = abs(m[1])
-    tr.audits["N on AB"] = abs(n[1])
-    tr.audits["Q on CA"] = abs(_cross((0.0, 0.0), c_pt, q))
-    tr.audits["P on CB"] = abs(_cross((1.0, 0.0), c_pt, p))
-    tr.audits["diagonals share midpoint"] = math.sqrt(
-        _d2(o, ((n[0] + q[0]) / 2, (n[1] + q[1]) / 2)))
-    return tr
-
-
-def inscribed_square(params: ShapeParams) -> ScenarioTrace:
-    """Inscribed square MNPQ on AB with side c*h/(c+h); O is its center.
-
-    Valid for alpha, beta <= 90 deg; at equality a square vertex coincides
-    with A or B, which is allowed.
-    """
-    tr = _inscribed_trace(params, None)
-    pts = tr.points
-    tr.audits["square sides equal"] = abs(
-        (pts["N"][0] - pts["M"][0]) - pts["P"][1])
-    tr.angles["ACO"] = angle_at(pts["C"], pts["A"], pts["O"])
-    tr.angles["BCO"] = angle_at(pts["C"], pts["B"], pts["O"])
-    tr.flags = _flags(params, ISOSCELES, GAMMA_90)
-    return tr
-
-
-def inscribed_rectangle(params: ShapeParams, t: float = 0.5) -> ScenarioTrace:
-    """Inscribed rectangle of height fraction t over the altitude from C."""
-    tr = _inscribed_trace(params, t)
-    pts = tr.points
-    tr.audits["width matches 1 - t"] = abs(
-        (pts["N"][0] - pts["M"][0]) - (1.0 - t))
-    tr.flags = _flags(params, ISOSCELES)
-    return tr
-
-
-def bisector_30(params: ShapeParams) -> ScenarioTrace:
-    """Angle at B1 between B and A1 against 30 degrees.
-
-    Records A' (the mirror of A1 across line BB1) plus the angles the
-    supplementary-or-congruent argument runs through.  The predicted values
-    for AB1A1 and AA'A1 hold on the hypothesis locus (residual = 0).
-    """
-    a_pt, b_pt, c_pt, j, foot_a, foot_b = _incenter_figure(
-        params.alpha, params.beta)
-    tr = ScenarioTrace(params, _cos_at(foot_b, b_pt, foot_a) - _COS_30)
-    # reflect A1 over line B B1
-    dx, dy = foot_b[0] - b_pt[0], foot_b[1] - b_pt[1]
-    n2 = dx * dx + dy * dy
-    vx, vy = foot_a[0] - b_pt[0], foot_a[1] - b_pt[1]
-    k = 2.0 * (vx * dx + vy * dy) / n2
-    a_mirror = (b_pt[0] + k * dx - vx, b_pt[1] + k * dy - vy)
-    tr.points.update(A=a_pt, B=b_pt, C=c_pt, J=j, A1=foot_a, B1=foot_b,
-                     A_prime=a_mirror)
-    e = _line_meet(foot_a, foot_b, c_pt, j)
-    if e is not None:
-        tr.points["E"] = e
-    c1 = _line_meet(c_pt, j, a_pt, b_pt)
-    if c1 is not None:
-        tr.points["C1"] = c1
-    half_a, half_b, half_g = params.alpha / 2, params.beta / 2, params.gamma / 2
-    tr.angles["BB1A1"] = angle_at(foot_b, b_pt, foot_a)
-    tr.angles["AB1A1"] = angle_at(foot_b, a_pt, foot_a)
-    tr.angles["AA'A1"] = angle_at(a_mirror, a_pt, foot_a)
-    tr.angles["AJB"] = angle_at(j, a_pt, b_pt)
-    tr.angles["AB1A1 predicted"] = 2 * math.pi / 3 + half_g - half_a
-    tr.angles["AA'A1 predicted"] = math.pi / 2 + half_b
-    tr.audits["A' mirrors A1"] = abs(_d2(foot_b, a_mirror) - _d2(foot_b, foot_a))
-    tr.audits["A1 on BC"] = abs(_cross(b_pt, c_pt, foot_a))
-    tr.audits["B1 on CA"] = abs(_cross(a_pt, c_pt, foot_b))
-    tr.flags = _flags(params, GAMMA_60, ALPHA_120)
-    if tr.flags["gamma-60"]:
-        # angle AJB = 90 + gamma/2 = 120 deg here, and C, A1, J, B1 lie on
-        # one circle
-        tr.audits["CA1JB1 concyclic"] = abs(
-            _concyclic_det(c_pt, foot_a, j, foot_b))
-    if tr.flags["alpha-120"]:
-        d_ba = _line_distance(b_pt, a_pt, foot_b)
-        d_bc = _line_distance(b_pt, c_pt, foot_b)
-        d_aa1 = _line_distance(a_pt, foot_a, foot_b)
-        tr.audits["B1 equidistant from BA, BC"] = abs(d_ba - d_bc)
-        tr.audits["B1 equidistant from BA, AA1"] = abs(d_ba - d_aa1)
-    return tr
-
-
-def _line_distance(p, q, x):
-    return abs(_cross(p, q, x)) / math.sqrt(_d2(p, q))
-
-
-def _concyclic_det(p1, p2, p3, p4):
-    rows = []
-    for p in (p1, p2, p3):
-        dx, dy = p[0] - p4[0], p[1] - p4[1]
-        rows.append((dx, dy, dx * dx + dy * dy))
-    (a1, b1, c1), (a2, b2, c2), (a3, b3, c3) = rows
-    return (a1 * (b2 * c3 - b3 * c2) - b1 * (a2 * c3 - a3 * c2)
-            + c1 * (a2 * b3 - a3 * b2))
-
-
-def _line_meet(p1, p2, q1, q2):
-    d1 = (p2[0] - p1[0], p2[1] - p1[1])
-    d2 = (q2[0] - q1[0], q2[1] - q1[1])
-    den = d1[0] * d2[1] - d1[1] * d2[0]
-    if abs(den) < 1e-14:
-        return None
-    s = ((q1[0] - p1[0]) * d2[1] - (q1[1] - p1[1]) * d2[0]) / den
-    return (p1[0] + s * d1[0], p1[1] + s * d1[1])
-
-
 # -- registry and scanning ----------------------------------------------------
 
 @dataclass(frozen=True)
 class Scenario:
     name: str
     residual: Callable[..., float]
-    trace: Callable[..., ScenarioTrace]
     branches: Tuple[Branch, ...]
     asserted: bool = True          # containment is an established conclusion
     domain: Optional[Callable[[float, float], bool]] = None
@@ -452,16 +243,13 @@ class Scenario:
 
 SCENARIOS: Dict[str, Scenario] = {
     s.name: s for s in (
-        Scenario("medial-circumcenter", medial_residual, medial_circumcenter,
-                 (ISOSCELES, GAMMA_60)),
-        Scenario("incenter-segments", incenter_residual, incenter_equal_segments,
-                 (ISOSCELES, GAMMA_60)),
-        Scenario("square-center", square_residual, inscribed_square,
-                 (ISOSCELES, GAMMA_90), domain=_square_domain),
-        Scenario("rectangle-center", rectangle_residual, inscribed_rectangle,
-                 (ISOSCELES,), asserted=False, domain=_square_domain),
-        Scenario("bisector-30", bisector30_residual, bisector_30,
-                 (GAMMA_60, ALPHA_120)),
+        Scenario("medial-circumcenter", medial_residual, (ISOSCELES, GAMMA_60)),
+        Scenario("incenter-segments", incenter_residual, (ISOSCELES, GAMMA_60)),
+        Scenario("square-center", square_residual, (ISOSCELES, GAMMA_90),
+                 domain=_square_domain),
+        Scenario("rectangle-center", rectangle_residual, (ISOSCELES,),
+                 asserted=False, domain=_square_domain),
+        Scenario("bisector-30", bisector30_residual, (GAMMA_60, ALPHA_120)),
     )
 }
 

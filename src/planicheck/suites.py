@@ -117,18 +117,17 @@ def suite_ssa_oracle(samples: int, rng: Random, tol: float = 1e-9,
 
 def sample_two_solution_spec(rng: Random,
                              float_backend: FloatBackend = FLOAT) -> SsaSpec:
-    """Uniform spec conditioned on the two-solution regime (resampled until
-    the solver confirms it, so boundary-band hits are excluded)."""
-    while True:
-        theta_deg = rng.uniform(1.0, 89.0)
-        b = rng.uniform(0.1, 10.0)
-        lo = b * math.sin(math.radians(theta_deg))
-        u = rng.uniform(1e-6, 1.0 - 1e-6)
-        a = lo + u * (b - lo)
-        spec = SsaSpec.from_values(float_backend, a, b,
-                                   math.cos(math.radians(theta_deg)))
-        if solve_ssa(spec).count == 2:
-            return spec
+    """Spec drawn inside the two-solution regime: an acute angle theta and
+    b sin(theta) < a < b, with a kept off both ends of that interval.  The
+    solver is not consulted, so a caller that gets a count other than 2
+    has found a failure, not a rejected draw."""
+    theta_deg = rng.uniform(1.0, 89.0)
+    b = rng.uniform(0.1, 10.0)
+    lo = b * math.sin(math.radians(theta_deg))
+    u = rng.uniform(1e-6, 1.0 - 1e-6)
+    a = lo + u * (b - lo)
+    return SsaSpec.from_values(float_backend, a, b,
+                               math.cos(math.radians(theta_deg)))
 
 
 def suite_dichotomy_float(samples: int, rng: Random, tol: float = 1e-9,
@@ -139,11 +138,14 @@ def suite_dichotomy_float(samples: int, rng: Random, tol: float = 1e-9,
     for _ in range(samples):
         spec = sample_two_solution_spec(rng, float_backend)
         sols = solve_ssa(spec)
+        witness = {"a": spec.side_a.as_float(), "b": spec.side_b.as_float(),
+                   "cos_angle": spec.cos_angle.as_float()}
+        if sols.count != 2:
+            result.add_failure({**witness, "count": sols.count})
+            continue
         verdict = classify_pair(sols.triangles[0], sols.triangles[1],
                                 IDENTITY, SSA_TRIPLE)
-        witness = {"a": spec.side_a.as_float(), "b": spec.side_b.as_float(),
-                   "cos_angle": spec.cos_angle.as_float(),
-                   "verdict": type(verdict).__name__}
+        witness["verdict"] = type(verdict).__name__
         if not isinstance(verdict, Supplementary):
             result.add_failure(witness)
             continue
@@ -209,6 +211,11 @@ def suite_lemma(samples: int, rng: Random, tol: float = 1e-9,
     for _ in range(samples):
         spec = sample_two_solution_spec(rng, float_backend)
         sols = solve_ssa(spec)
+        witness = {"a": spec.side_a.as_float(), "b": spec.side_b.as_float(),
+                   "cos_angle": spec.cos_angle.as_float()}
+        if sols.count != 2:
+            result.add_failure({**witness, "count": sols.count})
+            continue
         apex1, apex2 = sols.triangles[0].B, sols.triangles[1].B
         shared_a = sols.triangles[0].C     # lemma's A, at (b, 0)
         shared_b = sols.triangles[0].A     # lemma's B, at the origin
@@ -225,8 +232,7 @@ def suite_lemma(samples: int, rng: Random, tol: float = 1e-9,
                 and report.is_concyclic and report.ac_less_than_ab
                 and det_norm <= tol):
             result.add_failure({
-                "a": spec.side_a.as_float(), "b": spec.side_b.as_float(),
-                "cos_angle": spec.cos_angle.as_float(),
+                **witness,
                 "supplementary": report.supplementary_angles,
                 "concyclic": report.is_concyclic,
                 "ac_less_than_ab": report.ac_less_than_ab,
@@ -349,8 +355,9 @@ def suite_offset_bisector_spots(min_gap: float = 1e-3) -> CheckResult:
                          len(OFFSET_SPOT_SHAPES_DEG), math.inf)
     worst_gap = math.inf
     for a_deg, b_deg in OFFSET_SPOT_SHAPES_DEG:
-        tr = sc.bisector_30(sc.ShapeParams.from_degrees(a_deg, b_deg))
-        gap = abs(tr.angles["BB1A1"] - math.pi / 6)
+        _, b_pt, _, _, foot_a, foot_b = sc._incenter_figure(
+            math.radians(a_deg), math.radians(b_deg))
+        gap = abs(sc.angle_at(foot_b, b_pt, foot_a) - math.pi / 6)
         worst_gap = min(worst_gap, gap)
         if gap <= min_gap:
             result.add_failure({"alpha_deg": a_deg, "beta_deg": b_deg,

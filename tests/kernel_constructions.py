@@ -1,0 +1,120 @@
+"""Classical constructions on the geometry kernel, for audits.
+
+Circumcircle, incenter with bisector feet, internal bisector line, signed
+distance and reflection.  The program itself needs none of them: the
+scenario residuals build their points in raw binary64 (``planicheck.
+scenarios``' figure builders).  These constructions use only the public
+kernel API, on either backend, so the tests can check those figures against
+a second, independent construction.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import NamedTuple
+
+from planicheck.kernel import (
+    Line,
+    Point,
+    Triangle,
+    dot,
+    line_through,
+    orient,
+    point,
+    squared_distance,
+)
+from planicheck.scalars import DegenerateInputError, ExactValueError, Scalar
+
+
+def triangle(backend, a, b, c) -> Triangle:
+    """Triangle from three (x, y) pairs on one backend."""
+    return Triangle(point(backend, *a), point(backend, *b), point(backend, *c))
+
+
+@dataclass(frozen=True)
+class Circle:
+    center: Point
+    radius_sq: Scalar
+
+    def __post_init__(self):
+        if self.radius_sq.sign() <= 0:
+            raise DegenerateInputError("circle needs positive squared radius")
+
+
+def circumcircle(t: Triangle) -> Circle:
+    """Circle through the three vertices (perpendicular-bisector intersection)."""
+    a, b, c = t.A, t.B, t.C
+    d = orient(a, b, c) * 2
+    aa, bb, cc = dot(a, a), dot(b, b), dot(c, c)
+    ux = (aa * (b.y - c.y) + bb * (c.y - a.y) + cc * (a.y - b.y)) / d
+    uy = (aa * (c.x - b.x) + bb * (a.x - c.x) + cc * (b.x - a.x)) / d
+    center = Point(ux, uy)
+    return Circle(center, squared_distance(center, a))
+
+
+class IncenterResult(NamedTuple):
+    incenter: Point
+    foot_a: Point  # internal bisector from A meets BC
+    foot_b: Point  # from B, on CA
+    foot_c: Point  # from C, on AB
+
+
+def _length(p: Point, q: Point, what: str) -> Scalar:
+    try:
+        return squared_distance(p, q).sqrt()
+    except ExactValueError:
+        raise ExactValueError(
+            f"{what} needs rational lengths on the exact backend") from None
+
+
+def _along(p: Point, q: Point, k) -> Point:
+    """The point p + k (q - p)."""
+    return Point(p.x + (q.x - p.x) * k, p.y + (q.y - p.y) * k)
+
+
+def incenter_and_bisector_feet(t: Triangle) -> IncenterResult:
+    """Incenter (aA + bB + cC)/(a+b+c) and the three bisector feet.
+
+    Each foot divides its side in the ratio of the adjacent sides, e.g. the
+    foot from A splits BC with BA1 : A1C = c : b.
+    """
+    a = _length(t.B, t.C, "incenter")
+    b = _length(t.A, t.C, "incenter")
+    c = _length(t.A, t.B, "incenter")
+    p = a + b + c
+    j = Point((t.A.x * a + t.B.x * b + t.C.x * c) / p,
+              (t.A.y * a + t.B.y * b + t.C.y * c) / p)
+    return IncenterResult(j, _along(t.B, t.C, c / (b + c)),
+                          _along(t.A, t.C, c / (a + c)),
+                          _along(t.A, t.B, b / (a + b)))
+
+
+def internal_bisector_line(t: Triangle, label: str) -> Line:
+    """Internal angle bisector at the given vertex, as a full line."""
+    v = t.vertex(label)
+    p, q = (t.vertex(l) for l in t.others(label))
+    lp = _length(v, p, "bisector")
+    lq = _length(v, q, "bisector")
+    dx = (p.x - v.x) / lp + (q.x - v.x) / lq
+    dy = (p.y - v.y) / lp + (q.y - v.y) / lq
+    return line_through(v, Point(v.x + dx, v.y + dy))
+
+
+def signed_distance(l: Line, p: Point) -> Scalar:
+    """Signed distance from p to l (sign follows the stored normal)."""
+    val = l.eval(p)
+    if not val.is_exact:
+        return val
+    n2 = l.u * l.u + l.v * l.v
+    return (val * val / n2).sqrt() * val.sign()
+
+
+def reflect(obj, l: Line):
+    """Mirror a Point or Triangle across a line."""
+    if isinstance(obj, Triangle):
+        return Triangle(reflect(obj.A, l), reflect(obj.B, l), reflect(obj.C, l))
+    if not isinstance(obj, Point):
+        raise TypeError(f"cannot reflect {type(obj).__name__}")
+    n2 = l.u * l.u + l.v * l.v
+    k = (l.eval(obj) / n2) * 2
+    return Point(obj.x - k * l.u, obj.y - k * l.v)

@@ -1,6 +1,7 @@
 """End-to-end command-line checks driven through cli.main in-process."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -114,6 +115,28 @@ def test_verify_report_body_is_deterministic(tmp_path):
     assert bodies[0] == bodies[1]
 
 
+BODIES = Path(__file__).parent / "bodies"
+PINNED_RUNS = {
+    "verify": ["verify", "--samples", "2000", "--seed", "42"],
+    **{f"scenario-{name}": ["scenario", name, "--grid-step-deg", "2",
+                            "--samples", "50", "--seed", "42"]
+       for name in ("medial-circumcenter", "incenter-segments",
+                    "square-center", "rectangle-center", "bisector-30")},
+}
+
+
+@pytest.mark.parametrize("tag", sorted(PINNED_RUNS))
+def test_report_body_matches_the_pinned_body(tmp_path, capsys, tag):
+    # a change that alters a body regenerates tests/bodies/<tag>.json and
+    # names every changed field in CHANGES.md
+    out = tmp_path / "r.json"
+    assert run(PINNED_RUNS[tag] + ["--report", str(out)]) == 0
+    data = json.loads(out.read_text())
+    data.pop("wall_time_s")
+    body = json.dumps(data, indent=2, sort_keys=True) + "\n"
+    assert body == (BODIES / f"{tag}.json").read_text()
+
+
 def test_scenario_scan_and_report(tmp_path, capsys):
     out = tmp_path / "scan.json"
     code = run(["scenario", "bisector-30", "--grid-step-deg", "2",
@@ -195,6 +218,14 @@ def test_logic_constraint_requires_formula(capsys):
     captured = capsys.readouterr()
     assert "--constraint needs --formula and --equiv" in captured.err
     assert "checks pass" not in captured.out
+
+
+def test_logic_empty_constraint_is_a_syntax_error(capsys):
+    assert run(["logic", "--formula", "p", "--equiv", "q",
+                "--constraint", ""]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: unexpected end of input at token 1\n"
+    assert captured.out == ""
 
 
 def test_logic_atom_budget_is_a_usage_error(capsys):

@@ -18,14 +18,15 @@ from planicheck.congruence import (
     criterion_d,
     measure,
 )
-from planicheck.kernel import Isometry, reflect, line_through, point, triangle
+from kernel_constructions import reflect, triangle
+from planicheck.kernel import LABELS, Isometry, line_through, point
 from planicheck.scalars import EXACT, FloatBackend
 
 FB = FloatBackend()
 
 # 3-4-5 with rational coordinates: sides a=3 (opposite A), b=4, c=5
 T345 = triangle(EXACT, (0, 0), (5, 0), (Fraction(16, 5), Fraction(12, 5)))
-IDENT = Correspondence.identity()
+IDENT = Correspondence(LABELS)
 
 
 def float_345():

@@ -1,6 +1,8 @@
-"""Every name a planicheck module imports is used in that module."""
+"""Every name a planicheck module imports is used in that module, and every
+function, class and method it defines is referenced somewhere in the package."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -35,3 +37,60 @@ def test_the_check_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+# paper content (the congruence criteria, the common-side placement) and the
+# documented one-row and scheme APIs of the logic engine
+REFERENCE_EXEMPT = {"criterion_a", "criterion_b", "criterion_d",
+                    "to_common_side", "evaluate", "compose_scheme"}
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _references(node) -> Counter:
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr
+                   for n in ast.walk(node)
+                   if isinstance(n, (ast.Name, ast.Attribute)))
+
+
+def unreferenced_definitions(sources, exempt=frozenset()):
+    """(module, qualified name) of each top-level function or class, and
+    each non-dunder method, whose name appears as no ``Name`` or
+    ``Attribute`` in any of ``sources`` (module name -> text) outside its
+    own definition."""
+    trees = {mod: ast.parse(text) for mod, text in sources.items()}
+    total = sum((_references(tree) for tree in trees.values()), Counter())
+    found = []
+    for mod, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, _FUNCTIONS + (ast.ClassDef,)):
+                continue
+            defs = [(node.name, node)]
+            if isinstance(node, ast.ClassDef):
+                defs += [(f"{node.name}.{sub.name}", sub) for sub in node.body
+                         if isinstance(sub, _FUNCTIONS)
+                         and not (sub.name.startswith("__")
+                                  and sub.name.endswith("__"))]
+            for qualname, d in defs:
+                if d.name in exempt:
+                    continue
+                if total[d.name] == _references(d)[d.name]:
+                    found.append((mod, qualname))
+    return found
+
+
+def test_the_check_sees_an_unreferenced_definition():
+    sources = {
+        "a.py": ("def used():\n    return 1\n\n"
+                 "def recursive(n):\n    return recursive(n - 1)\n\n"
+                 "class K:\n    def method(self):\n        return 2\n\n"
+                 "    def __eq__(self, other):\n        return True\n\n"
+                 "def paper():\n    pass\n"),
+        "b.py": "from a import used, K\nx = used() + K().missing\n",
+    }
+    assert unreferenced_definitions(sources, {"paper"}) == [
+        ("a.py", "recursive"), ("a.py", "K.method")]
+
+
+def test_every_definition_has_a_reader_in_the_package():
+    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert unreferenced_definitions(sources, REFERENCE_EXEMPT) == []

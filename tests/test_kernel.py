@@ -1,4 +1,5 @@
-"""Geometry kernel: predicates, constructions and their independent oracles."""
+"""Geometry kernel: predicates, isometries, and the audit constructions of
+``kernel_constructions`` with their independent oracles."""
 
 import math
 import random
@@ -6,28 +7,27 @@ from fractions import Fraction
 
 import pytest
 
-from planicheck.kernel import (
+from kernel_constructions import (
     Circle,
-    Isometry,
-    Line,
-    Point,
-    Triangle,
-    angle_cos,
     circumcircle,
+    incenter_and_bisector_feet,
+    internal_bisector_line,
+    reflect,
+    signed_distance,
+    triangle,
+)
+from planicheck.kernel import (
+    Isometry,
+    angle_cos,
     collinear,
     concyclic,
     concyclicity_determinant,
-    incenter_and_bisector_feet,
-    internal_bisector_line,
     isometry_taking_segment_to_segment,
     line_through,
     orient,
     point,
-    reflect,
-    signed_distance,
     squared_distance,
     supplementary,
-    triangle,
 )
 from planicheck.scalars import (
     EXACT,

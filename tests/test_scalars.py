@@ -96,7 +96,7 @@ def test_float_relative_equality():
 def test_float_strict_comparisons_respect_tolerance():
     a = FB.scalar(1.0)
     assert not a.lt(1.0 + 1e-12)
-    assert a.le(1.0 + 1e-12)
+    assert a.eq(1.0 + 1e-12)
     assert a.lt(1.1)
     assert FB.scalar(2.0).gt(a)
 

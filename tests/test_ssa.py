@@ -6,15 +6,16 @@ from fractions import Fraction
 
 import pytest
 
+from kernel_constructions import triangle
 from planicheck import congruence, kernel, ssa
 from planicheck.congruence import Correspondence, ElementTriple, measure
 from planicheck.kernel import (
+    LABELS,
     Isometry,
     collinear,
     dot,
     point,
     squared_distance,
-    triangle,
 )
 from planicheck.scalars import EXACT, DegenerateInputError, FloatBackend
 from planicheck.ssa import (
@@ -32,7 +33,7 @@ from planicheck.ssa import (
 )
 
 FB = FloatBackend()
-IDENT = Correspondence.identity()
+IDENT = Correspondence(LABELS)
 SSA = ElementTriple(("A", "B"), "A")
 
 

@@ -46,8 +46,8 @@ def _add_report_flags(parser: argparse.ArgumentParser):
 
 def _positive_float(text: str) -> float:
     value = float(text)
-    if not value > 0:
-        raise argparse.ArgumentTypeError(f"{text!r} must be positive")
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"{text!r} must be positive and finite")
     return value
 
 
@@ -123,6 +123,10 @@ def _clamped_acos_deg(c: float) -> float:
 
 
 def cmd_ssa(args) -> int:
+    if args.angle_deg is not None and not 0 < args.angle_deg < 180:
+        print("error: --angle-deg must lie strictly between 0 and 180",
+              file=sys.stderr)
+        return 2
     if args.cos is not None:
         try:
             cos_fraction = Fraction(args.cos)
@@ -151,6 +155,9 @@ def cmd_ssa(args) -> int:
     opposite, adjacent = spec_sides
     if args.opposite == "b" and not args.included:
         opposite, adjacent = adjacent, opposite
+    # validates the sides and the angle of either designation before any
+    # output; an invalid query raises into main's exit 2
+    spec = SsaSpec(opposite, adjacent, cos_scalar)
 
     case = predict_case(opposite, adjacent, included=args.included)
     print(f"predicted case: {case.value}")
@@ -173,12 +180,7 @@ def cmd_ssa(args) -> int:
               f"{rpt.round12(apex.y.as_float())})")
         solutions.append({"third_side": third})
     else:
-        try:
-            spec = SsaSpec(opposite, adjacent, cos_scalar)
-            sols = solve_ssa(spec)
-        except (DegenerateInputError, ExactValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        sols = solve_ssa(spec)
         print(f"{sols.count} solution{'s' if sols.count != 1 else ''}")
         for i in range(sols.count):
             third = sols.third_sides[i].as_float()
@@ -357,6 +359,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         return handlers[args.command](args)
     except (DegenerateInputError, ExactValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OverflowError as exc:
+        print(f"error: a value is too large for binary64: {exc.args[-1]}",
+              file=sys.stderr)
         return 2
 
 

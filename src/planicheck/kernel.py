@@ -9,11 +9,14 @@ Constructions that only an audit needs (the circle through three points,
 the incenter, mirror images) are not part of it; the test suite builds them
 from this public API.
 
-Float predicates use relative tolerances scaled by the configuration size
-``coord_scale`` (max of 1 and the coordinate magnitudes).  Documented scale
-powers: collinearity/orientation eps*scale^2, concyclicity eps*scale^4 (its
-points must lie more than eps*scale apart).  A float line carries a unit
-normal, so ``Line.eval`` gives a signed distance.
+Every zero test goes through ``Scalar.vanishes(scale, degree)``: exact zero
+on the exact backend, |value| <= eps * scale^degree on the float backend,
+with ``scale`` the configuration size ``coord_scale`` (max of 1 and the
+coordinate magnitudes) and ``degree`` the quantity's degree in lengths:
+collinearity/orientation 2, concyclicity 4 (its points must lie more than
+eps*scale apart, a length test of degree 1).  So the predicates are written
+once for both backends.  A float line carries a unit normal, so
+``Line.eval`` gives a signed distance.
 """
 
 from __future__ import annotations
@@ -82,10 +85,7 @@ def orient(p: Point, q: Point, r: Point) -> Scalar:
 
 
 def collinear(p: Point, q: Point, r: Point) -> bool:
-    d = orient(p, q, r)
-    if d.is_exact:
-        return d.sign() == 0
-    return abs(d.as_float()) <= d.backend.eps * coord_scale(p, q, r) ** 2
+    return orient(p, q, r).vanishes(coord_scale(p, q, r), 2)
 
 
 @dataclass(frozen=True)
@@ -136,21 +136,17 @@ def line_through(p: Point, q: Point) -> Line:
 
 
 def angle_cos(vertex: Point, end1: Point, end2: Point) -> Scalar:
-    """Cosine of the angle at ``vertex`` subtended by the two ends.
+    """Cosine of the angle at ``vertex`` subtended by the two ends,
+    dot(u, v) / sqrt(|u|^2 |v|^2).
 
-    Exact backend: the value is sign(dot) * sqrt(dot^2 / (|u|^2 |v|^2)), an
-    exactly comparable radical; it collapses to a rational when possible.
+    On rational coordinates the exact backend gives an exactly comparable
+    single radical, which collapses to a rational when possible.
     """
     if vertex.eq(end1) or vertex.eq(end2):
         raise DegenerateInputError("angle at coincident points")
     u = end1 - vertex
     v = end2 - vertex
-    uu = dot(u, u)
-    vv = dot(v, v)
-    d = dot(u, v)
-    if not d.is_exact:
-        return d / (uu * vv).sqrt()
-    return (d * d / (uu * vv)).sqrt() * d.sign()
+    return dot(u, v) / (dot(u, u) * dot(v, v)).sqrt()
 
 
 def supplementary(cos1: Scalar, cos2: Scalar) -> bool:
@@ -205,10 +201,9 @@ def isometry_taking_segment_to_segment(src1: Point, src2: Point,
         su = Point(su.x, -su.y)
     c = dot(su, dv) / n2
     s = cross(su, dv) / n2
-    if not c.is_exact:
-        # renormalize against rounding drift
-        n = (c * c + s * s).sqrt()
-        c, s = c / n, s / n
+    # renormalize against float rounding drift; the exact norm is 1
+    n = (c * c + s * s).sqrt()
+    c, s = c / n, s / n
     g0 = Isometry(c, s, c - c, c - c, mirror)  # zero translation, same backend
     a = g0.apply(src1)
     return Isometry(c, s, dst1.x - a.x, dst1.y - a.y, mirror)
@@ -254,24 +249,19 @@ def concyclicity_determinant(p1: Point, p2: Point, p3: Point, p4: Point) -> Scal
 
 
 def concyclic(p1: Point, p2: Point, p3: Point, p4: Point) -> bool:
-    """Exact zero test of the determinant, or |det| <= eps * scale^4 on floats.
+    """Whether the determinant vanishes at degree 4.
 
-    Preconditions: four distinct points (on floats, no two closer than
-    eps * scale), no three collinear.
+    Preconditions: four distinct points (no distance between two of them
+    vanishes at degree 1), no three collinear.
     """
     pts = (p1, p2, p3, p4)
-    scale = None if p1.x.is_exact else coord_scale(*pts)
+    scale = coord_scale(*pts)
     for i in range(4):
         for j in range(i + 1, 4):
-            d2 = squared_distance(pts[i], pts[j])
-            if (d2.is_zero() if scale is None
-                    else d2.as_float() <= (d2.backend.eps * scale) ** 2):
+            if squared_distance(pts[i], pts[j]).sqrt().vanishes(scale, 1):
                 raise DegenerateInputError("concyclicity needs 4 distinct points")
     for i in range(4):
         trio = [p for k, p in enumerate(pts) if k != i]
         if collinear(*trio):
             raise DegenerateInputError("three of the points are collinear")
-    det = concyclicity_determinant(*pts)
-    if det.is_exact:
-        return det.sign() == 0
-    return abs(det.as_float()) <= det.backend.eps * scale ** 4
+    return concyclicity_determinant(*pts).vanishes(scale, 4)

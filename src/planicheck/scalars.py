@@ -8,9 +8,16 @@ Two backends underlie every predicate in this package:
   No nested radicals and no sums across distinct radicals; such results
   raise ``ExactValueError`` loudly instead of approximating.
 * ``FloatBackend(eps)``: binary64 with a relative comparison tolerance.
-  ``eq`` is reflexive and symmetric: |a-b| <= eps * max(1, |a|, |b|).
+  Its one tolerance rule is ``vanishes(value, scale, degree)``:
+  |value| <= eps * scale^degree for a quantity of that degree in lengths.
+  ``eq`` is |a-b| vanishing at scale max(1, |a|, |b|), degree 1 (reflexive
+  and symmetric); ``sign`` is 0 when the value vanishes at scale 1.
 
-Values from different backends never mix; arithmetic between them raises
+A backend owns every decision that differs between the two: coercing an
+operand, ``eq``/``lt``/``sign``, ``sqrt`` and ``vanishes``.  Each
+``Scalar`` operator applies its payloads' own arithmetic (float, Fraction,
+or the radical ``_Sqrt``) and never asks which backend it is on.  Values
+from different backends never mix; arithmetic between them raises
 ``BackendMismatchError`` rather than coercing.
 """
 
@@ -38,37 +45,70 @@ class LengthMismatchError(ValueError):
     """Two segments required to have equal length do not."""
 
 
-def _fraction_isqrt(q: Fraction):
-    """Exact square root of a nonnegative Fraction, or None if irrational."""
-    if q < 0:
-        return None
-    rn = math.isqrt(q.numerator)
-    rd = math.isqrt(q.denominator)
-    if rn * rn == q.numerator and rd * rd == q.denominator:
-        return Fraction(rn, rd)
-    return None
-
-
 class _Sqrt(NamedTuple):
-    # canonical irrational payload: sign * sqrt(square), square > 0 and not a
-    # perfect square (perfect squares collapse to Fraction at construction)
+    """Canonical irrational payload ``sign * sqrt(square)``: square > 0 and
+    not a perfect square (perfect squares collapse to Fraction in
+    ``_mk_exact``).  Its operators mix with Fraction and int operands and
+    raise ``ExactValueError`` where a result leaves the representable set."""
+
     sign: int
     square: Fraction
 
+    def __float__(self):
+        return self.sign * math.sqrt(self.square)
+
+    def __neg__(self):
+        return _Sqrt(-self.sign, self.square)
+
+    def __add__(self, other):
+        if isinstance(other, _Sqrt):
+            if other.square != self.square:
+                raise ExactValueError("sum of distinct radicals is not representable")
+            c = self.sign + other.sign
+            return _mk_exact((c > 0) - (c < 0), Fraction(c * c) * self.square)
+        if other == 0:
+            return self
+        raise ExactValueError("sum of a rational and a radical is not representable")
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        if isinstance(other, _Sqrt):
+            return _mk_exact(self.sign * other.sign, self.square * other.square)
+        return _mk_exact(_exact_sign(other) * self.sign, other * other * self.square)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        return self * (1 / other)
+
+    def __rtruediv__(self, other):
+        return _mk_exact(self.sign, 1 / self.square) * other
+
 
 def _mk_exact(sign: int, square: Fraction):
+    """sign * sqrt(square) for square >= 0; a Fraction when rational."""
     if sign == 0 or square == 0:
         return Fraction(0)
-    root = _fraction_isqrt(square)
-    if root is not None:
-        return sign * root
+    rn, rd = math.isqrt(square.numerator), math.isqrt(square.denominator)
+    if rn * rn == square.numerator and rd * rd == square.denominator:
+        return sign * Fraction(rn, rd)
     return _Sqrt(sign, square)
+
+
+def _exact_sign(x) -> int:
+    return x.sign if isinstance(x, _Sqrt) else (x > 0) - (x < 0)
 
 
 def _exact_cmp(x, y) -> int:
     """Total order on exact payloads (Fraction or _Sqrt)."""
-    xs = x.sign if isinstance(x, _Sqrt) else (x > 0) - (x < 0)
-    ys = y.sign if isinstance(y, _Sqrt) else (y > 0) - (y < 0)
+    xs, ys = _exact_sign(x), _exact_sign(y)
     if xs != ys:
         return -1 if xs < ys else 1
     if xs == 0:
@@ -83,47 +123,6 @@ def _exact_cmp(x, y) -> int:
     return -1 if lt else 1
 
 
-def _exact_add(x, y):
-    if isinstance(x, Fraction) and isinstance(y, Fraction):
-        return x + y
-    if isinstance(x, _Sqrt) and isinstance(y, _Sqrt):
-        if x.square == y.square:
-            c = x.sign + y.sign
-            return _mk_exact((c > 0) - (c < 0), Fraction(c * c) * x.square)
-        raise ExactValueError("sum of distinct radicals is not representable")
-    frac, root = (x, y) if isinstance(x, Fraction) else (y, x)
-    if frac == 0:
-        return root
-    raise ExactValueError("sum of a rational and a radical is not representable")
-
-
-def _exact_mul(x, y):
-    if isinstance(x, Fraction) and isinstance(y, Fraction):
-        return x * y
-    if isinstance(x, _Sqrt) and isinstance(y, _Sqrt):
-        return _mk_exact(x.sign * y.sign, x.square * y.square)
-    frac, root = (x, y) if isinstance(x, Fraction) else (y, x)
-    if frac == 0:
-        return Fraction(0)
-    s = 1 if frac > 0 else -1
-    return _mk_exact(s * root.sign, frac * frac * root.square)
-
-
-def _exact_div(x, y):
-    if isinstance(y, Fraction):
-        if y == 0:
-            raise ZeroDivisionError("division by exact zero")
-        return _exact_mul(x, Fraction(1) / y)
-    inv = _mk_exact(y.sign, Fraction(1) / y.square)
-    return _exact_mul(x, inv)
-
-
-def _exact_neg(x):
-    if isinstance(x, Fraction):
-        return -x
-    return _Sqrt(-x.sign, x.square)
-
-
 @dataclass(frozen=True)
 class ExactBackend:
     """Zero-tolerance backend over the rationals plus single square roots."""
@@ -136,6 +135,30 @@ class ExactBackend:
         if isinstance(value, float):
             raise TypeError("exact backend takes int, Fraction or str, not float")
         return Scalar(self, Fraction(value))
+
+    def coerce(self, value):
+        if isinstance(value, (int, Fraction)):
+            return Fraction(value)
+        raise TypeError(f"cannot combine Scalar with {type(value).__name__}")
+
+    def vanishes(self, value, scale: float, degree: int) -> bool:
+        """Exact zero; the scale of the configuration plays no part."""
+        return _exact_sign(value) == 0
+
+    def eq(self, x, y) -> bool:
+        return _exact_cmp(x, y) == 0
+
+    def lt(self, x, y) -> bool:
+        return _exact_cmp(x, y) < 0
+
+    sign = staticmethod(_exact_sign)
+
+    def sqrt(self, v):
+        if _exact_sign(v) < 0:
+            raise ValueError("square root of a negative value")
+        if isinstance(v, _Sqrt):
+            raise ExactValueError("nested radicals are not representable")
+        return _mk_exact(1, v)
 
     def __repr__(self):
         return "ExactBackend()"
@@ -158,10 +181,39 @@ class FloatBackend:
             return value
         return Scalar(self, float(value))
 
+    def coerce(self, value):
+        if isinstance(value, (int, Fraction, float)):
+            return float(value)
+        raise TypeError(f"cannot combine Scalar with {type(value).__name__}")
+
+    def vanishes(self, value, scale: float, degree: int) -> bool:
+        """|value| <= eps * scale^degree: zero for a quantity homogeneous of
+        ``degree`` in lengths, measured in a configuration of size ``scale``."""
+        return abs(value) <= self.eps * scale ** degree
+
+    def eq(self, x, y) -> bool:
+        return self.vanishes(x - y, max(1.0, abs(x), abs(y)), 1)
+
+    def lt(self, x, y) -> bool:
+        return x < y and not self.eq(x, y)
+
+    def sign(self, v) -> int:
+        if self.vanishes(v, 1.0, 1):
+            return 0
+        return 1 if v > 0.0 else -1
+
+    def sqrt(self, v):
+        if v < 0.0:
+            raise ValueError("square root of a negative value")
+        return math.sqrt(v)
+
 
 EXACT = ExactBackend()
 
 Backend = Union[ExactBackend, FloatBackend]
+
+
+_set = object.__setattr__
 
 
 class Scalar:
@@ -170,136 +222,87 @@ class Scalar:
     __slots__ = ("backend", "_v")
 
     def __init__(self, backend: Backend, payload):
-        object.__setattr__(self, "backend", backend)
-        object.__setattr__(self, "_v", payload)
+        _set(self, "backend", backend)
+        _set(self, "_v", payload)
 
     def __setattr__(self, *a):
         raise AttributeError("Scalar is immutable")
 
     # -- plumbing ---------------------------------------------------------
 
-    def _mate(self, other) -> "Scalar":
+    def _mate(self, other):
+        """The payload of ``other`` on this scalar's backend."""
         if isinstance(other, Scalar):
-            if other.backend != self.backend:
+            if other.backend is not self.backend and other.backend != self.backend:
                 raise BackendMismatchError(
                     f"cannot mix {self.backend!r} and {other.backend!r}")
-            return other
-        if isinstance(other, int) or isinstance(other, Fraction):
-            if isinstance(self.backend, FloatBackend):
-                return Scalar(self.backend, float(other))
-            return Scalar(self.backend, Fraction(other))
-        if isinstance(other, float) and isinstance(self.backend, FloatBackend):
-            return Scalar(self.backend, other)
-        raise TypeError(f"cannot combine Scalar with {type(other).__name__}")
+            return other._v
+        return self.backend.coerce(other)
 
     @property
     def is_exact(self) -> bool:
         return isinstance(self.backend, ExactBackend)
 
     def as_float(self) -> float:
-        v = self._v
-        if isinstance(v, _Sqrt):
-            return v.sign * math.sqrt(v.square)
-        return float(v)
+        return float(self._v)
 
     def exact_value(self) -> Fraction:
         """The rational payload; raises if the value is irrational or float."""
-        if not self.is_exact or not isinstance(self._v, Fraction):
+        if not isinstance(self._v, Fraction):
             raise ExactValueError("value has no rational representation")
         return self._v
 
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other):
-        o = self._mate(other)
-        if self.is_exact:
-            return Scalar(self.backend, _exact_add(self._v, o._v))
-        return Scalar(self.backend, self._v + o._v)
+        return Scalar(self.backend, self._v + self._mate(other))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._mate(other)
-        if self.is_exact:
-            return Scalar(self.backend, _exact_add(self._v, _exact_neg(o._v)))
-        return Scalar(self.backend, self._v - o._v)
+        return Scalar(self.backend, self._v - self._mate(other))
 
     def __rsub__(self, other):
-        return self._mate(other) - self
+        return Scalar(self.backend, self._mate(other) - self._v)
 
     def __mul__(self, other):
-        o = self._mate(other)
-        if self.is_exact:
-            return Scalar(self.backend, _exact_mul(self._v, o._v))
-        return Scalar(self.backend, self._v * o._v)
+        return Scalar(self.backend, self._v * self._mate(other))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._mate(other)
-        if self.is_exact:
-            return Scalar(self.backend, _exact_div(self._v, o._v))
-        if o._v == 0.0:
-            raise ZeroDivisionError("division by float zero")
-        return Scalar(self.backend, self._v / o._v)
+        return Scalar(self.backend, self._v / self._mate(other))
 
     def __rtruediv__(self, other):
-        return self._mate(other) / self
+        return Scalar(self.backend, self._mate(other) / self._v)
 
     def __neg__(self):
-        if self.is_exact:
-            return Scalar(self.backend, _exact_neg(self._v))
         return Scalar(self.backend, -self._v)
 
     def __abs__(self):
         return -self if self.sign() < 0 else self
 
     def sqrt(self) -> "Scalar":
-        if not self.is_exact:
-            if self._v < 0.0:
-                raise ValueError("square root of a negative value")
-            return Scalar(self.backend, math.sqrt(self._v))
-        v = self._v
-        if isinstance(v, _Sqrt):
-            if v.sign < 0:
-                raise ValueError("square root of a negative value")
-            raise ExactValueError("nested radicals are not representable")
-        if v < 0:
-            raise ValueError("square root of a negative value")
-        return Scalar(self.backend, _mk_exact(1, v))
+        return Scalar(self.backend, self.backend.sqrt(self._v))
 
     # -- comparisons (tolerance-aware on the float backend) ---------------
 
     def eq(self, other) -> bool:
-        o = self._mate(other)
-        if self.is_exact:
-            return _exact_cmp(self._v, o._v) == 0
-        a, b = self._v, o._v
-        return abs(a - b) <= self.backend.eps * max(1.0, abs(a), abs(b))
+        return self.backend.eq(self._v, self._mate(other))
 
     def lt(self, other) -> bool:
-        o = self._mate(other)
-        if self.is_exact:
-            return _exact_cmp(self._v, o._v) < 0
-        return self._v < o._v and not self.eq(o)
+        return self.backend.lt(self._v, self._mate(other))
 
     def gt(self, other) -> bool:
-        return self._mate(other).lt(self)
-
-    def is_zero(self) -> bool:
-        if self.is_exact:
-            return self._v == 0
-        return abs(self._v) <= self.backend.eps
+        return self.backend.lt(self._mate(other), self._v)
 
     def sign(self) -> int:
-        if self.is_exact:
-            v = self._v
-            if isinstance(v, _Sqrt):
-                return v.sign
-            return (v > 0) - (v < 0)
-        if self.is_zero():
-            return 0
-        return 1 if self._v > 0.0 else -1
+        return self.backend.sign(self._v)
+
+    def vanishes(self, scale: float, degree: int) -> bool:
+        """Zero as a quantity of ``degree`` in lengths, in a configuration
+        of size ``scale``; see ``FloatBackend.vanishes``."""
+        return self.backend.vanishes(self._v, scale, degree)
 
     # structural equality (use .eq for tolerance-aware comparison)
     def __eq__(self, other):

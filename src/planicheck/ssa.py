@@ -15,7 +15,6 @@ third side |AB|.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from typing import Optional, Tuple, Union
 
@@ -32,11 +31,9 @@ from .kernel import (
     supplementary,
 )
 from .scalars import (
-    EXACT,
     Backend,
     DegenerateInputError,
     ExactValueError,
-    FloatBackend,
     LengthMismatchError,
     Scalar,
 )
@@ -130,80 +127,6 @@ class SsaSolutions:
         return len(self.triangles)
 
 
-def _solve_float(spec: SsaSpec) -> SsaSolutions:
-    be = spec.backend
-    eps = be.eps
-    a = spec.side_a.as_float()
-    b = spec.side_b.as_float()
-    c0 = spec.cos_angle.as_float()
-    sin2 = 1.0 - c0 * c0
-    sin_t = math.sqrt(sin2)
-    s = max(1.0, a, b)
-    disc = a * a - b * b * sin2
-    on_boundary = abs(disc) <= eps * s * s
-    if on_boundary:
-        roots = [b * c0]  # right-angle boundary: one triangle, not two coincident
-    elif disc < 0.0:
-        roots = []
-    else:
-        r = math.sqrt(disc)
-        roots = [b * c0 - r, b * c0 + r]
-
-    def keeps_triangle(t):
-        # positive third side whose triangle clears the collinearity band
-        scale = max(s, t)
-        return t > eps * scale and t * sin_t * b > eps * scale * scale
-
-    roots = [t for t in roots if keeps_triangle(t)]
-    tris, thirds, apex, base = [], [], [], []
-    for t in roots:
-        apex_cos = 0.0 if on_boundary else (t - b * c0) / a
-        tris.append(Triangle(
-            Point(be.scalar(0.0), be.scalar(0.0)),
-            Point(be.scalar(t * c0), be.scalar(t * sin_t)),
-            Point(be.scalar(b), be.scalar(0.0)),
-        ))
-        thirds.append(be.scalar(t))
-        apex.append(be.scalar(apex_cos))
-        base.append(be.scalar((b - t * c0) / a))
-    return SsaSolutions(spec, tuple(tris), tuple(thirds), tuple(apex), tuple(base))
-
-
-def _solve_exact(spec: SsaSpec) -> SsaSolutions:
-    a2 = spec.side_a * spec.side_a
-    b = spec.side_b
-    c0 = spec.cos_angle
-    try:
-        c0.exact_value()
-        sin_t = (EXACT.scalar(1) - c0 * c0).sqrt()
-        sin_t.exact_value()
-        disc = a2 - b * b * (EXACT.scalar(1) - c0 * c0)
-        root = disc.sqrt() if disc.sign() >= 0 else None
-        if root is not None:
-            root.exact_value()
-    except ExactValueError:
-        raise ExactValueError(
-            "exact SSA solving needs rational cosine, sine and discriminant root"
-        ) from None
-    if disc.sign() < 0:
-        roots = []
-    elif disc.sign() == 0:
-        roots = [b * c0]
-    else:
-        roots = [b * c0 - root, b * c0 + root]
-    roots = [t for t in roots if t.sign() > 0]
-    zero = EXACT.scalar(0)
-    tris, thirds, apex, base = [], [], [], []
-    for t in roots:
-        tris.append(Triangle(Point(zero, zero),
-                             Point(t * c0, t * sin_t),
-                             Point(b, zero)))
-        thirds.append(t)
-        apex.append((t - b * c0) / spec.side_a)
-        base.append((b - t * c0) / spec.side_a)
-    return SsaSolutions(spec, tuple(tris), tuple(thirds), tuple(apex), tuple(base))
-
-
 def solve_ssa(spec: SsaSpec) -> SsaSolutions:
     """All triangles realizing the given side-side-angle data, in
     canonical pose.
@@ -214,10 +137,50 @@ def solve_ssa(spec: SsaSpec) -> SsaSolutions:
     boundary b sin(theta) = a (one triangle, not two coincident ones) and
     when a >= b, and 2 when b sin(theta) < a < b with an acute given angle.
     An obtuse given angle opposite a not-greater side yields no triangle.
+
+    One algorithm serves both backends.  Its three zero tests (the boundary
+    band on the discriminant, degree 2, and the kept triangle's third side,
+    degree 1, and doubled area, degree 2) go through ``Scalar.vanishes`` at
+    the scale max(1, a, b, t): exact zero on the exact backend.  The exact
+    backend also needs a rational cosine, sine and discriminant root; without
+    them it raises ``ExactValueError`` before any root is formed.
     """
-    if isinstance(spec.backend, FloatBackend):
-        return _solve_float(spec)
-    return _solve_exact(spec)
+    a, b, c0 = spec.side_a, spec.side_b, spec.cos_angle
+    sin2 = 1 - c0 * c0
+    sin_t = sin2.sqrt()
+    s = max(1.0, a.as_float(), b.as_float())
+    disc = a * a - b * b * sin2
+    on_boundary = disc.vanishes(s, 2)
+    root = None if on_boundary or disc.sign() < 0 else disc.sqrt()
+    if a.is_exact:
+        try:
+            for value in (c0, sin_t) if root is None else (c0, sin_t, root):
+                value.exact_value()
+        except ExactValueError:
+            raise ExactValueError(
+                "exact SSA solving needs rational cosine, sine and discriminant root"
+            ) from None
+    bc0 = b * c0
+    if on_boundary:
+        roots = [bc0]  # right-angle boundary: one triangle, not two coincident
+    elif root is None:
+        roots = []
+    else:
+        roots = [bc0 - root, bc0 + root]
+    zero = spec.backend.scalar(0)
+    tris, thirds, apex, base = [], [], [], []
+    for t in roots:
+        # keep a positive third side whose triangle clears the collinearity band
+        scale = max(s, t.as_float())
+        height = t * sin_t
+        if t.sign() <= 0 or t.vanishes(scale, 1) or (height * b).vanishes(scale, 2):
+            continue
+        tc0 = t * c0
+        tris.append(Triangle(Point(zero, zero), Point(tc0, height), Point(b, zero)))
+        thirds.append(t)
+        apex.append((t - bc0) / a)   # 0 on the boundary
+        base.append((b - tc0) / a)
+    return SsaSolutions(spec, tuple(tris), tuple(thirds), tuple(apex), tuple(base))
 
 
 @dataclass(frozen=True)

@@ -90,6 +90,45 @@ def test_ssa_rejects_bad_cos_literal():
     assert run(["ssa", "--a", "1", "--b", "1", "--cos", "3//5"]) == 2
 
 
+@pytest.mark.parametrize("angle", [
+    ["--cos", "2", "--included"],
+    ["--angle-deg", "0", "--included"],
+    ["--angle-deg", "180", "--included"],
+    ["--angle-deg", "200"],
+    ["--angle-deg", "-30"],
+    ["--angle-deg", "nan"],
+], ids=lambda argv: " ".join(argv))
+def test_ssa_rejects_an_angle_outside_the_open_range(capsys, angle):
+    # the query is validated before anything goes to stdout
+    assert run(["ssa", "--a", "3", "--b", "4", *angle]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["--a", "1e200", "--b", "1e200", "--angle-deg", "60"],
+    ["--a", "3", "--b", "4", "--cos", "1e400"],
+], ids=lambda argv: " ".join(argv))
+def test_ssa_overflow_is_a_usage_error(capsys, argv):
+    assert run(["ssa", *argv]) == 2
+    captured = capsys.readouterr()
+    assert "solution" not in captured.out
+    assert "too large for binary64" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["ssa", "--a", "inf", "--b", "4", "--angle-deg", "30"],
+    ["ssa", "--a", "3", "--b", "4", "--angle-deg", "30", "--eps", "inf"],
+    ["verify", "--samples", "10", "--eps", "inf"],
+], ids=lambda argv: " ".join(argv))
+def test_infinite_numbers_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as err:
+        run(argv)
+    assert err.value.code == 2
+    assert "must be positive and finite" in capsys.readouterr().err
+
+
 def test_verify_small_run(capsys):
     assert run(["verify", "--samples", "200", "--seed", "7"]) == 0
     text = capsys.readouterr().out
@@ -118,6 +157,14 @@ def test_verify_report_body_is_deterministic(tmp_path):
 BODIES = Path(__file__).parent / "bodies"
 PINNED_RUNS = {
     "verify": ["verify", "--samples", "2000", "--seed", "42"],
+    "ssa-readme-float": ["ssa", "--a", "1", "--b", "1.7320508075688772",
+                         "--angle-deg", "30"],
+    "ssa-readme-exact": ["ssa", "--a", "4", "--b", "5", "--cos", "3/5",
+                         "--backend", "exact"],
+    "ssa-sqrt17": ["ssa", "--a", "4.123105625617661", "--b", "5",
+                   "--cos", "3/5"],
+    "ssa-included": ["ssa", "--a", "3", "--b", "4", "--cos", "0",
+                     "--included"],
     **{f"scenario-{name}": ["scenario", name, "--grid-step-deg", "2",
                             "--samples", "50", "--seed", "42"]
        for name in ("medial-circumcenter", "incenter-segments",

@@ -79,7 +79,7 @@ def test_exact_total_order_on_radicals():
 
 
 def test_exact_sign_and_zero():
-    assert EXACT.scalar(0).is_zero()
+    assert EXACT.scalar(0).sign() == 0
     assert EXACT.scalar(0).sign() == 0
     assert (-EXACT.scalar(3).sqrt()).sign() == -1
     assert abs(-EXACT.scalar(3).sqrt()).eq(EXACT.scalar(3).sqrt())
@@ -90,7 +90,7 @@ def test_float_relative_equality():
     assert big.eq(1e12 + 1.0)          # relative slack grows with magnitude
     assert not FB.scalar(1.0).eq(1.0 + 1e-8)
     assert FB.scalar(0.0).eq(1e-10)    # floor at absolute eps
-    assert FB.scalar(1e-10).is_zero()
+    assert FB.scalar(1e-10).sign() == 0
 
 
 def test_float_strict_comparisons_respect_tolerance():

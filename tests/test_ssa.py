@@ -127,6 +127,29 @@ def test_exact_rational_two_solution_spec():
     assert (verdict.cos1 + verdict.cos2).sign() == 0
 
 
+# rational specs (side_a, side_b, cos_angle, count) in every count regime
+RATIONAL_REGIMES = {
+    "two-solutions": (Fraction(41, 10), 5, Fraction(3, 5), 2),
+    "right-angle-boundary": (4, 5, Fraction(3, 5), 1),
+    "equal-sides": (5, 5, Fraction(3, 5), 1),
+    "opposite-greater": (Fraction(20, 3), 5, Fraction(3, 5), 1),
+    "no-solution": (3, 5, Fraction(3, 5), 0),
+    "obtuse-opposite-smaller": (Fraction(41, 10), 5, Fraction(-3, 5), 0),
+    "obtuse-opposite-greater": (Fraction(20, 3), 5, Fraction(-3, 5), 1),
+}
+
+
+@pytest.mark.parametrize("regime", sorted(RATIONAL_REGIMES))
+def test_exact_and_float_solutions_agree(regime):
+    a, b, cos, count = RATIONAL_REGIMES[regime]
+    exact = solve_ssa(SsaSpec.from_values(EXACT, a, b, cos))
+    approx = solve_ssa(SsaSpec.from_values(FB, float(a), float(b), float(cos)))
+    assert exact.count == approx.count == count
+    for field in ("third_sides", "apex_cosines", "base_cosines"):
+        for e, f in zip(getattr(exact, field), getattr(approx, field)):
+            assert abs(e.as_float() - f.as_float()) <= 1e-12, field
+
+
 def test_classify_pair_congruent_under_isometry():
     t1 = triangle(EXACT, (0, 0), (5, 0), (Fraction(16, 5), Fraction(12, 5)))
     g = Isometry(EXACT.scalar(Fraction(3, 5)), EXACT.scalar(Fraction(4, 5)),

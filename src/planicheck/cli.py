@@ -30,8 +30,7 @@ from .ssa import (SsaSpec, Supplementary, classify_pair, predict_case,
 from .scenarios import UnknownScenarioError, get_scenario, level_set_scan
 from .logic import (AtomBudgetError, FormulaSyntaxError, equivalent,
                     format_formula, parse_formula, verify_scheme_equivalences)
-from .suites import (IDENTITY, SSA_TRIPLE, CheckResult, run_scenario_suites,
-                     run_verify_suites)
+from .suites import CheckResult, run_scenario_suites, run_verify_suites
 from . import report as rpt
 
 RNG_ALGORITHM = "mt19937"
@@ -133,24 +132,21 @@ def cmd_ssa(args) -> int:
         except (ValueError, ZeroDivisionError):
             print(f"error: --cos {args.cos!r} is not a number", file=sys.stderr)
             return 2
+    elif args.backend == "exact" and not args.included:
+        # a double's cosine is dyadic, and no dyadic inside (-1, 1) but 0
+        # (which no degree angle reaches) has a rational sine, so the exact
+        # solver could never place this angle
+        print("error: the exact backend needs a rational angle for this "
+              "designation: give it as --cos", file=sys.stderr)
+        return 2
     else:
-        cos_fraction = None
-    if args.backend == "exact":
-        # decimal side inputs become exact rationals; a degree angle turns
-        # into the exact dyadic value of its computed double cosine, so the
-        # query is deterministic either way
-        backend = EXACT
-        spec_sides = [backend.scalar(Fraction(str(args.a))),
-                      backend.scalar(Fraction(str(args.b)))]
-        if cos_fraction is None:
-            cos_fraction = Fraction(math.cos(math.radians(args.angle_deg)))
-        cos_scalar = backend.scalar(cos_fraction)
-    else:
-        backend = FloatBackend(args.eps)
-        spec_sides = [backend.scalar(args.a), backend.scalar(args.b)]
-        cos_value = (float(cos_fraction) if cos_fraction is not None
-                     else math.cos(math.radians(args.angle_deg)))
-        cos_scalar = backend.scalar(cos_value)
+        cos_fraction = Fraction(math.cos(math.radians(args.angle_deg)))
+    # decimal sides become exact rationals and a degree angle the exact
+    # dyadic value of its double cosine; the float backend rounds each back
+    # to the double it came from, so the query is deterministic either way
+    backend = EXACT if args.backend == "exact" else FloatBackend(args.eps)
+    spec_sides = [backend.scalar(Fraction(str(v))) for v in (args.a, args.b)]
+    cos_scalar = backend.scalar(cos_fraction)
 
     opposite, adjacent = spec_sides
     if args.opposite == "b" and not args.included:
@@ -195,8 +191,7 @@ def cmd_ssa(args) -> int:
             solutions.append({"third_side": third, "apex_angle_deg": apex_deg,
                               "base_angle_deg": base_deg})
         if sols.count == 2:
-            verdict = classify_pair(sols.triangles[0], sols.triangles[1],
-                                    IDENTITY, SSA_TRIPLE)
+            verdict = classify_pair(sols.triangles[0], sols.triangles[1])
             if isinstance(verdict, Supplementary):
                 d1 = _clamped_acos_deg(verdict.cos1.as_float())
                 d2 = _clamped_acos_deg(verdict.cos2.as_float())

@@ -1,6 +1,6 @@
-"""Planar geometry kernel: points, lines, isometries, triangles, and the
-angle, orientation and concyclicity predicates the SSA solver and the
-common-side lemma run on.
+"""Planar geometry kernel: points, isometries, triangles, and the angle,
+side-of-line and concyclicity predicates the SSA solver and the common-side
+lemma run on.
 
 All values are immutable and tied to one scalar backend.  Angles are handled
 through their cosines, which are injective on (0, pi); degrees never appear
@@ -13,10 +13,11 @@ Every zero test goes through ``Scalar.vanishes(scale, degree)``: exact zero
 on the exact backend, |value| <= eps * scale^degree on the float backend,
 with ``scale`` the configuration size ``coord_scale`` (max of 1 and the
 coordinate magnitudes) and ``degree`` the quantity's degree in lengths:
-collinearity/orientation 2, concyclicity 4 (its points must lie more than
-eps*scale apart, a length test of degree 1).  So the predicates are written
-once for both backends.  A float line carries a unit normal, so
-``Line.eval`` gives a signed distance.
+the side of a line (and so collinearity) 2, concyclicity 4 (its points
+must lie more than eps*scale apart, a length test of degree 1).  So the
+predicates are written once for both backends, and every side-of-line
+question (a triangle's validity, the lemma's opposite sides, the common-side
+placement) is answered by the one rule in ``side``.
 """
 
 from __future__ import annotations
@@ -84,55 +85,17 @@ def orient(p: Point, q: Point, r: Point) -> Scalar:
     return cross(q - p, r - p)
 
 
+def side(p: Point, q: Point, r: Point) -> int:
+    """Side of the directed line pq that r lies on: 1 left, -1 right, and 0
+    when the orientation vanishes at degree 2 (r on the line)."""
+    o = orient(p, q, r)
+    if o.vanishes(coord_scale(p, q, r), 2):
+        return 0
+    return o.sign()
+
+
 def collinear(p: Point, q: Point, r: Point) -> bool:
-    return orient(p, q, r).vanishes(coord_scale(p, q, r), 2)
-
-
-@dataclass(frozen=True)
-class Line:
-    """Locus u*x + v*y + w = 0, canonicalized at construction.
-
-    Exact lines divide through by the first nonzero of (u, v); float lines
-    carry a unit normal, so evaluating a point gives its signed distance.
-    """
-
-    u: Scalar
-    v: Scalar
-    w: Scalar
-
-    def __post_init__(self):
-        n2 = self.u * self.u + self.v * self.v
-        if n2.sign() == 0:
-            raise DegenerateInputError("line normal must be nonzero")
-        if self.u.is_exact:
-            lead = self.u if self.u.sign() != 0 else self.v
-            object.__setattr__(self, "u", self.u / lead)
-            object.__setattr__(self, "v", self.v / lead)
-            object.__setattr__(self, "w", self.w / lead)
-        else:
-            n = n2.sqrt()
-            u, v, w = self.u / n, self.v / n, self.w / n
-            if u.as_float() < 0 or (u.as_float() == 0.0 and v.as_float() < 0):
-                u, v, w = -u, -v, -w
-            object.__setattr__(self, "u", u)
-            object.__setattr__(self, "v", v)
-            object.__setattr__(self, "w", w)
-
-    @property
-    def backend(self) -> Backend:
-        return self.u.backend
-
-    def eval(self, p: Point) -> Scalar:
-        return self.u * p.x + self.v * p.y + self.w
-
-
-def line_through(p: Point, q: Point) -> Line:
-    if squared_distance(p, q).sign() == 0:
-        raise DegenerateInputError("line through two coincident points")
-    u = p.y - q.y
-    v = q.x - p.x
-    w = p.x * q.y - q.x * p.y
-    return Line(u, v, w)
+    return side(p, q, r) == 0
 
 
 def angle_cos(vertex: Point, end1: Point, end2: Point) -> Scalar:

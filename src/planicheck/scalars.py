@@ -188,8 +188,15 @@ class FloatBackend:
 
     def vanishes(self, value, scale: float, degree: int) -> bool:
         """|value| <= eps * scale^degree: zero for a quantity homogeneous of
-        ``degree`` in lengths, measured in a configuration of size ``scale``."""
-        return abs(value) <= self.eps * scale ** degree
+        ``degree`` in lengths, measured in a configuration of size ``scale``.
+        A scale whose power overflows is a degenerate input."""
+        try:
+            bound = self.eps * scale ** degree
+        except OverflowError:
+            raise DegenerateInputError(
+                f"a degree-{degree} quantity at size {scale:g} is too large "
+                "for binary64") from None
+        return abs(value) <= bound
 
     def eq(self, x, y) -> bool:
         return self.vanishes(x - y, max(1.0, abs(x), abs(y)), 1)

@@ -3,8 +3,8 @@
 Given two sides and an angle opposite one of them, zero, one or two triangles
 exist.  When two exist they are never congruent, and the two angles opposite
 the greater given side are supplementary; ``classify_pair`` decides, for any
-pair of triangles agreeing on such an element triple, between congruence and
-that supplementary outcome.  No third outcome exists.
+pair of triangles agreeing on the solver's element triple, between
+congruence and that supplementary outcome.  No third outcome exists.
 
 Canonical solution pose: the given adjacent side lies on the x axis from
 A = (0, 0) to C = (side_b, 0); the apex B sits in the open upper half plane
@@ -18,7 +18,7 @@ import enum
 from dataclasses import dataclass
 from typing import Optional, Tuple, Union
 
-from .congruence import Correspondence, ElementTriple, congruent_any, measure
+from .congruence import Correspondence, congruent_any, measure
 from .kernel import (
     Isometry,
     Point,
@@ -26,7 +26,7 @@ from .kernel import (
     concyclic,
     concyclicity_determinant,
     isometry_taking_segment_to_segment,
-    line_through,
+    side,
     squared_distance,
     supplementary,
 )
@@ -202,32 +202,26 @@ class NotSsaMatched:
 DichotomyVerdict = Union[Congruent, Supplementary, NotSsaMatched]
 
 
-def classify_pair(t1: Triangle, t2: Triangle, corr: Correspondence,
-                  matched: ElementTriple) -> DichotomyVerdict:
-    """Decide the dichotomy for two triangles sharing a designated element triple.
+def classify_pair(t1: Triangle, t2: Triangle) -> DichotomyVerdict:
+    """Decide the dichotomy for two triangles sharing the solver's element
+    triple: sides BC and CA and the angle at A, as ``solve_ssa`` places
+    them, with the remaining angle at B.
 
-    Returns NotSsaMatched unless the designated sides and angle agree under
-    ``corr``; then either Congruent (with a witnessing correspondence found by
-    a fresh full-side search over the same measured element sets, not taken
-    on trust from the caller) or Supplementary with the two remaining angles,
-    which must sum to a straight angle.  The theorem guarantees no third
-    outcome; a violation raises.
+    Returns NotSsaMatched unless those sides and that angle agree label for
+    label; then either Congruent (with a witnessing correspondence found by
+    a full-side search over the same measured element sets) or Supplementary
+    with the two angles at B, which must sum to a straight angle.  The
+    theorem guarantees no third outcome; a violation raises.
     """
     e1, e2 = measure(t1), measure(t2)
-    if not (all(e1.side_sq[l].eq(e2.side_sq[corr.image(l)])
-                for l in matched.side_labels)
-            and e1.cos_at[matched.angle_label].eq(
-                e2.cos_at[corr.image(matched.angle_label)])):
+    if not (e1.side_sq["A"].eq(e2.side_sq["A"])
+            and e1.side_sq["B"].eq(e2.side_sq["B"])
+            and e1.cos_at["A"].eq(e2.cos_at["A"])):
         return NotSsaMatched()
     witness = congruent_any(e1, e2)
     if witness is not None:
         return Congruent(witness)
-    if matched.included:
-        raise DichotomyViolationError(
-            "matched included angle with equal sides admits no second triangle")
-    remaining = next(l for l in matched.side_labels if l != matched.angle_label)
-    cos1 = e1.cos_at[remaining]
-    cos2 = e2.cos_at[corr.image(remaining)]
+    cos1, cos2 = e1.cos_at["B"], e2.cos_at["B"]
     if not supplementary(cos1, cos2):
         raise DichotomyViolationError(
             "non-congruent matched pair with non-supplementary remaining angles")
@@ -272,9 +266,7 @@ def lemma_common_side_check(t_abc: Triangle, t_abd: Triangle) -> LemmaReport:
     cos_adb = e_abd.cos_at["C"]
     supp = supplementary(cos_acb, cos_adb)
 
-    ab = line_through(a1, b1)
-    s1, s2 = ab.eval(c).sign(), ab.eval(d).sign()
-    opposite = s1 * s2 < 0
+    opposite = side(a1, b1, c) * side(a1, b1, d) < 0
     is_cyc = det = None
     if opposite:
         is_cyc = concyclic(a1, c, b1, d)
@@ -302,13 +294,12 @@ def to_common_side(t1: Triangle, t2: Triangle, corr: Correspondence,
     src1, src2 = t2.vertex(corr.image(p_lab)), t2.vertex(corr.image(q_lab))
     if not squared_distance(src1, src2).eq(squared_distance(dst1, dst2)):
         raise LengthMismatchError("matched sides differ in length")
-    common = line_through(dst1, dst2)
-    want = common.eval(t1.vertex(common_label)).sign()
+    want = side(dst1, dst2, t1.vertex(common_label))
     if placement == "opposite":
         want = -want
     third = t2.vertex(corr.image(common_label))
     for mirror in (False, True):
         g = isometry_taking_segment_to_segment(src1, src2, dst1, dst2, mirror)
-        if common.eval(g.apply(third)).sign() == want:
+        if side(dst1, dst2, g.apply(third)) == want:
             return t1, g.apply(t2), g
     raise DegenerateInputError("third vertex lies on the common line")

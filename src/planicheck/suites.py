@@ -22,18 +22,11 @@ from typing import Callable, Dict, List, Tuple
 
 from .scalars import EXACT, DegenerateInputError, FloatBackend
 from .kernel import Point, Triangle, coord_scale, point
-from .congruence import ElementTriple, Correspondence
 from .ssa import (Congruent, NotSsaMatched, SsaSpec, Supplementary,
                   classify_pair, lemma_common_side_check, solve_ssa)
 from . import scenarios as sc
 
 FLOAT = FloatBackend()
-
-# SSA designation in canonical pose: sides BC (= side_a, opposite A) and CA
-# (= side_b, opposite B) with the given angle at A; the remaining angle of
-# the dichotomy is the apex angle at B
-SSA_TRIPLE = ElementTriple(("A", "B"), "A")
-IDENTITY = Correspondence(("A", "B", "C"))
 
 
 @dataclass
@@ -143,8 +136,7 @@ def suite_dichotomy_float(samples: int, rng: Random, tol: float = 1e-9,
         if sols.count != 2:
             result.add_failure({**witness, "count": sols.count})
             continue
-        verdict = classify_pair(sols.triangles[0], sols.triangles[1],
-                                IDENTITY, SSA_TRIPLE)
+        verdict = classify_pair(sols.triangles[0], sols.triangles[1])
         witness["verdict"] = type(verdict).__name__
         if not isinstance(verdict, Supplementary):
             result.add_failure(witness)
@@ -190,8 +182,7 @@ def suite_dichotomy_exact(samples: int, rng: Random) -> CheckResult:
         if sols.count != 2:
             result.add_failure(witness)
             continue
-        verdict = classify_pair(sols.triangles[0], sols.triangles[1],
-                                IDENTITY, SSA_TRIPLE)
+        verdict = classify_pair(sols.triangles[0], sols.triangles[1])
         if not isinstance(verdict, Supplementary):
             result.add_failure({**witness, "verdict": type(verdict).__name__})
             continue
@@ -304,10 +295,9 @@ def suite_backend_cross(samples: int, rng: Random) -> CheckResult:
                 e2 = Triangle(e2.A, e2.B,
                               Point(e2.A.x + (e2.C.x - e2.A.x) * grow,
                                     e2.A.y + (e2.C.y - e2.A.y) * grow))
-        exact_verdict = classify_pair(e1, e2, IDENTITY, SSA_TRIPLE)
+        exact_verdict = classify_pair(e1, e2)
         float_verdict = classify_pair(_to_float_triangle(e1),
-                                      _to_float_triangle(e2),
-                                      IDENTITY, SSA_TRIPLE)
+                                      _to_float_triangle(e2))
         if type(exact_verdict) is not type(float_verdict):
             result.add_failure({
                 "kind": kind,

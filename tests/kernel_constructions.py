@@ -1,11 +1,12 @@
 """Classical constructions on the geometry kernel, for audits.
 
-Circumcircle, incenter with bisector feet, internal bisector line, signed
-distance and reflection.  The program itself needs none of them: the
+Lines, circumcircle, incenter with bisector feet, internal bisector line,
+signed distance and reflection.  The program itself needs none of them: the
 scenario residuals build their points in raw binary64 (``planicheck.
-scenarios``' figure builders).  These constructions use only the public
-kernel API, on either backend, so the tests can check those figures against
-a second, independent construction.
+scenarios``' figure builders), and the kernel answers side-of-line questions
+with ``side``.  These constructions use only the public kernel API, on
+either backend, so the tests can check those figures against a second,
+independent construction.
 """
 
 from __future__ import annotations
@@ -14,16 +15,66 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from planicheck.kernel import (
-    Line,
     Point,
     Triangle,
     dot,
-    line_through,
     orient,
     point,
     squared_distance,
 )
-from planicheck.scalars import DegenerateInputError, ExactValueError, Scalar
+from planicheck.scalars import (
+    Backend,
+    DegenerateInputError,
+    ExactValueError,
+    Scalar,
+)
+
+
+@dataclass(frozen=True)
+class Line:
+    """Locus u*x + v*y + w = 0, canonicalized at construction.
+
+    Exact lines divide through by the first nonzero of (u, v); float lines
+    carry a unit normal, so evaluating a point gives its signed distance.
+    """
+
+    u: Scalar
+    v: Scalar
+    w: Scalar
+
+    def __post_init__(self):
+        n2 = self.u * self.u + self.v * self.v
+        if n2.sign() == 0:
+            raise DegenerateInputError("line normal must be nonzero")
+        if self.u.is_exact:
+            lead = self.u if self.u.sign() != 0 else self.v
+            object.__setattr__(self, "u", self.u / lead)
+            object.__setattr__(self, "v", self.v / lead)
+            object.__setattr__(self, "w", self.w / lead)
+        else:
+            n = n2.sqrt()
+            u, v, w = self.u / n, self.v / n, self.w / n
+            if u.as_float() < 0 or (u.as_float() == 0.0 and v.as_float() < 0):
+                u, v, w = -u, -v, -w
+            object.__setattr__(self, "u", u)
+            object.__setattr__(self, "v", v)
+            object.__setattr__(self, "w", w)
+
+    @property
+    def backend(self) -> Backend:
+        return self.u.backend
+
+    def eval(self, p: Point) -> Scalar:
+        return self.u * p.x + self.v * p.y + self.w
+
+
+def line_through(p: Point, q: Point) -> Line:
+    if squared_distance(p, q).sign() == 0:
+        raise DegenerateInputError("line through two coincident points")
+    u = p.y - q.y
+    v = q.x - p.x
+    w = p.x * q.y - q.x * p.y
+    return Line(u, v, w)
 
 
 def triangle(backend, a, b, c) -> Triangle:

@@ -106,6 +106,22 @@ def test_ssa_rejects_an_angle_outside_the_open_range(capsys, angle):
     assert captured.err.startswith("error: ")
 
 
+def test_ssa_exact_degree_angle_needs_cos(capsys):
+    # a degree angle has no rational sine, so the exact solver cannot use it
+    assert run(["ssa", "--a", "3", "--b", "4", "--angle-deg", "50",
+                "--backend", "exact"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "--cos" in captured.err
+
+
+def test_ssa_exact_included_degree_angle_solves(capsys):
+    assert run(["ssa", "--a", "3", "--b", "4", "--angle-deg", "90",
+                "--included", "--backend", "exact"]) == 0
+    assert "1 solution (included angle)" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("argv", [
     ["--a", "1e200", "--b", "1e200", "--angle-deg", "60"],
     ["--a", "3", "--b", "4", "--cos", "1e400"],

@@ -18,8 +18,8 @@ from planicheck.congruence import (
     criterion_d,
     measure,
 )
-from kernel_constructions import reflect, triangle
-from planicheck.kernel import LABELS, Isometry, line_through, point
+from kernel_constructions import line_through, reflect, triangle
+from planicheck.kernel import LABELS, Isometry, point
 from planicheck.scalars import EXACT, FloatBackend
 
 FB = FloatBackend()

@@ -94,3 +94,42 @@ def test_the_check_sees_an_unreferenced_definition():
 def test_every_definition_has_a_reader_in_the_package():
     sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
     assert unreferenced_definitions(sources, REFERENCE_EXEMPT) == []
+
+
+# the backends own every exact-versus-float decision; solve_ssa's guard that
+# an exact query has a rational cosine, sine and root is the one reader outside
+IS_EXACT_READERS = {"scalars.py", ("ssa.py", "solve_ssa")}
+
+
+def is_exact_reads(sources, allowed):
+    """(module, top-level definition) of each ``.is_exact`` read in
+    ``sources`` (module name -> text), except in a module or a
+    (module, definition) pair that ``allowed`` holds; statements outside any
+    definition are reported as ``<module>``."""
+    found = []
+    for mod, text in sources.items():
+        if mod in allowed:
+            continue
+        for node in ast.parse(text).body:
+            owner = getattr(node, "name", "<module>")
+            if (mod, owner) not in allowed and any(
+                    isinstance(n, ast.Attribute) and n.attr == "is_exact"
+                    for n in ast.walk(node)):
+                found.append((mod, owner))
+    return found
+
+
+def test_the_check_sees_an_is_exact_read():
+    sources = {
+        "a.py": ("def guard(x):\n    return x.is_exact\n\n"
+                 "class K:\n    def f(self, y):\n        return y.is_exact\n"),
+        "b.py": "flag = z.is_exact\n\ndef clean(x):\n    return x\n",
+        "c.py": "def g(x):\n    return x.is_exact\n",
+    }
+    assert is_exact_reads(sources, {"c.py", ("a.py", "guard")}) == [
+        ("a.py", "K"), ("b.py", "<module>")]
+
+
+def test_only_the_backends_and_the_solver_guard_read_is_exact():
+    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert is_exact_reads(sources, IS_EXACT_READERS) == []

@@ -12,6 +12,7 @@ from kernel_constructions import (
     circumcircle,
     incenter_and_bisector_feet,
     internal_bisector_line,
+    line_through,
     reflect,
     signed_distance,
     triangle,
@@ -23,9 +24,9 @@ from planicheck.kernel import (
     concyclic,
     concyclicity_determinant,
     isometry_taking_segment_to_segment,
-    line_through,
     orient,
     point,
+    side,
     squared_distance,
     supplementary,
 )
@@ -198,6 +199,35 @@ def test_reflect_is_an_exact_isometric_involution():
 def test_collinear():
     assert collinear(exact_pt(0, 0), exact_pt(2, 1), exact_pt(4, 2))
     assert not collinear(exact_pt(0, 0), exact_pt(2, 1), exact_pt(4, 3))
+
+
+def test_side_of_a_directed_line():
+    p, q = exact_pt(0, 0), exact_pt(2, 1)
+    assert side(p, q, exact_pt(0, 1)) == 1
+    assert side(p, q, exact_pt(1, 0)) == -1
+    assert side(q, p, exact_pt(1, 0)) == 1
+    assert side(p, q, exact_pt(4, 2)) == 0
+
+
+def test_side_uses_the_triangle_validity_rule():
+    # the orientation 2e-9 clears eps * scale^2 = 1e-9, so the triangle is
+    # valid and its apex lies strictly on one side of AB
+    a, b = point(FB, -1.0, -1.0), point(FB, 1.0, 1.0)
+    c = point(FB, 0.5 - 5e-10, 0.5 + 5e-10)
+    assert not collinear(a, b, c)
+    assert side(a, b, c) == 1
+    assert side(a, b, point(FB, 0.5, 0.5 + 1e-10)) == 0
+
+
+def test_tolerance_overflow_is_a_degenerate_input():
+    # eps * scale^degree overflows: degree 2 at 1e160, degree 4 at 1e80
+    big = 1e160
+    with pytest.raises(DegenerateInputError, match="too large for binary64"):
+        side(point(FB, big, 0.0), point(FB, 0.0, big), point(FB, -big, 3.0))
+    big = 1e80
+    with pytest.raises(DegenerateInputError, match="too large for binary64"):
+        concyclic(point(FB, big, 0.0), point(FB, 0.0, big),
+                  point(FB, -big, 0.0), point(FB, 0.0, -big))
 
 
 def test_isometry_segment_to_segment():

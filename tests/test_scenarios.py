@@ -15,6 +15,7 @@ from kernel_constructions import (
     circumcircle,
     incenter_and_bisector_feet,
     internal_bisector_line,
+    line_through,
     reflect,
     signed_distance,
 )
@@ -23,7 +24,6 @@ from planicheck.kernel import (
     angle_cos,
     concyclic,
     concyclicity_determinant,
-    line_through,
     orient,
     point,
     squared_distance,

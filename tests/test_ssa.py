@@ -8,12 +8,13 @@ import pytest
 
 from kernel_constructions import triangle
 from planicheck import congruence, kernel, ssa
-from planicheck.congruence import Correspondence, ElementTriple, measure
+from planicheck.congruence import Correspondence, measure
 from planicheck.kernel import (
     LABELS,
     Isometry,
     collinear,
     dot,
+    orient,
     point,
     squared_distance,
 )
@@ -34,7 +35,6 @@ from planicheck.ssa import (
 
 FB = FloatBackend()
 IDENT = Correspondence(LABELS)
-SSA = ElementTriple(("A", "B"), "A")
 
 
 def float_spec(a, b, theta_deg):
@@ -122,7 +122,7 @@ def test_exact_rational_two_solution_spec():
     assert sols.count == 2
     assert sols.third_sides[0].eq(2)
     assert sols.third_sides[1].eq(4)
-    verdict = classify_pair(sols.triangles[0], sols.triangles[1], IDENT, SSA)
+    verdict = classify_pair(sols.triangles[0], sols.triangles[1])
     assert isinstance(verdict, Supplementary)
     assert (verdict.cos1 + verdict.cos2).sign() == 0
 
@@ -154,7 +154,7 @@ def test_classify_pair_congruent_under_isometry():
     t1 = triangle(EXACT, (0, 0), (5, 0), (Fraction(16, 5), Fraction(12, 5)))
     g = Isometry(EXACT.scalar(Fraction(3, 5)), EXACT.scalar(Fraction(4, 5)),
                  EXACT.scalar(2), EXACT.scalar(-7), mirror=True)
-    verdict = classify_pair(t1, g.apply(t1), IDENT, SSA)
+    verdict = classify_pair(t1, g.apply(t1))
     assert isinstance(verdict, Congruent)
 
 
@@ -163,13 +163,13 @@ def test_classify_pair_not_matched():
     x = 43.0 / 12.0
     t2 = triangle(FB, (0.0, 0.0), (6.0, 0.0), (x, math.sqrt(16.0 - x * x)))
     # designation: sides a=3, b=4, angle opposite a; the angle differs
-    assert isinstance(classify_pair(t1, t2, IDENT, SSA), NotSsaMatched)
+    assert isinstance(classify_pair(t1, t2), NotSsaMatched)
 
 
 def test_classify_pair_is_symmetric():
     sols = solve_ssa(float_spec(1.3, 2.0, 35.0))
-    v12 = classify_pair(sols.triangles[0], sols.triangles[1], IDENT, SSA)
-    v21 = classify_pair(sols.triangles[1], sols.triangles[0], IDENT, SSA)
+    v12 = classify_pair(sols.triangles[0], sols.triangles[1])
+    v21 = classify_pair(sols.triangles[1], sols.triangles[0])
     assert isinstance(v12, Supplementary) and isinstance(v21, Supplementary)
     assert v12.cos1.eq(v21.cos2) and v12.cos2.eq(v21.cos1)
 
@@ -292,7 +292,7 @@ def test_matched_classify_pair_measures_each_triangle_once(monkeypatch):
     pairs = ((sols.triangles[0], sols.triangles[1], Supplementary),
              (t1, g.apply(t1), Congruent))
     for a, b, verdict in pairs:
-        assert isinstance(classify_pair(a, b, IDENT, SSA), verdict)
+        assert isinstance(classify_pair(a, b), verdict)
     assert counts["measure"] == 2 * len(pairs)
 
 
@@ -301,6 +301,11 @@ def test_lemma_reads_every_angle_from_the_two_measures(monkeypatch):
     counts = count_measuring(monkeypatch)
     assert lemma_common_side_check(t_abc, t_abd).supplementary_angles
     assert counts == {"measure": 2, "angle_cos": 6, "angle_cos_outside": 0}
+
+
+def test_solve_ssa_overflow_is_a_degenerate_input():
+    with pytest.raises(DegenerateInputError, match="too large for binary64"):
+        solve_ssa(float_spec(1e200, 1e200, 60.0))
 
 
 def test_lemma_longer_equal_sides_leave_no_pair():
@@ -333,6 +338,17 @@ def test_to_common_side_opposite_placement():
     t1 = triangle(EXACT, (0, 0), (5, 0), (Fraction(16, 5), Fraction(12, 5)))
     _, moved, _ = to_common_side(t1, t1, IDENT, "C", "opposite")
     assert moved.C.eq(point(EXACT, Fraction(16, 5), Fraction(-12, 5)))
+
+
+def test_to_common_side_mirrors_a_thin_float_triangle():
+    # the apex sits 7e-10 from AB: a valid triangle, so "opposite" must
+    # reflect it across AB rather than hand back an unmoved copy
+    t = triangle(FB, (-1.0, -1.0), (1.0, 1.0), (0.5 - 5e-10, 0.5 + 5e-10))
+    _, moved, g = to_common_side(t, t, IDENT, "C", "opposite")
+    assert g.mirror is True
+    before = orient(t.A, t.B, t.C).sign()
+    assert before != 0
+    assert orient(t.A, t.B, moved.C).sign() == -before
 
 
 def test_to_common_side_validation():

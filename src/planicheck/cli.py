@@ -10,7 +10,13 @@ are deterministic for a fixed config (wall time aside); the PRNG is the
 Mersenne Twister from the standard library, recorded in the config echo as
 ``mt19937``.
 
-Exit codes: 0 all checks pass, 1 check failure, 2 usage or config error.
+Each ``cmd_*`` handler validates what argparse cannot, runs, prints its
+result lines and returns ``(config, checks, report parts, passed)``, or 2
+after printing a usage error.  ``main`` alone ends a run: it times the
+handler call, turns every named usage error into one ``error:`` line, adds
+``command`` and ``rng_algorithm`` to the config echo, writes the report and
+chooses the exit code: 0 all checks pass, 1 check failure, 2 usage or
+config error.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ import math
 import sys
 import time
 from fractions import Fraction
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple, Union
 
 from .scalars import (DegenerateInputError, ExactValueError, EXACT,
                       FloatBackend)
@@ -34,6 +40,8 @@ from .suites import CheckResult, run_scenario_suites, run_verify_suites
 from . import report as rpt
 
 RNG_ALGORITHM = "mt19937"
+# (config echo, checks, build_report keyword arguments, passed), or exit code 2
+Outcome = Union[Tuple[Dict, List[CheckResult], Dict, bool], int]
 
 
 def _add_report_flags(parser: argparse.ArgumentParser):
@@ -47,6 +55,13 @@ def _positive_float(text: str) -> float:
     value = float(text)
     if not 0 < value < math.inf:
         raise argparse.ArgumentTypeError(f"{text!r} must be positive and finite")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} must be at least 1")
     return value
 
 
@@ -80,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_report_flags(p_ssa)
 
     p_verify = sub.add_parser("verify", help="run the seeded property suites")
-    p_verify.add_argument("--samples", type=int, default=100000)
+    p_verify.add_argument("--samples", type=_positive_int, default=100000)
     p_verify.add_argument("--seed", type=int, default=42)
     p_verify.add_argument("--backend", choices=("float", "exact"),
                           default="float")
@@ -92,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_scen.add_argument("--grid-step-deg", type=_positive_float, default=0.25)
     p_scen.add_argument("--refine-tol", type=_positive_float, default=1e-12)
     p_scen.add_argument("--delta", type=_positive_float, default=1e-6)
-    p_scen.add_argument("--samples", type=int, default=1000,
+    p_scen.add_argument("--samples", type=_positive_int, default=1000,
                         help="forward-implication samples")
     p_scen.add_argument("--seed", type=int, default=42)
     p_scen.add_argument("--rect-t", type=float, default=None,
@@ -109,36 +124,38 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(args, body: Dict, wall_time_s: float):
-    if args.report:
-        renderer = (rpt.render_json if args.format == "json"
-                    else rpt.render_markdown)
-        with open(args.report, "w") as handle:
-            handle.write(renderer(body, wall_time_s))
+def _usage_error(message: str) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return 2
 
 
 def _clamped_acos_deg(c: float) -> float:
     return math.degrees(math.acos(max(-1.0, min(1.0, c))))
 
 
-def cmd_ssa(args) -> int:
+def _print_checks(checks: List[CheckResult]):
+    for c in checks:
+        status = "pass" if c.passed else "FAIL"
+        print(f"{status}  {c.name}  samples={c.samples}  "
+              f"worst_residual={rpt.round12(c.worst_residual)}")
+        for w in c.witnesses:
+            print(f"      witness: {w}")
+
+
+def cmd_ssa(args) -> Outcome:
     if args.angle_deg is not None and not 0 < args.angle_deg < 180:
-        print("error: --angle-deg must lie strictly between 0 and 180",
-              file=sys.stderr)
-        return 2
+        return _usage_error("--angle-deg must lie strictly between 0 and 180")
     if args.cos is not None:
         try:
             cos_fraction = Fraction(args.cos)
         except (ValueError, ZeroDivisionError):
-            print(f"error: --cos {args.cos!r} is not a number", file=sys.stderr)
-            return 2
+            return _usage_error(f"--cos {args.cos!r} is not a number")
     elif args.backend == "exact" and not args.included:
         # a double's cosine is dyadic, and no dyadic inside (-1, 1) but 0
         # (which no degree angle reaches) has a rational sine, so the exact
         # solver could never place this angle
-        print("error: the exact backend needs a rational angle for this "
-              "designation: give it as --cos", file=sys.stderr)
-        return 2
+        return _usage_error("the exact backend needs a rational angle for "
+                            "this designation: give it as --cos")
     else:
         cos_fraction = Fraction(math.cos(math.radians(args.angle_deg)))
     # decimal sides become exact rationals and a degree angle the exact
@@ -151,16 +168,15 @@ def cmd_ssa(args) -> int:
     opposite, adjacent = spec_sides
     if args.opposite == "b" and not args.included:
         opposite, adjacent = adjacent, opposite
-    # validates the sides and the angle of either designation before any
-    # output; an invalid query raises into main's exit 2
+    # validates the sides and the angle of either designation
     spec = SsaSpec(opposite, adjacent, cos_scalar)
 
+    # everything that can fail is computed before the first line goes out,
+    # so an invalid or overflowing query leaves stdout empty
     case = predict_case(opposite, adjacent, included=args.included)
-    print(f"predicted case: {case.value}")
-
+    lines = [f"predicted case: {case.value}"]
     solutions: List[Dict] = []
-    verdict_info: Optional[Dict] = None
-    started = time.perf_counter()
+    extra: Dict = {"predicted_case": case.value, "solutions": solutions}
     if args.included:
         # unique triangle by the included-angle criterion; place the first
         # side along the x axis
@@ -169,25 +185,25 @@ def cmd_ssa(args) -> int:
                      a_val * (backend.scalar(1) - cos_scalar * cos_scalar).sqrt())
         third_sq = (a_val * a_val + b_val * b_val
                     - backend.scalar(2) * a_val * b_val * cos_scalar)
-        print("1 solution (included angle):")
         third = third_sq.sqrt().as_float()
-        print(f"  solution 1: third side {rpt.round12(third)}, "
-              f"apex at ({rpt.round12(apex.x.as_float())}, "
-              f"{rpt.round12(apex.y.as_float())})")
+        lines += ["1 solution (included angle):",
+                  f"  solution 1: third side {rpt.round12(third)}, "
+                  f"apex at ({rpt.round12(apex.x.as_float())}, "
+                  f"{rpt.round12(apex.y.as_float())})"]
         solutions.append({"third_side": third})
     else:
         sols = solve_ssa(spec)
-        print(f"{sols.count} solution{'s' if sols.count != 1 else ''}")
+        lines.append(f"{sols.count} solution{'s' if sols.count != 1 else ''}")
         for i in range(sols.count):
             third = sols.third_sides[i].as_float()
             apex_deg = _clamped_acos_deg(sols.apex_cosines[i].as_float())
             base_deg = _clamped_acos_deg(sols.base_cosines[i].as_float())
             bx = sols.triangles[i].B.x.as_float()
             by = sols.triangles[i].B.y.as_float()
-            print(f"  solution {i + 1}: third side {rpt.round12(third)}, "
-                  f"apex angle {rpt.round12(apex_deg)} deg, "
-                  f"base angle {rpt.round12(base_deg)} deg, "
-                  f"apex ({rpt.round12(bx)}, {rpt.round12(by)})")
+            lines.append(f"  solution {i + 1}: third side {rpt.round12(third)}, "
+                         f"apex angle {rpt.round12(apex_deg)} deg, "
+                         f"base angle {rpt.round12(base_deg)} deg, "
+                         f"apex ({rpt.round12(bx)}, {rpt.round12(by)})")
             solutions.append({"third_side": third, "apex_angle_deg": apex_deg,
                               "base_angle_deg": base_deg})
         if sols.count == 2:
@@ -195,138 +211,68 @@ def cmd_ssa(args) -> int:
             if isinstance(verdict, Supplementary):
                 d1 = _clamped_acos_deg(verdict.cos1.as_float())
                 d2 = _clamped_acos_deg(verdict.cos2.as_float())
-                print(f"verdict: Supplementary({rpt.round12(d1)} deg, "
-                      f"{rpt.round12(d2)} deg)")
-                verdict_info = {"kind": "Supplementary",
-                                "angles_deg": [d1, d2]}
+                lines.append(f"verdict: Supplementary({rpt.round12(d1)} deg, "
+                             f"{rpt.round12(d2)} deg)")
+                extra["verdict"] = {"kind": "Supplementary",
+                                    "angles_deg": [d1, d2]}
             else:
-                print(f"verdict: {type(verdict).__name__}")
-                verdict_info = {"kind": type(verdict).__name__}
+                lines.append(f"verdict: {type(verdict).__name__}")
+                extra["verdict"] = {"kind": type(verdict).__name__}
+    print("\n".join(lines))
 
-    config = {"command": "ssa", "a": args.a, "b": args.b,
+    config = {"a": args.a, "b": args.b,
               **({"cos": str(cos_fraction)} if args.cos is not None
                  else {"angle_deg": args.angle_deg}),
               "designation": "included" if args.included else
               f"opposite-{args.opposite}",
-              "backend": args.backend, "eps": args.eps,
-              "rng_algorithm": RNG_ALGORITHM}
-    body = rpt.build_report(config, [], extra={
-        "predicted_case": case.value, "solutions": solutions,
-        **({"verdict": verdict_info} if verdict_info else {})})
-    _emit(args, body, time.perf_counter() - started)
-    return 0
+              "backend": args.backend, "eps": args.eps}
+    return config, [], {"extra": extra}, True
 
 
-def cmd_verify(args) -> int:
-    if args.samples < 1:
-        print("error: --samples must be at least 1", file=sys.stderr)
-        return 2
-    if args.backend == "exact" and args.eps != 1e-9:
-        print("warning: exact backend ignores --eps", file=sys.stderr)
-    started = time.perf_counter()
+def cmd_verify(args) -> Outcome:
     checks = run_verify_suites(args.samples, args.seed,
                                backend=args.backend, eps=args.eps)
-    wall = time.perf_counter() - started
-    for c in checks:
-        status = "pass" if c.passed else "FAIL"
-        print(f"{status}  {c.name}  samples={c.samples}  "
-              f"worst_residual={rpt.round12(c.worst_residual)}")
-        for w in c.witnesses:
-            print(f"      witness: {w}")
-    config = {"command": "verify", "samples": args.samples,
-              "seed": args.seed, "backend": args.backend, "eps": args.eps,
-              "rng_algorithm": RNG_ALGORITHM}
-    _emit(args, rpt.build_report(config, checks), wall)
-    return 0 if all(c.passed for c in checks) else 1
+    _print_checks(checks)
+    config = {"samples": args.samples, "seed": args.seed,
+              "backend": args.backend, "eps": args.eps}
+    return config, checks, {}, all(c.passed for c in checks)
 
 
-def cmd_scenario(args) -> int:
-    try:
-        scenario = get_scenario(args.name)
-    except UnknownScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.samples < 1:
-        print("error: --samples must be at least 1", file=sys.stderr)
-        return 2
+def cmd_scenario(args) -> Outcome:
+    get_scenario(args.name)  # an unknown name is reported before --rect-t
     kwargs = {}
-    rect_t = None
     if args.name == "rectangle-center":
-        rect_t = 0.5 if args.rect_t is None else args.rect_t
-        if not 0.0 < rect_t < 1.0:
-            print("error: --rect-t must lie strictly between 0 and 1",
-                  file=sys.stderr)
-            return 2
-        kwargs["t"] = rect_t
+        # an out-of-range height raises from the scan's first residual
+        kwargs["t"] = 0.5 if args.rect_t is None else args.rect_t
     elif args.rect_t is not None:
-        print("error: --rect-t only applies to rectangle-center",
-              file=sys.stderr)
-        return 2
-    started = time.perf_counter()
+        return _usage_error("--rect-t only applies to rectangle-center")
     scan = level_set_scan(args.name, math.radians(args.grid_step_deg),
                           refine_tol=args.refine_tol, delta=args.delta,
                           **kwargs)
     checks = run_scenario_suites(args.name, args.samples, args.seed, **kwargs)
-    wall = time.perf_counter() - started
     print(f"scenario {args.name}: {len(scan.roots)} roots, "
           f"containment={'true' if scan.contained else 'false'}"
           f"{'' if scan.asserted else ' (exploratory, not asserted)'}")
     for v in scan.violations[:5]:
         print(f"  off-branch root: alpha={rpt.round12(math.degrees(v.alpha))} "
               f"beta={rpt.round12(math.degrees(v.beta))} deg")
-    for c in checks:
-        status = "pass" if c.passed else "FAIL"
-        print(f"{status}  {c.name}  samples={c.samples}  "
-              f"worst_residual={rpt.round12(c.worst_residual)}")
-    config = {"command": "scenario", "scenario": args.name,
-              "grid_step_deg": args.grid_step_deg,
+    _print_checks(checks)
+    config = {"scenario": args.name, "grid_step_deg": args.grid_step_deg,
               "refine_tol": args.refine_tol, "delta": args.delta,
               "samples": args.samples, "seed": args.seed,
-              "rng_algorithm": RNG_ALGORITHM,
-              **({"rect_t": rect_t} if rect_t is not None else {})}
-    _emit(args, rpt.build_report(config, checks, scan=scan), wall)
+              **({"rect_t": kwargs["t"]} if kwargs else {})}
     ok = all(c.passed for c in checks) and (scan.contained or not scan.asserted)
-    return 0 if ok else 1
+    return config, checks, {"scan": scan}, ok
 
 
-def cmd_logic(args) -> int:
-    started = time.perf_counter()
+def cmd_logic(args) -> Outcome:
     if (args.formula is None) != (args.equiv is None):
-        print("error: --formula and --equiv must be given together",
-              file=sys.stderr)
-        return 2
+        return _usage_error("--formula and --equiv must be given together")
     if args.constraint is not None and args.formula is None:
-        print("error: --constraint needs --formula and --equiv",
-              file=sys.stderr)
-        return 2
-    if args.formula is not None:
-        try:
-            f1 = parse_formula(args.formula)
-            f2 = parse_formula(args.equiv)
-            constraint = (parse_formula(args.constraint)
-                          if args.constraint is not None else None)
-            result = equivalent(f1, f2, constraint)
-        except (FormulaSyntaxError, AtomBudgetError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        if result.equivalent:
-            print(f"equivalent: {format_formula(f1)}  <=>  "
-                  f"{format_formula(f2)}"
-                  + (f"  under {format_formula(constraint)}"
-                     if constraint else ""))
-        else:
-            print(f"not equivalent; witness: {result.witness}")
-        check = CheckResult("formula-equivalence", result.equivalent, 1,
-                            0.0, [] if result.equivalent
-                            else [dict(result.witness)])
-        checks = [check]
-        extra = {"rows": result.rows,
-                 "constrained_rows": result.constrained_rows}
-    else:
-        logic_checks = verify_scheme_equivalences()
+        return _usage_error("--constraint needs --formula and --equiv")
+    if args.formula is None:
         checks = []
-        extra = {}
-        for lc in logic_checks:
+        for lc in verify_scheme_equivalences():
             status = "pass" if lc.passed else "FAIL"
             scope = (f"{lc.result.constrained_rows}/{lc.result.rows} rows"
                      if lc.constrained else f"{lc.result.rows} rows")
@@ -335,30 +281,48 @@ def cmd_logic(args) -> int:
                 lc.name, lc.passed, lc.result.rows, 0.0,
                 [] if lc.passed else [dict(lc.result.witness)]))
         print(f"{sum(c.passed for c in checks)}/{len(checks)} checks pass")
-    config = {"command": "logic",
-              **({"formula": args.formula, "equiv": args.equiv,
-                  "constraint": args.constraint}
-                 if args.formula is not None else {}),
-              "rng_algorithm": RNG_ALGORITHM}
-    _emit(args, rpt.build_report(config, checks, extra=extra),
-          time.perf_counter() - started)
-    return 0 if all(c.passed for c in checks) else 1
+        return {}, checks, {}, all(c.passed for c in checks)
+    f1 = parse_formula(args.formula)
+    f2 = parse_formula(args.equiv)
+    constraint = (parse_formula(args.constraint)
+                  if args.constraint is not None else None)
+    result = equivalent(f1, f2, constraint)
+    if result.equivalent:
+        print(f"equivalent: {format_formula(f1)}  <=>  {format_formula(f2)}"
+              + (f"  under {format_formula(constraint)}" if constraint else ""))
+    else:
+        print(f"not equivalent; witness: {result.witness}")
+    check = CheckResult("formula-equivalence", result.equivalent, 1, 0.0,
+                        [] if result.equivalent else [dict(result.witness)])
+    config = {"formula": args.formula, "equiv": args.equiv,
+              "constraint": args.constraint}
+    extra = {"rows": result.rows, "constrained_rows": result.constrained_rows}
+    return config, [check], {"extra": extra}, result.equivalent
+
+
+HANDLERS = {"ssa": cmd_ssa, "verify": cmd_verify, "scenario": cmd_scenario,
+            "logic": cmd_logic}
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    handlers = {"ssa": cmd_ssa, "verify": cmd_verify,
-                "scenario": cmd_scenario, "logic": cmd_logic}
+    args = build_parser().parse_args(argv)
+    started = time.perf_counter()
     try:
-        return handlers[args.command](args)
-    except (DegenerateInputError, ExactValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        outcome = HANDLERS[args.command](args)
+    except (DegenerateInputError, ExactValueError, UnknownScenarioError,
+            FormulaSyntaxError, AtomBudgetError) as exc:
+        return _usage_error(str(exc))
+    wall_time_s = time.perf_counter() - started
+    if outcome == 2:
         return 2
-    except OverflowError as exc:
-        print(f"error: a value is too large for binary64: {exc.args[-1]}",
-              file=sys.stderr)
-        return 2
+    config, checks, parts, passed = outcome
+    body = rpt.build_report({"command": args.command, **config,
+                             "rng_algorithm": RNG_ALGORITHM}, checks, **parts)
+    if args.report:
+        render = rpt.render_json if args.format == "json" else rpt.render_markdown
+        with open(args.report, "w") as handle:
+            handle.write(render(body, wall_time_s))
+    return 0 if passed else 1
 
 
 if __name__ == "__main__":

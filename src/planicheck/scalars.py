@@ -160,9 +160,6 @@ class ExactBackend:
             raise ExactValueError("nested radicals are not representable")
         return _mk_exact(1, v)
 
-    def __repr__(self):
-        return "ExactBackend()"
-
 
 @dataclass(frozen=True)
 class FloatBackend:
@@ -179,7 +176,11 @@ class FloatBackend:
             if value.backend != self:
                 raise BackendMismatchError("scalar belongs to a different backend")
             return value
-        return Scalar(self, float(value))
+        try:
+            return Scalar(self, float(value))
+        except OverflowError:
+            raise DegenerateInputError(
+                "a value is too large for binary64") from None
 
     def coerce(self, value):
         if isinstance(value, (int, Fraction, float)):
@@ -251,7 +252,11 @@ class Scalar:
         return isinstance(self.backend, ExactBackend)
 
     def as_float(self) -> float:
-        return float(self._v)
+        try:
+            return float(self._v)
+        except OverflowError:
+            raise DegenerateInputError(
+                "a value is too large for binary64") from None
 
     def exact_value(self) -> Fraction:
         """The rational payload; raises if the value is irrational or float."""

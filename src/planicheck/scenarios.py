@@ -285,11 +285,11 @@ class ScanReport:
 
 
 def level_set_scan(name: str, grid_step: float, refine_tol: float = 1e-12,
-                   delta: float = 1e-6,
-                   region: Optional[Callable[[float, float], bool]] = None,
-                   **scenario_kwargs) -> ScanReport:
+                   delta: float = 1e-6, **scenario_kwargs) -> ScanReport:
     """Grid-scan a scenario residual and bisect every sign change to a root.
 
+    The grid holds the nodes (i, j) * ``grid_step`` in the scenario's domain
+    above the gamma floor; with none, it raises ``DegenerateInputError``.
     Every refined root is attributed to the nearest conclusion branch within
     ``delta`` (ties go to the isosceles branch first); roots matching no
     branch are reported as violations of containment.
@@ -298,6 +298,8 @@ def level_set_scan(name: str, grid_step: float, refine_tol: float = 1e-12,
     h = grid_step
     if h <= 0:
         raise ValueError("grid step must be positive")
+    if not math.pi / h < math.inf:
+        raise DegenerateInputError(f"grid step {h:g} rad is too fine for binary64")
 
     def f(a, b):
         return sc.residual(a, b, **scenario_kwargs)
@@ -313,9 +315,7 @@ def level_set_scan(name: str, grid_step: float, refine_tol: float = 1e-12,
             b = j * h
             if math.pi - a - b < _GAMMA_FLOOR:
                 break
-            if sc.domain is not None and not sc.domain(a, b):
-                continue
-            if region is None or region(a, b):
+            if sc.domain is None or sc.domain(a, b):
                 vals[(i, j)] = f(a, b)
     evaluations = len(vals)
     if not vals:

@@ -10,6 +10,11 @@ lemma configurations, and 1000 backend cross-validations.
 The scenario forward checks are not written per scenario: ``suite_forward``
 walks one ``Branch`` of the scenario registry, so every claimed branch of
 every scenario gets one check.
+
+``TOL`` bounds every float residual (radians, cosine sums, normalized
+determinants) and ``MIN_GAP`` the bisector-30 spot gaps from below.  In the
+oracle, float-dichotomy and lemma suites, a sample that the float backend
+rejects as degenerate (as a coarse ``eps`` may) is a failing witness.
 """
 
 from __future__ import annotations
@@ -22,11 +27,14 @@ from typing import Callable, Dict, List, Tuple
 
 from .scalars import EXACT, DegenerateInputError, FloatBackend
 from .kernel import Point, Triangle, coord_scale, point
-from .ssa import (Congruent, NotSsaMatched, SsaSpec, Supplementary,
-                  classify_pair, lemma_common_side_check, solve_ssa)
+from .ssa import (Congruent, LemmaPreconditionError, NotSsaMatched, SsaSpec,
+                  Supplementary, classify_pair, lemma_common_side_check,
+                  solve_ssa)
 from . import scenarios as sc
 
 FLOAT = FloatBackend()
+TOL = 1e-9
+MIN_GAP = 1e-3
 
 
 @dataclass
@@ -77,20 +85,25 @@ def law_of_sines_oracle(a: float, b: float, cos_theta: float,
     return out
 
 
-def suite_ssa_oracle(samples: int, rng: Random, tol: float = 1e-9,
+def suite_ssa_oracle(samples: int, rng: Random,
                      float_backend: FloatBackend = FLOAT) -> CheckResult:
     """Solver vs law-of-sines oracle on uniform random specs: equal solution
-    counts, remaining angles within ``tol`` radians."""
+    counts, remaining angles within ``TOL`` radians."""
     result = CheckResult("ssa-oracle-equivalence", True, samples, 0.0)
     for _ in range(samples):
         a = rng.uniform(0.1, 10.0)
         b = rng.uniform(0.1, 10.0)
         theta_deg = rng.uniform(1.0, 179.0)
         cos_t = math.cos(math.radians(theta_deg))
-        sols = solve_ssa(SsaSpec.from_values(float_backend, a, b, cos_t))
+        witness = {"a": a, "b": b, "theta_deg": theta_deg}
+        try:
+            sols = solve_ssa(SsaSpec.from_values(float_backend, a, b, cos_t))
+        except DegenerateInputError as exc:
+            result.add_failure({**witness, "error": str(exc)})
+            continue
         expected = law_of_sines_oracle(a, b, cos_t, eps=float_backend.eps)
-        witness = {"a": a, "b": b, "theta_deg": theta_deg,
-                   "solver_count": sols.count, "oracle_count": len(expected)}
+        witness["solver_count"] = sols.count
+        witness["oracle_count"] = len(expected)
         if sols.count != len(expected):
             result.add_failure(witness)
             continue
@@ -101,7 +114,7 @@ def suite_ssa_oracle(samples: int, rng: Random, tol: float = 1e-9,
             worst = max(worst, abs(sc.angle_at(b, a, c) - apex),
                         abs(sc.angle_at(c, a, b) - base))
         result.worst_residual = max(result.worst_residual, worst)
-        if worst > tol:
+        if worst > TOL:
             result.add_failure({**witness, "angle_diff": worst})
     return result
 
@@ -123,27 +136,32 @@ def sample_two_solution_spec(rng: Random,
                                math.cos(math.radians(theta_deg)))
 
 
-def suite_dichotomy_float(samples: int, rng: Random, tol: float = 1e-9,
+def suite_dichotomy_float(samples: int, rng: Random,
                           float_backend: FloatBackend = FLOAT) -> CheckResult:
     """Every two-solution pair classifies as Supplementary with cosine sum
-    within ``tol``; NotSsaMatched and silent third outcomes are failures."""
+    within ``TOL``; NotSsaMatched and silent third outcomes are failures."""
     result = CheckResult("dichotomy-supplementary-float", True, samples, 0.0)
     for _ in range(samples):
-        spec = sample_two_solution_spec(rng, float_backend)
-        sols = solve_ssa(spec)
-        witness = {"a": spec.side_a.as_float(), "b": spec.side_b.as_float(),
-                   "cos_angle": spec.cos_angle.as_float()}
-        if sols.count != 2:
-            result.add_failure({**witness, "count": sols.count})
+        witness = {}
+        try:
+            spec = sample_two_solution_spec(rng, float_backend)
+            witness = {"a": spec.side_a.as_float(), "b": spec.side_b.as_float(),
+                       "cos_angle": spec.cos_angle.as_float()}
+            sols = solve_ssa(spec)
+            if sols.count != 2:
+                result.add_failure({**witness, "count": sols.count})
+                continue
+            verdict = classify_pair(sols.triangles[0], sols.triangles[1])
+        except DegenerateInputError as exc:
+            result.add_failure({**witness, "error": str(exc)})
             continue
-        verdict = classify_pair(sols.triangles[0], sols.triangles[1])
         witness["verdict"] = type(verdict).__name__
         if not isinstance(verdict, Supplementary):
             result.add_failure(witness)
             continue
         resid = abs(verdict.cos1.as_float() + verdict.cos2.as_float())
         result.worst_residual = max(result.worst_residual, resid)
-        if resid > tol:
+        if resid > TOL:
             result.add_failure({**witness, "cos_sum": resid})
     return result
 
@@ -193,35 +211,40 @@ def suite_dichotomy_exact(samples: int, rng: Random) -> CheckResult:
 
 # -- the common-side lemma -----------------------------------------------------
 
-def suite_lemma(samples: int, rng: Random, tol: float = 1e-9,
+def suite_lemma(samples: int, rng: Random,
                 float_backend: FloatBackend = FLOAT) -> CheckResult:
     """Constructed non-congruent common-side pairs: remaining angles
     supplementary, the four vertices concyclic (determinant within
-    tol * scale^4), and the strict side inequality AC < AB."""
+    TOL * scale^4), and the strict side inequality AC < AB."""
     result = CheckResult("lemma-common-side", True, samples, 0.0)
     for _ in range(samples):
-        spec = sample_two_solution_spec(rng, float_backend)
-        sols = solve_ssa(spec)
-        witness = {"a": spec.side_a.as_float(), "b": spec.side_b.as_float(),
-                   "cos_angle": spec.cos_angle.as_float()}
-        if sols.count != 2:
-            result.add_failure({**witness, "count": sols.count})
+        witness = {}
+        try:
+            spec = sample_two_solution_spec(rng, float_backend)
+            witness = {"a": spec.side_a.as_float(), "b": spec.side_b.as_float(),
+                       "cos_angle": spec.cos_angle.as_float()}
+            sols = solve_ssa(spec)
+            if sols.count != 2:
+                result.add_failure({**witness, "count": sols.count})
+                continue
+            apex1, apex2 = sols.triangles[0].B, sols.triangles[1].B
+            shared_a = sols.triangles[0].C     # lemma's A, at (b, 0)
+            shared_b = sols.triangles[0].A     # lemma's B, at the origin
+            t_abc = Triangle(shared_a, shared_b, apex1)
+            t_abd = Triangle(shared_a, shared_b,
+                             point(float_backend, apex2.x.as_float(),
+                                   -apex2.y.as_float()))
+            report = lemma_common_side_check(t_abc, t_abd)
+        except (DegenerateInputError, LemmaPreconditionError) as exc:
+            result.add_failure({**witness, "error": str(exc)})
             continue
-        apex1, apex2 = sols.triangles[0].B, sols.triangles[1].B
-        shared_a = sols.triangles[0].C     # lemma's A, at (b, 0)
-        shared_b = sols.triangles[0].A     # lemma's B, at the origin
-        t_abc = Triangle(shared_a, shared_b, apex1)
-        t_abd = Triangle(shared_a, shared_b,
-                         point(float_backend, apex2.x.as_float(),
-                               -apex2.y.as_float()))
-        report = lemma_common_side_check(t_abc, t_abd)
         scale = coord_scale(shared_a, shared_b, t_abc.C, t_abd.C)
         det_norm = abs(report.concyclicity_det.as_float()) / scale ** 4
         cos_sum = abs(report.cos_acb.as_float() + report.cos_adb.as_float())
         result.worst_residual = max(result.worst_residual, det_norm, cos_sum)
         if not (report.supplementary_angles and report.opposite_sides
                 and report.is_concyclic and report.ac_less_than_ab
-                and det_norm <= tol):
+                and det_norm <= TOL):
             result.add_failure({
                 **witness,
                 "supplementary": report.supplementary_angles,
@@ -315,10 +338,9 @@ def suite_backend_cross(samples: int, rng: Random) -> CheckResult:
 # -- proven forward implications ------------------------------------------------
 
 def suite_forward(scenario: sc.Scenario, branch: sc.Branch, samples: int,
-                  rng: Random, tol: float = 1e-9,
-                  **scenario_kwargs) -> CheckResult:
+                  rng: Random, **scenario_kwargs) -> CheckResult:
     """Shapes drawn uniformly along one claimed branch of a scenario must
-    zero its residual within ``tol``; ``scenario_kwargs`` go to the residual
+    zero its residual within ``TOL``; ``scenario_kwargs`` go to the residual
     as in the scan."""
     result = CheckResult(f"forward-{branch.name}", True, samples, 0.0)
     lo, hi = branch.free_deg
@@ -326,7 +348,7 @@ def suite_forward(scenario: sc.Scenario, branch: sc.Branch, samples: int,
         alpha, beta = branch.point(math.radians(rng.uniform(lo, hi)))
         resid = abs(scenario.residual(alpha, beta, **scenario_kwargs))
         result.worst_residual = max(result.worst_residual, resid)
-        if resid > tol:
+        if resid > TOL:
             result.add_failure({"alpha_deg": math.degrees(alpha),
                                 "beta_deg": math.degrees(beta),
                                 "residual": resid})
@@ -338,9 +360,9 @@ OFFSET_SPOT_SHAPES_DEG = ((45.0, 45.0), (80.0, 45.0), (50.0, 10.0),
                           (100.0, 50.0), (30.0, 30.0), (90.0, 35.0))
 
 
-def suite_offset_bisector_spots(min_gap: float = 1e-3) -> CheckResult:
+def suite_offset_bisector_spots() -> CheckResult:
     """Shapes off both branches keep the bisector-foot angle away from 30
-    degrees by at least ``min_gap`` radians."""
+    degrees by more than ``MIN_GAP`` radians."""
     result = CheckResult("offset-bisector-spot-set", True,
                          len(OFFSET_SPOT_SHAPES_DEG), math.inf)
     worst_gap = math.inf
@@ -349,7 +371,7 @@ def suite_offset_bisector_spots(min_gap: float = 1e-3) -> CheckResult:
             math.radians(a_deg), math.radians(b_deg))
         gap = abs(sc.angle_at(foot_b, b_pt, foot_a) - math.pi / 6)
         worst_gap = min(worst_gap, gap)
-        if gap <= min_gap:
+        if gap <= MIN_GAP:
             result.add_failure({"alpha_deg": a_deg, "beta_deg": b_deg,
                                 "angle_gap": gap})
     result.worst_residual = worst_gap

@@ -40,7 +40,7 @@ def verdict(ok):
 
 def test_criterion_1_ssa_oracle_equivalence(capsys):
     started = time.perf_counter()
-    res = suite_ssa_oracle(100000, Random(42), tol=1e-9)
+    res = suite_ssa_oracle(100000, Random(42))
     elapsed = time.perf_counter() - started
     ok = res.passed and res.worst_residual <= 1e-9 and elapsed < 10.0
     announce(capsys,
@@ -53,7 +53,7 @@ def test_criterion_1_ssa_oracle_equivalence(capsys):
 
 
 def test_criterion_2_dichotomy_supplementary(capsys):
-    fl = suite_dichotomy_float(10000, Random(43), tol=1e-9)
+    fl = suite_dichotomy_float(10000, Random(43))
     ex = suite_dichotomy_exact(1000, Random(44))
     ok = (fl.passed and fl.worst_residual <= 1e-9 and ex.passed)
     announce(capsys,
@@ -67,7 +67,7 @@ def test_criterion_2_dichotomy_supplementary(capsys):
 
 
 def test_criterion_3_lemma_concyclicity(capsys):
-    res = suite_lemma(1000, Random(45), tol=1e-9)
+    res = suite_lemma(1000, Random(45))
     ok = res.passed and res.worst_residual <= 1e-9
     announce(capsys,
              f"criterion 3 (lemma-common-side): {verdict(ok)}  "
@@ -119,7 +119,7 @@ def forward_checks(seed):
 def test_criterion_5_forward_implications(capsys):
     suites = forward_checks(46)
     pairs = {(name, res.name) for name, _, res in suites}
-    spots = suite_offset_bisector_spots(min_gap=1e-3)
+    spots = suite_offset_bisector_spots()
     worst = max(res.worst_residual for _, _, res in suites)
     ok = (all(res.passed for _, _, res in suites) and worst <= 1e-9
           and spots.passed)

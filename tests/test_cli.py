@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from planicheck import cli
+from planicheck.suites import CheckResult
 
 
 def run(argv):
@@ -125,12 +126,17 @@ def test_ssa_exact_included_degree_angle_solves(capsys):
 @pytest.mark.parametrize("argv", [
     ["--a", "1e200", "--b", "1e200", "--angle-deg", "60"],
     ["--a", "3", "--b", "4", "--cos", "1e400"],
+    ["--a", "1.7e308", "--b", "1.7e308", "--cos", "3/5", "--backend", "exact"],
+    ["--a", "1.7e308", "--b", "1.7e308", "--cos", "3/5", "--backend", "exact",
+     "--included"],
 ], ids=lambda argv: " ".join(argv))
 def test_ssa_overflow_is_a_usage_error(capsys, argv):
+    # every printed number is computed before the first line goes out
     assert run(["ssa", *argv]) == 2
     captured = capsys.readouterr()
-    assert "solution" not in captured.out
+    assert captured.out == ""
     assert "too large for binary64" in captured.err
+    assert captured.err.count("\n") == 1 and len(captured.err) < 100
 
 
 @pytest.mark.parametrize("argv", [
@@ -152,8 +158,30 @@ def test_verify_small_run(capsys):
     assert "FAIL" not in text
 
 
+def test_verify_coarse_eps_fails_with_witnesses(capsys):
+    # the suites draw angles down to 1 degree, which the backend rejects at
+    # eps 1e-3: each rejected sample is a failing witness, not a usage error
+    assert run(["verify", "--samples", "200", "--seed", "42",
+                "--eps", "1e-3"]) == 1
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert len([ln for ln in lines if not ln.startswith(" ")]) == 5
+    assert any("witness:" in ln and "'error': 'angle must be strictly inside"
+               in ln for ln in lines)
+    assert captured.err == ""
+
+
+def test_verify_exact_backend_takes_eps_silently(capsys):
+    # --eps still configures the float-domain suites on the exact backend
+    assert run(["verify", "--samples", "200", "--backend", "exact",
+                "--eps", "1e-6"]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_verify_rejects_zero_samples():
-    assert run(["verify", "--samples", "0"]) == 2
+    with pytest.raises(SystemExit) as err:
+        run(["verify", "--samples", "0"])
+    assert err.value.code == 2
 
 
 def test_verify_report_body_is_deterministic(tmp_path):
@@ -185,7 +213,15 @@ PINNED_RUNS = {
                             "--samples", "50", "--seed", "42"]
        for name in ("medial-circumcenter", "incenter-segments",
                     "square-center", "rectangle-center", "bisector-30")},
+    "logic-battery": ["logic"],
+    "logic-readme-constrained": ["logic", "--formula", "(p | !q) & (!p | q)",
+                                 "--equiv", "!p & !q",
+                                 "--constraint", "!(p & q)"],
+    "logic-readme-unconstrained": ["logic", "--formula", "(p | !q) & (!p | q)",
+                                   "--equiv", "!p & !q"],
 }
+# pinned runs whose verdict is a failed check
+PINNED_EXIT_CODES = {"logic-readme-unconstrained": 1}
 
 
 @pytest.mark.parametrize("tag", sorted(PINNED_RUNS))
@@ -193,7 +229,8 @@ def test_report_body_matches_the_pinned_body(tmp_path, capsys, tag):
     # a change that alters a body regenerates tests/bodies/<tag>.json and
     # names every changed field in CHANGES.md
     out = tmp_path / "r.json"
-    assert run(PINNED_RUNS[tag] + ["--report", str(out)]) == 0
+    code = run(PINNED_RUNS[tag] + ["--report", str(out)])
+    assert code == PINNED_EXIT_CODES.get(tag, 0)
     data = json.loads(out.read_text())
     data.pop("wall_time_s")
     body = json.dumps(data, indent=2, sort_keys=True) + "\n"
@@ -227,6 +264,26 @@ def test_scenario_forward_check_per_branch(tmp_path):
         assert c["pass"] and c["samples"] == 50, c
 
 
+def test_scenario_prints_the_witnesses_of_a_failing_check(monkeypatch,
+                                                          capsys):
+    failing = CheckResult("forward-isosceles", False, 3, 0.5,
+                          [{"alpha_deg": 40.0, "residual": 0.5}])
+    monkeypatch.setattr(cli, "run_scenario_suites", lambda *a, **k: [failing])
+    assert run(["scenario", "medial-circumcenter", "--grid-step-deg", "5"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[-2:] == [
+        "FAIL  forward-isosceles  samples=3  worst_residual=0.5",
+        "      witness: {'alpha_deg': 40.0, 'residual': 0.5}"]
+
+
+def test_scenario_grid_step_too_fine_for_binary64(capsys):
+    assert run(["scenario", "medial-circumcenter",
+                "--grid-step-deg", "1e-320"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "too fine for binary64" in captured.err
+
+
 def test_scenario_unknown_name(capsys):
     assert run(["scenario", "no-such"]) == 2
     assert "medial-circumcenter" in capsys.readouterr().err
@@ -242,6 +299,8 @@ def test_scenario_rectangle_is_exploratory(capsys):
 def test_scenario_rect_t_validation(capsys):
     assert run(["scenario", "rectangle-center", "--grid-step-deg", "2",
                 "--rect-t", "1.5"]) == 2
+    assert capsys.readouterr().err == \
+        "error: height fraction t must lie in (0, 1)\n"
     assert run(["scenario", "medial-circumcenter", "--grid-step-deg", "2",
                 "--rect-t", "0.3"]) == 2
 

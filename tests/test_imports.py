@@ -133,3 +133,42 @@ def test_the_check_sees_an_is_exact_read():
 def test_only_the_backends_and_the_solver_guard_read_is_exact():
     sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
     assert is_exact_reads(sources, IS_EXACT_READERS) == []
+
+
+# main is the one place that ends a run: it reads the clock, builds and
+# renders the report and stamps the config echo with the PRNG name
+ENVELOPE_NAMES = {"perf_counter", "build_report", "render_json",
+                  "render_markdown", "RNG_ALGORITHM"}
+
+
+def envelope_uses(source, owner="main", names=ENVELOPE_NAMES):
+    """(top-level definition, name) of each read of one of ``names``, as a
+    ``Name`` or an ``Attribute``, outside the function ``owner``; statements
+    outside any definition are reported as ``<module>``, and an assignment
+    to a name is not a read of it."""
+    found = []
+    for node in ast.parse(source).body:
+        holder = getattr(node, "name", "<module>")
+        if holder == owner:
+            continue
+        for n in ast.walk(node):
+            name = (n.id if isinstance(n, ast.Name) else
+                    n.attr if isinstance(n, ast.Attribute) else None)
+            if name in names and isinstance(n.ctx, ast.Load):
+                found.append((holder, name))
+    return found
+
+
+def test_the_check_sees_an_envelope_use_outside_main():
+    src = ("import time\nRNG_ALGORITHM = 'x'\n"
+           "def handler(args):\n    t = time.perf_counter()\n"
+           "    return {'rng': RNG_ALGORITHM}\n\n"
+           "def main():\n    return rpt.build_report(time.perf_counter())\n\n"
+           "text = rpt.render_markdown({})\n")
+    assert envelope_uses(src) == [("handler", "perf_counter"),
+                                  ("handler", "RNG_ALGORITHM"),
+                                  ("<module>", "render_markdown")]
+
+
+def test_only_main_ends_a_run():
+    assert envelope_uses((PACKAGE / "cli.py").read_text()) == []

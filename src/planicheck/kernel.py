@@ -30,6 +30,7 @@ from .scalars import (
     DegenerateInputError,
     LengthMismatchError,
     Scalar,
+    same_backend,
 )
 
 LABELS = ("A", "B", "C")
@@ -41,7 +42,7 @@ class Point:
     y: Scalar
 
     def __post_init__(self):
-        if self.x.backend != self.y.backend:
+        if not same_backend(self.x.backend, self.y.backend):
             raise BackendMismatchError("point coordinates from different backends")
 
     @property
@@ -181,7 +182,9 @@ class Triangle:
     C: Point
 
     def __post_init__(self):
-        if not (self.A.backend == self.B.backend == self.C.backend):
+        backend = self.A.backend
+        if not (same_backend(backend, self.B.backend)
+                and same_backend(backend, self.C.backend)):
             raise BackendMismatchError("triangle vertices from different backends")
         if collinear(self.A, self.B, self.C):
             raise DegenerateInputError("collinear triangle")

@@ -55,7 +55,14 @@ class _Sqrt(NamedTuple):
     square: Fraction
 
     def __float__(self):
-        return self.sign * math.sqrt(self.square)
+        # sqrt(q) = 2^k sqrt(q / 4^k): a square too large for binary64 is
+        # scaled down first, so that a root which fits still converts; below
+        # 2^1000 the square converts as it is, unscaled
+        q = self.square
+        k = (q.numerator.bit_length() - q.denominator.bit_length()) // 2
+        if k < 500:
+            return self.sign * math.sqrt(q)
+        return self.sign * math.ldexp(math.sqrt(q / (1 << 2 * k)), k)
 
     def __neg__(self):
         return _Sqrt(-self.sign, self.square)
@@ -129,7 +136,7 @@ class ExactBackend:
 
     def scalar(self, value) -> "Scalar":
         if isinstance(value, Scalar):
-            if value.backend != self:
+            if not same_backend(value.backend, self):
                 raise BackendMismatchError("scalar belongs to a different backend")
             return value
         if isinstance(value, float):
@@ -173,7 +180,7 @@ class FloatBackend:
 
     def scalar(self, value) -> "Scalar":
         if isinstance(value, Scalar):
-            if value.backend != self:
+            if not same_backend(value.backend, self):
                 raise BackendMismatchError("scalar belongs to a different backend")
             return value
         try:
@@ -221,6 +228,12 @@ EXACT = ExactBackend()
 Backend = Union[ExactBackend, FloatBackend]
 
 
+def same_backend(x: Backend, y: Backend) -> bool:
+    """Whether values of backends ``x`` and ``y`` may meet: the identity
+    test settles the usual case without the dataclass ``__eq__``."""
+    return x is y or x == y
+
+
 _set = object.__setattr__
 
 
@@ -241,7 +254,9 @@ class Scalar:
     def _mate(self, other):
         """The payload of ``other`` on this scalar's backend."""
         if isinstance(other, Scalar):
-            if other.backend is not self.backend and other.backend != self.backend:
+            # same_backend's identity test, inlined: this is the hot path
+            if other.backend is not self.backend and not same_backend(
+                    other.backend, self.backend):
                 raise BackendMismatchError(
                     f"cannot mix {self.backend!r} and {other.backend!r}")
             return other._v
@@ -318,7 +333,8 @@ class Scalar:
 
     # structural equality (use .eq for tolerance-aware comparison)
     def __eq__(self, other):
-        return (isinstance(other, Scalar) and self.backend == other.backend
+        return (isinstance(other, Scalar)
+                and same_backend(self.backend, other.backend)
                 and self._v == other._v)
 
     def __hash__(self):

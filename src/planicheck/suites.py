@@ -1,20 +1,25 @@
 """Seeded property suites behind the ``verify`` and ``scenario`` commands.
 
-Each suite draws its samples from a ``random.Random`` it is handed, checks
-one family of claims, and returns a ``CheckResult``; the caller owns seeding
-so results are reproducible.  Sample counts scale the acceptance defaults:
-with the standard 100000 samples the verify runner executes 100000 oracle
-comparisons, 10000 float and 1000 exact dichotomy classifications, 1000
-lemma configurations, and 1000 backend cross-validations.
+Each sampled check is a per-sample function run by ``run_check``, the one
+sample loop.  ``sample(index, witness)`` draws from the ``random.Random``
+its suite is handed (the caller owns seeding, so results are reproducible),
+records what it draws in ``witness`` and returns ``(residual, failure)``,
+``failure`` being None or the fields a failing witness adds.  ``run_check``
+keeps the worst residual and at most five witnesses; a sample that raises
+``DegenerateInputError`` (as a coarse ``eps`` may), ``ExactValueError`` or
+``LemmaPreconditionError`` fails with the values drawn so far plus ``"error"``.
+
+Sample counts scale the acceptance defaults: with the standard 100000
+samples the verify runner executes 100000 oracle comparisons, 10000 float
+and 1000 exact dichotomy classifications, 1000 lemma configurations, and
+1000 backend cross-validations.
 
 The scenario forward checks are not written per scenario: ``suite_forward``
 walks one ``Branch`` of the scenario registry, so every claimed branch of
 every scenario gets one check.
 
 ``TOL`` bounds every float residual (radians, cosine sums, normalized
-determinants) and ``MIN_GAP`` the bisector-30 spot gaps from below.  In the
-oracle, float-dichotomy and lemma suites, a sample that the float backend
-rejects as degenerate (as a coarse ``eps`` may) is a failing witness.
+determinants) and ``MIN_GAP`` the bisector-30 spot gaps from below.
 """
 
 from __future__ import annotations
@@ -23,10 +28,10 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from random import Random
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
-from .scalars import EXACT, DegenerateInputError, FloatBackend
-from .kernel import Point, Triangle, coord_scale, point
+from .scalars import EXACT, DegenerateInputError, ExactValueError, FloatBackend
+from .kernel import Isometry, Point, Triangle, coord_scale, point
 from .ssa import (Congruent, LemmaPreconditionError, NotSsaMatched, SsaSpec,
                   Supplementary, classify_pair, lemma_common_side_check,
                   solve_ssa)
@@ -49,6 +54,26 @@ class CheckResult:
         self.passed = False
         if len(self.witnesses) < 5:
             self.witnesses.append(witness)
+
+
+Sample = Callable[[int, Dict], Tuple[float, Optional[Dict]]]
+_REJECTED = (DegenerateInputError, ExactValueError, LemmaPreconditionError)
+
+
+def run_check(name: str, samples: int, sample: Sample) -> CheckResult:
+    """The one sample loop, with a fresh ``witness`` dict per index."""
+    result = CheckResult(name, True, samples, 0.0)
+    for index in range(samples):
+        witness = {}
+        try:
+            residual, failure = sample(index, witness)
+        except _REJECTED as exc:
+            result.add_failure({**witness, "error": str(exc)})
+            continue
+        result.worst_residual = max(result.worst_residual, residual)
+        if failure is not None:
+            result.add_failure({**witness, **failure})
+    return result
 
 
 # -- law-of-sines oracle -------------------------------------------------------
@@ -89,34 +114,26 @@ def suite_ssa_oracle(samples: int, rng: Random,
                      float_backend: FloatBackend = FLOAT) -> CheckResult:
     """Solver vs law-of-sines oracle on uniform random specs: equal solution
     counts, remaining angles within ``TOL`` radians."""
-    result = CheckResult("ssa-oracle-equivalence", True, samples, 0.0)
-    for _ in range(samples):
+    def sample(_index, witness):
         a = rng.uniform(0.1, 10.0)
         b = rng.uniform(0.1, 10.0)
         theta_deg = rng.uniform(1.0, 179.0)
         cos_t = math.cos(math.radians(theta_deg))
-        witness = {"a": a, "b": b, "theta_deg": theta_deg}
-        try:
-            sols = solve_ssa(SsaSpec.from_values(float_backend, a, b, cos_t))
-        except DegenerateInputError as exc:
-            result.add_failure({**witness, "error": str(exc)})
-            continue
+        witness.update(a=a, b=b, theta_deg=theta_deg)
+        sols = solve_ssa(SsaSpec.from_values(float_backend, a, b, cos_t))
         expected = law_of_sines_oracle(a, b, cos_t, eps=float_backend.eps)
-        witness["solver_count"] = sols.count
-        witness["oracle_count"] = len(expected)
+        witness.update(solver_count=sols.count, oracle_count=len(expected))
         if sols.count != len(expected):
-            result.add_failure(witness)
-            continue
+            return 0.0, {}
         worst = 0.0
         for tri, (apex, base, _third) in zip(sols.triangles, expected):
-            a, b, c = [(p.x.as_float(), p.y.as_float())
-                       for p in (tri.A, tri.B, tri.C)]
-            worst = max(worst, abs(sc.angle_at(b, a, c) - apex),
-                        abs(sc.angle_at(c, a, b) - base))
-        result.worst_residual = max(result.worst_residual, worst)
-        if worst > TOL:
-            result.add_failure({**witness, "angle_diff": worst})
-    return result
+            pa, pb, pc = [(p.x.as_float(), p.y.as_float())
+                          for p in (tri.A, tri.B, tri.C)]
+            worst = max(worst, abs(sc.angle_at(pb, pa, pc) - apex),
+                        abs(sc.angle_at(pc, pa, pb) - base))
+        return worst, ({"angle_diff": worst} if worst > TOL else None)
+
+    return run_check("ssa-oracle-equivalence", samples, sample)
 
 
 # -- dichotomy exhaustion ------------------------------------------------------
@@ -136,34 +153,36 @@ def sample_two_solution_spec(rng: Random,
                                math.cos(math.radians(theta_deg)))
 
 
+def _draw_two_solutions(rng: Random, float_backend: FloatBackend,
+                        witness: Dict) -> Optional[Tuple[Triangle, ...]]:
+    """Draw a two-solution spec, record it in ``witness`` and solve it; the
+    two triangles, or None after recording any other solution ``count``."""
+    spec = sample_two_solution_spec(rng, float_backend)
+    witness.update(a=spec.side_a.as_float(), b=spec.side_b.as_float(),
+                   cos_angle=spec.cos_angle.as_float())
+    sols = solve_ssa(spec)
+    if sols.count != 2:
+        witness["count"] = sols.count
+        return None
+    return sols.triangles
+
+
 def suite_dichotomy_float(samples: int, rng: Random,
                           float_backend: FloatBackend = FLOAT) -> CheckResult:
     """Every two-solution pair classifies as Supplementary with cosine sum
     within ``TOL``; NotSsaMatched and silent third outcomes are failures."""
-    result = CheckResult("dichotomy-supplementary-float", True, samples, 0.0)
-    for _ in range(samples):
-        witness = {}
-        try:
-            spec = sample_two_solution_spec(rng, float_backend)
-            witness = {"a": spec.side_a.as_float(), "b": spec.side_b.as_float(),
-                       "cos_angle": spec.cos_angle.as_float()}
-            sols = solve_ssa(spec)
-            if sols.count != 2:
-                result.add_failure({**witness, "count": sols.count})
-                continue
-            verdict = classify_pair(sols.triangles[0], sols.triangles[1])
-        except DegenerateInputError as exc:
-            result.add_failure({**witness, "error": str(exc)})
-            continue
+    def sample(_index, witness):
+        pair = _draw_two_solutions(rng, float_backend, witness)
+        if pair is None:
+            return 0.0, {}
+        verdict = classify_pair(*pair)
         witness["verdict"] = type(verdict).__name__
         if not isinstance(verdict, Supplementary):
-            result.add_failure(witness)
-            continue
+            return 0.0, {}
         resid = abs(verdict.cos1.as_float() + verdict.cos2.as_float())
-        result.worst_residual = max(result.worst_residual, resid)
-        if resid > TOL:
-            result.add_failure({**witness, "cos_sum": resid})
-    return result
+        return resid, ({"cos_sum": resid} if resid > TOL else None)
+
+    return run_check("dichotomy-supplementary-float", samples, sample)
 
 
 def sample_rational_two_solution_spec(rng: Random) -> SsaSpec:
@@ -189,24 +208,23 @@ def sample_rational_two_solution_spec(rng: Random) -> SsaSpec:
 def suite_dichotomy_exact(samples: int, rng: Random) -> CheckResult:
     """Exact-backend dichotomy: rational-cosine two-solution specs classify
     as Supplementary with an exactly zero cosine sum."""
-    result = CheckResult("dichotomy-supplementary-exact", True, samples, 0.0)
-    for _ in range(samples):
+    def sample(_index, witness):
         spec = sample_rational_two_solution_spec(rng)
+        witness.update(a_sq=str((spec.side_a * spec.side_a).exact_value()),
+                       b=str(spec.side_b.exact_value()),
+                       cos_angle=str(spec.cos_angle.exact_value()))
         sols = solve_ssa(spec)
-        witness = {"a_sq": str((spec.side_a * spec.side_a).exact_value()),
-                   "b": str(spec.side_b.exact_value()),
-                   "cos_angle": str(spec.cos_angle.exact_value()),
-                   "count": sols.count}
+        witness["count"] = sols.count
         if sols.count != 2:
-            result.add_failure(witness)
-            continue
+            return 0.0, {}
         verdict = classify_pair(sols.triangles[0], sols.triangles[1])
         if not isinstance(verdict, Supplementary):
-            result.add_failure({**witness, "verdict": type(verdict).__name__})
-            continue
+            return 0.0, {"verdict": type(verdict).__name__}
         if (verdict.cos1 + verdict.cos2).sign() != 0:
-            result.add_failure({**witness, "cos_sum": "nonzero"})
-    return result
+            return 0.0, {"cos_sum": "nonzero"}
+        return 0.0, None
+
+    return run_check("dichotomy-supplementary-exact", samples, sample)
 
 
 # -- the common-side lemma -----------------------------------------------------
@@ -214,44 +232,37 @@ def suite_dichotomy_exact(samples: int, rng: Random) -> CheckResult:
 def suite_lemma(samples: int, rng: Random,
                 float_backend: FloatBackend = FLOAT) -> CheckResult:
     """Constructed non-congruent common-side pairs: remaining angles
-    supplementary, the four vertices concyclic (determinant within
-    TOL * scale^4), and the strict side inequality AC < AB."""
-    result = CheckResult("lemma-common-side", True, samples, 0.0)
-    for _ in range(samples):
-        witness = {}
-        try:
-            spec = sample_two_solution_spec(rng, float_backend)
-            witness = {"a": spec.side_a.as_float(), "b": spec.side_b.as_float(),
-                       "cos_angle": spec.cos_angle.as_float()}
-            sols = solve_ssa(spec)
-            if sols.count != 2:
-                result.add_failure({**witness, "count": sols.count})
-                continue
-            apex1, apex2 = sols.triangles[0].B, sols.triangles[1].B
-            shared_a = sols.triangles[0].C     # lemma's A, at (b, 0)
-            shared_b = sols.triangles[0].A     # lemma's B, at the origin
-            t_abc = Triangle(shared_a, shared_b, apex1)
-            t_abd = Triangle(shared_a, shared_b,
-                             point(float_backend, apex2.x.as_float(),
-                                   -apex2.y.as_float()))
-            report = lemma_common_side_check(t_abc, t_abd)
-        except (DegenerateInputError, LemmaPreconditionError) as exc:
-            result.add_failure({**witness, "error": str(exc)})
-            continue
-        scale = coord_scale(shared_a, shared_b, t_abc.C, t_abd.C)
-        det_norm = abs(report.concyclicity_det.as_float()) / scale ** 4
-        cos_sum = abs(report.cos_acb.as_float() + report.cos_adb.as_float())
-        result.worst_residual = max(result.worst_residual, det_norm, cos_sum)
-        if not (report.supplementary_angles and report.opposite_sides
+    supplementary, C and D on opposite sides of AB and concyclic
+    (determinant within TOL * scale^4), and the strict inequality AC < AB."""
+    def sample(_index, witness):
+        pair = _draw_two_solutions(rng, float_backend, witness)
+        if pair is None:
+            return 0.0, {}
+        apex1, apex2 = pair[0].B, pair[1].B
+        shared_a = pair[0].C     # lemma's A, at (b, 0)
+        shared_b = pair[0].A     # lemma's B, at the origin
+        t_abc = Triangle(shared_a, shared_b, apex1)
+        t_abd = Triangle(shared_a, shared_b,
+                         point(float_backend, apex2.x.as_float(),
+                               -apex2.y.as_float()))
+        report = lemma_common_side_check(t_abc, t_abd)
+        residual = abs(report.cos_acb.as_float() + report.cos_adb.as_float())
+        det_norm = None  # the report has no determinant for a same-side pair
+        if report.opposite_sides:
+            scale = coord_scale(shared_a, shared_b, t_abc.C, t_abd.C)
+            det_norm = abs(report.concyclicity_det.as_float()) / scale ** 4
+            residual = max(det_norm, residual)
+        if (report.supplementary_angles and report.opposite_sides
                 and report.is_concyclic and report.ac_less_than_ab
                 and det_norm <= TOL):
-            result.add_failure({
-                **witness,
-                "supplementary": report.supplementary_angles,
-                "concyclic": report.is_concyclic,
-                "ac_less_than_ab": report.ac_less_than_ab,
-                "det_norm": det_norm})
-    return result
+            return residual, None
+        return residual, {"supplementary": report.supplementary_angles,
+                          "opposite_sides": report.opposite_sides,
+                          "concyclic": report.is_concyclic,
+                          "ac_less_than_ab": report.ac_less_than_ab,
+                          "det_norm": det_norm}
+
+    return run_check("lemma-common-side", samples, sample)
 
 
 # -- backend cross-validation --------------------------------------------------
@@ -269,18 +280,15 @@ def _to_float_triangle(tri: Triangle) -> Triangle:
 
 def _rational_triangle(rng: Random) -> Triangle:
     while True:
-        coords = [Fraction(rng.randint(-8, 8), rng.randint(1, 4))
-                  for _ in range(6)]
+        xs = [EXACT.scalar(Fraction(rng.randint(-8, 8), rng.randint(1, 4)))
+              for _ in range(6)]
         try:
-            return Triangle(Point(EXACT.scalar(coords[0]), EXACT.scalar(coords[1])),
-                            Point(EXACT.scalar(coords[2]), EXACT.scalar(coords[3])),
-                            Point(EXACT.scalar(coords[4]), EXACT.scalar(coords[5])))
+            return Triangle(*(Point(x, y) for x, y in zip(xs[::2], xs[1::2])))
         except DegenerateInputError:
-            continue
+            pass  # collinear: draw again
 
 
 def _rational_isometry_image(tri: Triangle, rng: Random) -> Triangle:
-    from .kernel import Isometry
     c, s = rng.choice(_RATIONAL_DIRECTIONS)
     if rng.random() < 0.5:
         s = -s
@@ -296,19 +304,18 @@ def _rational_isometry_image(tri: Triangle, rng: Random) -> Triangle:
 def suite_backend_cross(samples: int, rng: Random) -> CheckResult:
     """Exact and float backends must return the same verdict type on
     rational-coordinate instances covering all three dichotomy outcomes."""
-    result = CheckResult("backend-cross-validation", True, samples, 0.0)
-    n_congruent = samples // 5
-    n_mismatch = samples // 5
-    n_supplementary = samples - n_congruent - n_mismatch
-    cases = (["supplementary"] * n_supplementary
-             + ["congruent"] * n_congruent + ["mismatch"] * n_mismatch)
-    for kind in cases:
+    n_other = samples // 5
+    kinds = (["supplementary"] * (samples - 2 * n_other)
+             + ["congruent"] * n_other + ["mismatch"] * n_other)
+    expected = {"supplementary": Supplementary, "congruent": Congruent,
+                "mismatch": NotSsaMatched}
+
+    def sample(index, witness):
+        kind = witness["kind"] = kinds[index]
         if kind == "supplementary":
-            spec = sample_rational_two_solution_spec(rng)
-            sols = solve_ssa(spec)
+            sols = solve_ssa(sample_rational_two_solution_spec(rng))
             if sols.count != 2:
-                result.add_failure({"kind": kind, "count": sols.count})
-                continue
+                return 0.0, {"count": sols.count}
             e1, e2 = sols.triangles
         else:
             e1 = _rational_triangle(rng)
@@ -322,17 +329,13 @@ def suite_backend_cross(samples: int, rng: Random) -> CheckResult:
         float_verdict = classify_pair(_to_float_triangle(e1),
                                       _to_float_triangle(e2))
         if type(exact_verdict) is not type(float_verdict):
-            result.add_failure({
-                "kind": kind,
-                "exact": type(exact_verdict).__name__,
-                "float": type(float_verdict).__name__})
-            continue
-        expected = {"supplementary": Supplementary, "congruent": Congruent,
-                    "mismatch": NotSsaMatched}[kind]
-        if not isinstance(exact_verdict, expected):
-            result.add_failure({"kind": kind,
-                                "verdict": type(exact_verdict).__name__})
-    return result
+            return 0.0, {"exact": type(exact_verdict).__name__,
+                         "float": type(float_verdict).__name__}
+        if not isinstance(exact_verdict, expected[kind]):
+            return 0.0, {"verdict": type(exact_verdict).__name__}
+        return 0.0, None
+
+    return run_check("backend-cross-validation", samples, sample)
 
 
 # -- proven forward implications ------------------------------------------------
@@ -342,17 +345,14 @@ def suite_forward(scenario: sc.Scenario, branch: sc.Branch, samples: int,
     """Shapes drawn uniformly along one claimed branch of a scenario must
     zero its residual within ``TOL``; ``scenario_kwargs`` go to the residual
     as in the scan."""
-    result = CheckResult(f"forward-{branch.name}", True, samples, 0.0)
-    lo, hi = branch.free_deg
-    for _ in range(samples):
-        alpha, beta = branch.point(math.radians(rng.uniform(lo, hi)))
+    def sample(_index, witness):
+        alpha, beta = branch.point(math.radians(rng.uniform(*branch.free_deg)))
+        witness.update(alpha_deg=math.degrees(alpha),
+                       beta_deg=math.degrees(beta))
         resid = abs(scenario.residual(alpha, beta, **scenario_kwargs))
-        result.worst_residual = max(result.worst_residual, resid)
-        if resid > TOL:
-            result.add_failure({"alpha_deg": math.degrees(alpha),
-                                "beta_deg": math.degrees(beta),
-                                "residual": resid})
-    return result
+        return resid, ({"residual": resid} if resid > TOL else None)
+
+    return run_check(f"forward-{branch.name}", samples, sample)
 
 
 # right isosceles plus five more shapes off both conclusion branches
@@ -411,10 +411,8 @@ def run_verify_suites(samples: int, seed: int, backend: str = "float",
         n = max(1, samples // divisor)
         if backend == "exact" and name == "dichotomy-supplementary-exact":
             n = max(1, samples // 10)
-        if name in takes_backend:
-            results.append(fn(n, suite_rng, float_backend=fb))
-        else:
-            results.append(fn(n, suite_rng))
+        kwargs = {"float_backend": fb} if name in takes_backend else {}
+        results.append(fn(n, suite_rng, **kwargs))
     return results
 
 

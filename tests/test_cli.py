@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from planicheck import cli
+from planicheck import cli, suites
+from planicheck.scalars import EXACT, ExactValueError
 from planicheck.suites import CheckResult
 
 
@@ -126,9 +127,8 @@ def test_ssa_exact_included_degree_angle_solves(capsys):
 @pytest.mark.parametrize("argv", [
     ["--a", "1e200", "--b", "1e200", "--angle-deg", "60"],
     ["--a", "3", "--b", "4", "--cos", "1e400"],
+    # the third side, 2.04e308, is past the largest binary64 value
     ["--a", "1.7e308", "--b", "1.7e308", "--cos", "3/5", "--backend", "exact"],
-    ["--a", "1.7e308", "--b", "1.7e308", "--cos", "3/5", "--backend", "exact",
-     "--included"],
 ], ids=lambda argv: " ".join(argv))
 def test_ssa_overflow_is_a_usage_error(capsys, argv):
     # every printed number is computed before the first line goes out
@@ -137,6 +137,13 @@ def test_ssa_overflow_is_a_usage_error(capsys, argv):
     assert captured.out == ""
     assert "too large for binary64" in captured.err
     assert captured.err.count("\n") == 1 and len(captured.err) < 100
+
+
+def test_ssa_exact_radical_converts_where_its_square_overflows(capsys):
+    # third side sqrt(0.8) * 1.7e308 fits binary64, its square does not
+    assert run(["ssa", "--a", "1.7e308", "--b", "1.7e308", "--cos", "3/5",
+                "--backend", "exact", "--included"]) == 0
+    assert "third side 1.5205262247e+308" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("argv", [
@@ -169,6 +176,34 @@ def test_verify_coarse_eps_fails_with_witnesses(capsys):
     assert any("witness:" in ln and "'error': 'angle must be strictly inside"
                in ln for ln in lines)
     assert captured.err == ""
+
+
+def test_verify_reports_every_check_when_an_exact_suite_raises(
+        monkeypatch, tmp_path, capsys):
+    # a rejected sample in an exact suite is a failing witness, not a usage
+    # error that would end the run without a report
+    classify = suites.classify_pair
+
+    def exact_fails(t1, t2):
+        if t1.backend is EXACT:
+            raise ExactValueError("sum of distinct radicals is not representable")
+        return classify(t1, t2)
+
+    monkeypatch.setattr(suites, "classify_pair", exact_fails)
+    out = tmp_path / "r.json"
+    assert run(["verify", "--samples", "200", "--report", str(out)]) == 1
+    captured = capsys.readouterr()
+    heads = [ln.split()[:2] for ln in captured.out.splitlines()
+             if not ln.startswith(" ")]
+    assert heads == [["pass", "ssa-oracle-equivalence"],
+                     ["pass", "dichotomy-supplementary-float"],
+                     ["FAIL", "dichotomy-supplementary-exact"],
+                     ["pass", "lemma-common-side"],
+                     ["FAIL", "backend-cross-validation"]]
+    assert "'error': 'sum of distinct radicals" in captured.out
+    assert captured.err == ""
+    checks = json.loads(out.read_text())["checks"]
+    assert [c["pass"] for c in checks] == [True, True, False, True, False]
 
 
 def test_verify_exact_backend_takes_eps_silently(capsys):

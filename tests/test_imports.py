@@ -172,3 +172,35 @@ def test_the_check_sees_an_envelope_use_outside_main():
 
 def test_only_main_ends_a_run():
     assert envelope_uses((PACKAGE / "cli.py").read_text()) == []
+
+
+# run_check alone turns a rejected sample into a failing witness;
+# _rational_triangle redraws a collinear triangle
+EXCEPT_OWNERS = {"run_check", "_rational_triangle"}
+
+
+def except_clauses(source, allowed=EXCEPT_OWNERS):
+    """(top-level definition, line) of each ``except`` clause in ``source``
+    outside the definitions that ``allowed`` names, nested functions
+    included; statements outside any definition are reported as
+    ``<module>``."""
+    found = []
+    for node in ast.parse(source).body:
+        holder = getattr(node, "name", "<module>")
+        if holder not in allowed:
+            found += [(holder, n.lineno) for n in ast.walk(node)
+                      if isinstance(n, ast.ExceptHandler)]
+    return found
+
+
+def test_the_check_sees_an_except_clause():
+    src = ("def run_check(sample):\n    try:\n        sample()\n"
+           "    except ValueError:\n        pass\n\n"
+           "def suite():\n    def sample():\n        try:\n            pass\n"
+           "        except KeyError:\n            pass\n    return sample\n\n"
+           "try:\n    import x\nexcept ImportError:\n    x = None\n")
+    assert except_clauses(src) == [("suite", 11), ("<module>", 17)]
+
+
+def test_only_run_check_catches_a_rejected_sample():
+    assert except_clauses((PACKAGE / "suites.py").read_text()) == []

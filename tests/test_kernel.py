@@ -19,6 +19,8 @@ from kernel_constructions import (
 )
 from planicheck.kernel import (
     Isometry,
+    Point,
+    Triangle,
     angle_cos,
     collinear,
     concyclic,
@@ -32,6 +34,7 @@ from planicheck.kernel import (
 )
 from planicheck.scalars import (
     EXACT,
+    BackendMismatchError,
     DegenerateInputError,
     FloatBackend,
     LengthMismatchError,
@@ -42,6 +45,17 @@ FB = FloatBackend()
 
 def exact_pt(x, y):
     return point(EXACT, x, y)
+
+
+def test_points_and_triangles_keep_to_one_backend():
+    # equal float backends are one backend; exact and float never mix
+    Triangle(point(FB, 0, 0), point(FloatBackend(), 1, 0), point(FB, 0, 1))
+    with pytest.raises(BackendMismatchError,
+                       match="point coordinates from different backends"):
+        Point(FB.scalar(0.0), EXACT.scalar(1))
+    with pytest.raises(BackendMismatchError,
+                       match="triangle vertices from different backends"):
+        Triangle(exact_pt(0, 0), exact_pt(1, 0), point(FB, 0, 1))
 
 
 def test_angle_cos_right_angle():

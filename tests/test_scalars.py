@@ -1,14 +1,18 @@
 """Dual-backend scalar arithmetic: exact radicals and tolerant floats."""
 
+import math
 from fractions import Fraction
+from random import Random
 
 import pytest
 
 from planicheck.scalars import (
     EXACT,
     BackendMismatchError,
+    DegenerateInputError,
     ExactValueError,
     FloatBackend,
+    same_backend,
 )
 
 FB = FloatBackend()
@@ -106,6 +110,35 @@ def test_backends_do_not_mix():
         EXACT.scalar(1) + FB.scalar(1.0)
     with pytest.raises(BackendMismatchError):
         FloatBackend(1e-6).scalar(1.0) + FB.scalar(1.0)
+
+
+
+def test_equal_backends_are_one_backend():
+    assert same_backend(FB, FB) and same_backend(EXACT, EXACT)
+    assert same_backend(FloatBackend(1e-6), FloatBackend(1e-6))
+    assert not same_backend(FloatBackend(1e-6), FB)
+    assert not same_backend(EXACT, FB)
+    assert (FloatBackend().scalar(1.0) + FB.scalar(2.0)).eq(3.0)
+
+
+def test_radical_converts_where_its_square_overflows():
+    # sqrt(2e616) fits binary64 though 2e616 does not; sqrt(2e617) does not
+    assert EXACT.scalar(2 * 10 ** 616).sqrt().as_float() == pytest.approx(
+        math.sqrt(2) * 1e308, rel=1e-15)
+    with pytest.raises(DegenerateInputError):
+        EXACT.scalar(2 * 10 ** 617).sqrt().as_float()
+
+
+def test_radical_conversion_rounds_as_converting_its_square_does():
+    rng = Random(5)
+    for _ in range(3000):
+        q = Fraction(rng.getrandbits(rng.randint(1, 1100)) + 1,
+                     rng.getrandbits(rng.randint(1, 1100)) + 1)
+        try:
+            direct = math.sqrt(q)
+        except OverflowError:
+            continue
+        assert EXACT.scalar(q).sqrt().as_float() == direct, q
 
 
 def test_division_by_zero_raises():

@@ -396,8 +396,12 @@ def test_forward_checks_pass_the_scan_kwargs():
     checks = run_scenario_suites("rectangle-center", 20, 1, t=0.3)
     assert [c.name for c in checks] == ["forward-isosceles"]
     assert checks[0].passed
-    with pytest.raises(DegenerateInputError):
-        run_scenario_suites("rectangle-center", 20, 1, t=1.5)
+    # an out-of-range height rejects every sample: a failed check, not a raise
+    [check] = run_scenario_suites("rectangle-center", 20, 1, t=1.5)
+    assert check.name == "forward-isosceles" and not check.passed
+    assert len(check.witnesses) == 5
+    assert all(w["error"] == "height fraction t must lie in (0, 1)"
+               for w in check.witnesses)
 
 
 # -- scans -------------------------------------------------------------------

@@ -6,6 +6,9 @@ from random import Random
 import pytest
 
 from planicheck import suites
+from planicheck.kernel import point
+from planicheck.scalars import DegenerateInputError, ExactValueError
+from planicheck.scenarios import get_scenario
 
 
 @pytest.mark.parametrize("suite", [suites.suite_dichotomy_float,
@@ -29,6 +32,56 @@ def test_a_lost_solution_is_a_failed_check(monkeypatch, suite):
     assert result.samples == 7
     assert len(result.witnesses) == 5
     assert all(w["count"] == 1 and {"a", "b", "cos_angle"} <= set(w)
+               for w in result.witnesses)
+
+
+def test_a_same_side_lemma_pair_is_a_failed_check(monkeypatch):
+    # D left unmirrored lies on C's side of AB, where the lemma report has
+    # no concyclicity determinant: the check fails instead of raising
+    monkeypatch.setattr(suites, "point",
+                        lambda backend, x, y: point(backend, x, -y))
+    result = suites.suite_lemma(7, Random(3))
+    assert not result.passed
+    assert result.samples == 7
+    assert len(result.witnesses) == 5
+    assert all(w["opposite_sides"] is False and w["det_norm"] is None
+               and {"a", "b", "cos_angle"} <= set(w)
+               for w in result.witnesses)
+
+
+def forward_check(residual):
+    scenario = replace(get_scenario("square-center"), residual=residual)
+    return lambda samples, rng: suites.suite_forward(
+        scenario, scenario.branches[0], samples, rng)
+
+
+# each sampled check, and the code under test that it calls on every sample
+SAMPLED_CHECKS = [(suites.suite_ssa_oracle, "solve_ssa"),
+                  (suites.suite_dichotomy_float, "classify_pair"),
+                  (suites.suite_dichotomy_exact, "classify_pair"),
+                  (suites.suite_lemma, "lemma_common_side_check"),
+                  (suites.suite_backend_cross, "classify_pair"),
+                  (forward_check, "residual")]
+
+
+@pytest.mark.parametrize("error", [DegenerateInputError, ExactValueError],
+                         ids=lambda e: e.__name__)
+@pytest.mark.parametrize("suite, target", SAMPLED_CHECKS,
+                         ids=lambda x: getattr(x, "__name__", x))
+def test_a_rejected_sample_is_a_failing_witness(monkeypatch, suite, target,
+                                                error):
+    def reject(*args, **kwargs):
+        raise error("rejected by the code under test")
+
+    if target == "residual":
+        suite = suite(reject)
+    else:
+        monkeypatch.setattr(suites, target, reject)
+    result = suite(7, Random(3))
+    assert not result.passed
+    assert result.samples == 7
+    assert len(result.witnesses) == 5
+    assert all(w["error"] == "rejected by the code under test"
                for w in result.witnesses)
 
 

@@ -25,7 +25,7 @@ from itertools import permutations
 from typing import Dict, Optional, Tuple
 
 from .kernel import LABELS, Triangle, angle_cos, squared_distance
-from .scalars import Scalar
+from .scalars import Backend, Scalar, common_backend
 
 
 @dataclass(frozen=True)
@@ -39,16 +39,19 @@ class TriangleElements:
     side_sq: Dict[str, Scalar]
     cos_at: Dict[str, Scalar]
 
+    @property
+    def backend(self) -> Backend:
+        return self.side_sq["A"].backend
+
 
 def measure(t: Triangle) -> TriangleElements:
     """Extract the element set of a triangle once; criteria then reuse it."""
-    side_sq = {}
-    cos_at = {}
-    for label in LABELS:
-        p, q = t.others(label)
-        side_sq[label] = squared_distance(t.vertex(p), t.vertex(q))
-        cos_at[label] = angle_cos(t.vertex(label), t.vertex(p), t.vertex(q))
-    return TriangleElements(side_sq, cos_at)
+    a, b, c = t.A, t.B, t.C
+    return TriangleElements(
+        {"A": squared_distance(b, c), "B": squared_distance(a, c),
+         "C": squared_distance(a, b)},
+        {"A": angle_cos(a, b, c), "B": angle_cos(b, a, c),
+         "C": angle_cos(c, a, b)})
 
 
 @dataclass(frozen=True)
@@ -103,11 +106,17 @@ class ElementTriple:
 
 
 def _sides_match(e1, e2, corr, labels) -> bool:
-    return all(e1.side_sq[l].eq(e2.side_sq[corr.image(l)]) for l in labels)
+    eq = common_backend(e1.backend, e2.backend).eq
+    s1, s2 = e1.side_sq, e2.side_sq
+    for l in labels:
+        if not eq(s1[l]._v, s2[corr.image(l)]._v):
+            return False
+    return True
 
 
 def _angle_matches(e1, e2, corr, label) -> bool:
-    return e1.cos_at[label].eq(e2.cos_at[corr.image(label)])
+    eq = common_backend(e1.backend, e2.backend).eq
+    return eq(e1.cos_at[label]._v, e2.cos_at[corr.image(label)]._v)
 
 
 def criterion_a(e1: TriangleElements, e2: TriangleElements,

@@ -9,10 +9,16 @@ Constructions that only an audit needs (the circle through three points,
 the incenter, mirror images) are not part of it; the test suite builds them
 from this public API.
 
-Every zero test goes through ``Scalar.vanishes(scale, degree)``: exact zero
-on the exact backend, |value| <= eps * scale^degree on the float backend,
-with ``scale`` the configuration size ``coord_scale`` (max of 1 and the
-coordinate magnitudes) and ``degree`` the quantity's degree in lengths:
+``orient``, ``squared_distance`` and ``angle_cos`` compute on the points'
+payloads and wrap only their result in a ``Scalar``, after checking that
+the points share one backend; ``dot``, ``cross`` and ``Point`` arithmetic
+stay on ``Scalar`` for the isometries and the concyclicity determinant.
+
+Every zero test goes through the backend's ``vanishes(value, scale,
+degree)`` on a payload: exact zero on the exact backend, |value| <=
+eps * scale^degree on the float backend, with ``scale`` the configuration
+size ``coord_scale`` (max of 1 and the coordinate magnitudes) and
+``degree`` the quantity's degree in lengths:
 the side of a line (and so collinearity) 2, concyclicity 4 (its points
 must lie more than eps*scale apart, a length test of degree 1).  So the
 predicates are written once for both backends, and every side-of-line
@@ -30,7 +36,9 @@ from .scalars import (
     DegenerateInputError,
     LengthMismatchError,
     Scalar,
+    common_backend,
     same_backend,
+    to_float,
 )
 
 LABELS = ("A", "B", "C")
@@ -68,22 +76,36 @@ def cross(u: Point, v: Point) -> Scalar:
     return u.x * v.y - u.y * v.x
 
 
+def _backend(p: Point, *others: Point) -> Backend:
+    """The backend of ``p``, once every point of ``others`` shares it: the
+    check before a function combines the payloads of several points."""
+    backend = p.x.backend
+    for q in others:
+        if q.x.backend is not backend:
+            common_backend(backend, q.x.backend)
+    return backend
+
+
 def squared_distance(p: Point, q: Point) -> Scalar:
-    d = q - p
-    return dot(d, d)
+    backend = _backend(p, q)
+    dx, dy = q.x._v - p.x._v, q.y._v - p.y._v
+    return Scalar(backend, dx * dx + dy * dy)
 
 
 def coord_scale(*points: Point) -> float:
     """Configuration size used to scale float tolerances; floored at 1."""
     s = 1.0
     for p in points:
-        s = max(s, abs(p.x.as_float()), abs(p.y.as_float()))
+        s = max(s, abs(to_float(p.x._v)), abs(to_float(p.y._v)))
     return s
 
 
 def orient(p: Point, q: Point, r: Point) -> Scalar:
     """Twice the signed area of pqr."""
-    return cross(q - p, r - p)
+    backend = _backend(p, q, r)
+    px, py = p.x._v, p.y._v
+    return Scalar(backend, (q.x._v - px) * (r.y._v - py)
+                  - (q.y._v - py) * (r.x._v - px))
 
 
 def side(p: Point, q: Point, r: Point) -> int:
@@ -106,11 +128,15 @@ def angle_cos(vertex: Point, end1: Point, end2: Point) -> Scalar:
     On rational coordinates the exact backend gives an exactly comparable
     single radical, which collapses to a rational when possible.
     """
-    if vertex.eq(end1) or vertex.eq(end2):
+    backend = _backend(vertex, end1, end2)
+    eq = backend.eq
+    vx, vy = vertex.x._v, vertex.y._v
+    x1, y1, x2, y2 = end1.x._v, end1.y._v, end2.x._v, end2.y._v
+    if (eq(vx, x1) and eq(vy, y1)) or (eq(vx, x2) and eq(vy, y2)):
         raise DegenerateInputError("angle at coincident points")
-    u = end1 - vertex
-    v = end2 - vertex
-    return dot(u, v) / (dot(u, u) * dot(v, v)).sqrt()
+    ux, uy, wx, wy = x1 - vx, y1 - vy, x2 - vx, y2 - vy
+    return Scalar(backend, (ux * wx + uy * wy)
+                  / backend.sqrt((ux * ux + uy * uy) * (wx * wx + wy * wy)))
 
 
 def supplementary(cos1: Scalar, cos2: Scalar) -> bool:

@@ -19,6 +19,15 @@ operand, ``eq``/``lt``/``sign``, ``sqrt`` and ``vanishes``.  Each
 or the radical ``_Sqrt``) and never asks which backend it is on.  Values
 from different backends never mix; arithmetic between them raises
 ``BackendMismatchError`` rather than coercing.
+
+``Scalar`` is the API at the package boundary.  Inside, the kernel
+predicates, ``measure``/``congruent_any`` and ``solve_ssa`` compute on the
+payloads (``Scalar._v``) and wrap only the values they hand out: every
+decision, zero tests included, goes to the backend object (``eq``,
+``sign``, ``sqrt``, ``vanishes``) on payloads, and ``common_backend``
+checks two objects before their payloads meet, so a Fraction never meets a
+float silently.  Exact payloads are canonical (a radical whose square is a
+perfect square collapses to a Fraction), so exact equality is structural.
 """
 
 from __future__ import annotations
@@ -110,7 +119,10 @@ def _mk_exact(sign: int, square: Fraction):
 
 
 def _exact_sign(x) -> int:
-    return x.sign if isinstance(x, _Sqrt) else (x > 0) - (x < 0)
+    if isinstance(x, _Sqrt):
+        return x.sign
+    n = x.numerator  # a Fraction's denominator is positive
+    return (n > 0) - (n < 0)
 
 
 def _exact_cmp(x, y) -> int:
@@ -153,7 +165,9 @@ class ExactBackend:
         return _exact_sign(value) == 0
 
     def eq(self, x, y) -> bool:
-        return _exact_cmp(x, y) == 0
+        # canonical payloads: equal values are equal Fractions or equal
+        # (sign, square) pairs, and a Fraction never equals a radical
+        return x == y
 
     def lt(self, x, y) -> bool:
         return _exact_cmp(x, y) < 0
@@ -183,11 +197,7 @@ class FloatBackend:
             if not same_backend(value.backend, self):
                 raise BackendMismatchError("scalar belongs to a different backend")
             return value
-        try:
-            return Scalar(self, float(value))
-        except OverflowError:
-            raise DegenerateInputError(
-                "a value is too large for binary64") from None
+        return Scalar(self, to_float(value))
 
     def coerce(self, value):
         if isinstance(value, (int, Fraction, float)):
@@ -234,6 +244,24 @@ def same_backend(x: Backend, y: Backend) -> bool:
     return x is y or x == y
 
 
+def common_backend(x: Backend, y: Backend) -> Backend:
+    """``x``, once ``same_backend`` has allowed the payloads of ``x`` and
+    ``y`` to meet; the check a function makes before it compares payloads
+    read from two objects."""
+    if not same_backend(x, y):
+        raise BackendMismatchError(f"cannot mix {x!r} and {y!r}")
+    return x
+
+
+def to_float(payload) -> float:
+    """A payload as binary64; one too large for it is a degenerate input."""
+    try:
+        return float(payload)
+    except OverflowError:
+        raise DegenerateInputError(
+            "a value is too large for binary64") from None
+
+
 _set = object.__setattr__
 
 
@@ -255,10 +283,8 @@ class Scalar:
         """The payload of ``other`` on this scalar's backend."""
         if isinstance(other, Scalar):
             # same_backend's identity test, inlined: this is the hot path
-            if other.backend is not self.backend and not same_backend(
-                    other.backend, self.backend):
-                raise BackendMismatchError(
-                    f"cannot mix {self.backend!r} and {other.backend!r}")
+            if other.backend is not self.backend:
+                common_backend(self.backend, other.backend)
             return other._v
         return self.backend.coerce(other)
 
@@ -267,11 +293,7 @@ class Scalar:
         return isinstance(self.backend, ExactBackend)
 
     def as_float(self) -> float:
-        try:
-            return float(self._v)
-        except OverflowError:
-            raise DegenerateInputError(
-                "a value is too large for binary64") from None
+        return to_float(self._v)
 
     def exact_value(self) -> Fraction:
         """The rational payload; raises if the value is irrational or float."""

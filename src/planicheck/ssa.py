@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional, Tuple, Union
 
 from .congruence import Correspondence, congruent_any, measure
@@ -36,6 +37,8 @@ from .scalars import (
     ExactValueError,
     LengthMismatchError,
     Scalar,
+    common_backend,
+    to_float,
 )
 
 
@@ -67,9 +70,12 @@ class SsaSpec:
     cos_angle: Scalar
 
     def __post_init__(self):
-        if self.side_a.sign() <= 0 or self.side_b.sign() <= 0:
+        backend = common_backend(self.side_a.backend, self.side_b.backend)
+        common_backend(backend, self.cos_angle.backend)
+        if backend.sign(self.side_a._v) <= 0 or backend.sign(self.side_b._v) <= 0:
             raise DegenerateInputError("sides must be positive")
-        if not (self.cos_angle.lt(1) and self.cos_angle.gt(-1)):
+        c = self.cos_angle._v
+        if not (backend.lt(c, 1) and backend.lt(-1, c)):
             raise DegenerateInputError("angle must be strictly inside (0, pi)")
 
     @property
@@ -138,28 +144,29 @@ def solve_ssa(spec: SsaSpec) -> SsaSolutions:
     when a >= b, and 2 when b sin(theta) < a < b with an acute given angle.
     An obtuse given angle opposite a not-greater side yields no triangle.
 
-    One algorithm serves both backends.  Its three zero tests (the boundary
-    band on the discriminant, degree 2, and the kept triangle's third side,
-    degree 1, and doubled area, degree 2) go through ``Scalar.vanishes`` at
-    the scale max(1, a, b, t): exact zero on the exact backend.  The exact
-    backend also needs a rational cosine, sine and discriminant root; without
-    them it raises ``ExactValueError`` before any root is formed.
+    One algorithm serves both backends, computing on the spec's payloads
+    and wrapping only the solutions it returns.  Its three zero tests (the
+    boundary band on the discriminant, degree 2, and the kept triangle's
+    third side, degree 1, and doubled area, degree 2) go through the
+    backend's ``vanishes`` at the scale max(1, a, b, t): exact zero on the
+    exact backend.  The exact backend also needs a rational cosine, sine and
+    discriminant root; without them it raises ``ExactValueError`` before any
+    root is formed.
     """
-    a, b, c0 = spec.side_a, spec.side_b, spec.cos_angle
+    backend = spec.backend
+    a, b, c0 = spec.side_a._v, spec.side_b._v, spec.cos_angle._v
     sin2 = 1 - c0 * c0
-    sin_t = sin2.sqrt()
-    s = max(1.0, a.as_float(), b.as_float())
+    sin_t = backend.sqrt(sin2)
+    s = max(1.0, spec.side_a.as_float(), spec.side_b.as_float())
     disc = a * a - b * b * sin2
-    on_boundary = disc.vanishes(s, 2)
-    root = None if on_boundary or disc.sign() < 0 else disc.sqrt()
-    if a.is_exact:
-        try:
-            for value in (c0, sin_t) if root is None else (c0, sin_t, root):
-                value.exact_value()
-        except ExactValueError:
-            raise ExactValueError(
-                "exact SSA solving needs rational cosine, sine and discriminant root"
-            ) from None
+    on_boundary = backend.vanishes(disc, s, 2)
+    root = (None if on_boundary or backend.sign(disc) < 0
+            else backend.sqrt(disc))
+    if spec.side_a.is_exact and not all(
+            isinstance(value, Fraction)
+            for value in ((c0, sin_t) if root is None else (c0, sin_t, root))):
+        raise ExactValueError(
+            "exact SSA solving needs rational cosine, sine and discriminant root")
     bc0 = b * c0
     if on_boundary:
         roots = [bc0]  # right-angle boundary: one triangle, not two coincident
@@ -167,19 +174,22 @@ def solve_ssa(spec: SsaSpec) -> SsaSolutions:
         roots = []
     else:
         roots = [bc0 - root, bc0 + root]
-    zero = spec.backend.scalar(0)
+    zero = backend.scalar(0)
+    origin, base_end = Point(zero, zero), Point(spec.side_b, zero)
     tris, thirds, apex, base = [], [], [], []
     for t in roots:
         # keep a positive third side whose triangle clears the collinearity band
-        scale = max(s, t.as_float())
+        scale = max(s, to_float(t))
         height = t * sin_t
-        if t.sign() <= 0 or t.vanishes(scale, 1) or (height * b).vanishes(scale, 2):
+        if (backend.sign(t) <= 0 or backend.vanishes(t, scale, 1)
+                or backend.vanishes(height * b, scale, 2)):
             continue
         tc0 = t * c0
-        tris.append(Triangle(Point(zero, zero), Point(tc0, height), Point(b, zero)))
-        thirds.append(t)
-        apex.append((t - bc0) / a)   # 0 on the boundary
-        base.append((b - tc0) / a)
+        tris.append(Triangle(origin, Point(Scalar(backend, tc0),
+                                           Scalar(backend, height)), base_end))
+        thirds.append(Scalar(backend, t))
+        apex.append(Scalar(backend, (t - bc0) / a))   # 0 on the boundary
+        base.append(Scalar(backend, (b - tc0) / a))
     return SsaSolutions(spec, tuple(tris), tuple(thirds), tuple(apex), tuple(base))
 
 
@@ -213,15 +223,16 @@ def classify_pair(t1: Triangle, t2: Triangle) -> DichotomyVerdict:
     with the two angles at B, which must sum to a straight angle.  The
     theorem guarantees no third outcome; a violation raises.
     """
+    eq = common_backend(t1.backend, t2.backend).eq
     e1, e2 = measure(t1), measure(t2)
-    if not (e1.side_sq["A"].eq(e2.side_sq["A"])
-            and e1.side_sq["B"].eq(e2.side_sq["B"])
-            and e1.cos_at["A"].eq(e2.cos_at["A"])):
+    s1, s2, c1, c2 = e1.side_sq, e2.side_sq, e1.cos_at, e2.cos_at
+    if not (eq(s1["A"]._v, s2["A"]._v) and eq(s1["B"]._v, s2["B"]._v)
+            and eq(c1["A"]._v, c2["A"]._v)):
         return NotSsaMatched()
     witness = congruent_any(e1, e2)
     if witness is not None:
         return Congruent(witness)
-    cos1, cos2 = e1.cos_at["B"], e2.cos_at["B"]
+    cos1, cos2 = c1["B"], c2["B"]
     if not supplementary(cos1, cos2):
         raise DichotomyViolationError(
             "non-congruent matched pair with non-supplementary remaining angles")
@@ -249,6 +260,7 @@ def lemma_common_side_check(t_abc: Triangle, t_abd: Triangle) -> LemmaReport:
     concyclic when C and D lie strictly on opposite sides of AB, and that
     AC < AB.  Precondition failures raise with an individual reason.
     """
+    common_backend(t_abc.backend, t_abd.backend)
     a1, b1, c = t_abc.A, t_abc.B, t_abc.C
     a2, b2, d = t_abd.A, t_abd.B, t_abd.C
     if not (a1.eq(a2) and b1.eq(b2)):

@@ -61,7 +61,10 @@ _REJECTED = (DegenerateInputError, ExactValueError, LemmaPreconditionError)
 
 
 def run_check(name: str, samples: int, sample: Sample) -> CheckResult:
-    """The one sample loop, with a fresh ``witness`` dict per index."""
+    """The one sample loop, with a fresh ``witness`` dict per index; a check
+    of no samples would pass vacuously, so fewer than one is an error."""
+    if samples < 1:
+        raise ValueError("sample count must be at least 1")
     result = CheckResult(name, True, samples, 0.0)
     for index in range(samples):
         witness = {}
@@ -139,16 +142,21 @@ def suite_ssa_oracle(samples: int, rng: Random,
 # -- dichotomy exhaustion ------------------------------------------------------
 
 def sample_two_solution_spec(rng: Random,
-                             float_backend: FloatBackend = FLOAT) -> SsaSpec:
+                             float_backend: FloatBackend = FLOAT,
+                             witness: Optional[Dict] = None) -> SsaSpec:
     """Spec drawn inside the two-solution regime: an acute angle theta and
     b sin(theta) < a < b, with a kept off both ends of that interval.  The
     solver is not consulted, so a caller that gets a count other than 2
-    has found a failure, not a rejected draw."""
+    has found a failure, not a rejected draw.  The draw goes into
+    ``witness`` before the spec is validated, so a rejected draw is
+    reported with its values."""
     theta_deg = rng.uniform(1.0, 89.0)
     b = rng.uniform(0.1, 10.0)
     lo = b * math.sin(math.radians(theta_deg))
     u = rng.uniform(1e-6, 1.0 - 1e-6)
     a = lo + u * (b - lo)
+    if witness is not None:
+        witness.update(theta_deg=theta_deg, a=a, b=b)
     return SsaSpec.from_values(float_backend, a, b,
                                math.cos(math.radians(theta_deg)))
 
@@ -157,9 +165,8 @@ def _draw_two_solutions(rng: Random, float_backend: FloatBackend,
                         witness: Dict) -> Optional[Tuple[Triangle, ...]]:
     """Draw a two-solution spec, record it in ``witness`` and solve it; the
     two triangles, or None after recording any other solution ``count``."""
-    spec = sample_two_solution_spec(rng, float_backend)
-    witness.update(a=spec.side_a.as_float(), b=spec.side_b.as_float(),
-                   cos_angle=spec.cos_angle.as_float())
+    spec = sample_two_solution_spec(rng, float_backend, witness)
+    witness["cos_angle"] = spec.cos_angle.as_float()
     sols = solve_ssa(spec)
     if sols.count != 2:
         witness["count"] = sols.count
@@ -397,8 +404,6 @@ def run_verify_suites(samples: int, seed: int, backend: str = "float",
     ``backend`` chooses which dichotomy family carries the bulk: the exact
     backend drops the float dichotomy suite and promotes the exact one.
     ``eps`` configures the float backend used by the float-domain suites."""
-    if samples < 1:
-        raise ValueError("sample count must be at least 1")
     fb = FloatBackend(eps)
     takes_backend = {"ssa-oracle-equivalence", "dichotomy-supplementary-float",
                      "lemma-common-side"}
@@ -408,9 +413,12 @@ def run_verify_suites(samples: int, seed: int, backend: str = "float",
         suite_rng = Random(master.getrandbits(64))
         if backend == "exact" and name == "dichotomy-supplementary-float":
             continue
-        n = max(1, samples // divisor)
+        # at least one sample per suite; a total below one goes through
+        # unchanged, for run_check to reject
+        floor = min(1, samples)
+        n = max(floor, samples // divisor)
         if backend == "exact" and name == "dichotomy-supplementary-exact":
-            n = max(1, samples // 10)
+            n = max(floor, samples // 10)
         kwargs = {"float_backend": fb} if name in takes_backend else {}
         results.append(fn(n, suite_rng, **kwargs))
     return results

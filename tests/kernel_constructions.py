@@ -7,6 +7,12 @@ scenarios``' figure builders), and the kernel answers side-of-line questions
 with ``side``.  These constructions use only the public kernel API, on
 either backend, so the tests can check those figures against a second,
 independent construction.
+
+``reference_measure``, ``reference_orient`` and ``reference_solutions`` are
+``measure``, ``orient`` and ``solve_ssa`` written in ``Scalar`` arithmetic
+on ``dot``, ``cross`` and ``Point`` subtraction.  The program computes on
+the payloads instead; on the float backend both must perform the same IEEE
+operations in the same order, so their results agree bit for bit.
 """
 
 from __future__ import annotations
@@ -15,8 +21,10 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from planicheck.kernel import (
+    LABELS,
     Point,
     Triangle,
+    cross,
     dot,
     orient,
     point,
@@ -169,3 +177,49 @@ def reflect(obj, l: Line):
     n2 = l.u * l.u + l.v * l.v
     k = (l.eval(obj) / n2) * 2
     return Point(obj.x - k * l.u, obj.y - k * l.v)
+
+
+def reference_orient(p: Point, q: Point, r: Point) -> Scalar:
+    """Twice the signed area of pqr."""
+    return cross(q - p, r - p)
+
+
+def reference_measure(t: Triangle):
+    """(squared side opposite, cosine at) each vertex label of ``t``."""
+    side_sq, cos_at = {}, {}
+    for label in LABELS:
+        v = t.vertex(label)
+        p, q = (t.vertex(l) for l in t.others(label))
+        d = q - p
+        side_sq[label] = dot(d, d)
+        u, w = p - v, q - v
+        cos_at[label] = dot(u, w) / (dot(u, u) * dot(w, w)).sqrt()
+    return side_sq, cos_at
+
+
+def reference_solutions(spec):
+    """Per solution of an SSA spec, ascending by third side: the apex B of
+    the canonical pose, the third side, and the cosines at B and at C."""
+    a, b, c0 = spec.side_a, spec.side_b, spec.cos_angle
+    sin2 = 1 - c0 * c0
+    sin_t = sin2.sqrt()
+    s = max(1.0, a.as_float(), b.as_float())
+    disc = a * a - b * b * sin2
+    bc0 = b * c0
+    if disc.vanishes(s, 2):
+        roots = [bc0]
+    elif disc.sign() < 0:
+        roots = []
+    else:
+        root = disc.sqrt()
+        roots = [bc0 - root, bc0 + root]
+    out = []
+    for t in roots:
+        scale = max(s, t.as_float())
+        height = t * sin_t
+        if (t.sign() <= 0 or t.vanishes(scale, 1)
+                or (height * b).vanishes(scale, 2)):
+            continue
+        tc0 = t * c0
+        out.append((Point(tc0, height), t, (t - bc0) / a, (b - tc0) / a))
+    return out

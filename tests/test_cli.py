@@ -178,6 +178,18 @@ def test_verify_coarse_eps_fails_with_witnesses(capsys):
     assert captured.err == ""
 
 
+def test_a_rejected_draw_is_reported_with_its_values(tmp_path):
+    # eps 1e-2 rejects some drawn angles in the spec's validation; the
+    # samplers record the draw first, so each failing witness can be replayed
+    out = tmp_path / "r.json"
+    assert run(["verify", "--samples", "200", "--seed", "3", "--eps", "1e-2",
+                "--report", str(out)]) == 1
+    witnesses = [w for c in json.loads(out.read_text())["checks"]
+                 for w in c["witnesses"]]
+    assert any("error" in w for w in witnesses)
+    assert all({"a", "b"} <= set(w) for w in witnesses), witnesses
+
+
 def test_verify_reports_every_check_when_an_exact_suite_raises(
         monkeypatch, tmp_path, capsys):
     # a rejected sample in an exact suite is a failing witness, not a usage
@@ -236,6 +248,8 @@ def test_verify_report_body_is_deterministic(tmp_path):
 BODIES = Path(__file__).parent / "bodies"
 PINNED_RUNS = {
     "verify": ["verify", "--samples", "2000", "--seed", "42"],
+    "verify-exact": ["verify", "--backend", "exact", "--samples", "300",
+                     "--seed", "5"],
     "ssa-readme-float": ["ssa", "--a", "1", "--b", "1.7320508075688772",
                          "--angle-deg", "30"],
     "ssa-readme-exact": ["ssa", "--a", "4", "--b", "5", "--cos", "3/5",

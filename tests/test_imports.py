@@ -135,6 +135,32 @@ def test_only_the_backends_and_the_solver_guard_read_is_exact():
     assert is_exact_reads(sources, IS_EXACT_READERS) == []
 
 
+# the modules that compute on a Scalar's payload; suites, cli and report
+# stay on the Scalar API
+PAYLOAD_READERS = {"scalars.py", "kernel.py", "congruence.py", "ssa.py"}
+
+
+def payload_reads(sources, allowed=PAYLOAD_READERS):
+    """(module, line) of each ``._v`` attribute in ``sources`` (module name
+    -> text) outside the modules that ``allowed`` names."""
+    return [(mod, n.lineno) for mod, text in sources.items()
+            if mod not in allowed
+            for n in ast.walk(ast.parse(text))
+            if isinstance(n, ast.Attribute) and n.attr == "_v"]
+
+
+def test_the_check_sees_a_payload_read():
+    sources = {"kernel.py": "def f(p):\n    return p.x._v\n",
+               "suites.py": "def g(s):\n    v = s.as_float()\n    return s._v\n",
+               "report.py": "x = y.v + z._value\n"}
+    assert payload_reads(sources) == [("suites.py", 3)]
+
+
+def test_only_the_arithmetic_modules_read_payloads():
+    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert payload_reads(sources) == []
+
+
 # main is the one place that ends a run: it reads the clock, builds and
 # renders the report and stamps the config echo with the PRNG name
 ENVELOPE_NAMES = {"perf_counter", "build_report", "render_json",

@@ -56,6 +56,14 @@ def test_points_and_triangles_keep_to_one_backend():
     with pytest.raises(BackendMismatchError,
                        match="triangle vertices from different backends"):
         Triangle(exact_pt(0, 0), exact_pt(1, 0), point(FB, 0, 1))
+    # and so do the predicates that combine the payloads of several points
+    for other in (EXACT, FloatBackend(1e-6)):
+        p, q, r = point(FB, 0, 0), point(FB, 1, 0), point(other, 0, 1)
+        for predicate in (angle_cos, orient, side):
+            with pytest.raises(BackendMismatchError):
+                predicate(p, q, r)
+        with pytest.raises(BackendMismatchError):
+            squared_distance(p, r)
 
 
 def test_angle_cos_right_angle():

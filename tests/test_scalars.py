@@ -82,6 +82,22 @@ def test_exact_total_order_on_radicals():
     assert EXACT.scalar(Fraction(9, 4)).sqrt().eq(Fraction(3, 2))
 
 
+def test_exact_equality_agrees_with_the_total_order():
+    # payloads are canonical (perfect squares collapse to rationals), so
+    # equality compares them structurally; it must never disagree with lt
+    rng = Random(4)
+    pool = [EXACT.scalar(Fraction(rng.randint(-9, 9), rng.randint(1, 4)))
+            for _ in range(30)]
+    pool += [x.sqrt() * sign for x in pool if x.sign() > 0 for sign in (1, -1)]
+    # equal values built in different ways: 3/2, sqrt(1/2), sqrt(2)/4
+    pool += [EXACT.scalar(Fraction(9, 4)).sqrt(), EXACT.scalar("3/2"),
+             EXACT.scalar(8).sqrt() / 4, EXACT.scalar("1/2").sqrt(),
+             (EXACT.scalar(1) / 8).sqrt(), EXACT.scalar(2).sqrt() / 4]
+    for x in pool:
+        for y in pool:
+            assert x.eq(y) == (not x.lt(y) and not y.lt(x)), (x, y)
+
+
 def test_exact_sign_and_zero():
     assert EXACT.scalar(0).sign() == 0
     assert EXACT.scalar(0).sign() == 0

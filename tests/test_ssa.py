@@ -6,8 +6,13 @@ from fractions import Fraction
 
 import pytest
 
-from kernel_constructions import triangle
-from planicheck import congruence, kernel, ssa
+from kernel_constructions import (
+    reference_measure,
+    reference_orient,
+    reference_solutions,
+    triangle,
+)
+from planicheck import congruence, kernel, ssa, suites
 from planicheck.congruence import Correspondence, measure
 from planicheck.kernel import (
     LABELS,
@@ -18,7 +23,12 @@ from planicheck.kernel import (
     point,
     squared_distance,
 )
-from planicheck.scalars import EXACT, DegenerateInputError, FloatBackend
+from planicheck.scalars import (
+    EXACT,
+    BackendMismatchError,
+    DegenerateInputError,
+    FloatBackend,
+)
 from planicheck.ssa import (
     Congruent,
     CriterionCase,
@@ -301,6 +311,68 @@ def test_lemma_reads_every_angle_from_the_two_measures(monkeypatch):
     counts = count_measuring(monkeypatch)
     assert lemma_common_side_check(t_abc, t_abd).supplementary_angles
     assert counts == {"measure": 2, "angle_cos": 6, "angle_cos_outside": 0}
+
+
+def floats(*scalars):
+    return [x.as_float() for x in scalars]
+
+
+def test_float_payload_arithmetic_matches_scalar_arithmetic_bit_for_bit():
+    # solve_ssa, measure and orient compute on the payloads; the reference
+    # does the same in Scalar arithmetic, so a reordered operation shows as
+    # a last-bit difference that rounded report bodies would hide
+    rng = random.Random(20)
+    for i in range(200):
+        if i % 2:
+            spec = suites.sample_two_solution_spec(rng)
+        else:
+            spec = float_spec(rng.uniform(0.1, 10.0), rng.uniform(0.1, 10.0),
+                              rng.uniform(1.0, 179.0))
+        sols = solve_ssa(spec)
+        expected = reference_solutions(spec)
+        assert sols.count == len(expected)
+        shapes = [triangle(FB, *[(rng.uniform(-9.0, 9.0),
+                                  rng.uniform(-9.0, 9.0)) for _ in "ABC"])]
+        for k, (apex, third, apex_cos, base_cos) in enumerate(expected):
+            tri = sols.triangles[k]
+            assert floats(tri.B.x, tri.B.y) == floats(apex.x, apex.y)
+            assert floats(tri.C.x, tri.A.x, tri.A.y, tri.C.y) == floats(
+                spec.side_b) + [0.0] * 3
+            assert floats(sols.third_sides[k], sols.apex_cosines[k],
+                          sols.base_cosines[k]) == floats(third, apex_cos,
+                                                          base_cos)
+            shapes.append(tri)
+        for t in shapes:
+            e = measure(t)
+            side_sq, cos_at = reference_measure(t)
+            assert floats(*(e.side_sq[l] for l in LABELS)) == floats(
+                *(side_sq[l] for l in LABELS))
+            assert floats(*(e.cos_at[l] for l in LABELS)) == floats(
+                *(cos_at[l] for l in LABELS))
+            assert floats(orient(t.A, t.B, t.C)) == floats(
+                reference_orient(t.A, t.B, t.C))
+
+
+@pytest.mark.parametrize("first, second",
+                         [(EXACT, FB), (FB, FloatBackend(1e-6))],
+                         ids=["exact-float", "eps-1e-9-1e-6"])
+def test_two_backends_never_meet(first, second):
+    # the functions compare payloads, not Scalars, so each checks the
+    # backends of its two arguments first: without that check these two
+    # unmatched triangles would quietly be neither matched nor congruent
+    t1 = triangle(first, (0, 0), (4, 0), (0, 3))
+    t2 = triangle(second, (0, 0), (5, 0), (0, 3))
+    e1, e2 = measure(t1), measure(t2)
+    with pytest.raises(BackendMismatchError):
+        classify_pair(t1, t2)
+    with pytest.raises(BackendMismatchError):
+        congruence.congruent_any(e1, e2)
+    with pytest.raises(BackendMismatchError):
+        congruence.criterion_c(e1, e2, IDENT)
+    with pytest.raises(BackendMismatchError):
+        lemma_common_side_check(t1, t2)
+    with pytest.raises(BackendMismatchError):
+        SsaSpec(first.scalar(3), second.scalar(4), second.scalar(0))
 
 
 def test_solve_ssa_overflow_is_a_degenerate_input():

@@ -96,3 +96,14 @@ def test_the_sampler_draws_without_solving(monkeypatch):
         a, b = spec.side_a.as_float(), spec.side_b.as_float()
         sin_t = (1.0 - spec.cos_angle.as_float() ** 2) ** 0.5
         assert b * sin_t < a < b and spec.cos_angle.as_float() > 0.0
+
+
+def test_a_check_of_no_samples_is_rejected():
+    # run_check is the one place that refuses a count below one, for the
+    # scenario checks as for the verify battery
+    with pytest.raises(ValueError, match="at least 1"):
+        suites.run_scenario_suites("square-center", 0, 1)
+    with pytest.raises(ValueError, match="at least 1"):
+        suites.run_verify_suites(0, 1)
+    with pytest.raises(ValueError, match="at least 1"):
+        suites.suite_ssa_oracle(0, Random(1))

@@ -29,6 +29,7 @@ placement) is answered by the one rule in ``side``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Tuple
 
 from .scalars import (
     Backend,
@@ -240,8 +241,10 @@ def concyclicity_determinant(p1: Point, p2: Point, p3: Point, p4: Point) -> Scal
             + c1 * (a2 * b3 - a3 * b2))
 
 
-def concyclic(p1: Point, p2: Point, p3: Point, p4: Point) -> bool:
-    """Whether the determinant vanishes at degree 4.
+def concyclic(p1: Point, p2: Point, p3: Point,
+              p4: Point) -> Tuple[bool, Scalar]:
+    """Whether the four points lie on one circle, that is whether their
+    ``concyclicity_determinant`` vanishes at degree 4, and that determinant.
 
     Preconditions: four distinct points (no distance between two of them
     vanishes at degree 1), no three collinear.
@@ -256,4 +259,5 @@ def concyclic(p1: Point, p2: Point, p3: Point, p4: Point) -> bool:
         trio = [p for k, p in enumerate(pts) if k != i]
         if collinear(*trio):
             raise DegenerateInputError("three of the points are collinear")
-    return concyclicity_determinant(*pts).vanishes(scale, 4)
+    det = concyclicity_determinant(*pts)
+    return det.vanishes(scale, 4), det

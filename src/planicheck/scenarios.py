@@ -3,16 +3,19 @@
 A triangle shape is the pair of base angles (alpha at A, beta at B) with the
 base AB frozen to length 1, which quotients out similarity.  Each scenario
 defines a signed hypothesis residual over shape space whose zero set is the
-hypothesis locus of one classical statement.  One figure builder per scenario
-constructs the points that its residual reads.
+hypothesis locus of one classical statement.  Each residual is
+straight-line binary64 code on the base A = (0, 0), B = (1, 0) and the apex
+C; the residuals share only ``_apex`` and ``bisector_feet``.
 
 Each conclusion branch is declared once, as a ``Branch``: a line in
 (alpha, beta) plus the range of its free angle.  ``level_set_scan`` samples
 the residual on a grid, refines every sign change by bisection, and checks
 that each refined root lies within a containment tolerance of one of the
 scenario's branches; the forward checks in ``suites`` walk the same lines.
-Scenario numerics run on raw binary64; the test suite audits the figure
-builders against constructions made on the geometry kernel's points.
+The test suite keeps each residual's figure composition (the labelled points
+and the residual built from them) as a reference that the residual must
+equal bit for bit, and audits those figures against constructions made on
+the geometry kernel's points.
 
 Registered scenarios:
 
@@ -30,6 +33,7 @@ Registered scenarios:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
@@ -83,7 +87,14 @@ GAMMA_90 = Branch("gamma-90", 1.0, math.pi / 2, (1.0, 89.0))
 ALPHA_120 = Branch("alpha-120", 0.0, 2 * math.pi / 3, (0.5, 59.5))
 
 
-# -- raw-float helpers ------------------------------------------------------
+# -- residuals --------------------------------------------------------------
+#
+# Each residual is straight-line binary64 code on A = (0, 0), B = (1, 0) and
+# the apex C.  Terms of the fixed base are folded (x + 0.0, 1.0 * x and the
+# like are dropped), which changes no nonzero value; every other operation is
+# the one the construction makes, in its order, so the residuals agree bit for
+# bit with the figure compositions that ``tests/kernel_constructions.py``
+# keeps as their reference.
 
 def _apex(alpha: float, beta: float) -> Tuple[float, float]:
     # C for A=(0,0), B=(1,0); robust across right angles via the sine form
@@ -91,16 +102,6 @@ def _apex(alpha: float, beta: float) -> Tuple[float, float]:
     sg = math.sin(g)
     sb = math.sin(beta)
     return (sb * math.cos(alpha) / sg, sb * math.sin(alpha) / sg)
-
-
-def _d2(p, q):
-    return (p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2
-
-
-def _cos_at(v, p, q):
-    ux, uy = p[0] - v[0], p[1] - v[1]
-    wx, wy = q[0] - v[0], q[1] - v[1]
-    return (ux * wx + uy * wy) / math.sqrt((ux * ux + uy * uy) * (wx * wx + wy * wy))
 
 
 def angle_at(v, p, q) -> float:
@@ -111,123 +112,103 @@ def angle_at(v, p, q) -> float:
     return math.atan2(abs(ux * wy - uy * wx), ux * wx + uy * wy)
 
 
-def _lerp(p, q, s):
-    return (p[0] + (q[0] - p[0]) * s, p[1] + (q[1] - p[1]) * s)
+def bisector_feet(alpha: float, beta: float) -> Tuple[float, ...]:
+    """C = (cx, cy), the sides a = BC and b = CA, and the feet A1 = (a1x,
+    a1y) on BC and B1 = (b1x, b1y) on CA of the bisectors from A and B, as
+    the flat tuple (cx, cy, a, b, a1x, a1y, b1x, b1y).  Each foot divides
+    its side in the ratio of the adjacent sides (AB = 1)."""
+    cx, cy = _apex(alpha, beta)
+    a = math.sqrt((1.0 - cx) ** 2 + (0.0 - cy) ** 2)
+    b = math.sqrt((0.0 - cx) ** 2 + (0.0 - cy) ** 2)
+    s_a = 1.0 / (b + 1.0)
+    s_b = 1.0 / (a + 1.0)
+    return cx, cy, a, b, 1.0 + (cx - 1.0) * s_a, cy * s_a, cx * s_b, cy * s_b
 
 
-def _circumcenter(p, q, r):
-    d = 2.0 * ((q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0]))
-    pp = p[0] * p[0] + p[1] * p[1]
-    qq = q[0] * q[0] + q[1] * q[1]
-    rr = r[0] * r[0] + r[1] * r[1]
-    ux = (pp * (q[1] - r[1]) + qq * (r[1] - p[1]) + rr * (p[1] - q[1])) / d
-    uy = (pp * (r[0] - q[0]) + qq * (p[0] - r[0]) + rr * (q[0] - p[0])) / d
-    return (ux, uy)
-
-
-def _bisector_signed_distance(v, p, q, x):
-    """Distance from x to the internal bisector at v of angle pvq, signed
-    positive toward p's side."""
-    lp = math.sqrt(_d2(v, p))
-    lq = math.sqrt(_d2(v, q))
-    dx = (p[0] - v[0]) / lp + (q[0] - v[0]) / lq
-    dy = (p[1] - v[1]) / lp + (q[1] - v[1]) / lq
-    n = math.hypot(dx, dy)
-    nx, ny = -dy / n, dx / n
-    if nx * (p[0] - v[0]) + ny * (p[1] - v[1]) < 0:
+def medial_residual(alpha: float, beta: float) -> float:
+    """Signed distance from the medial-triangle circumcenter to the internal
+    bisector at C; positive on the side containing A."""
+    cx, cy = _apex(alpha, beta)
+    # midpoints F of BC and D of CA share the height cy/2, so the terms of
+    # their height difference drop out; E = (1/2, 0)
+    fx = (1.0 + cx) / 2
+    dx = cx / 2
+    hy = cy / 2
+    # G, the circumcenter of FDE (the nine-point center)
+    den = 2.0 * ((dx - fx) * (0.0 - hy))
+    ff = fx * fx + hy * hy
+    dd = dx * dx + hy * hy
+    gx = (ff * hy + dd * (0.0 - hy)) / den
+    gy = (ff * (0.5 - dx) + dd * (fx - 0.5) + 0.25 * (dx - fx)) / den
+    # unit normal of the bisector at C, turned toward A
+    ax, ay = 0.0 - cx, 0.0 - cy
+    lp = math.sqrt(cx ** 2 + cy ** 2)
+    lq = math.sqrt((cx - 1.0) ** 2 + cy ** 2)
+    ux = ax / lp + (1.0 - cx) / lq
+    uy = ay / lp + ay / lq
+    n = math.hypot(ux, uy)
+    nx, ny = -uy / n, ux / n
+    if nx * ax + ny * ay < 0:
         nx, ny = -nx, -ny
-    return nx * (x[0] - v[0]) + ny * (x[1] - v[1])
+    return nx * (gx - cx) + ny * (gy - cy)
 
 
-# -- figure builders: the points each residual reads --------------------------
-
-def _medial_figure(alpha, beta):
-    """A, B, C, the midpoints F of BC, D of CA and E of AB, and G, the
-    circumcenter of the medial triangle FDE."""
-    a_pt, b_pt = (0.0, 0.0), (1.0, 0.0)
-    cx, cy = c_pt = _apex(alpha, beta)
-    f = ((b_pt[0] + cx) / 2, (b_pt[1] + cy) / 2)
-    d = ((cx + a_pt[0]) / 2, (cy + a_pt[1]) / 2)
-    e = (0.5, 0.0)
-    return a_pt, b_pt, c_pt, f, d, e, _circumcenter(f, d, e)
-
-
-def _incenter_figure(alpha, beta):
-    """A, B, C, the incenter J, and the feet A1 on BC and B1 on CA of the
-    bisectors from A and B."""
-    a_pt, b_pt = (0.0, 0.0), (1.0, 0.0)
-    c_pt = _apex(alpha, beta)
-    a = math.sqrt(_d2(b_pt, c_pt))
-    b = math.sqrt(_d2(a_pt, c_pt))
-    c = 1.0
-    p = a + b + c
-    j = ((a * a_pt[0] + b * b_pt[0] + c * c_pt[0]) / p,
-         (a * a_pt[1] + b * b_pt[1] + c * c_pt[1]) / p)
-    foot_a = _lerp(b_pt, c_pt, c / (b + c))   # on BC, from A
-    foot_b = _lerp(a_pt, c_pt, c / (a + c))   # on CA, from B
-    return a_pt, b_pt, c_pt, j, foot_a, foot_b
+def incenter_residual(alpha: float, beta: float) -> float:
+    """JA1^2 - JB1^2 for the incenter J and the bisector feet from A and B."""
+    cx, cy, a, b, a1x, a1y, b1x, b1y = bisector_feet(alpha, beta)
+    p = a + b + 1.0
+    jx = (b + cx) / p
+    jy = cy / p
+    return ((jx - a1x) ** 2 + (jy - a1y) ** 2) \
+        - ((jx - b1x) ** 2 + (jy - b1y) ** 2)
 
 
 def _square_domain(alpha, beta):
     return alpha <= _RIGHT_ANGLE and beta <= _RIGHT_ANGLE
 
 
-def _inscribed_figure(alpha, beta, t=None):
-    """C, the rectangle MNPQ on AB of height fraction t over the altitude
-    from C, and its center O.  ``t=None`` is the inscribed square: its side
-    is s = h/(1+h) for base 1 and altitude h, so t = s/h = 1/(1+h)."""
+def _center_offset(alpha, beta, t):
+    """cos(angle ACO) - cos(angle BCO) for the center O of the rectangle
+    MNPQ on AB of height fraction t over the altitude h from C.  ``t=None``
+    is the inscribed square: its side is s = h/(1+h) for base 1, so
+    t = s/h = 1/(1+h)."""
     if not _square_domain(alpha, beta):
         raise FeetOffSegmentError(
             "inscribed square/rectangle needs alpha, beta <= 90 deg "
             "(feet would leave segment AB)")
-    cx, h = c_pt = _apex(alpha, beta)
+    cx, h = _apex(alpha, beta)
     if t is None:
         t = 1.0 / (1.0 + h)
-    y0 = t * h
-    xq = t * cx
-    xp = 1.0 - t * (1.0 - cx)
-    return (c_pt, (xq, 0.0), (xp, 0.0), (xp, y0), (xq, y0),
-            ((xq + xp) / 2, y0 / 2))
-
-
-# -- residuals --------------------------------------------------------------
-
-def medial_residual(alpha: float, beta: float) -> float:
-    """Signed distance from the medial-triangle circumcenter to the internal
-    bisector at C; positive on the side containing A."""
-    a_pt, b_pt, c_pt, _, _, _, g = _medial_figure(alpha, beta)
-    return _bisector_signed_distance(c_pt, a_pt, b_pt, g)
-
-
-def incenter_residual(alpha: float, beta: float) -> float:
-    """JA1^2 - JB1^2 for the incenter J and the bisector feet from A and B."""
-    _, _, _, j, foot_a, foot_b = _incenter_figure(alpha, beta)
-    return _d2(j, foot_a) - _d2(j, foot_b)
-
-
-def _center_offset(c_pt, o):
-    # cos(angle ACO) - cos(angle BCO)
-    return _cos_at(c_pt, (0.0, 0.0), o) - _cos_at(c_pt, (1.0, 0.0), o)
+    # O is the midpoint of Q = (t cx, t h) and P = (1 - t (1 - cx), t h)
+    wx = (t * cx + (1.0 - t * (1.0 - cx))) / 2 - cx
+    wy = t * h / 2 - h
+    ww = wx * wx + wy * wy
+    # CA = (ax, ay) and CB = (bx, ay)
+    ax, ay = 0.0 - cx, 0.0 - h
+    bx = 1.0 - cx
+    return ((ax * wx + ay * wy) / math.sqrt((ax * ax + ay * ay) * ww)
+            - (bx * wx + ay * wy) / math.sqrt((bx * bx + ay * ay) * ww))
 
 
 def square_residual(alpha: float, beta: float) -> float:
     """cos(angle ACO) - cos(angle BCO) for the inscribed-square center O."""
-    c_pt, _, _, _, _, o = _inscribed_figure(alpha, beta)
-    return _center_offset(c_pt, o)
+    return _center_offset(alpha, beta, None)
 
 
 def rectangle_residual(alpha: float, beta: float, t: float = 0.5) -> float:
     """Same residual for the inscribed rectangle of height fraction t."""
     if not 0.0 < t < 1.0:
         raise DegenerateInputError("height fraction t must lie in (0, 1)")
-    c_pt, _, _, _, _, o = _inscribed_figure(alpha, beta, t)
-    return _center_offset(c_pt, o)
+    return _center_offset(alpha, beta, t)
 
 
 def bisector30_residual(alpha: float, beta: float) -> float:
     """cos(angle B B1 A1) - cos(30 deg) for the bisector feet A1, B1."""
-    _, b_pt, _, _, foot_a, foot_b = _incenter_figure(alpha, beta)
-    return _cos_at(foot_b, b_pt, foot_a) - _COS_30
+    _, _, _, _, a1x, a1y, b1x, b1y = bisector_feet(alpha, beta)
+    ux, uy = 1.0 - b1x, 0.0 - b1y
+    wx, wy = a1x - b1x, a1y - b1y
+    return ((ux * wx + uy * wy)
+            / math.sqrt((ux * ux + uy * uy) * (wx * wx + wy * wy)) - _COS_30)
 
 
 # -- registry and scanning ----------------------------------------------------
@@ -301,24 +282,28 @@ def level_set_scan(name: str, grid_step: float, refine_tol: float = 1e-12,
     if not math.pi / h < math.inf:
         raise DegenerateInputError(f"grid step {h:g} rad is too fine for binary64")
 
-    def f(a, b):
-        return sc.residual(a, b, **scenario_kwargs)
+    f = functools.partial(sc.residual, **scenario_kwargs)
+    domain = sc.domain
 
-    # nodes go in increasing (i, j) order, which the sign-change walk below
-    # keeps; gamma = pi - a - b falls as j grows, so a row ends at the first
-    # node under the floor
-    vals = {}
+    # rows[i - 1][j - 1] is the value at node (i, j), None outside the
+    # domain; nodes go in increasing (i, j) order, which the sign-change walk
+    # below keeps; gamma = pi - a - b falls as j grows, so a row ends at the
+    # first node under the floor
+    rows: List[List[Optional[float]]] = []
+    evaluations = 0
     imax = int(math.pi / h) + 1
     for i in range(1, imax + 1):
         a = i * h
+        top = math.pi - a
+        row = []
         for j in range(1, imax + 1):
             b = j * h
-            if math.pi - a - b < _GAMMA_FLOOR:
+            if top - b < _GAMMA_FLOOR:
                 break
-            if sc.domain is None or sc.domain(a, b):
-                vals[(i, j)] = f(a, b)
-    evaluations = len(vals)
-    if not vals:
+            row.append(f(a, b) if domain is None or domain(a, b) else None)
+        evaluations += len(row) - row.count(None)
+        rows.append(row)
+    if not evaluations:
         raise DegenerateInputError("scan region contains no valid grid nodes")
 
     raw_roots: List[Tuple[float, float, float]] = []
@@ -330,21 +315,20 @@ def level_set_scan(name: str, grid_step: float, refine_tol: float = 1e-12,
             seen.add(key)
             raw_roots.append((a, b, r))
 
-    def bisect(p1, p2, f1, f2):
+    def bisect(ax, ay, bx, by, flo):
         # run past |f| <= tol until the bracket is tight, else a root at a
         # tangency/branch crossing is localized no better than sqrt(tol)
         nonlocal evaluations
-        (ax, ay), (bx, by) = p1, p2
         span = math.hypot(bx - ax, by - ay)
-        lo, hi, flo = 0.0, 1.0, f1
+        lo, hi = 0.0, 1.0
         best = None
         for _ in range(90):
             mid = (lo + hi) / 2
-            m = (ax + (bx - ax) * mid, ay + (by - ay) * mid)
-            fm = f(*m)
+            ma, mb = ax + (bx - ax) * mid, ay + (by - ay) * mid
+            fm = f(ma, mb)
             evaluations += 1
             if best is None or abs(fm) < abs(best[2]):
-                best = (m[0], m[1], fm)
+                best = (ma, mb, fm)
             if (abs(fm) <= refine_tol and (hi - lo) * span <= 1e-10) \
                     or hi - lo < 1e-16:
                 break
@@ -354,16 +338,28 @@ def level_set_scan(name: str, grid_step: float, refine_tol: float = 1e-12,
                 hi = mid
         return best
 
-    for (i, j), f1 in vals.items():
-        if f1 == 0.0:
-            note(i * h, j * h, 0.0)
-            continue
-        for nb in ((i + 1, j), (i, j + 1)):
-            f2 = vals.get(nb)
-            if f2 is None or f2 == 0.0:
+    # each node against its neighbours (i + 1, j) in the row below (an empty
+    # one past the last row) and (i, j + 1)
+    rows.append([])
+    for i in range(1, len(rows)):
+        row, below = rows[i - 1], rows[i]
+        n_row, n_below = len(row), len(below)
+        a, a_next = i * h, (i + 1) * h
+        for j, f1 in enumerate(row, 1):
+            if f1 is None:
                 continue
-            if (f1 < 0) != (f2 < 0):
-                note(*bisect((i * h, j * h), (nb[0] * h, nb[1] * h), f1, f2))
+            if f1 == 0.0:
+                note(a, j * h, 0.0)
+                continue
+            neg = f1 < 0
+            if j <= n_below:
+                f2 = below[j - 1]
+                if f2 is not None and f2 != 0.0 and (f2 < 0) != neg:
+                    note(*bisect(a, j * h, a_next, j * h, f1))
+            if j < n_row:
+                f2 = row[j]
+                if f2 is not None and f2 != 0.0 and (f2 < 0) != neg:
+                    note(*bisect(a, j * h, a, (j + 1) * h, f1))
 
     roots: List[ScanRoot] = []
     violations: List[ScanRoot] = []

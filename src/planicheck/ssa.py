@@ -25,7 +25,6 @@ from .kernel import (
     Point,
     Triangle,
     concyclic,
-    concyclicity_determinant,
     isometry_taking_segment_to_segment,
     side,
     squared_distance,
@@ -241,7 +240,11 @@ def classify_pair(t1: Triangle, t2: Triangle) -> DichotomyVerdict:
 
 @dataclass(frozen=True)
 class LemmaReport:
-    """Outcome of the common-side configuration check."""
+    """Outcome of the common-side configuration check.
+
+    ``is_concyclic`` and ``concyclicity_det`` are None for a same-side pair;
+    otherwise the determinant is the one ``concyclic`` decided by.
+    """
 
     supplementary_angles: bool
     cos_acb: Scalar
@@ -281,8 +284,7 @@ def lemma_common_side_check(t_abc: Triangle, t_abd: Triangle) -> LemmaReport:
     opposite = side(a1, b1, c) * side(a1, b1, d) < 0
     is_cyc = det = None
     if opposite:
-        is_cyc = concyclic(a1, c, b1, d)
-        det = concyclicity_determinant(a1, c, b1, d)
+        is_cyc, det = concyclic(a1, c, b1, d)
 
     ac_lt_ab = e_abc.side_sq["B"].lt(e_abc.side_sq["C"])
     return LemmaReport(supp, cos_acb, cos_adb, opposite, is_cyc, det, ac_lt_ab)

@@ -374,9 +374,10 @@ def suite_offset_bisector_spots() -> CheckResult:
                          len(OFFSET_SPOT_SHAPES_DEG), math.inf)
     worst_gap = math.inf
     for a_deg, b_deg in OFFSET_SPOT_SHAPES_DEG:
-        _, b_pt, _, _, foot_a, foot_b = sc._incenter_figure(
-            math.radians(a_deg), math.radians(b_deg))
-        gap = abs(sc.angle_at(foot_b, b_pt, foot_a) - math.pi / 6)
+        *_, a1x, a1y, b1x, b1y = sc.bisector_feet(math.radians(a_deg),
+                                                  math.radians(b_deg))
+        gap = abs(sc.angle_at((b1x, b1y), (1.0, 0.0), (a1x, a1y))
+                  - math.pi / 6)
         worst_gap = min(worst_gap, gap)
         if gap <= MIN_GAP:
             result.add_failure({"alpha_deg": a_deg, "beta_deg": b_deg,

@@ -1,12 +1,21 @@
-"""Classical constructions on the geometry kernel, for audits.
+"""Classical constructions on the geometry kernel, for audits, and the
+raw-float figure compositions the scenario residuals are checked against.
 
 Lines, circumcircle, incenter with bisector feet, internal bisector line,
 signed distance and reflection.  The program itself needs none of them: the
-scenario residuals build their points in raw binary64 (``planicheck.
-scenarios``' figure builders), and the kernel answers side-of-line questions
-with ``side``.  These constructions use only the public kernel API, on
-either backend, so the tests can check those figures against a second,
-independent construction.
+scenario residuals compute in straight-line binary64 (``planicheck.
+scenarios``), and the kernel answers side-of-line questions with ``side``.
+These constructions use only the public kernel API, on either backend, so
+the tests can check the scenario figures against a second, independent
+construction.
+
+``medial_figure``, ``incenter_figure`` and ``inscribed_figure`` build the
+labelled points of each scenario figure in raw binary64, from small point
+helpers (``d2``, ``cos_at``, ``lerp``, ``circumcenter``,
+``bisector_signed_distance``), and ``REFERENCE_RESIDUALS`` composes each
+scenario residual from them.  The straight-line residuals must perform the
+same IEEE operations in the same order, so both agree bit for bit; the
+kernel audits check these figures.
 
 ``reference_measure``, ``reference_orient`` and ``reference_solutions`` are
 ``measure``, ``orient`` and ``solve_ssa`` written in ``Scalar`` arithmetic
@@ -17,6 +26,7 @@ operations in the same order, so their results agree bit for bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -36,6 +46,7 @@ from planicheck.scalars import (
     ExactValueError,
     Scalar,
 )
+from planicheck.scenarios import FeetOffSegmentError
 
 
 @dataclass(frozen=True)
@@ -223,3 +234,141 @@ def reference_solutions(spec):
         tc0 = t * c0
         out.append((Point(tc0, height), t, (t - bc0) / a, (b - tc0) / a))
     return out
+
+
+# -- raw-float scenario figures ------------------------------------------------
+
+_COS_30 = math.cos(math.pi / 6)
+_RIGHT_ANGLE = math.pi / 2
+
+
+def apex(alpha, beta):
+    """C for A = (0, 0), B = (1, 0) and base angles alpha, beta."""
+    g = math.pi - alpha - beta
+    sg = math.sin(g)
+    sb = math.sin(beta)
+    return (sb * math.cos(alpha) / sg, sb * math.sin(alpha) / sg)
+
+
+def d2(p, q):
+    return (p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2
+
+
+def cos_at(v, p, q):
+    ux, uy = p[0] - v[0], p[1] - v[1]
+    wx, wy = q[0] - v[0], q[1] - v[1]
+    return (ux * wx + uy * wy) / math.sqrt((ux * ux + uy * uy) * (wx * wx + wy * wy))
+
+
+def lerp(p, q, s):
+    return (p[0] + (q[0] - p[0]) * s, p[1] + (q[1] - p[1]) * s)
+
+
+def circumcenter(p, q, r):
+    d = 2.0 * ((q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0]))
+    pp = p[0] * p[0] + p[1] * p[1]
+    qq = q[0] * q[0] + q[1] * q[1]
+    rr = r[0] * r[0] + r[1] * r[1]
+    ux = (pp * (q[1] - r[1]) + qq * (r[1] - p[1]) + rr * (p[1] - q[1])) / d
+    uy = (pp * (r[0] - q[0]) + qq * (p[0] - r[0]) + rr * (q[0] - p[0])) / d
+    return (ux, uy)
+
+
+def bisector_signed_distance(v, p, q, x):
+    """Distance from x to the internal bisector at v of angle pvq, signed
+    positive toward p's side."""
+    lp = math.sqrt(d2(v, p))
+    lq = math.sqrt(d2(v, q))
+    dx = (p[0] - v[0]) / lp + (q[0] - v[0]) / lq
+    dy = (p[1] - v[1]) / lp + (q[1] - v[1]) / lq
+    n = math.hypot(dx, dy)
+    nx, ny = -dy / n, dx / n
+    if nx * (p[0] - v[0]) + ny * (p[1] - v[1]) < 0:
+        nx, ny = -nx, -ny
+    return nx * (x[0] - v[0]) + ny * (x[1] - v[1])
+
+
+def medial_figure(alpha, beta):
+    """A, B, C, the midpoints F of BC, D of CA and E of AB, and G, the
+    circumcenter of the medial triangle FDE."""
+    a_pt, b_pt = (0.0, 0.0), (1.0, 0.0)
+    cx, cy = c_pt = apex(alpha, beta)
+    f = ((b_pt[0] + cx) / 2, (b_pt[1] + cy) / 2)
+    d = ((cx + a_pt[0]) / 2, (cy + a_pt[1]) / 2)
+    e = (0.5, 0.0)
+    return a_pt, b_pt, c_pt, f, d, e, circumcenter(f, d, e)
+
+
+def incenter_figure(alpha, beta):
+    """A, B, C, the incenter J, and the feet A1 on BC and B1 on CA of the
+    bisectors from A and B."""
+    a_pt, b_pt = (0.0, 0.0), (1.0, 0.0)
+    c_pt = apex(alpha, beta)
+    a = math.sqrt(d2(b_pt, c_pt))
+    b = math.sqrt(d2(a_pt, c_pt))
+    c = 1.0
+    p = a + b + c
+    j = ((a * a_pt[0] + b * b_pt[0] + c * c_pt[0]) / p,
+         (a * a_pt[1] + b * b_pt[1] + c * c_pt[1]) / p)
+    foot_a = lerp(b_pt, c_pt, c / (b + c))   # on BC, from A
+    foot_b = lerp(a_pt, c_pt, c / (a + c))   # on CA, from B
+    return a_pt, b_pt, c_pt, j, foot_a, foot_b
+
+
+def inscribed_figure(alpha, beta, t=None):
+    """C, the rectangle MNPQ on AB of height fraction t over the altitude
+    from C, and its center O.  ``t=None`` is the inscribed square: its side
+    is s = h/(1+h) for base 1 and altitude h, so t = s/h = 1/(1+h)."""
+    if not (alpha <= _RIGHT_ANGLE and beta <= _RIGHT_ANGLE):
+        raise FeetOffSegmentError(
+            "inscribed square/rectangle needs alpha, beta <= 90 deg "
+            "(feet would leave segment AB)")
+    cx, h = c_pt = apex(alpha, beta)
+    if t is None:
+        t = 1.0 / (1.0 + h)
+    y0 = t * h
+    xq = t * cx
+    xp = 1.0 - t * (1.0 - cx)
+    return (c_pt, (xq, 0.0), (xp, 0.0), (xp, y0), (xq, y0),
+            ((xq + xp) / 2, y0 / 2))
+
+
+def _medial(alpha, beta):
+    a_pt, b_pt, c_pt, _, _, _, g = medial_figure(alpha, beta)
+    return bisector_signed_distance(c_pt, a_pt, b_pt, g)
+
+
+def _incenter(alpha, beta):
+    _, _, _, j, foot_a, foot_b = incenter_figure(alpha, beta)
+    return d2(j, foot_a) - d2(j, foot_b)
+
+
+def _center_offset(c_pt, o):
+    return cos_at(c_pt, (0.0, 0.0), o) - cos_at(c_pt, (1.0, 0.0), o)
+
+
+def _square(alpha, beta):
+    c_pt, _, _, _, _, o = inscribed_figure(alpha, beta)
+    return _center_offset(c_pt, o)
+
+
+def _rectangle(alpha, beta, t=0.5):
+    if not 0.0 < t < 1.0:
+        raise DegenerateInputError("height fraction t must lie in (0, 1)")
+    c_pt, _, _, _, _, o = inscribed_figure(alpha, beta, t)
+    return _center_offset(c_pt, o)
+
+
+def _bisector30(alpha, beta):
+    _, b_pt, _, _, foot_a, foot_b = incenter_figure(alpha, beta)
+    return cos_at(foot_b, b_pt, foot_a) - _COS_30
+
+
+# each scenario residual composed from its figure, by scenario name
+REFERENCE_RESIDUALS = {
+    "medial-circumcenter": _medial,
+    "incenter-segments": _incenter,
+    "square-center": _square,
+    "rectangle-center": _rectangle,
+    "bisector-30": _bisector30,
+}

@@ -165,16 +165,17 @@ def test_internal_bisector_line_passes_through_foot():
 
 def test_concyclic_unit_circle_and_square():
     pts = [exact_pt(1, 0), exact_pt(0, 1), exact_pt(-1, 0), exact_pt(0, -1)]
-    assert concyclic(*pts)
+    assert concyclic(*pts)[0]
     square = [exact_pt(0, 0), exact_pt(1, 0), exact_pt(1, 1), exact_pt(0, 1)]
-    assert concyclic(*square)
+    assert concyclic(*square)[0]
 
 
 def test_concyclic_rejects_off_circle_point():
     pts = [exact_pt(0, 0), exact_pt(1, 0), exact_pt(0, 1), exact_pt(2, 2)]
-    assert not concyclic(*pts)
-    det = concyclicity_determinant(*pts)
+    is_cyc, det = concyclic(*pts)
+    assert not is_cyc
     assert det.exact_value() == -4
+    assert det.eq(concyclicity_determinant(*pts))
 
 
 def test_concyclic_degenerate_inputs_raise():
@@ -191,7 +192,7 @@ def test_concyclic_float_distinctness_is_a_length_test():
            point(FB, 2.0799278754502017e-07, 4.742178447868172e-06),
            point(FB, 0, 0),
            point(FB, 0.003714947036079352, -0.08469977241712791)]
-    assert concyclic(*pts)
+    assert concyclic(*pts)[0]
     with pytest.raises(DegenerateInputError):
         concyclic(pts[0], point(FB, 1e-10, 1e-10), pts[2], pts[3])
 
@@ -299,11 +300,11 @@ def test_float_agrees_with_exact_on_rational_inputs():
         f_pts = [point(FB, float(c.x.exact_value()), float(c.y.exact_value()))
                  for c in e_pts]
         try:
-            want = concyclic(*e_pts)
+            want = concyclic(*e_pts)[0]
         except DegenerateInputError:
             continue
         det = concyclicity_determinant(*f_pts).as_float()
         # only compare when the float margin is decisive
         if abs(det) > 10 * FB.eps or want:
-            assert concyclic(*f_pts) == want
+            assert concyclic(*f_pts)[0] == want
         assert collinear(*e_pts[:3]) == collinear(*f_pts[:3])

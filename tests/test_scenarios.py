@@ -1,21 +1,30 @@
 """Shape-space scenarios: residuals, figure audits, and level-set scans.
 
-The figure builders are the points the residuals read.  Their audits use
-constructions on the geometry kernel (``kernel_constructions``) and
-incidence tests of the public kernel API, never the raw-float helpers of
-``planicheck.scenarios`` itself.
+Each residual is straight-line binary64 code.  ``kernel_constructions``
+keeps the figure compositions it was written from: the labelled points of
+each scenario figure, and each residual composed from them.  The residuals
+must equal those compositions bit for bit, and the compositions' figures are
+audited with constructions on the geometry kernel and incidence tests of the
+public kernel API, never with code of ``planicheck.scenarios`` itself.  The
+scan tests also hold the scan to the call order that the benchmark's tracer
+splits grid from bisection time by.
 """
 
+import dataclasses
 import math
 import random
 
 import pytest
 
 from kernel_constructions import (
+    REFERENCE_RESIDUALS,
     circumcircle,
     incenter_and_bisector_feet,
+    incenter_figure,
+    inscribed_figure,
     internal_bisector_line,
     line_through,
+    medial_figure,
     reflect,
     signed_distance,
 )
@@ -34,9 +43,6 @@ from planicheck.scenarios import (
     SCENARIOS,
     FeetOffSegmentError,
     UnknownScenarioError,
-    _incenter_figure,
-    _inscribed_figure,
-    _medial_figure,
     bisector30_residual,
     get_scenario,
     incenter_residual,
@@ -94,9 +100,10 @@ def on_branches(name, alpha, beta, tol=1e-9):
 # -- figures against the float-backend kernel --------------------------------
 
 def test_traces_match_kernel_constructions():
-    # every figure builder a residual reads, rebuilt on the kernel
+    # every reference figure a residual is composed from, rebuilt on the
+    # kernel
     for alpha, beta in random_shapes(40, 707):
-        a_pt, b_pt, c_pt, f, d, e, g = _medial_figure(alpha, beta)
+        a_pt, b_pt, c_pt, f, d, e, g = medial_figure(alpha, beta)
         t = Triangle(kpt(a_pt), kpt(b_pt), kpt(c_pt))
         g_kernel = circumcircle(Triangle(kpt(f), kpt(d), kpt(e))).center
         assert gap(g_kernel, g) < 1e-9
@@ -104,7 +111,7 @@ def test_traces_match_kernel_constructions():
         assert abs(abs(signed_distance(bisector_c, g_kernel).as_float())
                    - abs(medial_residual(alpha, beta))) < 1e-9
 
-        a_pt, b_pt, c_pt, j, foot_a, foot_b = _incenter_figure(alpha, beta)
+        a_pt, b_pt, c_pt, j, foot_a, foot_b = incenter_figure(alpha, beta)
         assert gap(t.C, c_pt) == 0.0
         feet = incenter_and_bisector_feet(t)
         assert gap(feet.incenter, j) < 1e-9
@@ -116,6 +123,53 @@ def test_traces_match_kernel_constructions():
         cos_b1 = angle_cos(feet.foot_b, t.B, feet.foot_a).as_float()
         assert abs(cos_b1 - math.cos(math.pi / 6)
                    - bisector30_residual(alpha, beta)) < 1e-9
+
+
+# -- straight-line residuals against their reference compositions -------------
+
+RESIDUALS = {"medial-circumcenter": medial_residual,
+             "incenter-segments": incenter_residual,
+             "square-center": square_residual,
+             "rectangle-center": rectangle_residual,
+             "bisector-30": bisector30_residual}
+
+
+def outcome(fn, *args):
+    """The value of fn(*args), or the type and message of what it raises."""
+    try:
+        return fn(*args)
+    except (DegenerateInputError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+
+
+def guard_inputs():
+    """Every node of the 1 degree grid, past the angle sum and the square
+    domain too, and 2,000 seeded shapes."""
+    grid = [shape(i, j) for i in range(1, 180) for j in range(1, 180)]
+    return grid + random_shapes(2000, 909)
+
+
+@pytest.mark.parametrize("name", sorted(RESIDUALS))
+def test_residuals_equal_their_reference_compositions_bit_for_bit(name):
+    # the pinned bodies round to 12 digits, so only == sees a reordered
+    # operation; out-of-domain inputs must raise the same error
+    fn, ref = RESIDUALS[name], REFERENCE_RESIDUALS[name]
+    heights = ((), (0.25,), (0.5,), (0.9,)) if name == "rectangle-center" \
+        else ((),)
+    raised = 0
+    for alpha, beta in guard_inputs():
+        for extra in heights:
+            want = outcome(ref, alpha, beta, *extra)
+            got = outcome(fn, alpha, beta, *extra)
+            assert got == want, (name, alpha, beta, extra)
+            raised += isinstance(want, tuple)
+    if name in ("square-center", "rectangle-center"):
+        assert raised > 0  # the grid reaches past the square domain
+    for t in (0.0, 1.0, 1.5):
+        if name == "rectangle-center":
+            assert outcome(fn, 0.8, 0.6, t) == outcome(ref, 0.8, 0.6, t) \
+                == (DegenerateInputError,
+                    "height fraction t must lie in (0, 1)")
 
 
 # -- medial-circumcenter ------------------------------------------------------
@@ -135,7 +189,7 @@ def test_medial_trace_nine_point_oracle():
     # G is the nine-point center: the midpoint of the circumcenter O and the
     # orthocenter H = A + B + C - 2 O of ABC
     for alpha, beta in random_shapes(40, 101):
-        a_pt, b_pt, c_pt, f, d, e, g = _medial_figure(alpha, beta)
+        a_pt, b_pt, c_pt, f, d, e, g = medial_figure(alpha, beta)
         o = circumcircle(Triangle(kpt(a_pt), kpt(b_pt), kpt(c_pt))).center
         ox, oy = o.x.as_float(), o.y.as_float()
         hx = a_pt[0] + b_pt[0] + c_pt[0] - 2 * ox
@@ -148,7 +202,7 @@ def test_medial_trace_nine_point_oracle():
 
 
 def test_medial_trace_points_are_midpoints():
-    a, b, c, f, d, e, _ = _medial_figure(*shape(55.0, 70.0))
+    a, b, c, f, d, e, _ = medial_figure(*shape(55.0, 70.0))
     assert f == pytest.approx(((b[0] + c[0]) / 2, (b[1] + c[1]) / 2))
     assert d == pytest.approx(((c[0] + a[0]) / 2, (c[1] + a[1]) / 2))
     assert e == pytest.approx(((a[0] + b[0]) / 2, (a[1] + b[1]) / 2))
@@ -175,7 +229,7 @@ def test_incenter_trace_exterior_angle_predictions():
     # the exterior angles at the feet satisfy angle(C B1 J) = alpha + beta/2
     # and angle(C A1 J) = beta + alpha/2 identically
     for alpha, beta in random_shapes(40, 202):
-        a_pt, b_pt, c_pt, j, foot_a, foot_b = _incenter_figure(alpha, beta)
+        a_pt, b_pt, c_pt, j, foot_a, foot_b = incenter_figure(alpha, beta)
         assert angle_at(foot_b, c_pt, j) == pytest.approx(alpha + beta / 2,
                                                           abs=1e-9)
         assert angle_at(foot_a, c_pt, j) == pytest.approx(beta + alpha / 2,
@@ -199,7 +253,7 @@ def inscribed_audits(alpha, beta, t=None):
     """Incidence defects of the inscribed figure: M, N on AB, Q on CA,
     P on CB, O the midpoint of both diagonals, and the width 1 - t of the
     rectangle (for the square, width equal to height)."""
-    c_pt, m, n, p, q, o = _inscribed_figure(alpha, beta, t)
+    c_pt, m, n, p, q, o = inscribed_figure(alpha, beta, t)
     a_pt, b_pt = (0.0, 0.0), (1.0, 0.0)
     width = n[0] - m[0]
     return {
@@ -217,7 +271,7 @@ def inscribed_audits(alpha, beta, t=None):
 def test_inscribed_square_side_for_half_altitude():
     # AB = 1 and altitude 1/2 (the 45-45 shape): side = h/(1+h) = 1/3,
     # matching c*h/(c+h) after scaling AB = 2, h = 1 to side 2/3
-    _, m, n, p, q, _ = _inscribed_figure(*shape(45.0, 45.0))
+    _, m, n, p, q, _ = inscribed_figure(*shape(45.0, 45.0))
     assert n[0] - m[0] == pytest.approx(1.0 / 3.0)
     assert p[1] == pytest.approx(1.0 / 3.0)
     assert q == pytest.approx((1.0 / 3.0, 1.0 / 3.0))
@@ -237,13 +291,13 @@ def test_inscribed_square_audits_on_random_shapes():
 
 def test_inscribed_square_feet_domain():
     with pytest.raises(FeetOffSegmentError):
-        _inscribed_figure(*shape(100.0, 50.0))
+        inscribed_figure(*shape(100.0, 50.0))
     with pytest.raises(FeetOffSegmentError):
         square_residual(*shape(100.0, 50.0))
     with pytest.raises(FeetOffSegmentError):
         rectangle_residual(math.radians(100), math.radians(50))
     # boundary right angle stays valid: Q coincides with M on the vertical leg
-    _, m, _, _, q, _ = _inscribed_figure(*shape(90.0, 45.0))
+    _, m, _, _, q, _ = inscribed_figure(*shape(90.0, 45.0))
     assert q[0] == pytest.approx(m[0])
 
 
@@ -264,8 +318,8 @@ def test_rectangle_at_square_height_matches_square_trace():
     alpha, beta = shape(70.0, 50.0)
     h = math.sin(beta) * math.sin(alpha) / math.sin(math.pi - alpha - beta)
     t_star = 1.0 / (1.0 + h)
-    square = _inscribed_figure(alpha, beta)
-    rect = _inscribed_figure(alpha, beta, t_star)
+    square = inscribed_figure(alpha, beta)
+    rect = inscribed_figure(alpha, beta, t_star)
     for sq_pt, rect_pt in zip(square, rect):
         assert rect_pt == pytest.approx(sq_pt)
     assert rectangle_residual(alpha, beta, t_star) == \
@@ -285,7 +339,7 @@ def test_bisector30_residual_on_both_branches():
 
 def mirror_of_a1(alpha, beta):
     """The incenter figure and A', the mirror of A1 across line B B1."""
-    fig = _incenter_figure(alpha, beta)
+    fig = incenter_figure(alpha, beta)
     _, b_pt, _, _, foot_a, foot_b = fig
     a_mirror = reflect(kpt(foot_a), line_through(kpt(b_pt), kpt(foot_b)))
     return fig, (a_mirror.x.as_float(), a_mirror.y.as_float())
@@ -293,7 +347,7 @@ def mirror_of_a1(alpha, beta):
 
 def test_bisector30_angle_value_on_gamma60():
     alpha, beta = shape(70.0, 50.0)
-    _, b_pt, _, _, foot_a, foot_b = _incenter_figure(alpha, beta)
+    _, b_pt, _, _, foot_a, foot_b = incenter_figure(alpha, beta)
     assert angle_at(foot_b, b_pt, foot_a) == pytest.approx(math.pi / 6,
                                                            abs=1e-12)
     assert on_branches("bisector-30", alpha, beta) == {"gamma-60"}
@@ -330,19 +384,20 @@ def test_bisector30_mirror_audit_everywhere():
 def test_bisector30_concyclic_audit_on_gamma60_slice():
     # on gamma = 60 the angle AJB is 90 + gamma/2 = 120 deg, and C, A1, J,
     # B1 lie on one circle; off the slice they do not
-    _, _, c_pt, j, foot_a, foot_b = fig = _incenter_figure(*shape(80.0, 40.0))
+    _, _, c_pt, j, foot_a, foot_b = fig = incenter_figure(*shape(80.0, 40.0))
     assert angle_at(j, fig[0], fig[1]) == pytest.approx(2 * math.pi / 3,
                                                         abs=1e-12)
     pts = [kpt(xy) for xy in (c_pt, foot_a, j, foot_b)]
     assert abs(concyclicity_determinant(*pts).as_float()) < 1e-9
-    assert concyclic(*pts)
-    _, _, c_pt, j, foot_a, foot_b = _incenter_figure(*shape(80.0, 50.0))
-    assert not concyclic(*(kpt(xy) for xy in (c_pt, foot_a, j, foot_b)))
+    assert concyclic(*pts)[0]
+    _, _, c_pt, j, foot_a, foot_b = incenter_figure(*shape(80.0, 50.0))
+    is_cyc, _ = concyclic(*(kpt(xy) for xy in (c_pt, foot_a, j, foot_b)))
+    assert not is_cyc
 
 
 def test_bisector30_equidistance_audit_on_alpha120_slice():
     def distances(alpha_deg, beta_deg):
-        a_pt, b_pt, c_pt, _, foot_a, foot_b = _incenter_figure(
+        a_pt, b_pt, c_pt, _, foot_a, foot_b = incenter_figure(
             *shape(alpha_deg, beta_deg))
         b1 = kpt(foot_b)
         return [abs(signed_distance(line_through(kpt(p), kpt(q)), b1)
@@ -374,7 +429,7 @@ def test_residuals_are_odd_under_label_swap():
 
 def test_bisector30_swap_matches_mirrored_angle():
     for a, b in random_shapes(25, 606):
-        a_pt, _, _, _, foot_a, foot_b = _incenter_figure(a, b)
+        a_pt, _, _, _, foot_a, foot_b = incenter_figure(a, b)
         mirrored = angle_at(foot_a, a_pt, foot_b)
         assert bisector30_residual(b, a) == pytest.approx(
             math.cos(mirrored) - math.cos(math.pi / 6), abs=1e-12)
@@ -419,6 +474,41 @@ def test_scan_containment_smoke():
             assert abs(root.residual) <= 1e-9
             assert root.branch is not None
             assert root.distance <= 1e-6
+
+
+@pytest.mark.parametrize("name,kwargs", [
+    *((name, {}) for name in sorted(SCENARIOS)),
+    ("rectangle-center", {"t": 0.3})], ids=str)
+def test_scan_call_order_splits_grid_from_bisection(monkeypatch, name, kwargs):
+    # the benchmark's tracer swaps a counting residual into the registry
+    # and tells grid from bisection calls by their order: the grid comes
+    # first, in strictly increasing (alpha, beta), and whatever breaks that
+    # order is bisection
+    plain = level_set_scan(name, STEP_1DEG, **kwargs)
+    original = SCENARIOS[name]
+    calls = []
+
+    def counting_residual(a, b, **kw):
+        calls.append((a, b))
+        assert kw == kwargs
+        return original.residual(a, b, **kw)
+
+    monkeypatch.setitem(SCENARIOS, name, dataclasses.replace(
+        original, residual=counting_residual))
+    counted = level_set_scan(name, STEP_1DEG, **kwargs)
+
+    assert counted == plain
+    assert len(calls) == plain.evaluations
+    n_grid = 1
+    while n_grid < len(calls) and calls[n_grid] > calls[n_grid - 1]:
+        n_grid += 1
+    # every node of the 1 degree grid (gamma >= 1 deg, above the floor) in
+    # the domain, each once, before the first bisection call
+    nodes = sorted(shape(i, j) for i in range(1, 180) for j in range(1, 180)
+                   if i + j < 180 and (original.domain is None
+                                       or original.domain(*shape(i, j))))
+    assert calls[:n_grid] == nodes
+    assert len(calls) > n_grid  # the scan bisected after the grid
 
 
 def test_scan_roots_are_sorted():

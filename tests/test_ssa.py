@@ -313,6 +313,35 @@ def test_lemma_reads_every_angle_from_the_two_measures(monkeypatch):
     assert counts == {"measure": 2, "angle_cos": 6, "angle_cos_outside": 0}
 
 
+def test_lemma_evaluates_the_concyclicity_determinant_once(monkeypatch):
+    # concyclic hands back the determinant it decides by, and the report
+    # carries that one: one evaluation per opposite-sides pair, none for a
+    # same-side pair
+    evaluations = []
+    determinant = kernel.concyclicity_determinant
+
+    def counting_determinant(*pts):
+        evaluations.append(pts)
+        return determinant(*pts)
+
+    reports = []
+    check = suites.lemma_common_side_check
+
+    def recording_check(*triangles):
+        reports.append(check(*triangles))
+        return reports[-1]
+
+    for module in (kernel, ssa, suites):
+        if vars(module).get("concyclicity_determinant") is determinant:
+            monkeypatch.setattr(module, "concyclicity_determinant",
+                                counting_determinant)
+    monkeypatch.setattr(suites, "lemma_common_side_check", recording_check)
+    assert suites.suite_lemma(100, random.Random(1)).passed
+    opposite = sum(report.opposite_sides for report in reports)
+    assert opposite > 0
+    assert len(evaluations) == opposite
+
+
 def floats(*scalars):
     return [x.as_float() for x in scalars]
 

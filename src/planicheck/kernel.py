@@ -9,10 +9,11 @@ Constructions that only an audit needs (the circle through three points,
 the incenter, mirror images) are not part of it; the test suite builds them
 from this public API.
 
-``orient``, ``squared_distance`` and ``angle_cos`` compute on the points'
-payloads and wrap only their result in a ``Scalar``, after checking that
-the points share one backend; ``dot``, ``cross`` and ``Point`` arithmetic
-stay on ``Scalar`` for the isometries and the concyclicity determinant.
+``squared_distance``, ``angle_cos``, ``side`` (the orientation and its
+scale in one pass), ``concyclic`` and ``concyclicity_determinant`` compute
+on the points' payloads, after checking that the points share one backend,
+and wrap in a ``Scalar`` only the values they return; ``dot``, ``cross``
+and ``Point`` arithmetic stay on ``Scalar`` for the isometries.
 
 Every zero test goes through the backend's ``vanishes(value, scale,
 degree)`` on a payload: exact zero on the exact backend, |value| <=
@@ -101,21 +102,25 @@ def coord_scale(*points: Point) -> float:
     return s
 
 
-def orient(p: Point, q: Point, r: Point) -> Scalar:
-    """Twice the signed area of pqr."""
+def _orientation(p: Point, q: Point, r: Point):
+    """(backend, twice the signed area of pqr as a payload, the
+    configuration size ``coord_scale(p, q, r)``), in one pass over the
+    payloads."""
     backend = _backend(p, q, r)
-    px, py = p.x._v, p.y._v
-    return Scalar(backend, (q.x._v - px) * (r.y._v - py)
-                  - (q.y._v - py) * (r.x._v - px))
+    px, py, qx, qy, rx, ry = p.x._v, p.y._v, q.x._v, q.y._v, r.x._v, r.y._v
+    value = (qx - px) * (ry - py) - (qy - py) * (rx - px)
+    scale = max(1.0, abs(to_float(px)), abs(to_float(py)), abs(to_float(qx)),
+                abs(to_float(qy)), abs(to_float(rx)), abs(to_float(ry)))
+    return backend, value, scale
 
 
 def side(p: Point, q: Point, r: Point) -> int:
     """Side of the directed line pq that r lies on: 1 left, -1 right, and 0
     when the orientation vanishes at degree 2 (r on the line)."""
-    o = orient(p, q, r)
-    if o.vanishes(coord_scale(p, q, r), 2):
+    backend, value, scale = _orientation(p, q, r)
+    if backend.vanishes(value, scale, 2):
         return 0
-    return o.sign()
+    return backend.sign(value)
 
 
 def collinear(p: Point, q: Point, r: Point) -> bool:
@@ -229,16 +234,22 @@ class Triangle:
 
 def concyclicity_determinant(p1: Point, p2: Point, p3: Point, p4: Point) -> Scalar:
     """Determinant of rows [x, y, x^2 + y^2, 1]; zero iff concyclic (given the
-    no-three-collinear precondition).  Homogeneous of degree 4 in coordinates."""
-    pts = (p1, p2, p3, p4)
+    no-three-collinear precondition).  Homogeneous of degree 4 in coordinates.
+
+    Computed on the payloads, reducing each of the first three rows by the
+    fourth: rows (x - x4, y - y4, (x^2 + y^2) - (x4^2 + y4^2)) and their
+    3x3 determinant, expanded along the first row."""
+    backend = _backend(p1, p2, p3, p4)
+    x4, y4 = p4.x._v, p4.y._v
+    n4 = x4 * x4 + y4 * y4
     rows = []
-    for p in pts[:3]:
-        d = p - p4
-        rows.append((d.x, d.y, dot(p, p) - dot(p4, p4)))
+    for p in (p1, p2, p3):
+        x, y = p.x._v, p.y._v
+        rows.append((x - x4, y - y4, (x * x + y * y) - n4))
     (a1, b1, c1), (a2, b2, c2), (a3, b3, c3) = rows
-    return (a1 * (b2 * c3 - b3 * c2)
-            - b1 * (a2 * c3 - a3 * c2)
-            + c1 * (a2 * b3 - a3 * b2))
+    return Scalar(backend, a1 * (b2 * c3 - b3 * c2)
+                  - b1 * (a2 * c3 - a3 * c2)
+                  + c1 * (a2 * b3 - a3 * b2))
 
 
 def concyclic(p1: Point, p2: Point, p3: Point,
@@ -250,14 +261,17 @@ def concyclic(p1: Point, p2: Point, p3: Point,
     vanishes at degree 1), no three collinear.
     """
     pts = (p1, p2, p3, p4)
+    backend = _backend(*pts)
     scale = coord_scale(*pts)
     for i in range(4):
         for j in range(i + 1, 4):
-            if squared_distance(pts[i], pts[j]).sqrt().vanishes(scale, 1):
+            p, q = pts[i], pts[j]
+            dx, dy = q.x._v - p.x._v, q.y._v - p.y._v
+            if backend.vanishes(backend.sqrt(dx * dx + dy * dy), scale, 1):
                 raise DegenerateInputError("concyclicity needs 4 distinct points")
     for i in range(4):
         trio = [p for k, p in enumerate(pts) if k != i]
         if collinear(*trio):
             raise DegenerateInputError("three of the points are collinear")
     det = concyclicity_determinant(*pts)
-    return det.vanishes(scale, 4), det
+    return backend.vanishes(det._v, scale, 4), det

@@ -6,17 +6,24 @@ Two backends underlie every predicate in this package:
   ``sign * sqrt(q)`` for rational ``q`` so that angle cosines and side
   lengths of rational-coordinate figures stay exactly representable.
   No nested radicals and no sums across distinct radicals; such results
-  raise ``ExactValueError`` loudly instead of approximating.
+  raise ``ExactValueError`` loudly instead of approximating.  The
+  rational payload is the private ``_Rational``, a gcd-reduced integer
+  pair; ``Fraction`` appears only at the boundary: ``scalar`` and
+  ``coerce`` take it (and ``scalar`` a str), and ``exact_value`` returns
+  one.
 * ``FloatBackend(eps)``: binary64 with a relative comparison tolerance.
   Its one tolerance rule is ``vanishes(value, scale, degree)``:
   |value| <= eps * scale^degree for a quantity of that degree in lengths.
   ``eq`` is |a-b| vanishing at scale max(1, |a|, |b|), degree 1 (reflexive
-  and symmetric); ``sign`` is 0 when the value vanishes at scale 1.
+  and symmetric); ``sign`` is 0 when the value vanishes at scale 1.  Both
+  apply the degree-1 case written out, which decides alike because a first
+  power cannot overflow.
 
 A backend owns every decision that differs between the two: coercing an
 operand, ``eq``/``lt``/``sign``, ``sqrt`` and ``vanishes``.  Each
-``Scalar`` operator applies its payloads' own arithmetic (float, Fraction,
-or the radical ``_Sqrt``) and never asks which backend it is on.  Values
+``Scalar`` operator applies its payloads' own arithmetic (float,
+``_Rational``, or the radical ``_Sqrt``) and never asks which backend it is
+on.  ``is_rational`` tells a rational exact payload from a radical.  Values
 from different backends never mix; arithmetic between them raises
 ``BackendMismatchError`` rather than coercing.
 
@@ -25,9 +32,10 @@ predicates, ``measure``/``congruent_any`` and ``solve_ssa`` compute on the
 payloads (``Scalar._v``) and wrap only the values they hand out: every
 decision, zero tests included, goes to the backend object (``eq``,
 ``sign``, ``sqrt``, ``vanishes``) on payloads, and ``common_backend``
-checks two objects before their payloads meet, so a Fraction never meets a
-float silently.  Exact payloads are canonical (a radical whose square is a
-perfect square collapses to a Fraction), so exact equality is structural.
+checks two objects before their payloads meet, so a rational never meets
+a float silently.  Exact payloads are canonical (rationals in lowest terms,
+and a radical whose square is a perfect square collapses to a rational),
+so exact equality is structural.
 """
 
 from __future__ import annotations
@@ -35,6 +43,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import NamedTuple, Union
 
 
@@ -54,14 +63,175 @@ class LengthMismatchError(ValueError):
     """Two segments required to have equal length do not."""
 
 
+class _Rational:
+    """Exact rational payload ``numerator / denominator``: coprime ints with
+    a positive denominator, so equal values have equal fields.  Its
+    operators take ``_Rational``, int and ``Fraction`` operands, compare,
+    hash, convert and print as ``Fraction`` does, and leave a ``_Sqrt``
+    operand to the ``_Sqrt`` operators."""
+
+    __slots__ = ("numerator", "denominator")
+
+    def __init__(self, numerator: int, denominator: int):
+        # the caller passes coprime ints, denominator > 0
+        self.numerator = numerator
+        self.denominator = denominator
+
+    def __add__(self, other):
+        if other.__class__ is not _Rational:
+            other = _rational(other)
+        if other is None:
+            return NotImplemented
+        return _add(self.numerator, self.denominator,
+                    other.numerator, other.denominator)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        if other.__class__ is not _Rational:
+            other = _rational(other)
+        if other is None:
+            return NotImplemented
+        return _add(self.numerator, self.denominator,
+                    -other.numerator, other.denominator)
+
+    def __rsub__(self, other):
+        other = _rational(other)
+        if other is None:
+            return NotImplemented
+        return _add(other.numerator, other.denominator,
+                    -self.numerator, self.denominator)
+
+    def __mul__(self, other):
+        if other.__class__ is not _Rational:
+            other = _rational(other)
+        if other is None:
+            return NotImplemented
+        return _mul(self.numerator, self.denominator,
+                    other.numerator, other.denominator)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        if other.__class__ is not _Rational:
+            other = _rational(other)
+        if other is None:
+            return NotImplemented
+        return _div(self.numerator, self.denominator,
+                    other.numerator, other.denominator)
+
+    def __rtruediv__(self, other):
+        other = _rational(other)
+        if other is None:
+            return NotImplemented
+        return _div(other.numerator, other.denominator,
+                    self.numerator, self.denominator)
+
+    def __neg__(self):
+        return _Rational(-self.numerator, self.denominator)
+
+    def __abs__(self):
+        return _Rational(abs(self.numerator), self.denominator)
+
+    def _cross(self, other):
+        """(self.n * other.d, other.n * self.d), whose order is the order
+        of the two values; None for an operand that is not rational."""
+        if other.__class__ is not _Rational:
+            other = _rational(other)
+        if other is None:
+            return None
+        return (self.numerator * other.denominator,
+                other.numerator * self.denominator)
+
+    def __eq__(self, other):
+        if other.__class__ is _Rational:
+            return (self.numerator == other.numerator
+                    and self.denominator == other.denominator)
+        pair = self._cross(other)
+        return NotImplemented if pair is None else pair[0] == pair[1]
+
+    def __lt__(self, other):
+        pair = self._cross(other)
+        return NotImplemented if pair is None else pair[0] < pair[1]
+
+    def __gt__(self, other):
+        pair = self._cross(other)
+        return NotImplemented if pair is None else pair[0] > pair[1]
+
+    def __hash__(self):
+        # equal to the hash of the equal Fraction and int; hashing is rare
+        return hash(Fraction(self.numerator, self.denominator))
+
+    def __float__(self):
+        # correctly rounded, as Fraction converts
+        return self.numerator / self.denominator
+
+    def __str__(self):
+        if self.denominator == 1:
+            return str(self.numerator)
+        return f"{self.numerator}/{self.denominator}"
+
+    def __repr__(self):
+        return f"_Rational({self.numerator}, {self.denominator})"
+
+
+def _rational(x):
+    """An int or Fraction operand as a ``_Rational``; None for any other."""
+    if isinstance(x, int):
+        return _Rational(int(x), 1)
+    if isinstance(x, Fraction):
+        return _Rational(x.numerator, x.denominator)
+    return None
+
+
+# Knuth's gcd-reduced rational operations (TAOCP 2, 4.5.1), on the fields
+# of two operands in lowest terms with positive denominators: each result
+# comes out in lowest terms with a positive denominator, zero as 0/1.
+
+def _add(na: int, da: int, nb: int, db: int) -> _Rational:
+    g = gcd(da, db)
+    if g == 1:
+        return _Rational(na * db + da * nb, da * db)
+    s = da // g
+    t = na * (db // g) + nb * s
+    g2 = gcd(t, g)
+    if g2 == 1:
+        return _Rational(t, s * db)
+    return _Rational(t // g2, s * (db // g2))
+
+
+def _mul(na: int, da: int, nb: int, db: int) -> _Rational:
+    g1 = gcd(na, db)
+    if g1 > 1:
+        na //= g1
+        db //= g1
+    g2 = gcd(nb, da)
+    if g2 > 1:
+        nb //= g2
+        da //= g2
+    return _Rational(na * nb, da * db)
+
+
+def _div(na: int, da: int, nb: int, db: int) -> _Rational:
+    if nb == 0:
+        raise ZeroDivisionError("division of a rational by zero")
+    if nb < 0:
+        nb, db = -nb, -db
+    return _mul(na, da, db, nb)
+
+
+_ZERO = _Rational(0, 1)
+
+
 class _Sqrt(NamedTuple):
     """Canonical irrational payload ``sign * sqrt(square)``: square > 0 and
-    not a perfect square (perfect squares collapse to Fraction in
-    ``_mk_exact``).  Its operators mix with Fraction and int operands and
-    raise ``ExactValueError`` where a result leaves the representable set."""
+    not a perfect square (perfect squares collapse to a ``_Rational`` in
+    ``_mk_exact``).  Its operators mix with ``_Rational`` and int operands
+    and raise ``ExactValueError`` where a result leaves the representable
+    set."""
 
     sign: int
-    square: Fraction
+    square: _Rational
 
     def __float__(self):
         # sqrt(q) = 2^k sqrt(q / 4^k): a square too large for binary64 is
@@ -76,13 +246,16 @@ class _Sqrt(NamedTuple):
     def __neg__(self):
         return _Sqrt(-self.sign, self.square)
 
+    def __abs__(self):
+        return _Sqrt(1, self.square)
+
     def __add__(self, other):
         if isinstance(other, _Sqrt):
             if other.square != self.square:
                 raise ExactValueError("sum of distinct radicals is not representable")
             c = self.sign + other.sign
-            return _mk_exact((c > 0) - (c < 0), Fraction(c * c) * self.square)
-        if other == 0:
+            return _mk_exact((c > 0) - (c < 0), c * c * self.square)
+        if _exact_sign(other) == 0:
             return self
         raise ExactValueError("sum of a rational and a radical is not representable")
 
@@ -94,10 +267,14 @@ class _Sqrt(NamedTuple):
     def __rsub__(self, other):
         return -self + other
 
+    # a rational r != 0 times or over a radical is a radical: were r^2 q or
+    # r^2 / q a perfect square, so would q be
+
     def __mul__(self, other):
         if isinstance(other, _Sqrt):
             return _mk_exact(self.sign * other.sign, self.square * other.square)
-        return _mk_exact(_exact_sign(other) * self.sign, other * other * self.square)
+        sign = _exact_sign(other) * self.sign
+        return _Sqrt(sign, other * other * self.square) if sign else _ZERO
 
     __rmul__ = __mul__
 
@@ -105,28 +282,31 @@ class _Sqrt(NamedTuple):
         return self * (1 / other)
 
     def __rtruediv__(self, other):
-        return _mk_exact(self.sign, 1 / self.square) * other
+        sign = _exact_sign(other) * self.sign
+        return _Sqrt(sign, other * other / self.square) if sign else _ZERO
 
 
-def _mk_exact(sign: int, square: Fraction):
-    """sign * sqrt(square) for square >= 0; a Fraction when rational."""
-    if sign == 0 or square == 0:
-        return Fraction(0)
-    rn, rd = math.isqrt(square.numerator), math.isqrt(square.denominator)
-    if rn * rn == square.numerator and rd * rd == square.denominator:
-        return sign * Fraction(rn, rd)
+def _mk_exact(sign: int, square: _Rational):
+    """sign * sqrt(square) for square >= 0; a ``_Rational`` when rational."""
+    if sign == 0 or square.numerator == 0:
+        return _ZERO
+    n, d = square.numerator, square.denominator
+    rn, rd = math.isqrt(n), math.isqrt(d)
+    if rn * rn == n and rd * rd == d:
+        # the roots of coprime squares are coprime
+        return _Rational(sign * rn, rd)
     return _Sqrt(sign, square)
 
 
 def _exact_sign(x) -> int:
     if isinstance(x, _Sqrt):
         return x.sign
-    n = x.numerator  # a Fraction's denominator is positive
+    n = x.numerator  # a rational's denominator is positive
     return (n > 0) - (n < 0)
 
 
 def _exact_cmp(x, y) -> int:
-    """Total order on exact payloads (Fraction or _Sqrt)."""
+    """Total order on exact payloads (``_Rational``, int or ``_Sqrt``)."""
     xs, ys = _exact_sign(x), _exact_sign(y)
     if xs != ys:
         return -1 if xs < ys else 1
@@ -142,6 +322,11 @@ def _exact_cmp(x, y) -> int:
     return -1 if lt else 1
 
 
+def is_rational(payload) -> bool:
+    """Whether an exact payload is rational (not a radical)."""
+    return payload.__class__ is _Rational
+
+
 @dataclass(frozen=True)
 class ExactBackend:
     """Zero-tolerance backend over the rationals plus single square roots."""
@@ -153,20 +338,25 @@ class ExactBackend:
             return value
         if isinstance(value, float):
             raise TypeError("exact backend takes int, Fraction or str, not float")
-        return Scalar(self, Fraction(value))
+        q = _rational(value)
+        if q is None:
+            f = Fraction(value)  # a str, or raises
+            q = _Rational(f.numerator, f.denominator)
+        return Scalar(self, q)
 
     def coerce(self, value):
-        if isinstance(value, (int, Fraction)):
-            return Fraction(value)
-        raise TypeError(f"cannot combine Scalar with {type(value).__name__}")
+        q = _rational(value)
+        if q is None:
+            raise TypeError(f"cannot combine Scalar with {type(value).__name__}")
+        return q
 
     def vanishes(self, value, scale: float, degree: int) -> bool:
         """Exact zero; the scale of the configuration plays no part."""
         return _exact_sign(value) == 0
 
     def eq(self, x, y) -> bool:
-        # canonical payloads: equal values are equal Fractions or equal
-        # (sign, square) pairs, and a Fraction never equals a radical
+        # canonical payloads: equal values are equal rationals or equal
+        # (sign, square) pairs, and a rational never equals a radical
         return x == y
 
     def lt(self, x, y) -> bool:
@@ -216,14 +406,17 @@ class FloatBackend:
                 "for binary64") from None
         return abs(value) <= bound
 
+    # eq, lt and sign apply vanishes at degree 1, written out: a first power
+    # cannot overflow, so the bound is eps * scale with no check
+
     def eq(self, x, y) -> bool:
-        return self.vanishes(x - y, max(1.0, abs(x), abs(y)), 1)
+        return abs(x - y) <= self.eps * max(1.0, abs(x), abs(y))
 
     def lt(self, x, y) -> bool:
-        return x < y and not self.eq(x, y)
+        return x < y and not abs(x - y) <= self.eps * max(1.0, abs(x), abs(y))
 
     def sign(self, v) -> int:
-        if self.vanishes(v, 1.0, 1):
+        if abs(v) <= self.eps:
             return 0
         return 1 if v > 0.0 else -1
 
@@ -296,10 +489,11 @@ class Scalar:
         return to_float(self._v)
 
     def exact_value(self) -> Fraction:
-        """The rational payload; raises if the value is irrational or float."""
-        if not isinstance(self._v, Fraction):
+        """The value as a Fraction; raises if it is irrational or float."""
+        v = self._v
+        if not is_rational(v):
             raise ExactValueError("value has no rational representation")
-        return self._v
+        return Fraction(v.numerator, v.denominator)
 
     # -- arithmetic -------------------------------------------------------
 
@@ -329,7 +523,7 @@ class Scalar:
         return Scalar(self.backend, -self._v)
 
     def __abs__(self):
-        return -self if self.sign() < 0 else self
+        return Scalar(self.backend, abs(self._v))
 
     def sqrt(self) -> "Scalar":
         return Scalar(self.backend, self.backend.sqrt(self._v))

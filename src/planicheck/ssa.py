@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Tuple, Union
 
 from .congruence import Correspondence, congruent_any, measure
@@ -37,6 +36,7 @@ from .scalars import (
     LengthMismatchError,
     Scalar,
     common_backend,
+    is_rational,
     to_float,
 )
 
@@ -162,7 +162,7 @@ def solve_ssa(spec: SsaSpec) -> SsaSolutions:
     root = (None if on_boundary or backend.sign(disc) < 0
             else backend.sqrt(disc))
     if spec.side_a.is_exact and not all(
-            isinstance(value, Fraction)
+            is_rational(value)
             for value in ((c0, sin_t) if root is None else (c0, sin_t, root))):
         raise ExactValueError(
             "exact SSA solving needs rational cosine, sine and discriminant root")
@@ -173,9 +173,8 @@ def solve_ssa(spec: SsaSpec) -> SsaSolutions:
         roots = []
     else:
         roots = [bc0 - root, bc0 + root]
-    zero = backend.scalar(0)
-    origin, base_end = Point(zero, zero), Point(spec.side_b, zero)
     tris, thirds, apex, base = [], [], [], []
+    origin = base_end = None
     for t in roots:
         # keep a positive third side whose triangle clears the collinearity band
         scale = max(s, to_float(t))
@@ -184,6 +183,9 @@ def solve_ssa(spec: SsaSpec) -> SsaSolutions:
                 or backend.vanishes(height * b, scale, 2)):
             continue
         tc0 = t * c0
+        if origin is None:
+            zero = backend.scalar(0)
+            origin, base_end = Point(zero, zero), Point(spec.side_b, zero)
         tris.append(Triangle(origin, Point(Scalar(backend, tc0),
                                            Scalar(backend, height)), base_end))
         thirds.append(Scalar(backend, t))

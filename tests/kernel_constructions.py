@@ -22,6 +22,7 @@ kernel audits check these figures.
 on ``dot``, ``cross`` and ``Point`` subtraction.  The program computes on
 the payloads instead; on the float backend both must perform the same IEEE
 operations in the same order, so their results agree bit for bit.
+``orient`` wraps the payload orientation that ``kernel.side`` decides on.
 """
 
 from __future__ import annotations
@@ -34,9 +35,9 @@ from planicheck.kernel import (
     LABELS,
     Point,
     Triangle,
+    _orientation,
     cross,
     dot,
-    orient,
     point,
     squared_distance,
 )
@@ -188,6 +189,12 @@ def reflect(obj, l: Line):
     n2 = l.u * l.u + l.v * l.v
     k = (l.eval(obj) / n2) * 2
     return Point(obj.x - k * l.u, obj.y - k * l.v)
+
+
+def orient(p: Point, q: Point, r: Point) -> Scalar:
+    """Twice the signed area of pqr, as ``kernel.side`` computes it."""
+    backend, value, _scale = _orientation(p, q, r)
+    return Scalar(backend, value)
 
 
 def reference_orient(p: Point, q: Point, r: Point) -> Scalar:

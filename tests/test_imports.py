@@ -230,3 +230,44 @@ def test_the_check_sees_an_except_clause():
 
 def test_only_run_check_catches_a_rejected_sample():
     assert except_clauses((PACKAGE / "suites.py").read_text()) == []
+
+
+# the exact payload is scalars' own rational: Fraction enters only at the
+# boundary, where scalars converts it and suites and cli build exact inputs
+FRACTIONS_IMPORTERS = {"scalars.py", "suites.py", "cli.py"}
+
+
+def fractions_imports(sources, allowed=FRACTIONS_IMPORTERS):
+    """(module, line) of each import of the ``fractions`` module, or of a
+    name from it, in ``sources`` (module name -> text) outside the modules
+    that ``allowed`` names."""
+    found = []
+    for mod, text in sources.items():
+        if mod in allowed:
+            continue
+        for n in ast.walk(ast.parse(text)):
+            if isinstance(n, ast.Import):
+                names = [alias.name for alias in n.names]
+            elif isinstance(n, ast.ImportFrom) and n.level == 0:
+                names = [n.module]
+            else:
+                continue
+            if any(name.split(".")[0] == "fractions" for name in names):
+                found.append((mod, n.lineno))
+    return found
+
+
+def test_the_check_sees_a_fractions_import():
+    sources = {
+        "ssa.py": "from fractions import Fraction\nx = Fraction(1)\n",
+        "kernel.py": ("import math\n\ndef f():\n"
+                      "    import fractions as fr\n    return fr\n"),
+        "suites.py": "from fractions import Fraction\n",
+        "report.py": "from .fractions import helper\nimport fractionsx\n",
+    }
+    assert fractions_imports(sources) == [("ssa.py", 1), ("kernel.py", 4)]
+
+
+def test_only_the_boundary_modules_import_fractions():
+    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert fractions_imports(sources) == []

@@ -13,6 +13,7 @@ from kernel_constructions import (
     incenter_and_bisector_feet,
     internal_bisector_line,
     line_through,
+    orient,
     reflect,
     signed_distance,
     triangle,
@@ -26,7 +27,6 @@ from planicheck.kernel import (
     concyclic,
     concyclicity_determinant,
     isometry_taking_segment_to_segment,
-    orient,
     point,
     side,
     squared_distance,

@@ -1,6 +1,8 @@
 """Dual-backend scalar arithmetic: exact radicals and tolerant floats."""
 
 import math
+import operator
+import sys
 from fractions import Fraction
 from random import Random
 
@@ -12,6 +14,8 @@ from planicheck.scalars import (
     DegenerateInputError,
     ExactValueError,
     FloatBackend,
+    _Rational,
+    _Sqrt,
     same_backend,
 )
 
@@ -186,3 +190,230 @@ def test_as_float_matches_radical():
 def test_eps_must_be_positive():
     with pytest.raises(ValueError):
         FloatBackend(0.0)
+
+
+def test_abs_is_the_absolute_value_of_the_payload():
+    # a float inside the tolerance band is still a negative value: abs
+    # must not ask the tolerant sign whether to negate
+    assert abs(FB.scalar(-1e-10)).as_float() == 1e-10
+    assert abs(FloatBackend(1e-6).scalar(-5e-7)).as_float() == 5e-7
+    assert abs(FB.scalar(-2.5)).as_float() == 2.5
+    assert math.copysign(1.0, abs(FB.scalar(-0.0)).as_float()) == 1.0
+    assert abs(EXACT.scalar("-3/7")).exact_value() == Fraction(3, 7)
+    assert abs(-EXACT.scalar(3).sqrt()) == EXACT.scalar(3).sqrt()
+    assert abs(EXACT.scalar(3).sqrt()) == EXACT.scalar(3).sqrt()
+
+
+# -- the float tolerance rule, written out in eq, lt and sign ------------------
+
+def _ulps(x: float, k: int) -> float:
+    """x moved by k ulps (toward +inf for k > 0)."""
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.inf if k > 0 else -math.inf)
+    return x
+
+
+def _tolerance_table(rng: Random):
+    """Seeded single values and pairs that straddle the tolerance bands of
+    eps 1e-9 and 1e-6: signed zeros, subnormals, values a few ulp either
+    side of eps * scale, the binary64 extremes, infinities and nan."""
+    values = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310,
+              sys.float_info.min, -sys.float_info.min, 1.0, -1.0,
+              1e308, -1e308, sys.float_info.max, -sys.float_info.max,
+              math.inf, -math.inf, math.nan]
+    pairs = []
+    for eps in (1e-9, 1e-6):
+        for scale in (1.0, 3.7, 2.5e6, 1e300):
+            for k in range(-4, 5):
+                bound = _ulps(eps * scale, k)
+                values += [bound, -bound]
+        for x in (1.0, -3.7, 2.5e6, 0.25, 1e300):
+            # y - x crosses eps * max(1, |x|, |y|) within these ulps
+            y0 = x + eps * max(1.0, abs(x)) * (1.0 + eps)
+            pairs += [(x, _ulps(y0, k)) for k in range(-40, 41, 3)]
+            pairs += [(_ulps(y0, k), x) for k in range(-40, 41, 3)]
+    values += [rng.uniform(-10.0, 10.0) for _ in range(20)]
+    values += [math.ldexp(rng.random(), rng.randint(-1074, 1023))
+               * rng.choice((1, -1)) for _ in range(20)]
+    pairs += [(x, y) for x in values for y in values]
+    return values, pairs
+
+
+def test_float_eq_lt_and_sign_are_vanishes_at_degree_one():
+    values, pairs = _tolerance_table(Random(13))
+    for eps in (1e-9, 1e-6):
+        fb = FloatBackend(eps)
+        decided = {"eq": set(), "lt": set(), "sign": set()}
+        for x, y in pairs:
+            want_eq = fb.vanishes(x - y, max(1.0, abs(x), abs(y)), 1)
+            assert fb.eq(x, y) == want_eq, (eps, x, y)
+            assert fb.lt(x, y) == (x < y and not want_eq), (eps, x, y)
+            decided["eq"].add(want_eq)
+            decided["lt"].add(x < y and not want_eq)
+        for v in values:
+            want = (0 if fb.vanishes(v, 1.0, 1) else 1 if v > 0.0 else -1)
+            assert fb.sign(v) == want, (eps, v)
+            decided["sign"].add(want)
+        # the table reaches both sides of every decision
+        assert decided == {"eq": {False, True}, "lt": {False, True},
+                           "sign": {-1, 0, 1}}
+
+
+# -- the exact rational payload against fractions.Fraction ---------------------
+
+def _payload(f: Fraction):
+    return EXACT.scalar(f)._v
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the type of the exception it raises."""
+    try:
+        return fn(*args)
+    except (ZeroDivisionError, OverflowError, ExactValueError) as exc:
+        return type(exc)
+
+
+def _as_fraction(v):
+    """A result as a Fraction, so that both sides compare by value and
+    by representation."""
+    if isinstance(v, _Rational):
+        return (Fraction(v.numerator, v.denominator), v.numerator,
+                v.denominator)
+    if isinstance(v, Fraction):
+        return v, v.numerator, v.denominator
+    return v
+
+
+def _fraction_pool(rng: Random):
+    pool = [Fraction(0), Fraction(1), Fraction(-1), Fraction(7),
+            Fraction(-12, 5), Fraction(1, 3)]
+    pool += [Fraction(rng.randint(-60, 60), rng.randint(1, 36))
+             for _ in range(30)]
+    pool += [Fraction(rng.getrandbits(1100) - (1 << 1099),
+                      rng.getrandbits(rng.randint(1, 90)) + 1)
+             for _ in range(4)]
+    return pool
+
+
+_BINARY = (operator.add, operator.sub, operator.mul, operator.truediv,
+           operator.lt, operator.gt, operator.eq, operator.ne)
+
+
+def test_rational_payload_matches_fraction():
+    pool = _fraction_pool(Random(21))
+    ints = [0, 1, -3, 10 ** 30]
+    for f in pool:
+        q = _payload(f)
+        assert type(q) is _Rational
+        assert (q.numerator, q.denominator) == (f.numerator, f.denominator)
+        for unary in (operator.neg, abs, float, str):
+            assert _as_fraction(_outcome(unary, q)) == _as_fraction(
+                _outcome(unary, f)), (unary, f)
+        assert hash(q) == hash(f)
+        for g in pool:
+            r = _payload(g)
+            for op in _BINARY:
+                want = _as_fraction(_outcome(op, f, g))
+                # payload with payload, and with a Fraction on either side
+                for left, right in ((q, r), (q, g), (f, r)):
+                    got = _outcome(op, left, right)
+                    if isinstance(want, tuple):
+                        assert type(got) is _Rational, (op, f, g)
+                    assert _as_fraction(got) == want, (op, left, right)
+            if q == r:
+                assert hash(q) == hash(r)
+        for n in ints:
+            for op in _BINARY:
+                assert _as_fraction(_outcome(op, q, n)) == _as_fraction(
+                    _outcome(op, f, n)), (op, f, n)
+                assert _as_fraction(_outcome(op, n, q)) == _as_fraction(
+                    _outcome(op, n, f)), (op, n, f)
+            if q == n:
+                assert hash(q) == hash(n)
+
+
+def _signed_square(v):
+    """An exact payload v as (sign(v), v^2) in Fraction arithmetic."""
+    if isinstance(v, _Sqrt):
+        return v.sign, Fraction(v.square.numerator, v.square.denominator)
+    f = Fraction(v.numerator, v.denominator)
+    return (f > 0) - (f < 0), f * f
+
+
+def _is_perfect_square(q: Fraction) -> bool:
+    return all(math.isqrt(k) ** 2 == k for k in (q.numerator, q.denominator))
+
+
+def _reference(op, x, y):
+    """The signed square of x op y by Fraction arithmetic on signed
+    squares, or ExactValueError where the sum leaves the representable
+    set, or ZeroDivisionError."""
+    (sx, qx), (sy, qy) = _signed_square(x), _signed_square(y)
+    if op is operator.mul:
+        return sx * sy, qx * qy
+    if op is operator.truediv:
+        if sy == 0:
+            return ZeroDivisionError
+        return sx * sy, qx / qy
+    if op is operator.sub:
+        sy = -sy
+    if sy == 0:
+        return sx, qx
+    if sx == 0:
+        return sy, qy
+    if qx != qy or not isinstance(x, _Sqrt) or not isinstance(y, _Sqrt):
+        return ExactValueError  # distinct radicals, or rational + radical
+    c = sx + sy
+    return (c > 0) - (c < 0), c * c * qx
+
+
+def test_radical_payload_ops_match_fraction_arithmetic():
+    rng = Random(22)
+    rationals = [_payload(f) for f in _fraction_pool(rng)]
+    radicals = [EXACT.sqrt(abs(q)) for q in rationals if q]
+    radicals = [v for v in radicals if isinstance(v, _Sqrt)]
+    radicals += [-v for v in radicals]
+    # equal squares, so that sums of radicals are representable
+    radicals += [_payload(Fraction(k)) * radicals[0] for k in (2, -1, -2)]
+    assert all(type(v.square) is _Rational for v in radicals)
+    for x in radicals:
+        assert _signed_square(-x) == (-x.sign, _signed_square(x)[1])
+        assert abs(x) == _Sqrt(1, x.square)
+        for y in radicals + rationals + [0, 3]:
+            for op in (operator.add, operator.sub, operator.mul,
+                       operator.truediv):
+                for left, right in ((x, y), (y, x)):
+                    if isinstance(right, int):
+                        right = _payload(Fraction(right))
+                    want = _reference(op, left, right)
+                    got = _outcome(op, left, right)
+                    if not isinstance(want, tuple):
+                        assert got is want, (op, left, right)
+                        continue
+                    assert _signed_square(got) == want, (op, left, right)
+                    # canonical: a perfect square collapses to a rational
+                    assert isinstance(got, _Sqrt) != (
+                        want[0] == 0 or _is_perfect_square(want[1]))
+                    if isinstance(got, _Sqrt):
+                        assert type(got.square) is _Rational
+
+
+def test_radical_float_conversion_matches_fraction_squares():
+    rng = Random(23)
+    squares = [Fraction(2), Fraction(3, 7), Fraction(rng.getrandbits(64) + 1,
+                                                     rng.getrandbits(40) + 1)]
+    # above 2^1000, where the conversion scales the square down first,
+    # both below and above the binary64 range of the square itself
+    squares += [Fraction((1 << 1010) + 1, 3), Fraction((1 << 1023) * 3 + 1),
+                Fraction((1 << 1500) + 7, (1 << 100) + 1),
+                Fraction(rng.getrandbits(1900) | 1 << 1899,
+                         rng.getrandbits(300) + 1)]
+    for f in squares:
+        assert not _is_perfect_square(f)
+        for sign in (1, -1):
+            got = float(_Sqrt(sign, _payload(f)))
+            assert got == float(_Sqrt(sign, f)), f
+            if f < 2 ** 1000:
+                assert got == sign * math.sqrt(f)
+    # the table reaches the scaled conversion, in and above binary64 range
+    assert 2 ** 1000 < squares[3] < 2 ** 1024 < squares[4]

@@ -25,6 +25,7 @@ from kernel_constructions import (
     internal_bisector_line,
     line_through,
     medial_figure,
+    orient,
     reflect,
     signed_distance,
 )
@@ -33,7 +34,6 @@ from planicheck.kernel import (
     angle_cos,
     concyclic,
     concyclicity_determinant,
-    orient,
     point,
     squared_distance,
 )

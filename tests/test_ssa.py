@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from kernel_constructions import (
+    orient,
     reference_measure,
     reference_orient,
     reference_solutions,
@@ -19,7 +20,6 @@ from planicheck.kernel import (
     Isometry,
     collinear,
     dot,
-    orient,
     point,
     squared_distance,
 )

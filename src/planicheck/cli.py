@@ -13,10 +13,15 @@ Mersenne Twister from the standard library, recorded in the config echo as
 Each ``cmd_*`` handler validates what argparse cannot, runs, prints its
 result lines and returns ``(config, checks, report parts, passed)``, or 2
 after printing a usage error.  ``main`` alone ends a run: it times the
-handler call, turns every named usage error into one ``error:`` line, adds
-``command`` and ``rng_algorithm`` to the config echo, writes the report and
-chooses the exit code: 0 all checks pass, 1 check failure, 2 usage or
-config error.
+handler call, turns every ``UsageError`` (the one base of each layer's
+named input error) into one ``error:`` line, adds ``command`` and
+``rng_algorithm`` to the config echo, writes the report and chooses the exit
+code: 0 all checks pass, 1 check failure, 2 usage or config error.
+
+Each handler imports the layers it runs when it runs, so a command loads
+only those: ``logic`` never loads the scalar, kernel or SSA layers, and
+parsing the arguments loads none.  The handlers read each layer's functions
+from its module at call time.
 """
 
 from __future__ import annotations
@@ -25,18 +30,10 @@ import argparse
 import math
 import sys
 import time
-from fractions import Fraction
 from typing import Dict, List, Optional, Tuple, Union
 
-from .scalars import (DegenerateInputError, ExactValueError, EXACT,
-                      FloatBackend)
-from .kernel import Point
-from .ssa import (SsaSpec, Supplementary, classify_pair, predict_case,
-                  solve_ssa)
-from .scenarios import UnknownScenarioError, get_scenario, level_set_scan
-from .logic import (AtomBudgetError, FormulaSyntaxError, equivalent,
-                    format_formula, parse_formula, verify_scheme_equivalences)
-from .suites import CheckResult, run_scenario_suites, run_verify_suites
+from .errors import UsageError
+from .report import CheckResult
 from . import report as rpt
 
 RNG_ALGORITHM = "mt19937"
@@ -143,6 +140,12 @@ def _print_checks(checks: List[CheckResult]):
 
 
 def cmd_ssa(args) -> Outcome:
+    from fractions import Fraction
+    from .scalars import EXACT, FloatBackend
+    from .kernel import Point
+    from .ssa import (SsaSpec, Supplementary, classify_pair, predict_case,
+                      solve_ssa)
+
     if args.angle_deg is not None and not 0 < args.angle_deg < 180:
         return _usage_error("--angle-deg must lie strictly between 0 and 180")
     if args.cos is not None:
@@ -230,6 +233,8 @@ def cmd_ssa(args) -> Outcome:
 
 
 def cmd_verify(args) -> Outcome:
+    from .suites import run_verify_suites
+
     checks = run_verify_suites(args.samples, args.seed,
                                backend=args.backend, eps=args.eps)
     _print_checks(checks)
@@ -239,6 +244,9 @@ def cmd_verify(args) -> Outcome:
 
 
 def cmd_scenario(args) -> Outcome:
+    from .scenarios import get_scenario, level_set_scan
+    from .suites import run_scenario_suites
+
     get_scenario(args.name)  # an unknown name is reported before --rect-t
     kwargs = {}
     if args.name == "rectangle-center":
@@ -266,6 +274,9 @@ def cmd_scenario(args) -> Outcome:
 
 
 def cmd_logic(args) -> Outcome:
+    from .logic import (equivalent, format_formula, parse_formula,
+                        verify_scheme_equivalences)
+
     if (args.formula is None) != (args.equiv is None):
         return _usage_error("--formula and --equiv must be given together")
     if args.constraint is not None and args.formula is None:
@@ -309,8 +320,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     started = time.perf_counter()
     try:
         outcome = HANDLERS[args.command](args)
-    except (DegenerateInputError, ExactValueError, UnknownScenarioError,
-            FormulaSyntaxError, AtomBudgetError) as exc:
+    except UsageError as exc:
         return _usage_error(str(exc))
     wall_time_s = time.perf_counter() - started
     if outcome == 2:

@@ -18,7 +18,8 @@ and ``Point`` arithmetic stay on ``Scalar`` for the isometries.
 Every zero test goes through the backend's ``vanishes(value, scale,
 degree)`` on a payload: exact zero on the exact backend, |value| <=
 eps * scale^degree on the float backend, with ``scale`` the configuration
-size ``coord_scale`` (max of 1 and the coordinate magnitudes) and
+size ``coord_scale`` (the backend's ``size``: max of 1 and the coordinate
+magnitudes on the float backend, never converted on the exact one) and
 ``degree`` the quantity's degree in lengths:
 the side of a line (and so collinearity) 2, concyclicity 4 (its points
 must lie more than eps*scale apart, a length test of degree 1).  So the
@@ -40,7 +41,6 @@ from .scalars import (
     Scalar,
     common_backend,
     same_backend,
-    to_float,
 )
 
 LABELS = ("A", "B", "C")
@@ -95,11 +95,11 @@ def squared_distance(p: Point, q: Point) -> Scalar:
 
 
 def coord_scale(*points: Point) -> float:
-    """Configuration size used to scale float tolerances; floored at 1."""
-    s = 1.0
-    for p in points:
-        s = max(s, abs(to_float(p.x._v)), abs(to_float(p.y._v)))
-    return s
+    """Configuration size that scales the backend's tolerance: the
+    backend's ``size`` of the coordinates (on the float backend their
+    largest magnitude, floored at 1)."""
+    return _backend(*points).size(
+        *[v for p in points for v in (p.x._v, p.y._v)])
 
 
 def _orientation(p: Point, q: Point, r: Point):
@@ -109,9 +109,7 @@ def _orientation(p: Point, q: Point, r: Point):
     backend = _backend(p, q, r)
     px, py, qx, qy, rx, ry = p.x._v, p.y._v, q.x._v, q.y._v, r.x._v, r.y._v
     value = (qx - px) * (ry - py) - (qy - py) * (rx - px)
-    scale = max(1.0, abs(to_float(px)), abs(to_float(py)), abs(to_float(qx)),
-                abs(to_float(qy)), abs(to_float(rx)), abs(to_float(ry)))
-    return backend, value, scale
+    return backend, value, backend.size(px, py, qx, qy, rx, ry)
 
 
 def side(p: Point, q: Point, r: Point) -> int:

@@ -25,8 +25,10 @@ import re
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Tuple, Union
 
+from .errors import UsageError
 
-class FormulaSyntaxError(ValueError):
+
+class FormulaSyntaxError(UsageError, ValueError):
     """Malformed formula text; ``position`` is the 1-based token index."""
 
     def __init__(self, message: str, position: int):
@@ -34,7 +36,7 @@ class FormulaSyntaxError(ValueError):
         self.position = position
 
 
-class AtomBudgetError(ValueError):
+class AtomBudgetError(UsageError, ValueError):
     """Too many distinct atoms for exhaustive enumeration."""
 
 

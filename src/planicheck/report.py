@@ -5,17 +5,37 @@ are rounded to 12 significant digits before serialization so reruns with the
 same config produce byte-identical bodies.  Wall time is attached as a
 separate top-level field and is the only part allowed to differ between
 reruns.
+
+``CheckResult``, the outcome of one check, lives here with the code that
+renders it, so a command imports the layers it runs and no others: the
+scan report is named in annotations only.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from typing import Dict, List, Optional
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from . import __version__
-from .scenarios import ScanReport
-from .suites import CheckResult
+
+if TYPE_CHECKING:
+    from .scenarios import ScanReport
+
+
+@dataclass
+class CheckResult:
+    name: str
+    passed: bool
+    samples: int
+    worst_residual: float
+    witnesses: List[Dict] = field(default_factory=list)
+
+    def add_failure(self, witness: Dict):
+        self.passed = False
+        if len(self.witnesses) < 5:
+            self.witnesses.append(witness)
 
 
 def round12(x: float) -> float:

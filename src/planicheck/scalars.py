@@ -20,7 +20,9 @@ Two backends underlie every predicate in this package:
   power cannot overflow.
 
 A backend owns every decision that differs between the two: coercing an
-operand, ``eq``/``lt``/``sign``, ``sqrt`` and ``vanishes``.  Each
+operand, ``eq``/``lt``/``sign``, ``sqrt``, ``vanishes`` and ``size``, the
+configuration size ``vanishes`` scales by (the exact backend ignores it and
+never converts a payload to binary64 for it).  Each
 ``Scalar`` operator applies its payloads' own arithmetic (float,
 ``_Rational``, or the radical ``_Sqrt``) and never asks which backend it is
 on.  ``is_rational`` tells a rational exact payload from a radical.  Values
@@ -46,16 +48,18 @@ from fractions import Fraction
 from math import gcd
 from typing import NamedTuple, Union
 
+from .errors import UsageError
+
 
 class BackendMismatchError(TypeError):
     """Two values from different backends met in one expression."""
 
 
-class DegenerateInputError(ValueError):
+class DegenerateInputError(UsageError, ValueError):
     """Geometrically degenerate input (collinear triangle, zero segment, ...)."""
 
 
-class ExactValueError(ArithmeticError):
+class ExactValueError(UsageError, ArithmeticError):
     """An exact result would leave the representable set (rationals plus single radicals)."""
 
 
@@ -350,6 +354,11 @@ class ExactBackend:
             raise TypeError(f"cannot combine Scalar with {type(value).__name__}")
         return q
 
+    def size(self, *values) -> float:
+        """The scale ``vanishes`` takes, which it ignores: 1, without
+        converting a payload to binary64 (one may not fit)."""
+        return 1.0
+
     def vanishes(self, value, scale: float, degree: int) -> bool:
         """Exact zero; the scale of the configuration plays no part."""
         return _exact_sign(value) == 0
@@ -393,6 +402,16 @@ class FloatBackend:
         if isinstance(value, (int, Fraction, float)):
             return float(value)
         raise TypeError(f"cannot combine Scalar with {type(value).__name__}")
+
+    def size(self, *values) -> float:
+        """Configuration size of coordinate payloads, the ``scale`` of
+        ``vanishes``: the largest magnitude, floored at 1."""
+        s = 1.0
+        for v in values:
+            m = abs(v)
+            if m > s:
+                s = m
+        return s
 
     def vanishes(self, value, scale: float, degree: int) -> bool:
         """|value| <= eps * scale^degree: zero for a quantity homogeneous of

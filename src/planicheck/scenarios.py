@@ -38,6 +38,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
+from .errors import UsageError
 from .scalars import DegenerateInputError
 
 _GAMMA_FLOOR = 1e-3  # scan guard: skip the numerically wild sliver gamma < ~0.06 deg
@@ -45,7 +46,7 @@ _COS_30 = math.cos(math.pi / 6)
 _RIGHT_ANGLE = math.pi / 2
 
 
-class UnknownScenarioError(ValueError):
+class UnknownScenarioError(UsageError, ValueError):
     def __init__(self, name: str, available):
         super().__init__(f"unknown scenario {name!r}; available: {', '.join(available)}")
         self.available = tuple(available)

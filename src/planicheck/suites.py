@@ -25,7 +25,6 @@ determinants) and ``MIN_GAP`` the bisector-30 spot gaps from below.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from random import Random
 from typing import Callable, Dict, List, Optional, Tuple
@@ -36,24 +35,11 @@ from .ssa import (Congruent, LemmaPreconditionError, NotSsaMatched, SsaSpec,
                   Supplementary, classify_pair, lemma_common_side_check,
                   solve_ssa)
 from . import scenarios as sc
+from .report import CheckResult
 
 FLOAT = FloatBackend()
 TOL = 1e-9
 MIN_GAP = 1e-3
-
-
-@dataclass
-class CheckResult:
-    name: str
-    passed: bool
-    samples: int
-    worst_residual: float
-    witnesses: List[Dict] = field(default_factory=list)
-
-    def add_failure(self, witness: Dict):
-        self.passed = False
-        if len(self.witnesses) < 5:
-            self.witnesses.append(witness)
 
 
 Sample = Callable[[int, Dict], Tuple[float, Optional[Dict]]]

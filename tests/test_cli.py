@@ -1,13 +1,23 @@
 """End-to-end command-line checks driven through cli.main in-process."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from planicheck import cli, suites
-from planicheck.scalars import EXACT, ExactValueError
-from planicheck.suites import CheckResult
+from planicheck.errors import UsageError
+from planicheck.logic import (AtomBudgetError, FormulaSyntaxError,
+                              SchemeVerificationError)
+from planicheck.report import CheckResult
+from planicheck.scalars import (EXACT, BackendMismatchError,
+                                DegenerateInputError, ExactValueError,
+                                LengthMismatchError)
+from planicheck.scenarios import FeetOffSegmentError, UnknownScenarioError
+from planicheck.ssa import DichotomyViolationError, LemmaPreconditionError
 
 
 def run(argv):
@@ -317,7 +327,8 @@ def test_scenario_prints_the_witnesses_of_a_failing_check(monkeypatch,
                                                           capsys):
     failing = CheckResult("forward-isosceles", False, 3, 0.5,
                           [{"alpha_deg": 40.0, "residual": 0.5}])
-    monkeypatch.setattr(cli, "run_scenario_suites", lambda *a, **k: [failing])
+    monkeypatch.setattr(suites, "run_scenario_suites",
+                        lambda *a, **k: [failing])
     assert run(["scenario", "medial-circumcenter", "--grid-step-deg", "5"]) == 1
     out = capsys.readouterr().out.splitlines()
     assert out[-2:] == [
@@ -413,3 +424,53 @@ def test_markdown_report(tmp_path):
     text = out.read_text()
     assert text.startswith("# planicheck report")
     assert "worst residual" in text
+
+
+@pytest.mark.parametrize("cls, base", [
+    (DegenerateInputError, ValueError), (ExactValueError, ArithmeticError),
+    (UnknownScenarioError, ValueError), (FormulaSyntaxError, ValueError),
+    (AtomBudgetError, ValueError), (FeetOffSegmentError, ValueError)],
+    ids=lambda v: v.__name__)
+def test_each_named_input_error_is_a_usage_error(cls, base):
+    assert issubclass(cls, UsageError) and issubclass(cls, base)
+
+
+@pytest.mark.parametrize("cls", [
+    BackendMismatchError, LengthMismatchError, LemmaPreconditionError,
+    DichotomyViolationError, SchemeVerificationError],
+    ids=lambda v: v.__name__)
+def test_a_program_error_is_not_a_usage_error(cls):
+    # main lets these propagate: they signal a fault, not a bad input
+    assert not issubclass(cls, UsageError)
+
+
+SRC = Path(cli.__file__).resolve().parents[1]
+LOADED = ("import sys\n{}\n"
+          "print(' '.join(sorted(m for m in sys.modules if m == 'fractions'"
+          " or m == 'planicheck' or m.startswith('planicheck.'))))")
+
+
+def modules_loaded_by(code):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    done = subprocess.run([sys.executable, "-c", LOADED.format(code)],
+                          capture_output=True, text=True, env=env,
+                          check=True)
+    return set(done.stdout.splitlines()[-1].split())
+
+
+BARE = {"planicheck", "planicheck.cli", "planicheck.errors",
+        "planicheck.report"}
+
+
+def test_parsing_the_arguments_loads_no_layer():
+    assert modules_loaded_by(
+        "from planicheck.cli import build_parser\n"
+        "build_parser().parse_args(['verify', '--seed', '1'])") == BARE
+
+
+def test_the_logic_command_loads_only_the_logic_layer():
+    assert modules_loaded_by(
+        "from planicheck.cli import main\n"
+        "assert main(['logic', '--formula', 'p & q', '--equiv', 'q & p']) == 0"
+    ) == BARE | {"planicheck.logic"}

@@ -10,8 +10,7 @@ import pytest
 import planicheck
 
 PACKAGE = Path(planicheck.__file__).parent
-# __init__ imports names to re-export them
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+MODULES = sorted(PACKAGE.glob("*.py"))
 
 
 def unused_imports(source: str):

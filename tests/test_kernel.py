@@ -232,6 +232,17 @@ def test_side_of_a_directed_line():
     assert side(p, q, exact_pt(4, 2)) == 0
 
 
+def test_exact_coordinates_beyond_binary64_build_and_decide():
+    # the exact backend's zero test takes no binary64 scale, so no
+    # coordinate is converted and none has to fit
+    big = 10 ** 400
+    t = Triangle(exact_pt(0, 0), exact_pt(big, 0), exact_pt(0, big))
+    assert side(t.A, t.B, t.C) == 1
+    on_circle, _ = concyclic(exact_pt(big, 0), exact_pt(0, big),
+                             exact_pt(-big, 0), exact_pt(0, -big))
+    assert on_circle
+
+
 def test_side_uses_the_triangle_validity_rule():
     # the orientation 2e-9 clears eps * scale^2 = 1e-9, so the triangle is
     # valid and its apex lies strictly on one side of AB

@@ -11,12 +11,13 @@ Mersenne Twister from the standard library, recorded in the config echo as
 ``mt19937``.
 
 Each ``cmd_*`` handler validates what argparse cannot, runs, prints its
-result lines and returns ``(config, checks, report parts, passed)``, or 2
-after printing a usage error.  ``main`` alone ends a run: it times the
-handler call, turns every ``UsageError`` (the one base of each layer's
-named input error) into one ``error:`` line, adds ``command`` and
+result lines and returns ``(config, checks, report parts)``; it raises
+``UsageError`` for an input it rejects.  ``main`` alone ends a run: it
+times the handler call, turns every ``UsageError`` (the one base of each
+layer's named input error) into one ``error:`` line, adds ``command`` and
 ``rng_algorithm`` to the config echo, writes the report and chooses the exit
-code: 0 all checks pass, 1 check failure, 2 usage or config error.
+code: 0 when every check passes and any scan is contained or exploratory,
+1 otherwise, 2 on a usage or config error.
 
 Each handler imports the layers it runs when it runs, so a command loads
 only those: ``logic`` never loads the scalar, kernel or SSA layers, and
@@ -30,15 +31,15 @@ import argparse
 import math
 import sys
 import time
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 from .errors import UsageError
 from .report import CheckResult
 from . import report as rpt
 
 RNG_ALGORITHM = "mt19937"
-# (config echo, checks, build_report keyword arguments, passed), or exit code 2
-Outcome = Union[Tuple[Dict, List[CheckResult], Dict, bool], int]
+# (config echo, checks, build_report keyword arguments)
+Outcome = Tuple[Dict, List[CheckResult], Dict]
 
 
 def _add_report_flags(parser: argparse.ArgumentParser):
@@ -121,11 +122,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _usage_error(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return 2
-
-
 def _clamped_acos_deg(c: float) -> float:
     return math.degrees(math.acos(max(-1.0, min(1.0, c))))
 
@@ -147,18 +143,18 @@ def cmd_ssa(args) -> Outcome:
                       solve_ssa)
 
     if args.angle_deg is not None and not 0 < args.angle_deg < 180:
-        return _usage_error("--angle-deg must lie strictly between 0 and 180")
+        raise UsageError("--angle-deg must lie strictly between 0 and 180")
     if args.cos is not None:
         try:
             cos_fraction = Fraction(args.cos)
         except (ValueError, ZeroDivisionError):
-            return _usage_error(f"--cos {args.cos!r} is not a number")
+            raise UsageError(f"--cos {args.cos!r} is not a number")
     elif args.backend == "exact" and not args.included:
         # a double's cosine is dyadic, and no dyadic inside (-1, 1) but 0
         # (which no degree angle reaches) has a rational sine, so the exact
         # solver could never place this angle
-        return _usage_error("the exact backend needs a rational angle for "
-                            "this designation: give it as --cos")
+        raise UsageError("the exact backend needs a rational angle for "
+                         "this designation: give it as --cos")
     else:
         cos_fraction = Fraction(math.cos(math.radians(args.angle_deg)))
     # decimal sides become exact rationals and a degree angle the exact
@@ -229,7 +225,7 @@ def cmd_ssa(args) -> Outcome:
               "designation": "included" if args.included else
               f"opposite-{args.opposite}",
               "backend": args.backend, "eps": args.eps}
-    return config, [], {"extra": extra}, True
+    return config, [], {"extra": extra}
 
 
 def cmd_verify(args) -> Outcome:
@@ -240,7 +236,7 @@ def cmd_verify(args) -> Outcome:
     _print_checks(checks)
     config = {"samples": args.samples, "seed": args.seed,
               "backend": args.backend, "eps": args.eps}
-    return config, checks, {}, all(c.passed for c in checks)
+    return config, checks, {}
 
 
 def cmd_scenario(args) -> Outcome:
@@ -253,7 +249,7 @@ def cmd_scenario(args) -> Outcome:
         # an out-of-range height raises from the scan's first residual
         kwargs["t"] = 0.5 if args.rect_t is None else args.rect_t
     elif args.rect_t is not None:
-        return _usage_error("--rect-t only applies to rectangle-center")
+        raise UsageError("--rect-t only applies to rectangle-center")
     scan = level_set_scan(args.name, math.radians(args.grid_step_deg),
                           refine_tol=args.refine_tol, delta=args.delta,
                           **kwargs)
@@ -269,8 +265,7 @@ def cmd_scenario(args) -> Outcome:
               "refine_tol": args.refine_tol, "delta": args.delta,
               "samples": args.samples, "seed": args.seed,
               **({"rect_t": kwargs["t"]} if kwargs else {})}
-    ok = all(c.passed for c in checks) and (scan.contained or not scan.asserted)
-    return config, checks, {"scan": scan}, ok
+    return config, checks, {"scan": scan}
 
 
 def cmd_logic(args) -> Outcome:
@@ -278,9 +273,9 @@ def cmd_logic(args) -> Outcome:
                         verify_scheme_equivalences)
 
     if (args.formula is None) != (args.equiv is None):
-        return _usage_error("--formula and --equiv must be given together")
+        raise UsageError("--formula and --equiv must be given together")
     if args.constraint is not None and args.formula is None:
-        return _usage_error("--constraint needs --formula and --equiv")
+        raise UsageError("--constraint needs --formula and --equiv")
     if args.formula is None:
         checks = []
         for lc in verify_scheme_equivalences():
@@ -292,7 +287,7 @@ def cmd_logic(args) -> Outcome:
                 lc.name, lc.passed, lc.result.rows, 0.0,
                 [] if lc.passed else [dict(lc.result.witness)]))
         print(f"{sum(c.passed for c in checks)}/{len(checks)} checks pass")
-        return {}, checks, {}, all(c.passed for c in checks)
+        return {}, checks, {}
     f1 = parse_formula(args.formula)
     f2 = parse_formula(args.equiv)
     constraint = (parse_formula(args.constraint)
@@ -308,7 +303,7 @@ def cmd_logic(args) -> Outcome:
     config = {"formula": args.formula, "equiv": args.equiv,
               "constraint": args.constraint}
     extra = {"rows": result.rows, "constrained_rows": result.constrained_rows}
-    return config, [check], {"extra": extra}, result.equivalent
+    return config, [check], {"extra": extra}
 
 
 HANDLERS = {"ssa": cmd_ssa, "verify": cmd_verify, "scenario": cmd_scenario,
@@ -319,19 +314,20 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     started = time.perf_counter()
     try:
-        outcome = HANDLERS[args.command](args)
+        config, checks, parts = HANDLERS[args.command](args)
     except UsageError as exc:
-        return _usage_error(str(exc))
-    wall_time_s = time.perf_counter() - started
-    if outcome == 2:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
-    config, checks, parts, passed = outcome
+    wall_time_s = time.perf_counter() - started
     body = rpt.build_report({"command": args.command, **config,
                              "rng_algorithm": RNG_ALGORITHM}, checks, **parts)
     if args.report:
         render = rpt.render_json if args.format == "json" else rpt.render_markdown
         with open(args.report, "w") as handle:
             handle.write(render(body, wall_time_s))
+    scan = parts.get("scan")
+    passed = all(c.passed for c in checks) and (
+        scan is None or scan.contained or not scan.asserted)
     return 0 if passed else 1
 
 

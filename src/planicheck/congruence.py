@@ -77,7 +77,15 @@ class Correspondence:
         return Correspondence(tuple(inv))
 
 
-ALL_CORRESPONDENCES = tuple(Correspondence(p) for p in permutations(LABELS))
+def _canonical_key(corr: Correspondence):
+    # inversion-symmetric key so congruent_any(e1, e2) and congruent_any(e2, e1)
+    # pick mutually inverse correspondences even for symmetric triangles
+    return (min(corr.mapping, corr.inverse().mapping), corr.mapping)
+
+
+# in canonical order, the identity first; the keys are unique
+ALL_CORRESPONDENCES = tuple(sorted(
+    (Correspondence(p) for p in permutations(LABELS)), key=_canonical_key))
 
 
 class Applicability(enum.Enum):
@@ -180,16 +188,9 @@ def criterion_d(e1: TriangleElements, e2: TriangleElements,
     return best
 
 
-def _canonical_key(corr: Correspondence):
-    # inversion-symmetric key so congruent_any(e1, e2) and congruent_any(e2, e1)
-    # pick mutually inverse correspondences even for symmetric triangles
-    return (min(corr.mapping, corr.inverse().mapping), corr.mapping)
-
-
 def congruent_any(e1: TriangleElements,
                   e2: TriangleElements) -> Optional[Correspondence]:
-    """Search all six correspondences for a full side match (criterion_c)."""
-    found = [c for c in ALL_CORRESPONDENCES if criterion_c(e1, e2, c)]
-    if not found:
-        return None
-    return min(found, key=_canonical_key)
+    """The first of the six correspondences, in canonical order, under
+    which all three sides match (criterion_c); None if none does."""
+    return next((c for c in ALL_CORRESPONDENCES if criterion_c(e1, e2, c)),
+                None)

@@ -18,8 +18,8 @@ and ``Point`` arithmetic stay on ``Scalar`` for the isometries.
 Every zero test goes through the backend's ``vanishes(value, scale,
 degree)`` on a payload: exact zero on the exact backend, |value| <=
 eps * scale^degree on the float backend, with ``scale`` the configuration
-size ``coord_scale`` (the backend's ``size``: max of 1 and the coordinate
-magnitudes on the float backend, never converted on the exact one) and
+size, the backend's ``size`` of the coordinates (max of 1 and their
+magnitudes on the float backend, never converted on the exact one), and
 ``degree`` the quantity's degree in lengths:
 the side of a line (and so collinearity) 2, concyclicity 4 (its points
 must lie more than eps*scale apart, a length test of degree 1).  So the
@@ -260,7 +260,7 @@ def concyclic(p1: Point, p2: Point, p3: Point,
     """
     pts = (p1, p2, p3, p4)
     backend = _backend(*pts)
-    scale = coord_scale(*pts)
+    scale = backend.size(*[v for p in pts for v in (p.x._v, p.y._v)])
     for i in range(4):
         for j in range(i + 1, 4):
             p, q = pts[i], pts[j]

@@ -37,7 +37,6 @@ from .scalars import (
     Scalar,
     common_backend,
     is_rational,
-    to_float,
 )
 
 
@@ -147,8 +146,9 @@ def solve_ssa(spec: SsaSpec) -> SsaSolutions:
     and wrapping only the solutions it returns.  Its three zero tests (the
     boundary band on the discriminant, degree 2, and the kept triangle's
     third side, degree 1, and doubled area, degree 2) go through the
-    backend's ``vanishes`` at the scale max(1, a, b, t): exact zero on the
-    exact backend.  The exact backend also needs a rational cosine, sine and
+    backend's ``vanishes`` at the backend's ``size`` of a and b, and of t
+    for a root: exact zero on the exact backend, which converts nothing to
+    binary64.  The exact backend also needs a rational cosine, sine and
     discriminant root; without them it raises ``ExactValueError`` before any
     root is formed.
     """
@@ -156,7 +156,7 @@ def solve_ssa(spec: SsaSpec) -> SsaSolutions:
     a, b, c0 = spec.side_a._v, spec.side_b._v, spec.cos_angle._v
     sin2 = 1 - c0 * c0
     sin_t = backend.sqrt(sin2)
-    s = max(1.0, spec.side_a.as_float(), spec.side_b.as_float())
+    s = backend.size(a, b)
     disc = a * a - b * b * sin2
     on_boundary = backend.vanishes(disc, s, 2)
     root = (None if on_boundary or backend.sign(disc) < 0
@@ -177,10 +177,11 @@ def solve_ssa(spec: SsaSpec) -> SsaSolutions:
     origin = base_end = None
     for t in roots:
         # keep a positive third side whose triangle clears the collinearity band
-        scale = max(s, to_float(t))
+        if backend.sign(t) <= 0:
+            continue
+        scale = backend.size(a, b, t)
         height = t * sin_t
-        if (backend.sign(t) <= 0 or backend.vanishes(t, scale, 1)
-                or backend.vanishes(height * b, scale, 2)):
+        if backend.vanishes(t, scale, 1) or backend.vanishes(height * b, scale, 2):
             continue
         tc0 = t * c0
         if origin is None:

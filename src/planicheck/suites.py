@@ -30,7 +30,7 @@ from random import Random
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .scalars import EXACT, DegenerateInputError, ExactValueError, FloatBackend
-from .kernel import Isometry, Point, Triangle, coord_scale, point
+from .kernel import Isometry, Point, Triangle, collinear, coord_scale, point
 from .ssa import (Congruent, LemmaPreconditionError, NotSsaMatched, SsaSpec,
                   Supplementary, classify_pair, lemma_common_side_check,
                   solve_ssa)
@@ -275,10 +275,9 @@ def _rational_triangle(rng: Random) -> Triangle:
     while True:
         xs = [EXACT.scalar(Fraction(rng.randint(-8, 8), rng.randint(1, 4)))
               for _ in range(6)]
-        try:
-            return Triangle(*(Point(x, y) for x, y in zip(xs[::2], xs[1::2])))
-        except DegenerateInputError:
-            pass  # collinear: draw again
+        pts = [Point(x, y) for x, y in zip(xs[::2], xs[1::2])]
+        if not collinear(*pts):
+            return Triangle(*pts)
 
 
 def _rational_isometry_image(tri: Triangle, rng: Random) -> Triangle:

@@ -1,5 +1,6 @@
 """End-to-end command-line checks driven through cli.main in-process."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from planicheck import cli, suites
+from planicheck import cli, scenarios, suites
 from planicheck.errors import UsageError
 from planicheck.logic import (AtomBudgetError, FormulaSyntaxError,
                               SchemeVerificationError)
@@ -334,6 +335,21 @@ def test_scenario_prints_the_witnesses_of_a_failing_check(monkeypatch,
     assert out[-2:] == [
         "FAIL  forward-isosceles  samples=3  worst_residual=0.5",
         "      witness: {'alpha_deg': 40.0, 'residual': 0.5}"]
+
+
+@pytest.mark.parametrize("asserted, code", [(True, 1), (False, 0)])
+def test_scenario_off_branch_root_fails_only_an_asserted_scan(
+        monkeypatch, capsys, asserted, code):
+    scan = scenarios.level_set_scan
+
+    def uncontained(*a, **k):
+        return dataclasses.replace(scan(*a, **k), contained=False,
+                                   asserted=asserted)
+
+    monkeypatch.setattr(scenarios, "level_set_scan", uncontained)
+    assert run(["scenario", "medial-circumcenter", "--grid-step-deg", "5",
+                "--samples", "50"]) == code
+    assert "containment=false" in capsys.readouterr().out
 
 
 def test_scenario_grid_step_too_fine_for_binary64(capsys):

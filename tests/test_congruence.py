@@ -144,6 +144,27 @@ def test_congruent_any_is_inverse_symmetric():
         assert c21.mapping == c12.inverse().mapping
 
 
+def test_congruent_any_takes_the_canonical_minimum_of_several_matches():
+    # the key congruent_any documents: inversion-symmetric, then the mapping
+    def key(c):
+        return (min(c.mapping, c.inverse().mapping), c.mapping)
+
+    h = math.sqrt(3) / 2
+    cases = [
+        # equilateral: all six correspondences match
+        (triangle(FB, (0.0, 0.0), (1.0, 0.0), (0.5, h)),
+         triangle(FB, (2.5, h), (3.0, 0.0), (2.0, 0.0))),
+        # isosceles with CA = CB, relabeled: two correspondences match
+        (triangle(EXACT, (0, 0), (4, 0), (2, 3)),
+         triangle(EXACT, (2, 3), (4, 0), (0, 0))),
+    ]
+    for t1, t2 in cases:
+        e1, e2 = measure(t1), measure(t2)
+        found = [c for c in ALL_CORRESPONDENCES if criterion_c(e1, e2, c)]
+        assert len(found) >= 2
+        assert congruent_any(e1, e2) == min(found, key=key)
+
+
 def test_sss_implies_sas_and_aas():
     rng = random.Random(7)
     rotations = ((Fraction(3, 5), Fraction(4, 5)),

@@ -199,9 +199,33 @@ def test_only_main_ends_a_run():
     assert envelope_uses((PACKAGE / "cli.py").read_text()) == []
 
 
-# run_check alone turns a rejected sample into a failing witness;
-# _rational_triangle redraws a collinear triangle
-EXCEPT_OWNERS = {"run_check", "_rational_triangle"}
+# a handler reports how its run went and main alone turns that into an exit
+# code: every return of a cmd_* handler is (config, checks, report parts)
+def handler_returns(source, prefix="cmd_"):
+    """(handler, line) of each ``return`` in a top-level function whose name
+    starts with ``prefix`` that does not return a literal 3-tuple."""
+    return [(node.name, n.lineno) for node in ast.parse(source).body
+            if isinstance(node, _FUNCTIONS) and node.name.startswith(prefix)
+            for n in ast.walk(node)
+            if isinstance(n, ast.Return)
+            and not (isinstance(n.value, ast.Tuple) and len(n.value.elts) == 3)]
+
+
+def test_the_check_sees_a_handler_return_that_is_not_a_triple():
+    src = ("def cmd_a(args):\n    if args:\n        return 2\n"
+           "    return {}, [], {}\n\n"
+           "def cmd_b(args):\n    return {}, [], {}, True\n\n"
+           "def cmd_c(args):\n    return\n\n"
+           "def helper():\n    return 2\n")
+    assert handler_returns(src) == [("cmd_a", 3), ("cmd_b", 7), ("cmd_c", 10)]
+
+
+def test_every_handler_returns_a_triple():
+    assert handler_returns((PACKAGE / "cli.py").read_text()) == []
+
+
+# run_check alone turns a rejected sample into a failing witness
+EXCEPT_OWNERS = {"run_check"}
 
 
 def except_clauses(source, allowed=EXCEPT_OWNERS):

@@ -409,6 +409,17 @@ def test_solve_ssa_overflow_is_a_degenerate_input():
         solve_ssa(float_spec(1e200, 1e200, 60.0))
 
 
+def test_exact_solve_ssa_takes_sides_beyond_binary64():
+    # the exact backend sizes its tolerances without converting a side,
+    # so the 5-5 spec with cos 3/5 solves at 5 * 10**400 as it does at 5
+    for n in (5, 5 * 10**400):
+        spec = SsaSpec(EXACT.scalar(n), EXACT.scalar(n),
+                       EXACT.scalar(Fraction(3, 5)))
+        sols = solve_ssa(spec)
+        assert sols.count == 1
+        assert sols.third_sides[0].exact_value() == Fraction(6, 5) * n
+
+
 def test_lemma_longer_equal_sides_leave_no_pair():
     # AC = AD = 2.5 > AB = 2: the solver is unique, so no second triangle
     assert solve_ssa(float_spec(2.5, 2.0, 30.0)).count == 1

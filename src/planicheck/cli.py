@@ -56,6 +56,22 @@ def _positive_float(text: str) -> float:
     return value
 
 
+def _positive_side(text: str):
+    """A side length as a ``Fraction``, read as ``--cos`` is read (a
+    decimal or a fraction like 1/10), so that the exact backend takes it
+    unrounded; its double must be positive and finite, as a float side's
+    must."""
+    from fractions import Fraction
+    try:
+        value = Fraction(text)
+        ok = float(value) > 0  # OverflowError past the largest double
+    except (ValueError, ZeroDivisionError, OverflowError):
+        ok = False
+    if not ok:
+        raise argparse.ArgumentTypeError(f"{text!r} must be positive and finite")
+    return value
+
+
 def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
@@ -71,10 +87,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_ssa = sub.add_parser("ssa", help="solve one SSA query")
-    p_ssa.add_argument("--a", type=_positive_float, required=True,
-                       help="first side length")
-    p_ssa.add_argument("--b", type=_positive_float, required=True,
-                       help="second side length")
+    p_ssa.add_argument("--a", type=_positive_side, required=True,
+                       help="first side length, as a decimal or a fraction "
+                            "like 1/10")
+    p_ssa.add_argument("--b", type=_positive_side, required=True,
+                       help="second side length, as --a")
     angle_group = p_ssa.add_mutually_exclusive_group(required=True)
     angle_group.add_argument("--angle-deg", type=float,
                              help="given angle in degrees")
@@ -157,11 +174,12 @@ def cmd_ssa(args) -> Outcome:
                          "this designation: give it as --cos")
     else:
         cos_fraction = Fraction(math.cos(math.radians(args.angle_deg)))
-    # decimal sides become exact rationals and a degree angle the exact
-    # dyadic value of its double cosine; the float backend rounds each back
-    # to the double it came from, so the query is deterministic either way
+    # sides are the rationals typed and a degree angle the exact dyadic
+    # value of its double cosine; the float backend rounds each to the
+    # nearest double (for a decimal side, the double float() reads), so the
+    # query is deterministic either way
     backend = EXACT if args.backend == "exact" else FloatBackend(args.eps)
-    spec_sides = [backend.scalar(Fraction(str(v))) for v in (args.a, args.b)]
+    spec_sides = [backend.scalar(v) for v in (args.a, args.b)]
     cos_scalar = backend.scalar(cos_fraction)
 
     opposite, adjacent = spec_sides
@@ -219,7 +237,7 @@ def cmd_ssa(args) -> Outcome:
                 extra["verdict"] = {"kind": type(verdict).__name__}
     print("\n".join(lines))
 
-    config = {"a": args.a, "b": args.b,
+    config = {"a": float(args.a), "b": float(args.b),
               **({"cos": str(cos_fraction)} if args.cos is not None
                  else {"angle_deg": args.angle_deg}),
               "designation": "included" if args.included else

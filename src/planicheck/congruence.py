@@ -24,20 +24,24 @@ from dataclasses import dataclass
 from itertools import permutations
 from typing import Dict, Optional, Tuple
 
-from .kernel import LABELS, Triangle, angle_cos, squared_distance
+from .kernel import LABELS, Record, Triangle, angle_cos, squared_distance
 from .scalars import Backend, Scalar, common_backend
 
+_set = object.__setattr__
 
-@dataclass(frozen=True)
-class TriangleElements:
+
+class TriangleElements(Record):
     """Squared side lengths and angle cosines, both keyed by vertex label.
 
     ``side_sq[X]`` is the squared side opposite vertex X; ``cos_at[X]`` the
-    cosine of the interior angle at X.  Treat instances as immutable.
+    cosine of the interior angle at X.  Treat the dicts as immutable.
     """
 
-    side_sq: Dict[str, Scalar]
-    cos_at: Dict[str, Scalar]
+    __slots__ = ("side_sq", "cos_at")
+
+    def __init__(self, side_sq: Dict[str, Scalar], cos_at: Dict[str, Scalar]):
+        _set(self, "side_sq", side_sq)
+        _set(self, "cos_at", cos_at)
 
     @property
     def backend(self) -> Backend:

@@ -9,6 +9,15 @@ Constructions that only an audit needs (the circle through three points,
 the incenter, mirror images) are not part of it; the test suite builds them
 from this public API.
 
+``Point`` and ``Triangle`` (and ``SsaSpec`` and ``TriangleElements``
+above) are ``Record``s: ``__slots__`` classes that validate in
+``__init__``, refuse assignment, and compare, hash and print by their
+fields as the frozen dataclasses they replace did, for less than those
+cost to build.  A ``Triangle`` checks that its vertices share a backend and
+that ``side`` does not call them collinear; ``trusted_triangle`` builds one
+without those checks, for ``solve_ssa`` alone, whose kept roots have
+already cleared a collinearity band at least as wide.
+
 ``squared_distance``, ``angle_cos``, ``side`` (the orientation and its
 scale in one pass), ``concyclic`` and ``concyclicity_determinant`` compute
 on the points' payloads, after checking that the points share one backend,
@@ -46,14 +55,49 @@ from .scalars import (
 LABELS = ("A", "B", "C")
 
 
-@dataclass(frozen=True)
-class Point:
-    x: Scalar
-    y: Scalar
+_set = object.__setattr__
+_new = object.__new__
 
-    def __post_init__(self):
-        if not same_backend(self.x.backend, self.y.backend):
+
+class Record:
+    """Immutable slotted record: ``==``, ``hash`` and ``repr`` over the
+    fields its subclass names in ``__slots__``, as a frozen dataclass
+    defines them.  A subclass's ``__init__`` validates its arguments and
+    stores them with ``_set``; assignment afterwards raises."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, *a):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+
+class Point(Record):
+    __slots__ = ("x", "y")
+
+    def __init__(self, x: Scalar, y: Scalar):
+        backend = x.backend
+        if y.backend is not backend and not same_backend(backend, y.backend):
             raise BackendMismatchError("point coordinates from different backends")
+        _set(self, "x", x)
+        _set(self, "y", y)
 
     @property
     def backend(self) -> Backend:
@@ -203,21 +247,21 @@ def isometry_taking_segment_to_segment(src1: Point, src2: Point,
     return Isometry(c, s, dst1.x - a.x, dst1.y - a.y, mirror)
 
 
-@dataclass(frozen=True)
-class Triangle:
+class Triangle(Record):
     """Labeled, strictly non-collinear triangle."""
 
-    A: Point
-    B: Point
-    C: Point
+    __slots__ = ("A", "B", "C")
 
-    def __post_init__(self):
-        backend = self.A.backend
-        if not (same_backend(backend, self.B.backend)
-                and same_backend(backend, self.C.backend)):
+    def __init__(self, A: Point, B: Point, C: Point):
+        backend = A.x.backend
+        if not (same_backend(backend, B.x.backend)
+                and same_backend(backend, C.x.backend)):
             raise BackendMismatchError("triangle vertices from different backends")
-        if collinear(self.A, self.B, self.C):
+        if collinear(A, B, C):
             raise DegenerateInputError("collinear triangle")
+        _set(self, "A", A)
+        _set(self, "B", B)
+        _set(self, "C", C)
 
     @property
     def backend(self) -> Backend:
@@ -228,6 +272,18 @@ class Triangle:
 
     def others(self, label: str):
         return tuple(l for l in LABELS if l != label)
+
+
+def trusted_triangle(A: Point, B: Point, C: Point) -> Triangle:
+    """The ``Triangle`` ABC, built without the checks of ``Triangle``: for
+    a caller that has already shown that the vertices share one backend
+    and that ``side(A, B, C)`` is not 0.  ``solve_ssa`` is its one caller,
+    and an import rule of the test suite keeps it so."""
+    t = _new(Triangle)
+    _set(t, "A", A)
+    _set(t, "B", B)
+    _set(t, "C", C)
+    return t
 
 
 def concyclicity_determinant(p1: Point, p2: Point, p3: Point, p4: Point) -> Scalar:

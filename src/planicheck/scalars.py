@@ -524,9 +524,6 @@ class Scalar:
     def __sub__(self, other):
         return Scalar(self.backend, self._v - self._mate(other))
 
-    def __rsub__(self, other):
-        return Scalar(self.backend, self._mate(other) - self._v)
-
     def __mul__(self, other):
         return Scalar(self.backend, self._v * self._mate(other))
 
@@ -535,14 +532,8 @@ class Scalar:
     def __truediv__(self, other):
         return Scalar(self.backend, self._v / self._mate(other))
 
-    def __rtruediv__(self, other):
-        return Scalar(self.backend, self._mate(other) / self._v)
-
     def __neg__(self):
         return Scalar(self.backend, -self._v)
-
-    def __abs__(self):
-        return Scalar(self.backend, abs(self._v))
 
     def sqrt(self) -> "Scalar":
         return Scalar(self.backend, self.backend.sqrt(self._v))
@@ -560,11 +551,6 @@ class Scalar:
 
     def sign(self) -> int:
         return self.backend.sign(self._v)
-
-    def vanishes(self, scale: float, degree: int) -> bool:
-        """Zero as a quantity of ``degree`` in lengths, in a configuration
-        of size ``scale``; see ``FloatBackend.vanishes``."""
-        return self.backend.vanishes(self._v, scale, degree)
 
     # structural equality (use .eq for tolerance-aware comparison)
     def __eq__(self, other):

@@ -10,6 +10,14 @@ Canonical solution pose: the given adjacent side lies on the x axis from
 A = (0, 0) to C = (side_b, 0); the apex B sits in the open upper half plane
 on the ray from A at the given angle.  Solutions are ordered by ascending
 third side |AB|.
+
+``SsaSpec`` is a slotted ``Record`` that validates its sides and angle in
+``__init__``, with one backend test for its three values.  ``solve_ssa``
+builds each kept triangle with ``kernel.trusted_triangle``, the one
+constructor that skips ``Triangle``'s checks: the triangle's orientation is
+-(height * b) bit for bit, and its size max(1, |t cos|, t sin, b) is at most
+the solver's size(a, b, t), so the collinearity band the solver cleared is
+at least as wide as the one ``Triangle`` would test.
 """
 
 from __future__ import annotations
@@ -22,12 +30,14 @@ from .congruence import Correspondence, congruent_any, measure
 from .kernel import (
     Isometry,
     Point,
+    Record,
     Triangle,
     concyclic,
     isometry_taking_segment_to_segment,
     side,
     squared_distance,
     supplementary,
+    trusted_triangle,
 )
 from .scalars import (
     Backend,
@@ -38,6 +48,8 @@ from .scalars import (
     common_backend,
     is_rational,
 )
+
+_set = object.__setattr__
 
 
 class DichotomyViolationError(RuntimeError):
@@ -55,26 +67,28 @@ class LemmaPreconditionError(ValueError):
         self.reason = reason
 
 
-@dataclass(frozen=True)
-class SsaSpec:
+class SsaSpec(Record):
     """Two sides and the angle opposite the first of them.
 
     ``side_a`` is opposite the given angle, ``side_b`` adjacent to it, and
     ``cos_angle`` the cosine of the angle (strictly between -1 and 1).
     """
 
-    side_a: Scalar
-    side_b: Scalar
-    cos_angle: Scalar
+    __slots__ = ("side_a", "side_b", "cos_angle")
 
-    def __post_init__(self):
-        backend = common_backend(self.side_a.backend, self.side_b.backend)
-        common_backend(backend, self.cos_angle.backend)
-        if backend.sign(self.side_a._v) <= 0 or backend.sign(self.side_b._v) <= 0:
+    def __init__(self, side_a: Scalar, side_b: Scalar, cos_angle: Scalar):
+        backend = side_a.backend
+        if side_b.backend is not backend or cos_angle.backend is not backend:
+            common_backend(backend, side_b.backend)
+            common_backend(backend, cos_angle.backend)
+        if backend.sign(side_a._v) <= 0 or backend.sign(side_b._v) <= 0:
             raise DegenerateInputError("sides must be positive")
-        c = self.cos_angle._v
+        c = cos_angle._v
         if not (backend.lt(c, 1) and backend.lt(-1, c)):
             raise DegenerateInputError("angle must be strictly inside (0, pi)")
+        _set(self, "side_a", side_a)
+        _set(self, "side_b", side_b)
+        _set(self, "cos_angle", cos_angle)
 
     @property
     def backend(self) -> Backend:
@@ -187,8 +201,10 @@ def solve_ssa(spec: SsaSpec) -> SsaSolutions:
         if origin is None:
             zero = backend.scalar(0)
             origin, base_end = Point(zero, zero), Point(spec.side_b, zero)
-        tris.append(Triangle(origin, Point(Scalar(backend, tc0),
-                                           Scalar(backend, height)), base_end))
+        # the band just cleared covers Triangle's checks (module docstring)
+        tris.append(trusted_triangle(
+            origin, Point(Scalar(backend, tc0), Scalar(backend, height)),
+            base_end))
         thirds.append(Scalar(backend, t))
         apex.append(Scalar(backend, (t - bc0) / a))   # 0 on the boundary
         base.append(Scalar(backend, (b - tc0) / a))

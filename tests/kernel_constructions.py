@@ -218,13 +218,14 @@ def reference_measure(t: Triangle):
 def reference_solutions(spec):
     """Per solution of an SSA spec, ascending by third side: the apex B of
     the canonical pose, the third side, and the cosines at B and at C."""
+    backend = spec.backend
     a, b, c0 = spec.side_a, spec.side_b, spec.cos_angle
-    sin2 = 1 - c0 * c0
+    sin2 = backend.scalar(1) - c0 * c0
     sin_t = sin2.sqrt()
     s = max(1.0, a.as_float(), b.as_float())
     disc = a * a - b * b * sin2
     bc0 = b * c0
-    if disc.vanishes(s, 2):
+    if backend.vanishes(disc._v, s, 2):
         roots = [bc0]
     elif disc.sign() < 0:
         roots = []
@@ -235,8 +236,8 @@ def reference_solutions(spec):
     for t in roots:
         scale = max(s, t.as_float())
         height = t * sin_t
-        if (t.sign() <= 0 or t.vanishes(scale, 1)
-                or (height * b).vanishes(scale, 2)):
+        if (t.sign() <= 0 or backend.vanishes(t._v, scale, 1)
+                or backend.vanishes((height * b)._v, scale, 2)):
             continue
         tc0 = t * c0
         out.append((Point(tc0, height), t, (t - bc0) / a, (b - tc0) / a))

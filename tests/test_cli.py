@@ -80,6 +80,22 @@ def test_ssa_exact_rational_cosine(capsys):
     assert "third side 3.0" in text
 
 
+def test_ssa_sides_take_fractions_as_cos_does(tmp_path, capsys):
+    # a fraction side is the exact rational it names, and its body is the
+    # body of the same rationals written as decimals
+    bodies = []
+    for a, b in (("1/10", "1/5"), ("0.1", "0.2")):
+        out = tmp_path / f"{a.replace('/', '_')}.json"
+        assert run(["ssa", "--backend", "exact", "--a", a, "--b", b,
+                    "--cos", "3/5", "--report", str(out)]) == 0
+        assert "0 solutions" in capsys.readouterr().out
+        body = json.loads(out.read_text())
+        body.pop("wall_time_s", None)
+        bodies.append(body)
+    assert bodies[0] == bodies[1]
+    assert bodies[0]["config"]["a"] == 0.1 and bodies[0]["config"]["b"] == 0.2
+
+
 def test_ssa_exact_two_solution(capsys):
     a = "4.123105625617661"  # sqrt(17)
     code = run(["ssa", "--a", a, "--b", "5", "--cos", "3/5"])

@@ -294,3 +294,48 @@ def test_the_check_sees_a_fractions_import():
 def test_only_the_boundary_modules_import_fractions():
     sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
     assert fractions_imports(sources) == []
+
+
+# solve_ssa alone builds a Triangle without Triangle's checks: its kept
+# roots clear a band at least as wide as the one those checks apply
+TRUSTED_BUILDERS = {("ssa.py", "solve_ssa")}
+
+
+def name_readers(sources, name):
+    """(module, top-level definition) of each read of ``name``, as a
+    ``Name`` or an ``Attribute``, in ``sources`` (module name -> text),
+    outside the definition of ``name`` itself and the import statements;
+    statements outside any definition are reported as ``<module>``."""
+    found = []
+    for mod, text in sources.items():
+        for node in ast.parse(text).body:
+            holder = getattr(node, "name", "<module>")
+            if holder == name or isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if any((n.id if isinstance(n, ast.Name) else n.attr) == name
+                   for n in ast.walk(node)
+                   if isinstance(n, (ast.Name, ast.Attribute))):
+                found.append((mod, holder))
+    return found
+
+
+def test_the_check_sees_a_reader_of_a_name():
+    sources = {
+        "kernel.py": ("def trusted_triangle(a):\n    return a\n\n"
+                      "class T:\n    def m(self):\n"
+                      "        return kernel.trusted_triangle\n"),
+        "ssa.py": ("from .kernel import trusted_triangle\n\n"
+                   "def solve_ssa(s):\n    return trusted_triangle(s)\n\n"
+                   "make = trusted_triangle\n"),
+    }
+    assert name_readers(sources, "trusted_triangle") == [
+        ("kernel.py", "T"), ("ssa.py", "solve_ssa"), ("ssa.py", "<module>")]
+
+
+def test_only_solve_ssa_builds_an_unchecked_triangle():
+    bench = PACKAGE.parent.parent / "bench"
+    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    sources.update((f"bench/{p.name}", p.read_text())
+                   for p in sorted(bench.glob("*.py")))
+    assert len(sources) > len(MODULES)
+    assert set(name_readers(sources, "trusted_triangle")) == TRUSTED_BUILDERS

@@ -66,6 +66,31 @@ def test_points_and_triangles_keep_to_one_backend():
             squared_distance(p, r)
 
 
+def test_points_and_triangles_are_values():
+    # the records compare, hash and print by their fields, as the frozen
+    # dataclasses they replace did, and refuse assignment
+    p, q = point(FB, 1, 2), point(FB, 1.0, 2.0)
+    assert p == q and p is not q and hash(p) == hash(q) == hash((p.x, p.y))
+    assert p != point(FB, 2, 1) and p != point(EXACT, 1, 2)
+    assert p != (p.x, p.y)
+    assert repr(p) == "Point(x=Scalar(1.0), y=Scalar(2.0))"
+    t = Triangle(exact_pt(0, 0), exact_pt(4, 0), exact_pt(0, 3))
+    u = Triangle(exact_pt(0, 0), exact_pt(4, 0), exact_pt(0, 3))
+    assert t == u and hash(t) == hash(u) and len({t, u}) == 1
+    assert t != Triangle(t.B, t.A, t.C)
+    assert {p: 1}[q] == 1
+    for record, field in ((p, "x"), (t, "A")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, getattr(record, field))
+        with pytest.raises(AttributeError):
+            delattr(record, field)
+    # a collinear triangle is refused, exactly and inside the float band
+    with pytest.raises(DegenerateInputError, match="collinear triangle"):
+        Triangle(exact_pt(0, 0), exact_pt(1, 1), exact_pt(3, 3))
+    with pytest.raises(DegenerateInputError, match="collinear triangle"):
+        Triangle(point(FB, 0, 0), point(FB, 1, 0), point(FB, 0.5, 1e-10))
+
+
 def test_angle_cos_right_angle():
     c = angle_cos(exact_pt(0, 0), exact_pt(1, 0), exact_pt(0, 1))
     assert c.exact_value() == 0

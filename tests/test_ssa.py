@@ -1,5 +1,6 @@
 """SSA solver, case predictor, pair classifier, and the common-side lemma."""
 
+import gc
 import math
 import random
 from fractions import Fraction
@@ -18,7 +19,9 @@ from planicheck.congruence import Correspondence, measure
 from planicheck.kernel import (
     LABELS,
     Isometry,
+    Triangle,
     collinear,
+    coord_scale,
     dot,
     point,
     squared_distance,
@@ -28,6 +31,7 @@ from planicheck.scalars import (
     BackendMismatchError,
     DegenerateInputError,
     FloatBackend,
+    Scalar,
 )
 from planicheck.ssa import (
     Congruent,
@@ -110,10 +114,23 @@ def test_solutions_reproduce_the_given_elements():
 
 
 def test_ssa_spec_validation():
-    with pytest.raises(DegenerateInputError):
-        SsaSpec.from_values(FB, -1.0, 2.0, 0.5)
-    with pytest.raises(DegenerateInputError):
-        SsaSpec.from_values(FB, 1.0, 2.0, 1.0)
+    # non-positive sides and an angle outside the open range (0, pi)
+    for backend in (FB, EXACT):
+        for values in [(-1, 2, Fraction(1, 2)), (1, 0, Fraction(1, 2)),
+                       (0, 1, 0), (1, 2, 1), (1, 2, -1), (1, 2, Fraction(3, 2))]:
+            with pytest.raises(DegenerateInputError):
+                SsaSpec.from_values(backend, *values)
+
+
+def test_ssa_spec_is_a_value():
+    spec = SsaSpec.from_values(EXACT, 4, 5, Fraction(3, 5))
+    same = SsaSpec(EXACT.scalar(4), EXACT.scalar(5), EXACT.scalar("3/5"))
+    assert spec == same and hash(spec) == hash(same)
+    assert spec != SsaSpec.from_values(EXACT, 5, 4, Fraction(3, 5))
+    assert (spec.side_a, spec.side_b, spec.cos_angle) == tuple(
+        EXACT.scalar(v) for v in (4, 5, Fraction(3, 5)))
+    with pytest.raises(AttributeError):
+        spec.side_a = spec.side_b
 
 
 def test_predict_case():
@@ -489,3 +506,96 @@ def test_to_common_side_two_ssa_solutions_give_figure_one():
     along = dot(mirror_back - b_pt, c_pt - b_pt).as_float()
     total = dot(c_pt - b_pt, c_pt - b_pt).as_float()
     assert 0.0 < along < total
+
+
+def trust_table(rng, size=2400):
+    """Float specs with sides from 1e-3 to 1e6, a quarter of each kind:
+    log-uniform sides and angles; a next to b sin(theta), inside and just
+    outside the right-angle band; a next to b, where one root nears zero;
+    and angles within 1e-3 of 0 or pi, where the apex nears the base
+    line."""
+    specs = []
+    while len(specs) < size:
+        kind = len(specs) % 4
+        b = 10 ** rng.uniform(-3.0, 6.0)
+        cos_t = math.cos(math.radians(rng.uniform(1.0, 179.0)))
+        near = rng.choice((-1, 1)) * 10 ** rng.uniform(-16.0, -6.0)
+        if kind == 0:
+            a = 10 ** rng.uniform(-3.0, 6.0)
+        elif kind == 1:
+            a = b * math.sqrt(1.0 - cos_t * cos_t) * (1.0 + near)
+        elif kind == 2:
+            a = b * (1.0 + near)
+        else:
+            cos_t = rng.choice((-1, 1)) * (1.0 - 10 ** rng.uniform(-8.5, -6.0))
+            a = 10 ** rng.uniform(-3.0, 6.0)
+        if 1e-3 <= a <= 1e6:
+            specs.append(SsaSpec.from_values(FB, a, b, cos_t))
+    return specs
+
+
+def test_solve_ssa_triangles_pass_the_checks_they_skip():
+    # solve_ssa builds its triangles through trusted_triangle, without
+    # Triangle's checks; on every triangle it returns those checks pass:
+    # its orientation is -(height * b) and its size at most the solver's
+    # size(a, b, t), so the band the solver cleared covers Triangle's
+    counts, kept, margins = [0, 0, 0], 0, []
+    for spec in trust_table(random.Random(31)):
+        a, b = spec.side_a._v, spec.side_b._v
+        sols = solve_ssa(spec)
+        counts[sols.count] += 1
+        for tri, third in zip(sols.triangles, sols.third_sides):
+            assert Triangle(tri.A, tri.B, tri.C) == tri
+            value = orient(tri.A, tri.B, tri.C)._v
+            assert abs(value) == abs(tri.B.y._v * b)
+            size = FB.size(a, b, third._v)
+            assert coord_scale(tri.A, tri.B, tri.C) <= size
+            margins.append(abs(value) / (FB.eps * size * size))
+            kept += 1
+    assert all(counts) and kept > 1000
+    # the table reaches the band: some kept triangle is within a factor
+    # of 10 of the collinearity bound
+    assert min(margins) < 10
+
+
+@pytest.mark.parametrize("make_spec", [
+    lambda: float_spec(1.0, math.sqrt(3), 30.0),
+    lambda: suites.sample_rational_two_solution_spec(random.Random(4)),
+], ids=["float", "exact"])
+def test_scalar_init_sees_every_scalar_of_a_solve_and_classify(
+        monkeypatch, make_spec):
+    # the benchmark counts scalars.constructed by wrapping Scalar.__init__;
+    # a finalizer sees every Scalar that goes away, so one built without
+    # __init__ would show as a death with no birth
+    spec = make_spec()
+    gc.collect()
+    born, strays, built = set(), [], []
+    init = Scalar.__init__
+
+    def counting_init(scalar, backend, payload):
+        born.add(id(scalar))
+        built.append(payload)
+        init(scalar, backend, payload)
+
+    def finalize(scalar):
+        if id(scalar) in born:
+            born.remove(id(scalar))
+        else:
+            strays.append(scalar._v)
+
+    monkeypatch.setattr(Scalar, "__init__", counting_init)
+    monkeypatch.setattr(Scalar, "__del__", finalize, raising=False)
+    gc.disable()
+    try:
+        sols = solve_ssa(spec)
+        verdict = classify_pair(*sols.triangles)
+        assert isinstance(verdict, Supplementary)
+        reached = [v for t in sols.triangles for p in (t.A, t.B, t.C)
+                   for v in (p.x, p.y)] + list(sols.third_sides) + [
+                       verdict.cos1, verdict.cos2]
+        assert all(id(v) in born for v in reached if v is not spec.side_b)
+        del sols, verdict, reached
+    finally:
+        gc.enable()
+        gc.collect()
+    assert built and strays == [] and born == set()

@@ -510,10 +510,10 @@ def test_to_common_side_two_ssa_solutions_give_figure_one():
 
 def trust_table(rng, size=2400):
     """Float specs with sides from 1e-3 to 1e6, a quarter of each kind:
-    log-uniform sides and angles; a next to b sin(theta), inside and just
-    outside the right-angle band; a next to b, where one root nears zero;
-    and angles within 1e-3 of 0 or pi, where the apex nears the base
-    line."""
+    log-uniform sides and uniform angles; a next to b sin(theta), inside
+    and just outside the right-angle band; a next to b, where one root
+    nears zero; and angles within 1.5e-3 rad of 0 or pi, where the apex
+    nears the base line."""
     specs = []
     while len(specs) < size:
         kind = len(specs) % 4

@@ -237,7 +237,9 @@ def cmd_ssa(args) -> Outcome:
                 extra["verdict"] = {"kind": type(verdict).__name__}
     print("\n".join(lines))
 
-    config = {"a": float(args.a), "b": float(args.b),
+    # sides echo as the exact rationals read, as the cosine does, so that
+    # feeding the echo back replays the query on either backend
+    config = {"a": str(args.a), "b": str(args.b),
               **({"cos": str(cos_fraction)} if args.cos is not None
                  else {"angle_deg": args.angle_deg}),
               "designation": "included" if args.included else

@@ -122,13 +122,6 @@ def _table(formula: Formula, columns: Mapping[str, int], full: int) -> int:
                                  _table(formula.rhs, columns, full), full)
 
 
-def evaluate(formula: Formula, assignment: Mapping[str, bool]) -> bool:
-    """The formula's value on one assignment: a one-row table."""
-    columns = {name: 1 if assignment[name] else 0
-               for name in atom_names(formula)}
-    return bool(_table(formula, columns, 1))
-
-
 # -- parsing ------------------------------------------------------------------
 
 _TOKEN_RE = re.compile(r"\s*(?:(?P<name>[A-Za-z_]\w*)|(?P<op>%s))" % "|".join(

@@ -134,9 +134,6 @@ class _Rational:
     def __neg__(self):
         return _Rational(-self.numerator, self.denominator)
 
-    def __abs__(self):
-        return _Rational(abs(self.numerator), self.denominator)
-
     def _cross(self, other):
         """(self.n * other.d, other.n * self.d), whose order is the order
         of the two values; None for an operand that is not rational."""
@@ -249,9 +246,6 @@ class _Sqrt(NamedTuple):
 
     def __neg__(self):
         return _Sqrt(-self.sign, self.square)
-
-    def __abs__(self):
-        return _Sqrt(1, self.square)
 
     def __add__(self, other):
         if isinstance(other, _Sqrt):

@@ -9,9 +9,12 @@ C; the residuals share only ``_apex`` and ``bisector_feet``.
 
 Each conclusion branch is declared once, as a ``Branch``: a line in
 (alpha, beta) plus the range of its free angle.  ``level_set_scan`` samples
-the residual on a grid, refines every sign change by bisection, and checks
-that each refined root lies within a containment tolerance of one of the
-scenario's branches; the forward checks in ``suites`` walk the same lines.
+the residual on a grid in one pass over its rows, holding two rows at a time
+and queueing every exact zero and sign change; once the grid pass ends it
+refines the queue by bisection, and checks that each refined root lies
+within a containment tolerance of one of the scenario's branches.  Its memory
+grows with one grid row and the number of roots, not with the whole grid.
+The forward checks in ``suites`` walk the same branch lines.
 The test suite keeps each residual's figure composition (the labelled points
 and the residual built from them) as a reference that the residual must
 equal bit for bit, and audits those figures against constructions made on
@@ -272,9 +275,12 @@ def level_set_scan(name: str, grid_step: float, refine_tol: float = 1e-12,
 
     The grid holds the nodes (i, j) * ``grid_step`` in the scenario's domain
     above the gamma floor; with none, it raises ``DegenerateInputError``.
-    Every refined root is attributed to the nearest conclusion branch within
-    ``delta`` (ties go to the isosceles branch first); roots matching no
-    branch are reported as violations of containment.
+    The grid pass evaluates the nodes row by row in increasing (i, j) order
+    and keeps only two rows alive; every bisection runs after it, in the
+    order the pass queued the sign changes.  Every refined root is
+    attributed to the nearest conclusion branch within ``delta`` (ties go to
+    the isosceles branch first); roots matching no branch are reported as
+    violations of containment.
     """
     sc = get_scenario(name)
     h = grid_step
@@ -285,15 +291,14 @@ def level_set_scan(name: str, grid_step: float, refine_tol: float = 1e-12,
 
     f = functools.partial(sc.residual, **scenario_kwargs)
     domain = sc.domain
-
-    # rows[i - 1][j - 1] is the value at node (i, j), None outside the
-    # domain; nodes go in increasing (i, j) order, which the sign-change walk
-    # below keeps; gamma = pi - a - b falls as j grows, so a row ends at the
-    # first node under the floor
-    rows: List[List[Optional[float]]] = []
-    evaluations = 0
     imax = int(math.pi / h) + 1
-    for i in range(1, imax + 1):
+    evaluations = 0
+
+    def grid_row(i):
+        # row[j - 1] is the value at node (i, j), None outside the domain;
+        # gamma = pi - a - b falls as j grows, so a row ends at the first
+        # node under the floor
+        nonlocal evaluations
         a = i * h
         top = math.pi - a
         row = []
@@ -303,7 +308,38 @@ def level_set_scan(name: str, grid_step: float, refine_tol: float = 1e-12,
                 break
             row.append(f(a, b) if domain is None or domain(a, b) else None)
         evaluations += len(row) - row.count(None)
-        rows.append(row)
+        return row
+
+    # the grid pass evaluates the nodes in increasing (i, j) order and keeps
+    # two rows alive: row i is walked against row i + 1 (an empty one past
+    # the last row), each node against its neighbours (i + 1, j) and
+    # (i, j + 1).  It queues each exact-zero node as (a, b, a, b, 0.0) and
+    # each sign-change edge with the value at its start.  Refinement waits
+    # until every node is evaluated, so that grid and bisection calls stay
+    # apart by call order (the benchmark's tracer splits them so), and takes
+    # the queue in walk order, which decides the root the dedupe keeps.
+    queue: List[Tuple[float, float, float, float, float]] = []
+    row = grid_row(1)
+    for i in range(1, imax + 1):
+        below = grid_row(i + 1) if i < imax else []
+        n_row, n_below = len(row), len(below)
+        a, a_next = i * h, (i + 1) * h
+        for j, f1 in enumerate(row, 1):
+            if f1 is None:
+                continue
+            if f1 == 0.0:
+                queue.append((a, j * h, a, j * h, 0.0))
+                continue
+            neg = f1 < 0
+            if j <= n_below:
+                f2 = below[j - 1]
+                if f2 is not None and f2 != 0.0 and (f2 < 0) != neg:
+                    queue.append((a, j * h, a_next, j * h, f1))
+            if j < n_row:
+                f2 = row[j]
+                if f2 is not None and f2 != 0.0 and (f2 < 0) != neg:
+                    queue.append((a, j * h, a, (j + 1) * h, f1))
+        row = below
     if not evaluations:
         raise DegenerateInputError("scan region contains no valid grid nodes")
 
@@ -339,28 +375,11 @@ def level_set_scan(name: str, grid_step: float, refine_tol: float = 1e-12,
                 hi = mid
         return best
 
-    # each node against its neighbours (i + 1, j) in the row below (an empty
-    # one past the last row) and (i, j + 1)
-    rows.append([])
-    for i in range(1, len(rows)):
-        row, below = rows[i - 1], rows[i]
-        n_row, n_below = len(row), len(below)
-        a, a_next = i * h, (i + 1) * h
-        for j, f1 in enumerate(row, 1):
-            if f1 is None:
-                continue
-            if f1 == 0.0:
-                note(a, j * h, 0.0)
-                continue
-            neg = f1 < 0
-            if j <= n_below:
-                f2 = below[j - 1]
-                if f2 is not None and f2 != 0.0 and (f2 < 0) != neg:
-                    note(*bisect(a, j * h, a_next, j * h, f1))
-            if j < n_row:
-                f2 = row[j]
-                if f2 is not None and f2 != 0.0 and (f2 < 0) != neg:
-                    note(*bisect(a, j * h, a, (j + 1) * h, f1))
+    for ax, ay, bx, by, flo in queue:
+        if flo == 0.0:
+            note(ax, ay, 0.0)
+        else:
+            note(*bisect(ax, ay, bx, by, flo))
 
     roots: List[ScanRoot] = []
     violations: List[ScanRoot] = []

@@ -93,7 +93,29 @@ def test_ssa_sides_take_fractions_as_cos_does(tmp_path, capsys):
         body.pop("wall_time_s", None)
         bodies.append(body)
     assert bodies[0] == bodies[1]
-    assert bodies[0]["config"]["a"] == 0.1 and bodies[0]["config"]["b"] == 0.2
+    assert bodies[0]["config"]["a"] == "1/10"
+    assert bodies[0]["config"]["b"] == "1/5"
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+def test_ssa_query_replays_from_its_config_echo(tmp_path, capsys, backend):
+    # a side 12 digits cannot hold, such as 4/3, echoes exactly, so the
+    # echo names the query that ran
+    query = ["--a", "4/3", "--b", "5/3", "--cos", "3/5"]
+    bodies = []
+    for _ in range(2):
+        out = tmp_path / "r.json"
+        assert run(["ssa", "--backend", backend, *query,
+                    "--report", str(out)]) == 0
+        body = json.loads(out.read_text())
+        body.pop("wall_time_s")
+        bodies.append(body)
+        config = body["config"]
+        query = ["--a", config["a"], "--b", config["b"],
+                 "--cos", config["cos"]]
+    assert bodies[0]["config"]["a"] == "4/3"
+    assert len(bodies[0]["solutions"]) == 1
+    assert bodies[1] == bodies[0]
 
 
 def test_ssa_exact_two_solution(capsys):

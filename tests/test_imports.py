@@ -39,9 +39,9 @@ def test_module_uses_every_import(path):
 
 
 # paper content (the congruence criteria, the common-side placement) and the
-# documented one-row and scheme APIs of the logic engine
+# documented scheme API of the logic engine
 REFERENCE_EXEMPT = {"criterion_a", "criterion_b", "criterion_d",
-                    "to_common_side", "evaluate", "compose_scheme"}
+                    "to_common_side", "compose_scheme"}
 _FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 

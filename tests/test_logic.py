@@ -19,11 +19,19 @@ from planicheck.logic import (
     atom_names,
     compose_scheme,
     equivalent,
-    evaluate,
     format_formula,
     parse_formula,
     verify_scheme_equivalences,
+    _table,
 )
+
+
+def evaluate(formula, assignment):
+    """The formula's value on one assignment: the engine's packed table at
+    one row, which the row-by-row ``oracle_value`` checks below."""
+    columns = {name: 1 if assignment[name] else 0
+               for name in atom_names(formula)}
+    return bool(_table(formula, columns, 1))
 
 
 def test_parse_composition_template():

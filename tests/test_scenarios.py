@@ -7,12 +7,14 @@ must equal those compositions bit for bit, and the compositions' figures are
 audited with constructions on the geometry kernel and incidence tests of the
 public kernel API, never with code of ``planicheck.scenarios`` itself.  The
 scan tests also hold the scan to the call order that the benchmark's tracer
-splits grid from bisection time by.
+splits grid from bisection time by, and to ``scan_reference``, a scan that
+holds the whole grid before it bisects.
 """
 
 import dataclasses
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -40,8 +42,10 @@ from planicheck.kernel import (
 from planicheck.scalars import DegenerateInputError, FloatBackend
 from planicheck.scenarios import (
     ALPHA_120,
+    ISOSCELES,
     SCENARIOS,
     FeetOffSegmentError,
+    Scenario,
     UnknownScenarioError,
     bisector30_residual,
     get_scenario,
@@ -52,6 +56,7 @@ from planicheck.scenarios import (
     square_residual,
 )
 from planicheck.suites import run_scenario_suites
+from scan_reference import reference_scan
 
 STEP_1DEG = math.radians(1.0)
 FB = FloatBackend()
@@ -509,6 +514,98 @@ def test_scan_call_order_splits_grid_from_bisection(monkeypatch, name, kwargs):
                                        or original.domain(*shape(i, j))))
     assert calls[:n_grid] == nodes
     assert len(calls) > n_grid  # the scan bisected after the grid
+
+
+def scan_with_calls(monkeypatch, scan, name, step, **kwargs):
+    """``scan``'s report and the (alpha, beta) of each residual call."""
+    original = SCENARIOS[name]
+    calls = []
+
+    def counting_residual(a, b, **kw):
+        calls.append((a, b))
+        return original.residual(a, b, **kw)
+
+    monkeypatch.setitem(SCENARIOS, name, dataclasses.replace(
+        original, residual=counting_residual))
+    try:
+        return scan(name, step, **kwargs), calls
+    finally:
+        monkeypatch.setitem(SCENARIOS, name, original)
+
+
+def assert_scan_matches_reference(monkeypatch, name, step, **kwargs):
+    streamed, calls = scan_with_calls(monkeypatch, level_set_scan, name,
+                                      step, **kwargs)
+    held, reference_calls = scan_with_calls(monkeypatch, reference_scan,
+                                            name, step, **kwargs)
+    # repr compares every float bit for bit, and a NaN equal to itself; the
+    # roots go one by one, so that a mismatch reports its first index
+    for field in ("roots", "violations"):
+        assert list(map(repr, getattr(streamed, field))) \
+            == list(map(repr, getattr(held, field)))
+    assert repr(streamed) == repr(held)
+    assert calls == reference_calls
+    return streamed
+
+
+@pytest.mark.parametrize("name,kwargs,step_deg", [
+    *((name, {}, step) for name in sorted(SCENARIOS) for step in (1, 2, 3)),
+    ("rectangle-center", {"t": 0.3}, 1)], ids=str)
+def test_streamed_scan_matches_the_whole_grid_reference(monkeypatch, name,
+                                                         kwargs, step_deg):
+    assert_scan_matches_reference(monkeypatch, name, math.radians(step_deg),
+                                  **kwargs)
+
+
+_PLANTED_NODE = (40 * STEP_1DEG, 20 * STEP_1DEG)
+
+
+def planted_residual(alpha, beta):
+    """(alpha - beta) * g * 1e30 on the 1 degree grid, NaN past beta = 2.09.
+
+    alpha - beta is exactly 0.0 on the diagonal nodes, which the scan notes
+    without bisecting.  g is the squared distance to the node (40, 20) less
+    (1e-14)^2, negative only at that node, so its four edges all bisect to
+    points 1e-14 from it that share one dedupe key; the 1e30 keeps |f| above
+    the refinement tolerance until the bracket is spent.  The NaN nodes
+    count as positive against the negative nodes next to them."""
+    if beta > 2.09:
+        return math.nan
+    pa, pb = _PLANTED_NODE
+    g = (alpha - pa) ** 2 + (beta - pb) ** 2 - 1e-28
+    return (alpha - beta) * g * 1e30
+
+
+def test_streamed_scan_matches_the_reference_on_zeros_nans_and_duplicates(
+        monkeypatch):
+    monkeypatch.setitem(SCENARIOS, "planted", Scenario(
+        "planted", planted_residual, (ISOSCELES,), asserted=False))
+    report = assert_scan_matches_reference(monkeypatch, "planted", STEP_1DEG)
+
+    zeros = [r for r in report.roots if r.residual == 0.0]
+    assert [(r.alpha, r.beta) for r in zeros] == [
+        shape(i, i) for i in range(1, 90)]
+    near_node = [r for r in report.roots
+                 if math.dist((r.alpha, r.beta), _PLANTED_NODE) < 1e-12]
+    # four edges refine into the node's key and the first in walk order,
+    # from the node above, is kept
+    assert len(near_node) == 1
+    assert near_node[0].alpha < _PLANTED_NODE[0]
+    assert near_node[0].beta == _PLANTED_NODE[1]
+    nan_edges = [r for r in report.roots if 2.07 < r.beta < 2.1]
+    assert nan_edges and all(r.residual < 0 for r in nan_edges)
+
+
+def test_scan_memory_grows_with_the_roots_not_the_grid():
+    # the grid pass keeps two rows alive: a scan that held the whole
+    # 0.5 degree grid peaked at 2.4 MB, the streamed scan near 0.4 MB
+    tracemalloc.start()
+    try:
+        level_set_scan("medial-circumcenter", math.radians(0.5))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.2e6
 
 
 def test_scan_roots_are_sorted():

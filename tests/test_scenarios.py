@@ -481,15 +481,8 @@ def test_scan_containment_smoke():
             assert root.distance <= 1e-6
 
 
-@pytest.mark.parametrize("name,kwargs", [
-    *((name, {}) for name in sorted(SCENARIOS)),
-    ("rectangle-center", {"t": 0.3})], ids=str)
-def test_scan_call_order_splits_grid_from_bisection(monkeypatch, name, kwargs):
-    # the benchmark's tracer swaps a counting residual into the registry
-    # and tells grid from bisection calls by their order: the grid comes
-    # first, in strictly increasing (alpha, beta), and whatever breaks that
-    # order is bisection
-    plain = level_set_scan(name, STEP_1DEG, **kwargs)
+def scan_with_calls(monkeypatch, scan, name, step, **kwargs):
+    """``scan``'s report and the (alpha, beta) of each residual call."""
     original = SCENARIOS[name]
     calls = []
 
@@ -500,7 +493,23 @@ def test_scan_call_order_splits_grid_from_bisection(monkeypatch, name, kwargs):
 
     monkeypatch.setitem(SCENARIOS, name, dataclasses.replace(
         original, residual=counting_residual))
-    counted = level_set_scan(name, STEP_1DEG, **kwargs)
+    report = scan(name, step, **kwargs)
+    monkeypatch.setitem(SCENARIOS, name, original)
+    return report, calls
+
+
+@pytest.mark.parametrize("name,kwargs", [
+    *((name, {}) for name in sorted(SCENARIOS)),
+    ("rectangle-center", {"t": 0.3})], ids=str)
+def test_scan_call_order_splits_grid_from_bisection(monkeypatch, name, kwargs):
+    # the benchmark's tracer swaps a counting residual into the registry
+    # and tells grid from bisection calls by their order: the grid comes
+    # first, in strictly increasing (alpha, beta), and whatever breaks that
+    # order is bisection
+    domain = SCENARIOS[name].domain
+    plain = level_set_scan(name, STEP_1DEG, **kwargs)
+    counted, calls = scan_with_calls(monkeypatch, level_set_scan, name,
+                                     STEP_1DEG, **kwargs)
 
     assert counted == plain
     assert len(calls) == plain.evaluations
@@ -510,27 +519,10 @@ def test_scan_call_order_splits_grid_from_bisection(monkeypatch, name, kwargs):
     # every node of the 1 degree grid (gamma >= 1 deg, above the floor) in
     # the domain, each once, before the first bisection call
     nodes = sorted(shape(i, j) for i in range(1, 180) for j in range(1, 180)
-                   if i + j < 180 and (original.domain is None
-                                       or original.domain(*shape(i, j))))
+                   if i + j < 180 and (domain is None
+                                       or domain(*shape(i, j))))
     assert calls[:n_grid] == nodes
     assert len(calls) > n_grid  # the scan bisected after the grid
-
-
-def scan_with_calls(monkeypatch, scan, name, step, **kwargs):
-    """``scan``'s report and the (alpha, beta) of each residual call."""
-    original = SCENARIOS[name]
-    calls = []
-
-    def counting_residual(a, b, **kw):
-        calls.append((a, b))
-        return original.residual(a, b, **kw)
-
-    monkeypatch.setitem(SCENARIOS, name, dataclasses.replace(
-        original, residual=counting_residual))
-    try:
-        return scan(name, step, **kwargs), calls
-    finally:
-        monkeypatch.setitem(SCENARIOS, name, original)
 
 
 def assert_scan_matches_reference(monkeypatch, name, step, **kwargs):

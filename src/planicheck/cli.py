@@ -155,6 +155,7 @@ def _print_checks(checks: List[CheckResult]):
 def cmd_ssa(args) -> Outcome:
     from fractions import Fraction
     from .scalars import EXACT, FloatBackend
+    from .congruence import measure
     from .kernel import Point
     from .ssa import (SsaSpec, Supplementary, classify_pair, predict_case,
                       solve_ssa)
@@ -209,22 +210,22 @@ def cmd_ssa(args) -> Outcome:
                   f"{rpt.round12(apex.y.as_float())})"]
         solutions.append({"third_side": third})
     else:
-        sols = solve_ssa(spec)
-        lines.append(f"{sols.count} solution{'s' if sols.count != 1 else ''}")
-        for i in range(sols.count):
-            third = sols.third_sides[i].as_float()
-            apex_deg = _clamped_acos_deg(sols.apex_cosines[i].as_float())
-            base_deg = _clamped_acos_deg(sols.base_cosines[i].as_float())
-            bx = sols.triangles[i].B.x.as_float()
-            by = sols.triangles[i].B.y.as_float()
+        tris = solve_ssa(spec)
+        lines.append(f"{len(tris)} solution{'s' if len(tris) != 1 else ''}")
+        for i, tri in enumerate(tris):
+            elements = measure(tri)
+            third = elements.side_sq["C"].sqrt().as_float()
+            apex_deg = _clamped_acos_deg(elements.cos_at["B"].as_float())
+            base_deg = _clamped_acos_deg(elements.cos_at["C"].as_float())
+            bx, by = tri.B.x.as_float(), tri.B.y.as_float()
             lines.append(f"  solution {i + 1}: third side {rpt.round12(third)}, "
                          f"apex angle {rpt.round12(apex_deg)} deg, "
                          f"base angle {rpt.round12(base_deg)} deg, "
                          f"apex ({rpt.round12(bx)}, {rpt.round12(by)})")
             solutions.append({"third_side": third, "apex_angle_deg": apex_deg,
                               "base_angle_deg": base_deg})
-        if sols.count == 2:
-            verdict = classify_pair(sols.triangles[0], sols.triangles[1])
+        if len(tris) == 2:
+            verdict = classify_pair(*tris)
             if isinstance(verdict, Supplementary):
                 d1 = _clamped_acos_deg(verdict.cos1.as_float())
                 d2 = _clamped_acos_deg(verdict.cos2.as_float())

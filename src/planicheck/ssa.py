@@ -8,8 +8,9 @@ congruence and that supplementary outcome.  No third outcome exists.
 
 Canonical solution pose: the given adjacent side lies on the x axis from
 A = (0, 0) to C = (side_b, 0); the apex B sits in the open upper half plane
-on the ray from A at the given angle.  Solutions are ordered by ascending
-third side |AB|.
+on the ray from A at the given angle.  ``solve_ssa`` returns the solutions
+as a tuple of triangles ordered by ascending third side |AB|; it keeps no
+copy of their sides or angles, which ``congruence.measure`` reads.
 
 ``SsaSpec`` is a slotted ``Record`` that validates its sides and angle in
 ``__init__``, with one backend test for its three values.  ``solve_ssa``
@@ -125,29 +126,13 @@ def predict_case(opposite_side: Scalar, adjacent_side: Scalar,
     return CriterionCase.ANGLE_OPPOSITE_SMALLER
 
 
-@dataclass(frozen=True)
-class SsaSolutions:
-    """Solutions of an SSA spec in canonical pose, ascending by third side.
-
-    ``apex_cosines`` are the angles at B (opposite the given adjacent side);
-    for two solutions these are the supplementary pair.  ``base_cosines`` are
-    the angles at C, opposite the unknown third side.
-    """
-
-    spec: SsaSpec
-    triangles: Tuple[Triangle, ...]
-    third_sides: Tuple[Scalar, ...]
-    apex_cosines: Tuple[Scalar, ...]
-    base_cosines: Tuple[Scalar, ...]
-
-    @property
-    def count(self) -> int:
-        return len(self.triangles)
-
-
-def solve_ssa(spec: SsaSpec) -> SsaSolutions:
+def solve_ssa(spec: SsaSpec) -> Tuple[Triangle, ...]:
     """All triangles realizing the given side-side-angle data, in
-    canonical pose.
+    canonical pose and ascending by third side |AB|.
+
+    The given elements are BC = a, CA = b and the angle at A; the angle at
+    B is the remaining one, and for two solutions the two angles at B are
+    supplementary.  ``measure`` reads every side and angle of a solution.
 
     The apex distance t along the given ray satisfies
     t^2 - 2 b cos(theta) t + (b^2 - a^2) = 0; solutions are its positive
@@ -157,14 +142,14 @@ def solve_ssa(spec: SsaSpec) -> SsaSolutions:
     An obtuse given angle opposite a not-greater side yields no triangle.
 
     One algorithm serves both backends, computing on the spec's payloads
-    and wrapping only the solutions it returns.  Its three zero tests (the
-    boundary band on the discriminant, degree 2, and the kept triangle's
-    third side, degree 1, and doubled area, degree 2) go through the
-    backend's ``vanishes`` at the backend's ``size`` of a and b, and of t
-    for a root: exact zero on the exact backend, which converts nothing to
-    binary64.  The exact backend also needs a rational cosine, sine and
-    discriminant root; without them it raises ``ExactValueError`` before any
-    root is formed.
+    and wrapping only the apex coordinates of the triangles it returns.
+    Its three zero tests (the boundary band on the discriminant, degree 2,
+    and the kept triangle's third side, degree 1, and doubled area,
+    degree 2) go through the backend's ``vanishes`` at the backend's
+    ``size`` of a and b, and of t for a root: exact zero on the exact
+    backend, which converts nothing to binary64.  The exact backend also
+    needs a rational cosine, sine and discriminant root; without them it
+    raises ``ExactValueError`` before any root is formed.
     """
     backend = spec.backend
     a, b, c0 = spec.side_a._v, spec.side_b._v, spec.cos_angle._v
@@ -187,7 +172,7 @@ def solve_ssa(spec: SsaSpec) -> SsaSolutions:
         roots = []
     else:
         roots = [bc0 - root, bc0 + root]
-    tris, thirds, apex, base = [], [], [], []
+    tris = []
     origin = base_end = None
     for t in roots:
         # keep a positive third side whose triangle clears the collinearity band
@@ -197,18 +182,14 @@ def solve_ssa(spec: SsaSpec) -> SsaSolutions:
         height = t * sin_t
         if backend.vanishes(t, scale, 1) or backend.vanishes(height * b, scale, 2):
             continue
-        tc0 = t * c0
         if origin is None:
             zero = backend.scalar(0)
             origin, base_end = Point(zero, zero), Point(spec.side_b, zero)
         # the band just cleared covers Triangle's checks (module docstring)
         tris.append(trusted_triangle(
-            origin, Point(Scalar(backend, tc0), Scalar(backend, height)),
+            origin, Point(Scalar(backend, t * c0), Scalar(backend, height)),
             base_end))
-        thirds.append(Scalar(backend, t))
-        apex.append(Scalar(backend, (t - bc0) / a))   # 0 on the boundary
-        base.append(Scalar(backend, (b - tc0) / a))
-    return SsaSolutions(spec, tuple(tris), tuple(thirds), tuple(apex), tuple(base))
+    return tuple(tris)
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,8 @@ records what it draws in ``witness`` and returns ``(residual, failure)``,
 ``failure`` being None or the fields a failing witness adds.  ``run_check``
 keeps the worst residual and at most five witnesses; a sample that raises
 ``DegenerateInputError`` (as a coarse ``eps`` may), ``ExactValueError`` or
-``LemmaPreconditionError`` fails with the values drawn so far plus ``"error"``.
+``LemmaPreconditionError``, or that returns a NaN residual, fails with the
+values drawn so far plus ``"error"``.
 
 Sample counts scale the acceptance defaults: with the standard 100000
 samples the verify runner executes 100000 oracle comparisons, 10000 float
@@ -59,6 +60,10 @@ def run_check(name: str, samples: int, sample: Sample) -> CheckResult:
         except _REJECTED as exc:
             result.add_failure({**witness, "error": str(exc)})
             continue
+        if math.isnan(residual):
+            # max would drop it and every "> TOL" test passes it
+            result.add_failure({**witness, "error": "residual is not a number"})
+            continue
         result.worst_residual = max(result.worst_residual, residual)
         if failure is not None:
             result.add_failure({**witness, **failure})
@@ -109,13 +114,13 @@ def suite_ssa_oracle(samples: int, rng: Random,
         theta_deg = rng.uniform(1.0, 179.0)
         cos_t = math.cos(math.radians(theta_deg))
         witness.update(a=a, b=b, theta_deg=theta_deg)
-        sols = solve_ssa(SsaSpec.from_values(float_backend, a, b, cos_t))
+        tris = solve_ssa(SsaSpec.from_values(float_backend, a, b, cos_t))
         expected = law_of_sines_oracle(a, b, cos_t, eps=float_backend.eps)
-        witness.update(solver_count=sols.count, oracle_count=len(expected))
-        if sols.count != len(expected):
+        witness.update(solver_count=len(tris), oracle_count=len(expected))
+        if len(tris) != len(expected):
             return 0.0, {}
         worst = 0.0
-        for tri, (apex, base, _third) in zip(sols.triangles, expected):
+        for tri, (apex, base, _third) in zip(tris, expected):
             pa, pb, pc = [(p.x.as_float(), p.y.as_float())
                           for p in (tri.A, tri.B, tri.C)]
             worst = max(worst, abs(sc.angle_at(pb, pa, pc) - apex),
@@ -153,11 +158,11 @@ def _draw_two_solutions(rng: Random, float_backend: FloatBackend,
     two triangles, or None after recording any other solution ``count``."""
     spec = sample_two_solution_spec(rng, float_backend, witness)
     witness["cos_angle"] = spec.cos_angle.as_float()
-    sols = solve_ssa(spec)
-    if sols.count != 2:
-        witness["count"] = sols.count
+    tris = solve_ssa(spec)
+    if len(tris) != 2:
+        witness["count"] = len(tris)
         return None
-    return sols.triangles
+    return tris
 
 
 def suite_dichotomy_float(samples: int, rng: Random,
@@ -206,11 +211,11 @@ def suite_dichotomy_exact(samples: int, rng: Random) -> CheckResult:
         witness.update(a_sq=str((spec.side_a * spec.side_a).exact_value()),
                        b=str(spec.side_b.exact_value()),
                        cos_angle=str(spec.cos_angle.exact_value()))
-        sols = solve_ssa(spec)
-        witness["count"] = sols.count
-        if sols.count != 2:
+        tris = solve_ssa(spec)
+        witness["count"] = len(tris)
+        if len(tris) != 2:
             return 0.0, {}
-        verdict = classify_pair(sols.triangles[0], sols.triangles[1])
+        verdict = classify_pair(*tris)
         if not isinstance(verdict, Supplementary):
             return 0.0, {"verdict": type(verdict).__name__}
         if (verdict.cos1 + verdict.cos2).sign() != 0:
@@ -305,10 +310,10 @@ def suite_backend_cross(samples: int, rng: Random) -> CheckResult:
     def sample(index, witness):
         kind = witness["kind"] = kinds[index]
         if kind == "supplementary":
-            sols = solve_ssa(sample_rational_two_solution_spec(rng))
-            if sols.count != 2:
-                return 0.0, {"count": sols.count}
-            e1, e2 = sols.triangles
+            tris = solve_ssa(sample_rational_two_solution_spec(rng))
+            if len(tris) != 2:
+                return 0.0, {"count": len(tris)}
+            e1, e2 = tris
         else:
             e1 = _rational_triangle(rng)
             e2 = _rational_isometry_image(e1, rng)
@@ -364,7 +369,7 @@ def suite_offset_bisector_spots() -> CheckResult:
         gap = abs(sc.angle_at((b1x, b1y), (1.0, 0.0), (a1x, a1y))
                   - math.pi / 6)
         worst_gap = min(worst_gap, gap)
-        if gap <= MIN_GAP:
+        if not gap > MIN_GAP:   # a NaN gap fails too
             result.add_failure({"alpha_deg": a_deg, "beta_deg": b_deg,
                                 "angle_gap": gap})
     result.worst_residual = worst_gap

@@ -217,7 +217,7 @@ def reference_measure(t: Triangle):
 
 def reference_solutions(spec):
     """Per solution of an SSA spec, ascending by third side: the apex B of
-    the canonical pose, the third side, and the cosines at B and at C."""
+    the canonical pose and the third side."""
     backend = spec.backend
     a, b, c0 = spec.side_a, spec.side_b, spec.cos_angle
     sin2 = backend.scalar(1) - c0 * c0
@@ -239,8 +239,7 @@ def reference_solutions(spec):
         if (t.sign() <= 0 or backend.vanishes(t._v, scale, 1)
                 or backend.vanishes((height * b)._v, scale, 2)):
             continue
-        tc0 = t * c0
-        out.append((Point(tc0, height), t, (t - bc0) / a, (b - tc0) / a))
+        out.append((Point(t * c0, height), t))
     return out
 
 

@@ -588,16 +588,23 @@ def test_streamed_scan_matches_the_reference_on_zeros_nans_and_duplicates(
     assert nan_edges and all(r.residual < 0 for r in nan_edges)
 
 
-def test_scan_memory_grows_with_the_roots_not_the_grid():
-    # the grid pass keeps two rows alive: a scan that held the whole
-    # 0.5 degree grid peaked at 2.4 MB, the streamed scan near 0.4 MB
+def traced_peak_bytes(scan):
+    """Peak traced allocation of one 1 degree medial-circumcenter scan."""
     tracemalloc.start()
     try:
-        level_set_scan("medial-circumcenter", math.radians(0.5))
-        _, peak = tracemalloc.get_traced_memory()
+        scan("medial-circumcenter", STEP_1DEG)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.2e6
+
+
+def test_scan_memory_grows_with_the_roots_not_the_grid():
+    # the grid pass keeps two rows alive: at 1 degree the streamed scan
+    # peaks near 0.25 MB and the reference scan, which holds the whole grid,
+    # near 0.7 MB, so the bound tells the two designs apart
+    bound = 0.45e6
+    assert traced_peak_bytes(level_set_scan) < bound
+    assert traced_peak_bytes(reference_scan) > bound
 
 
 def test_scan_roots_are_sorted():

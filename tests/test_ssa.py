@@ -59,44 +59,53 @@ def deg(cos_scalar):
     return math.degrees(math.acos(max(-1.0, min(1.0, cos_scalar.as_float()))))
 
 
+def elements(tri):
+    """The third side |AB| of a solved triangle, and its cosines at B (the
+    remaining angle) and at C, as ``measure`` reads them."""
+    e = measure(tri)
+    return e.side_sq["C"].sqrt(), e.cos_at["B"], e.cos_at["C"]
+
+
 def test_two_solution_case():
-    sols = solve_ssa(float_spec(1.0, math.sqrt(3), 30.0))
-    assert sols.count == 2
-    assert [t.as_float() for t in sols.third_sides] == pytest.approx([1.0, 2.0])
-    angle_pairs = [(deg(a), deg(b))
-                   for a, b in zip(sols.apex_cosines, sols.base_cosines)]
+    tris = solve_ssa(float_spec(1.0, math.sqrt(3), 30.0))
+    assert len(tris) == 2
+    solved = [elements(t) for t in tris]
+    assert [third.as_float() for third, _, _ in solved] == pytest.approx(
+        [1.0, 2.0])
+    angle_pairs = [(deg(apex), deg(base)) for _, apex, base in solved]
     assert angle_pairs[0] == pytest.approx((120.0, 30.0))
     assert angle_pairs[1] == pytest.approx((60.0, 90.0))
 
 
 def test_equal_sides_give_one_triangle():
-    sols = solve_ssa(float_spec(1.0, 1.0, 60.0))
-    assert sols.count == 1
-    assert sols.third_sides[0].as_float() == pytest.approx(1.0)
-    assert deg(sols.apex_cosines[0]) == pytest.approx(60.0)
+    tris = solve_ssa(float_spec(1.0, 1.0, 60.0))
+    assert len(tris) == 1
+    third, apex, _ = elements(tris[0])
+    assert third.as_float() == pytest.approx(1.0)
+    assert deg(apex) == pytest.approx(60.0)
 
 
 def test_no_solution_when_sine_exceeds_one():
-    assert solve_ssa(float_spec(1.0, 3.0, 30.0)).count == 0
+    assert solve_ssa(float_spec(1.0, 3.0, 30.0)) == ()
 
 
 def test_greater_side_forces_unique_solution():
-    sols = solve_ssa(float_spec(2.0, 1.0, 40.0))
-    assert sols.count == 1
+    assert len(solve_ssa(float_spec(2.0, 1.0, 40.0))) == 1
 
 
 def test_right_angle_boundary_returns_one_right_triangle():
-    sols = solve_ssa(float_spec(1.0, 2.0, 30.0))   # b sin(theta) == a exactly
-    assert sols.count == 1
-    assert sols.apex_cosines[0].as_float() == 0.0
-    assert sols.third_sides[0].as_float() == pytest.approx(math.sqrt(3))
+    tris = solve_ssa(float_spec(1.0, 2.0, 30.0))   # b sin(theta) == a exactly
+    assert len(tris) == 1
+    third, apex, _ = elements(tris[0])
+    assert apex.sign() == 0
+    assert third.as_float() == pytest.approx(math.sqrt(3))
 
 
 def test_obtuse_angle_opposite_not_greater_side_has_no_solution():
-    assert solve_ssa(float_spec(1.0, 1.2, 120.0)).count == 0
-    assert solve_ssa(float_spec(1.0, 1.0, 120.0)).count == 0
+    assert len(solve_ssa(float_spec(1.0, 1.2, 120.0))) == 0
+    assert len(solve_ssa(float_spec(1.0, 1.0, 120.0))) == 0
     # opposite the greater side the obtuse case is fine
-    assert solve_ssa(float_spec(2.0, 1.0, 120.0)).count == 1
+    assert len(solve_ssa(float_spec(2.0, 1.0, 120.0))) == 1
 
 
 def test_solutions_reproduce_the_given_elements():
@@ -104,7 +113,7 @@ def test_solutions_reproduce_the_given_elements():
     for _ in range(200):
         spec = float_spec(rng.uniform(0.1, 10.0), rng.uniform(0.1, 10.0),
                           rng.uniform(5.0, 175.0))
-        for t in solve_ssa(spec).triangles:
+        for t in solve_ssa(spec):
             assert math.isclose(squared_distance(t.C, t.B).as_float(),
                                 spec.side_a.as_float() ** 2, rel_tol=1e-9)
             assert math.isclose(squared_distance(t.A, t.C).as_float(),
@@ -145,11 +154,11 @@ def test_exact_rational_two_solution_spec():
     # t^2 - 6t + 8 = 0: third sides 2 and 4 for b=5, cos=3/5, a=sqrt(17)
     spec = SsaSpec(EXACT.scalar(17).sqrt(), EXACT.scalar(5),
                    EXACT.scalar(Fraction(3, 5)))
-    sols = solve_ssa(spec)
-    assert sols.count == 2
-    assert sols.third_sides[0].eq(2)
-    assert sols.third_sides[1].eq(4)
-    verdict = classify_pair(sols.triangles[0], sols.triangles[1])
+    tris = solve_ssa(spec)
+    assert len(tris) == 2
+    assert elements(tris[0])[0].eq(2)
+    assert elements(tris[1])[0].eq(4)
+    verdict = classify_pair(*tris)
     assert isinstance(verdict, Supplementary)
     assert (verdict.cos1 + verdict.cos2).sign() == 0
 
@@ -171,10 +180,10 @@ def test_exact_and_float_solutions_agree(regime):
     a, b, cos, count = RATIONAL_REGIMES[regime]
     exact = solve_ssa(SsaSpec.from_values(EXACT, a, b, cos))
     approx = solve_ssa(SsaSpec.from_values(FB, float(a), float(b), float(cos)))
-    assert exact.count == approx.count == count
-    for field in ("third_sides", "apex_cosines", "base_cosines"):
-        for e, f in zip(getattr(exact, field), getattr(approx, field)):
-            assert abs(e.as_float() - f.as_float()) <= 1e-12, field
+    assert len(exact) == len(approx) == count
+    for e, f in zip(exact, approx):
+        assert floats(*elements(e)) == pytest.approx(floats(*elements(f)),
+                                                     abs=1e-12)
 
 
 def test_classify_pair_congruent_under_isometry():
@@ -194,9 +203,9 @@ def test_classify_pair_not_matched():
 
 
 def test_classify_pair_is_symmetric():
-    sols = solve_ssa(float_spec(1.3, 2.0, 35.0))
-    v12 = classify_pair(sols.triangles[0], sols.triangles[1])
-    v21 = classify_pair(sols.triangles[1], sols.triangles[0])
+    t1, t2 = solve_ssa(float_spec(1.3, 2.0, 35.0))
+    v12 = classify_pair(t1, t2)
+    v21 = classify_pair(t2, t1)
     assert isinstance(v12, Supplementary) and isinstance(v21, Supplementary)
     assert v12.cos1.eq(v21.cos2) and v12.cos2.eq(v21.cos1)
 
@@ -207,17 +216,16 @@ def test_unambiguous_cases_never_classify_supplementary():
         b = rng.uniform(0.5, 5.0)
         theta = rng.uniform(10.0, 80.0)
         a = b * rng.uniform(1.01, 2.0)     # angle opposite the greater side
-        sols = solve_ssa(float_spec(a, b, theta))
-        assert sols.count <= 1
+        assert len(solve_ssa(float_spec(a, b, theta))) <= 1
 
 
 def lemma_pair(a, b, theta_deg):
     """Build the two-triangle common-side configuration from an SSA spec."""
-    sols = solve_ssa(float_spec(a, b, theta_deg))
-    assert sols.count == 2
-    shared_a, shared_b = sols.triangles[0].C, sols.triangles[0].A
-    apex1 = sols.triangles[0].B
-    apex2 = sols.triangles[1].B
+    tris = solve_ssa(float_spec(a, b, theta_deg))
+    assert len(tris) == 2
+    shared_a, shared_b = tris[0].C, tris[0].A
+    apex1 = tris[0].B
+    apex2 = tris[1].B
     below = point(FB, apex2.x.as_float(), -apex2.y.as_float())
     t_abc = triangle(FB, (shared_a.x.as_float(), 0.0), (0.0, 0.0),
                      (apex1.x.as_float(), apex1.y.as_float()))
@@ -237,9 +245,9 @@ def test_lemma_example_configuration():
 
 
 def test_lemma_rejects_mirror_copy():
-    sols = solve_ssa(float_spec(1.2, 2.0, 30.0))
-    apex1 = sols.triangles[0].B
-    ax = sols.triangles[0].C.x.as_float()
+    tris = solve_ssa(float_spec(1.2, 2.0, 30.0))
+    apex1 = tris[0].B
+    ax = tris[0].C.x.as_float()
     t_abc = triangle(FB, (ax, 0.0), (0.0, 0.0),
                      (apex1.x.as_float(), apex1.y.as_float()))
     t_abd = triangle(FB, (ax, 0.0), (0.0, 0.0),
@@ -250,11 +258,11 @@ def test_lemma_rejects_mirror_copy():
 
 
 def test_lemma_same_side_pair_reports_no_concyclicity():
-    sols = solve_ssa(float_spec(1.2, 2.0, 30.0))
-    ax = sols.triangles[0].C.x.as_float()
+    solved = solve_ssa(float_spec(1.2, 2.0, 30.0))
+    ax = solved[0].C.x.as_float()
     tris = [triangle(FB, (ax, 0.0), (0.0, 0.0),
                      (t.B.x.as_float(), t.B.y.as_float()))
-            for t in sols.triangles]
+            for t in solved]
     report = lemma_common_side_check(tris[0], tris[1])
     assert report.supplementary_angles
     assert not report.opposite_sides
@@ -311,12 +319,12 @@ def count_measuring(monkeypatch):
 
 
 def test_matched_classify_pair_measures_each_triangle_once(monkeypatch):
-    sols = solve_ssa(float_spec(1.3, 2.0, 35.0))
+    solved = solve_ssa(float_spec(1.3, 2.0, 35.0))
     t1 = triangle(EXACT, (0, 0), (5, 0), (Fraction(16, 5), Fraction(12, 5)))
     g = Isometry(EXACT.scalar(Fraction(3, 5)), EXACT.scalar(Fraction(4, 5)),
                  EXACT.scalar(2), EXACT.scalar(-7), mirror=True)
     counts = count_measuring(monkeypatch)
-    pairs = ((sols.triangles[0], sols.triangles[1], Supplementary),
+    pairs = ((*solved, Supplementary),
              (t1, g.apply(t1), Congruent))
     for a, b, verdict in pairs:
         assert isinstance(classify_pair(a, b), verdict)
@@ -374,19 +382,15 @@ def test_float_payload_arithmetic_matches_scalar_arithmetic_bit_for_bit():
         else:
             spec = float_spec(rng.uniform(0.1, 10.0), rng.uniform(0.1, 10.0),
                               rng.uniform(1.0, 179.0))
-        sols = solve_ssa(spec)
+        tris = solve_ssa(spec)
         expected = reference_solutions(spec)
-        assert sols.count == len(expected)
+        assert len(tris) == len(expected)
         shapes = [triangle(FB, *[(rng.uniform(-9.0, 9.0),
                                   rng.uniform(-9.0, 9.0)) for _ in "ABC"])]
-        for k, (apex, third, apex_cos, base_cos) in enumerate(expected):
-            tri = sols.triangles[k]
+        for tri, (apex, _third) in zip(tris, expected):
             assert floats(tri.B.x, tri.B.y) == floats(apex.x, apex.y)
             assert floats(tri.C.x, tri.A.x, tri.A.y, tri.C.y) == floats(
                 spec.side_b) + [0.0] * 3
-            assert floats(sols.third_sides[k], sols.apex_cosines[k],
-                          sols.base_cosines[k]) == floats(third, apex_cos,
-                                                          base_cos)
             shapes.append(tri)
         for t in shapes:
             e = measure(t)
@@ -432,14 +436,14 @@ def test_exact_solve_ssa_takes_sides_beyond_binary64():
     for n in (5, 5 * 10**400):
         spec = SsaSpec(EXACT.scalar(n), EXACT.scalar(n),
                        EXACT.scalar(Fraction(3, 5)))
-        sols = solve_ssa(spec)
-        assert sols.count == 1
-        assert sols.third_sides[0].exact_value() == Fraction(6, 5) * n
+        tris = solve_ssa(spec)
+        assert len(tris) == 1
+        assert elements(tris[0])[0].exact_value() == Fraction(6, 5) * n
 
 
 def test_lemma_longer_equal_sides_leave_no_pair():
     # AC = AD = 2.5 > AB = 2: the solver is unique, so no second triangle
-    assert solve_ssa(float_spec(2.5, 2.0, 30.0)).count == 1
+    assert len(solve_ssa(float_spec(2.5, 2.0, 30.0))) == 1
 
 
 def test_to_common_side_identity_overlay():
@@ -492,8 +496,7 @@ def test_to_common_side_validation():
 def test_to_common_side_two_ssa_solutions_give_figure_one():
     # the classic pair: overlaying the smaller solution below the shared side
     # and reflecting it back lands its apex G between B and C
-    sols = solve_ssa(float_spec(1.0, math.sqrt(3), 30.0))
-    t_big, t_small = sols.triangles[1], sols.triangles[0]
+    t_small, t_big = solve_ssa(float_spec(1.0, math.sqrt(3), 30.0))
     _, moved, g = to_common_side(t_big, t_small, IDENT, "B", "opposite")
     assert g.mirror
     assert moved.B.y.as_float() == pytest.approx(-0.5)
@@ -542,9 +545,14 @@ def test_solve_ssa_triangles_pass_the_checks_they_skip():
     counts, kept, margins = [0, 0, 0], 0, []
     for spec in trust_table(random.Random(31)):
         a, b = spec.side_a._v, spec.side_b._v
-        sols = solve_ssa(spec)
-        counts[sols.count] += 1
-        for tri, third in zip(sols.triangles, sols.third_sides):
+        tris = solve_ssa(spec)
+        counts[len(tris)] += 1
+        # the reference's apex equals the solver's bit for bit, so its t is
+        # the solver's root
+        expected = reference_solutions(spec)
+        assert [floats(tri.B.x, tri.B.y) for tri in tris] == [
+            floats(apex.x, apex.y) for apex, _ in expected]
+        for tri, (_apex, third) in zip(tris, expected):
             assert Triangle(tri.A, tri.B, tri.C) == tri
             value = orient(tri.A, tri.B, tri.C)._v
             assert abs(value) == abs(tri.B.y._v * b)
@@ -587,15 +595,39 @@ def test_scalar_init_sees_every_scalar_of_a_solve_and_classify(
     monkeypatch.setattr(Scalar, "__del__", finalize, raising=False)
     gc.disable()
     try:
-        sols = solve_ssa(spec)
-        verdict = classify_pair(*sols.triangles)
+        tris = solve_ssa(spec)
+        verdict = classify_pair(*tris)
         assert isinstance(verdict, Supplementary)
-        reached = [v for t in sols.triangles for p in (t.A, t.B, t.C)
-                   for v in (p.x, p.y)] + list(sols.third_sides) + [
-                       verdict.cos1, verdict.cos2]
+        reached = [v for t in tris for p in (t.A, t.B, t.C)
+                   for v in (p.x, p.y)] + [verdict.cos1, verdict.cos2]
         assert all(id(v) in born for v in reached if v is not spec.side_b)
-        del sols, verdict, reached
+        del tris, verdict, reached
     finally:
         gc.enable()
         gc.collect()
     assert built and strays == [] and born == set()
+
+
+@pytest.mark.parametrize("backend, values, kept", [
+    (FB, (1.0, 3.0, 0.5), 0),
+    (FB, (2.0, 1.0, 0.5), 1),
+    (FB, (1.0, math.sqrt(3), math.cos(math.pi / 6)), 2),
+    (EXACT, (3, 5, Fraction(3, 5)), 0),
+    (EXACT, (4, 5, Fraction(3, 5)), 1),
+    (EXACT, (Fraction(41, 10), 5, Fraction(3, 5)), 2),
+], ids=["float-0", "float-1", "float-2", "exact-0", "exact-1", "exact-2"])
+def test_solve_ssa_builds_two_scalars_per_kept_triangle(monkeypatch, backend,
+                                                        values, kept):
+    # the shared zero of the base, then the apex x and y of each triangle;
+    # measure reads a solution's sides and angles, so the solver builds none
+    spec = SsaSpec.from_values(backend, *values)
+    built = []
+    init = Scalar.__init__
+
+    def counting_init(scalar, backend, payload):
+        built.append(payload)
+        init(scalar, backend, payload)
+
+    monkeypatch.setattr(Scalar, "__init__", counting_init)
+    assert len(solve_ssa(spec)) == kept
+    assert len(built) == (1 + 2 * kept if kept else 0)

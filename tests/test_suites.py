@@ -1,5 +1,7 @@
 """Suite behaviour when the code under test misbehaves."""
 
+import json
+import math
 from dataclasses import replace
 from random import Random
 
@@ -7,6 +9,7 @@ import pytest
 
 from planicheck import suites
 from planicheck.kernel import point
+from planicheck.report import check_to_dict
 from planicheck.scalars import DegenerateInputError, ExactValueError
 from planicheck.scenarios import get_scenario
 
@@ -18,15 +21,7 @@ def test_a_lost_solution_is_a_failed_check(monkeypatch, suite):
     # the sampler does not filter its draws through the solver, so a solver
     # that drops the second triangle must surface as a failure with its count
     solve = suites.solve_ssa
-
-    def one_solution(spec):
-        sols = solve(spec)
-        return replace(sols, triangles=sols.triangles[:1],
-                       third_sides=sols.third_sides[:1],
-                       apex_cosines=sols.apex_cosines[:1],
-                       base_cosines=sols.base_cosines[:1])
-
-    monkeypatch.setattr(suites, "solve_ssa", one_solution)
+    monkeypatch.setattr(suites, "solve_ssa", lambda spec: solve(spec)[:1])
     result = suite(7, Random(3))
     assert not result.passed
     assert result.samples == 7
@@ -83,6 +78,25 @@ def test_a_rejected_sample_is_a_failing_witness(monkeypatch, suite, target,
     assert len(result.witnesses) == 5
     assert all(w["error"] == "rejected by the code under test"
                for w in result.witnesses)
+
+
+def test_a_nan_residual_is_a_failing_witness():
+    # max drops a NaN and "NaN > TOL" is False, so without its own test a
+    # NaN residual would pass the sample and leave worst_residual at 0
+    result = suites.run_check("nan", 3, lambda index, witness: (math.nan, None))
+    assert not result.passed
+    assert result.worst_residual == 0.0
+    assert result.witnesses == [{"error": "residual is not a number"}] * 3
+
+    result = forward_check(lambda alpha, beta: math.nan)(7, Random(3))
+    assert not result.passed
+    assert result.samples == 7 and result.worst_residual == 0.0
+    assert len(result.witnesses) == 5
+    assert all(w["error"] == "residual is not a number"
+               and {"alpha_deg", "beta_deg"} <= set(w)
+               for w in result.witnesses)
+    # the body stays valid JSON
+    json.dumps(check_to_dict(result), allow_nan=False)
 
 
 def test_the_sampler_draws_without_solving(monkeypatch):

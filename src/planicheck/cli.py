@@ -143,6 +143,10 @@ def _clamped_acos_deg(c: float) -> float:
     return math.degrees(math.acos(max(-1.0, min(1.0, c))))
 
 
+def _atan2_deg(y, x) -> float:
+    return math.degrees(math.atan2(y.as_float(), x.as_float()))
+
+
 def _print_checks(checks: List[CheckResult]):
     for c in checks:
         status = "pass" if c.passed else "FAIL"
@@ -155,8 +159,7 @@ def _print_checks(checks: List[CheckResult]):
 def cmd_ssa(args) -> Outcome:
     from fractions import Fraction
     from .scalars import EXACT, FloatBackend
-    from .congruence import measure
-    from .kernel import Point
+    from .kernel import Point, squared_distance
     from .ssa import (SsaSpec, Supplementary, classify_pair, predict_case,
                       solve_ssa)
 
@@ -212,11 +215,18 @@ def cmd_ssa(args) -> Outcome:
     else:
         tris = solve_ssa(spec)
         lines.append(f"{len(tris)} solution{'s' if len(tris) != 1 else ''}")
+        one = backend.scalar(1)
+        sin_scalar = ((one - cos_scalar) * (one + cos_scalar)).sqrt()
         for i, tri in enumerate(tris):
-            elements = measure(tri)
-            third = elements.side_sq["C"].sqrt().as_float()
-            apex_deg = _clamped_acos_deg(elements.cos_at["B"].as_float())
-            base_deg = _clamped_acos_deg(elements.cos_at["C"].as_float())
+            # each angle is atan2 of its sine and cosine times a, lengths of
+            # degree 1 by the laws of sines and cosines: acos of a cosine
+            # loses digits near 0 and 180 deg, and measure's cosines divide
+            # by a degree-4 root that overflows at sides the solver accepts
+            third_side = squared_distance(tri.A, tri.B).sqrt()
+            apex_deg = _atan2_deg(adjacent * sin_scalar,
+                                  third_side - adjacent * cos_scalar)
+            base_deg = _atan2_deg(third_side * sin_scalar, adjacent - tri.B.x)
+            third = third_side.as_float()
             bx, by = tri.B.x.as_float(), tri.B.y.as_float()
             lines.append(f"  solution {i + 1}: third side {rpt.round12(third)}, "
                          f"apex angle {rpt.round12(apex_deg)} deg, "

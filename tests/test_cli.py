@@ -188,6 +188,26 @@ def test_ssa_overflow_is_a_usage_error(capsys, argv):
     assert captured.err.count("\n") == 1 and len(captured.err) < 100
 
 
+@pytest.mark.parametrize("scale, eps", [(1, "1e-9"), (1e100, "1e-9"),
+                                        (1e-90, "1e-300")])
+@pytest.mark.parametrize("a, b, angle_deg, angles", [
+    # the query's exact triangle, worked out to 60 digits, in 12
+    (1, 1, 60, "apex angle 60.0 deg, base angle 60.0 deg"),
+    (13, 0.01, 30,
+     "apex angle 0.0220368388176 deg, base angle 149.977963161 deg"),
+    (2.5, 1.75, 178.5,
+     "apex angle 1.04993882187 deg, base angle 0.450061178134 deg"),
+])
+def test_ssa_angles_keep_their_digits_at_every_size(capsys, a, b, angle_deg,
+                                                    angles, scale, eps):
+    # a cosine over a degree-4 root overflows to 0 past sides of about 1e77
+    # and divides by zero below about 1e-77; acos of a cosine near 1 or -1
+    # loses the last printed digits
+    assert run(["ssa", "--a", repr(a * scale), "--b", repr(b * scale),
+                "--angle-deg", str(angle_deg), "--eps", eps]) == 0
+    assert angles in capsys.readouterr().out
+
+
 def test_ssa_exact_radical_converts_where_its_square_overflows(capsys):
     # third side sqrt(0.8) * 1.7e308 fits binary64, its square does not
     assert run(["ssa", "--a", "1.7e308", "--b", "1.7e308", "--cos", "3/5",

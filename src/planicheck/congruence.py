@@ -20,14 +20,12 @@ sets, so a caller measures each triangle once and hands the sets on.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from itertools import permutations
 from typing import Dict, Optional, Tuple
 
-from .kernel import LABELS, Record, Triangle, angle_cos, squared_distance
+from .kernel import LABELS, Triangle, angle_cos, squared_distance
+from .record import Record, _set
 from .scalars import Backend, Scalar, common_backend
-
-_set = object.__setattr__
 
 
 class TriangleElements(Record):
@@ -58,18 +56,18 @@ def measure(t: Triangle) -> TriangleElements:
          "C": angle_cos(c, a, b)})
 
 
-@dataclass(frozen=True)
-class Correspondence:
+class Correspondence(Record):
     """Vertex bijection from a first triangle onto a second one.
 
     ``mapping`` lists the images of (A, B, C) in order.
     """
 
-    mapping: Tuple[str, str, str]
+    __slots__ = ("mapping",)
 
-    def __post_init__(self):
-        if sorted(self.mapping) != sorted(LABELS):
+    def __init__(self, mapping: Tuple[str, str, str]):
+        if sorted(mapping) != sorted(LABELS):
             raise ValueError("mapping must be a permutation of A, B, C")
+        _set(self, "mapping", mapping)
 
     def image(self, label: str) -> str:
         return self.mapping[LABELS.index(label)]
@@ -98,19 +96,19 @@ class Applicability(enum.Enum):
     NOT_APPLICABLE = "not-applicable"
 
 
-@dataclass(frozen=True)
-class ElementTriple:
+class ElementTriple(Record):
     """Designation of two given sides and one given angle, by labels of the
     first triangle.  Sides are named by their opposite vertices; the angle by
     the vertex it sits at.  Included means the angle is between the sides."""
 
-    side_labels: Tuple[str, str]
-    angle_label: str
+    __slots__ = ("side_labels", "angle_label")
 
-    def __post_init__(self):
-        y, z = self.side_labels
-        if y == z or y not in LABELS or z not in LABELS or self.angle_label not in LABELS:
+    def __init__(self, side_labels: Tuple[str, str], angle_label: str):
+        y, z = side_labels
+        if y == z or y not in LABELS or z not in LABELS or angle_label not in LABELS:
             raise ValueError("element designation needs two distinct side labels")
+        _set(self, "side_labels", side_labels)
+        _set(self, "angle_label", angle_label)
 
     @property
     def included(self) -> bool:

@@ -9,11 +9,12 @@ Constructions that only an audit needs (the circle through three points,
 the incenter, mirror images) are not part of it; the test suite builds them
 from this public API.
 
-``Point`` and ``Triangle`` (and ``SsaSpec`` and ``TriangleElements``
-above) are ``Record``s: ``__slots__`` classes that validate in
-``__init__``, refuse assignment, and compare, hash and print by their
-fields as the frozen dataclasses they replace did, for less than those
-cost to build.  A ``Triangle`` checks that its vertices share a backend and
+``Point``, ``Triangle`` and ``Isometry`` are ``record.Record``s, as is
+every value class of the layers above: ``__slots__`` classes that refuse
+assignment and compare, hash and print by their fields as frozen
+dataclasses do, without loading ``dataclasses`` or building each class by
+``exec``.  Each of the three validates in its own ``__init__``.  A
+``Triangle`` checks that its vertices share a backend and
 that ``side`` does not call them collinear; ``trusted_triangle`` builds one
 without those checks, for ``solve_ssa`` alone, whose kept roots have
 already cleared a collinearity band at least as wide.
@@ -39,9 +40,9 @@ placement) is answered by the one rule in ``side``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Tuple
 
+from .record import Record, _set
 from .scalars import (
     Backend,
     BackendMismatchError,
@@ -55,38 +56,7 @@ from .scalars import (
 LABELS = ("A", "B", "C")
 
 
-_set = object.__setattr__
 _new = object.__new__
-
-
-class Record:
-    """Immutable slotted record: ``==``, ``hash`` and ``repr`` over the
-    fields its subclass names in ``__slots__``, as a frozen dataclass
-    defines them.  A subclass's ``__init__`` validates its arguments and
-    stores them with ``_set``; assignment afterwards raises."""
-
-    __slots__ = ()
-
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash(self._fields())
-
-    def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}"
-                           for name in self.__slots__)
-        return f"{type(self).__name__}({fields})"
-
-    def __setattr__(self, *a):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    __delattr__ = __setattr__
 
 
 class Point(Record):
@@ -171,7 +141,7 @@ def collinear(p: Point, q: Point, r: Point) -> bool:
 
 def angle_cos(vertex: Point, end1: Point, end2: Point) -> Scalar:
     """Cosine of the angle at ``vertex`` subtended by the two ends,
-    dot(u, v) / sqrt(|u|^2 |v|^2).
+    dot(u, w) / sqrt(|u|^2 |w|^2), as the backend's ``cosine`` forms it.
 
     On rational coordinates the exact backend gives an exactly comparable
     single radical, which collapses to a rational when possible.
@@ -183,8 +153,9 @@ def angle_cos(vertex: Point, end1: Point, end2: Point) -> Scalar:
     if (eq(vx, x1) and eq(vy, y1)) or (eq(vx, x2) and eq(vy, y2)):
         raise DegenerateInputError("angle at coincident points")
     ux, uy, wx, wy = x1 - vx, y1 - vy, x2 - vx, y2 - vy
-    return Scalar(backend, (ux * wx + uy * wy)
-                  / backend.sqrt((ux * ux + uy * uy) * (wx * wx + wy * wy)))
+    return Scalar(backend, backend.cosine(ux * wx + uy * wy,
+                                          ux * ux + uy * uy,
+                                          wx * wx + wy * wy))
 
 
 def supplementary(cos1: Scalar, cos2: Scalar) -> bool:
@@ -192,21 +163,18 @@ def supplementary(cos1: Scalar, cos2: Scalar) -> bool:
     return cos1.eq(-cos2)
 
 
-@dataclass(frozen=True)
-class Isometry:
+class Isometry(Record):
     """Rigid motion p -> R * M * p + t with R a rotation and M an optional
     mirror across the x axis (applied first when ``mirror`` is set)."""
 
-    cos_t: Scalar
-    sin_t: Scalar
-    tx: Scalar
-    ty: Scalar
-    mirror: bool = False
+    __slots__ = ("cos_t", "sin_t", "tx", "ty", "mirror")
 
-    def __post_init__(self):
-        n = self.cos_t * self.cos_t + self.sin_t * self.sin_t
+    def __init__(self, cos_t: Scalar, sin_t: Scalar, tx: Scalar, ty: Scalar,
+                 mirror: bool = False):
+        n = cos_t * cos_t + sin_t * sin_t
         if not n.eq(1):
             raise ValueError("rotation part must satisfy cos^2 + sin^2 = 1")
+        Record.__init__(self, cos_t, sin_t, tx, ty, mirror)
 
     def _linear(self, p: Point) -> Point:
         x, y = (p.x, -p.y) if self.mirror else (p.x, p.y)

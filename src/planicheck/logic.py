@@ -22,10 +22,10 @@ the value on row r, so one pass over the formula evaluates all 2**n rows.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple, Union
+from typing import List, Mapping, Optional, Tuple, Union
 
 from .errors import UsageError
+from .record import Record
 
 
 class FormulaSyntaxError(UsageError, ValueError):
@@ -47,40 +47,36 @@ class SchemeVerificationError(RuntimeError):
 MAX_ATOMS = 20
 
 
-@dataclass(frozen=True)
-class Atom:
-    name: str
+class Atom(Record):
+    __slots__ = ("name",)
 
 
-@dataclass(frozen=True)
-class Not:
-    operand: "Formula"
+class Not(Record):
+    __slots__ = ("operand",)
 
 
-@dataclass(frozen=True)
-class _Binary:
-    lhs: "Formula"
-    rhs: "Formula"
+class _Binary(Record):
+    __slots__ = ("lhs", "rhs")
 
 
 class And(_Binary):
-    pass
+    __slots__ = ()
 
 
 class Or(_Binary):
-    pass
+    __slots__ = ()
 
 
 class Xor(_Binary):
-    pass
+    __slots__ = ()
 
 
 class Implies(_Binary):
-    pass
+    __slots__ = ()
 
 
 class Iff(_Binary):
-    pass
+    __slots__ = ()
 
 
 Formula = Union[Atom, Not, And, Or, Xor, Implies, Iff]
@@ -234,12 +230,11 @@ def format_formula(formula: Formula) -> str:
 
 # -- equivalence --------------------------------------------------------------
 
-@dataclass(frozen=True)
-class EquivalenceResult:
-    equivalent: bool
-    witness: Optional[Dict[str, bool]]
-    rows: int
-    constrained_rows: int
+class EquivalenceResult(Record):
+    """``equivalent``, the first differing assignment as ``witness`` (None
+    when equivalent), and the ``rows`` and ``constrained_rows`` counted."""
+
+    __slots__ = ("equivalent", "witness", "rows", "constrained_rows")
 
     def __bool__(self) -> bool:
         return self.equivalent
@@ -281,19 +276,15 @@ def equivalent(f1: Formula, f2: Formula,
 
 # -- composition schemes ------------------------------------------------------
 
-@dataclass(frozen=True)
-class ProblemScheme:
-    """Derived formulas of one premise/conditions/conclusion template."""
+class ProblemScheme(Record):
+    """Derived formulas of one premise/conditions/conclusion template:
+    the atom names ``premise``, ``condition_p``, ``condition_q`` and
+    ``conclusion``, the ``kind`` ("inclusive" or "exclusive"), and the
+    formulas ``generating_1``, ``generating_2``, ``combined`` and
+    ``inverse``."""
 
-    premise: str
-    condition_p: str
-    condition_q: str
-    conclusion: str
-    kind: str                 # "inclusive" | "exclusive"
-    generating_1: Formula
-    generating_2: Formula
-    combined: Formula
-    inverse: Formula
+    __slots__ = ("premise", "condition_p", "condition_q", "conclusion", "kind",
+                 "generating_1", "generating_2", "combined", "inverse")
 
 
 def compose_scheme(t: str, p: str, q: str, r: str, kind: str) -> ProblemScheme:
@@ -325,11 +316,8 @@ def compose_scheme(t: str, p: str, q: str, r: str, kind: str) -> ProblemScheme:
 
 # -- the named equivalence suite ----------------------------------------------
 
-@dataclass(frozen=True)
-class LogicCheck:
-    name: str
-    result: EquivalenceResult
-    constrained: bool
+class LogicCheck(Record):
+    __slots__ = ("name", "result", "constrained")
 
     @property
     def passed(self) -> bool:

@@ -8,29 +8,37 @@ reruns.
 
 ``CheckResult``, the outcome of one check, lives here with the code that
 renders it, so a command imports the layers it runs and no others: the
-scan report is named in annotations only.
+scan report is named in annotations only.  It is a mutable ``Record``, so
+parsing a command's arguments loads no ``dataclasses``.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional
 
 from . import __version__
+from .record import Record
 
 if TYPE_CHECKING:
     from .scenarios import ScanReport
 
 
-@dataclass
-class CheckResult:
-    name: str
-    passed: bool
-    samples: int
-    worst_residual: float
-    witnesses: List[Dict] = field(default_factory=list)
+class CheckResult(Record):
+    """Outcome of one check; unlike the other records it is mutable (a
+    check fails as its samples run) and so unhashable."""
+
+    __slots__ = ("name", "passed", "samples", "worst_residual", "witnesses")
+
+    def __init__(self, name: str, passed: bool, samples: int,
+                 worst_residual: float, witnesses: Optional[List[Dict]] = None):
+        Record.__init__(self, name, passed, samples, worst_residual,
+                        [] if witnesses is None else witnesses)
+
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
 
     def add_failure(self, witness: Dict):
         self.passed = False

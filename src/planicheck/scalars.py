@@ -20,9 +20,11 @@ Two backends underlie every predicate in this package:
   power cannot overflow.
 
 A backend owns every decision that differs between the two: coercing an
-operand, ``eq``/``lt``/``sign``, ``sqrt``, ``vanishes`` and ``size``, the
-configuration size ``vanishes`` scales by (the exact backend ignores it and
-never converts a payload to binary64 for it).  Each
+operand, ``eq``/``lt``/``sign``, ``sqrt``, ``cosine`` (the float backend
+takes a degree-4 root as two degree-2 ones where the product leaves the
+normal binary64 range), ``vanishes`` and ``size``, the configuration size
+``vanishes`` scales by (the exact backend ignores it and never converts a
+payload to binary64 for it).  The backends are ``Record``s.  Each
 ``Scalar`` operator applies its payloads' own arithmetic (float,
 ``_Rational``, or the radical ``_Sqrt``) and never asks which backend it is
 on.  ``is_rational`` tells a rational exact payload from a radical.  Values
@@ -43,12 +45,13 @@ so exact equality is structural.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import sys
 from fractions import Fraction
 from math import gcd
 from typing import NamedTuple, Union
 
 from .errors import UsageError
+from .record import Record, _set
 
 
 class BackendMismatchError(TypeError):
@@ -65,6 +68,9 @@ class ExactValueError(UsageError, ArithmeticError):
 
 class LengthMismatchError(ValueError):
     """Two segments required to have equal length do not."""
+
+
+_MIN_NORMAL = sys.float_info.min  # the least positive normal binary64 value
 
 
 class _Rational:
@@ -325,9 +331,10 @@ def is_rational(payload) -> bool:
     return payload.__class__ is _Rational
 
 
-@dataclass(frozen=True)
-class ExactBackend:
+class ExactBackend(Record):
     """Zero-tolerance backend over the rationals plus single square roots."""
+
+    __slots__ = ()
 
     def scalar(self, value) -> "Scalar":
         if isinstance(value, Scalar):
@@ -374,16 +381,21 @@ class ExactBackend:
             raise ExactValueError("nested radicals are not representable")
         return _mk_exact(1, v)
 
+    def cosine(self, dot, p, q):
+        """dot / sqrt(p q): the cosine between two vectors from their dot
+        product and squared lengths, one radical over the rationals."""
+        return dot / self.sqrt(p * q)
 
-@dataclass(frozen=True)
-class FloatBackend:
+
+class FloatBackend(Record):
     """binary64 backend; eps is the relative comparison tolerance."""
 
-    eps: float = 1e-9
+    __slots__ = ("eps",)
 
-    def __post_init__(self):
-        if not self.eps > 0:
+    def __init__(self, eps: float = 1e-9):
+        if not eps > 0:
             raise ValueError("eps must be positive")
+        _set(self, "eps", eps)
 
     def scalar(self, value) -> "Scalar":
         if isinstance(value, Scalar):
@@ -438,6 +450,23 @@ class FloatBackend:
             raise ValueError("square root of a negative value")
         return math.sqrt(v)
 
+    def cosine(self, dot, p, q):
+        """dot / sqrt(p q), the cosine between two vectors from their dot
+        product and squared lengths.  The product p q is of degree 4 in
+        lengths, so it leaves binary64 at sides past about 1e77 (it
+        overflows, and the cosine would read 0) or below about 1e-77 (it
+        underflows, and the division would fail); there, and only there,
+        the root is taken as sqrt(p) sqrt(q), of degree 2.  A cosine that
+        even that cannot form is a degenerate input."""
+        pq = p * q
+        if _MIN_NORMAL <= pq < math.inf:
+            return dot / math.sqrt(pq)
+        root = math.sqrt(p) * math.sqrt(q)
+        if not (_MIN_NORMAL <= root < math.inf and abs(dot) < math.inf):
+            raise DegenerateInputError(
+                "an angle's cosine at these sizes is out of binary64 range")
+        return dot / root
+
 
 EXACT = ExactBackend()
 
@@ -446,7 +475,7 @@ Backend = Union[ExactBackend, FloatBackend]
 
 def same_backend(x: Backend, y: Backend) -> bool:
     """Whether values of backends ``x`` and ``y`` may meet: the identity
-    test settles the usual case without the dataclass ``__eq__``."""
+    test settles the usual case without the record ``__eq__``."""
     return x is y or x == y
 
 
@@ -466,9 +495,6 @@ def to_float(payload) -> float:
     except OverflowError:
         raise DegenerateInputError(
             "a value is too large for binary64") from None
-
-
-_set = object.__setattr__
 
 
 class Scalar:

@@ -42,6 +42,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .errors import UsageError
+from .record import Record
 from .scalars import DegenerateInputError
 
 _GAMMA_FLOOR = 1e-3  # scan guard: skip the numerically wild sliver gamma < ~0.06 deg
@@ -59,19 +60,16 @@ class FeetOffSegmentError(DegenerateInputError):
     """Inscribed square/rectangle feet would leave segment AB."""
 
 
-@dataclass(frozen=True)
-class Branch:
-    """A conclusion branch: the line ``alpha + k*beta = w`` in shape space.
+class Branch(Record):
+    """A conclusion branch ``name``: the line ``alpha + k*beta = w`` in
+    shape space.
 
     ``distance`` is the defect |alpha + k*beta - w| in radians.  The free
     angle is alpha, or beta on a line with k = 0; ``free_deg`` is the open
     range, in degrees, over which the forward checks draw it.
     """
 
-    name: str
-    k: float
-    w: float
-    free_deg: Tuple[float, float]
+    __slots__ = ("name", "k", "w", "free_deg")
 
     def distance(self, alpha: float, beta: float) -> float:
         return abs(alpha + self.k * beta - self.w)
@@ -246,14 +244,12 @@ def get_scenario(name: str) -> Scenario:
         raise UnknownScenarioError(name, sorted(SCENARIOS)) from None
 
 
-@dataclass(frozen=True)
-class ScanRoot:
-    alpha: float
-    beta: float
-    gamma: float
-    residual: float
-    branch: Optional[str]
-    distance: float
+class ScanRoot(Record):
+    """A refined root at shape angles ``alpha``, ``beta`` and ``gamma``,
+    its ``residual``, and the ``branch`` (None off every branch) at
+    ``distance``."""
+
+    __slots__ = ("alpha", "beta", "gamma", "residual", "branch", "distance")
 
 
 @dataclass

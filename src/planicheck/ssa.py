@@ -24,14 +24,12 @@ at least as wide as the one ``Triangle`` would test.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Optional, Tuple, Union
+from typing import Tuple, Union
 
 from .congruence import Correspondence, congruent_any, measure
 from .kernel import (
     Isometry,
     Point,
-    Record,
     Triangle,
     concyclic,
     isometry_taking_segment_to_segment,
@@ -40,6 +38,7 @@ from .kernel import (
     supplementary,
     trusted_triangle,
 )
+from .record import Record, _set
 from .scalars import (
     Backend,
     DegenerateInputError,
@@ -49,8 +48,6 @@ from .scalars import (
     common_backend,
     is_rational,
 )
-
-_set = object.__setattr__
 
 
 class DichotomyViolationError(RuntimeError):
@@ -192,20 +189,16 @@ def solve_ssa(spec: SsaSpec) -> Tuple[Triangle, ...]:
     return tuple(tris)
 
 
-@dataclass(frozen=True)
-class Congruent:
-    correspondence: Correspondence
+class Congruent(Record):
+    __slots__ = ("correspondence",)
 
 
-@dataclass(frozen=True)
-class Supplementary:
-    cos1: Scalar
-    cos2: Scalar
+class Supplementary(Record):
+    __slots__ = ("cos1", "cos2")
 
 
-@dataclass(frozen=True)
-class NotSsaMatched:
-    pass
+class NotSsaMatched(Record):
+    __slots__ = ()
 
 
 DichotomyVerdict = Union[Congruent, Supplementary, NotSsaMatched]
@@ -238,21 +231,16 @@ def classify_pair(t1: Triangle, t2: Triangle) -> DichotomyVerdict:
     return Supplementary(cos1, cos2)
 
 
-@dataclass(frozen=True)
-class LemmaReport:
+class LemmaReport(Record):
     """Outcome of the common-side configuration check.
 
     ``is_concyclic`` and ``concyclicity_det`` are None for a same-side pair;
     otherwise the determinant is the one ``concyclic`` decided by.
     """
 
-    supplementary_angles: bool
-    cos_acb: Scalar
-    cos_adb: Scalar
-    opposite_sides: bool
-    is_concyclic: Optional[bool]
-    concyclicity_det: Optional[Scalar]
-    ac_less_than_ab: bool
+    __slots__ = ("supplementary_angles", "cos_acb", "cos_adb",
+                 "opposite_sides", "is_concyclic", "concyclicity_det",
+                 "ac_less_than_ab")
 
 
 def lemma_common_side_check(t_abc: Triangle, t_abd: Triangle) -> LemmaReport:

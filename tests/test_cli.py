@@ -208,6 +208,27 @@ def test_ssa_angles_keep_their_digits_at_every_size(capsys, a, b, angle_deg,
     assert angles in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("a, b, eps", [("8e99", "1e100", "1e-9"),
+                                       ("8e-91", "1e-90", "1e-300")])
+def test_ssa_verdict_does_not_depend_on_the_size_of_the_sides(capsys, a, b,
+                                                              eps):
+    # classify_pair's cosines divide by the root of a degree-4 product,
+    # which overflowed to cosines of 0 at the first size (a Supplementary
+    # verdict of 90 and 90 deg) and underflowed to a ZeroDivisionError at
+    # the second; each query must give the verdict of its twin with sides 8
+    # and 10 and the same eps (at eps 1e-300 that twin's two triangles
+    # differ at A by more than the tolerance, so it says NotSsaMatched)
+    def verdict(a, b):
+        assert run(["ssa", "--a", a, "--b", b, "--angle-deg", "30",
+                    "--eps", eps]) == 0
+        return capsys.readouterr().out.splitlines()[-1]
+
+    assert verdict(a, b) == verdict("8", "10")
+    if eps == "1e-9":
+        assert verdict(a, b) == (
+            "verdict: Supplementary(141.317812547 deg, 38.6821874535 deg)")
+
+
 def test_ssa_exact_radical_converts_where_its_square_overflows(capsys):
     # third side sqrt(0.8) * 1.7e308 fits binary64, its square does not
     assert run(["ssa", "--a", "1.7e308", "--b", "1.7e308", "--cos", "3/5",
@@ -519,9 +540,12 @@ def test_a_program_error_is_not_a_usage_error(cls):
 
 
 SRC = Path(cli.__file__).resolve().parents[1]
+# the planicheck modules a child loaded, and fractions, dataclasses and
+# inspect (the dataclass machinery that no record-only command needs)
 LOADED = ("import sys\n{}\n"
-          "print(' '.join(sorted(m for m in sys.modules if m == 'fractions'"
-          " or m == 'planicheck' or m.startswith('planicheck.'))))")
+          "print(' '.join(sorted(m for m in sys.modules if m in ("
+          "'fractions', 'dataclasses', 'inspect', 'planicheck')"
+          " or m.startswith('planicheck.'))))")
 
 
 def modules_loaded_by(code):
@@ -534,7 +558,7 @@ def modules_loaded_by(code):
 
 
 BARE = {"planicheck", "planicheck.cli", "planicheck.errors",
-        "planicheck.report"}
+        "planicheck.record", "planicheck.report"}
 
 
 def test_parsing_the_arguments_loads_no_layer():
@@ -548,3 +572,17 @@ def test_the_logic_command_loads_only_the_logic_layer():
         "from planicheck.cli import main\n"
         "assert main(['logic', '--formula', 'p & q', '--equiv', 'q & p']) == 0"
     ) == BARE | {"planicheck.logic"}
+
+
+def test_the_readme_ssa_query_loads_no_dataclass_machinery():
+    assert modules_loaded_by(
+        "from planicheck.cli import main\n"
+        "assert main(['ssa', '--a', '1', '--b', '1.7320508075688772',"
+        " '--angle-deg', '30']) == 0"
+    ) == BARE | {"fractions", "planicheck.scalars", "planicheck.kernel",
+                 "planicheck.congruence", "planicheck.ssa"}
+
+
+def test_the_check_sees_the_dataclass_machinery():
+    assert {"dataclasses", "inspect"} <= modules_loaded_by(
+        "import dataclasses")

@@ -260,10 +260,10 @@ def test_only_run_check_catches_a_rejected_sample():
 FRACTIONS_IMPORTERS = {"scalars.py", "suites.py", "cli.py"}
 
 
-def fractions_imports(sources, allowed=FRACTIONS_IMPORTERS):
-    """(module, line) of each import of the ``fractions`` module, or of a
-    name from it, in ``sources`` (module name -> text) outside the modules
-    that ``allowed`` names."""
+def module_imports(sources, module, allowed):
+    """(module, line) of each import of the stdlib ``module``, or of a name
+    from it, in ``sources`` (module name -> text) outside the modules that
+    ``allowed`` names."""
     found = []
     for mod, text in sources.items():
         if mod in allowed:
@@ -275,7 +275,7 @@ def fractions_imports(sources, allowed=FRACTIONS_IMPORTERS):
                 names = [n.module]
             else:
                 continue
-            if any(name.split(".")[0] == "fractions" for name in names):
+            if any(name.split(".")[0] == module for name in names):
                 found.append((mod, n.lineno))
     return found
 
@@ -288,12 +288,54 @@ def test_the_check_sees_a_fractions_import():
         "suites.py": "from fractions import Fraction\n",
         "report.py": "from .fractions import helper\nimport fractionsx\n",
     }
-    assert fractions_imports(sources) == [("ssa.py", 1), ("kernel.py", 4)]
+    assert module_imports(sources, "fractions", FRACTIONS_IMPORTERS) == [
+        ("ssa.py", 1), ("kernel.py", 4)]
 
 
 def test_only_the_boundary_modules_import_fractions():
     sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
-    assert fractions_imports(sources) == []
+    assert module_imports(sources, "fractions", FRACTIONS_IMPORTERS) == []
+
+
+# importing dataclasses loads inspect, which costs a command more start-up
+# than its own work; every value class is a record.Record, and only the two
+# scenario classes that callers copy with dataclasses.replace stay dataclasses
+DATACLASSES = {("scenarios.py", "Scenario"), ("scenarios.py", "ScanReport")}
+
+
+def dataclass_definitions(sources):
+    """(module, class) of each class in ``sources`` (module name -> text)
+    with a ``dataclass`` decorator, called or not, by name or attribute."""
+    found = []
+    for mod, text in sources.items():
+        for n in ast.walk(ast.parse(text)):
+            if not isinstance(n, ast.ClassDef):
+                continue
+            for d in n.decorator_list:
+                d = d.func if isinstance(d, ast.Call) else d
+                if "dataclass" in (getattr(d, "id", None),
+                                   getattr(d, "attr", None)):
+                    found.append((mod, n.name))
+    return found
+
+
+def test_the_check_sees_a_dataclass():
+    sources = {
+        "a.py": ("from dataclasses import dataclass\n\n@dataclass\n"
+                 "class P:\n    x: int\n\n@dataclass(frozen=True)\n"
+                 "class Q:\n    y: int\n\nclass R:\n    pass\n"),
+        "b.py": ("import dataclasses\n\ndef f():\n"
+                 "    @dataclasses.dataclass\n    class S:\n        pass\n"
+                 "    return S\n"),
+    }
+    assert dataclass_definitions(sources) == [("a.py", "P"), ("a.py", "Q"),
+                                              ("b.py", "S")]
+
+
+def test_only_the_copied_scenario_classes_are_dataclasses():
+    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert module_imports(sources, "dataclasses", {"scenarios.py"}) == []
+    assert set(dataclass_definitions(sources)) == DATACLASSES
 
 
 # solve_ssa alone builds a Triangle without Triangle's checks: its kept

@@ -107,6 +107,32 @@ def test_angle_cos_rational_value():
     assert c.exact_value() == Fraction(3, 5)
 
 
+def test_angle_cos_keeps_its_bits_in_range_and_its_value_past_it():
+    # where |u|^2 |w|^2 is a normal double the cosine is dot / sqrt of it,
+    # bit for bit; past it (sides beyond about 1e77 or below about 1e-77,
+    # where the product overflowed to a cosine of 0 or underflowed to a
+    # division by zero) it must still be the cosine of the same angle: a
+    # power-of-two scale moves no bit of the coordinates
+    fb = FloatBackend(1e-300)
+    rng = random.Random(19)
+    for _ in range(500):
+        xy = [rng.uniform(-10.0, 10.0) for _ in range(6)]
+        for k in (rng.randint(-60, 60), 0):
+            s = 10.0 ** k
+            vx, vy, x1, y1, x2, y2 = (v * s for v in xy)
+            ux, uy, wx, wy = x1 - vx, y1 - vy, x2 - vx, y2 - vy
+            expected = (ux * wx + uy * wy) / math.sqrt(
+                (ux * ux + uy * uy) * (wx * wx + wy * wy))
+            c = angle_cos(point(fb, vx, vy), point(fb, x1, y1),
+                          point(fb, x2, y2))
+            assert c.as_float() == expected
+        for scale in (2.0 ** 330, 2.0 ** -330):
+            pts = [point(fb, xy[i] * scale, xy[i + 1] * scale)
+                   for i in (0, 2, 4)]
+            assert angle_cos(*pts).as_float() == pytest.approx(
+                expected, rel=1e-14, abs=1e-15)
+
+
 def test_angle_cos_coincident_vertex_raises():
     with pytest.raises(DegenerateInputError):
         angle_cos(exact_pt(1, 1), exact_pt(1, 1), exact_pt(0, 0))

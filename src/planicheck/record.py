@@ -2,10 +2,11 @@
 
 A ``Record`` subclass names its fields in ``__slots__`` and gets what
 ``@dataclass(frozen=True)`` would give it: ``==``, ``hash`` and ``repr``
-over its fields, an ``__init__`` that takes them in order (or by name),
-and ``AttributeError`` on assignment and deletion.  Its fields are the
-``__slots__`` of the class and of its bases, in that order, so a subclass
-that adds no field declares ``__slots__ = ()`` and stays slotted.
+over its fields, an ``__init__`` that takes them in order or by name,
+``AttributeError`` on assignment and deletion, and ``copy`` and ``pickle``
+support.  Its fields are the ``__slots__`` of the class and of its bases,
+in that order, so a subclass that adds no field declares
+``__slots__ = ()`` and stays slotted.
 
 Dataclasses are avoided because every command pays for them at start-up:
 ``import dataclasses`` loads ``inspect`` (about 13 ms on a 2-core VM
@@ -15,10 +16,11 @@ without bytecode caches, where a whole ``logic`` command takes about
 This module imports nothing, so the parse-only, ``logic`` and ``ssa``
 commands load neither ``dataclasses`` nor ``inspect``.
 
-A class that validates its arguments writes its own ``__init__`` and stores
-them with ``_set`` (``object.__setattr__``).  A mutable class (``report.CheckResult``)
-restores ``object.__setattr__`` and ``object.__delattr__`` and sets
-``__hash__`` to None, as a dataclass that is not frozen does.
+A class that validates its arguments writes its own ``__init__`` and
+stores them with ``_set`` (``object.__setattr__``).  A mutable class
+(``report.CheckResult``) restores ``object.__setattr__`` and
+``object.__delattr__`` and sets ``__hash__`` to None, as a dataclass that
+is not frozen does.
 """
 
 _set = object.__setattr__
@@ -68,6 +70,11 @@ class Record:
         fields = ", ".join(f"{name}={getattr(self, name)!r}"
                            for name in self._names)
         return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        # copy and pickle rebuild a record through its __init__, because
+        # the state they would set afterwards meets __setattr__
+        return type(self), self._fields()
 
     def __setattr__(self, *a):
         raise AttributeError(f"{type(self).__qualname__} is immutable")

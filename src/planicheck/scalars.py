@@ -462,7 +462,7 @@ class FloatBackend(Record):
         if _MIN_NORMAL <= pq < math.inf:
             return dot / math.sqrt(pq)
         root = math.sqrt(p) * math.sqrt(q)
-        if not (_MIN_NORMAL <= root < math.inf and abs(dot) < math.inf):
+        if not _MIN_NORMAL <= root < math.inf:
             raise DegenerateInputError(
                 "an angle's cosine at these sizes is out of binary64 range")
         return dot / root

@@ -1,6 +1,7 @@
 """Geometry kernel: predicates, isometries, and the audit constructions of
 ``kernel_constructions`` with their independent oracles."""
 
+import copy
 import math
 import random
 from fractions import Fraction
@@ -79,6 +80,7 @@ def test_points_and_triangles_are_values():
     assert t == u and hash(t) == hash(u) and len({t, u}) == 1
     assert t != Triangle(t.B, t.A, t.C)
     assert {p: 1}[q] == 1
+    assert copy.copy(t) == t and copy.copy(p) == p
     for record, field in ((p, "x"), (t, "A")):
         with pytest.raises(AttributeError):
             setattr(record, field, getattr(record, field))
@@ -131,6 +133,11 @@ def test_angle_cos_keeps_its_bits_in_range_and_its_value_past_it():
                    for i in (0, 2, 4)]
             assert angle_cos(*pts).as_float() == pytest.approx(
                 expected, rel=1e-14, abs=1e-15)
+    # where even |u| |w| is not a normal double the cosine is a named error
+    tiny = FloatBackend(1e-320)
+    with pytest.raises(DegenerateInputError, match="out of binary64 range"):
+        angle_cos(point(tiny, 0.0, 0.0), point(tiny, 1e-160, 0.0),
+                  point(tiny, 0.0, 1e-160))
 
 
 def test_angle_cos_coincident_vertex_raises():

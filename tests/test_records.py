@@ -1,9 +1,12 @@
 """Each value class built on ``record.Record`` behaves as the dataclass it
 replaced: ``==`` and ``hash`` over its fields in order, the dataclass
 ``repr``, ``AttributeError`` on assignment and deletion, construction by
-keyword, and the validation errors of the classes that validate.  The table
+keyword, ``copy`` and ``pickle``, and the validation errors of the classes
+that validate.  The table
 passes on the dataclasses too, which is how its reprs were pinned."""
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -113,6 +116,9 @@ CASES = {
         "branch='isosceles', distance=0.0)"),
 }
 
+# a Scalar neither deep-copies nor pickles, so neither do these
+HOLD_SCALARS = {"Supplementary", "LemmaReport", "Isometry"}
+
 
 @pytest.mark.parametrize("name", CASES)
 def test_a_record_compares_hashes_and_prints_as_its_dataclass(name):
@@ -126,6 +132,9 @@ def test_a_record_compares_hashes_and_prints_as_its_dataclass(name):
     assert repr(a) == text
     # every field, and nothing else, builds the value by keyword
     assert type(a)(**dict(zip(names.split(), fields))) == a
+    assert copy.copy(a) == a
+    if name not in HOLD_SCALARS:
+        assert copy.deepcopy(a) == a and pickle.loads(pickle.dumps(a)) == a
 
 
 @pytest.mark.parametrize("name", CASES)
@@ -204,6 +213,8 @@ def test_each_check_result_has_its_own_witness_list():
     assert b.worst_residual == 0.5
     with pytest.raises(TypeError):
         hash(b)
+    d = copy.deepcopy(a)
+    assert d == a and d.witnesses is not a.witnesses
     witnesses = [{"i": 2}]
     c = CheckResult(name="y", passed=False, samples=1, worst_residual=1.0,
                     witnesses=witnesses)

@@ -297,8 +297,8 @@ def test_only_the_boundary_modules_import_fractions():
     assert module_imports(sources, "fractions", FRACTIONS_IMPORTERS) == []
 
 
-# importing dataclasses loads inspect, which costs a command more start-up
-# than its own work; every value class is a record.Record, and only the two
+# importing dataclasses loads inspect, which every short command would pay
+# for at start-up; every value class is a record.Record, and only the two
 # scenario classes that callers copy with dataclasses.replace stay dataclasses
 DATACLASSES = {("scenarios.py", "Scenario"), ("scenarios.py", "ScanReport")}
 

@@ -5,7 +5,10 @@ the solution pair, ``verify`` runs the seeded property suites, ``scenario``
 scans one registered scenario and its forward-implication samples, ``logic``
 checks the composition-calculus equivalences or a user-supplied pair.
 
-Angles are degrees at this boundary and radians/cosines internally.  Reports
+Angles are degrees at this boundary and radians/cosines internally.  On
+the exact backend ``ssa`` takes a degree angle as the exact value of its
+double cosine, and an answer the exact payloads cannot represent ends in
+their ``ExactValueError``, one ``error:`` line and exit 2.  Reports
 are deterministic for a fixed config (wall time aside); the PRNG is the
 Mersenne Twister from the standard library, recorded in the config echo as
 ``mt19937``.
@@ -139,10 +142,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _clamped_acos_deg(c: float) -> float:
-    return math.degrees(math.acos(max(-1.0, min(1.0, c))))
-
-
 def _atan2_deg(y, x) -> float:
     return math.degrees(math.atan2(y.as_float(), x.as_float()))
 
@@ -170,18 +169,13 @@ def cmd_ssa(args) -> Outcome:
             cos_fraction = Fraction(args.cos)
         except (ValueError, ZeroDivisionError):
             raise UsageError(f"--cos {args.cos!r} is not a number")
-    elif args.backend == "exact" and not args.included:
-        # a double's cosine is dyadic, and no dyadic inside (-1, 1) but 0
-        # (which no degree angle reaches) has a rational sine, so the exact
-        # solver could never place this angle
-        raise UsageError("the exact backend needs a rational angle for "
-                         "this designation: give it as --cos")
     else:
         cos_fraction = Fraction(math.cos(math.radians(args.angle_deg)))
     # sides are the rationals typed and a degree angle the exact dyadic
-    # value of its double cosine; the float backend rounds each to the
-    # nearest double (for a decimal side, the double float() reads), so the
-    # query is deterministic either way
+    # value of its double cosine, on every designation; the float backend
+    # rounds each to the nearest double (for a decimal side, the double
+    # float() reads), so the query is deterministic either way.  Whether the
+    # exact backend can represent the answer is its payloads' decision
     backend = EXACT if args.backend == "exact" else FloatBackend(args.eps)
     spec_sides = [backend.scalar(v) for v in (args.a, args.b)]
     cos_scalar = backend.scalar(cos_fraction)
@@ -237,8 +231,8 @@ def cmd_ssa(args) -> Outcome:
         if len(tris) == 2:
             verdict = classify_pair(*tris)
             if isinstance(verdict, Supplementary):
-                d1 = _clamped_acos_deg(verdict.cos1.as_float())
-                d2 = _clamped_acos_deg(verdict.cos2.as_float())
+                # the angles at B are the apex angles printed above
+                d1, d2 = (sol["apex_angle_deg"] for sol in solutions)
                 lines.append(f"verdict: Supplementary({rpt.round12(d1)} deg, "
                              f"{rpt.round12(d2)} deg)")
                 extra["verdict"] = {"kind": "Supplementary",

@@ -27,19 +27,23 @@ normal binary64 range), ``vanishes`` and ``size``, the configuration size
 payload to binary64 for it).  The backends are ``Record``s.  Each
 ``Scalar`` operator applies its payloads' own arithmetic (float,
 ``_Rational``, or the radical ``_Sqrt``) and never asks which backend it is
-on.  ``is_rational`` tells a rational exact payload from a radical.  Values
-from different backends never mix; arithmetic between them raises
-``BackendMismatchError`` rather than coercing.
+on, and no module outside this one asks either: the exact payloads alone
+decide what is representable, raising ``ExactValueError`` where a result
+leaves the rationals plus single radicals.  ``is_rational`` tells a
+rational exact payload from a radical.  Values from different backends
+never mix; arithmetic between them raises ``BackendMismatchError`` rather
+than coercing.
 
-``Scalar`` is the API at the package boundary.  Inside, the kernel
-predicates, ``measure``/``congruent_any`` and ``solve_ssa`` compute on the
-payloads (``Scalar._v``) and wrap only the values they hand out: every
-decision, zero tests included, goes to the backend object (``eq``,
-``sign``, ``sqrt``, ``vanishes``) on payloads, and ``common_backend``
-checks two objects before their payloads meet, so a rational never meets
-a float silently.  Exact payloads are canonical (rationals in lowest terms,
-and a radical whose square is a perfect square collapses to a rational),
-so exact equality is structural.
+``Scalar`` is the API at the package boundary, a ``Record`` of its backend
+and payload, so it compares and hashes structurally and copies and pickles.
+Inside, the kernel predicates, ``measure``/``congruent_any`` and
+``solve_ssa`` compute on the payloads (``Scalar._v``) and wrap only the
+values they hand out: every decision, zero tests included, goes to the
+backend object (``eq``, ``sign``, ``sqrt``, ``vanishes``) on payloads, and
+``common_backend`` checks two objects before their payloads meet, so a
+rational never meets a float silently.  Exact payloads are canonical
+(rationals in lowest terms, and a radical whose square is a perfect square
+collapses to a rational), so exact equality is structural.
 """
 
 from __future__ import annotations
@@ -497,17 +501,18 @@ def to_float(payload) -> float:
             "a value is too large for binary64") from None
 
 
-class Scalar:
-    """One number tied to one backend.  Immutable."""
+class Scalar(Record):
+    """One number tied to one backend.  A ``Record``: immutable, and
+    ``==``/``hash`` compare structurally, by backend and payload (use
+    ``eq`` for the tolerance-aware comparison)."""
 
     __slots__ = ("backend", "_v")
 
     def __init__(self, backend: Backend, payload):
+        # its own two-field __init__: Record's takes names and checks counts,
+        # and this is the hot path
         _set(self, "backend", backend)
         _set(self, "_v", payload)
-
-    def __setattr__(self, *a):
-        raise AttributeError("Scalar is immutable")
 
     # -- plumbing ---------------------------------------------------------
 
@@ -519,10 +524,6 @@ class Scalar:
                 common_backend(self.backend, other.backend)
             return other._v
         return self.backend.coerce(other)
-
-    @property
-    def is_exact(self) -> bool:
-        return isinstance(self.backend, ExactBackend)
 
     def as_float(self) -> float:
         return to_float(self._v)
@@ -571,15 +572,6 @@ class Scalar:
 
     def sign(self) -> int:
         return self.backend.sign(self._v)
-
-    # structural equality (use .eq for tolerance-aware comparison)
-    def __eq__(self, other):
-        return (isinstance(other, Scalar)
-                and same_backend(self.backend, other.backend)
-                and self._v == other._v)
-
-    def __hash__(self):
-        return hash((self.backend, self._v))
 
     def __repr__(self):
         v = self._v

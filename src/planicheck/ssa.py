@@ -4,7 +4,9 @@ Given two sides and an angle opposite one of them, zero, one or two triangles
 exist.  When two exist they are never congruent, and the two angles opposite
 the greater given side are supplementary; ``classify_pair`` decides, for any
 pair of triangles agreeing on the solver's element triple, between
-congruence and that supplementary outcome.  No third outcome exists.
+congruence and that supplementary outcome.  No third outcome exists.  Its
+premise is ``congruence.criterion_d`` on that triple: a pair it FAILS on
+is not matched.
 
 Canonical solution pose: the given adjacent side lies on the x axis from
 A = (0, 0) to C = (side_b, 0); the apex B sits in the open upper half plane
@@ -15,10 +17,12 @@ copy of their sides or angles, which ``congruence.measure`` reads.
 ``SsaSpec`` is a slotted ``Record`` that validates its sides and angle in
 ``__init__``, with one backend test for its three values.  ``solve_ssa``
 builds each kept triangle with ``kernel.trusted_triangle``, the one
-constructor that skips ``Triangle``'s checks: the triangle's orientation is
--(height * b) bit for bit, and its size max(1, |t cos|, t sin, b) is at most
-the solver's size(a, b, t), so the collinearity band the solver cleared is
-at least as wide as the one ``Triangle`` would test.
+constructor that skips ``Triangle``'s checks: the triangle's orientation
+is -(height * b), bit for bit on the float backend and exactly on the
+exact one (a radical there when the height is), and its size
+max(1, |t cos|, t sin, b) is at most the solver's size(a, b, t), so the
+collinearity band the solver cleared is at least as wide as the one
+``Triangle`` would test.
 """
 
 from __future__ import annotations
@@ -26,8 +30,16 @@ from __future__ import annotations
 import enum
 from typing import Tuple, Union
 
-from .congruence import Correspondence, congruent_any, measure
+from .congruence import (
+    Applicability,
+    Correspondence,
+    ElementTriple,
+    congruent_any,
+    criterion_d,
+    measure,
+)
 from .kernel import (
+    LABELS,
     Isometry,
     Point,
     Triangle,
@@ -42,11 +54,9 @@ from .record import Record, _set
 from .scalars import (
     Backend,
     DegenerateInputError,
-    ExactValueError,
     LengthMismatchError,
     Scalar,
     common_backend,
-    is_rational,
 )
 
 
@@ -144,9 +154,12 @@ def solve_ssa(spec: SsaSpec) -> Tuple[Triangle, ...]:
     and the kept triangle's third side, degree 1, and doubled area,
     degree 2) go through the backend's ``vanishes`` at the backend's
     ``size`` of a and b, and of t for a root: exact zero on the exact
-    backend, which converts nothing to binary64.  The exact backend also
-    needs a rational cosine, sine and discriminant root; without them it
-    raises ``ExactValueError`` before any root is formed.
+    backend, which converts nothing to binary64.  On the exact backend
+    the payload arithmetic alone decides what is representable: the sine,
+    the discriminant root and so the apex height may each be a single
+    radical, and a root b cos(theta) -/+ sqrt(disc) that would add a
+    rational to a radical, or two distinct radicals, raises
+    ``ExactValueError``.
     """
     backend = spec.backend
     a, b, c0 = spec.side_a._v, spec.side_b._v, spec.cos_angle._v
@@ -157,11 +170,6 @@ def solve_ssa(spec: SsaSpec) -> Tuple[Triangle, ...]:
     on_boundary = backend.vanishes(disc, s, 2)
     root = (None if on_boundary or backend.sign(disc) < 0
             else backend.sqrt(disc))
-    if spec.side_a.is_exact and not all(
-            is_rational(value)
-            for value in ((c0, sin_t) if root is None else (c0, sin_t, root))):
-        raise ExactValueError(
-            "exact SSA solving needs rational cosine, sine and discriminant root")
     bc0 = b * c0
     if on_boundary:
         roots = [bc0]  # right-angle boundary: one triangle, not two coincident
@@ -203,28 +211,32 @@ class NotSsaMatched(Record):
 
 DichotomyVerdict = Union[Congruent, Supplementary, NotSsaMatched]
 
+# the solver's designation: sides BC and CA (opposite A and B) and the angle
+# at A, opposite BC
+_SOLVER_TRIPLE = ElementTriple(("A", "B"), "A")
+_IDENTITY = Correspondence(LABELS)
+
 
 def classify_pair(t1: Triangle, t2: Triangle) -> DichotomyVerdict:
     """Decide the dichotomy for two triangles sharing the solver's element
     triple: sides BC and CA and the angle at A, as ``solve_ssa`` places
     them, with the remaining angle at B.
 
-    Returns NotSsaMatched unless those sides and that angle agree label for
-    label; then either Congruent (with a witnessing correspondence found by
-    a full-side search over the same measured element sets) or Supplementary
-    with the two angles at B, which must sum to a straight angle.  The
-    theorem guarantees no third outcome; a violation raises.
+    Returns NotSsaMatched when ``criterion_d`` FAILS under the identity
+    correspondence and that designation, that is unless those sides and
+    that angle agree label for label; then either Congruent (with a
+    witnessing correspondence found by a full-side search over the same
+    measured element sets) or Supplementary with the two angles at B, which
+    must sum to a straight angle.  The theorem guarantees no third outcome;
+    a violation raises.
     """
-    eq = common_backend(t1.backend, t2.backend).eq
     e1, e2 = measure(t1), measure(t2)
-    s1, s2, c1, c2 = e1.side_sq, e2.side_sq, e1.cos_at, e2.cos_at
-    if not (eq(s1["A"]._v, s2["A"]._v) and eq(s1["B"]._v, s2["B"]._v)
-            and eq(c1["A"]._v, c2["A"]._v)):
+    if criterion_d(e1, e2, _IDENTITY, _SOLVER_TRIPLE) is Applicability.FAILS:
         return NotSsaMatched()
     witness = congruent_any(e1, e2)
     if witness is not None:
         return Congruent(witness)
-    cos1, cos2 = c1["B"], c2["B"]
+    cos1, cos2 = e1.cos_at["B"], e2.cos_at["B"]
     if not supplementary(cos1, cos2):
         raise DichotomyViolationError(
             "non-congruent matched pair with non-supplementary remaining angles")

@@ -44,6 +44,7 @@ from planicheck.kernel import (
 from planicheck.scalars import (
     Backend,
     DegenerateInputError,
+    ExactBackend,
     ExactValueError,
     Scalar,
 )
@@ -66,7 +67,7 @@ class Line:
         n2 = self.u * self.u + self.v * self.v
         if n2.sign() == 0:
             raise DegenerateInputError("line normal must be nonzero")
-        if self.u.is_exact:
+        if isinstance(self.u.backend, ExactBackend):
             lead = self.u if self.u.sign() != 0 else self.v
             object.__setattr__(self, "u", self.u / lead)
             object.__setattr__(self, "v", self.v / lead)
@@ -174,7 +175,7 @@ def internal_bisector_line(t: Triangle, label: str) -> Line:
 def signed_distance(l: Line, p: Point) -> Scalar:
     """Signed distance from p to l (sign follows the stored normal)."""
     val = l.eval(p)
-    if not val.is_exact:
+    if not isinstance(val.backend, ExactBackend):
         return val
     n2 = l.u * l.u + l.v * l.v
     return (val * val / n2).sqrt() * val.sign()

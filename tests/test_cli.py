@@ -157,14 +157,71 @@ def test_ssa_rejects_an_angle_outside_the_open_range(capsys, angle):
     assert captured.err.startswith("error: ")
 
 
-def test_ssa_exact_degree_angle_needs_cos(capsys):
-    # a degree angle has no rational sine, so the exact solver cannot use it
-    assert run(["ssa", "--a", "3", "--b", "4", "--angle-deg", "50",
+def test_ssa_exact_degree_angle_is_the_value_of_its_double_cosine(capsys):
+    # a degree angle is the exact dyadic value of its double cosine on
+    # every designation; the payload arithmetic alone decides whether the
+    # exact solver can represent the answer
+    assert run(["ssa", "--a", "2", "--b", "1", "--angle-deg", "30",
                 "--backend", "exact"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: ")
-    assert "--cos" in captured.err
+    assert captured.err == (
+        "error: sum of a rational and a radical is not representable\n")
+    outputs = []
+    for backend in ("exact", "float"):
+        assert run(["ssa", "--a", "1", "--b", "1", "--angle-deg", "60",
+                    "--backend", backend]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert "1 solution\n  solution 1: third side 1.0, apex angle 60.0 deg" in (
+        outputs[0])
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("query, lines", [
+    # the textbook pair: third sides 3 and 5, cosines at B -1/7 and 1/7
+    (["--a", "7", "--b", "8", "--cos", "1/2"],
+     ["2 solutions",
+      "  solution 1: third side 3.0, apex angle 98.2132107017 deg, base "
+      "angle 21.7867892983 deg, apex (1.5, 2.59807621135)",
+      "  solution 2: third side 5.0, apex angle 81.7867892983 deg, base "
+      "angle 38.2132107017 deg, apex (2.5, 4.33012701892)",
+      "verdict: Supplementary(98.2132107017 deg, 81.7867892983 deg)"]),
+    (["--a", "1", "--b", "1", "--cos", "1/2"],
+     ["1 solution", "  solution 1: third side 1.0, apex angle 60.0 deg, "
+      "base angle 60.0 deg, apex (0.5, 0.866025403784)"]),
+    (["--a", "3", "--b", "4", "--cos", "1/3"], ["0 solutions"]),
+    (["--a", "3", "--b", "4", "--angle-deg", "50"], ["0 solutions"]),
+], ids=lambda v: " ".join(v) if v[0].startswith("--") else None)
+def test_ssa_exact_solves_a_rational_cosine_with_a_radical_sine(capsys, query,
+                                                               lines):
+    assert run(["ssa", *query, "--backend", "exact"]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == lines
+
+
+def test_ssa_exact_third_side_off_the_representable_set_is_a_usage_error(
+        capsys):
+    # t = 9/5 -/+ sqrt(481)/5 adds a rational and a radical
+    assert run(["ssa", "--a", "5", "--b", "3", "--cos", "3/5",
+                "--backend", "exact"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: sum of a rational and a radical is not representable\n")
+
+
+def test_ssa_verdict_prints_the_apex_angles(tmp_path, capsys):
+    # the 60-digit apex angle of solution 2 is 0.020000000269924 deg; acos
+    # of its cosine near 1 printed 0.0200000002966
+    out = tmp_path / "r.json"
+    assert run(["ssa", "--a", "0.5", "--b", "1", "--angle-deg", "0.01",
+                "--report", str(out)]) == 0
+    text = capsys.readouterr().out
+    assert "apex angle 0.0200000002699 deg" in text
+    assert text.splitlines()[-1] == (
+        "verdict: Supplementary(179.98 deg, 0.0200000002699 deg)")
+    body = json.loads(out.read_text())
+    assert body["verdict"]["angles_deg"] == [
+        s["apex_angle_deg"] for s in body["solutions"]]
 
 
 def test_ssa_exact_included_degree_angle_solves(capsys):
@@ -344,6 +401,8 @@ PINNED_RUNS = {
                          "--angle-deg", "30"],
     "ssa-readme-exact": ["ssa", "--a", "4", "--b", "5", "--cos", "3/5",
                          "--backend", "exact"],
+    "ssa-textbook-exact": ["ssa", "--a", "7", "--b", "8", "--cos", "1/2",
+                           "--backend", "exact"],
     "ssa-sqrt17": ["ssa", "--a", "4.123105625617661", "--b", "5",
                    "--cos", "3/5"],
     "ssa-included": ["ssa", "--a", "3", "--b", "4", "--cos", "0",

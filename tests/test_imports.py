@@ -40,8 +40,8 @@ def test_module_uses_every_import(path):
 
 # paper content (the congruence criteria, the common-side placement) and the
 # documented scheme API of the logic engine
-REFERENCE_EXEMPT = {"criterion_a", "criterion_b", "criterion_d",
-                    "to_common_side", "compose_scheme"}
+REFERENCE_EXEMPT = {"criterion_a", "criterion_b", "to_common_side",
+                    "compose_scheme"}
 _FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
@@ -95,43 +95,53 @@ def test_every_definition_has_a_reader_in_the_package():
     assert unreferenced_definitions(sources, REFERENCE_EXEMPT) == []
 
 
-# the backends own every exact-versus-float decision; solve_ssa's guard that
-# an exact query has a rational cosine, sine and root is the one reader outside
-IS_EXACT_READERS = {"scalars.py", ("ssa.py", "solve_ssa")}
+# the backends own every exact-versus-float decision, and the exact payload
+# arithmetic alone decides what is representable: outside scalars, no
+# module asks which backend it is on
+BACKEND_CLASSES = {"ExactBackend", "FloatBackend"}
 
 
-def is_exact_reads(sources, allowed):
-    """(module, top-level definition) of each ``.is_exact`` read in
-    ``sources`` (module name -> text), except in a module or a
-    (module, definition) pair that ``allowed`` holds; statements outside any
-    definition are reported as ``<module>``."""
-    found = []
-    for mod, text in sources.items():
-        if mod in allowed:
-            continue
-        for node in ast.parse(text).body:
-            owner = getattr(node, "name", "<module>")
-            if (mod, owner) not in allowed and any(
-                    isinstance(n, ast.Attribute) and n.attr == "is_exact"
-                    for n in ast.walk(node)):
-                found.append((mod, owner))
-    return found
+def backend_tests(sources, allowed=frozenset({"scalars.py"})):
+    """(module, top-level definition) of each ``.is_exact`` read, and of
+    each ``isinstance`` call whose class argument names ``ExactBackend`` or
+    ``FloatBackend`` (alone or in a tuple, by name or attribute), in
+    ``sources`` (module name -> text) outside the modules that ``allowed``
+    names; statements outside any definition are reported as
+    ``<module>``."""
+
+    def asks(n):
+        if isinstance(n, ast.Attribute) and n.attr == "is_exact":
+            return True
+        if not (isinstance(n, ast.Call) and getattr(n.func, "id", None)
+                == "isinstance" and len(n.args) == 2):
+            return False
+        return any((getattr(c, "id", None) or getattr(c, "attr", None))
+                   in BACKEND_CLASSES for c in ast.walk(n.args[1]))
+
+    return [(mod, getattr(node, "name", "<module>"))
+            for mod, text in sources.items() if mod not in allowed
+            for node in ast.parse(text).body
+            if any(asks(n) for n in ast.walk(node))]
 
 
-def test_the_check_sees_an_is_exact_read():
+def test_the_check_sees_a_backend_test():
     sources = {
         "a.py": ("def guard(x):\n    return x.is_exact\n\n"
-                 "class K:\n    def f(self, y):\n        return y.is_exact\n"),
-        "b.py": "flag = z.is_exact\n\ndef clean(x):\n    return x\n",
-        "c.py": "def g(x):\n    return x.is_exact\n",
+                 "class K:\n    def f(self, y):\n"
+                 "        return isinstance(y.backend, ExactBackend)\n\n"
+                 "def clean(v):\n    return isinstance(v, Supplementary)\n"),
+        "b.py": ("flag = isinstance(b, (int, scalars.FloatBackend))\n\n"
+                 "def fine(b):\n"
+                 "    return b.eq(1, 2) and isinstance(b, int)\n"),
+        "scalars.py": "def g(x):\n    return isinstance(x, ExactBackend)\n",
     }
-    assert is_exact_reads(sources, {"c.py", ("a.py", "guard")}) == [
-        ("a.py", "K"), ("b.py", "<module>")]
+    assert backend_tests(sources) == [("a.py", "guard"), ("a.py", "K"),
+                                      ("b.py", "<module>")]
 
 
-def test_only_the_backends_and_the_solver_guard_read_is_exact():
+def test_only_the_backends_ask_which_backend_a_value_is_on():
     sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
-    assert is_exact_reads(sources, IS_EXACT_READERS) == []
+    assert backend_tests(sources) == []
 
 
 # the modules that compute on a Scalar's payload; suites, cli and report

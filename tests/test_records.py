@@ -2,8 +2,10 @@
 replaced: ``==`` and ``hash`` over its fields in order, the dataclass
 ``repr``, ``AttributeError`` on assignment and deletion, construction by
 keyword, ``copy`` and ``pickle``, and the validation errors of the classes
-that validate.  The table
-passes on the dataclasses too, which is how its reprs were pinned."""
+that validate.  The table passes on the dataclasses too, which is how its
+reprs were pinned, except where it deep-copies or pickles a ``Scalar``:
+``Scalar`` is now a ``Record`` as well, so every value that holds one
+copies and pickles."""
 
 import copy
 import pickle
@@ -11,15 +13,16 @@ from fractions import Fraction
 
 import pytest
 
-from planicheck.congruence import Correspondence, ElementTriple
-from planicheck.kernel import Isometry
+from planicheck.congruence import Correspondence, ElementTriple, measure
+from planicheck.kernel import Isometry, Point
 from planicheck.logic import (And, Atom, EquivalenceResult, Iff, Implies,
                               LogicCheck, Not, Or, ProblemScheme, Xor,
                               compose_scheme)
 from planicheck.report import CheckResult
 from planicheck.scalars import EXACT, ExactBackend, FloatBackend
 from planicheck.scenarios import ISOSCELES, Branch, ScanRoot
-from planicheck.ssa import Congruent, LemmaReport, NotSsaMatched, Supplementary
+from planicheck.ssa import (Congruent, LemmaReport, NotSsaMatched, SsaSpec,
+                           Supplementary, solve_ssa)
 
 FB = FloatBackend()
 P, Q = Atom("p"), Atom("q")
@@ -116,9 +119,6 @@ CASES = {
         "branch='isosceles', distance=0.0)"),
 }
 
-# a Scalar neither deep-copies nor pickles, so neither do these
-HOLD_SCALARS = {"Supplementary", "LemmaReport", "Isometry"}
-
 
 @pytest.mark.parametrize("name", CASES)
 def test_a_record_compares_hashes_and_prints_as_its_dataclass(name):
@@ -133,8 +133,7 @@ def test_a_record_compares_hashes_and_prints_as_its_dataclass(name):
     # every field, and nothing else, builds the value by keyword
     assert type(a)(**dict(zip(names.split(), fields))) == a
     assert copy.copy(a) == a
-    if name not in HOLD_SCALARS:
-        assert copy.deepcopy(a) == a and pickle.loads(pickle.dumps(a)) == a
+    assert copy.deepcopy(a) == a and pickle.loads(pickle.dumps(a)) == a
 
 
 @pytest.mark.parametrize("name", CASES)
@@ -145,6 +144,40 @@ def test_a_record_refuses_assignment_and_deletion(name):
             setattr(a, field, None)
         with pytest.raises(AttributeError):
             delattr(a, field)
+
+
+def ssa_pair():
+    return solve_ssa(SsaSpec.from_values(EXACT, 7, 8, Fraction(1, 2)))
+
+
+# values that hold a Scalar, each on both backends, a radical among them
+HOLDERS = {
+    "Scalar-float": lambda: FB.scalar(0.5),
+    "Scalar-exact": lambda: EXACT.scalar(3).sqrt(),
+    "Point": lambda: Point(EXACT.scalar(Fraction(1, 3)), EXACT.scalar(-2)),
+    "Triangle": lambda: ssa_pair()[0],
+    "SsaSpec": lambda: SsaSpec.from_values(FB, 1.0, 2.0, 0.25),
+    "TriangleElements": lambda: measure(ssa_pair()[1]),
+}
+
+
+@pytest.mark.parametrize("name", HOLDERS)
+def test_a_value_that_holds_scalars_copies_and_pickles(name):
+    a = HOLDERS[name]()
+    for b in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+        assert b == a and type(b) is type(a) and repr(b) == repr(a)
+
+
+def test_a_scalar_refuses_assignment_and_deletion():
+    x = FB.scalar(1.0)
+    for field in ("backend", "_v", "other"):
+        with pytest.raises(AttributeError):
+            setattr(x, field, None)
+        with pytest.raises(AttributeError):
+            delattr(x, field)
+    assert x._v == 1.0 and x.backend is FB
+    assert x == FloatBackend().scalar(1.0) and hash(x) == hash((FB, 1.0))
+    assert x != EXACT.scalar(1) and x != 1.0
 
 
 def test_backends_compare_by_their_fields():

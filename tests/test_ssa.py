@@ -30,8 +30,10 @@ from planicheck.scalars import (
     EXACT,
     BackendMismatchError,
     DegenerateInputError,
+    ExactValueError,
     FloatBackend,
     Scalar,
+    is_rational,
 )
 from planicheck.ssa import (
     Congruent,
@@ -172,6 +174,10 @@ RATIONAL_REGIMES = {
     "no-solution": (3, 5, Fraction(3, 5), 0),
     "obtuse-opposite-smaller": (Fraction(41, 10), 5, Fraction(-3, 5), 0),
     "obtuse-opposite-greater": (Fraction(20, 3), 5, Fraction(-3, 5), 1),
+    # a rational cosine whose sine is a radical
+    "half-two-solutions": (7, 8, Fraction(1, 2), 2),
+    "half-equilateral": (1, 1, Fraction(1, 2), 1),
+    "third-no-solution": (3, 4, Fraction(1, 3), 0),
 }
 
 
@@ -184,6 +190,27 @@ def test_exact_and_float_solutions_agree(regime):
     for e, f in zip(exact, approx):
         assert floats(*elements(e)) == pytest.approx(floats(*elements(f)),
                                                      abs=1e-12)
+
+
+def test_textbook_pair_is_supplementary_with_exact_cosines():
+    # third sides 3 and 5 at a 60 deg angle: the sine and the apex heights
+    # are radicals, and the payload arithmetic represents every value the
+    # solve and the classification need
+    tris = solve_ssa(SsaSpec.from_values(EXACT, 7, 8, Fraction(1, 2)))
+    assert [elements(t)[0].exact_value() for t in tris] == [3, 5]
+    verdict = classify_pair(*tris)
+    assert isinstance(verdict, Supplementary)
+    assert (verdict.cos1.exact_value(), verdict.cos2.exact_value()) == (
+        Fraction(-1, 7), Fraction(1, 7))
+    # the lemma's determinant subtracts the heights 3 sqrt(3)/2 and
+    # -5 sqrt(3)/2, two radicals of distinct squares, which the single
+    # radical payload cannot add
+    t1, t2 = tris
+    t_abc = Triangle(t1.C, t1.A, t1.B)
+    t_abd = Triangle(t1.C, t1.A, kernel.Point(t2.B.x, -t2.B.y))
+    with pytest.raises(ExactValueError,
+                       match="sum of distinct radicals is not representable"):
+        lemma_common_side_check(t_abc, t_abd)
 
 
 def test_classify_pair_congruent_under_isometry():
@@ -564,6 +591,38 @@ def test_solve_ssa_triangles_pass_the_checks_they_skip():
     # the table reaches the band: some kept triangle is within a factor
     # of 10 of the collinearity bound
     assert min(margins) < 10
+    # on the exact backend the orientation is -(height * b) exactly, also
+    # where the height is a radical, and it is not zero
+    radical = 0
+    for spec, thirds in exact_radical_table():
+        b = spec.side_b._v
+        tris = solve_ssa(spec)
+        assert [elements(tri)[0].exact_value() for tri in tris] == thirds
+        for tri in tris:
+            assert Triangle(tri.A, tri.B, tri.C) == tri
+            value = orient(tri.A, tri.B, tri.C)._v
+            assert value == -(tri.B.y._v * b) and EXACT.sign(value) == -1
+            radical += not is_rational(tri.B.y._v)
+    assert radical == 25
+
+
+def exact_radical_table():
+    """(exact spec, its rational third sides) for given angles with a
+    rational cosine c and a radical sine: the third sides
+    are the positive roots of t^2 - 2 b c t + t1 t2 for rational t1 < t2,
+    with b = (t1 + t2) / (2c) and a = sqrt(b^2 - t1 t2), one radical."""
+    table = []
+    for c in (Fraction(1, 2), Fraction(1, 3), Fraction(2, 7),
+              Fraction(-1, 2), Fraction(-3, 4)):
+        for t1, t2 in ((3, 5), (1, 2), (Fraction(1, 3), Fraction(7, 4)),
+                       (-2, 5), (-5, 2), (-3, Fraction(1, 2))):
+            b = (t1 + t2) / (2 * c)
+            a2 = b * b - t1 * t2
+            if b > 0 and a2 > 0:
+                spec = SsaSpec(EXACT.scalar(a2).sqrt(), EXACT.scalar(b),
+                               EXACT.scalar(c))
+                table.append((spec, [t for t in (t1, t2) if t > 0]))
+    return table
 
 
 @pytest.mark.parametrize("make_spec", [

@@ -150,7 +150,7 @@ def ssa_pair():
     return solve_ssa(SsaSpec.from_values(EXACT, 7, 8, Fraction(1, 2)))
 
 
-# values that hold a Scalar, each on both backends, a radical among them
+# values that hold a Scalar, from both backends, a radical among them
 HOLDERS = {
     "Scalar-float": lambda: FB.scalar(0.5),
     "Scalar-exact": lambda: EXACT.scalar(3).sqrt(),

@@ -608,9 +608,10 @@ def test_solve_ssa_triangles_pass_the_checks_they_skip():
 
 def exact_radical_table():
     """(exact spec, its rational third sides) for given angles with a
-    rational cosine c and a radical sine: the third sides
-    are the positive roots of t^2 - 2 b c t + t1 t2 for rational t1 < t2,
-    with b = (t1 + t2) / (2c) and a = sqrt(b^2 - t1 t2), one radical."""
+    rational cosine c and a radical sine: the third sides are the positive
+    roots of t^2 - 2 b c t + t1 t2 for rational t1 < t2, with
+    b = (t1 + t2) / (2c) and a = sqrt(b^2 - t1 t2), a rational or one
+    radical."""
     table = []
     for c in (Fraction(1, 2), Fraction(1, 3), Fraction(2, 7),
               Fraction(-1, 2), Fraction(-3, 4)):

@@ -23,9 +23,9 @@ code: 0 when every check passes and any scan is contained or exploratory,
 1 otherwise, 2 on a usage or config error.
 
 Each handler imports the layers it runs when it runs, so a command loads
-only those: ``logic`` never loads the scalar, kernel or SSA layers, and
-parsing the arguments loads none.  The handlers read each layer's functions
-from its module at call time.
+only those: ``logic`` and ``scenario`` never load the scalar, kernel or SSA
+layers, and parsing the arguments loads none.  The handlers read each
+layer's functions from its module at call time.
 """
 
 from __future__ import annotations
@@ -265,8 +265,7 @@ def cmd_verify(args) -> Outcome:
 
 
 def cmd_scenario(args) -> Outcome:
-    from .scenarios import get_scenario, level_set_scan
-    from .suites import run_scenario_suites
+    from .scenarios import get_scenario, level_set_scan, run_scenario_suites
 
     get_scenario(args.name)  # an unknown name is reported before --rect-t
     kwargs = {}

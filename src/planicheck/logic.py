@@ -40,6 +40,11 @@ class AtomBudgetError(UsageError, ValueError):
     """Too many distinct atoms for exhaustive enumeration."""
 
 
+class UnsatisfiableConstraintError(UsageError, ValueError):
+    """A constraint no assignment satisfies, under which any two formulas
+    would be vacuously equivalent."""
+
+
 class SchemeVerificationError(RuntimeError):
     """Internal consistency check of a composed scheme failed."""
 
@@ -243,7 +248,8 @@ class EquivalenceResult(Record):
 def equivalent(f1: Formula, f2: Formula,
                constraint: Optional[Formula] = None) -> EquivalenceResult:
     """Truth-table equivalence of f1 and f2 over assignments satisfying the
-    constraint (all assignments when no constraint is given).
+    constraint (all assignments when no constraint is given); a constraint
+    that holds on no row raises ``UnsatisfiableConstraintError``.
 
     The first differing assignment, in lexicographic order over sorted atom
     names with false before true, is returned as the witness.
@@ -265,6 +271,9 @@ def equivalent(f1: Formula, f2: Formula,
         full |= full << rows
     columns = dict(zip(ordered, tables))
     scope = full if constraint is None else _table(constraint, columns, full)
+    if not scope:
+        raise UnsatisfiableConstraintError(
+            f"constraint {format_formula(constraint)} holds on no row")
     differ = (_table(f1, columns, full) ^ _table(f2, columns, full)) & scope
     witness = None
     if differ:

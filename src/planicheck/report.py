@@ -7,22 +7,35 @@ separate top-level field and is the only part allowed to differ between
 reruns.
 
 ``CheckResult``, the outcome of one check, lives here with the code that
-renders it, so a command imports the layers it runs and no others: the
-scan report is named in annotations only.  It is a mutable ``Record``, so
-parsing a command's arguments loads no ``dataclasses``.
+renders it and with ``run_check``, the one sample loop that fills it, so a
+command imports the layers it runs and no others: the scan report and the
+``Sample`` type are named in annotations only.  ``CheckResult`` is a
+mutable ``Record``, so parsing a command's arguments loads no
+``dataclasses``.
+
+``run_check`` runs a per-sample function ``sample(index, witness)``, which
+records what it draws in ``witness`` and returns ``(residual, failure)``,
+``failure`` being None or the fields a failing witness adds.  It keeps the
+worst residual and at most five witnesses; a sample that raises
+``DegenerateInputError`` (as a coarse ``eps`` may), ``ExactValueError`` or
+``LemmaPreconditionError``, or that returns a NaN residual, fails with the
+values drawn so far plus ``"error"``.  ``TOL`` bounds every float residual
+(radians, cosine sums, normalized determinants).
 """
 
 from __future__ import annotations
 
 import json
 import math
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from . import __version__
+from .errors import DegenerateInputError, ExactValueError, LemmaPreconditionError
 from .record import Record
 
 if TYPE_CHECKING:
     from .scenarios import ScanReport
+    Sample = Callable[[int, Dict], Tuple[float, Optional[Dict]]]
 
 
 class CheckResult(Record):
@@ -44,6 +57,33 @@ class CheckResult(Record):
         self.passed = False
         if len(self.witnesses) < 5:
             self.witnesses.append(witness)
+
+
+TOL = 1e-9
+_REJECTED = (DegenerateInputError, ExactValueError, LemmaPreconditionError)
+
+
+def run_check(name: str, samples: int, sample: Sample) -> CheckResult:
+    """The one sample loop, with a fresh ``witness`` dict per index; a check
+    of no samples would pass vacuously, so fewer than one is an error."""
+    if samples < 1:
+        raise ValueError("sample count must be at least 1")
+    result = CheckResult(name, True, samples, 0.0)
+    for index in range(samples):
+        witness = {}
+        try:
+            residual, failure = sample(index, witness)
+        except _REJECTED as exc:
+            result.add_failure({**witness, "error": str(exc)})
+            continue
+        if math.isnan(residual):
+            # max would drop it and every "> TOL" test passes it
+            result.add_failure({**witness, "error": "residual is not a number"})
+            continue
+        result.worst_residual = max(result.worst_residual, residual)
+        if failure is not None:
+            result.add_failure({**witness, **failure})
+    return result
 
 
 def round12(x: float) -> float:
@@ -77,26 +117,6 @@ def check_to_dict(check: CheckResult) -> Dict:
     })
 
 
-def scan_to_dict(scan: ScanReport) -> Dict:
-    return sanitize({
-        "scenario": scan.scenario,
-        "grid_step_deg": math.degrees(scan.grid_step),
-        "refine_tol": scan.refine_tol,
-        "delta": scan.delta,
-        "evaluations": scan.evaluations,
-        "asserted": scan.asserted,
-        "containment": scan.contained,
-        "roots": [{
-            "alpha_deg": math.degrees(r.alpha),
-            "beta_deg": math.degrees(r.beta),
-            "gamma_deg": math.degrees(r.gamma),
-            "residual": r.residual,
-            "branch": r.branch,
-        } for r in scan.roots],
-        "violations": len(scan.violations),
-    })
-
-
 def build_report(config: Dict, checks: List[CheckResult],
                  scan: Optional[ScanReport] = None,
                  extra: Optional[Dict] = None) -> Dict:
@@ -107,10 +127,23 @@ def build_report(config: Dict, checks: List[CheckResult],
         "checks": [check_to_dict(c) for c in checks],
     }
     if scan is not None:
-        scan_dict = scan_to_dict(scan)
-        body["containment"] = scan_dict.pop("containment")
-        body["roots"] = scan_dict.pop("roots")
-        body["scan"] = scan_dict
+        body["containment"] = scan.contained
+        body["roots"] = sanitize([{
+            "alpha_deg": math.degrees(r.alpha),
+            "beta_deg": math.degrees(r.beta),
+            "gamma_deg": math.degrees(r.gamma),
+            "residual": r.residual,
+            "branch": r.branch,
+        } for r in scan.roots])
+        body["scan"] = sanitize({
+            "scenario": scan.scenario,
+            "grid_step_deg": math.degrees(scan.grid_step),
+            "refine_tol": scan.refine_tol,
+            "delta": scan.delta,
+            "evaluations": scan.evaluations,
+            "asserted": scan.asserted,
+            "violations": len(scan.violations),
+        })
     if extra:
         body.update(sanitize(extra))
     return body

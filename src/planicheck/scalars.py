@@ -54,20 +54,12 @@ from fractions import Fraction
 from math import gcd
 from typing import NamedTuple, Union
 
-from .errors import UsageError
+from .errors import DegenerateInputError, ExactValueError
 from .record import Record, _set
 
 
 class BackendMismatchError(TypeError):
     """Two values from different backends met in one expression."""
-
-
-class DegenerateInputError(UsageError, ValueError):
-    """Geometrically degenerate input (collinear triangle, zero segment, ...)."""
-
-
-class ExactValueError(UsageError, ArithmeticError):
-    """An exact result would leave the representable set (rationals plus single radicals)."""
 
 
 class LengthMismatchError(ValueError):

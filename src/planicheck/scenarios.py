@@ -14,7 +14,10 @@ and queueing every exact zero and sign change; once the grid pass ends it
 refines the queue by bisection, and checks that each refined root lies
 within a containment tolerance of one of the scenario's branches.  Its memory
 grows with one grid row and the number of roots, not with the whole grid.
-The forward checks in ``suites`` walk the same branch lines.
+The forward checks walk the same branch lines: ``run_scenario_suites``
+gives each claimed branch one ``suite_forward`` check, run by
+``report.run_check`` and bounded by ``TOL``, and bisector-30 the off-branch
+spot set, whose angle gaps ``MIN_GAP`` bounds from below.
 The test suite keeps each residual's figure composition (the labelled points
 and the residual built from them) as a reference that the residual must
 equal bit for bit, and audits those figures against constructions made on
@@ -39,15 +42,17 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from random import Random
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .errors import UsageError
+from .errors import DegenerateInputError, UsageError
 from .record import Record
-from .scalars import DegenerateInputError
+from .report import TOL, CheckResult, run_check
 
 _GAMMA_FLOOR = 1e-3  # scan guard: skip the numerically wild sliver gamma < ~0.06 deg
 _COS_30 = math.cos(math.pi / 6)
 _RIGHT_ANGLE = math.pi / 2
+MIN_GAP = 1e-3
 
 
 class UnknownScenarioError(UsageError, ValueError):
@@ -395,3 +400,60 @@ def level_set_scan(name: str, grid_step: float, refine_tol: float = 1e-12,
 
     return ScanReport(name, h, refine_tol, delta, evaluations, roots,
                       not violations, violations, sc.asserted)
+
+
+# -- proven forward implications ------------------------------------------------
+
+def suite_forward(scenario: Scenario, branch: Branch, samples: int,
+                  rng: Random, **scenario_kwargs) -> CheckResult:
+    """Shapes drawn uniformly along one claimed branch of a scenario must
+    zero its residual within ``TOL``; ``scenario_kwargs`` go to the residual
+    as in the scan."""
+    def sample(_index, witness):
+        alpha, beta = branch.point(math.radians(rng.uniform(*branch.free_deg)))
+        witness.update(alpha_deg=math.degrees(alpha),
+                       beta_deg=math.degrees(beta))
+        resid = abs(scenario.residual(alpha, beta, **scenario_kwargs))
+        return resid, ({"residual": resid} if resid > TOL else None)
+
+    return run_check(f"forward-{branch.name}", samples, sample)
+
+
+# right isosceles plus five more shapes off both conclusion branches
+OFFSET_SPOT_SHAPES_DEG = ((45.0, 45.0), (80.0, 45.0), (50.0, 10.0),
+                          (100.0, 50.0), (30.0, 30.0), (90.0, 35.0))
+
+
+def suite_offset_bisector_spots() -> CheckResult:
+    """Shapes off both branches keep the bisector-foot angle away from 30
+    degrees by more than ``MIN_GAP`` radians."""
+    result = CheckResult("offset-bisector-spot-set", True,
+                         len(OFFSET_SPOT_SHAPES_DEG), math.inf)
+    worst_gap = math.inf
+    for a_deg, b_deg in OFFSET_SPOT_SHAPES_DEG:
+        *_, a1x, a1y, b1x, b1y = bisector_feet(math.radians(a_deg),
+                                               math.radians(b_deg))
+        gap = abs(angle_at((b1x, b1y), (1.0, 0.0), (a1x, a1y))
+                  - math.pi / 6)
+        worst_gap = min(worst_gap, gap)
+        if not gap > MIN_GAP:   # a NaN gap fails too
+            result.add_failure({"alpha_deg": a_deg, "beta_deg": b_deg,
+                                "angle_gap": gap})
+    result.worst_residual = worst_gap
+    return result
+
+
+def run_scenario_suites(name: str, samples: int, seed: int,
+                        **scenario_kwargs) -> List[CheckResult]:
+    """One forward check per claimed branch of the scenario, in registry
+    order and each on its own seeded stream, plus the off-branch spot set
+    for bisector-30.  ``scenario_kwargs`` are the scan's residual
+    arguments (the rectangle height ``t``)."""
+    scenario = get_scenario(name)
+    master = Random(seed)
+    results = [suite_forward(scenario, branch, samples,
+                             Random(master.getrandbits(64)), **scenario_kwargs)
+               for branch in scenario.branches]
+    if name == "bisector-30":
+        results.append(suite_offset_bisector_spots())
+    return results

@@ -38,6 +38,7 @@ from .congruence import (
     criterion_d,
     measure,
 )
+from .errors import LemmaPreconditionError
 from .kernel import (
     LABELS,
     Isometry,
@@ -65,14 +66,6 @@ class DichotomyViolationError(RuntimeError):
 
     Unreachable if the dichotomy theorem holds; raising keeps the check honest.
     """
-
-
-class LemmaPreconditionError(ValueError):
-    """A common-side lemma precondition failed; ``reason`` says which."""
-
-    def __init__(self, reason: str, message: str):
-        super().__init__(message)
-        self.reason = reason
 
 
 class SsaSpec(Record):

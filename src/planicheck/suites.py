@@ -1,26 +1,15 @@
-"""Seeded property suites behind the ``verify`` and ``scenario`` commands.
+"""Seeded property suites behind the ``verify`` command.
 
-Each sampled check is a per-sample function run by ``run_check``, the one
-sample loop.  ``sample(index, witness)`` draws from the ``random.Random``
-its suite is handed (the caller owns seeding, so results are reproducible),
-records what it draws in ``witness`` and returns ``(residual, failure)``,
-``failure`` being None or the fields a failing witness adds.  ``run_check``
-keeps the worst residual and at most five witnesses; a sample that raises
-``DegenerateInputError`` (as a coarse ``eps`` may), ``ExactValueError`` or
-``LemmaPreconditionError``, or that returns a NaN residual, fails with the
-values drawn so far plus ``"error"``.
+Each sampled check is a per-sample function run by ``report.run_check``,
+the one sample loop; it draws from the ``random.Random`` its suite is
+handed (the caller owns seeding, so results are reproducible).  The
+scenario forward checks live in ``scenarios``, so a ``scenario`` run loads
+no SSA layer.
 
 Sample counts scale the acceptance defaults: with the standard 100000
 samples the verify runner executes 100000 oracle comparisons, 10000 float
 and 1000 exact dichotomy classifications, 1000 lemma configurations, and
 1000 backend cross-validations.
-
-The scenario forward checks are not written per scenario: ``suite_forward``
-walks one ``Branch`` of the scenario registry, so every claimed branch of
-every scenario gets one check.
-
-``TOL`` bounds every float residual (radians, cosine sums, normalized
-determinants) and ``MIN_GAP`` the bisector-30 spot gaps from below.
 """
 
 from __future__ import annotations
@@ -30,44 +19,14 @@ from fractions import Fraction
 from random import Random
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .scalars import EXACT, DegenerateInputError, ExactValueError, FloatBackend
+from .scalars import EXACT, FloatBackend
 from .kernel import Isometry, Point, Triangle, collinear, coord_scale, point
-from .ssa import (Congruent, LemmaPreconditionError, NotSsaMatched, SsaSpec,
-                  Supplementary, classify_pair, lemma_common_side_check,
-                  solve_ssa)
+from .ssa import (Congruent, NotSsaMatched, SsaSpec, Supplementary,
+                  classify_pair, lemma_common_side_check, solve_ssa)
 from . import scenarios as sc
-from .report import CheckResult
+from .report import TOL, CheckResult, run_check
 
 FLOAT = FloatBackend()
-TOL = 1e-9
-MIN_GAP = 1e-3
-
-
-Sample = Callable[[int, Dict], Tuple[float, Optional[Dict]]]
-_REJECTED = (DegenerateInputError, ExactValueError, LemmaPreconditionError)
-
-
-def run_check(name: str, samples: int, sample: Sample) -> CheckResult:
-    """The one sample loop, with a fresh ``witness`` dict per index; a check
-    of no samples would pass vacuously, so fewer than one is an error."""
-    if samples < 1:
-        raise ValueError("sample count must be at least 1")
-    result = CheckResult(name, True, samples, 0.0)
-    for index in range(samples):
-        witness = {}
-        try:
-            residual, failure = sample(index, witness)
-        except _REJECTED as exc:
-            result.add_failure({**witness, "error": str(exc)})
-            continue
-        if math.isnan(residual):
-            # max would drop it and every "> TOL" test passes it
-            result.add_failure({**witness, "error": "residual is not a number"})
-            continue
-        result.worst_residual = max(result.worst_residual, residual)
-        if failure is not None:
-            result.add_failure({**witness, **failure})
-    return result
 
 
 # -- law-of-sines oracle -------------------------------------------------------
@@ -335,47 +294,6 @@ def suite_backend_cross(samples: int, rng: Random) -> CheckResult:
     return run_check("backend-cross-validation", samples, sample)
 
 
-# -- proven forward implications ------------------------------------------------
-
-def suite_forward(scenario: sc.Scenario, branch: sc.Branch, samples: int,
-                  rng: Random, **scenario_kwargs) -> CheckResult:
-    """Shapes drawn uniformly along one claimed branch of a scenario must
-    zero its residual within ``TOL``; ``scenario_kwargs`` go to the residual
-    as in the scan."""
-    def sample(_index, witness):
-        alpha, beta = branch.point(math.radians(rng.uniform(*branch.free_deg)))
-        witness.update(alpha_deg=math.degrees(alpha),
-                       beta_deg=math.degrees(beta))
-        resid = abs(scenario.residual(alpha, beta, **scenario_kwargs))
-        return resid, ({"residual": resid} if resid > TOL else None)
-
-    return run_check(f"forward-{branch.name}", samples, sample)
-
-
-# right isosceles plus five more shapes off both conclusion branches
-OFFSET_SPOT_SHAPES_DEG = ((45.0, 45.0), (80.0, 45.0), (50.0, 10.0),
-                          (100.0, 50.0), (30.0, 30.0), (90.0, 35.0))
-
-
-def suite_offset_bisector_spots() -> CheckResult:
-    """Shapes off both branches keep the bisector-foot angle away from 30
-    degrees by more than ``MIN_GAP`` radians."""
-    result = CheckResult("offset-bisector-spot-set", True,
-                         len(OFFSET_SPOT_SHAPES_DEG), math.inf)
-    worst_gap = math.inf
-    for a_deg, b_deg in OFFSET_SPOT_SHAPES_DEG:
-        *_, a1x, a1y, b1x, b1y = sc.bisector_feet(math.radians(a_deg),
-                                                  math.radians(b_deg))
-        gap = abs(sc.angle_at((b1x, b1y), (1.0, 0.0), (a1x, a1y))
-                  - math.pi / 6)
-        worst_gap = min(worst_gap, gap)
-        if not gap > MIN_GAP:   # a NaN gap fails too
-            result.add_failure({"alpha_deg": a_deg, "beta_deg": b_deg,
-                                "angle_gap": gap})
-    result.worst_residual = worst_gap
-    return result
-
-
 # -- runners --------------------------------------------------------------------
 
 VERIFY_SUITES: Tuple[Tuple[str, int, Callable[[int, Random], CheckResult]], ...] = (
@@ -415,17 +333,6 @@ def run_verify_suites(samples: int, seed: int, backend: str = "float",
     return results
 
 
-def run_scenario_suites(name: str, samples: int, seed: int,
-                        **scenario_kwargs) -> List[CheckResult]:
-    """One forward check per claimed branch of the scenario, in registry
-    order and each on its own seeded stream, plus the off-branch spot set
-    for bisector-30.  ``scenario_kwargs`` are the scan's residual
-    arguments (the rectangle height ``t``)."""
-    scenario = sc.get_scenario(name)
-    master = Random(seed)
-    results = [suite_forward(scenario, branch, samples,
-                             Random(master.getrandbits(64)), **scenario_kwargs)
-               for branch in scenario.branches]
-    if name == "bisector-30":
-        results.append(suite_offset_bisector_spots())
-    return results
+# the name bench/tracing.py wraps; the benchmark change that points the
+# tracer at scenarios deletes it
+run_scenario_suites = sc.run_scenario_suites

@@ -12,15 +12,18 @@ from random import Random
 
 from planicheck import report as rpt
 from planicheck.logic import equivalent, parse_formula, verify_scheme_equivalences
-from planicheck.scenarios import SCENARIOS, level_set_scan
+from planicheck.scenarios import (
+    SCENARIOS,
+    level_set_scan,
+    suite_forward,
+    suite_offset_bisector_spots,
+)
 from planicheck.suites import (
     run_verify_suites,
     suite_backend_cross,
     suite_dichotomy_exact,
     suite_dichotomy_float,
-    suite_forward,
     suite_lemma,
-    suite_offset_bisector_spots,
     suite_ssa_oracle,
 )
 

@@ -12,7 +12,8 @@ import pytest
 from planicheck import cli, scenarios, suites
 from planicheck.errors import UsageError
 from planicheck.logic import (AtomBudgetError, FormulaSyntaxError,
-                              SchemeVerificationError)
+                              SchemeVerificationError,
+                              UnsatisfiableConstraintError)
 from planicheck.report import CheckResult
 from planicheck.scalars import (EXACT, BackendMismatchError,
                                 DegenerateInputError, ExactValueError,
@@ -466,7 +467,7 @@ def test_scenario_prints_the_witnesses_of_a_failing_check(monkeypatch,
                                                           capsys):
     failing = CheckResult("forward-isosceles", False, 3, 0.5,
                           [{"alpha_deg": 40.0, "residual": 0.5}])
-    monkeypatch.setattr(suites, "run_scenario_suites",
+    monkeypatch.setattr(scenarios, "run_scenario_suites",
                         lambda *a, **k: [failing])
     assert run(["scenario", "medial-circumcenter", "--grid-step-deg", "5"]) == 1
     out = capsys.readouterr().out.splitlines()
@@ -564,6 +565,16 @@ def test_logic_empty_constraint_is_a_syntax_error(capsys):
     assert captured.out == ""
 
 
+def test_logic_unsatisfiable_constraint_is_a_usage_error(capsys):
+    # under a constraint that holds on no row every pair would be vacuously
+    # equivalent, as a check of no samples would vacuously pass
+    assert run(["logic", "--formula", "p", "--equiv", "!p",
+                "--constraint", "q & !q"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: constraint q & !q holds on no row\n"
+    assert captured.out == ""
+
+
 def test_logic_atom_budget_is_a_usage_error(capsys):
     wide = " | ".join(f"x{i}" for i in range(21))
     assert run(["logic", "--formula", wide, "--equiv", wide]) == 2
@@ -583,7 +594,8 @@ def test_markdown_report(tmp_path):
 @pytest.mark.parametrize("cls, base", [
     (DegenerateInputError, ValueError), (ExactValueError, ArithmeticError),
     (UnknownScenarioError, ValueError), (FormulaSyntaxError, ValueError),
-    (AtomBudgetError, ValueError), (FeetOffSegmentError, ValueError)],
+    (AtomBudgetError, ValueError), (FeetOffSegmentError, ValueError),
+    (UnsatisfiableConstraintError, ValueError)],
     ids=lambda v: v.__name__)
 def test_each_named_input_error_is_a_usage_error(cls, base):
     assert issubclass(cls, UsageError) and issubclass(cls, base)
@@ -640,6 +652,14 @@ def test_the_readme_ssa_query_loads_no_dataclass_machinery():
         " '--angle-deg', '30']) == 0"
     ) == BARE | {"fractions", "planicheck.scalars", "planicheck.kernel",
                  "planicheck.congruence", "planicheck.ssa"}
+
+
+def test_the_scenario_command_loads_no_ssa_layer():
+    assert modules_loaded_by(
+        "from planicheck.cli import main\n"
+        "assert main(['scenario', 'square-center', '--grid-step-deg', '30',"
+        " '--samples', '1']) == 0"
+    ) == BARE | {"planicheck.scenarios", "dataclasses", "inspect"}
 
 
 def test_the_check_sees_the_dataclass_machinery():

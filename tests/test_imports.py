@@ -234,11 +234,14 @@ def test_every_handler_returns_a_triple():
     assert handler_returns((PACKAGE / "cli.py").read_text()) == []
 
 
-# run_check alone turns a rejected sample into a failing witness
-EXCEPT_OWNERS = {"run_check"}
+# run_check alone turns a rejected sample into a failing witness; the
+# modules of the sampled checks, and the one that runs them, catch nothing
+# else but the registry lookup that names an unknown scenario
+EXCEPT_OWNERS = {"report.py": {"run_check"}, "suites.py": set(),
+                 "scenarios.py": {"get_scenario"}}
 
 
-def except_clauses(source, allowed=EXCEPT_OWNERS):
+def except_clauses(source, allowed):
     """(top-level definition, line) of each ``except`` clause in ``source``
     outside the definitions that ``allowed`` names, nested functions
     included; statements outside any definition are reported as
@@ -258,11 +261,62 @@ def test_the_check_sees_an_except_clause():
            "def suite():\n    def sample():\n        try:\n            pass\n"
            "        except KeyError:\n            pass\n    return sample\n\n"
            "try:\n    import x\nexcept ImportError:\n    x = None\n")
-    assert except_clauses(src) == [("suite", 11), ("<module>", 17)]
+    assert except_clauses(src, {"run_check"}) == [("suite", 11),
+                                                  ("<module>", 17)]
 
 
 def test_only_run_check_catches_a_rejected_sample():
-    assert except_clauses((PACKAGE / "suites.py").read_text()) == []
+    for name, allowed in EXCEPT_OWNERS.items():
+        assert except_clauses((PACKAGE / name).read_text(), allowed) == []
+    # and the registry lookup catches the missing key alone
+    [handler] = [n for n in ast.walk(ast.parse(
+        (PACKAGE / "scenarios.py").read_text()))
+        if isinstance(n, ast.ExceptHandler)]
+    assert handler.type.id == "KeyError"
+
+
+# the scan stack runs no SSA arithmetic: scenarios imports no module of
+# the SSA stack, so a scenario run loads none
+SSA_STACK = {"scalars", "kernel", "congruence", "ssa", "suites"}
+
+
+def package_imports(source, modules):
+    """(line, module) of each import of a sibling module that ``modules``
+    names, or of a name from it, in ``source``, whether relative
+    (``from .ssa import x``, ``from . import ssa``) or absolute
+    (``planicheck.ssa``)."""
+    found = []
+    for n in ast.walk(ast.parse(source)):
+        if isinstance(n, ast.Import):
+            names = [alias.name for alias in n.names]
+        elif isinstance(n, ast.ImportFrom):
+            base = (n.module if not n.level else
+                    f"planicheck.{n.module}" if n.module else "planicheck")
+            names = ([f"{base}.{alias.name}" for alias in n.names]
+                     if base == "planicheck" else [base])
+        else:
+            continue
+        found += [(n.lineno, name.split(".")[1]) for name in names
+                  if name.startswith("planicheck.")
+                  and name.split(".")[1] in modules]
+    return found
+
+
+def test_the_check_sees_an_ssa_stack_import():
+    src = ("from .scalars import DegenerateInputError\n"
+           "from .errors import UsageError\nfrom . import ssa, report\n"
+           "import planicheck.kernel\nfrom planicheck import suites\n"
+           "from planicheck.scenarios import angle_at\n"
+           "from planicheck.ssa import solve_ssa\n"
+           "def f():\n    from .congruence import measure\n")
+    assert package_imports(src, SSA_STACK) == [
+        (1, "scalars"), (3, "ssa"), (4, "kernel"), (5, "suites"),
+        (7, "ssa"), (9, "congruence")]
+
+
+def test_the_scenarios_import_no_ssa_layer():
+    assert package_imports((PACKAGE / "scenarios.py").read_text(),
+                           SSA_STACK) == []
 
 
 # the exact payload is scalars' own rational: Fraction enters only at the

@@ -15,6 +15,7 @@ from planicheck.logic import (
     Implies,
     Not,
     Or,
+    UnsatisfiableConstraintError,
     Xor,
     atom_names,
     compose_scheme,
@@ -207,6 +208,7 @@ def oracle_equivalent(f1, f2, constraint):
 def test_equivalent_and_evaluate_match_row_by_row_oracle():
     rng = random.Random(5)
     verdicts = set()
+    unsatisfiable = 0
     for n in range(1, 9):
         names = [f"a{i}" for i in range(n)]
         for trial in range(30):
@@ -216,15 +218,23 @@ def test_equivalent_and_evaluate_match_row_by_row_oracle():
             constraint = (random_formula(rng, names, 3) if trial % 2
                           else None)
             witness, rows, in_scope = oracle_equivalent(f1, f2, constraint)
-            res = equivalent(f1, f2, constraint)
-            assert res.equivalent == (witness is None)
-            assert res.witness == witness
-            assert (res.rows, res.constrained_rows) == (rows, in_scope)
-            verdicts.add(res.equivalent)
+            if not in_scope:
+                # a constraint that holds on no row would make any pair
+                # vacuously equivalent
+                with pytest.raises(UnsatisfiableConstraintError):
+                    equivalent(f1, f2, constraint)
+                unsatisfiable += 1
+            else:
+                res = equivalent(f1, f2, constraint)
+                assert res.equivalent == (witness is None)
+                assert res.witness == witness
+                assert (res.rows, res.constrained_rows) == (rows, in_scope)
+                verdicts.add(res.equivalent)
             for values in product((False, True), repeat=n):
                 row = dict(zip(names, values))
                 assert evaluate(f1, row) == oracle_value(f1, row)
     assert verdicts == {True, False}
+    assert unsatisfiable == 6
 
 
 def test_max_atoms_differ_only_on_the_all_true_row():

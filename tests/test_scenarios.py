@@ -53,9 +53,9 @@ from planicheck.scenarios import (
     level_set_scan,
     medial_residual,
     rectangle_residual,
+    run_scenario_suites,
     square_residual,
 )
-from planicheck.suites import run_scenario_suites
 from scan_reference import reference_scan
 
 STEP_1DEG = math.radians(1.0)

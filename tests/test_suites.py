@@ -7,11 +7,10 @@ from random import Random
 
 import pytest
 
-from planicheck import suites
+from planicheck import scenarios, suites
+from planicheck.errors import DegenerateInputError, ExactValueError
 from planicheck.kernel import point
-from planicheck.report import check_to_dict
-from planicheck.scalars import DegenerateInputError, ExactValueError
-from planicheck.scenarios import get_scenario
+from planicheck.report import check_to_dict, run_check
 
 
 @pytest.mark.parametrize("suite", [suites.suite_dichotomy_float,
@@ -45,8 +44,9 @@ def test_a_same_side_lemma_pair_is_a_failed_check(monkeypatch):
 
 
 def forward_check(residual):
-    scenario = replace(get_scenario("square-center"), residual=residual)
-    return lambda samples, rng: suites.suite_forward(
+    scenario = replace(scenarios.get_scenario("square-center"),
+                       residual=residual)
+    return lambda samples, rng: scenarios.suite_forward(
         scenario, scenario.branches[0], samples, rng)
 
 
@@ -83,7 +83,7 @@ def test_a_rejected_sample_is_a_failing_witness(monkeypatch, suite, target,
 def test_a_nan_residual_is_a_failing_witness():
     # max drops a NaN and "NaN > TOL" is False, so without its own test a
     # NaN residual would pass the sample and leave worst_residual at 0
-    result = suites.run_check("nan", 3, lambda index, witness: (math.nan, None))
+    result = run_check("nan", 3, lambda index, witness: (math.nan, None))
     assert not result.passed
     assert result.worst_residual == 0.0
     assert result.witnesses == [{"error": "residual is not a number"}] * 3
@@ -116,7 +116,7 @@ def test_a_check_of_no_samples_is_rejected():
     # run_check is the one place that refuses a count below one, for the
     # scenario checks as for the verify battery
     with pytest.raises(ValueError, match="at least 1"):
-        suites.run_scenario_suites("square-center", 0, 1)
+        scenarios.run_scenario_suites("square-center", 0, 1)
     with pytest.raises(ValueError, match="at least 1"):
         suites.run_verify_suites(0, 1)
     with pytest.raises(ValueError, match="at least 1"):

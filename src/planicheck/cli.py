@@ -20,7 +20,9 @@ times the handler call, turns every ``UsageError`` (the one base of each
 layer's named input error) into one ``error:`` line, adds ``command`` and
 ``rng_algorithm`` to the config echo, writes the report and chooses the exit
 code: 0 when every check passes and any scan is contained or exploratory,
-1 otherwise, 2 on a usage or config error.
+1 otherwise, 2 on a usage or config error.  A ``DichotomyViolationError``
+from ``ssa`` (a float ``--eps`` below binary64 resolution) is a failed check:
+one ``error:`` line and exit code 1.
 
 Each handler imports the layers it runs when it runs, so a command loads
 only those: ``logic`` and ``scenario`` never load the scalar, kernel or SSA
@@ -36,7 +38,7 @@ import sys
 import time
 from typing import Dict, List, Optional, Tuple
 
-from .errors import UsageError
+from .errors import DichotomyViolationError, UsageError
 from .report import CheckResult
 from . import report as rpt
 
@@ -342,6 +344,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except DichotomyViolationError as exc:
+        # a failed check, not a usage error: a float eps below binary64
+        # resolution makes the solver's own pair read as not supplementary
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     wall_time_s = time.perf_counter() - started
     body = rpt.build_report({"command": args.command, **config,
                              "rng_algorithm": RNG_ALGORITHM}, checks, **parts)

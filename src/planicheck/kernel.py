@@ -19,11 +19,20 @@ that ``side`` does not call them collinear; ``trusted_triangle`` builds one
 without those checks, for ``solve_ssa`` alone, whose kept roots have
 already cleared a collinearity band at least as wide.
 
-``squared_distance``, ``angle_cos``, ``side`` (the orientation and its
-scale in one pass), ``concyclic`` and ``concyclicity_determinant`` compute
-on the points' payloads, after checking that the points share one backend,
-and wrap in a ``Scalar`` only the values they return; ``dot``, ``cross``
-and ``Point`` arithmetic stay on ``Scalar`` for the isometries.
+A ``Point`` holds one backend and the raw payloads of its coordinates, as
+a point of the kernels of Hert, Hoffmann, Kettner, Pion and Seel ("An
+adaptable and extensible geometry kernel", CGTA 38, 2007) is parameterised
+by one kernel and holds plain numbers.  Its public constructor takes two
+``Scalar``s and checks that they share a backend; ``point`` converts two
+numbers by the backend's ``payload``, and ``payload_point`` takes two
+payloads of one backend, so neither has a check to skip.  ``x`` and ``y``
+wrap a payload in a ``Scalar`` on each read, for callers at the package
+boundary; the kernel reads the payloads.  ``squared_distance``,
+``angle_cos``, ``side`` (the orientation and its scale in one pass),
+``concyclic``, ``concyclicity_determinant``, ``dot``, ``cross``, ``Point``
+subtraction and ``Isometry.apply`` compute on the payloads, after checking
+that the values share one backend, and wrap in a ``Scalar`` only the values
+they return.
 
 Every zero test goes through the backend's ``vanishes(value, scale,
 degree)`` on a payload: exact zero on the exact backend, |value| <=
@@ -51,6 +60,7 @@ from .scalars import (
     Scalar,
     common_backend,
     same_backend,
+    to_float,
 )
 
 LABELS = ("A", "B", "C")
@@ -60,51 +70,84 @@ _new = object.__new__
 
 
 class Point(Record):
-    __slots__ = ("x", "y")
+    """A point of one backend: ``backend`` and the payloads ``_x`` and
+    ``_y`` of its coordinates.  ``x`` and ``y`` wrap them in a ``Scalar``
+    on each read, for callers at the package boundary; equality and
+    hashing go by the backend and the payloads."""
+
+    __slots__ = ("backend", "_x", "_y")
 
     def __init__(self, x: Scalar, y: Scalar):
         backend = x.backend
         if y.backend is not backend and not same_backend(backend, y.backend):
             raise BackendMismatchError("point coordinates from different backends")
-        _set(self, "x", x)
-        _set(self, "y", y)
+        _set(self, "backend", backend)
+        _set(self, "_x", x._v)
+        _set(self, "_y", y._v)
 
     @property
-    def backend(self) -> Backend:
-        return self.x.backend
+    def x(self) -> Scalar:
+        return Scalar(self.backend, self._x)
+
+    @property
+    def y(self) -> Scalar:
+        return Scalar(self.backend, self._y)
+
+    def __repr__(self):
+        return f"Point(x={self.x!r}, y={self.y!r})"
+
+    def __reduce__(self):
+        # through the public constructor, whose fields are x and y
+        return Point, (self.x, self.y)
 
     def __sub__(self, other: "Point") -> "Point":
-        return Point(self.x - other.x, self.y - other.y)
+        return payload_point(_backend(self, other), self._x - other._x,
+                             self._y - other._y)
 
     def eq(self, other: "Point") -> bool:
-        return self.x.eq(other.x) and self.y.eq(other.y)
+        eq = _backend(self, other).eq
+        return eq(self._x, other._x) and eq(self._y, other._y)
+
+    def as_floats(self) -> Tuple[float, float]:
+        """The coordinates as binary64, without a ``Scalar``."""
+        return to_float(self._x), to_float(self._y)
+
+
+def payload_point(backend: Backend, x, y) -> Point:
+    """The ``Point`` of payloads ``x`` and ``y`` of ``backend``: one
+    backend for both, so ``Point``'s check has nothing to test."""
+    p = _new(Point)
+    _set(p, "backend", backend)
+    _set(p, "_x", x)
+    _set(p, "_y", y)
+    return p
 
 
 def point(backend: Backend, x, y) -> Point:
-    return Point(backend.scalar(x), backend.scalar(y))
+    return payload_point(backend, backend.payload(x), backend.payload(y))
 
 
 def dot(u: Point, v: Point) -> Scalar:
-    return u.x * v.x + u.y * v.y
+    return Scalar(_backend(u, v), u._x * v._x + u._y * v._y)
 
 
 def cross(u: Point, v: Point) -> Scalar:
-    return u.x * v.y - u.y * v.x
+    return Scalar(_backend(u, v), u._x * v._y - u._y * v._x)
 
 
 def _backend(p: Point, *others: Point) -> Backend:
     """The backend of ``p``, once every point of ``others`` shares it: the
     check before a function combines the payloads of several points."""
-    backend = p.x.backend
+    backend = p.backend
     for q in others:
-        if q.x.backend is not backend:
-            common_backend(backend, q.x.backend)
+        if q.backend is not backend:
+            common_backend(backend, q.backend)
     return backend
 
 
 def squared_distance(p: Point, q: Point) -> Scalar:
     backend = _backend(p, q)
-    dx, dy = q.x._v - p.x._v, q.y._v - p.y._v
+    dx, dy = q._x - p._x, q._y - p._y
     return Scalar(backend, dx * dx + dy * dy)
 
 
@@ -113,7 +156,7 @@ def coord_scale(*points: Point) -> float:
     backend's ``size`` of the coordinates (on the float backend their
     largest magnitude, floored at 1)."""
     return _backend(*points).size(
-        *[v for p in points for v in (p.x._v, p.y._v)])
+        *[v for p in points for v in (p._x, p._y)])
 
 
 def _orientation(p: Point, q: Point, r: Point):
@@ -121,7 +164,7 @@ def _orientation(p: Point, q: Point, r: Point):
     configuration size ``coord_scale(p, q, r)``), in one pass over the
     payloads."""
     backend = _backend(p, q, r)
-    px, py, qx, qy, rx, ry = p.x._v, p.y._v, q.x._v, q.y._v, r.x._v, r.y._v
+    px, py, qx, qy, rx, ry = p._x, p._y, q._x, q._y, r._x, r._y
     value = (qx - px) * (ry - py) - (qy - py) * (rx - px)
     return backend, value, backend.size(px, py, qx, qy, rx, ry)
 
@@ -148,8 +191,8 @@ def angle_cos(vertex: Point, end1: Point, end2: Point) -> Scalar:
     """
     backend = _backend(vertex, end1, end2)
     eq = backend.eq
-    vx, vy = vertex.x._v, vertex.y._v
-    x1, y1, x2, y2 = end1.x._v, end1.y._v, end2.x._v, end2.y._v
+    vx, vy = vertex._x, vertex._y
+    x1, y1, x2, y2 = end1._x, end1._y, end2._x, end2._y
     if (eq(vx, x1) and eq(vy, y1)) or (eq(vx, x2) and eq(vy, y2)):
         raise DegenerateInputError("angle at coincident points")
     ux, uy, wx, wy = x1 - vx, y1 - vy, x2 - vx, y2 - vy
@@ -171,20 +214,21 @@ class Isometry(Record):
 
     def __init__(self, cos_t: Scalar, sin_t: Scalar, tx: Scalar, ty: Scalar,
                  mirror: bool = False):
+        for v in (sin_t, tx, ty):
+            common_backend(cos_t.backend, v.backend)
         n = cos_t * cos_t + sin_t * sin_t
         if not n.eq(1):
             raise ValueError("rotation part must satisfy cos^2 + sin^2 = 1")
         Record.__init__(self, cos_t, sin_t, tx, ty, mirror)
 
-    def _linear(self, p: Point) -> Point:
-        x, y = (p.x, -p.y) if self.mirror else (p.x, p.y)
-        return Point(self.cos_t * x - self.sin_t * y,
-                     self.sin_t * x + self.cos_t * y)
-
     def apply(self, obj):
         if isinstance(obj, Point):
-            q = self._linear(obj)
-            return Point(q.x + self.tx, q.y + self.ty)
+            # on the payloads: the rotated (and mirrored) point, then the shift
+            backend = common_backend(self.cos_t.backend, obj.backend)
+            c, s = self.cos_t._v, self.sin_t._v
+            x, y = (obj._x, -obj._y) if self.mirror else (obj._x, obj._y)
+            return payload_point(backend, (c * x - s * y) + self.tx._v,
+                                 (s * x + c * y) + self.ty._v)
         if isinstance(obj, Triangle):
             return Triangle(self.apply(obj.A), self.apply(obj.B), self.apply(obj.C))
         raise TypeError(f"cannot apply isometry to {type(obj).__name__}")
@@ -204,15 +248,15 @@ def isometry_taking_segment_to_segment(src1: Point, src2: Point,
     if n2.sign() == 0 or not n2.eq(dot(dv, dv)):
         raise LengthMismatchError("segments must be nonzero and of equal length")
     if mirror:
-        su = Point(su.x, -su.y)
+        su = payload_point(su.backend, su._x, -su._y)
     c = dot(su, dv) / n2
     s = cross(su, dv) / n2
     # renormalize against float rounding drift; the exact norm is 1
     n = (c * c + s * s).sqrt()
     c, s = c / n, s / n
     g0 = Isometry(c, s, c - c, c - c, mirror)  # zero translation, same backend
-    a = g0.apply(src1)
-    return Isometry(c, s, dst1.x - a.x, dst1.y - a.y, mirror)
+    t = dst1 - g0.apply(src1)
+    return Isometry(c, s, t.x, t.y, mirror)
 
 
 class Triangle(Record):
@@ -221,9 +265,9 @@ class Triangle(Record):
     __slots__ = ("A", "B", "C")
 
     def __init__(self, A: Point, B: Point, C: Point):
-        backend = A.x.backend
-        if not (same_backend(backend, B.x.backend)
-                and same_backend(backend, C.x.backend)):
+        backend = A.backend
+        if not (same_backend(backend, B.backend)
+                and same_backend(backend, C.backend)):
             raise BackendMismatchError("triangle vertices from different backends")
         if collinear(A, B, C):
             raise DegenerateInputError("collinear triangle")
@@ -262,11 +306,11 @@ def concyclicity_determinant(p1: Point, p2: Point, p3: Point, p4: Point) -> Scal
     fourth: rows (x - x4, y - y4, (x^2 + y^2) - (x4^2 + y4^2)) and their
     3x3 determinant, expanded along the first row."""
     backend = _backend(p1, p2, p3, p4)
-    x4, y4 = p4.x._v, p4.y._v
+    x4, y4 = p4._x, p4._y
     n4 = x4 * x4 + y4 * y4
     rows = []
     for p in (p1, p2, p3):
-        x, y = p.x._v, p.y._v
+        x, y = p._x, p._y
         rows.append((x - x4, y - y4, (x * x + y * y) - n4))
     (a1, b1, c1), (a2, b2, c2), (a3, b3, c3) = rows
     return Scalar(backend, a1 * (b2 * c3 - b3 * c2)
@@ -284,11 +328,11 @@ def concyclic(p1: Point, p2: Point, p3: Point,
     """
     pts = (p1, p2, p3, p4)
     backend = _backend(*pts)
-    scale = backend.size(*[v for p in pts for v in (p.x._v, p.y._v)])
+    scale = backend.size(*[v for p in pts for v in (p._x, p._y)])
     for i in range(4):
         for j in range(i + 1, 4):
             p, q = pts[i], pts[j]
-            dx, dy = q.x._v - p.x._v, q.y._v - p.y._v
+            dx, dy = q._x - p._x, q._y - p._y
             if backend.vanishes(backend.sqrt(dx * dx + dy * dy), scale, 1):
                 raise DegenerateInputError("concyclicity needs 4 distinct points")
     for i in range(4):

@@ -17,9 +17,10 @@ mutable ``Record``, so parsing a command's arguments loads no
 records what it draws in ``witness`` and returns ``(residual, failure)``,
 ``failure`` being None or the fields a failing witness adds.  It keeps the
 worst residual and at most five witnesses; a sample that raises
-``DegenerateInputError`` (as a coarse ``eps`` may), ``ExactValueError`` or
-``LemmaPreconditionError``, or that returns a NaN residual, fails with the
-values drawn so far plus ``"error"``.  ``TOL`` bounds every float residual
+``DegenerateInputError`` (as a coarse ``eps`` may), ``ExactValueError``,
+``LemmaPreconditionError`` or ``DichotomyViolationError`` (as an ``eps``
+below binary64 resolution may), or that returns a NaN residual, fails with
+the values drawn so far plus ``"error"``.  ``TOL`` bounds every float residual
 (radians, cosine sums, normalized determinants).
 """
 
@@ -30,7 +31,8 @@ import math
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from . import __version__
-from .errors import DegenerateInputError, ExactValueError, LemmaPreconditionError
+from .errors import (DegenerateInputError, DichotomyViolationError,
+                     ExactValueError, LemmaPreconditionError)
 from .record import Record
 
 if TYPE_CHECKING:
@@ -60,7 +62,8 @@ class CheckResult(Record):
 
 
 TOL = 1e-9
-_REJECTED = (DegenerateInputError, ExactValueError, LemmaPreconditionError)
+_REJECTED = (DegenerateInputError, ExactValueError, LemmaPreconditionError,
+             DichotomyViolationError)
 
 
 def run_check(name: str, samples: int, sample: Sample) -> CheckResult:

@@ -19,12 +19,14 @@ Two backends underlie every predicate in this package:
   apply the degree-1 case written out, which decides alike because a first
   power cannot overflow.
 
-A backend owns every decision that differs between the two: coercing an
-operand, ``eq``/``lt``/``sign``, ``sqrt``, ``cosine`` (the float backend
-takes a degree-4 root as two degree-2 ones where the product leaves the
-normal binary64 range), ``vanishes`` and ``size``, the configuration size
-``vanishes`` scales by (the exact backend ignores it and never converts a
-payload to binary64 for it).  The backends are ``Record``s.  Each
+A backend owns every decision that differs between the two: turning an
+input into a payload (``payload``, which ``scalar`` wraps, so there is one
+conversion rule), coercing an operand, ``eq``/``lt``/``sign``, ``sqrt``,
+``cosine`` (the float backend takes a degree-4 root as two degree-2 ones
+where the product leaves the normal binary64 range), ``vanishes`` and
+``size``, the configuration size ``vanishes`` scales by (the exact backend
+ignores it and never converts a payload to binary64 for it).  The backends
+are ``Record``s.  Each
 ``Scalar`` operator applies its payloads' own arithmetic (float,
 ``_Rational``, or the radical ``_Sqrt``) and never asks which backend it is
 on, and no module outside this one asks either: the exact payloads alone
@@ -36,14 +38,15 @@ than coercing.
 
 ``Scalar`` is the API at the package boundary, a ``Record`` of its backend
 and payload, so it compares and hashes structurally and copies and pickles.
-Inside, the kernel predicates, ``measure``/``congruent_any`` and
-``solve_ssa`` compute on the payloads (``Scalar._v``) and wrap only the
-values they hand out: every decision, zero tests included, goes to the
-backend object (``eq``, ``sign``, ``sqrt``, ``vanishes``) on payloads, and
-``common_backend`` checks two objects before their payloads meet, so a
-rational never meets a float silently.  Exact payloads are canonical
-(rationals in lowest terms, and a radical whose square is a perfect square
-collapses to a rational), so exact equality is structural.
+Inside, ``kernel.Point`` and ``ssa.SsaSpec`` hold one backend and raw
+payloads, and the kernel predicates, ``measure``/``congruent_any`` and
+``solve_ssa`` compute on the payloads (``Scalar._v`` and those fields) and
+wrap only the values they hand out: every decision, zero tests included,
+goes to the backend object (``eq``, ``sign``, ``sqrt``, ``vanishes``) on
+payloads, and ``common_backend`` checks two objects before their payloads
+meet, so a rational never meets a float silently.  Exact payloads are
+canonical (rationals in lowest terms, and a radical whose square is a
+perfect square collapses to a rational), so exact equality is structural.
 """
 
 from __future__ import annotations
@@ -327,23 +330,41 @@ def is_rational(payload) -> bool:
     return payload.__class__ is _Rational
 
 
-class ExactBackend(Record):
+class _Backend(Record):
+    """What the two backends share: ``payload``, the one rule that turns an
+    input into a payload, and ``scalar``, which wraps that same payload."""
+
+    __slots__ = ()
+
+    def payload(self, value):
+        """``value`` as a payload of this backend: a ``Scalar``'s own, once
+        its backend may meet this one, or a number as ``_convert`` reads
+        it."""
+        if isinstance(value, Scalar):
+            common_backend(self, value.backend)
+            return value._v
+        return self._convert(value)
+
+    def scalar(self, value) -> "Scalar":
+        """``value`` as a ``Scalar`` of this backend: a ``Scalar`` of it as
+        it is, a number wrapped around its ``payload``."""
+        payload = self.payload(value)
+        return value if isinstance(value, Scalar) else Scalar(self, payload)
+
+
+class ExactBackend(_Backend):
     """Zero-tolerance backend over the rationals plus single square roots."""
 
     __slots__ = ()
 
-    def scalar(self, value) -> "Scalar":
-        if isinstance(value, Scalar):
-            if not same_backend(value.backend, self):
-                raise BackendMismatchError("scalar belongs to a different backend")
-            return value
+    def _convert(self, value):
         if isinstance(value, float):
             raise TypeError("exact backend takes int, Fraction or str, not float")
         q = _rational(value)
         if q is None:
             f = Fraction(value)  # a str, or raises
             q = _Rational(f.numerator, f.denominator)
-        return Scalar(self, q)
+        return q
 
     def coerce(self, value):
         q = _rational(value)
@@ -383,7 +404,7 @@ class ExactBackend(Record):
         return dot / self.sqrt(p * q)
 
 
-class FloatBackend(Record):
+class FloatBackend(_Backend):
     """binary64 backend; eps is the relative comparison tolerance."""
 
     __slots__ = ("eps",)
@@ -393,12 +414,8 @@ class FloatBackend(Record):
             raise ValueError("eps must be positive")
         _set(self, "eps", eps)
 
-    def scalar(self, value) -> "Scalar":
-        if isinstance(value, Scalar):
-            if not same_backend(value.backend, self):
-                raise BackendMismatchError("scalar belongs to a different backend")
-            return value
-        return Scalar(self, to_float(value))
+    def _convert(self, value):
+        return to_float(value)
 
     def coerce(self, value):
         if isinstance(value, (int, Fraction, float)):

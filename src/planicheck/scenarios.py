@@ -5,7 +5,10 @@ base AB frozen to length 1, which quotients out similarity.  Each scenario
 defines a signed hypothesis residual over shape space whose zero set is the
 hypothesis locus of one classical statement.  Each residual is
 straight-line binary64 code on the base A = (0, 0), B = (1, 0) and the apex
-C; the residuals share only ``_apex`` and ``bisector_feet``.
+C; the residuals share only ``_apex`` and ``bisector_feet``.  The spot
+checks measure angles with ``rawgeom.angle_at``, the raw-float helper the
+SSA oracle of ``suites`` shares, so this module imports no SSA layer and
+``suites`` imports no scenario layer.
 
 Each conclusion branch is declared once, as a ``Branch``: a line in
 (alpha, beta) plus the range of its free angle.  ``level_set_scan`` samples
@@ -46,6 +49,7 @@ from random import Random
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .errors import DegenerateInputError, UsageError
+from .rawgeom import angle_at
 from .record import Record
 from .report import TOL, CheckResult, run_check
 
@@ -109,14 +113,6 @@ def _apex(alpha: float, beta: float) -> Tuple[float, float]:
     sg = math.sin(g)
     sb = math.sin(beta)
     return (sb * math.cos(alpha) / sg, sb * math.sin(alpha) / sg)
-
-
-def angle_at(v, p, q) -> float:
-    """Angle pvq in [0, pi] between raw (x, y) points; the atan2 form keeps
-    full precision near 0 and pi."""
-    ux, uy = p[0] - v[0], p[1] - v[1]
-    wx, wy = q[0] - v[0], q[1] - v[1]
-    return math.atan2(abs(ux * wy - uy * wx), ux * wx + uy * wy)
 
 
 def bisector_feet(alpha: float, beta: float) -> Tuple[float, ...]:

@@ -14,15 +14,20 @@ on the ray from A at the given angle.  ``solve_ssa`` returns the solutions
 as a tuple of triangles ordered by ascending third side |AB|; it keeps no
 copy of their sides or angles, which ``congruence.measure`` reads.
 
-``SsaSpec`` is a slotted ``Record`` that validates its sides and angle in
-``__init__``, with one backend test for its three values.  ``solve_ssa``
-builds each kept triangle with ``kernel.trusted_triangle``, the one
-constructor that skips ``Triangle``'s checks: the triangle's orientation
-is -(height * b), bit for bit on the float backend and exactly on the
-exact one (a radical there when the height is), and its size
-max(1, |t cos|, t sin, b) is at most the solver's size(a, b, t), so the
-collinearity band the solver cleared is at least as wide as the one
-``Triangle`` would test.
+``SsaSpec`` is a slotted ``Record`` of one backend and three payloads.
+Its public constructor takes three ``Scalar``s with one backend test, and
+``from_values`` converts three numbers by the backend's ``payload``; both
+run the same side and angle checks.  ``side_a``, ``side_b`` and
+``cos_angle`` wrap a payload in a ``Scalar`` on each read, for callers at
+the package boundary; ``solve_ssa`` reads the payloads, and builds its
+points (the origin, the base end and each apex) from payloads, so a kept
+triangle costs no ``Scalar``.  It builds each kept triangle with
+``kernel.trusted_triangle``, the one constructor that skips
+``Triangle``'s checks: the triangle's orientation is -(height * b), bit
+for bit on the float backend and exactly on the exact one (a radical there
+when the height is), and its size max(1, |t cos|, t sin, b) is at most the
+solver's size(a, b, t), so the collinearity band the solver cleared is at
+least as wide as the one ``Triangle`` would test.
 """
 
 from __future__ import annotations
@@ -38,14 +43,14 @@ from .congruence import (
     criterion_d,
     measure,
 )
-from .errors import LemmaPreconditionError
+from .errors import DichotomyViolationError, LemmaPreconditionError
 from .kernel import (
     LABELS,
     Isometry,
-    Point,
     Triangle,
     concyclic,
     isometry_taking_segment_to_segment,
+    payload_point,
     side,
     squared_distance,
     supplementary,
@@ -61,44 +66,63 @@ from .scalars import (
 )
 
 
-class DichotomyViolationError(RuntimeError):
-    """A matched non-congruent pair failed the supplementary test.
-
-    Unreachable if the dichotomy theorem holds; raising keeps the check honest.
-    """
-
-
 class SsaSpec(Record):
     """Two sides and the angle opposite the first of them.
 
     ``side_a`` is opposite the given angle, ``side_b`` adjacent to it, and
-    ``cos_angle`` the cosine of the angle (strictly between -1 and 1).
+    ``cos_angle`` the cosine of the angle (strictly between -1 and 1).  The
+    spec holds one ``backend`` and the three payloads; those three names
+    wrap a payload in a ``Scalar`` on each read, for callers at the
+    package boundary.
     """
 
-    __slots__ = ("side_a", "side_b", "cos_angle")
+    __slots__ = ("backend", "_a", "_b", "_cos")
 
     def __init__(self, side_a: Scalar, side_b: Scalar, cos_angle: Scalar):
         backend = side_a.backend
         if side_b.backend is not backend or cos_angle.backend is not backend:
             common_backend(backend, side_b.backend)
             common_backend(backend, cos_angle.backend)
-        if backend.sign(side_a._v) <= 0 or backend.sign(side_b._v) <= 0:
-            raise DegenerateInputError("sides must be positive")
-        c = cos_angle._v
-        if not (backend.lt(c, 1) and backend.lt(-1, c)):
-            raise DegenerateInputError("angle must be strictly inside (0, pi)")
-        _set(self, "side_a", side_a)
-        _set(self, "side_b", side_b)
-        _set(self, "cos_angle", cos_angle)
-
-    @property
-    def backend(self) -> Backend:
-        return self.side_a.backend
+        self._fill(backend, side_a._v, side_b._v, cos_angle._v)
 
     @classmethod
     def from_values(cls, backend: Backend, side_a, side_b, cos_angle) -> "SsaSpec":
-        return cls(backend.scalar(side_a), backend.scalar(side_b),
-                   backend.scalar(cos_angle))
+        """The spec of three numbers (or ``Scalar``s) of ``backend``, each
+        converted by its ``payload``, under the checks of ``__init__``."""
+        spec = cls.__new__(cls)
+        spec._fill(backend, backend.payload(side_a), backend.payload(side_b),
+                   backend.payload(cos_angle))
+        return spec
+
+    def _fill(self, backend: Backend, a, b, c):
+        if backend.sign(a) <= 0 or backend.sign(b) <= 0:
+            raise DegenerateInputError("sides must be positive")
+        if not (backend.lt(c, 1) and backend.lt(-1, c)):
+            raise DegenerateInputError("angle must be strictly inside (0, pi)")
+        _set(self, "backend", backend)
+        _set(self, "_a", a)
+        _set(self, "_b", b)
+        _set(self, "_cos", c)
+
+    @property
+    def side_a(self) -> Scalar:
+        return Scalar(self.backend, self._a)
+
+    @property
+    def side_b(self) -> Scalar:
+        return Scalar(self.backend, self._b)
+
+    @property
+    def cos_angle(self) -> Scalar:
+        return Scalar(self.backend, self._cos)
+
+    def __repr__(self):
+        return (f"SsaSpec(side_a={self.side_a!r}, side_b={self.side_b!r}, "
+                f"cos_angle={self.cos_angle!r})")
+
+    def __reduce__(self):
+        # through the public constructor, whose fields are the three Scalars
+        return SsaSpec, (self.side_a, self.side_b, self.cos_angle)
 
 
 class CriterionCase(enum.Enum):
@@ -142,7 +166,7 @@ def solve_ssa(spec: SsaSpec) -> Tuple[Triangle, ...]:
     An obtuse given angle opposite a not-greater side yields no triangle.
 
     One algorithm serves both backends, computing on the spec's payloads
-    and wrapping only the apex coordinates of the triangles it returns.
+    and building its points from payloads, without a ``Scalar``.
     Its three zero tests (the boundary band on the discriminant, degree 2,
     and the kept triangle's third side, degree 1, and doubled area,
     degree 2) go through the backend's ``vanishes`` at the backend's
@@ -155,7 +179,7 @@ def solve_ssa(spec: SsaSpec) -> Tuple[Triangle, ...]:
     ``ExactValueError``.
     """
     backend = spec.backend
-    a, b, c0 = spec.side_a._v, spec.side_b._v, spec.cos_angle._v
+    a, b, c0 = spec._a, spec._b, spec._cos
     sin2 = 1 - c0 * c0
     sin_t = backend.sqrt(sin2)
     s = backend.size(a, b)
@@ -181,12 +205,12 @@ def solve_ssa(spec: SsaSpec) -> Tuple[Triangle, ...]:
         if backend.vanishes(t, scale, 1) or backend.vanishes(height * b, scale, 2):
             continue
         if origin is None:
-            zero = backend.scalar(0)
-            origin, base_end = Point(zero, zero), Point(spec.side_b, zero)
+            zero = backend.payload(0)
+            origin = payload_point(backend, zero, zero)
+            base_end = payload_point(backend, b, zero)
         # the band just cleared covers Triangle's checks (module docstring)
         tris.append(trusted_triangle(
-            origin, Point(Scalar(backend, t * c0), Scalar(backend, height)),
-            base_end))
+            origin, payload_point(backend, t * c0, height), base_end))
     return tuple(tris)
 
 

@@ -4,7 +4,11 @@ Each sampled check is a per-sample function run by ``report.run_check``,
 the one sample loop; it draws from the ``random.Random`` its suite is
 handed (the caller owns seeding, so results are reproducible).  The
 scenario forward checks live in ``scenarios``, so a ``scenario`` run loads
-no SSA layer.
+no SSA layer, and the oracle's ``angle_at`` lives in ``rawgeom``, so a
+``verify`` run loads no scenario layer (nor the ``dataclasses`` and
+``inspect`` it brings).  The suites stay on the ``Scalar`` API and read a
+point's coordinates as binary64 through ``Point.as_floats``, which builds
+no ``Scalar``.
 
 Sample counts scale the acceptance defaults: with the standard 100000
 samples the verify runner executes 100000 oracle comparisons, 10000 float
@@ -23,7 +27,7 @@ from .scalars import EXACT, FloatBackend
 from .kernel import Isometry, Point, Triangle, collinear, coord_scale, point
 from .ssa import (Congruent, NotSsaMatched, SsaSpec, Supplementary,
                   classify_pair, lemma_common_side_check, solve_ssa)
-from . import scenarios as sc
+from .rawgeom import angle_at
 from .report import TOL, CheckResult, run_check
 
 FLOAT = FloatBackend()
@@ -80,10 +84,9 @@ def suite_ssa_oracle(samples: int, rng: Random,
             return 0.0, {}
         worst = 0.0
         for tri, (apex, base, _third) in zip(tris, expected):
-            pa, pb, pc = [(p.x.as_float(), p.y.as_float())
-                          for p in (tri.A, tri.B, tri.C)]
-            worst = max(worst, abs(sc.angle_at(pb, pa, pc) - apex),
-                        abs(sc.angle_at(pc, pa, pb) - base))
+            pa, pb, pc = [p.as_floats() for p in (tri.A, tri.B, tri.C)]
+            worst = max(worst, abs(angle_at(pb, pa, pc) - apex),
+                        abs(angle_at(pc, pa, pb) - base))
         return worst, ({"angle_diff": worst} if worst > TOL else None)
 
     return run_check("ssa-oracle-equivalence", samples, sample)
@@ -199,9 +202,8 @@ def suite_lemma(samples: int, rng: Random,
         shared_a = pair[0].C     # lemma's A, at (b, 0)
         shared_b = pair[0].A     # lemma's B, at the origin
         t_abc = Triangle(shared_a, shared_b, apex1)
-        t_abd = Triangle(shared_a, shared_b,
-                         point(float_backend, apex2.x.as_float(),
-                               -apex2.y.as_float()))
+        x2, y2 = apex2.as_floats()
+        t_abd = Triangle(shared_a, shared_b, point(float_backend, x2, -y2))
         report = lemma_common_side_check(t_abc, t_abd)
         residual = abs(report.cos_acb.as_float() + report.cos_adb.as_float())
         det_norm = None  # the report has no determinant for a same-side pair
@@ -231,7 +233,7 @@ _RATIONAL_DIRECTIONS = ((Fraction(3, 5), Fraction(4, 5)),
 
 
 def _to_float_triangle(tri: Triangle) -> Triangle:
-    return Triangle(*(point(FLOAT, p.x.as_float(), p.y.as_float())
+    return Triangle(*(point(FLOAT, *p.as_floats())
                       for p in (tri.A, tri.B, tri.C)))
 
 
@@ -333,6 +335,13 @@ def run_verify_suites(samples: int, seed: int, backend: str = "float",
     return results
 
 
-# the name bench/tracing.py wraps; the benchmark change that points the
-# tracer at scenarios deletes it
-run_scenario_suites = sc.run_scenario_suites
+def __getattr__(name):
+    # PEP 562: ``suites.run_scenario_suites``, the name bench/tracing.py
+    # wraps, is ``scenarios.run_scenario_suites`` itself, imported on that
+    # read alone, so a verify run loads no scenario layer and the tracer
+    # rebinds the function that cmd_scenario imports.  The benchmark change
+    # of ROADMAP item 2, which points the tracer at scenarios, deletes it
+    if name == "run_scenario_suites":
+        from .scenarios import run_scenario_suites
+        return run_scenario_suites
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

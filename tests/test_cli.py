@@ -326,6 +326,29 @@ def test_verify_coarse_eps_fails_with_witnesses(capsys):
     assert captured.err == ""
 
 
+def test_ssa_eps_below_binary64_resolution_is_one_error_line(capsys):
+    # at eps 2.2e-16 the solver's own pair reads as not supplementary: a
+    # failed check, reported as one line and exit 1, not a traceback
+    assert run(["ssa", "--a", "8", "--b", "10", "--angle-deg", "30",
+                "--eps", "2.2e-16"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: non-congruent matched pair")
+    assert captured.err.count("\n") == 1
+
+
+def test_verify_eps_below_binary64_resolution_fails_with_witnesses(capsys):
+    # the same violation inside a suite is a failing witness with "error"
+    assert run(["verify", "--samples", "200", "--seed", "0",
+                "--eps", "2.2e-16"]) == 1
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert len([ln for ln in lines if not ln.startswith(" ")]) == 5
+    assert any("witness:" in ln and "'error': 'non-congruent matched pair"
+               in ln for ln in lines)
+    assert captured.err == ""
+
+
 def test_a_rejected_draw_is_reported_with_its_values(tmp_path):
     # eps 1e-2 rejects some drawn angles in the spec's validation; the
     # samplers record the draw first, so each failing witness can be replayed
@@ -659,7 +682,19 @@ def test_the_scenario_command_loads_no_ssa_layer():
         "from planicheck.cli import main\n"
         "assert main(['scenario', 'square-center', '--grid-step-deg', '30',"
         " '--samples', '1']) == 0"
-    ) == BARE | {"planicheck.scenarios", "dataclasses", "inspect"}
+    ) == BARE | {"planicheck.scenarios", "planicheck.rawgeom", "dataclasses",
+                 "inspect"}
+
+
+def test_the_verify_command_loads_no_scenario_layer():
+    # suites takes angle_at from rawgeom, so verify loads neither the scan
+    # layer nor the dataclass machinery it brings
+    assert modules_loaded_by(
+        "from planicheck.cli import main\n"
+        "assert main(['verify', '--samples', '1', '--seed', '1']) == 0"
+    ) == BARE | {"fractions", "planicheck.scalars", "planicheck.kernel",
+                 "planicheck.congruence", "planicheck.ssa",
+                 "planicheck.suites", "planicheck.rawgeom"}
 
 
 def test_the_check_sees_the_dataclass_machinery():

@@ -51,11 +51,16 @@ def _references(node) -> Counter:
                    if isinstance(n, (ast.Name, ast.Attribute)))
 
 
+def _dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
 def unreferenced_definitions(sources, exempt=frozenset()):
-    """(module, qualified name) of each top-level function or class, and
-    each non-dunder method, whose name appears as no ``Name`` or
+    """(module, qualified name) of each non-dunder top-level function, each
+    class, and each non-dunder method, whose name appears as no ``Name`` or
     ``Attribute`` in any of ``sources`` (module name -> text) outside its
-    own definition."""
+    own definition.  Python calls a dunder, a module's ``__getattr__`` as a
+    class's ``__eq__``, so neither needs a reader."""
     trees = {mod: ast.parse(text) for mod, text in sources.items()}
     total = sum((_references(tree) for tree in trees.values()), Counter())
     found = []
@@ -63,12 +68,13 @@ def unreferenced_definitions(sources, exempt=frozenset()):
         for node in tree.body:
             if not isinstance(node, _FUNCTIONS + (ast.ClassDef,)):
                 continue
+            if isinstance(node, _FUNCTIONS) and _dunder(node.name):
+                continue
             defs = [(node.name, node)]
             if isinstance(node, ast.ClassDef):
                 defs += [(f"{node.name}.{sub.name}", sub) for sub in node.body
                          if isinstance(sub, _FUNCTIONS)
-                         and not (sub.name.startswith("__")
-                                  and sub.name.endswith("__"))]
+                         and not _dunder(sub.name)]
             for qualname, d in defs:
                 if d.name in exempt:
                     continue
@@ -83,11 +89,13 @@ def test_the_check_sees_an_unreferenced_definition():
                  "def recursive(n):\n    return recursive(n - 1)\n\n"
                  "class K:\n    def method(self):\n        return 2\n\n"
                  "    def __eq__(self, other):\n        return True\n\n"
-                 "def paper():\n    pass\n"),
+                 "def paper():\n    pass\n\n"
+                 "def __getattr__(name):\n    return name\n\n"
+                 "class __Odd__:\n    pass\n"),
         "b.py": "from a import used, K\nx = used() + K().missing\n",
     }
     assert unreferenced_definitions(sources, {"paper"}) == [
-        ("a.py", "recursive"), ("a.py", "K.method")]
+        ("a.py", "recursive"), ("a.py", "K.method"), ("a.py", "__Odd__")]
 
 
 def test_every_definition_has_a_reader_in_the_package():
@@ -168,6 +176,38 @@ def test_the_check_sees_a_payload_read():
 def test_only_the_arithmetic_modules_read_payloads():
     sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
     assert payload_reads(sources) == []
+
+
+# a Point and an SsaSpec hold payloads, and their coordinate and field names
+# wrap one in a new Scalar on each read: reading ._v through them builds a
+# Scalar only to unwrap it
+WRAPPED_FIELDS = {"x", "y", "side_a", "side_b", "cos_angle"}
+
+
+def wrapped_payload_reads(sources, fields=WRAPPED_FIELDS):
+    """(module, line) of each ``._v`` read whose object is an attribute that
+    ``fields`` names (``p.x._v``, ``spec.side_a._v``), in ``sources``
+    (module name -> text)."""
+    return [(mod, n.lineno) for mod, text in sources.items()
+            for n in ast.walk(ast.parse(text))
+            if isinstance(n, ast.Attribute) and n.attr == "_v"
+            and isinstance(n.value, ast.Attribute)
+            and n.value.attr in fields]
+
+
+def test_the_check_sees_a_payload_read_through_a_wrapper():
+    sources = {"kernel.py": ("def f(p, q):\n    return p.x._v - q._x\n\n"
+                             "def g(s, c):\n"
+                             "    a = (s.side_a._v, s._a)\n"
+                             "    return c._v, s.cos_angle.sqrt()._v\n"),
+               "ssa.py": "b = spec.side_b._v + tri.B.y._v\n"}
+    assert wrapped_payload_reads(sources) == [
+        ("kernel.py", 2), ("kernel.py", 5), ("ssa.py", 1), ("ssa.py", 1)]
+
+
+def test_no_module_unwraps_a_coordinate_or_a_spec_field():
+    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert wrapped_payload_reads(sources) == []
 
 
 # main is the one place that ends a run: it reads the clock, builds and

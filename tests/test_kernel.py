@@ -70,8 +70,11 @@ def test_points_and_triangles_keep_to_one_backend():
 def test_points_and_triangles_are_values():
     # the records compare, hash and print by their fields, as the frozen
     # dataclasses they replace did, and refuse assignment
+    # a point holds its backend and the coordinates' payloads, and hashes
+    # by them; it prints by the coordinates' Scalars
     p, q = point(FB, 1, 2), point(FB, 1.0, 2.0)
-    assert p == q and p is not q and hash(p) == hash(q) == hash((p.x, p.y))
+    assert p == q and p is not q and hash(p) == hash(q) == hash((FB, 1.0, 2.0))
+    assert p == Point(p.x, p.y) and hash(p) == hash(Point(p.x, p.y))
     assert p != point(FB, 2, 1) and p != point(EXACT, 1, 2)
     assert p != (p.x, p.y)
     assert repr(p) == "Point(x=Scalar(1.0), y=Scalar(2.0))"

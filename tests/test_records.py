@@ -14,12 +14,14 @@ from fractions import Fraction
 import pytest
 
 from planicheck.congruence import Correspondence, ElementTriple, measure
-from planicheck.kernel import Isometry, Point
+from planicheck.kernel import Isometry, Point, payload_point, point
 from planicheck.logic import (And, Atom, EquivalenceResult, Iff, Implies,
                               LogicCheck, Not, Or, ProblemScheme, Xor,
                               compose_scheme)
 from planicheck.report import CheckResult
-from planicheck.scalars import EXACT, ExactBackend, FloatBackend
+from planicheck.scalars import (EXACT, BackendMismatchError,
+                                DegenerateInputError, ExactBackend,
+                                FloatBackend)
 from planicheck.scenarios import ISOSCELES, Branch, ScanRoot
 from planicheck.ssa import (Congruent, LemmaReport, NotSsaMatched, SsaSpec,
                            Supplementary, solve_ssa)
@@ -150,13 +152,21 @@ def ssa_pair():
     return solve_ssa(SsaSpec.from_values(EXACT, 7, 8, Fraction(1, 2)))
 
 
-# values that hold a Scalar, from both backends, a radical among them
+# values that hold a Scalar or a payload, from both backends, a radical
+# among them; a Point and an SsaSpec come both through their public
+# constructors and through the payload path
 HOLDERS = {
     "Scalar-float": lambda: FB.scalar(0.5),
     "Scalar-exact": lambda: EXACT.scalar(3).sqrt(),
     "Point": lambda: Point(EXACT.scalar(Fraction(1, 3)), EXACT.scalar(-2)),
+    "Point-payload": lambda: point(EXACT, Fraction(1, 3), -2),
+    "Point-radical": lambda: ssa_pair()[1].B,
     "Triangle": lambda: ssa_pair()[0],
-    "SsaSpec": lambda: SsaSpec.from_values(FB, 1.0, 2.0, 0.25),
+    "SsaSpec": lambda: SsaSpec(FB.scalar(1.0), FB.scalar(2.0),
+                               FB.scalar(0.25)),
+    "SsaSpec-payload": lambda: SsaSpec.from_values(FB, 1.0, 2.0, 0.25),
+    "SsaSpec-exact": lambda: SsaSpec.from_values(
+        EXACT, EXACT.scalar(2).sqrt(), 3, Fraction(1, 2)),
     "TriangleElements": lambda: measure(ssa_pair()[1]),
 }
 
@@ -166,6 +176,66 @@ def test_a_value_that_holds_scalars_copies_and_pickles(name):
     a = HOLDERS[name]()
     for b in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
         assert b == a and type(b) is type(a) and repr(b) == repr(a)
+
+
+@pytest.mark.parametrize("public, payload", [
+    ("Point", "Point-payload"), ("SsaSpec", "SsaSpec-payload")])
+def test_the_payload_path_builds_the_public_value(public, payload):
+    a, b = HOLDERS[public](), HOLDERS[payload]()
+    assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+    assert len({a, b}) == 1
+    for c in (copy.copy(b), copy.deepcopy(b), pickle.loads(pickle.dumps(b))):
+        assert c == a and hash(c) == hash(a)
+
+
+def test_a_payload_value_prints_and_reads_its_scalars():
+    p = HOLDERS["Point-payload"]()
+    assert repr(p) == "Point(x=Scalar(1/3), y=Scalar(-2))"
+    assert (p.x, p.y) == (EXACT.scalar(Fraction(1, 3)), EXACT.scalar(-2))
+    assert payload_point(EXACT, p.x._v, p.y._v) == p
+    spec = HOLDERS["SsaSpec-exact"]()
+    assert repr(spec) == ("SsaSpec(side_a=Scalar(sqrt(2)), side_b=Scalar(3), "
+                          "cos_angle=Scalar(1/2))")
+    assert SsaSpec(spec.side_a, spec.side_b, spec.cos_angle) == spec
+    assert SsaSpec(side_a=spec.side_a, side_b=spec.side_b,
+                   cos_angle=spec.cos_angle) == spec
+    for value, field in ((p, "x"), (p, "backend"), (spec, "side_a"),
+                         (spec, "backend")):
+        with pytest.raises(AttributeError):
+            setattr(value, field, None)
+        with pytest.raises(AttributeError):
+            delattr(value, field)
+
+
+# (side_a, side_b, cos_angle, error, message); ``other`` stands for a Scalar
+# of the backend the spec is not built on
+BAD_SPECS = [
+    (0, 2, "1/2", DegenerateInputError, "sides must be positive"),
+    (1, -2, "1/2", DegenerateInputError, "sides must be positive"),
+    (1, 2, 1, DegenerateInputError, "angle must be strictly inside"),
+    (1, 2, -1, DegenerateInputError, "angle must be strictly inside"),
+    (1, "other", "1/2", BackendMismatchError, "cannot mix"),
+    (1, 2, "other", BackendMismatchError, "cannot mix"),
+]
+
+
+@pytest.mark.parametrize("backend", [FB, EXACT], ids=["float", "exact"])
+@pytest.mark.parametrize("a, b, c, error, message", BAD_SPECS)
+def test_both_spec_constructors_reject_alike(backend, a, b, c, error, message):
+    other = EXACT if backend is FB else FB
+
+    def value(v):
+        if v == "other":
+            return other.scalar(1)
+        return Fraction(v) if backend is EXACT else float(Fraction(v))
+
+    values = [value(v) for v in (a, b, c)]
+    with pytest.raises(error, match=message) as public:
+        SsaSpec(*(v if hasattr(v, "_v") else backend.scalar(v)
+                  for v in values))
+    with pytest.raises(error, match=message) as payload:
+        SsaSpec.from_values(backend, *values)
+    assert str(public.value) == str(payload.value)
 
 
 def test_a_scalar_refuses_assignment_and_deletion():

@@ -676,10 +676,10 @@ def test_scalar_init_sees_every_scalar_of_a_solve_and_classify(
     (EXACT, (4, 5, Fraction(3, 5)), 1),
     (EXACT, (Fraction(41, 10), 5, Fraction(3, 5)), 2),
 ], ids=["float-0", "float-1", "float-2", "exact-0", "exact-1", "exact-2"])
-def test_solve_ssa_builds_two_scalars_per_kept_triangle(monkeypatch, backend,
-                                                        values, kept):
-    # the shared zero of the base, then the apex x and y of each triangle;
-    # measure reads a solution's sides and angles, so the solver builds none
+def test_solve_ssa_builds_no_scalar(monkeypatch, backend, values, kept):
+    # the solver's points hold payloads, the shared zero of the base and the
+    # apex coordinates among them; measure reads a solution's sides and
+    # angles, so a kept triangle costs no Scalar
     spec = SsaSpec.from_values(backend, *values)
     built = []
     init = Scalar.__init__
@@ -690,4 +690,4 @@ def test_solve_ssa_builds_two_scalars_per_kept_triangle(monkeypatch, backend,
 
     monkeypatch.setattr(Scalar, "__init__", counting_init)
     assert len(solve_ssa(spec)) == kept
-    assert len(built) == (1 + 2 * kept if kept else 0)
+    assert built == []

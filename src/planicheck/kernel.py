@@ -202,8 +202,10 @@ def angle_cos(vertex: Point, end1: Point, end2: Point) -> Scalar:
 
 
 def supplementary(cos1: Scalar, cos2: Scalar) -> bool:
-    """True iff the two angles sum to a straight angle (cos1 == -cos2)."""
-    return cos1.eq(-cos2)
+    """True iff the two angles sum to a straight angle (cos1 == -cos2),
+    decided on the payloads once the two backends may meet."""
+    backend = common_backend(cos1.backend, cos2.backend)
+    return backend.eq(cos1._v, -cos2._v)
 
 
 class Isometry(Record):

@@ -12,9 +12,11 @@ SSA oracle of ``suites`` shares, so this module imports no SSA layer and
 
 Each conclusion branch is declared once, as a ``Branch``: a line in
 (alpha, beta) plus the range of its free angle.  ``level_set_scan`` samples
-the residual on a grid in one pass over its rows, holding two rows at a time
-and queueing every exact zero and sign change; once the grid pass ends it
-refines the queue by bisection, and checks that each refined root lies
+the residual on a grid in one pass, as marching squares over its sign: it
+computes the beta column once, finds each row's length with a pointer that
+only moves down, evaluates a row in one comprehension, and walks two rows at
+a time, visiting only the nodes that hold an exact zero or a sign change.
+After the pass it bisects each queued change, and checks that each root lies
 within a containment tolerance of one of the scenario's branches.  Its memory
 grows with one grid row and the number of roots, not with the whole grid.
 The forward checks walk the same branch lines: ``run_scenario_suites``
@@ -44,7 +46,9 @@ from __future__ import annotations
 
 import functools
 import math
+import re
 from dataclasses import dataclass
+from itertools import chain, pairwise
 from random import Random
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -57,6 +61,9 @@ _GAMMA_FLOOR = 1e-3  # scan guard: skip the numerically wild sliver gamma < ~0.0
 _COS_30 = math.cos(math.pi / 6)
 _RIGHT_ANGLE = math.pi / 2
 MIN_GAP = 1e-3
+# the scan walk's finds: a zero or a flip along a row, and a flip down
+_ZERO_OR_FLIP_ALONG = re.compile(b"\x01|\x02(?=\x06)|\x06(?=\x02)")
+_FLIP_DOWN = re.compile(b"\x04")
 
 
 class UnknownScenarioError(UsageError, ValueError):
@@ -272,12 +279,13 @@ def level_set_scan(name: str, grid_step: float, refine_tol: float = 1e-12,
 
     The grid holds the nodes (i, j) * ``grid_step`` in the scenario's domain
     above the gamma floor; with none, it raises ``DegenerateInputError``.
-    The grid pass evaluates the nodes row by row in increasing (i, j) order
-    and keeps only two rows alive; every bisection runs after it, in the
-    order the pass queued the sign changes.  Every refined root is
-    attributed to the nearest conclusion branch within ``delta`` (ties go to
-    the isosceles branch first); roots matching no branch are reported as
-    violations of containment.
+    The grid pass computes the beta column once, finds each row's length
+    with a pointer that only moves down, evaluates a row in one
+    comprehension and keeps two rows alive; its walk visits only the nodes
+    that hold an exact zero or a sign change.  The bisections run after the
+    pass, in walk order.  Every refined root is attributed to the nearest
+    conclusion branch within ``delta`` (ties go to the isosceles branch
+    first); roots matching no branch are violations of containment.
     """
     sc = get_scenario(name)
     h = grid_step
@@ -286,113 +294,105 @@ def level_set_scan(name: str, grid_step: float, refine_tol: float = 1e-12,
     if not math.pi / h < math.inf:
         raise DegenerateInputError(f"grid step {h:g} rad is too fine for binary64")
 
-    f = functools.partial(sc.residual, **scenario_kwargs)
+    f = (functools.partial(sc.residual, **scenario_kwargs) if scenario_kwargs
+         else sc.residual)
     domain = sc.domain
     imax = int(math.pi / h) + 1
+    col = [j * h for j in range(1, imax + 1)]  # beta at the nodes j = 1, 2, ..
     evaluations = 0
 
-    def grid_row(i):
-        # row[j - 1] is the value at node (i, j), None outside the domain;
-        # gamma = pi - a - b falls as j grows, so a row ends at the first
-        # node under the floor
+    def grid_rows():
+        # gamma = pi - a - b falls as a or b grows (its rounding too): a row
+        # ends at the first node under the floor, and its length n only moves
+        # down.  Classes: 0 outside the domain (None), 2 negative, 6 positive
+        # or NaN, 1 zero
         nonlocal evaluations
-        a = i * h
-        top = math.pi - a
-        row = []
-        for j in range(1, imax + 1):
-            b = j * h
-            if top - b < _GAMMA_FLOOR:
-                break
-            row.append(f(a, b) if domain is None or domain(a, b) else None)
-        evaluations += len(row) - row.count(None)
-        return row
+        n = imax
+        for i in range(1, imax + 1):
+            a = i * h
+            while n and math.pi - a - col[n - 1] < _GAMMA_FLOOR:
+                n -= 1
+            if not n:
+                return
+            row = ([f(a, b) for b in col[:n]] if domain is None else
+                   [f(a, b) if domain(a, b) else None for b in col[:n]])
+            classes = bytes([0 if v is None else 2 if v < 0.0
+                             else 6 if v != 0.0 else 1 for v in row])
+            evaluations += n - classes.count(0)
+            yield a, row, classes
 
-    # the grid pass evaluates the nodes in increasing (i, j) order and keeps
-    # two rows alive: row i is walked against row i + 1 (an empty one past
-    # the last row), each node against its neighbours (i + 1, j) and
-    # (i, j + 1).  It queues each exact-zero node as (a, b, a, b, 0.0) and
-    # each sign-change edge with the value at its start.  Refinement waits
-    # until every node is evaluated, so that grid and bisection calls stay
-    # apart by call order (the benchmark's tracer splits them so), and takes
-    # the queue in walk order, which decides the root the dedupe keeps.
+    # walk row i against row i + 1 (none past the last): a flip down is where
+    # their classes XOR to 4, as only 2 ^ 6 does.  Zero nodes queue as
+    # (a, b, a, b, 0.0), flip edges with the value at their start, in node
+    # order and the edge down first.  Bisection waits for the whole grid, so
+    # grid and bisection calls stay apart by call order (the benchmark's
+    # tracer splits them so); queue order decides the root the dedupe keeps.
     queue: List[Tuple[float, float, float, float, float]] = []
-    row = grid_row(1)
-    for i in range(1, imax + 1):
-        below = grid_row(i + 1) if i < imax else []
-        n_row, n_below = len(row), len(below)
-        a, a_next = i * h, (i + 1) * h
-        for j, f1 in enumerate(row, 1):
-            if f1 is None:
-                continue
-            if f1 == 0.0:
-                queue.append((a, j * h, a, j * h, 0.0))
-                continue
-            neg = f1 < 0
-            if j <= n_below:
-                f2 = below[j - 1]
-                if f2 is not None and f2 != 0.0 and (f2 < 0) != neg:
-                    queue.append((a, j * h, a_next, j * h, f1))
-            if j < n_row:
-                f2 = row[j]
-                if f2 is not None and f2 != 0.0 and (f2 < 0) != neg:
-                    queue.append((a, j * h, a, (j + 1) * h, f1))
-        row = below
+    for (a, row, classes), below in pairwise(chain(grid_rows(), [None])):
+        marks = [(m.start(), 1) for m in _ZERO_OR_FLIP_ALONG.finditer(classes)]
+        if below:
+            a_next, _, under = below
+            n = len(under)
+            flips = (int.from_bytes(classes[:n], "little")
+                     ^ int.from_bytes(under, "little")).to_bytes(n, "little")
+            marks += [(m.start(), 0) for m in _FLIP_DOWN.finditer(flips)]
+        for j, along in sorted(marks):
+            b = col[j]
+            if not along:
+                queue.append((a, b, a_next, b, row[j]))
+            elif classes[j] == 1:
+                queue.append((a, b, a, b, 0.0))
+            else:
+                queue.append((a, b, a, col[j + 1], row[j]))
     if not evaluations:
         raise DegenerateInputError("scan region contains no valid grid nodes")
 
-    raw_roots: List[Tuple[float, float, float]] = []
-    seen = set()
-
-    def note(a, b, r):
-        key = (round(a, 12), round(b, 12))
-        if key not in seen:
-            seen.add(key)
-            raw_roots.append((a, b, r))
-
-    def bisect(ax, ay, bx, by, flo):
-        # run past |f| <= tol until the bracket is tight, else a root at a
-        # tangency/branch crossing is localized no better than sqrt(tol)
+    def refine(ax, ay, bx, by, flo):
+        # a zero node is its own root.  An edge is bisected past |f| <= tol
+        # until the bracket is tight, else a root at a tangency/branch
+        # crossing is localized no better than sqrt(tol); lo keeps the sign
+        # of flo, and the first midpoint is the best so far even if NaN
         nonlocal evaluations
-        span = math.hypot(bx - ax, by - ay)
-        lo, hi = 0.0, 1.0
-        best = None
-        for _ in range(90):
-            mid = (lo + hi) / 2
-            ma, mb = ax + (bx - ax) * mid, ay + (by - ay) * mid
-            fm = f(ma, mb)
-            evaluations += 1
-            if best is None or abs(fm) < abs(best[2]):
-                best = (ma, mb, fm)
-            if (abs(fm) <= refine_tol and (hi - lo) * span <= 1e-10) \
-                    or hi - lo < 1e-16:
-                break
-            if (flo < 0) == (fm < 0):
-                lo, flo = mid, fm
+        if flo == 0.0:
+            return ax, ay, 0.0
+        dx, dy, neg = bx - ax, by - ay, flo < 0
+        span = math.hypot(dx, dy)
+        lo, hi, mid = 0.0, 1.0, 0.5
+        ma, mb = ax + dx * mid, ay + dy * mid
+        fm = f(ma, mb)
+        best, least, calls = (ma, mb, fm), abs(fm), 1
+        while calls < 90 and hi - lo >= 1e-16 and not (
+                abs(fm) <= refine_tol and (hi - lo) * span <= 1e-10):
+            if neg == (fm < 0):
+                lo = mid
             else:
                 hi = mid
+            mid = (lo + hi) / 2
+            ma, mb = ax + dx * mid, ay + dy * mid
+            fm = f(ma, mb)
+            calls += 1
+            if abs(fm) < least:
+                best, least = (ma, mb, fm), abs(fm)
+        evaluations += calls
         return best
 
-    for ax, ay, bx, by, flo in queue:
-        if flo == 0.0:
-            note(ax, ay, 0.0)
-        else:
-            note(*bisect(ax, ay, bx, by, flo))
+    # refine the whole queue in order, keeping the first root of each key
+    raw_roots: Dict[Tuple[float, float], Tuple[float, float, float]] = {}
+    for edge in queue:
+        a, b, r = refine(*edge)
+        raw_roots.setdefault((round(a, 12), round(b, 12)), (a, b, r))
 
     roots: List[ScanRoot] = []
-    violations: List[ScanRoot] = []
-    for a, b, r in sorted(raw_roots):
+    for a, b, r in sorted(raw_roots.values()):
         branch, dist = None, math.inf
         for br in sc.branches:
             d = br.distance(a, b)
             if d <= delta:
                 branch, dist = br.name, d
                 break
-            if d < dist:
-                dist = d
-        root = ScanRoot(a, b, math.pi - a - b, r, branch, dist)
-        roots.append(root)
-        if branch is None:
-            violations.append(root)
+            dist = min(dist, d)
+        roots.append(ScanRoot(a, b, math.pi - a - b, r, branch, dist))
+    violations = [root for root in roots if root.branch is None]
 
     return ScanReport(name, h, refine_tol, delta, evaluations, roots,
                       not violations, violations, sc.asserted)

@@ -100,27 +100,25 @@ def sample_two_solution_spec(rng: Random,
     """Spec drawn inside the two-solution regime: an acute angle theta and
     b sin(theta) < a < b, with a kept off both ends of that interval.  The
     solver is not consulted, so a caller that gets a count other than 2
-    has found a failure, not a rejected draw.  The draw goes into
-    ``witness`` before the spec is validated, so a rejected draw is
-    reported with its values."""
+    has found a failure, not a rejected draw.  The draw, its cosine
+    included, goes into ``witness`` before the spec is validated, so a
+    rejected draw is reported with its values."""
     theta_deg = rng.uniform(1.0, 89.0)
     b = rng.uniform(0.1, 10.0)
     lo = b * math.sin(math.radians(theta_deg))
     u = rng.uniform(1e-6, 1.0 - 1e-6)
     a = lo + u * (b - lo)
+    cos_angle = math.cos(math.radians(theta_deg))
     if witness is not None:
-        witness.update(theta_deg=theta_deg, a=a, b=b)
-    return SsaSpec.from_values(float_backend, a, b,
-                               math.cos(math.radians(theta_deg)))
+        witness.update(theta_deg=theta_deg, a=a, b=b, cos_angle=cos_angle)
+    return SsaSpec.from_values(float_backend, a, b, cos_angle)
 
 
 def _draw_two_solutions(rng: Random, float_backend: FloatBackend,
                         witness: Dict) -> Optional[Tuple[Triangle, ...]]:
     """Draw a two-solution spec, record it in ``witness`` and solve it; the
     two triangles, or None after recording any other solution ``count``."""
-    spec = sample_two_solution_spec(rng, float_backend, witness)
-    witness["cos_angle"] = spec.cos_angle.as_float()
-    tris = solve_ssa(spec)
+    tris = solve_ssa(sample_two_solution_spec(rng, float_backend, witness))
     if len(tris) != 2:
         witness["count"] = len(tris)
         return None

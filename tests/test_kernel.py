@@ -39,6 +39,7 @@ from planicheck.scalars import (
     DegenerateInputError,
     FloatBackend,
     LengthMismatchError,
+    Scalar,
 )
 
 FB = FloatBackend()
@@ -152,6 +153,50 @@ def test_supplementary():
     assert supplementary(FB.scalar(0.5), FB.scalar(-0.5))
     assert supplementary(FB.scalar(0.0), FB.scalar(0.0))
     assert not supplementary(FB.scalar(0.5), FB.scalar(-0.4))
+
+
+HALF = EXACT.scalar(Fraction(1, 2))
+ROOT_HALF = EXACT.scalar(Fraction(1, 2)).sqrt()  # cos 45 deg, a radical
+
+
+@pytest.mark.parametrize("cos1, cos2, verdict", [
+    (FB.scalar(0.5), FB.scalar(-0.5), True),
+    (FB.scalar(0.5), FB.scalar(-0.5 + 1e-12), True),   # within eps
+    (FB.scalar(0.5), FB.scalar(-0.4), False),
+    (FB.scalar(0.0), FB.scalar(-0.0), True),
+    (FB.scalar(math.sqrt(0.5)), FB.scalar(-math.sqrt(0.5)), True),
+    (HALF, -HALF, True),
+    (HALF, HALF, False),
+    (EXACT.scalar(0), EXACT.scalar(0), True),
+    (ROOT_HALF, -ROOT_HALF, True),
+    (ROOT_HALF, ROOT_HALF, False),
+    (ROOT_HALF, -HALF, False),
+], ids=str)
+def test_supplementary_decides_alike_on_both_backends(monkeypatch, cos1, cos2,
+                                                       verdict):
+    # the verdict of the Scalar comparison cos1 == -cos2, without building
+    # the negated Scalar
+    assert cos1.eq(-cos2) is verdict and cos2.eq(-cos1) is verdict
+    built = []
+    init = Scalar.__init__
+
+    def counting_init(scalar, backend, payload):
+        built.append(payload)
+        init(scalar, backend, payload)
+
+    monkeypatch.setattr(Scalar, "__init__", counting_init)
+    assert supplementary(cos1, cos2) is verdict
+    assert supplementary(cos2, cos1) is verdict
+    assert built == []
+
+
+def test_supplementary_rejects_mixed_backends():
+    for cos1, cos2 in ((HALF, FB.scalar(-0.5)), (FB.scalar(0.5), -HALF),
+                       (FB.scalar(0.5), FloatBackend(1e-6).scalar(-0.5))):
+        with pytest.raises(BackendMismatchError):
+            cos1.eq(-cos2)
+        with pytest.raises(BackendMismatchError):
+            supplementary(cos1, cos2)
 
 
 def test_circumcircle_right_triangle():

@@ -588,6 +588,47 @@ def test_streamed_scan_matches_the_reference_on_zeros_nans_and_duplicates(
     assert nan_edges and all(r.residual < 0 for r in nan_edges)
 
 
+def holed_domain(alpha, beta):
+    """Every node but a hole inside rows 61 to 69, at beta 41 to 49 deg."""
+    a, b = math.degrees(alpha), math.degrees(beta)
+    return not (60.5 < a < 69.5 and 40.5 < b < 49.5)
+
+
+def holed_residual(alpha, beta):
+    """alpha + beta - 178.5 deg, negative on all but the last node of each
+    row; its sign is turned at beta < 45.5 deg on rows 55 to 75, a flip that
+    runs through the hole on rows 61 to 69, and it is NaN on the nodes next
+    to the hole in those rows (beta 40 and 50 deg)."""
+    a, b = math.degrees(alpha), math.degrees(beta)
+    if 60.5 < a < 69.5 and min(abs(b - 40), abs(b - 50)) < 0.25:
+        return math.nan
+    r = a + b - 178.5
+    return -r if 54.5 < a < 75.5 and b < 45.5 else r
+
+
+def test_streamed_scan_matches_the_reference_around_holes_and_row_ends(
+        monkeypatch):
+    # the None nodes of the hole sit inside rows, between NaN nodes; row i
+    # has 179 - i nodes, so each row below is one node shorter, and the
+    # sign flips into the last node of every row along it and down from it
+    monkeypatch.setitem(SCENARIOS, "holed", Scenario(
+        "holed", holed_residual, (ISOSCELES,), asserted=False,
+        domain=holed_domain))
+    report = assert_scan_matches_reference(monkeypatch, "holed", STEP_1DEG)
+
+    ends = [(math.degrees(r.alpha), math.degrees(r.beta)) for r in report.roots
+            if abs(math.degrees(r.alpha + r.beta) - 178.5) < 1e-6]
+    along = [a for a, b in ends if abs(a - round(a)) < 1e-9]
+    down = [b for a, b in ends if abs(b - round(b)) < 1e-9]
+    # rows 1 to 177 have a last node with a neighbour before it and a row
+    # below, whose last node is the one under that neighbour
+    assert len(along) == len(down) == 177 and len(ends) == 354
+    # the flip at beta 45.5 deg is found on the rows the hole leaves whole
+    cut = {round(math.degrees(r.alpha), 9) for r in report.roots
+           if abs(math.degrees(r.beta) - 45.5) < 1e-6 and r.alpha < 1.5}
+    assert cut == {*range(55, 61), *range(70, 76)}
+
+
 def traced_peak_bytes(scan):
     """Peak traced allocation of one 1 degree medial-circumcenter scan."""
     tracemalloc.start()

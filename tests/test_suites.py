@@ -11,6 +11,7 @@ from planicheck import scenarios, suites
 from planicheck.errors import DegenerateInputError, ExactValueError
 from planicheck.kernel import point
 from planicheck.report import check_to_dict, run_check
+from planicheck.scalars import Scalar
 
 
 @pytest.mark.parametrize("suite", [suites.suite_dichotomy_float,
@@ -27,6 +28,24 @@ def test_a_lost_solution_is_a_failed_check(monkeypatch, suite):
     assert len(result.witnesses) == 5
     assert all(w["count"] == 1 and {"a", "b", "cos_angle"} <= set(w)
                for w in result.witnesses)
+
+
+def test_the_two_solution_draw_records_its_cosine_and_builds_no_scalar(
+        monkeypatch):
+    built = []
+    init = Scalar.__init__
+
+    def counting_init(scalar, backend, payload):
+        built.append(payload)
+        init(scalar, backend, payload)
+
+    monkeypatch.setattr(Scalar, "__init__", counting_init)
+    witness = {}
+    assert len(suites._draw_two_solutions(Random(3), suites.FLOAT,
+                                            witness)) == 2
+    assert built == []
+    assert list(witness) == ["theta_deg", "a", "b", "cos_angle"]
+    assert witness["cos_angle"] == math.cos(math.radians(witness["theta_deg"]))
 
 
 def test_a_same_side_lemma_pair_is_a_failed_check(monkeypatch):

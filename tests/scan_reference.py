@@ -30,10 +30,10 @@ def reference_scan(name: str, grid_step: float, refine_tol: float = 1e-12,
         raise DegenerateInputError(f"grid step {h:g} rad is too fine for binary64")
 
     f = functools.partial(sc.residual, **scenario_kwargs)
-    domain = sc.domain
+    bound = sc.max_angle
 
-    # rows[i - 1][j - 1] is the value at node (i, j), None outside the
-    # domain; a row ends at the first node under the gamma floor
+    # rows[i - 1][j - 1] is the value at node (i, j), None past the angle
+    # bound; a row ends at the first node under the gamma floor
     rows: List[List[Optional[float]]] = []
     evaluations = 0
     imax = int(math.pi / h) + 1
@@ -45,7 +45,7 @@ def reference_scan(name: str, grid_step: float, refine_tol: float = 1e-12,
             b = j * h
             if top - b < _GAMMA_FLOOR:
                 break
-            row.append(f(a, b) if domain is None or domain(a, b) else None)
+            row.append(f(a, b) if a <= bound and b <= bound else None)
         evaluations += len(row) - row.count(None)
         rows.append(row)
     if not evaluations:

@@ -449,7 +449,7 @@ def test_branch_points_lie_on_their_lines_inside_the_domain():
                 a, b = branch.point(math.radians(free_deg))
                 assert branch.distance(a, b) < 1e-15, (sc.name, branch.name)
                 assert a > 0 and b > 0 and a + b < math.pi, sc.name
-                assert sc.domain is None or sc.domain(a, b), sc.name
+                assert max(a, b) <= sc.max_angle, sc.name
 
 
 def test_forward_checks_pass_the_scan_kwargs():
@@ -506,7 +506,7 @@ def test_scan_call_order_splits_grid_from_bisection(monkeypatch, name, kwargs):
     # and tells grid from bisection calls by their order: the grid comes
     # first, in strictly increasing (alpha, beta), and whatever breaks that
     # order is bisection
-    domain = SCENARIOS[name].domain
+    bound = SCENARIOS[name].max_angle
     plain = level_set_scan(name, STEP_1DEG, **kwargs)
     counted, calls = scan_with_calls(monkeypatch, level_set_scan, name,
                                      STEP_1DEG, **kwargs)
@@ -516,11 +516,10 @@ def test_scan_call_order_splits_grid_from_bisection(monkeypatch, name, kwargs):
     n_grid = 1
     while n_grid < len(calls) and calls[n_grid] > calls[n_grid - 1]:
         n_grid += 1
-    # every node of the 1 degree grid (gamma >= 1 deg, above the floor) in
-    # the domain, each once, before the first bisection call
+    # every node of the 1 degree grid (gamma >= 1 deg, above the floor)
+    # within the angle bound, each once, before the first bisection call
     nodes = sorted(shape(i, j) for i in range(1, 180) for j in range(1, 180)
-                   if i + j < 180 and (domain is None
-                                       or domain(*shape(i, j))))
+                   if i + j < 180 and max(shape(i, j)) <= bound)
     assert calls[:n_grid] == nodes
     assert len(calls) > n_grid  # the scan bisected after the grid
 
@@ -542,6 +541,10 @@ def assert_scan_matches_reference(monkeypatch, name, step, **kwargs):
 
 @pytest.mark.parametrize("name,kwargs,step_deg", [
     *((name, {}, step) for name in sorted(SCENARIOS) for step in (1, 2, 3)),
+    # the 90 degree bound: at 1 and 2 degrees a node lies exactly on pi/2
+    # and inside it, at 1.2 degrees node 75 is 1 ulp below and inside it, at
+    # 3 degrees node 30 is 1 ulp above and outside it
+    ("square-center", {}, 1.2), ("rectangle-center", {}, 1.2),
     ("rectangle-center", {"t": 0.3}, 1)], ids=str)
 def test_streamed_scan_matches_the_whole_grid_reference(monkeypatch, name,
                                                          kwargs, step_deg):
@@ -588,17 +591,11 @@ def test_streamed_scan_matches_the_reference_on_zeros_nans_and_duplicates(
     assert nan_edges and all(r.residual < 0 for r in nan_edges)
 
 
-def holed_domain(alpha, beta):
-    """Every node but a hole inside rows 61 to 69, at beta 41 to 49 deg."""
-    a, b = math.degrees(alpha), math.degrees(beta)
-    return not (60.5 < a < 69.5 and 40.5 < b < 49.5)
-
-
-def holed_residual(alpha, beta):
+def row_end_residual(alpha, beta):
     """alpha + beta - 178.5 deg, negative on all but the last node of each
-    row; its sign is turned at beta < 45.5 deg on rows 55 to 75, a flip that
-    runs through the hole on rows 61 to 69, and it is NaN on the nodes next
-    to the hole in those rows (beta 40 and 50 deg)."""
+    row; its sign is turned at beta < 45.5 deg on rows 55 to 75, and it is
+    NaN at beta 40 and 50 deg on rows 61 to 69, so that on those rows the
+    flip at 45.5 deg lies between NaN nodes, which count as positive."""
     a, b = math.degrees(alpha), math.degrees(beta)
     if 60.5 < a < 69.5 and min(abs(b - 40), abs(b - 50)) < 0.25:
         return math.nan
@@ -606,15 +603,14 @@ def holed_residual(alpha, beta):
     return -r if 54.5 < a < 75.5 and b < 45.5 else r
 
 
-def test_streamed_scan_matches_the_reference_around_holes_and_row_ends(
+def test_streamed_scan_matches_the_reference_around_nans_and_row_ends(
         monkeypatch):
-    # the None nodes of the hole sit inside rows, between NaN nodes; row i
-    # has 179 - i nodes, so each row below is one node shorter, and the
-    # sign flips into the last node of every row along it and down from it
-    monkeypatch.setitem(SCENARIOS, "holed", Scenario(
-        "holed", holed_residual, (ISOSCELES,), asserted=False,
-        domain=holed_domain))
-    report = assert_scan_matches_reference(monkeypatch, "holed", STEP_1DEG)
+    # row i has 179 - i nodes, so each row below is one node shorter, and
+    # the sign flips into the last node of every row along it and down from
+    # it
+    monkeypatch.setitem(SCENARIOS, "row-ends", Scenario(
+        "row-ends", row_end_residual, (ISOSCELES,), asserted=False))
+    report = assert_scan_matches_reference(monkeypatch, "row-ends", STEP_1DEG)
 
     ends = [(math.degrees(r.alpha), math.degrees(r.beta)) for r in report.roots
             if abs(math.degrees(r.alpha + r.beta) - 178.5) < 1e-6]
@@ -623,10 +619,20 @@ def test_streamed_scan_matches_the_reference_around_holes_and_row_ends(
     # rows 1 to 177 have a last node with a neighbour before it and a row
     # below, whose last node is the one under that neighbour
     assert len(along) == len(down) == 177 and len(ends) == 354
-    # the flip at beta 45.5 deg is found on the rows the hole leaves whole
+    # the flip at beta 45.5 deg is found on every turned row, between the
+    # NaN nodes too
     cut = {round(math.degrees(r.alpha), 9) for r in report.roots
            if abs(math.degrees(r.beta) - 45.5) < 1e-6 and r.alpha < 1.5}
-    assert cut == {*range(55, 61), *range(70, 76)}
+    assert cut == set(range(55, 76))
+    # an edge into a NaN node refines to where the NaN band begins; one out
+    # of a NaN node keeps its first midpoint, as NaN is never the least |f|
+    nan_edges = {(round(math.degrees(r.alpha), 9),
+                  round(math.degrees(r.beta), 9)) for r in report.roots
+                 if 60 < math.degrees(r.alpha) < 70
+                 and 49 < math.degrees(r.beta) < 51}
+    assert nan_edges == {(60.5, 50), (69.5, 50),
+                         *((i, 49.75) for i in range(61, 70)),
+                         *((i, 50.5) for i in range(61, 70))}
 
 
 def traced_peak_bytes(scan):
@@ -672,6 +678,23 @@ def test_scan_empty_region_raises():
     # a 300 degree step puts every node past the angle sum of a triangle
     with pytest.raises(DegenerateInputError):
         level_set_scan("medial-circumcenter", math.radians(300))
+
+
+@pytest.mark.parametrize("step", [0.0, -STEP_1DEG, math.nan], ids=repr)
+def test_scan_step_must_be_positive(step):
+    with pytest.raises(ValueError, match="^grid step must be positive$"):
+        level_set_scan("medial-circumcenter", step)
+
+
+def test_a_scenario_declares_its_angle_bound_as_a_number():
+    # the scan clips its grid to max_angle; the residual is the one field
+    # it calls
+    for sc in SCENARIOS.values():
+        called = [field.name for field in dataclasses.fields(sc)
+                  if callable(getattr(sc, field.name))]
+        assert called == ["residual"], sc.name
+        square = sc.name in ("square-center", "rectangle-center")
+        assert sc.max_angle == (math.pi / 2 if square else math.pi), sc.name
 
 
 def test_unknown_scenario():

@@ -15,45 +15,93 @@ triangles can share the designated elements.
 
 ``congruent_any`` searches the six correspondences over the same measured
 sets, so a caller measures each triangle once and hands the sets on.
+
+A ``TriangleElements`` holds one backend and two payload triples in label
+order, as a ``kernel.Point`` holds one backend and its coordinates'
+payloads.  Each criterion checks once that its two sets share a backend,
+then compares payloads by index: every correspondence has an index triple,
+and the designations a criterion searches when it is given none have index
+triples too, all built at import.  ``side_sq`` and ``cos_at`` wrap one
+payload in a ``Scalar`` on each read, for callers at the package boundary.
 """
 
 from __future__ import annotations
 
 import enum
 from itertools import permutations
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
-from .kernel import LABELS, Triangle, angle_cos, squared_distance
+from .kernel import LABELS, Triangle, angle_cos
 from .record import Record, _set
 from .scalars import Backend, Scalar, common_backend
 
+# a label's position in a payload triple
+_AT = {label: i for i, label in enumerate(LABELS)}
+
+_new = object.__new__
+
 
 class TriangleElements(Record):
-    """Squared side lengths and angle cosines, both keyed by vertex label.
+    """Squared side lengths and angle cosines of one triangle: ``backend``
+    and two payload triples in label order, ``_sides`` (the squared side
+    opposite A, B and C) and ``_cosines`` (the cosine of the interior
+    angle at A, B and C).
 
-    ``side_sq[X]`` is the squared side opposite vertex X; ``cos_at[X]`` the
-    cosine of the interior angle at X.  Treat the dicts as immutable.
-    """
+    The public constructor takes the two triples as ``Scalar``s and checks
+    that they share a backend; ``side_sq(X)`` and ``cos_at(X)`` wrap the
+    payload for label X in a ``Scalar`` on each read.  Equality and
+    hashing go by the backend and the payloads."""
 
-    __slots__ = ("side_sq", "cos_at")
+    __slots__ = ("backend", "_sides", "_cosines")
 
-    def __init__(self, side_sq: Dict[str, Scalar], cos_at: Dict[str, Scalar]):
-        _set(self, "side_sq", side_sq)
-        _set(self, "cos_at", cos_at)
+    def __init__(self, side_sq: Tuple[Scalar, Scalar, Scalar],
+                 cos_at: Tuple[Scalar, Scalar, Scalar]):
+        backend = side_sq[0].backend
+        for value in (*side_sq, *cos_at):
+            common_backend(backend, value.backend)
+        _set(self, "backend", backend)
+        _set(self, "_sides", tuple(s._v for s in side_sq))
+        _set(self, "_cosines", tuple(c._v for c in cos_at))
 
-    @property
-    def backend(self) -> Backend:
-        return self.side_sq["A"].backend
+    def side_sq(self, label: str) -> Scalar:
+        """The squared side opposite vertex ``label``."""
+        return Scalar(self.backend, self._sides[_AT[label]])
+
+    def cos_at(self, label: str) -> Scalar:
+        """The cosine of the interior angle at vertex ``label``."""
+        return Scalar(self.backend, self._cosines[_AT[label]])
+
+    def _scalars(self):
+        return (tuple(self.side_sq(l) for l in LABELS),
+                tuple(self.cos_at(l) for l in LABELS))
+
+    def __repr__(self):
+        side_sq, cos_at = self._scalars()
+        return f"TriangleElements(side_sq={side_sq!r}, cos_at={cos_at!r})"
+
+    def __reduce__(self):
+        # through the public constructor, whose fields are the two triples
+        return TriangleElements, self._scalars()
 
 
 def measure(t: Triangle) -> TriangleElements:
-    """Extract the element set of a triangle once; criteria then reuse it."""
+    """Extract the element set of a triangle once; criteria then reuse it.
+
+    The squared sides come from the vertices' payloads; each cosine is
+    ``angle_cos``'s payload."""
     a, b, c = t.A, t.B, t.C
-    return TriangleElements(
-        {"A": squared_distance(b, c), "B": squared_distance(a, c),
-         "C": squared_distance(a, b)},
-        {"A": angle_cos(a, b, c), "B": angle_cos(b, a, c),
-         "C": angle_cos(c, a, b)})
+    ax, ay, bx, by, cx, cy = a._x, a._y, b._x, b._y, c._x, c._y
+    dx, dy = cx - bx, cy - by
+    sa = dx * dx + dy * dy
+    dx, dy = cx - ax, cy - ay
+    sb = dx * dx + dy * dy
+    dx, dy = bx - ax, by - ay
+    e = _new(TriangleElements)
+    _set(e, "backend", a.backend)
+    _set(e, "_sides", (sa, sb, dx * dx + dy * dy))
+    _set(e, "_cosines", (angle_cos(a, b, c)._v, angle_cos(b, a, c)._v,
+                         angle_cos(c, a, b)._v))
+    return e
 
 
 class Correspondence(Record):
@@ -89,6 +137,10 @@ def _canonical_key(corr: Correspondence):
 ALL_CORRESPONDENCES = tuple(sorted(
     (Correspondence(p) for p in permutations(LABELS)), key=_canonical_key))
 
+# mapping -> the positions of the images of A, B and C in a payload triple
+_IMAGES = {c.mapping: tuple(_AT[l] for l in c.mapping)
+           for c in ALL_CORRESPONDENCES}
+
 
 class Applicability(enum.Enum):
     HOLDS = "holds"
@@ -115,18 +167,37 @@ class ElementTriple(Record):
         return self.angle_label not in self.side_labels
 
 
-def _sides_match(e1, e2, corr, labels) -> bool:
-    eq = common_backend(e1.backend, e2.backend).eq
-    s1, s2 = e1.side_sq, e2.side_sq
-    for l in labels:
-        if not eq(s1[l]._v, s2[corr.image(l)]._v):
-            return False
-    return True
+def _positions(triple: ElementTriple) -> Tuple[int, int, int]:
+    """The payload positions of a designation: its two sides, its angle."""
+    y, z = triple.side_labels
+    return _AT[y], _AT[z], _AT[triple.angle_label]
 
 
-def _angle_matches(e1, e2, corr, label) -> bool:
-    eq = common_backend(e1.backend, e2.backend).eq
-    return eq(e1.cos_at[label]._v, e2.cos_at[corr.image(label)]._v)
+# the designations criterion_a and criterion_d search when given none, in
+# their search order, as payload positions
+_INCLUDED = tuple(
+    _positions(ElementTriple(tuple(l for l in LABELS if l != x), x))
+    for x in LABELS)
+_OPPOSITE = tuple(_positions(ElementTriple((y, z), y))
+                  for y, z in permutations(LABELS, 2))
+
+
+def _backend(e1: TriangleElements, e2: TriangleElements) -> Backend:
+    """The backend of ``e1``, once ``e2`` shares it: the one check a
+    criterion makes before it compares payloads of the two sets."""
+    backend = e1.backend
+    if e2.backend is not backend:
+        common_backend(backend, e2.backend)
+    return backend
+
+
+def _designated_match(eq, e1, e2, image, designation) -> bool:
+    """Whether the two sides and the angle at payload positions
+    ``designation`` of e1 equal their images in e2."""
+    i, j, k = designation
+    s1, s2 = e1._sides, e2._sides
+    return (eq(s1[i], s2[image[i]]) and eq(s1[j], s2[image[j]])
+            and eq(e1._cosines[k], e2._cosines[image[k]]))
 
 
 def criterion_a(e1: TriangleElements, e2: TriangleElements,
@@ -136,27 +207,31 @@ def criterion_a(e1: TriangleElements, e2: TriangleElements,
     if triple is not None:
         if not triple.included:
             raise ValueError("criterion_a needs an included angle designation")
-        triples = (triple,)
+        designations = (_positions(triple),)
     else:
-        triples = tuple(ElementTriple(tuple(l for l in LABELS if l != x), x)
-                        for x in LABELS)
-    return any(_sides_match(e1, e2, corr, t.side_labels)
-               and _angle_matches(e1, e2, corr, t.angle_label)
-               for t in triples)
+        designations = _INCLUDED
+    eq = _backend(e1, e2).eq
+    image = _IMAGES[corr.mapping]
+    return any(_designated_match(eq, e1, e2, image, d) for d in designations)
 
 
 def criterion_b(e1: TriangleElements, e2: TriangleElements,
                 corr: Correspondence) -> bool:
     """Two angles and one side agree under corr."""
-    angles = sum(_angle_matches(e1, e2, corr, x) for x in LABELS)
-    side = any(_sides_match(e1, e2, corr, (x,)) for x in LABELS)
-    return angles >= 2 and side
+    eq = _backend(e1, e2).eq
+    image = _IMAGES[corr.mapping]
+    c1, c2, s1, s2 = e1._cosines, e2._cosines, e1._sides, e2._sides
+    angles = sum(eq(c1[i], c2[m]) for i, m in enumerate(image))
+    return angles >= 2 and any(eq(s1[i], s2[m]) for i, m in enumerate(image))
 
 
 def criterion_c(e1: TriangleElements, e2: TriangleElements,
                 corr: Correspondence) -> bool:
     """All three sides agree under corr."""
-    return _sides_match(e1, e2, corr, LABELS)
+    eq = _backend(e1, e2).eq
+    i, j, k = _IMAGES[corr.mapping]
+    s1, s2 = e1._sides, e2._sides
+    return eq(s1[0], s2[i]) and eq(s1[1], s2[j]) and eq(s1[2], s2[k])
 
 
 def criterion_d(e1: TriangleElements, e2: TriangleElements,
@@ -172,19 +247,21 @@ def criterion_d(e1: TriangleElements, e2: TriangleElements,
     if triple is not None:
         if triple.included:
             raise ValueError("criterion_d needs the angle opposite a given side")
-        triples = (triple,)
+        designations = (_positions(triple),)
     else:
-        triples = tuple(ElementTriple((y, z), x)
-                        for y, z in permutations(LABELS, 2)
-                        for x in (y,))
+        designations = _OPPOSITE
+    backend = _backend(e1, e2)
+    eq, lt = backend.eq, backend.lt
+    image = _IMAGES[corr.mapping]
+    s1 = e1._sides
     best = Applicability.FAILS
-    for t in triples:
-        if not (_sides_match(e1, e2, corr, t.side_labels)
-                and _angle_matches(e1, e2, corr, t.angle_label)):
+    for d in designations:
+        if not _designated_match(eq, e1, e2, image, d):
             continue
-        x = t.angle_label
-        w = next(l for l in t.side_labels if l != x)
-        if e1.side_sq[x].gt(e1.side_sq[w]):
+        i, j, k = d
+        # the angle sits at one of the two sides' labels; w is the other side
+        w = j if k == i else i
+        if lt(s1[w], s1[k]):
             return Applicability.HOLDS
         best = Applicability.NOT_APPLICABLE
     return best

@@ -38,8 +38,8 @@ than coercing.
 
 ``Scalar`` is the API at the package boundary, a ``Record`` of its backend
 and payload, so it compares and hashes structurally and copies and pickles.
-Inside, ``kernel.Point`` and ``ssa.SsaSpec`` hold one backend and raw
-payloads, and the kernel predicates, ``measure``/``congruent_any`` and
+Inside, ``kernel.Point``, ``ssa.SsaSpec`` and
+``congruence.TriangleElements`` hold one backend and raw payloads, and the kernel predicates, ``measure``/``congruent_any`` and
 ``solve_ssa`` compute on the payloads (``Scalar._v`` and those fields) and
 wrap only the values they hand out: every decision, zero tests included,
 goes to the backend object (``eq``, ``sign``, ``sqrt``, ``vanishes``) on

@@ -246,6 +246,12 @@ def classify_pair(t1: Triangle, t2: Triangle) -> DichotomyVerdict:
     measured element sets) or Supplementary with the two angles at B, which
     must sum to a straight angle.  The theorem guarantees no third outcome;
     a violation raises.
+
+    Each triangle is measured once.  ``criterion_d`` checks that the two
+    element sets share a backend before any comparison, and it and
+    ``congruent_any`` compare their payloads by index; the two angles at
+    B of a Supplementary verdict are the only values wrapped in a
+    ``Scalar`` outside ``measure``.
     """
     e1, e2 = measure(t1), measure(t2)
     if criterion_d(e1, e2, _IDENTITY, _SOLVER_TRIPLE) is Applicability.FAILS:
@@ -253,7 +259,7 @@ def classify_pair(t1: Triangle, t2: Triangle) -> DichotomyVerdict:
     witness = congruent_any(e1, e2)
     if witness is not None:
         return Congruent(witness)
-    cos1, cos2 = e1.cos_at["B"], e2.cos_at["B"]
+    cos1, cos2 = e1.cos_at("B"), e2.cos_at("B")
     if not supplementary(cos1, cos2):
         raise DichotomyViolationError(
             "non-congruent matched pair with non-supplementary remaining angles")
@@ -280,22 +286,24 @@ def lemma_common_side_check(t_abc: Triangle, t_abd: Triangle) -> LemmaReport:
     concyclic when C and D lie strictly on opposite sides of AB, and that
     AC < AB.  Precondition failures raise with an individual reason.
     """
-    common_backend(t_abc.backend, t_abd.backend)
+    backend = common_backend(t_abc.backend, t_abd.backend)
     a1, b1, c = t_abc.A, t_abc.B, t_abc.C
     a2, b2, d = t_abd.A, t_abd.B, t_abd.C
     if not (a1.eq(a2) and b1.eq(b2)):
         raise LemmaPreconditionError("shared-side", "triangles do not share side AB")
     e_abc, e_abd = measure(t_abc), measure(t_abd)
-    # side_sq["B"] is AC (resp. AD), side_sq["C"] is AB
-    if not e_abc.side_sq["B"].eq(e_abd.side_sq["B"]):
+    # payload position 1 is B: the side AC (resp. AD) and the angle at B;
+    # side position 2 is AB
+    ac, ab = e_abc._sides[1], e_abc._sides[2]
+    if not backend.eq(ac, e_abd._sides[1]):
         raise LemmaPreconditionError("unequal-ac-ad", "AC and AD differ")
-    if not e_abc.cos_at["B"].eq(e_abd.cos_at["B"]):
+    if not backend.eq(e_abc._cosines[1], e_abd._cosines[1]):
         raise LemmaPreconditionError("unequal-angles", "angles at B differ")
     if congruent_any(e_abc, e_abd) is not None:
         raise LemmaPreconditionError("congruent", "the triangles are congruent")
 
-    cos_acb = e_abc.cos_at["C"]
-    cos_adb = e_abd.cos_at["C"]
+    cos_acb = e_abc.cos_at("C")
+    cos_adb = e_abd.cos_at("C")
     supp = supplementary(cos_acb, cos_adb)
 
     opposite = side(a1, b1, c) * side(a1, b1, d) < 0
@@ -303,7 +311,7 @@ def lemma_common_side_check(t_abc: Triangle, t_abd: Triangle) -> LemmaReport:
     if opposite:
         is_cyc, det = concyclic(a1, c, b1, d)
 
-    ac_lt_ab = e_abc.side_sq["B"].lt(e_abc.side_sq["C"])
+    ac_lt_ab = backend.lt(ac, ab)
     return LemmaReport(supp, cos_acb, cos_adb, opposite, is_cyc, det, ac_lt_ab)
 
 

@@ -178,21 +178,31 @@ def test_only_the_arithmetic_modules_read_payloads():
     assert payload_reads(sources) == []
 
 
-# a Point and an SsaSpec hold payloads, and their coordinate and field names
-# wrap one in a new Scalar on each read: reading ._v through them builds a
-# Scalar only to unwrap it
+# a Point, an SsaSpec and a TriangleElements hold payloads, and their
+# coordinate and field names, and the element set's label readers, wrap one
+# in a new Scalar on each read: reading ._v through them builds a Scalar
+# only to unwrap it
 WRAPPED_FIELDS = {"x", "y", "side_a", "side_b", "cos_angle"}
+WRAPPED_READERS = {"side_sq", "cos_at"}
 
 
-def wrapped_payload_reads(sources, fields=WRAPPED_FIELDS):
+def wrapped_payload_reads(sources, fields=WRAPPED_FIELDS,
+                          readers=WRAPPED_READERS):
     """(module, line) of each ``._v`` read whose object is an attribute that
-    ``fields`` names (``p.x._v``, ``spec.side_a._v``), in ``sources``
-    (module name -> text)."""
+    ``fields`` names (``p.x._v``, ``spec.side_a._v``) or a call of a method
+    that ``readers`` names (``e.cos_at("B")._v``), in ``sources`` (module
+    name -> text)."""
+
+    def wraps(n):
+        if isinstance(n, ast.Attribute):
+            return n.attr in fields
+        return (isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+                and n.func.attr in readers)
+
     return [(mod, n.lineno) for mod, text in sources.items()
             for n in ast.walk(ast.parse(text))
             if isinstance(n, ast.Attribute) and n.attr == "_v"
-            and isinstance(n.value, ast.Attribute)
-            and n.value.attr in fields]
+            and wraps(n.value)]
 
 
 def test_the_check_sees_a_payload_read_through_a_wrapper():
@@ -203,6 +213,17 @@ def test_the_check_sees_a_payload_read_through_a_wrapper():
                "ssa.py": "b = spec.side_b._v + tri.B.y._v\n"}
     assert wrapped_payload_reads(sources) == [
         ("kernel.py", 2), ("kernel.py", 5), ("ssa.py", 1), ("ssa.py", 1)]
+
+
+def test_the_check_sees_a_payload_read_through_a_label_reader():
+    sources = {"ssa.py": ("def f(e, t):\n"
+                          "    c = e.cos_at('B')._v + e._cosines[1]\n"
+                          "    s = e.side_sq('C').sqrt()._v\n"
+                          "    return angle_cos(t.A, t.B, t.C)._v, c, s\n"
+                          "\nx = e1.side_sq('A')._v\n"),
+               "congruence.py": "y = cos_at('A')._v + e.cos_at._v\n"}
+    assert sorted(wrapped_payload_reads(sources)) == [("ssa.py", 2),
+                                                     ("ssa.py", 6)]
 
 
 def test_no_module_unwraps_a_coordinate_or_a_spec_field():

@@ -13,7 +13,9 @@ from fractions import Fraction
 
 import pytest
 
-from planicheck.congruence import Correspondence, ElementTriple, measure
+from planicheck.congruence import (Correspondence, ElementTriple,
+                                   TriangleElements, measure)
+from planicheck.kernel import LABELS
 from planicheck.kernel import Isometry, Point, payload_point, point
 from planicheck.logic import (And, Atom, EquivalenceResult, Iff, Implies,
                               LogicCheck, Not, Or, ProblemScheme, Xor,
@@ -152,9 +154,15 @@ def ssa_pair():
     return solve_ssa(SsaSpec.from_values(EXACT, 7, 8, Fraction(1, 2)))
 
 
+def public_elements():
+    e = measure(ssa_pair()[1])
+    return TriangleElements(tuple(e.side_sq(l) for l in LABELS),
+                            tuple(e.cos_at(l) for l in LABELS))
+
+
 # values that hold a Scalar or a payload, from both backends, a radical
-# among them; a Point and an SsaSpec come both through their public
-# constructors and through the payload path
+# among them; a Point, an SsaSpec and a TriangleElements come both through
+# their public constructors and through the payload path
 HOLDERS = {
     "Scalar-float": lambda: FB.scalar(0.5),
     "Scalar-exact": lambda: EXACT.scalar(3).sqrt(),
@@ -167,7 +175,10 @@ HOLDERS = {
     "SsaSpec-payload": lambda: SsaSpec.from_values(FB, 1.0, 2.0, 0.25),
     "SsaSpec-exact": lambda: SsaSpec.from_values(
         EXACT, EXACT.scalar(2).sqrt(), 3, Fraction(1, 2)),
-    "TriangleElements": lambda: measure(ssa_pair()[1]),
+    "TriangleElements": public_elements,
+    "TriangleElements-payload": lambda: measure(ssa_pair()[1]),
+    "TriangleElements-float": lambda: measure(solve_ssa(
+        SsaSpec.from_values(FB, 1.3, 2.0, 0.8))[0]),
 }
 
 
@@ -179,7 +190,8 @@ def test_a_value_that_holds_scalars_copies_and_pickles(name):
 
 
 @pytest.mark.parametrize("public, payload", [
-    ("Point", "Point-payload"), ("SsaSpec", "SsaSpec-payload")])
+    ("Point", "Point-payload"), ("SsaSpec", "SsaSpec-payload"),
+    ("TriangleElements", "TriangleElements-payload")])
 def test_the_payload_path_builds_the_public_value(public, payload):
     a, b = HOLDERS[public](), HOLDERS[payload]()
     assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
@@ -199,8 +211,16 @@ def test_a_payload_value_prints_and_reads_its_scalars():
     assert SsaSpec(spec.side_a, spec.side_b, spec.cos_angle) == spec
     assert SsaSpec(side_a=spec.side_a, side_b=spec.side_b,
                    cos_angle=spec.cos_angle) == spec
+    e = HOLDERS["TriangleElements-payload"]()
+    assert repr(e) == (
+        "TriangleElements(side_sq=(Scalar(49), Scalar(64), Scalar(25)), "
+        "cos_at=(Scalar(1/2), Scalar(1/7), Scalar(11/14)))")
+    assert e.side_sq("C") == EXACT.scalar(25)
+    with pytest.raises(BackendMismatchError, match="cannot mix"):
+        TriangleElements((e.side_sq("A"), FB.scalar(64.0), e.side_sq("C")),
+                         tuple(e.cos_at(l) for l in LABELS))
     for value, field in ((p, "x"), (p, "backend"), (spec, "side_a"),
-                         (spec, "backend")):
+                         (spec, "backend"), (e, "backend"), (e, "_sides")):
         with pytest.raises(AttributeError):
             setattr(value, field, None)
         with pytest.raises(AttributeError):

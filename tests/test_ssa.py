@@ -65,7 +65,7 @@ def elements(tri):
     """The third side |AB| of a solved triangle, and its cosines at B (the
     remaining angle) and at C, as ``measure`` reads them."""
     e = measure(tri)
-    return e.side_sq["C"].sqrt(), e.cos_at["B"], e.cos_at["C"]
+    return e.side_sq("C").sqrt(), e.cos_at("B"), e.cos_at("C")
 
 
 def test_two_solution_case():
@@ -120,7 +120,7 @@ def test_solutions_reproduce_the_given_elements():
                                 spec.side_a.as_float() ** 2, rel_tol=1e-9)
             assert math.isclose(squared_distance(t.A, t.C).as_float(),
                                 spec.side_b.as_float() ** 2, rel_tol=1e-9)
-            assert math.isclose(measure(t).cos_at["A"].as_float(),
+            assert math.isclose(measure(t).cos_at("A").as_float(),
                                 spec.cos_angle.as_float(), abs_tol=1e-9)
 
 
@@ -422,9 +422,9 @@ def test_float_payload_arithmetic_matches_scalar_arithmetic_bit_for_bit():
         for t in shapes:
             e = measure(t)
             side_sq, cos_at = reference_measure(t)
-            assert floats(*(e.side_sq[l] for l in LABELS)) == floats(
+            assert floats(*(e.side_sq(l) for l in LABELS)) == floats(
                 *(side_sq[l] for l in LABELS))
-            assert floats(*(e.cos_at[l] for l in LABELS)) == floats(
+            assert floats(*(e.cos_at(l) for l in LABELS)) == floats(
                 *(cos_at[l] for l in LABELS))
             assert floats(orient(t.A, t.B, t.C)) == floats(
                 reference_orient(t.A, t.B, t.C))
@@ -691,3 +691,22 @@ def test_solve_ssa_builds_no_scalar(monkeypatch, backend, values, kept):
     monkeypatch.setattr(Scalar, "__init__", counting_init)
     assert len(solve_ssa(spec)) == kept
     assert built == []
+
+
+def test_float_classify_pair_builds_eight_scalars(monkeypatch):
+    # measure keeps the payloads of its three angle_cos Scalars and forms
+    # the squared sides on the points' payloads; the criteria compare
+    # payloads, and only the two angles at B of the verdict are wrapped
+    tris = solve_ssa(float_spec(1.0, math.sqrt(3), 30.0))
+    built = []
+    init = Scalar.__init__
+
+    def counting_init(scalar, backend, payload):
+        built.append(payload)
+        init(scalar, backend, payload)
+
+    monkeypatch.setattr(Scalar, "__init__", counting_init)
+    verdict = classify_pair(*tris)
+    assert isinstance(verdict, Supplementary)
+    assert len(built) == 2 * 3 + 2
+    assert built[-2:] == [verdict.cos1._v, verdict.cos2._v]

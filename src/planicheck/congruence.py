@@ -21,8 +21,8 @@ order, as a ``kernel.Point`` holds one backend and its coordinates'
 payloads.  Each criterion checks once that its two sets share a backend,
 then compares payloads by index: every correspondence has an index triple,
 and the designations a criterion searches when it is given none have index
-triples too, all built at import.  ``side_sq`` and ``cos_at`` wrap one
-payload in a ``Scalar`` on each read, for callers at the package boundary.
+triples too, all built at import.  ``cos_at`` wraps one cosine in a
+``Scalar`` on each read, for the SSA verdicts.
 """
 
 from __future__ import annotations
@@ -47,41 +47,16 @@ class TriangleElements(Record):
     opposite A, B and C) and ``_cosines`` (the cosine of the interior
     angle at A, B and C).
 
-    The public constructor takes the two triples as ``Scalar``s and checks
-    that they share a backend; ``side_sq(X)`` and ``cos_at(X)`` wrap the
-    payload for label X in a ``Scalar`` on each read.  Equality and
-    hashing go by the backend and the payloads."""
+    ``measure`` builds one; ``cos_at(X)`` wraps the payload for label X in
+    a ``Scalar`` on each read.  Equality, hashing, ``repr``, ``copy`` and
+    ``pickle`` go by the backend and the payload triples, as ``Record``
+    gives them."""
 
     __slots__ = ("backend", "_sides", "_cosines")
-
-    def __init__(self, side_sq: Tuple[Scalar, Scalar, Scalar],
-                 cos_at: Tuple[Scalar, Scalar, Scalar]):
-        backend = side_sq[0].backend
-        for value in (*side_sq, *cos_at):
-            common_backend(backend, value.backend)
-        _set(self, "backend", backend)
-        _set(self, "_sides", tuple(s._v for s in side_sq))
-        _set(self, "_cosines", tuple(c._v for c in cos_at))
-
-    def side_sq(self, label: str) -> Scalar:
-        """The squared side opposite vertex ``label``."""
-        return Scalar(self.backend, self._sides[_AT[label]])
 
     def cos_at(self, label: str) -> Scalar:
         """The cosine of the interior angle at vertex ``label``."""
         return Scalar(self.backend, self._cosines[_AT[label]])
-
-    def _scalars(self):
-        return (tuple(self.side_sq(l) for l in LABELS),
-                tuple(self.cos_at(l) for l in LABELS))
-
-    def __repr__(self):
-        side_sq, cos_at = self._scalars()
-        return f"TriangleElements(side_sq={side_sq!r}, cos_at={cos_at!r})"
-
-    def __reduce__(self):
-        # through the public constructor, whose fields are the two triples
-        return TriangleElements, self._scalars()
 
 
 def measure(t: Triangle) -> TriangleElements:

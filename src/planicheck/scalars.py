@@ -75,9 +75,9 @@ _MIN_NORMAL = sys.float_info.min  # the least positive normal binary64 value
 class _Rational:
     """Exact rational payload ``numerator / denominator``: coprime ints with
     a positive denominator, so equal values have equal fields.  Its
-    operators take ``_Rational``, int and ``Fraction`` operands, compare,
-    hash, convert and print as ``Fraction`` does, and leave a ``_Sqrt``
-    operand to the ``_Sqrt`` operators."""
+    operators take ``_Rational``, int and ``Fraction`` operands, order by
+    ``<`` alone, hash, convert and print as ``Fraction`` does, and leave a
+    ``_Sqrt`` operand to the ``_Sqrt`` operators."""
 
     __slots__ = ("numerator", "denominator")
 
@@ -129,13 +129,6 @@ class _Rational:
         return _div(self.numerator, self.denominator,
                     other.numerator, other.denominator)
 
-    def __rtruediv__(self, other):
-        other = _rational(other)
-        if other is None:
-            return NotImplemented
-        return _div(other.numerator, other.denominator,
-                    self.numerator, self.denominator)
-
     def __neg__(self):
         return _Rational(-self.numerator, self.denominator)
 
@@ -159,10 +152,6 @@ class _Rational:
     def __lt__(self, other):
         pair = self._cross(other)
         return NotImplemented if pair is None else pair[0] < pair[1]
-
-    def __gt__(self, other):
-        pair = self._cross(other)
-        return NotImplemented if pair is None else pair[0] > pair[1]
 
     def __hash__(self):
         # equal to the hash of the equal Fraction and int; hashing is rare
@@ -282,7 +271,11 @@ class _Sqrt(NamedTuple):
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        return self * (1 / other)
+        if isinstance(other, _Sqrt):
+            return _mk_exact(self.sign * other.sign, self.square / other.square)
+        # a zero divisor raises from the rational division
+        return _Sqrt(_exact_sign(other) * self.sign,
+                     self.square / (other * other))
 
     def __rtruediv__(self, other):
         sign = _exact_sign(other) * self.sign
@@ -315,13 +308,16 @@ def _exact_cmp(x, y) -> int:
         return -1 if xs < ys else 1
     if xs == 0:
         return 0
-    xq = x.square if isinstance(x, _Sqrt) else x * x
-    yq = y.square if isinstance(y, _Sqrt) else y * y
+    # the squares as _Rationals, an int's too, so that < orders them
+    xq = (x.square if isinstance(x, _Sqrt)
+          else _Rational(x.numerator ** 2, x.denominator ** 2))
+    yq = (y.square if isinstance(y, _Sqrt)
+          else _Rational(y.numerator ** 2, y.denominator ** 2))
     if xq == yq:
         # equal squares and equal signs; distinct payload kinds cannot collide
         # because perfect squares never stay in _Sqrt form
         return 0
-    lt = xq < yq if xs > 0 else xq > yq
+    lt = xq < yq if xs > 0 else yq < xq
     return -1 if lt else 1
 
 
@@ -572,9 +568,6 @@ class Scalar(Record):
 
     def eq(self, other) -> bool:
         return self.backend.eq(self._v, self._mate(other))
-
-    def lt(self, other) -> bool:
-        return self.backend.lt(self._v, self._mate(other))
 
     def gt(self, other) -> bool:
         return self.backend.lt(self._mate(other), self._v)

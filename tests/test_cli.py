@@ -190,6 +190,11 @@ def test_ssa_exact_degree_angle_is_the_value_of_its_double_cosine(capsys):
     (["--a", "1", "--b", "1", "--cos", "1/2"],
      ["1 solution", "  solution 1: third side 1.0, apex angle 60.0 deg, "
       "base angle 60.0 deg, apex (0.5, 0.866025403784)"]),
+    # a radical third side, sqrt(8), which the float backend prints alike
+    (["--a", "3", "--b", "1", "--cos", "0"],
+     ["1 solution", "  solution 1: third side 2.82842712475, apex angle "
+      "19.4712206345 deg, base angle 70.5287793655 deg, apex (0.0, "
+      "2.82842712475)"]),
     (["--a", "3", "--b", "4", "--cos", "1/3"], ["0 solutions"]),
     (["--a", "3", "--b", "4", "--angle-deg", "50"], ["0 solutions"]),
 ], ids=lambda v: " ".join(v) if v[0].startswith("--") else None)

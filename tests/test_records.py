@@ -15,7 +15,6 @@ import pytest
 
 from planicheck.congruence import (Correspondence, ElementTriple,
                                    TriangleElements, measure)
-from planicheck.kernel import LABELS
 from planicheck.kernel import Isometry, Point, payload_point, point
 from planicheck.logic import (And, Atom, EquivalenceResult, Iff, Implies,
                               LogicCheck, Not, Or, ProblemScheme, Xor,
@@ -156,8 +155,7 @@ def ssa_pair():
 
 def public_elements():
     e = measure(ssa_pair()[1])
-    return TriangleElements(tuple(e.side_sq(l) for l in LABELS),
-                            tuple(e.cos_at(l) for l in LABELS))
+    return TriangleElements(e.backend, e._sides, e._cosines)
 
 
 # values that hold a Scalar or a payload, from both backends, a radical
@@ -213,12 +211,10 @@ def test_a_payload_value_prints_and_reads_its_scalars():
                    cos_angle=spec.cos_angle) == spec
     e = HOLDERS["TriangleElements-payload"]()
     assert repr(e) == (
-        "TriangleElements(side_sq=(Scalar(49), Scalar(64), Scalar(25)), "
-        "cos_at=(Scalar(1/2), Scalar(1/7), Scalar(11/14)))")
-    assert e.side_sq("C") == EXACT.scalar(25)
-    with pytest.raises(BackendMismatchError, match="cannot mix"):
-        TriangleElements((e.side_sq("A"), FB.scalar(64.0), e.side_sq("C")),
-                         tuple(e.cos_at(l) for l in LABELS))
+        "TriangleElements(backend=ExactBackend(), "
+        "_sides=(_Rational(49, 1), _Rational(64, 1), _Rational(25, 1)), "
+        "_cosines=(_Rational(1, 2), _Rational(1, 7), _Rational(11, 14)))")
+    assert e.cos_at("C") == EXACT.scalar(Fraction(11, 14))
     for value, field in ((p, "x"), (p, "backend"), (spec, "side_a"),
                          (spec, "backend"), (e, "backend"), (e, "_sides")):
         with pytest.raises(AttributeError):

@@ -19,6 +19,7 @@ from planicheck.congruence import Correspondence, measure
 from planicheck.kernel import (
     LABELS,
     Isometry,
+    Point,
     Triangle,
     collinear,
     coord_scale,
@@ -498,6 +499,18 @@ def test_to_common_side_opposite_placement():
     t1 = triangle(EXACT, (0, 0), (5, 0), (Fraction(16, 5), Fraction(12, 5)))
     _, moved, _ = to_common_side(t1, t1, IDENT, "C", "opposite")
     assert moved.C.eq(point(EXACT, Fraction(16, 5), Fraction(-12, 5)))
+
+
+def test_to_common_side_moves_a_radical_side_exactly():
+    # the textbook triangle's common side AB runs from the origin to
+    # B = (3/2, sqrt(27/4)), at 60 deg, so the rotation that places the
+    # triangle opposite divides radicals; C = (8, 0) reflects to
+    # (-4, sqrt(48))
+    t1 = solve_ssa(SsaSpec.from_values(EXACT, 7, 8, Fraction(1, 2)))[0]
+    _, moved, g = to_common_side(t1, t1, IDENT, "C", "opposite")
+    assert g.mirror
+    assert moved.A.eq(t1.A) and moved.B.eq(t1.B)
+    assert moved.C.eq(Point(EXACT.scalar(-4), EXACT.scalar(48).sqrt()))
 
 
 def test_to_common_side_mirrors_a_thin_float_triangle():

@@ -75,9 +75,10 @@ _MIN_NORMAL = sys.float_info.min  # the least positive normal binary64 value
 class _Rational:
     """Exact rational payload ``numerator / denominator``: coprime ints with
     a positive denominator, so equal values have equal fields.  Its
-    operators take ``_Rational``, int and ``Fraction`` operands, order by
-    ``<`` alone, hash, convert and print as ``Fraction`` does, and leave a
-    ``_Sqrt`` operand to the ``_Sqrt`` operators."""
+    operators take ``_Rational``, int and ``Fraction`` operands (on the
+    right of ``/`` and ``<`` only), order by ``<`` alone, hash, convert and
+    print as ``Fraction`` does, and leave a ``_Sqrt`` operand to the
+    ``_Sqrt`` operators."""
 
     __slots__ = ("numerator", "denominator")
 
@@ -278,8 +279,13 @@ class _Sqrt(NamedTuple):
                      self.square / (other * other))
 
     def __rtruediv__(self, other):
+        # the dividend's square as a _Rational, an int's too, so that the
+        # rational division divides it
         sign = _exact_sign(other) * self.sign
-        return _Sqrt(sign, other * other / self.square) if sign else _ZERO
+        if not sign:
+            return _ZERO
+        return _Sqrt(sign, _Rational(other.numerator ** 2,
+                                     other.denominator ** 2) / self.square)
 
 
 def _mk_exact(sign: int, square: _Rational):

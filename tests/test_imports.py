@@ -1,9 +1,11 @@
 """Every name a planicheck module imports is used in that module, every
 function and method it defines is entered by a command or a paper entry
-point or is declared, and the layering rules below hold."""
+point or is declared, every class it defines is read, and the layering
+rules below hold."""
 
 import ast
 import json
+from collections import Counter
 import os
 import subprocess
 import sys
@@ -86,14 +88,13 @@ PROTOCOL = {
         "a float Scalar meets a plain number, as an exact one does",
     ("scalars.py", "Scalar.__neg__"):
         "tests/kernel_constructions.py builds its references with it",
+    ("errors.py", "LemmaPreconditionError.__init__"):
+        "only a failed precondition of the common-side lemma raises it",
 }
 
 # argv the pinned bodies of tests/test_cli.py do not take: a markdown
 # report, exact radical and unrepresentable answers, the usage errors of
-# scenario and logic, and failing checks.  The --eps 1e-300 run reaches
-# LemmaPreconditionError only because a tolerance below binary64
-# resolution misreads the lemma's own pairs, a bug; the change that makes
-# the float tolerances scale-aware must find this path another run
+# scenario and logic, and failing checks
 EXTRA_RUNS = (
     ["logic", "--format", "markdown"],
     ["ssa", "--backend", "exact", "--a", "3", "--b", "1", "--cos", "0"],
@@ -101,7 +102,6 @@ EXTRA_RUNS = (
     ["logic", "--formula", "p &", "--equiv", "p"],
     ["ssa", "--backend", "exact", "--a", "5", "--b", "3", "--cos", "3/5"],
     ["verify", "--samples", "200", "--seed", "7", "--eps", "1e-3"],
-    ["verify", "--samples", "200", "--seed", "7", "--eps", "1e-300"],
 )
 
 # the paper's entry points, once each: the criteria on the exact textbook
@@ -220,6 +220,45 @@ def test_every_definition_is_entered_or_declared(tmp_path):
     missed = set(unentered(PACKAGE, SOURCES, driver))
     assert sorted(missed - PROTOCOL.keys()) == []  # entered by nothing
     assert sorted(PROTOCOL.keys() - missed) == []  # declared, yet entered
+
+
+# a class body runs at import, so the trace sees no class go unused: every
+# class is read, as a Name or an Attribute, outside its own definition
+
+
+def _reads(node) -> Counter:
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr
+                   for n in ast.walk(node)
+                   if isinstance(n, (ast.Name, ast.Attribute)))
+
+
+def unread_classes(sources):
+    """(module, name) of each class, nested ones included, whose name is
+    read as no ``Name`` or ``Attribute`` in ``sources`` (module name ->
+    text) outside its own definition."""
+    trees = {mod: ast.parse(text) for mod, text in sources.items()}
+    total = sum((_reads(tree) for tree in trees.values()), Counter())
+    return [(mod, n.name) for mod, tree in trees.items()
+            for n in ast.walk(tree)
+            if isinstance(n, ast.ClassDef)
+            and total[n.name] == _reads(n)[n.name]]
+
+
+def test_the_check_sees_a_class_nothing_reads():
+    sources = {
+        "a.py": ("class Raised(ValueError):\n    pass\n\n"
+                 "class Self:\n    def copy(self):\n        return Self()\n\n"
+                 "class __Odd__:\n    pass\n\n"
+                 "class Outer:\n    class Inner:\n        pass\n\n"
+                 "def f():\n    raise Raised\n"),
+        "b.py": "from a import Outer\nx = Outer()\n",
+    }
+    assert unread_classes(sources) == [("a.py", "Self"), ("a.py", "__Odd__"),
+                                       ("a.py", "Inner")]
+
+
+def test_every_class_is_read():
+    assert unread_classes(SOURCES) == []
 
 
 # the backends own every exact-versus-float decision, and the exact payload

@@ -12,14 +12,19 @@ SSA oracle of ``suites`` shares, so this module imports no SSA layer and
 
 Each conclusion branch is declared once, as a ``Branch``: a line in (alpha,
 beta) plus the range of its free angle.  ``level_set_scan`` samples the
-residual on a grid in one pass, as marching squares over its sign: it
-computes the beta column once, cut at the scenario's ``max_angle``, finds
-each row's length with a pointer that only moves down, evaluates a row in
-one comprehension, and walks two rows at a time, visiting only the nodes
-that hold an exact zero or a sign change.
-After the pass it bisects each queued change, and checks that each root lies
-within a containment tolerance of one of the scenario's branches.  Its memory
-grows with one grid row and the number of roots, not with the whole grid.
+residual on a grid as marching squares over its sign: it computes the beta
+column once, cut at the scenario's ``max_angle``, and lists the rows with
+their lengths, found with a pointer that only moves down.  It cuts the rows
+into one contiguous chunk per usable CPU, balanced by node count, and scans
+each chunk after the first in a forked worker: a chunk's pass evaluates a
+row in one comprehension and walks two rows at a time, visiting only the
+nodes that hold an exact zero or a sign change, then bisects each queued
+change.  The calling process walks the rows where chunks meet and dedupes
+the roots in the order of one serial pass, so the report does not depend on
+the number of CPUs; ``taskset -c 0`` runs the scan in one process.  It checks
+that each root lies within a containment tolerance of one of the scenario's
+branches.  Its memory grows with two grid rows per chunk and the number of
+roots, not with the whole grid.
 The forward checks walk the same branch lines: ``run_scenario_suites``
 gives each claimed branch one ``suite_forward`` check, run by
 ``report.run_check`` and bounded by ``TOL``, and bisector-30 the off-branch
@@ -46,11 +51,14 @@ Registered scenarios:
 from __future__ import annotations
 
 import functools
+import marshal
 import math
+import os
 import re
-from bisect import bisect_right
+import signal
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import chain, pairwise
+from itertools import accumulate, chain, pairwise
 from random import Random
 from typing import Callable, Dict, List, Tuple
 
@@ -276,18 +284,58 @@ class ScanReport:
     asserted: bool
 
 
+def _grid_rows(h: float, max_angle: float):
+    """The beta column of the grid of step ``h`` (node j at ``col[j - 1]``)
+    and the grid rows, as (alpha, row length), in order.
+
+    j * h grows with j, so the angle bound keeps a prefix of the column, of
+    the rows' alphas (i * h = col[i - 1]) too; gamma = pi - a - b falls as a
+    or b grows (its rounding too), so a row's length only moves down, and the
+    rows end at the first one the gamma floor leaves empty."""
+    col = [j * h for j in range(1, int(math.pi / h) + 2)]
+    rows: List[Tuple[float, int]] = []
+    n = bisect_right(col, max_angle)
+    for a in col[:n]:
+        while n and math.pi - a - col[n - 1] < _GAMMA_FLOOR:
+            n -= 1
+        if not n:
+            break
+        rows.append((a, n))
+    return col, rows
+
+
+def _row_chunks(rows: List[Tuple[float, int]], parts: int):
+    """``rows`` cut into at most ``parts`` (no more than the rows) contiguous
+    chunks of about equal node counts.  Each cut is the first row at which
+    the nodes before it reach their share; as the rows only shorten, no cut
+    falls past the last row, and two cuts that meet make one."""
+    prefix = list(accumulate((n for _, n in rows), initial=0))
+    cuts = sorted({bisect_left(prefix, -(-c * prefix[-1] // parts))
+                   for c in range(1, parts)})
+    return [rows[s:e] for s, e in pairwise([0, *cuts, len(rows)])]
+
+
 def level_set_scan(name: str, grid_step: float, refine_tol: float = 1e-12,
                    delta: float = 1e-6, **scenario_kwargs) -> ScanReport:
     """Grid-scan a scenario residual and bisect every sign change to a root.
 
     The grid holds the nodes (i, j) * ``grid_step`` with alpha, beta <= the
     scenario's ``max_angle`` and gamma above the floor; with none, it raises
-    ``DegenerateInputError``.  The grid pass keeps two rows alive; each node
-    is zero, negative, or positive-or-NaN, and the walk visits only the
-    nodes that hold an exact zero or a sign change.  The bisections run
-    after the pass, in walk order.  Every refined root is attributed to the
-    nearest conclusion branch within ``delta`` (ties go to the isosceles
-    branch first); roots matching no branch are violations of containment.
+    ``DegenerateInputError``.  Each node is zero, negative, or
+    positive-or-NaN, and the walk visits only the nodes that hold an exact
+    zero or a sign change.  The rows are cut into one contiguous chunk per
+    usable CPU (``os.sched_getaffinity``), balanced by node count; each chunk
+    after the first is scanned in a forked worker while this process scans
+    the first.  A chunk's pass keeps two rows alive, walks each of its rows
+    against the next, and bisects what the walk queued after its last row.
+    This process then walks each chunk's last row against the next chunk's
+    first row and bisects those edges, so the roots are deduped in the order
+    of one serial pass and the report is the one-process report bit for bit
+    (``taskset -c 0`` runs that one process).  A worker that fails has its
+    chunk rerun here, which raises its error.  Every refined root is
+    attributed to the nearest conclusion branch within ``delta`` (ties go
+    to the isosceles branch first); roots matching no branch are violations
+    of containment.
     """
     sc = get_scenario(name)
     h = grid_step
@@ -298,43 +346,25 @@ def level_set_scan(name: str, grid_step: float, refine_tol: float = 1e-12,
 
     f = (functools.partial(sc.residual, **scenario_kwargs) if scenario_kwargs
          else sc.residual)
-    imax = int(math.pi / h) + 1
-    col = [j * h for j in range(1, imax + 1)]  # beta at the nodes j = 1, 2, ..
-    evaluations = 0
+    col, rows = _grid_rows(h, sc.max_angle)
+    if not rows:
+        raise DegenerateInputError("scan region contains no valid grid nodes")
 
-    def grid_rows():
-        # j * h grows with j, so the angle bound keeps a prefix of the column,
-        # of the rows' alphas (i * h = col[i - 1]) too; gamma = pi - a - b
-        # falls as a or b grows (its rounding too), so a row's length n only
-        # moves down.  Classes: 2 negative, 6 positive or NaN, 1 zero
-        nonlocal evaluations
-        n = bisect_right(col, sc.max_angle)
-        for a in col[:n]:
-            while n and math.pi - a - col[n - 1] < _GAMMA_FLOOR:
-                n -= 1
-            if not n:
-                return
-            row = [f(a, b) for b in col[:n]]
-            classes = bytes([2 if v < 0.0 else 6 if v != 0.0 else 1
-                             for v in row])
-            evaluations += n
-            yield a, row, classes
-
-    # walk row i against row i + 1 (none past the last): a flip down is where
-    # their classes XOR to 4, as only 2 ^ 6 does.  Zero nodes queue as
-    # (a, b, a, b, 0.0), flip edges with the value at their start, in node
-    # order and the edge down first.  Bisection waits for the whole grid, so
-    # grid and bisection calls stay apart by call order (the benchmark's
-    # tracer splits them so); queue order decides the root the dedupe keeps.
-    queue: List[Tuple[float, float, float, float, float]] = []
-    for (a, row, classes), below in pairwise(chain(grid_rows(), [None])):
+    def walk(a, row, classes, below):
+        # the queue of row (alpha a, values row, classes 2 negative, 6
+        # positive or NaN, 1 zero) against the row below, (alpha, classes)
+        # or None: a flip down is where their classes XOR to 4, as only
+        # 2 ^ 6 does.  Zero nodes queue as (a, b, a, b, 0.0), flip edges with
+        # the value at their start, in node order and the edge down first;
+        # queue order decides the root the dedupe keeps
         marks = [(m.start(), 1) for m in _ZERO_OR_FLIP_ALONG.finditer(classes)]
         if below:
-            a_next, _, under = below
+            a_next, under = below
             n = len(under)
             flips = (int.from_bytes(classes[:n], "little")
                      ^ int.from_bytes(under, "little")).to_bytes(n, "little")
             marks += [(m.start(), 0) for m in _FLIP_DOWN.finditer(flips)]
+        queue = []
         for j, along in sorted(marks):
             b = col[j]
             if not along:
@@ -343,43 +373,118 @@ def level_set_scan(name: str, grid_step: float, refine_tol: float = 1e-12,
                 queue.append((a, b, a, b, 0.0))
             else:
                 queue.append((a, b, a, col[j + 1], row[j]))
-    if not evaluations:
-        raise DegenerateInputError("scan region contains no valid grid nodes")
+        return queue
 
-    def refine(ax, ay, bx, by, flo):
-        # a zero node is its own root.  An edge is bisected past |f| <= tol
-        # until the bracket is tight, else a root at a tangency/branch
-        # crossing is localized no better than sqrt(tol); lo keeps the sign
-        # of flo, and the first midpoint is the best so far even if NaN
-        nonlocal evaluations
-        if flo == 0.0:
-            return ax, ay, 0.0
-        dx, dy, neg = bx - ax, by - ay, flo < 0
-        span = math.hypot(dx, dy)
-        lo, hi, mid = 0.0, 1.0, 0.5
-        ma, mb = ax + dx * mid, ay + dy * mid
-        fm = f(ma, mb)
-        best, least, calls = (ma, mb, fm), abs(fm), 1
-        while calls < 90 and hi - lo >= 1e-16 and not (
-                abs(fm) <= refine_tol and (hi - lo) * span <= 1e-10):
-            if neg == (fm < 0):
-                lo = mid
-            else:
-                hi = mid
-            mid = (lo + hi) / 2
+    def refine(queue):
+        # the root of each queued edge, in order, and the residual calls
+        # made.  A zero node is its own root.  An edge is bisected past
+        # |f| <= tol until the bracket is tight, else a root at a
+        # tangency/branch crossing is localized no better than sqrt(tol); lo
+        # keeps the sign of flo, and the first midpoint is the best so far
+        # even if NaN
+        roots, evaluations = [], 0
+        for ax, ay, bx, by, flo in queue:
+            if flo == 0.0:
+                roots.append((ax, ay, 0.0))
+                continue
+            dx, dy, neg = bx - ax, by - ay, flo < 0
+            span = math.hypot(dx, dy)
+            lo, hi, mid = 0.0, 1.0, 0.5
             ma, mb = ax + dx * mid, ay + dy * mid
             fm = f(ma, mb)
-            calls += 1
-            if abs(fm) < least:
-                best, least = (ma, mb, fm), abs(fm)
-        evaluations += calls
-        return best
+            best, least, calls = (ma, mb, fm), abs(fm), 1
+            while calls < 90 and hi - lo >= 1e-16 and not (
+                    abs(fm) <= refine_tol and (hi - lo) * span <= 1e-10):
+                if neg == (fm < 0):
+                    lo = mid
+                else:
+                    hi = mid
+                mid = (lo + hi) / 2
+                ma, mb = ax + dx * mid, ay + dy * mid
+                fm = f(ma, mb)
+                calls += 1
+                if abs(fm) < least:
+                    best, least = (ma, mb, fm), abs(fm)
+            roots.append(best)
+            evaluations += calls
+        return roots, evaluations
 
-    # refine the whole queue in order, keeping the first root of each key
+    def scan_chunk(chunk, owner=None):
+        # the grid rows of chunk, each walked against the next and the queue
+        # bisected after the last row, so that a process's grid calls come
+        # before its bisection calls, in increasing (alpha, beta) (the
+        # benchmark's tracer splits them so); returns the roots in queue
+        # order, the residual calls, the first row's classes, and the last
+        # row and its classes, which only the caller can walk.  A worker,
+        # whose owner is the scanning process, stops once that is gone
+        queue, evaluations, last = [], 0, None
+        for a, n in chunk:
+            if owner and os.getppid() != owner:
+                os._exit(1)
+            row = [f(a, b) for b in col[:n]]
+            classes = bytes([2 if v < 0.0 else 6 if v != 0.0 else 1
+                             for v in row])
+            evaluations += n
+            if last:
+                queue += walk(*last, (a, classes))
+            else:
+                first = classes
+            last = a, row, classes
+        roots, calls = refine(queue)
+        return roots, evaluations + calls, first, last[1], last[2]
+
+    chunks = _row_chunks(rows, min(len(os.sched_getaffinity(0)), len(rows)))
+    owner = os.getpid()
+    pipes, pids = [], []
+    try:
+        for chunk in chunks[1:]:
+            r, w = os.pipe()
+            pipes.append(open(r, "rb"))
+            with open(w, "wb") as out:
+                pid = os.fork()
+                if not pid:
+                    # the worker leaves only through os._exit, so no atexit
+                    # handler or buffered output of the caller runs twice;
+                    # with no read end of its own open, its write fails if
+                    # the caller is gone.  marshal keeps every binary64 bit,
+                    # NaN included
+                    status = 1
+                    try:
+                        for pipe in pipes:
+                            pipe.close()
+                        out.write(marshal.dumps(scan_chunk(chunk, owner)))
+                        out.flush()
+                        status = 0
+                    finally:
+                        os._exit(status)
+            pids.append(pid)
+        results = [scan_chunk(chunks[0])]
+        for chunk, pipe in zip(chunks[1:], pipes):
+            data = pipe.read()
+            _, status = os.waitpid(pids[0], 0)
+            del pids[0]
+            results.append(marshal.loads(data) if status == 0
+                           else scan_chunk(chunk))
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+    # each chunk's roots, then those of its last row walked against the next
+    # chunk's first row: the queue of one serial pass, deduped in its order
+    belows = [(chunk[0][0], first)
+              for chunk, (_, _, first, _, _) in zip(chunks[1:], results[1:])]
+    evaluations = 0
     raw_roots: Dict[Tuple[float, float], Tuple[float, float, float]] = {}
-    for edge in queue:
-        a, b, r = refine(*edge)
-        raw_roots.setdefault((round(a, 12), round(b, 12)), (a, b, r))
+    for chunk, (chunk_roots, calls, _, row, classes), below in zip(
+            chunks, results, [*belows, None]):
+        edge_roots, edge_calls = refine(walk(chunk[-1][0], row, classes,
+                                             below))
+        evaluations += calls + edge_calls
+        for a, b, r in chain(chunk_roots, edge_roots):
+            raw_roots.setdefault((round(a, 12), round(b, 12)), (a, b, r))
 
     roots: List[ScanRoot] = []
     for a, b, r in sorted(raw_roots.values()):

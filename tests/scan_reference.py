@@ -2,9 +2,13 @@
 
 ``reference_scan`` holds every grid value until the grid pass ends, then
 walks the stored rows for exact zeros and sign changes, bisecting each as
-the walk meets it.  ``planicheck.scenarios.level_set_scan`` must return the
-same report and call the residual with the same arguments in the same order;
-``tests/test_scenarios.py`` compares the two.
+the walk meets it, all in one process.  ``planicheck.scenarios.level_set_scan``
+must return the same report and, cut into one chunk (one usable CPU, as
+under ``taskset -c 0``), call the residual with the same arguments in the
+same order; ``tests/test_scenarios.py`` compares the two.  With more chunks
+the scan keeps two rows alive per chunk and the workers' residual calls are
+made in other processes, so those tests pin one chunk and compare the
+chunked scan with the one-chunk scan instead.
 """
 
 import functools

@@ -8,13 +8,19 @@ audited with constructions on the geometry kernel and incidence tests of the
 public kernel API, never with code of ``planicheck.scenarios`` itself.  The
 scan tests also hold the scan to the call order that the benchmark's tracer
 splits grid from bisection time by, and to ``scan_reference``, a scan that
-holds the whole grid before it bisects.
+holds the whole grid before it bisects; those tests pin the scan to one
+chunk, as they watch residual calls that a worker process would make out of
+their sight.  A scan cut into chunks must equal the one-chunk scan bit for
+bit.
 """
 
 import dataclasses
+import functools
 import math
+import os
 import random
 import tracemalloc
+from itertools import pairwise
 
 import pytest
 
@@ -31,6 +37,7 @@ from kernel_constructions import (
     reflect,
     signed_distance,
 )
+from planicheck import cli
 from planicheck.kernel import (
     Triangle,
     angle_cos,
@@ -42,11 +49,14 @@ from planicheck.kernel import (
 from planicheck.scalars import DegenerateInputError, FloatBackend
 from planicheck.scenarios import (
     ALPHA_120,
+    GAMMA_60,
     ISOSCELES,
     SCENARIOS,
     FeetOffSegmentError,
     Scenario,
     UnknownScenarioError,
+    _grid_rows,
+    _row_chunks,
     bisector30_residual,
     get_scenario,
     incenter_residual,
@@ -481,6 +491,19 @@ def test_scan_containment_smoke():
             assert root.distance <= 1e-6
 
 
+def pin_cpus(monkeypatch, count):
+    """Make the scan see ``count`` usable CPUs, so one chunk per CPU."""
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(count)))
+
+
+@pytest.fixture
+def one_chunk(monkeypatch):
+    # a worker's residual calls are lost to a counter in this process, so
+    # the tests that count calls scan in one chunk, here
+    pin_cpus(monkeypatch, 1)
+
+
 def scan_with_calls(monkeypatch, scan, name, step, **kwargs):
     """``scan``'s report and the (alpha, beta) of each residual call."""
     original = SCENARIOS[name]
@@ -501,6 +524,7 @@ def scan_with_calls(monkeypatch, scan, name, step, **kwargs):
 @pytest.mark.parametrize("name,kwargs", [
     *((name, {}) for name in sorted(SCENARIOS)),
     ("rectangle-center", {"t": 0.3})], ids=str)
+@pytest.mark.usefixtures("one_chunk")
 def test_scan_call_order_splits_grid_from_bisection(monkeypatch, name, kwargs):
     # the benchmark's tracer swaps a counting residual into the registry
     # and tells grid from bisection calls by their order: the grid comes
@@ -546,6 +570,7 @@ def assert_scan_matches_reference(monkeypatch, name, step, **kwargs):
     # 3 degrees node 30 is 1 ulp above and outside it
     ("square-center", {}, 1.2), ("rectangle-center", {}, 1.2),
     ("rectangle-center", {"t": 0.3}, 1)], ids=str)
+@pytest.mark.usefixtures("one_chunk")
 def test_streamed_scan_matches_the_whole_grid_reference(monkeypatch, name,
                                                          kwargs, step_deg):
     assert_scan_matches_reference(monkeypatch, name, math.radians(step_deg),
@@ -571,10 +596,10 @@ def planted_residual(alpha, beta):
     return (alpha - beta) * g * 1e30
 
 
+@pytest.mark.usefixtures("one_chunk")
 def test_streamed_scan_matches_the_reference_on_zeros_nans_and_duplicates(
         monkeypatch):
-    monkeypatch.setitem(SCENARIOS, "planted", Scenario(
-        "planted", planted_residual, (ISOSCELES,), asserted=False))
+    monkeypatch.setitem(SCENARIOS, "planted", PLANTED["planted"])
     report = assert_scan_matches_reference(monkeypatch, "planted", STEP_1DEG)
 
     zeros = [r for r in report.roots if r.residual == 0.0]
@@ -603,13 +628,13 @@ def row_end_residual(alpha, beta):
     return -r if 54.5 < a < 75.5 and b < 45.5 else r
 
 
+@pytest.mark.usefixtures("one_chunk")
 def test_streamed_scan_matches_the_reference_around_nans_and_row_ends(
         monkeypatch):
     # row i has 179 - i nodes, so each row below is one node shorter, and
     # the sign flips into the last node of every row along it and down from
     # it
-    monkeypatch.setitem(SCENARIOS, "row-ends", Scenario(
-        "row-ends", row_end_residual, (ISOSCELES,), asserted=False))
+    monkeypatch.setitem(SCENARIOS, "row-ends", PLANTED["row-ends"])
     report = assert_scan_matches_reference(monkeypatch, "row-ends", STEP_1DEG)
 
     ends = [(math.degrees(r.alpha), math.degrees(r.beta)) for r in report.roots
@@ -635,6 +660,154 @@ def test_streamed_scan_matches_the_reference_around_nans_and_row_ends(
                          *((i, 50.5) for i in range(61, 70))}
 
 
+PLANTED = {sc.name: sc for sc in (
+    Scenario("planted", planted_residual, (ISOSCELES,), asserted=False),
+    Scenario("row-ends", row_end_residual, (ISOSCELES,), asserted=False))}
+
+
+def boundary_marks(name, step, parts, **kwargs):
+    """The zero nodes and flips down that the scan, cut into ``parts``
+    chunks, finds on the last row of every chunk but the last."""
+    sc = SCENARIOS[name]
+    f = functools.partial(sc.residual, **kwargs)
+    col, rows = _grid_rows(step, sc.max_angle)
+    chunks = _row_chunks(rows, parts)
+    assert len(chunks) == parts
+    marks = 0
+    for chunk, following in pairwise(chunks):
+        (a, n), (a_below, n_below) = chunk[-1], following[0]
+        row = [f(a, b) for b in col[:n]]
+        below = [f(a_below, b) for b in col[:n_below]]
+        marks += row.count(0.0)   # never a NaN
+        marks += sum(u != 0.0 and v != 0.0 and (u < 0) != (v < 0)
+                     for u, v in zip(row, below))
+    return marks
+
+
+@pytest.mark.parametrize("parts", [2, 3, 4])
+@pytest.mark.parametrize("name,kwargs,step_deg", [
+    *((name, {}, step) for name in sorted(SCENARIOS) for step in (1, 2, 3)),
+    ("square-center", {}, 1.2), ("rectangle-center", {}, 1.2),
+    ("rectangle-center", {"t": 0.3}, 1),
+    ("planted", {}, 1), ("row-ends", {}, 1)], ids=str)
+def test_a_chunked_scan_equals_the_one_chunk_scan(monkeypatch, name, kwargs,
+                                                  step_deg, parts):
+    if name in PLANTED:
+        monkeypatch.setitem(SCENARIOS, name, PLANTED[name])
+    step = math.radians(step_deg)
+    pin_cpus(monkeypatch, 1)
+    whole = level_set_scan(name, step, **kwargs)
+    pin_cpus(monkeypatch, parts)
+    forks = []
+    fork = os.fork
+
+    def counted_fork():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    chunked = level_set_scan(name, step, **kwargs)
+    assert len(forks) == parts - 1   # one worker per chunk after the first
+    assert chunked.evaluations == whole.evaluations
+    assert list(map(repr, chunked.roots)) == list(map(repr, whole.roots))
+    assert repr(chunked) == repr(whole)
+
+
+@pytest.mark.parametrize("parts", [2, 3, 4])
+def test_the_chunks_meet_on_zero_nodes_and_flips_down(monkeypatch, parts):
+    # at 1 degree, each scan above has chunks that meet on a row whose zero
+    # node or flip down is queued from the caller's walk of that row, whose
+    # roots the dedupe must order as one serial pass does
+    for name, sc in PLANTED.items():
+        monkeypatch.setitem(SCENARIOS, name, sc)
+    for name in SCENARIOS:
+        assert boundary_marks(name, STEP_1DEG, parts) > 0, name
+    assert boundary_marks("rectangle-center", STEP_1DEG, parts, t=0.3) > 0
+
+
+@pytest.mark.parametrize("parts", [2, 3, 4])
+def test_a_chunked_scan_keeps_the_serial_root_of_each_key(monkeypatch,
+                                                          parts):
+    # a negative node, as in planted_residual, on each side of every cut:
+    # its four edges refine into one key, and the scan keeps the root of the
+    # edge down from the node above, which one serial pass queues first,
+    # though another process queues the other edges
+    _, rows = _grid_rows(STEP_1DEG, math.pi)
+    chunks = _row_chunks(rows, parts)
+    nodes = [*((chunk[-1][0], 5 * STEP_1DEG) for chunk in chunks[:-1]),
+             *((chunk[0][0], 10 * STEP_1DEG) for chunk in chunks[1:])]
+
+    def cut_residual(alpha, beta):
+        g = min((alpha - pa) ** 2 + (beta - pb) ** 2
+                for pa, pb in nodes) - 1e-28
+        return (alpha - beta) * g * 1e30
+
+    monkeypatch.setitem(SCENARIOS, "cuts", Scenario(
+        "cuts", cut_residual, (ISOSCELES,), asserted=False))
+    pin_cpus(monkeypatch, 1)
+    whole = level_set_scan("cuts", STEP_1DEG)
+    pin_cpus(monkeypatch, parts)
+    chunked = level_set_scan("cuts", STEP_1DEG)
+    assert repr(chunked) == repr(whole)
+    for pa, pb in nodes:
+        [near] = [r for r in chunked.roots
+                  if math.dist((r.alpha, r.beta), (pa, pb)) < 1e-12]
+        assert near.alpha < pa and near.beta == pb
+
+
+def assert_no_child_left():
+    # every worker was reaped: no child runs, and no zombie waits
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_failing_worker_raises_its_error_here_and_leaves_no_child(
+        monkeypatch, capfd):
+    _, rows = _grid_rows(STEP_1DEG, math.pi)
+    first_alpha, last_alpha = _row_chunks(rows, 2)[1][0][0], rows[-1][0]
+
+    def failing_residual(alpha, beta):
+        if alpha >= first_alpha:   # a grid row of the second chunk
+            raise DegenerateInputError(f"no residual at alpha {alpha!r}")
+        return medial_residual(alpha, beta)
+
+    monkeypatch.setitem(SCENARIOS, "failing", Scenario(
+        "failing", failing_residual, (ISOSCELES,)))
+    assert first_alpha < last_alpha
+    pin_cpus(monkeypatch, 1)
+    with pytest.raises(DegenerateInputError) as serial:
+        level_set_scan("failing", STEP_1DEG)
+    assert str(serial.value) == f"no residual at alpha {first_alpha!r}"
+
+    pin_cpus(monkeypatch, 2)
+    assert level_set_scan("medial-circumcenter", STEP_1DEG).contained
+    assert_no_child_left()
+    with pytest.raises(DegenerateInputError) as chunked:
+        level_set_scan("failing", STEP_1DEG)
+    assert str(chunked.value) == str(serial.value)
+    assert_no_child_left()
+    # a worker that dies without raising has its chunk rerun here too
+    scanner = os.getpid()
+
+    def dying_residual(alpha, beta):
+        if os.getpid() != scanner:
+            os._exit(1)
+        return medial_residual(alpha, beta)
+
+    monkeypatch.setitem(SCENARIOS, "dying", Scenario(
+        "dying", dying_residual, (ISOSCELES, GAMMA_60)))
+    rerun = level_set_scan("dying", STEP_1DEG)
+    assert_no_child_left()
+    pin_cpus(monkeypatch, 1)
+    assert repr(rerun) == repr(level_set_scan("dying", STEP_1DEG))
+    pin_cpus(monkeypatch, 2)
+    # the first chunk raises here while a worker scans the second
+    assert cli.main(["scenario", "rectangle-center", "--rect-t", "1.5"]) == 2
+    assert capfd.readouterr() == (
+        "", "error: height fraction t must lie in (0, 1)\n")
+    assert_no_child_left()
+
+
 def traced_peak_bytes(scan):
     """Peak traced allocation of one 1 degree medial-circumcenter scan."""
     tracemalloc.start()
@@ -645,6 +818,7 @@ def traced_peak_bytes(scan):
         tracemalloc.stop()
 
 
+@pytest.mark.usefixtures("one_chunk")
 def test_scan_memory_grows_with_the_roots_not_the_grid():
     # the grid pass keeps two rows alive: at 1 degree the streamed scan
     # peaks near 0.25 MB and the reference scan, which holds the whole grid,

@@ -1,5 +1,5 @@
 """The base class of the errors a command reports as a usage error, and the
-four errors ``report.run_check`` turns into a failing witness.
+four errors ``checks.run_check`` turns into a failing witness.
 
 ``cli.main`` catches ``UsageError`` and turns it into one ``error:`` line
 and exit code 2.  Each layer's named input error derives from it next to

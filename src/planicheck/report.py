@@ -7,37 +7,23 @@ separate top-level field and is the only part allowed to differ between
 reruns.
 
 ``CheckResult``, the outcome of one check, lives here with the code that
-renders it and with ``run_check``, the one sample loop that fills it, so a
-command imports the layers it runs and no others: the scan report and the
-``Sample`` type are named in annotations only.  ``CheckResult`` is a
-mutable ``Record``, so parsing a command's arguments loads no
-``dataclasses``.
-
-``run_check`` runs a per-sample function ``sample(index, witness)``, which
-records what it draws in ``witness`` and returns ``(residual, failure)``,
-``failure`` being None or the fields a failing witness adds.  It keeps the
-worst residual and at most five witnesses; a sample that raises
-``DegenerateInputError`` (as a coarse ``eps`` may), ``ExactValueError``,
-``LemmaPreconditionError`` or ``DichotomyViolationError`` (as an ``eps``
-below binary64 resolution may), or that returns a NaN residual, fails with
-the values drawn so far plus ``"error"``.  ``TOL`` bounds every float residual
-(radians, cosine sums, normalized determinants).
+renders it; ``checks.run_check``, the one sample loop, fills it.  A command
+imports the layers it runs and no others: the scan report is named in
+annotations only, and ``CheckResult`` is a mutable ``Record``, so parsing a
+command's arguments loads neither ``dataclasses`` nor the sample loop.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from . import __version__
-from .errors import (DegenerateInputError, DichotomyViolationError,
-                     ExactValueError, LemmaPreconditionError)
 from .record import Record
 
 if TYPE_CHECKING:
     from .scenarios import ScanReport
-    Sample = Callable[[int, Dict], Tuple[float, Optional[Dict]]]
 
 
 class CheckResult(Record):
@@ -59,34 +45,6 @@ class CheckResult(Record):
         self.passed = False
         if len(self.witnesses) < 5:
             self.witnesses.append(witness)
-
-
-TOL = 1e-9
-_REJECTED = (DegenerateInputError, ExactValueError, LemmaPreconditionError,
-             DichotomyViolationError)
-
-
-def run_check(name: str, samples: int, sample: Sample) -> CheckResult:
-    """The one sample loop, with a fresh ``witness`` dict per index; a check
-    of no samples would pass vacuously, so fewer than one is an error."""
-    if samples < 1:
-        raise ValueError("sample count must be at least 1")
-    result = CheckResult(name, True, samples, 0.0)
-    for index in range(samples):
-        witness = {}
-        try:
-            residual, failure = sample(index, witness)
-        except _REJECTED as exc:
-            result.add_failure({**witness, "error": str(exc)})
-            continue
-        if math.isnan(residual):
-            # max would drop it and every "> TOL" test passes it
-            result.add_failure({**witness, "error": "residual is not a number"})
-            continue
-        result.worst_residual = max(result.worst_residual, residual)
-        if failure is not None:
-            result.add_failure({**witness, **failure})
-    return result
 
 
 def round12(x: float) -> float:

@@ -16,7 +16,8 @@ residual on a grid as marching squares over its sign: it computes the beta
 column once, cut at the scenario's ``max_angle``, and lists the rows with
 their lengths, found with a pointer that only moves down.  It cuts the rows
 into one contiguous chunk per usable CPU, balanced by node count, and scans
-each chunk after the first in a forked worker: a chunk's pass evaluates a
+each chunk after the first in a forked worker (``checks.run_parts``, which
+runs the ``verify`` battery too): a chunk's pass evaluates a
 row in one comprehension and walks two rows at a time, visiting only the
 nodes that hold an exact zero or a sign change, then bisects each queued
 change.  The calling process walks the rows where chunks meet and dedupes
@@ -27,7 +28,7 @@ branches.  Its memory grows with two grid rows per chunk and the number of
 roots, not with the whole grid.
 The forward checks walk the same branch lines: ``run_scenario_suites``
 gives each claimed branch one ``suite_forward`` check, run by
-``report.run_check`` and bounded by ``TOL``, and bisector-30 the off-branch
+``checks.run_check`` and bounded by ``TOL``, and bisector-30 the off-branch
 spot set, whose angle gaps ``MIN_GAP`` bounds from below.
 The test suite keeps each residual's figure composition (the labelled points
 and the residual built from them) as a reference that the residual must
@@ -51,21 +52,20 @@ Registered scenarios:
 from __future__ import annotations
 
 import functools
-import marshal
 import math
 import os
 import re
-import signal
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate, chain, pairwise
+from itertools import chain
 from random import Random
 from typing import Callable, Dict, List, Tuple
 
+from .checks import TOL, balanced_parts, run_check, run_parts
 from .errors import DegenerateInputError, UsageError
 from .rawgeom import angle_at
 from .record import Record
-from .report import TOL, CheckResult, run_check
+from .report import CheckResult
 
 _GAMMA_FLOOR = 1e-3  # scan guard: skip the numerically wild sliver gamma < ~0.06 deg
 _COS_30 = math.cos(math.pi / 6)
@@ -305,14 +305,9 @@ def _grid_rows(h: float, max_angle: float):
 
 
 def _row_chunks(rows: List[Tuple[float, int]], parts: int):
-    """``rows`` cut into at most ``parts`` (no more than the rows) contiguous
-    chunks of about equal node counts.  Each cut is the first row at which
-    the nodes before it reach their share; as the rows only shorten, no cut
-    falls past the last row, and two cuts that meet make one."""
-    prefix = list(accumulate((n for _, n in rows), initial=0))
-    cuts = sorted({bisect_left(prefix, -(-c * prefix[-1] // parts))
-                   for c in range(1, parts)})
-    return [rows[s:e] for s, e in pairwise([0, *cuts, len(rows)])]
+    """``rows`` cut into at most ``parts`` contiguous chunks of about equal
+    node counts."""
+    return balanced_parts(rows, [n for _, n in rows], parts)
 
 
 def level_set_scan(name: str, grid_step: float, refine_tol: float = 1e-12,
@@ -409,17 +404,19 @@ def level_set_scan(name: str, grid_step: float, refine_tol: float = 1e-12,
             evaluations += calls
         return roots, evaluations
 
-    def scan_chunk(chunk, owner=None):
+    owner = os.getpid()
+
+    def scan_chunk(chunk):
         # the grid rows of chunk, each walked against the next and the queue
         # bisected after the last row, so that a process's grid calls come
         # before its bisection calls, in increasing (alpha, beta) (the
         # benchmark's tracer splits them so); returns the roots in queue
         # order, the residual calls, the first row's classes, and the last
-        # row and its classes, which only the caller can walk.  A worker,
-        # whose owner is the scanning process, stops once that is gone
+        # row and its classes, which only the caller can walk.  A worker
+        # stops once the scanning process, its parent, is gone
         queue, evaluations, last = [], 0, None
         for a, n in chunk:
-            if owner and os.getppid() != owner:
+            if os.getpid() != owner != os.getppid():
                 os._exit(1)
             row = [f(a, b) for b in col[:n]]
             classes = bytes([2 if v < 0.0 else 6 if v != 0.0 else 1
@@ -433,44 +430,8 @@ def level_set_scan(name: str, grid_step: float, refine_tol: float = 1e-12,
         roots, calls = refine(queue)
         return roots, evaluations + calls, first, last[1], last[2]
 
-    chunks = _row_chunks(rows, min(len(os.sched_getaffinity(0)), len(rows)))
-    owner = os.getpid()
-    pipes, pids = [], []
-    try:
-        for chunk in chunks[1:]:
-            r, w = os.pipe()
-            pipes.append(open(r, "rb"))
-            with open(w, "wb") as out:
-                pid = os.fork()
-                if not pid:
-                    # the worker leaves only through os._exit, so no atexit
-                    # handler or buffered output of the caller runs twice;
-                    # with no read end of its own open, its write fails if
-                    # the caller is gone.  marshal keeps every binary64 bit,
-                    # NaN included
-                    status = 1
-                    try:
-                        for pipe in pipes:
-                            pipe.close()
-                        out.write(marshal.dumps(scan_chunk(chunk, owner)))
-                        out.flush()
-                        status = 0
-                    finally:
-                        os._exit(status)
-            pids.append(pid)
-        results = [scan_chunk(chunks[0])]
-        for chunk, pipe in zip(chunks[1:], pipes):
-            data = pipe.read()
-            _, status = os.waitpid(pids[0], 0)
-            del pids[0]
-            results.append(marshal.loads(data) if status == 0
-                           else scan_chunk(chunk))
-    finally:
-        for pipe in pipes:
-            pipe.close()
-        for pid in pids:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+    chunks = _row_chunks(rows, len(os.sched_getaffinity(0)))
+    results = run_parts(chunks, scan_chunk)
 
     # each chunk's roots, then those of its last row walked against the next
     # chunk's first row: the queue of one serial pass, deduped in its order

@@ -1,8 +1,13 @@
 """Seeded property suites behind the ``verify`` command.
 
-Each sampled check is a per-sample function run by ``report.run_check``,
+Each sampled check is a per-sample function run by ``checks.run_check``,
 the one sample loop; it draws from the ``random.Random`` its suite is
-handed (the caller owns seeding, so results are reproducible).  The
+handed (the caller owns seeding, so results are reproducible).
+``run_verify_suites`` draws every suite's seed first and runs the suites in
+at most one contiguous group per usable CPU, each group after the first in
+a forked worker (``checks.run_parts``, which runs the scan too), so the
+checks, and the report, do not depend on the number of CPUs;
+``taskset -c 0`` runs every suite in one process.  The
 scenario forward checks live in ``scenarios``, so a ``scenario`` run loads
 no SSA layer, and the oracle's ``angle_at`` lives in ``rawgeom``, so a
 ``verify`` run loads no scenario layer (nor the ``dataclasses`` and
@@ -19,6 +24,7 @@ and 1000 exact dichotomy classifications, 1000 lemma configurations, and
 from __future__ import annotations
 
 import math
+import os
 from fractions import Fraction
 from random import Random
 from typing import Callable, Dict, List, Optional, Tuple
@@ -28,7 +34,8 @@ from .kernel import Isometry, Point, Triangle, collinear, coord_scale, point
 from .ssa import (Congruent, NotSsaMatched, SsaSpec, Supplementary,
                   classify_pair, lemma_common_side_check, solve_ssa)
 from .rawgeom import angle_at
-from .report import TOL, CheckResult, run_check
+from .checks import TOL, balanced_parts, run_check, run_parts
+from .report import CheckResult
 
 FLOAT = FloatBackend()
 
@@ -312,25 +319,43 @@ def run_verify_suites(samples: int, seed: int, backend: str = "float",
 
     ``backend`` chooses which dichotomy family carries the bulk: the exact
     backend drops the float dichotomy suite and promotes the exact one.
-    ``eps`` configures the float backend used by the float-domain suites."""
+    ``eps`` configures the float backend used by the float-domain suites.
+
+    Each suite's seed is drawn from the master stream first, in table order,
+    the dropped suite's too.  The suites are cut into at most one contiguous
+    group per usable CPU (``os.sched_getaffinity``), balanced by sample
+    count; this process runs the first group and a forked worker each later
+    one, which sends back the fields of its checks.  The checks are rebuilt
+    in suite order, so they are the one-process checks on any number of
+    CPUs."""
     fb = FloatBackend(eps)
     takes_backend = {"ssa-oracle-equivalence", "dichotomy-supplementary-float",
                      "lemma-common-side"}
     master = Random(seed)
-    results = []
+    # at least one sample per suite; a total below one goes through
+    # unchanged, for run_check to reject
+    floor = min(1, samples)
+    runs = []
     for name, divisor, fn in VERIFY_SUITES:
-        suite_rng = Random(master.getrandbits(64))
+        suite_seed = master.getrandbits(64)
         if backend == "exact" and name == "dichotomy-supplementary-float":
             continue
-        # at least one sample per suite; a total below one goes through
-        # unchanged, for run_check to reject
-        floor = min(1, samples)
         n = max(floor, samples // divisor)
         if backend == "exact" and name == "dichotomy-supplementary-exact":
             n = max(floor, samples // 10)
         kwargs = {"float_backend": fb} if name in takes_backend else {}
-        results.append(fn(n, suite_rng, **kwargs))
-    return results
+        runs.append((fn, n, suite_seed, kwargs))
+
+    def run_group(group):
+        checks = [fn(n, Random(suite_seed), **kwargs)
+                  for fn, n, suite_seed, kwargs in group]
+        return [(c.name, c.passed, c.samples, c.worst_residual, c.witnesses)
+                for c in checks]
+
+    groups = balanced_parts(runs, [n for _, n, _, _ in runs],
+                            len(os.sched_getaffinity(0)))
+    return [CheckResult(*fields)
+            for group in run_parts(groups, run_group) for fields in group]
 
 
 def __getattr__(name):

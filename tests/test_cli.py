@@ -464,6 +464,30 @@ def test_report_body_matches_the_pinned_body(tmp_path, capsys, tag):
     assert body == (BODIES / f"{tag}.json").read_text()
 
 
+def test_the_verify_body_is_the_same_on_one_cpu_and_on_every_cpu(tmp_path):
+    # the pinned verify run as a child, once on one CPU (set in the child
+    # alone, before it starts), once on every usable CPU, where its suites
+    # run in forked workers; on a one-CPU machine the two runs are the same
+    # run, and the test shows nothing
+    cpu = min(os.sched_getaffinity(0))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    outputs = []
+    for pin in (lambda: os.sched_setaffinity(0, {cpu}), None):
+        out = tmp_path / "r.json"
+        done = subprocess.run(
+            [sys.executable, "-m", "planicheck.cli", *PINNED_RUNS["verify"],
+             "--report", str(out)], capture_output=True, text=True, env=env,
+            preexec_fn=pin)
+        assert done.returncode == 0, done.stderr
+        data = json.loads(out.read_text())
+        data.pop("wall_time_s")
+        body = json.dumps(data, indent=2, sort_keys=True) + "\n"
+        assert body == (BODIES / "verify.json").read_text()
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1]
+
+
 def test_scenario_scan_and_report(tmp_path, capsys):
     out = tmp_path / "scan.json"
     code = run(["scenario", "bisector-30", "--grid-step-deg", "2",
@@ -687,8 +711,8 @@ def test_the_scenario_command_loads_no_ssa_layer():
         "from planicheck.cli import main\n"
         "assert main(['scenario', 'square-center', '--grid-step-deg', '30',"
         " '--samples', '1']) == 0"
-    ) == BARE | {"planicheck.scenarios", "planicheck.rawgeom", "dataclasses",
-                 "inspect"}
+    ) == BARE | {"planicheck.checks", "planicheck.scenarios",
+                 "planicheck.rawgeom", "dataclasses", "inspect"}
 
 
 def test_the_verify_command_loads_no_scenario_layer():
@@ -699,7 +723,8 @@ def test_the_verify_command_loads_no_scenario_layer():
         "assert main(['verify', '--samples', '1', '--seed', '1']) == 0"
     ) == BARE | {"fractions", "planicheck.scalars", "planicheck.kernel",
                  "planicheck.congruence", "planicheck.ssa",
-                 "planicheck.suites", "planicheck.rawgeom"}
+                 "planicheck.suites", "planicheck.rawgeom",
+                 "planicheck.checks"}
 
 
 def test_the_check_sees_the_dataclass_machinery():

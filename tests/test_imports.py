@@ -213,7 +213,11 @@ def test_the_check_sees_a_method_nothing_enters(tmp_path):
 def test_every_definition_is_entered_or_declared(tmp_path):
     runs = [*PINNED_RUNS.values(), *EXTRA_RUNS]
     report = str(tmp_path / "report")
-    driver = ("from planicheck import cli\n"
+    # the child sees one usable CPU, so that every suite and scan chunk runs
+    # where the hook sees it, not in a forked worker whose trace is lost
+    driver = ("import os\n"
+              "os.sched_getaffinity = lambda pid: {0}\n"
+              "from planicheck import cli\n"
               f"for argv in {runs!r}:\n"
               f"    cli.main(argv + ['--report', {report!r}])\n"
               + PAPER_CALLS)
@@ -453,7 +457,7 @@ def test_every_handler_returns_a_triple():
 # run_check alone turns a rejected sample into a failing witness; the
 # modules of the sampled checks, and the one that runs them, catch nothing
 # else but the registry lookup that names an unknown scenario
-EXCEPT_OWNERS = {"report.py": {"run_check"}, "suites.py": set(),
+EXCEPT_OWNERS = {"checks.py": {"run_check"}, "suites.py": set(),
                  "scenarios.py": {"get_scenario"}}
 
 
@@ -533,6 +537,14 @@ def test_the_check_sees_an_ssa_stack_import():
 def test_the_scenarios_import_no_ssa_layer():
     assert package_imports(SOURCES["scenarios.py"],
                            SSA_STACK) == []
+
+
+def test_only_the_sampling_modules_import_the_sample_loop():
+    # a command that runs no samples loads neither run_check nor the fork
+    # helper: only the verify suites and the scenarios import checks
+    assert {mod for mod, text in SOURCES.items()
+            if package_imports(text, {"checks"})} == {"suites.py",
+                                                      "scenarios.py"}
 
 
 # the exact payload is scalars' own rational: Fraction enters only at the

@@ -24,6 +24,7 @@ from itertools import pairwise
 
 import pytest
 
+from conftest import assert_no_child_left, pin_cpus
 from kernel_constructions import (
     REFERENCE_RESIDUALS,
     circumcircle,
@@ -491,19 +492,6 @@ def test_scan_containment_smoke():
             assert root.distance <= 1e-6
 
 
-def pin_cpus(monkeypatch, count):
-    """Make the scan see ``count`` usable CPUs, so one chunk per CPU."""
-    monkeypatch.setattr(os, "sched_getaffinity",
-                        lambda pid: set(range(count)))
-
-
-@pytest.fixture
-def one_chunk(monkeypatch):
-    # a worker's residual calls are lost to a counter in this process, so
-    # the tests that count calls scan in one chunk, here
-    pin_cpus(monkeypatch, 1)
-
-
 def scan_with_calls(monkeypatch, scan, name, step, **kwargs):
     """``scan``'s report and the (alpha, beta) of each residual call."""
     original = SCENARIOS[name]
@@ -753,12 +741,6 @@ def test_a_chunked_scan_keeps_the_serial_root_of_each_key(monkeypatch,
         [near] = [r for r in chunked.roots
                   if math.dist((r.alpha, r.beta), (pa, pb)) < 1e-12]
         assert near.alpha < pa and near.beta == pb
-
-
-def assert_no_child_left():
-    # every worker was reaped: no child runs, and no zombie waits
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 def test_a_failing_worker_raises_its_error_here_and_leaves_no_child(

@@ -2,15 +2,19 @@
 
 import json
 import math
+import os
 from dataclasses import replace
 from random import Random
 
 import pytest
 
+from conftest import assert_no_child_left, pin_cpus
+from planicheck import report as rpt
 from planicheck import scenarios, suites
 from planicheck.errors import DegenerateInputError, ExactValueError
 from planicheck.kernel import point
-from planicheck.report import check_to_dict, run_check
+from planicheck.checks import run_check
+from planicheck.report import check_to_dict
 from planicheck.scalars import Scalar
 
 
@@ -131,12 +135,104 @@ def test_the_sampler_draws_without_solving(monkeypatch):
         assert b * sin_t < a < b and spec.cos_angle.as_float() > 0.0
 
 
-def test_a_check_of_no_samples_is_rejected():
+def test_a_check_of_no_samples_is_rejected(monkeypatch):
     # run_check is the one place that refuses a count below one, for the
-    # scenario checks as for the verify battery
+    # scenario checks as for the verify battery, whose suites then weigh
+    # nothing and run in this process alone
     with pytest.raises(ValueError, match="at least 1"):
         scenarios.run_scenario_suites("square-center", 0, 1)
+    pin_cpus(monkeypatch, 5)
+    forks = counting_forks(monkeypatch)
     with pytest.raises(ValueError, match="at least 1"):
         suites.run_verify_suites(0, 1)
+    assert forks == []
     with pytest.raises(ValueError, match="at least 1"):
         suites.suite_ssa_oracle(0, Random(1))
+
+
+def render(checks):
+    return rpt.render_json(rpt.build_report({}, checks))
+
+
+def counting_forks(monkeypatch):
+    """A list that gets one entry per ``os.fork`` from here on."""
+    forks, fork = [], os.fork
+
+    def counted_fork():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    return forks
+
+
+@pytest.mark.parametrize("backend", ["float", "exact"])
+@pytest.mark.parametrize("samples, seed, forks_at", [
+    # the oracle outweighs the other suites, which share one worker
+    (1000, 42, {2: 1, 3: 1, 4: 1, 5: 1}),
+    # at four samples every other suite still draws one, so up to four
+    # groups form
+    (4, 7, {2: 1, 3: 2, 4: 2, 5: 3})])
+def test_a_grouped_verify_equals_the_one_group_run(monkeypatch, backend,
+                                                   samples, seed, forks_at):
+    pin_cpus(monkeypatch, 1)
+    forks = counting_forks(monkeypatch)
+    whole = render(suites.run_verify_suites(samples, seed, backend))
+    assert forks == []
+    for cpus, expected in forks_at.items():
+        pin_cpus(monkeypatch, cpus)
+        forks.clear()
+        assert render(suites.run_verify_suites(samples, seed, backend)) \
+            == whole
+        assert len(forks) == expected
+        assert_no_child_left()
+
+
+def test_a_grouped_failing_verify_keeps_its_witnesses(monkeypatch):
+    # a coarse eps fails the oracle, which runs here, and two suites that
+    # run in a worker: the witnesses it sends back are the ones this
+    # process records
+    runs = []
+    for cpus in range(1, 6):
+        pin_cpus(monkeypatch, cpus)
+        checks = suites.run_verify_suites(1000, 3, eps=1e-3)
+        runs.append(render(checks))
+    assert [c.name for c in checks if not c.passed] == [
+        "ssa-oracle-equivalence", "dichotomy-supplementary-float",
+        "lemma-common-side"]
+    assert runs == [runs[0]] * 5
+
+
+def test_a_failing_worker_raises_its_error_here_and_leaves_no_child(
+        monkeypatch):
+    caller = os.getpid()
+
+    def failing(samples, rng, float_backend):
+        raise RuntimeError(f"no check of {samples} samples")
+
+    def failing_elsewhere(samples, rng, float_backend):
+        # fails in a worker only, whose group is then rerun here
+        if os.getpid() != caller:
+            raise RuntimeError("failed in a worker")
+        return suites.suite_lemma(samples, rng, float_backend)
+
+    def with_lemma(suite):
+        table = suites.VERIFY_SUITES
+        return (*table[:3], ("lemma-common-side", 100, suite), table[4])
+
+    # the lemma suite runs in a worker at 2 and 5 CPUs
+    monkeypatch.setattr(suites, "VERIFY_SUITES", with_lemma(failing))
+    for cpus in (1, 2, 5):
+        pin_cpus(monkeypatch, cpus)
+        with pytest.raises(RuntimeError, match="^no check of 4 samples$"):
+            suites.run_verify_suites(400, 3)
+        assert_no_child_left()
+
+    monkeypatch.setattr(suites, "VERIFY_SUITES", with_lemma(failing_elsewhere))
+    bodies = []
+    for cpus in (1, 2, 5):
+        pin_cpus(monkeypatch, cpus)
+        bodies.append(render(suites.run_verify_suites(400, 3)))
+        assert_no_child_left()
+    assert bodies == [bodies[0]] * 3
+

@@ -12,12 +12,15 @@ or that returns a NaN residual, fails with the values drawn so far plus
 ``"error"``.  ``TOL`` bounds every float residual (radians, cosine sums,
 normalized determinants).
 
-``balanced_parts`` cuts weighted items into contiguous parts, one per
-usable CPU, and ``run_parts`` runs them: this process runs the first part
-while each later part runs in a worker made with ``os.fork``, which sends
-its result back through a pipe with ``marshal``.  ``suites`` runs the
-``verify`` battery through them and ``scenarios`` the grid scan, so each
-result is the one-process result whatever the number of CPUs.
+``run_parts`` cuts weighted items with ``balanced_parts`` into contiguous
+parts, one per usable CPU (``os.sched_getaffinity``), and runs them: this
+process runs the first part while each later part runs in a worker made
+with ``os.fork``, which sends its result back through a pipe with
+``marshal``.  ``suites`` runs the ``verify`` battery through it and
+``scenarios`` the grid scan; neither knows how many CPUs there are, and
+each result is the one-process result whatever their number.  No other
+module reads the CPU set or forks, as an import rule of the test suite
+checks.
 
 Only ``suites`` and ``scenarios`` import this module, so a command that
 runs no samples loads neither it nor the sample errors.
@@ -84,14 +87,17 @@ def balanced_parts(items: Sequence, weights: Sequence[int],
     return [items[s:e] for s, e in pairwise([0, *cuts, len(items)])]
 
 
-def run_parts(parts: Sequence, run: Callable) -> List:
-    """``run(part)`` for each of ``parts``, in order.  This process runs the
+def run_parts(items: Sequence, weights: Sequence[int],
+              run: Callable) -> List:
+    """``run(part)`` for each part of ``items`` that ``balanced_parts`` cuts
+    by ``weights``, one part per usable CPU, in order.  This process runs the
     first part; each later part runs in a worker made with ``os.fork``,
     which sends its result back through a pipe with ``marshal`` (exact for
     binary64, NaN included), so a result holds only what marshal writes.
     One part forks nothing.  A worker that exits nonzero has its part rerun
     here, which raises its error; every worker is killed and reaped on
     every path."""
+    parts = balanced_parts(items, weights, len(os.sched_getaffinity(0)))
     pipes, pids = [], []
     try:
         for part in parts[1:]:

@@ -160,7 +160,7 @@ def _print_checks(checks: List[CheckResult]):
 def cmd_ssa(args) -> Outcome:
     from fractions import Fraction
     from .scalars import EXACT, FloatBackend
-    from .kernel import Point, squared_distance
+    from .kernel import point, squared_distance
     from .ssa import (SsaSpec, Supplementary, classify_pair, predict_case,
                       solve_ssa)
 
@@ -186,7 +186,7 @@ def cmd_ssa(args) -> Outcome:
     if args.opposite == "b" and not args.included:
         opposite, adjacent = adjacent, opposite
     # validates the sides and the angle of either designation
-    spec = SsaSpec(opposite, adjacent, cos_scalar)
+    spec = SsaSpec(backend, opposite, adjacent, cos_scalar)
 
     # everything that can fail is computed before the first line goes out,
     # so an invalid or overflowing query leaves stdout empty
@@ -198,7 +198,7 @@ def cmd_ssa(args) -> Outcome:
         # unique triangle by the included-angle criterion; place the first
         # side along the x axis
         a_val, b_val = spec_sides
-        apex = Point(a_val * cos_scalar,
+        apex = point(backend, a_val * cos_scalar,
                      a_val * (backend.scalar(1) - cos_scalar * cos_scalar).sqrt())
         third_sq = (a_val * a_val + b_val * b_val
                     - backend.scalar(2) * a_val * b_val * cos_scalar)

@@ -11,10 +11,10 @@ from this public API.
 
 ``Point``, ``Triangle`` and ``Isometry`` are ``record.Record``s, as is
 every value class of the layers above: ``__slots__`` classes that refuse
-assignment and compare, hash and print by their fields as frozen
-dataclasses do, without loading ``dataclasses`` or building each class by
-``exec``.  Each of the three validates in its own ``__init__``.  A
-``Triangle`` checks that its vertices share a backend and
+assignment and compare, hash, print, copy and pickle by their fields as
+frozen dataclasses do, without loading ``dataclasses`` or building each
+class by ``exec``.  A ``Triangle`` and an ``Isometry`` validate in their
+own ``__init__``.  A ``Triangle`` checks that its vertices share a backend and
 that ``side`` does not call them collinear; ``trusted_triangle`` builds one
 without those checks, for ``solve_ssa`` alone, whose kept roots have
 already cleared a collinearity band at least as wide.
@@ -22,12 +22,12 @@ already cleared a collinearity band at least as wide.
 A ``Point`` holds one backend and the raw payloads of its coordinates, as
 a point of the kernels of Hert, Hoffmann, Kettner, Pion and Seel ("An
 adaptable and extensible geometry kernel", CGTA 38, 2007) is parameterised
-by one kernel and holds plain numbers.  Its public constructor takes two
-``Scalar``s and checks that they share a backend; ``point`` converts two
-numbers by the backend's ``payload``, and ``payload_point`` takes two
-payloads of one backend, so neither has a check to skip.  ``x`` and ``y``
-wrap a payload in a ``Scalar`` on each read, for callers at the package
-boundary; the kernel reads the payloads.  ``squared_distance``,
+by one kernel and holds plain numbers.  Its one constructor,
+``Point(backend, x, y)``, takes that backend and two of its payloads, so
+it has nothing to check; ``point`` converts two numbers or ``Scalar``s by
+the backend's ``payload``, which checks a ``Scalar``'s backend.  ``x`` and
+``y`` wrap a payload in a ``Scalar`` on each read, for callers at the
+package boundary; the kernel reads the payloads.  ``squared_distance``,
 ``angle_cos``, ``side`` (the orientation and its scale in one pass),
 ``concyclic``, ``concyclicity_determinant``, ``dot``, ``cross``, ``Point``
 subtraction and ``Isometry.apply`` compute on the payloads, after checking
@@ -72,18 +72,18 @@ _new = object.__new__
 class Point(Record):
     """A point of one backend: ``backend`` and the payloads ``_x`` and
     ``_y`` of its coordinates.  ``x`` and ``y`` wrap them in a ``Scalar``
-    on each read, for callers at the package boundary; equality and
-    hashing go by the backend and the payloads."""
+    on each read, for callers at the package boundary; equality, hashing,
+    ``repr``, ``copy`` and ``pickle`` go by the backend and the payloads,
+    as ``Record`` gives them."""
 
     __slots__ = ("backend", "_x", "_y")
 
-    def __init__(self, x: Scalar, y: Scalar):
-        backend = x.backend
-        if y.backend is not backend and not same_backend(backend, y.backend):
-            raise BackendMismatchError("point coordinates from different backends")
+    def __init__(self, backend: Backend, x, y):
+        # its own three-field __init__, as Scalar's: Record's takes names
+        # and checks counts, and the solver builds a point per root
         _set(self, "backend", backend)
-        _set(self, "_x", x._v)
-        _set(self, "_y", y._v)
+        _set(self, "_x", x)
+        _set(self, "_y", y)
 
     @property
     def x(self) -> Scalar:
@@ -93,16 +93,9 @@ class Point(Record):
     def y(self) -> Scalar:
         return Scalar(self.backend, self._y)
 
-    def __repr__(self):
-        return f"Point(x={self.x!r}, y={self.y!r})"
-
-    def __reduce__(self):
-        # through the public constructor, whose fields are x and y
-        return Point, (self.x, self.y)
-
     def __sub__(self, other: "Point") -> "Point":
-        return payload_point(_backend(self, other), self._x - other._x,
-                             self._y - other._y)
+        return Point(_backend(self, other), self._x - other._x,
+                     self._y - other._y)
 
     def eq(self, other: "Point") -> bool:
         eq = _backend(self, other).eq
@@ -113,18 +106,10 @@ class Point(Record):
         return to_float(self._x), to_float(self._y)
 
 
-def payload_point(backend: Backend, x, y) -> Point:
-    """The ``Point`` of payloads ``x`` and ``y`` of ``backend``: one
-    backend for both, so ``Point``'s check has nothing to test."""
-    p = _new(Point)
-    _set(p, "backend", backend)
-    _set(p, "_x", x)
-    _set(p, "_y", y)
-    return p
-
-
 def point(backend: Backend, x, y) -> Point:
-    return payload_point(backend, backend.payload(x), backend.payload(y))
+    """The ``Point`` of ``backend`` at two numbers or ``Scalar``s, each
+    converted by the backend's ``payload``."""
+    return Point(backend, backend.payload(x), backend.payload(y))
 
 
 def dot(u: Point, v: Point) -> Scalar:
@@ -229,8 +214,8 @@ class Isometry(Record):
             backend = common_backend(self.cos_t.backend, obj.backend)
             c, s = self.cos_t._v, self.sin_t._v
             x, y = (obj._x, -obj._y) if self.mirror else (obj._x, obj._y)
-            return payload_point(backend, (c * x - s * y) + self.tx._v,
-                                 (s * x + c * y) + self.ty._v)
+            return Point(backend, (c * x - s * y) + self.tx._v,
+                         (s * x + c * y) + self.ty._v)
         if isinstance(obj, Triangle):
             return Triangle(self.apply(obj.A), self.apply(obj.B), self.apply(obj.C))
         raise TypeError(f"cannot apply isometry to {type(obj).__name__}")
@@ -250,7 +235,7 @@ def isometry_taking_segment_to_segment(src1: Point, src2: Point,
     if n2.sign() == 0 or not n2.eq(dot(dv, dv)):
         raise LengthMismatchError("segments must be nonzero and of equal length")
     if mirror:
-        su = payload_point(su.backend, su._x, -su._y)
+        su = Point(su.backend, su._x, -su._y)
     c = dot(su, dv) / n2
     s = cross(su, dv) / n2
     # renormalize against float rounding drift; the exact norm is 1

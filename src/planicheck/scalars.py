@@ -21,32 +21,35 @@ Two backends underlie every predicate in this package:
 
 A backend owns every decision that differs between the two: turning an
 input into a payload (``payload``, which ``scalar`` wraps, so there is one
-conversion rule), coercing an operand, ``eq``/``lt``/``sign``, ``sqrt``,
-``cosine`` (the float backend takes a degree-4 root as two degree-2 ones
-where the product leaves the normal binary64 range), ``vanishes`` and
-``size``, the configuration size ``vanishes`` scales by (the exact backend
-ignores it and never converts a payload to binary64 for it).  The backends
-are ``Record``s.  Each
-``Scalar`` operator applies its payloads' own arithmetic (float,
-``_Rational``, or the radical ``_Sqrt``) and never asks which backend it is
-on, and no module outside this one asks either: the exact payloads alone
-decide what is representable, raising ``ExactValueError`` where a result
-leaves the rationals plus single radicals.  ``is_rational`` tells a
-rational exact payload from a radical.  Values from different backends
-never mix; arithmetic between them raises ``BackendMismatchError`` rather
-than coercing.
+conversion rule; it returns a payload of the backend as it is, so the
+records that hold payloads rebuild through their one constructor), coercing
+an operand, ``eq``/``lt``/``sign``, ``sqrt``, ``cosine`` (the float backend
+takes a degree-4 root as two degree-2 ones where the product leaves the
+normal binary64 range), ``vanishes`` and ``size``, the configuration size
+``vanishes`` scales by (the exact backend ignores it and never converts a
+payload to binary64 for it).  The backends are ``Record``s.  Each ``Scalar``
+operator applies its payloads' own arithmetic (float, ``_Rational``, or the
+radical ``_Sqrt``) and never asks which backend it is on, and no module
+outside this one asks either: the exact payloads alone decide what is
+representable, raising ``ExactValueError`` where a result leaves the
+rationals plus single radicals.  ``is_rational`` tells a rational exact
+payload from a radical.  Values from different backends never mix;
+arithmetic between them raises ``BackendMismatchError`` rather than
+coercing.
 
 ``Scalar`` is the API at the package boundary, a ``Record`` of its backend
-and payload, so it compares and hashes structurally and copies and pickles.
-Inside, ``kernel.Point``, ``ssa.SsaSpec`` and
-``congruence.TriangleElements`` hold one backend and raw payloads, and the kernel predicates, ``measure``/``congruent_any`` and
-``solve_ssa`` compute on the payloads (``Scalar._v`` and those fields) and
-wrap only the values they hand out: every decision, zero tests included,
-goes to the backend object (``eq``, ``sign``, ``sqrt``, ``vanishes``) on
-payloads, and ``common_backend`` checks two objects before their payloads
-meet, so a rational never meets a float silently.  Exact payloads are
-canonical (rationals in lowest terms, and a radical whose square is a
-perfect square collapses to a rational), so exact equality is structural.
+and payload, so it compares and hashes structurally and copies and
+pickles.  Inside, ``kernel.Point``, ``ssa.SsaSpec`` and
+``congruence.TriangleElements`` hold one backend and raw payloads, each
+built by one constructor over those fields, and the kernel predicates,
+``measure``/``congruent_any`` and ``solve_ssa`` compute on the payloads
+(``Scalar._v`` and those fields) and wrap only the values they hand out:
+every decision, zero tests included, goes to the backend object (``eq``,
+``sign``, ``sqrt``, ``vanishes``) on payloads, and ``common_backend``
+checks two objects before their payloads meet, so a rational never meets a
+float silently.  Exact payloads are canonical (rationals in lowest terms,
+and a radical whose square is a perfect square collapses to a rational), so
+exact equality is structural.
 """
 
 from __future__ import annotations
@@ -340,8 +343,8 @@ class _Backend(Record):
 
     def payload(self, value):
         """``value`` as a payload of this backend: a ``Scalar``'s own, once
-        its backend may meet this one, or a number as ``_convert`` reads
-        it."""
+        its backend may meet this one, or a number (or a payload, which it
+        returns as it is) as ``_convert`` reads it."""
         if isinstance(value, Scalar):
             common_backend(self, value.backend)
             return value._v
@@ -360,6 +363,8 @@ class ExactBackend(_Backend):
     __slots__ = ()
 
     def _convert(self, value):
+        if isinstance(value, (_Rational, _Sqrt)):
+            return value  # a payload of this backend already
         if isinstance(value, float):
             raise TypeError("exact backend takes int, Fraction or str, not float")
         q = _rational(value)
@@ -563,9 +568,6 @@ class Scalar(Record):
 
     def __truediv__(self, other):
         return Scalar(self.backend, self._v / self._mate(other))
-
-    def __neg__(self):
-        return Scalar(self.backend, -self._v)
 
     def sqrt(self) -> "Scalar":
         return Scalar(self.backend, self.backend.sqrt(self._v))

@@ -14,18 +14,19 @@ Each conclusion branch is declared once, as a ``Branch``: a line in (alpha,
 beta) plus the range of its free angle.  ``level_set_scan`` samples the
 residual on a grid as marching squares over its sign: it computes the beta
 column once, cut at the scenario's ``max_angle``, and lists the rows with
-their lengths, found with a pointer that only moves down.  It cuts the rows
-into one contiguous chunk per usable CPU, balanced by node count, and scans
-each chunk after the first in a forked worker (``checks.run_parts``, which
-runs the ``verify`` battery too): a chunk's pass evaluates a
-row in one comprehension and walks two rows at a time, visiting only the
-nodes that hold an exact zero or a sign change, then bisects each queued
-change.  The calling process walks the rows where chunks meet and dedupes
-the roots in the order of one serial pass, so the report does not depend on
-the number of CPUs; ``taskset -c 0`` runs the scan in one process.  It checks
-that each root lies within a containment tolerance of one of the scenario's
-branches.  Its memory grows with two grid rows per chunk and the number of
-roots, not with the whole grid.
+their lengths, found with a pointer that only moves down.  It hands the
+row indices, weighted by node count, to ``checks.run_parts``, which runs
+the ``verify`` battery too: that cuts them into one contiguous chunk per
+usable CPU and scans each chunk after the first in a forked worker.  A
+chunk's pass evaluates a row in one comprehension and walks two rows at a
+time, its last row against the next chunk's first, visiting only the nodes
+that hold an exact zero or a sign change, then bisects each queued change.
+The chunks' queues make the queue of one serial pass, so the calling
+process only concatenates their roots and dedupes them in that order, and
+the report does not depend on the number of CPUs; ``taskset -c 0`` runs the
+scan in one process.  It checks that each root lies within a containment
+tolerance of one of the scenario's branches.  Its memory grows with two
+grid rows per chunk and the number of roots, not with the whole grid.
 The forward checks walk the same branch lines: ``run_scenario_suites``
 gives each claimed branch one ``suite_forward`` check, run by
 ``checks.run_check`` and bounded by ``TOL``, and bisector-30 the off-branch
@@ -57,11 +58,10 @@ import os
 import re
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import chain
 from random import Random
 from typing import Callable, Dict, List, Tuple
 
-from .checks import TOL, balanced_parts, run_check, run_parts
+from .checks import TOL, run_check, run_parts
 from .errors import DegenerateInputError, UsageError
 from .rawgeom import angle_at
 from .record import Record
@@ -304,12 +304,6 @@ def _grid_rows(h: float, max_angle: float):
     return col, rows
 
 
-def _row_chunks(rows: List[Tuple[float, int]], parts: int):
-    """``rows`` cut into at most ``parts`` contiguous chunks of about equal
-    node counts."""
-    return balanced_parts(rows, [n for _, n in rows], parts)
-
-
 def level_set_scan(name: str, grid_step: float, refine_tol: float = 1e-12,
                    delta: float = 1e-6, **scenario_kwargs) -> ScanReport:
     """Grid-scan a scenario residual and bisect every sign change to a root.
@@ -318,16 +312,19 @@ def level_set_scan(name: str, grid_step: float, refine_tol: float = 1e-12,
     scenario's ``max_angle`` and gamma above the floor; with none, it raises
     ``DegenerateInputError``.  Each node is zero, negative, or
     positive-or-NaN, and the walk visits only the nodes that hold an exact
-    zero or a sign change.  The rows are cut into one contiguous chunk per
-    usable CPU (``os.sched_getaffinity``), balanced by node count; each chunk
-    after the first is scanned in a forked worker while this process scans
-    the first.  A chunk's pass keeps two rows alive, walks each of its rows
-    against the next, and bisects what the walk queued after its last row.
-    This process then walks each chunk's last row against the next chunk's
-    first row and bisects those edges, so the roots are deduped in the order
-    of one serial pass and the report is the one-process report bit for bit
-    (``taskset -c 0`` runs that one process).  A worker that fails has its
-    chunk rerun here, which raises its error.  Every refined root is
+    zero or a sign change.  ``checks.run_parts`` cuts the rows into one
+    contiguous chunk per usable CPU, balanced by node count, and scans each
+    chunk after the first in a forked worker while this process scans the
+    first.  A chunk's pass keeps two rows alive and walks each of its rows
+    against the next, its last row against the next chunk's first, which it
+    evaluates but does not count; then it bisects what the walk queued.  So
+    the chunks' queues, in order, are the queue of one serial pass, the
+    roots are deduped in its order, and the report is the one-process report
+    bit for bit (``taskset -c 0`` runs that one process).  ``evaluations``
+    counts the residual calls of the one-process scan: the row that each
+    chunk after the first shares with the chunk before it is counted once,
+    though both evaluate it.  A worker that fails has its chunk rerun here,
+    which raises its error.  Every refined root is
     attributed to the nearest conclusion branch within ``delta`` (ties go
     to the isosceles branch first); roots matching no branch are violations
     of containment.
@@ -345,16 +342,17 @@ def level_set_scan(name: str, grid_step: float, refine_tol: float = 1e-12,
     if not rows:
         raise DegenerateInputError("scan region contains no valid grid nodes")
 
-    def walk(a, row, classes, below):
-        # the queue of row (alpha a, values row, classes 2 negative, 6
-        # positive or NaN, 1 zero) against the row below, (alpha, classes)
-        # or None: a flip down is where their classes XOR to 4, as only
-        # 2 ^ 6 does.  Zero nodes queue as (a, b, a, b, 0.0), flip edges with
-        # the value at their start, in node order and the edge down first;
+    def walk(above, below):
+        # the queue of row above, (alpha a, values row, classes 2 negative,
+        # 6 positive or NaN, 1 zero), against the row below, a row alike or
+        # None: a flip down is where their classes XOR to 4, as only 2 ^ 6
+        # does.  Zero nodes queue as (a, b, a, b, 0.0), flip edges with the
+        # value at their start, in node order and the edge down first;
         # queue order decides the root the dedupe keeps
+        a, row, classes = above
         marks = [(m.start(), 1) for m in _ZERO_OR_FLIP_ALONG.finditer(classes)]
         if below:
-            a_next, under = below
+            a_next, _, under = below
             n = len(under)
             flips = (int.from_bytes(classes[:n], "little")
                      ^ int.from_bytes(under, "little")).to_bytes(n, "little")
@@ -406,45 +404,39 @@ def level_set_scan(name: str, grid_step: float, refine_tol: float = 1e-12,
 
     owner = os.getpid()
 
+    def evaluate(i):
+        # grid row i as (alpha, values, classes); a worker stops once the
+        # scanning process, its parent, is gone
+        if os.getpid() != owner != os.getppid():
+            os._exit(1)
+        a, n = rows[i]
+        row = [f(a, b) for b in col[:n]]
+        return a, row, bytes([2 if v < 0.0 else 6 if v != 0.0 else 1
+                              for v in row])
+
     def scan_chunk(chunk):
-        # the grid rows of chunk, each walked against the next and the queue
-        # bisected after the last row, so that a process's grid calls come
-        # before its bisection calls, in increasing (alpha, beta) (the
-        # benchmark's tracer splits them so); returns the roots in queue
-        # order, the residual calls, the first row's classes, and the last
-        # row and its classes, which only the caller can walk.  A worker
-        # stops once the scanning process, its parent, is gone
-        queue, evaluations, last = [], 0, None
-        for a, n in chunk:
-            if os.getpid() != owner != os.getppid():
-                os._exit(1)
-            row = [f(a, b) for b in col[:n]]
-            classes = bytes([2 if v < 0.0 else 6 if v != 0.0 else 1
-                             for v in row])
-            evaluations += n
-            if last:
-                queue += walk(*last, (a, classes))
-            else:
-                first = classes
-            last = a, row, classes
+        # the rows of chunk, a range of row indices, each walked against the
+        # next, and the queue bisected after the last, so that a process's
+        # grid calls come before its bisection calls, in increasing (alpha,
+        # beta) (the benchmark's tracer splits them so); returns the roots
+        # in queue order and the residual calls, not counting the next
+        # chunk's first row
+        queue, evaluations = [], 0
+        above = evaluate(chunk[0])
+        for i in chunk:
+            evaluations += rows[i][1]
+            below = evaluate(i + 1) if i + 1 < len(rows) else None
+            queue += walk(above, below)
+            above = below
         roots, calls = refine(queue)
-        return roots, evaluations + calls, first, last[1], last[2]
+        return roots, evaluations + calls
 
-    chunks = _row_chunks(rows, len(os.sched_getaffinity(0)))
-    results = run_parts(chunks, scan_chunk)
-
-    # each chunk's roots, then those of its last row walked against the next
-    # chunk's first row: the queue of one serial pass, deduped in its order
-    belows = [(chunk[0][0], first)
-              for chunk, (_, _, first, _, _) in zip(chunks[1:], results[1:])]
     evaluations = 0
     raw_roots: Dict[Tuple[float, float], Tuple[float, float, float]] = {}
-    for chunk, (chunk_roots, calls, _, row, classes), below in zip(
-            chunks, results, [*belows, None]):
-        edge_roots, edge_calls = refine(walk(chunk[-1][0], row, classes,
-                                             below))
-        evaluations += calls + edge_calls
-        for a, b, r in chain(chunk_roots, edge_roots):
+    for chunk_roots, calls in run_parts(range(len(rows)),
+                                        [n for _, n in rows], scan_chunk):
+        evaluations += calls
+        for a, b, r in chunk_roots:
             raw_roots.setdefault((round(a, 12), round(b, 12)), (a, b, r))
 
     roots: List[ScanRoot] = []

@@ -15,9 +15,10 @@ as a tuple of triangles ordered by ascending third side |AB|; it keeps no
 copy of their sides or angles, which ``congruence.measure`` reads.
 
 ``SsaSpec`` is a slotted ``Record`` of one backend and three payloads.
-Its public constructor takes three ``Scalar``s with one backend test, and
-``from_values`` converts three numbers by the backend's ``payload``; both
-run the same side and angle checks.  ``side_a``, ``side_b`` and
+Its one constructor, ``SsaSpec(backend, side_a, side_b, cos_angle)``,
+converts three numbers, ``Scalar``s or payloads of ``backend`` by its
+``payload`` and runs the side and angle checks, so ``copy`` and ``pickle``
+rebuild a spec from its fields through it.  ``side_a``, ``side_b`` and
 ``cos_angle`` wrap a payload in a ``Scalar`` on each read, for callers at
 the package boundary; ``solve_ssa`` reads the payloads, and builds its
 points (the origin, the base end and each apex) from payloads, so a kept
@@ -47,10 +48,10 @@ from .errors import DichotomyViolationError, LemmaPreconditionError
 from .kernel import (
     LABELS,
     Isometry,
+    Point,
     Triangle,
     concyclic,
     isometry_taking_segment_to_segment,
-    payload_point,
     side,
     squared_distance,
     supplementary,
@@ -78,23 +79,8 @@ class SsaSpec(Record):
 
     __slots__ = ("backend", "_a", "_b", "_cos")
 
-    def __init__(self, side_a: Scalar, side_b: Scalar, cos_angle: Scalar):
-        backend = side_a.backend
-        if side_b.backend is not backend or cos_angle.backend is not backend:
-            common_backend(backend, side_b.backend)
-            common_backend(backend, cos_angle.backend)
-        self._fill(backend, side_a._v, side_b._v, cos_angle._v)
-
-    @classmethod
-    def from_values(cls, backend: Backend, side_a, side_b, cos_angle) -> "SsaSpec":
-        """The spec of three numbers (or ``Scalar``s) of ``backend``, each
-        converted by its ``payload``, under the checks of ``__init__``."""
-        spec = cls.__new__(cls)
-        spec._fill(backend, backend.payload(side_a), backend.payload(side_b),
-                   backend.payload(cos_angle))
-        return spec
-
-    def _fill(self, backend: Backend, a, b, c):
+    def __init__(self, backend: Backend, side_a, side_b, cos_angle):
+        a, b, c = map(backend.payload, (side_a, side_b, cos_angle))
         if backend.sign(a) <= 0 or backend.sign(b) <= 0:
             raise DegenerateInputError("sides must be positive")
         if not (backend.lt(c, 1) and backend.lt(-1, c)):
@@ -115,14 +101,6 @@ class SsaSpec(Record):
     @property
     def cos_angle(self) -> Scalar:
         return Scalar(self.backend, self._cos)
-
-    def __repr__(self):
-        return (f"SsaSpec(side_a={self.side_a!r}, side_b={self.side_b!r}, "
-                f"cos_angle={self.cos_angle!r})")
-
-    def __reduce__(self):
-        # through the public constructor, whose fields are the three Scalars
-        return SsaSpec, (self.side_a, self.side_b, self.cos_angle)
 
 
 class CriterionCase(enum.Enum):
@@ -206,11 +184,11 @@ def solve_ssa(spec: SsaSpec) -> Tuple[Triangle, ...]:
             continue
         if origin is None:
             zero = backend.payload(0)
-            origin = payload_point(backend, zero, zero)
-            base_end = payload_point(backend, b, zero)
+            origin = Point(backend, zero, zero)
+            base_end = Point(backend, b, zero)
         # the band just cleared covers Triangle's checks (module docstring)
         tris.append(trusted_triangle(
-            origin, payload_point(backend, t * c0, height), base_end))
+            origin, Point(backend, t * c0, height), base_end))
     return tuple(tris)
 
 

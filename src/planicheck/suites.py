@@ -3,11 +3,11 @@
 Each sampled check is a per-sample function run by ``checks.run_check``,
 the one sample loop; it draws from the ``random.Random`` its suite is
 handed (the caller owns seeding, so results are reproducible).
-``run_verify_suites`` draws every suite's seed first and runs the suites in
-at most one contiguous group per usable CPU, each group after the first in
-a forked worker (``checks.run_parts``, which runs the scan too), so the
-checks, and the report, do not depend on the number of CPUs;
-``taskset -c 0`` runs every suite in one process.  The
+``run_verify_suites`` draws every suite's seed first and hands the suites
+to ``checks.run_parts``, which runs the scan too: it cuts them into at most
+one contiguous group per usable CPU and runs each group after the first in
+a forked worker, so the checks, and the report, do not depend on the
+number of CPUs; ``taskset -c 0`` runs every suite in one process.  The
 scenario forward checks live in ``scenarios``, so a ``scenario`` run loads
 no SSA layer, and the oracle's ``angle_at`` lives in ``rawgeom``, so a
 ``verify`` run loads no scenario layer (nor the ``dataclasses`` and
@@ -24,17 +24,16 @@ and 1000 exact dichotomy classifications, 1000 lemma configurations, and
 from __future__ import annotations
 
 import math
-import os
 from fractions import Fraction
 from random import Random
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .scalars import EXACT, FloatBackend
-from .kernel import Isometry, Point, Triangle, collinear, coord_scale, point
+from .kernel import Isometry, Triangle, collinear, coord_scale, point
 from .ssa import (Congruent, NotSsaMatched, SsaSpec, Supplementary,
                   classify_pair, lemma_common_side_check, solve_ssa)
 from .rawgeom import angle_at
-from .checks import TOL, balanced_parts, run_check, run_parts
+from .checks import TOL, run_check, run_parts
 from .report import CheckResult
 
 FLOAT = FloatBackend()
@@ -84,7 +83,7 @@ def suite_ssa_oracle(samples: int, rng: Random,
         theta_deg = rng.uniform(1.0, 179.0)
         cos_t = math.cos(math.radians(theta_deg))
         witness.update(a=a, b=b, theta_deg=theta_deg)
-        tris = solve_ssa(SsaSpec.from_values(float_backend, a, b, cos_t))
+        tris = solve_ssa(SsaSpec(float_backend, a, b, cos_t))
         expected = law_of_sines_oracle(a, b, cos_t, eps=float_backend.eps)
         witness.update(solver_count=len(tris), oracle_count=len(expected))
         if len(tris) != len(expected):
@@ -118,7 +117,7 @@ def sample_two_solution_spec(rng: Random,
     cos_angle = math.cos(math.radians(theta_deg))
     if witness is not None:
         witness.update(theta_deg=theta_deg, a=a, b=b, cos_angle=cos_angle)
-    return SsaSpec.from_values(float_backend, a, b, cos_angle)
+    return SsaSpec(float_backend, a, b, cos_angle)
 
 
 def _draw_two_solutions(rng: Random, float_backend: FloatBackend,
@@ -167,7 +166,7 @@ def sample_rational_two_solution_spec(rng: Random) -> SsaSpec:
     t2 = 2 * b * cos_t - t1
     a_sq = b * b - t1 * t2
     side_a = EXACT.scalar(a_sq).sqrt()
-    return SsaSpec(side_a, EXACT.scalar(b), EXACT.scalar(cos_t))
+    return SsaSpec(EXACT, side_a, b, cos_t)
 
 
 def suite_dichotomy_exact(samples: int, rng: Random) -> CheckResult:
@@ -244,9 +243,9 @@ def _to_float_triangle(tri: Triangle) -> Triangle:
 
 def _rational_triangle(rng: Random) -> Triangle:
     while True:
-        xs = [EXACT.scalar(Fraction(rng.randint(-8, 8), rng.randint(1, 4)))
+        xs = [Fraction(rng.randint(-8, 8), rng.randint(1, 4))
               for _ in range(6)]
-        pts = [Point(x, y) for x, y in zip(xs[::2], xs[1::2])]
+        pts = [point(EXACT, x, y) for x, y in zip(xs[::2], xs[1::2])]
         if not collinear(*pts):
             return Triangle(*pts)
 
@@ -286,7 +285,7 @@ def suite_backend_cross(samples: int, rng: Random) -> CheckResult:
             if kind == "mismatch":
                 grow = EXACT.scalar(Fraction(101, 100))
                 e2 = Triangle(e2.A, e2.B,
-                              Point(e2.A.x + (e2.C.x - e2.A.x) * grow,
+                              point(EXACT, e2.A.x + (e2.C.x - e2.A.x) * grow,
                                     e2.A.y + (e2.C.y - e2.A.y) * grow))
         exact_verdict = classify_pair(e1, e2)
         float_verdict = classify_pair(_to_float_triangle(e1),
@@ -322,12 +321,11 @@ def run_verify_suites(samples: int, seed: int, backend: str = "float",
     ``eps`` configures the float backend used by the float-domain suites.
 
     Each suite's seed is drawn from the master stream first, in table order,
-    the dropped suite's too.  The suites are cut into at most one contiguous
-    group per usable CPU (``os.sched_getaffinity``), balanced by sample
-    count; this process runs the first group and a forked worker each later
-    one, which sends back the fields of its checks.  The checks are rebuilt
-    in suite order, so they are the one-process checks on any number of
-    CPUs."""
+    the dropped suite's too.  ``run_parts`` cuts the suites into contiguous
+    groups balanced by sample count; this process runs the first group and
+    a forked worker each later one, which sends back the fields of its
+    checks.  The checks are rebuilt in suite order, so they are the
+    one-process checks on any number of CPUs."""
     fb = FloatBackend(eps)
     takes_backend = {"ssa-oracle-equivalence", "dichotomy-supplementary-float",
                      "lemma-common-side"}
@@ -352,10 +350,8 @@ def run_verify_suites(samples: int, seed: int, backend: str = "float",
         return [(c.name, c.passed, c.samples, c.worst_residual, c.witnesses)
                 for c in checks]
 
-    groups = balanced_parts(runs, [n for _, n, _, _ in runs],
-                            len(os.sched_getaffinity(0)))
-    return [CheckResult(*fields)
-            for group in run_parts(groups, run_group) for fields in group]
+    results = run_parts(runs, [n for _, n, _, _ in runs], run_group)
+    return [CheckResult(*fields) for group in results for fields in group]
 
 
 def __getattr__(name):

@@ -76,7 +76,7 @@ class Line:
             n = n2.sqrt()
             u, v, w = self.u / n, self.v / n, self.w / n
             if u.as_float() < 0 or (u.as_float() == 0.0 and v.as_float() < 0):
-                u, v, w = -u, -v, -w
+                u, v, w = u * -1, v * -1, w * -1
             object.__setattr__(self, "u", u)
             object.__setattr__(self, "v", v)
             object.__setattr__(self, "w", w)
@@ -120,7 +120,7 @@ def circumcircle(t: Triangle) -> Circle:
     aa, bb, cc = dot(a, a), dot(b, b), dot(c, c)
     ux = (aa * (b.y - c.y) + bb * (c.y - a.y) + cc * (a.y - b.y)) / d
     uy = (aa * (c.x - b.x) + bb * (a.x - c.x) + cc * (b.x - a.x)) / d
-    center = Point(ux, uy)
+    center = point(t.backend, ux, uy)
     return Circle(center, squared_distance(center, a))
 
 
@@ -141,7 +141,7 @@ def _length(p: Point, q: Point, what: str) -> Scalar:
 
 def _along(p: Point, q: Point, k) -> Point:
     """The point p + k (q - p)."""
-    return Point(p.x + (q.x - p.x) * k, p.y + (q.y - p.y) * k)
+    return point(p.backend, p.x + (q.x - p.x) * k, p.y + (q.y - p.y) * k)
 
 
 def incenter_and_bisector_feet(t: Triangle) -> IncenterResult:
@@ -154,7 +154,7 @@ def incenter_and_bisector_feet(t: Triangle) -> IncenterResult:
     b = _length(t.A, t.C, "incenter")
     c = _length(t.A, t.B, "incenter")
     p = a + b + c
-    j = Point((t.A.x * a + t.B.x * b + t.C.x * c) / p,
+    j = point(t.backend, (t.A.x * a + t.B.x * b + t.C.x * c) / p,
               (t.A.y * a + t.B.y * b + t.C.y * c) / p)
     return IncenterResult(j, _along(t.B, t.C, c / (b + c)),
                           _along(t.A, t.C, c / (a + c)),
@@ -169,7 +169,7 @@ def internal_bisector_line(t: Triangle, label: str) -> Line:
     lq = _length(v, q, "bisector")
     dx = (p.x - v.x) / lp + (q.x - v.x) / lq
     dy = (p.y - v.y) / lp + (q.y - v.y) / lq
-    return line_through(v, Point(v.x + dx, v.y + dy))
+    return line_through(v, point(v.backend, v.x + dx, v.y + dy))
 
 
 def signed_distance(l: Line, p: Point) -> Scalar:
@@ -189,7 +189,7 @@ def reflect(obj, l: Line):
         raise TypeError(f"cannot reflect {type(obj).__name__}")
     n2 = l.u * l.u + l.v * l.v
     k = (l.eval(obj) / n2) * 2
-    return Point(obj.x - k * l.u, obj.y - k * l.v)
+    return point(obj.backend, obj.x - k * l.u, obj.y - k * l.v)
 
 
 def orient(p: Point, q: Point, r: Point) -> Scalar:
@@ -240,7 +240,7 @@ def reference_solutions(spec):
         if (t.sign() <= 0 or backend.vanishes(t._v, scale, 1)
                 or backend.vanishes((height * b)._v, scale, 2)):
             continue
-        out.append((Point(t * c0, height), t))
+        out.append((point(backend, t * c0, height), t))
     return out
 
 

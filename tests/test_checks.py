@@ -8,7 +8,7 @@ from random import Random
 import pytest
 
 from planicheck.checks import balanced_parts
-from planicheck.scenarios import _grid_rows, _row_chunks
+from planicheck.scenarios import _grid_rows
 
 
 def assert_a_cut(items, parts, cut):
@@ -72,6 +72,6 @@ def row_chunks_before(rows, parts):
 def test_the_scan_chunks_stay_as_they_were(step_deg, max_angle):
     _, rows = _grid_rows(math.radians(step_deg), max_angle)
     for parts in range(1, 9):
-        chunks = _row_chunks(rows, parts)
+        chunks = balanced_parts(rows, [n for _, n in rows], parts)
         assert chunks == row_chunks_before(rows, parts)
         assert_a_cut(rows, parts, chunks)

@@ -317,7 +317,7 @@ def test_the_index_tables_agree_with_a_scalar_reference(backend, seed):
     pairs = [(t1, t2) for t1 in seeded_triangles(backend, seed, 8)
              for t2 in partners(t1, rng)]
     for values in SSA_SPECS[backend]:
-        solved = solve_ssa(SsaSpec.from_values(backend, *values))
+        solved = solve_ssa(SsaSpec(backend, *values))
         assert len(solved) == 2
         pairs += [solved, solved[::-1]]
     seen = set()

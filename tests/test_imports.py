@@ -68,14 +68,6 @@ PROTOCOL = {
         "copy and pickle that Record promises every value class",
     ("record.py", "Record.__setattr__"):
         "immutability: it only raises, on assignment or deletion",
-    ("kernel.py", "Point.__repr__"):
-        "prints the coordinates as Scalars, not as payloads",
-    ("kernel.py", "Point.__reduce__"):
-        "copy and pickle through the public constructor",
-    ("ssa.py", "SsaSpec.__repr__"):
-        "prints the fields as Scalars, not as payloads",
-    ("ssa.py", "SsaSpec.__reduce__"):
-        "copy and pickle through the public constructor",
     ("scalars.py", "_Rational.__hash__"):
         "a payload hashes as the equal Fraction, for Scalar's hash",
     ("scalars.py", "_Rational.__str__"):
@@ -86,8 +78,6 @@ PROTOCOL = {
         "acceptance criterion 6 reads a result as a truth value",
     ("scalars.py", "FloatBackend.coerce"):
         "a float Scalar meets a plain number, as an exact one does",
-    ("scalars.py", "Scalar.__neg__"):
-        "tests/kernel_constructions.py builds its references with it",
     ("errors.py", "LemmaPreconditionError.__init__"):
         "only a failed precondition of the common-side lemma raises it",
 }
@@ -113,7 +103,7 @@ from planicheck.logic import compose_scheme
 from planicheck.scalars import EXACT
 from planicheck.ssa import SsaSpec, solve_ssa, to_common_side
 
-t1, t2 = solve_ssa(SsaSpec(*map(EXACT.scalar, (7, 8, "1/2"))))
+t1, t2 = solve_ssa(SsaSpec(EXACT, 7, 8, "1/2"))
 same = ALL_CORRESPONDENCES[0]
 criterion_a(measure(t1), measure(t2), same)
 criterion_b(measure(t1), measure(t2), same)
@@ -545,6 +535,49 @@ def test_only_the_sampling_modules_import_the_sample_loop():
     assert {mod for mod, text in SOURCES.items()
             if package_imports(text, {"checks"})} == {"suites.py",
                                                       "scenarios.py"}
+
+
+# run_parts alone cuts the work by the usable CPUs and forks the workers:
+# the verify battery and the scan hand it their items and weights, and no
+# other module knows how many CPUs there are
+FORK_NAMES = {"sched_getaffinity", "fork"}
+
+
+def os_uses(sources, names=FORK_NAMES):
+    """(module, line) of each ``os.<name>`` attribute, and of each import
+    of the name from ``os``, for a name that ``names`` holds, in
+    ``sources`` (module name -> text)."""
+    found = []
+    for mod, text in sources.items():
+        for n in ast.walk(ast.parse(text)):
+            if isinstance(n, ast.Attribute):
+                hit = (n.attr in names and isinstance(n.value, ast.Name)
+                       and n.value.id == "os")
+            elif isinstance(n, ast.ImportFrom):
+                hit = n.module == "os" and not n.level and any(
+                    alias.name in names for alias in n.names)
+            else:
+                continue
+            if hit:
+                found.append((mod, n.lineno))
+    return found
+
+
+def test_the_check_sees_a_cpu_read_or_a_fork():
+    sources = {
+        "suites.py": ("import os\n\ndef f():\n"
+                      "    return len(os.sched_getaffinity(0))\n"),
+        "scenarios.py": ("import os\nfrom os import fork as spawn\n"
+                         "pid = os.getpid() or os.getppid()\n"
+                         "child = os.fork()\n"),
+        "cli.py": "from os import path\nx = self.os.fork\nos.forkpty\n",
+    }
+    assert os_uses(sources) == [("suites.py", 4), ("scenarios.py", 2),
+                                ("scenarios.py", 4)]
+
+
+def test_only_the_fork_helper_reads_the_cpus_or_forks():
+    assert {mod for mod, _ in os_uses(SOURCES)} == {"checks.py"}
 
 
 # the exact payload is scalars' own rational: Fraction enters only at the

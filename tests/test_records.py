@@ -10,12 +10,14 @@ copies and pickles."""
 import copy
 import pickle
 from fractions import Fraction
+from random import Random
 
 import pytest
 
 from planicheck.congruence import (Correspondence, ElementTriple,
                                    TriangleElements, measure)
-from planicheck.kernel import Isometry, Point, payload_point, point
+from planicheck import suites
+from planicheck.kernel import Isometry, Point, point
 from planicheck.logic import (And, Atom, EquivalenceResult, Iff, Implies,
                               LogicCheck, Not, Or, ProblemScheme, Xor,
                               compose_scheme)
@@ -38,7 +40,7 @@ def iso(tx=2, mirror=True):
 
 def lemma(det=None):
     c = FB.scalar(0.5)
-    return LemmaReport(True, c, -c, det is not None, det is not None, det, True)
+    return LemmaReport(True, c, c * -1, det is not None, det is not None, det, True)
 
 
 # (build, a different value, field names in order, repr); build makes a new
@@ -150,7 +152,7 @@ def test_a_record_refuses_assignment_and_deletion(name):
 
 
 def ssa_pair():
-    return solve_ssa(SsaSpec.from_values(EXACT, 7, 8, Fraction(1, 2)))
+    return solve_ssa(SsaSpec(EXACT, 7, 8, Fraction(1, 2)))
 
 
 def public_elements():
@@ -158,25 +160,35 @@ def public_elements():
     return TriangleElements(e.backend, e._sides, e._cosines)
 
 
-# values that hold a Scalar or a payload, from both backends, a radical
+def sampled_radical_spec():
+    spec = suites.sample_rational_two_solution_spec(Random(0))
+    assert type(spec._a).__name__ == "_Sqrt"
+    return spec
+
+
+# values that hold a Scalar or a payload, from both backends, radicals
 # among them; a Point, an SsaSpec and a TriangleElements come both through
-# their public constructors and through the payload path
+# their one constructor, which copy and pickle call with the fields, and
+# through the converter or ``measure``, which the package calls
 HOLDERS = {
     "Scalar-float": lambda: FB.scalar(0.5),
     "Scalar-exact": lambda: EXACT.scalar(3).sqrt(),
-    "Point": lambda: Point(EXACT.scalar(Fraction(1, 3)), EXACT.scalar(-2)),
-    "Point-payload": lambda: point(EXACT, Fraction(1, 3), -2),
+    "Point": lambda: Point(EXACT, EXACT.payload(Fraction(1, 3)),
+                           EXACT.payload(-2)),
+    "Point-converted": lambda: point(EXACT, Fraction(1, 3), -2),
+    "Point-exact": lambda: point(EXACT, 1, "3/7"),
     "Point-radical": lambda: ssa_pair()[1].B,
     "Triangle": lambda: ssa_pair()[0],
-    "SsaSpec": lambda: SsaSpec(FB.scalar(1.0), FB.scalar(2.0),
+    "SsaSpec": lambda: SsaSpec(FB, FB.scalar(1.0), FB.scalar(2.0),
                                FB.scalar(0.25)),
-    "SsaSpec-payload": lambda: SsaSpec.from_values(FB, 1.0, 2.0, 0.25),
-    "SsaSpec-exact": lambda: SsaSpec.from_values(
+    "SsaSpec-converted": lambda: SsaSpec(FB, 1.0, 2.0, 0.25),
+    "SsaSpec-exact": lambda: SsaSpec(
         EXACT, EXACT.scalar(2).sqrt(), 3, Fraction(1, 2)),
+    "SsaSpec-sampled": sampled_radical_spec,
     "TriangleElements": public_elements,
-    "TriangleElements-payload": lambda: measure(ssa_pair()[1]),
+    "TriangleElements-measured": lambda: measure(ssa_pair()[1]),
     "TriangleElements-float": lambda: measure(solve_ssa(
-        SsaSpec.from_values(FB, 1.3, 2.0, 0.8))[0]),
+        SsaSpec(FB, 1.3, 2.0, 0.8))[0]),
 }
 
 
@@ -187,29 +199,33 @@ def test_a_value_that_holds_scalars_copies_and_pickles(name):
         assert b == a and type(b) is type(a) and repr(b) == repr(a)
 
 
-@pytest.mark.parametrize("public, payload", [
-    ("Point", "Point-payload"), ("SsaSpec", "SsaSpec-payload"),
-    ("TriangleElements", "TriangleElements-payload")])
-def test_the_payload_path_builds_the_public_value(public, payload):
-    a, b = HOLDERS[public](), HOLDERS[payload]()
+@pytest.mark.parametrize("built, converted", [
+    ("Point", "Point-converted"), ("SsaSpec", "SsaSpec-converted"),
+    ("TriangleElements", "TriangleElements-measured")])
+def test_the_converter_builds_the_constructed_value(built, converted):
+    a, b = HOLDERS[built](), HOLDERS[converted]()
     assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
     assert len({a, b}) == 1
     for c in (copy.copy(b), copy.deepcopy(b), pickle.loads(pickle.dumps(b))):
         assert c == a and hash(c) == hash(a)
 
 
-def test_a_payload_value_prints_and_reads_its_scalars():
-    p = HOLDERS["Point-payload"]()
-    assert repr(p) == "Point(x=Scalar(1/3), y=Scalar(-2))"
+def test_a_payload_value_prints_its_payloads_and_reads_its_scalars():
+    p = HOLDERS["Point-converted"]()
+    assert repr(p) == ("Point(backend=ExactBackend(), _x=_Rational(1, 3), "
+                       "_y=_Rational(-2, 1))")
     assert (p.x, p.y) == (EXACT.scalar(Fraction(1, 3)), EXACT.scalar(-2))
-    assert payload_point(EXACT, p.x._v, p.y._v) == p
+    assert Point(EXACT, p._x, p._y) == p == point(EXACT, p.x, p.y)
     spec = HOLDERS["SsaSpec-exact"]()
-    assert repr(spec) == ("SsaSpec(side_a=Scalar(sqrt(2)), side_b=Scalar(3), "
-                          "cos_angle=Scalar(1/2))")
-    assert SsaSpec(spec.side_a, spec.side_b, spec.cos_angle) == spec
-    assert SsaSpec(side_a=spec.side_a, side_b=spec.side_b,
+    assert repr(spec) == (
+        "SsaSpec(backend=ExactBackend(), "
+        "_a=_Sqrt(sign=1, square=_Rational(2, 1)), _b=_Rational(3, 1), "
+        "_cos=_Rational(1, 2))")
+    assert SsaSpec(EXACT, spec.side_a, spec.side_b, spec.cos_angle) == spec
+    assert SsaSpec(EXACT, spec._a, spec._b, spec._cos) == spec
+    assert SsaSpec(backend=EXACT, side_a=spec.side_a, side_b=spec.side_b,
                    cos_angle=spec.cos_angle) == spec
-    e = HOLDERS["TriangleElements-payload"]()
+    e = HOLDERS["TriangleElements-measured"]()
     assert repr(e) == (
         "TriangleElements(backend=ExactBackend(), "
         "_sides=(_Rational(49, 1), _Rational(64, 1), _Rational(25, 1)), "
@@ -237,7 +253,8 @@ BAD_SPECS = [
 
 @pytest.mark.parametrize("backend", [FB, EXACT], ids=["float", "exact"])
 @pytest.mark.parametrize("a, b, c, error, message", BAD_SPECS)
-def test_both_spec_constructors_reject_alike(backend, a, b, c, error, message):
+def test_the_spec_rejects_scalars_and_numbers_alike(backend, a, b, c, error,
+                                                    message):
     other = EXACT if backend is FB else FB
 
     def value(v):
@@ -246,12 +263,21 @@ def test_both_spec_constructors_reject_alike(backend, a, b, c, error, message):
         return Fraction(v) if backend is EXACT else float(Fraction(v))
 
     values = [value(v) for v in (a, b, c)]
-    with pytest.raises(error, match=message) as public:
-        SsaSpec(*(v if hasattr(v, "_v") else backend.scalar(v)
-                  for v in values))
-    with pytest.raises(error, match=message) as payload:
-        SsaSpec.from_values(backend, *values)
-    assert str(public.value) == str(payload.value)
+    with pytest.raises(error, match=message) as scalars:
+        SsaSpec(backend, *(v if hasattr(v, "_v") else backend.scalar(v)
+                           for v in values))
+    with pytest.raises(error, match=message) as numbers:
+        SsaSpec(backend, *values)
+    assert str(scalars.value) == str(numbers.value)
+
+
+@pytest.mark.parametrize("backend", [FB, EXACT], ids=["float", "exact"])
+def test_point_rejects_a_scalar_of_another_backend(backend):
+    other = EXACT if backend is FB else FB
+    for x, y in ((other.scalar(1), 2), (1, other.scalar(2))):
+        with pytest.raises(BackendMismatchError, match="cannot mix"):
+            point(backend, x, y)
+    assert point(backend, backend.scalar(1), 2) == point(backend, 1, 2)
 
 
 def test_a_scalar_refuses_assignment_and_deletion():

@@ -39,6 +39,7 @@ from kernel_constructions import (
     signed_distance,
 )
 from planicheck import cli
+from planicheck.checks import balanced_parts
 from planicheck.kernel import (
     Triangle,
     angle_cos,
@@ -57,7 +58,6 @@ from planicheck.scenarios import (
     Scenario,
     UnknownScenarioError,
     _grid_rows,
-    _row_chunks,
     bisector30_residual,
     get_scenario,
     incenter_residual,
@@ -659,7 +659,7 @@ def boundary_marks(name, step, parts, **kwargs):
     sc = SCENARIOS[name]
     f = functools.partial(sc.residual, **kwargs)
     col, rows = _grid_rows(step, sc.max_angle)
-    chunks = _row_chunks(rows, parts)
+    chunks = balanced_parts(rows, [n for _, n in rows], parts)
     assert len(chunks) == parts
     marks = 0
     for chunk, following in pairwise(chunks):
@@ -704,8 +704,9 @@ def test_a_chunked_scan_equals_the_one_chunk_scan(monkeypatch, name, kwargs,
 @pytest.mark.parametrize("parts", [2, 3, 4])
 def test_the_chunks_meet_on_zero_nodes_and_flips_down(monkeypatch, parts):
     # at 1 degree, each scan above has chunks that meet on a row whose zero
-    # node or flip down is queued from the caller's walk of that row, whose
-    # roots the dedupe must order as one serial pass does
+    # node or flip down is queued by the chunk that ends there, whose walk
+    # of its last row against the next chunk's first row the dedupe must
+    # order as one serial pass does
     for name, sc in PLANTED.items():
         monkeypatch.setitem(SCENARIOS, name, sc)
     for name in SCENARIOS:
@@ -721,7 +722,7 @@ def test_a_chunked_scan_keeps_the_serial_root_of_each_key(monkeypatch,
     # edge down from the node above, which one serial pass queues first,
     # though another process queues the other edges
     _, rows = _grid_rows(STEP_1DEG, math.pi)
-    chunks = _row_chunks(rows, parts)
+    chunks = balanced_parts(rows, [n for _, n in rows], parts)
     nodes = [*((chunk[-1][0], 5 * STEP_1DEG) for chunk in chunks[:-1]),
              *((chunk[0][0], 10 * STEP_1DEG) for chunk in chunks[1:])]
 
@@ -746,7 +747,8 @@ def test_a_chunked_scan_keeps_the_serial_root_of_each_key(monkeypatch,
 def test_a_failing_worker_raises_its_error_here_and_leaves_no_child(
         monkeypatch, capfd):
     _, rows = _grid_rows(STEP_1DEG, math.pi)
-    first_alpha, last_alpha = _row_chunks(rows, 2)[1][0][0], rows[-1][0]
+    first_alpha = balanced_parts(rows, [n for _, n in rows], 2)[1][0][0]
+    last_alpha = rows[-1][0]
 
     def failing_residual(alpha, beta):
         if alpha >= first_alpha:   # a grid row of the second chunk

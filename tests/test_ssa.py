@@ -19,7 +19,6 @@ from planicheck.congruence import Correspondence, measure
 from planicheck.kernel import (
     LABELS,
     Isometry,
-    Point,
     Triangle,
     collinear,
     coord_scale,
@@ -55,7 +54,7 @@ IDENT = Correspondence(LABELS)
 
 
 def float_spec(a, b, theta_deg):
-    return SsaSpec.from_values(FB, a, b, math.cos(math.radians(theta_deg)))
+    return SsaSpec(FB, a, b, math.cos(math.radians(theta_deg)))
 
 
 def deg(cos_scalar):
@@ -132,14 +131,14 @@ def test_ssa_spec_validation():
         for values in [(-1, 2, Fraction(1, 2)), (1, 0, Fraction(1, 2)),
                        (0, 1, 0), (1, 2, 1), (1, 2, -1), (1, 2, Fraction(3, 2))]:
             with pytest.raises(DegenerateInputError):
-                SsaSpec.from_values(backend, *values)
+                SsaSpec(backend, *values)
 
 
 def test_ssa_spec_is_a_value():
-    spec = SsaSpec.from_values(EXACT, 4, 5, Fraction(3, 5))
-    same = SsaSpec(EXACT.scalar(4), EXACT.scalar(5), EXACT.scalar("3/5"))
+    spec = SsaSpec(EXACT, 4, 5, Fraction(3, 5))
+    same = SsaSpec(EXACT, EXACT.scalar(4), EXACT.scalar(5), EXACT.scalar("3/5"))
     assert spec == same and hash(spec) == hash(same)
-    assert spec != SsaSpec.from_values(EXACT, 5, 4, Fraction(3, 5))
+    assert spec != SsaSpec(EXACT, 5, 4, Fraction(3, 5))
     assert (spec.side_a, spec.side_b, spec.cos_angle) == tuple(
         EXACT.scalar(v) for v in (4, 5, Fraction(3, 5)))
     with pytest.raises(AttributeError):
@@ -156,7 +155,7 @@ def test_predict_case():
 
 def test_exact_rational_two_solution_spec():
     # t^2 - 6t + 8 = 0: third sides 2 and 4 for b=5, cos=3/5, a=sqrt(17)
-    spec = SsaSpec(EXACT.scalar(17).sqrt(), EXACT.scalar(5),
+    spec = SsaSpec(EXACT, EXACT.scalar(17).sqrt(), EXACT.scalar(5),
                    EXACT.scalar(Fraction(3, 5)))
     tris = solve_ssa(spec)
     assert len(tris) == 2
@@ -186,8 +185,8 @@ RATIONAL_REGIMES = {
 @pytest.mark.parametrize("regime", sorted(RATIONAL_REGIMES))
 def test_exact_and_float_solutions_agree(regime):
     a, b, cos, count = RATIONAL_REGIMES[regime]
-    exact = solve_ssa(SsaSpec.from_values(EXACT, a, b, cos))
-    approx = solve_ssa(SsaSpec.from_values(FB, float(a), float(b), float(cos)))
+    exact = solve_ssa(SsaSpec(EXACT, a, b, cos))
+    approx = solve_ssa(SsaSpec(FB, float(a), float(b), float(cos)))
     assert len(exact) == len(approx) == count
     for e, f in zip(exact, approx):
         assert floats(*elements(e)) == pytest.approx(floats(*elements(f)),
@@ -198,7 +197,7 @@ def test_textbook_pair_is_supplementary_with_exact_cosines():
     # third sides 3 and 5 at a 60 deg angle: the sine and the apex heights
     # are radicals, and the payload arithmetic represents every value the
     # solve and the classification need
-    tris = solve_ssa(SsaSpec.from_values(EXACT, 7, 8, Fraction(1, 2)))
+    tris = solve_ssa(SsaSpec(EXACT, 7, 8, Fraction(1, 2)))
     assert [elements(t)[0].exact_value() for t in tris] == [3, 5]
     verdict = classify_pair(*tris)
     assert isinstance(verdict, Supplementary)
@@ -209,7 +208,7 @@ def test_textbook_pair_is_supplementary_with_exact_cosines():
     # radical payload cannot add
     t1, t2 = tris
     t_abc = Triangle(t1.C, t1.A, t1.B)
-    t_abd = Triangle(t1.C, t1.A, kernel.Point(t2.B.x, -t2.B.y))
+    t_abd = Triangle(t1.C, t1.A, point(EXACT, t2.B.x, t2.B.y * -1))
     with pytest.raises(ExactValueError,
                        match="sum of distinct radicals is not representable"):
         lemma_common_side_check(t_abc, t_abd)
@@ -450,7 +449,9 @@ def test_two_backends_never_meet(first, second):
     with pytest.raises(BackendMismatchError):
         lemma_common_side_check(t1, t2)
     with pytest.raises(BackendMismatchError):
-        SsaSpec(first.scalar(3), second.scalar(4), second.scalar(0))
+        SsaSpec(first, first.scalar(3), second.scalar(4), second.scalar(0))
+    with pytest.raises(BackendMismatchError):
+        SsaSpec(second, first.scalar(3), second.scalar(4), second.scalar(0))
 
 
 def test_solve_ssa_overflow_is_a_degenerate_input():
@@ -462,7 +463,7 @@ def test_exact_solve_ssa_takes_sides_beyond_binary64():
     # the exact backend sizes its tolerances without converting a side,
     # so the 5-5 spec with cos 3/5 solves at 5 * 10**400 as it does at 5
     for n in (5, 5 * 10**400):
-        spec = SsaSpec(EXACT.scalar(n), EXACT.scalar(n),
+        spec = SsaSpec(EXACT, EXACT.scalar(n), EXACT.scalar(n),
                        EXACT.scalar(Fraction(3, 5)))
         tris = solve_ssa(spec)
         assert len(tris) == 1
@@ -506,11 +507,11 @@ def test_to_common_side_moves_a_radical_side_exactly():
     # B = (3/2, sqrt(27/4)), at 60 deg, so the rotation that places the
     # triangle opposite divides radicals; C = (8, 0) reflects to
     # (-4, sqrt(48))
-    t1 = solve_ssa(SsaSpec.from_values(EXACT, 7, 8, Fraction(1, 2)))[0]
+    t1 = solve_ssa(SsaSpec(EXACT, 7, 8, Fraction(1, 2)))[0]
     _, moved, g = to_common_side(t1, t1, IDENT, "C", "opposite")
     assert g.mirror
     assert moved.A.eq(t1.A) and moved.B.eq(t1.B)
-    assert moved.C.eq(Point(EXACT.scalar(-4), EXACT.scalar(48).sqrt()))
+    assert moved.C.eq(point(EXACT, -4, EXACT.scalar(48).sqrt()))
 
 
 def test_to_common_side_mirrors_a_thin_float_triangle():
@@ -573,7 +574,7 @@ def trust_table(rng, size=2400):
             cos_t = rng.choice((-1, 1)) * (1.0 - 10 ** rng.uniform(-8.5, -6.0))
             a = 10 ** rng.uniform(-3.0, 6.0)
         if 1e-3 <= a <= 1e6:
-            specs.append(SsaSpec.from_values(FB, a, b, cos_t))
+            specs.append(SsaSpec(FB, a, b, cos_t))
     return specs
 
 
@@ -633,8 +634,8 @@ def exact_radical_table():
             b = (t1 + t2) / (2 * c)
             a2 = b * b - t1 * t2
             if b > 0 and a2 > 0:
-                spec = SsaSpec(EXACT.scalar(a2).sqrt(), EXACT.scalar(b),
-                               EXACT.scalar(c))
+                spec = SsaSpec(EXACT, EXACT.scalar(a2).sqrt(),
+                               EXACT.scalar(b), EXACT.scalar(c))
                 table.append((spec, [t for t in (t1, t2) if t > 0]))
     return table
 
@@ -693,7 +694,7 @@ def test_solve_ssa_builds_no_scalar(monkeypatch, backend, values, kept):
     # the solver's points hold payloads, the shared zero of the base and the
     # apex coordinates among them; measure reads a solution's sides and
     # angles, so a kept triangle costs no Scalar
-    spec = SsaSpec.from_values(backend, *values)
+    spec = SsaSpec(backend, *values)
     built = []
     init = Scalar.__init__
 

@@ -273,6 +273,7 @@ def cmd_scenario(args) -> Outcome:
     kwargs = {}
     if args.name == "rectangle-center":
         # an out-of-range height raises from the scan's first residual
+        # call, on the first grid row, before any node is evaluated
         kwargs["t"] = 0.5 if args.rect_t is None else args.rect_t
     elif args.rect_t is not None:
         raise UsageError("--rect-t only applies to rectangle-center")

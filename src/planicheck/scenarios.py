@@ -3,11 +3,17 @@
 A triangle shape is the pair of base angles (alpha at A, beta at B) with the
 base AB frozen to length 1, which quotients out similarity.  Each scenario
 defines a signed hypothesis residual over shape space whose zero set is the
-hypothesis locus of one classical statement.  Each residual is
-straight-line binary64 code on the base A = (0, 0), B = (1, 0) and the apex
-C; the residuals share only ``_apex`` and ``bisector_feet``.  The spot
-checks measure angles with ``rawgeom.angle_at``, the raw-float helper the
-SSA oracle of ``suites`` shares, so this module imports no SSA layer and
+hypothesis locus of one classical statement.  Each residual is a row
+function: one call takes an alpha and a list of betas and returns the
+residual at each node, computing the row's trigonometry of alpha once, and
+a single node is a row of one.  Along the row it is straight-line binary64
+code on the base A = (0, 0), B = (1, 0) and the apex C, with the apex, and
+the bisector feet where a residual reads them, written out in its loop; only
+the square and the rectangle share one loop, ``_center_offsets``.
+``bisector_feet`` is the single-node copy of the feet that the bisector-30
+spot checks read.  The spot checks measure angles with
+``rawgeom.angle_at``, the raw-float helper the SSA oracle of ``suites``
+shares, so this module imports no SSA layer and
 ``suites`` imports no scenario layer.
 
 Each conclusion branch is declared once, as a ``Branch``: a line in (alpha,
@@ -18,7 +24,7 @@ their lengths, found with a pointer that only moves down.  It hands the
 row indices, weighted by node count, to ``checks.run_parts``, which runs
 the ``verify`` battery too: that cuts them into one contiguous chunk per
 usable CPU and scans each chunk after the first in a forked worker.  A
-chunk's pass evaluates a row in one comprehension and walks two rows at a
+chunk's pass evaluates a row in one residual call and walks two rows at a
 time, its last row against the next chunk's first, visiting only the nodes
 that hold an exact zero or a sign change, then bisects each queued change.
 The chunks' queues make the queue of one serial pass, so the calling
@@ -117,29 +123,32 @@ ALPHA_120 = Branch("alpha-120", 0.0, 2 * math.pi / 3, (0.5, 59.5))
 
 # -- residuals --------------------------------------------------------------
 #
-# Each residual is straight-line binary64 code on A = (0, 0), B = (1, 0) and
-# the apex C.  Terms of the fixed base are folded (x + 0.0, 1.0 * x and the
-# like are dropped), which changes no nonzero value; every other operation is
-# the one the construction makes, in its order, so the residuals agree bit for
-# bit with the figure compositions that ``tests/kernel_constructions.py``
-# keeps as their reference.  So a square stays ``x ** 2`` or ``x * x`` as
-# written there: pow's last bit differs from ``x * x`` for about one double
-# in 1,100 (879 of 10**6 drawn uniformly from [-2, 2] with seed 1).
-
-def _apex(alpha: float, beta: float) -> Tuple[float, float]:
-    # C for A=(0,0), B=(1,0); robust across right angles via the sine form
-    g = math.pi - alpha - beta
-    sg = math.sin(g)
-    sb = math.sin(beta)
-    return (sb * math.cos(alpha) / sg, sb * math.sin(alpha) / sg)
-
+# Each residual is a row function: it takes one alpha and a list of betas and
+# returns the residual at each node (alpha, beta) in order, and a node is a
+# row of one.  Along the row it is straight-line binary64 code on A = (0, 0),
+# B = (1, 0) and the apex C = sin(beta) (cos(alpha), sin(alpha)) / sin(gamma),
+# the sine form, which holds across right angles.  cos(alpha), sin(alpha) and
+# pi - alpha are taken once per row; (pi - alpha) - beta is what
+# pi - alpha - beta evaluates.  The apex, and the bisector feet where a
+# residual reads them, are written out in each loop: a call per node costs
+# more than the arithmetic it would share.  Terms of the fixed base are
+# folded (x + 0.0, 1.0 * x and the like are dropped), which changes no
+# nonzero value; every other operation is the one the construction makes, in
+# its order, so the residuals agree bit for bit with the figure compositions
+# that ``tests/kernel_constructions.py`` keeps as their reference.  So a
+# square stays ``x ** 2`` or ``x * x`` as written there: pow's last bit
+# differs from ``x * x`` for about one double in 1,100 (879 of 10**6 drawn
+# uniformly from [-2, 2] with seed 1).
 
 def bisector_feet(alpha: float, beta: float) -> Tuple[float, ...]:
     """C = (cx, cy), the sides a = BC and b = CA, and the feet A1 = (a1x,
     a1y) on BC and B1 = (b1x, b1y) on CA of the bisectors from A and B, as
     the flat tuple (cx, cy, a, b, a1x, a1y, b1x, b1y).  Each foot divides
     its side in the ratio of the adjacent sides (AB = 1)."""
-    cx, cy = _apex(alpha, beta)
+    sg = math.sin(math.pi - alpha - beta)
+    sb = math.sin(beta)
+    cx = sb * math.cos(alpha) / sg
+    cy = sb * math.sin(alpha) / sg
     a = math.sqrt((1.0 - cx) ** 2 + (0.0 - cy) ** 2)
     b = math.sqrt((0.0 - cx) ** 2 + (0.0 - cy) ** 2)
     s_a = 1.0 / (b + 1.0)
@@ -147,97 +156,141 @@ def bisector_feet(alpha: float, beta: float) -> Tuple[float, ...]:
     return cx, cy, a, b, 1.0 + (cx - 1.0) * s_a, cy * s_a, cx * s_b, cy * s_b
 
 
-def medial_residual(alpha: float, beta: float) -> float:
+def medial_residual(alpha: float, betas: List[float]) -> List[float]:
     """Signed distance from the medial-triangle circumcenter to the internal
     bisector at C; positive on the side containing A."""
-    cx, cy = _apex(alpha, beta)
-    # midpoints F of BC and D of CA share the height cy/2, so the terms of
-    # their height difference drop out; E = (1/2, 0)
-    fx = (1.0 + cx) / 2
-    dx = cx / 2
-    hy = cy / 2
-    # G, the circumcenter of FDE (the nine-point center)
-    den = 2.0 * ((dx - fx) * (0.0 - hy))
-    ff = fx * fx + hy * hy
-    dd = dx * dx + hy * hy
-    gx = (ff * hy + dd * (0.0 - hy)) / den
-    gy = (ff * (0.5 - dx) + dd * (fx - 0.5) + 0.25 * (dx - fx)) / den
-    # unit normal of the bisector at C, turned toward A
-    ax, ay = 0.0 - cx, 0.0 - cy
-    lp = math.sqrt(cx ** 2 + cy ** 2)
-    lq = math.sqrt((cx - 1.0) ** 2 + cy ** 2)
-    ux = ax / lp + (1.0 - cx) / lq
-    uy = ay / lp + ay / lq
-    n = math.hypot(ux, uy)
-    nx, ny = -uy / n, ux / n
-    if nx * ax + ny * ay < 0:
-        nx, ny = -nx, -ny
-    return nx * (gx - cx) + ny * (gy - cy)
+    top, ca, sa = math.pi - alpha, math.cos(alpha), math.sin(alpha)
+    out = []
+    for beta in betas:
+        sg = math.sin(top - beta)
+        sb = math.sin(beta)
+        cx = sb * ca / sg
+        cy = sb * sa / sg
+        # midpoints F of BC and D of CA share the height cy/2, so the terms
+        # of their height difference drop out; E = (1/2, 0)
+        fx = (1.0 + cx) / 2
+        dx = cx / 2
+        hy = cy / 2
+        # G, the circumcenter of FDE (the nine-point center)
+        den = 2.0 * ((dx - fx) * (0.0 - hy))
+        ff = fx * fx + hy * hy
+        dd = dx * dx + hy * hy
+        gx = (ff * hy + dd * (0.0 - hy)) / den
+        gy = (ff * (0.5 - dx) + dd * (fx - 0.5) + 0.25 * (dx - fx)) / den
+        # unit normal of the bisector at C, turned toward A
+        ax, ay = 0.0 - cx, 0.0 - cy
+        lp = math.sqrt(cx ** 2 + cy ** 2)
+        lq = math.sqrt((cx - 1.0) ** 2 + cy ** 2)
+        ux = ax / lp + (1.0 - cx) / lq
+        uy = ay / lp + ay / lq
+        n = math.hypot(ux, uy)
+        nx, ny = -uy / n, ux / n
+        if nx * ax + ny * ay < 0:
+            nx, ny = -nx, -ny
+        out.append(nx * (gx - cx) + ny * (gy - cy))
+    return out
 
 
-def incenter_residual(alpha: float, beta: float) -> float:
-    """JA1^2 - JB1^2 for the incenter J and the bisector feet from A and B."""
-    cx, cy, a, b, a1x, a1y, b1x, b1y = bisector_feet(alpha, beta)
-    p = a + b + 1.0
-    jx = (b + cx) / p
-    jy = cy / p
-    return ((jx - a1x) ** 2 + (jy - a1y) ** 2) \
-        - ((jx - b1x) ** 2 + (jy - b1y) ** 2)
+def incenter_residual(alpha: float, betas: List[float]) -> List[float]:
+    """JA1^2 - JB1^2 for the incenter J and the bisector feet A1, B1 from A
+    and B (as in ``bisector_feet``)."""
+    top, ca, sa = math.pi - alpha, math.cos(alpha), math.sin(alpha)
+    out = []
+    for beta in betas:
+        sg = math.sin(top - beta)
+        sb = math.sin(beta)
+        cx = sb * ca / sg
+        cy = sb * sa / sg
+        a = math.sqrt((1.0 - cx) ** 2 + (0.0 - cy) ** 2)
+        b = math.sqrt((0.0 - cx) ** 2 + (0.0 - cy) ** 2)
+        s_a = 1.0 / (b + 1.0)
+        s_b = 1.0 / (a + 1.0)
+        a1x, a1y = 1.0 + (cx - 1.0) * s_a, cy * s_a
+        b1x, b1y = cx * s_b, cy * s_b
+        p = a + b + 1.0
+        jx = (b + cx) / p
+        jy = cy / p
+        out.append(((jx - a1x) ** 2 + (jy - a1y) ** 2)
+                   - ((jx - b1x) ** 2 + (jy - b1y) ** 2))
+    return out
 
 
-def _center_offset(alpha, beta, t):
-    """cos(angle ACO) - cos(angle BCO) for the center O of the rectangle
-    MNPQ on AB of height fraction t over the altitude h from C.  ``t=None``
-    is the inscribed square: its side is s = h/(1+h) for base 1, so
-    t = s/h = 1/(1+h)."""
-    if not (alpha <= _RIGHT_ANGLE and beta <= _RIGHT_ANGLE):
-        raise FeetOffSegmentError(
-            "inscribed square/rectangle needs alpha, beta <= 90 deg "
-            "(feet would leave segment AB)")
-    cx, h = _apex(alpha, beta)
-    if t is None:
-        t = 1.0 / (1.0 + h)
-    # O is the midpoint of Q = (t cx, t h) and P = (1 - t (1 - cx), t h)
-    wx = (t * cx + (1.0 - t * (1.0 - cx))) / 2 - cx
-    wy = t * h / 2 - h
-    ww = wx * wx + wy * wy
-    # CA = (ax, ay) and CB = (bx, ay)
-    ax, ay = 0.0 - cx, 0.0 - h
-    bx = 1.0 - cx
-    return ((ax * wx + ay * wy) / math.sqrt((ax * ax + ay * ay) * ww)
-            - (bx * wx + ay * wy) / math.sqrt((bx * bx + ay * ay) * ww))
+def _center_offsets(alpha, betas, t):
+    """cos(angle ACO) - cos(angle BCO) along the row, for the center O of
+    the rectangle MNPQ on AB of height fraction t over the altitude h from
+    C.  ``t=None`` is the inscribed square: its side is s = h/(1+h) for base
+    1, so t = s/h = 1/(1+h)."""
+    top, ca, sa = math.pi - alpha, math.cos(alpha), math.sin(alpha)
+    out = []
+    for beta in betas:
+        if not (alpha <= _RIGHT_ANGLE and beta <= _RIGHT_ANGLE):
+            raise FeetOffSegmentError(
+                "inscribed square/rectangle needs alpha, beta <= 90 deg "
+                "(feet would leave segment AB)")
+        sg = math.sin(top - beta)
+        sb = math.sin(beta)
+        cx = sb * ca / sg
+        h = sb * sa / sg
+        s = 1.0 / (1.0 + h) if t is None else t
+        # O is the midpoint of Q = (s cx, s h) and P = (1 - s (1 - cx), s h)
+        wx = (s * cx + (1.0 - s * (1.0 - cx))) / 2 - cx
+        wy = s * h / 2 - h
+        ww = wx * wx + wy * wy
+        # CA = (ax, ay) and CB = (bx, ay)
+        ax, ay = 0.0 - cx, 0.0 - h
+        bx = 1.0 - cx
+        out.append((ax * wx + ay * wy) / math.sqrt((ax * ax + ay * ay) * ww)
+                   - (bx * wx + ay * wy) / math.sqrt((bx * bx + ay * ay) * ww))
+    return out
 
 
-def square_residual(alpha: float, beta: float) -> float:
+def square_residual(alpha: float, betas: List[float]) -> List[float]:
     """cos(angle ACO) - cos(angle BCO) for the inscribed-square center O."""
-    return _center_offset(alpha, beta, None)
+    return _center_offsets(alpha, betas, None)
 
 
-def rectangle_residual(alpha: float, beta: float, t: float = 0.5) -> float:
+def rectangle_residual(alpha: float, betas: List[float],
+                       t: float = 0.5) -> List[float]:
     """Same residual for the inscribed rectangle of height fraction t."""
     if not 0.0 < t < 1.0:
         raise DegenerateInputError("height fraction t must lie in (0, 1)")
-    return _center_offset(alpha, beta, t)
+    return _center_offsets(alpha, betas, t)
 
 
-def bisector30_residual(alpha: float, beta: float) -> float:
-    """cos(angle B B1 A1) - cos(30 deg) for the bisector feet A1, B1."""
-    _, _, _, _, a1x, a1y, b1x, b1y = bisector_feet(alpha, beta)
-    ux, uy = 1.0 - b1x, 0.0 - b1y
-    wx, wy = a1x - b1x, a1y - b1y
-    return ((ux * wx + uy * wy)
-            / math.sqrt((ux * ux + uy * uy) * (wx * wx + wy * wy)) - _COS_30)
+def bisector30_residual(alpha: float, betas: List[float]) -> List[float]:
+    """cos(angle B B1 A1) - cos(30 deg) for the bisector feet A1, B1 (as in
+    ``bisector_feet``)."""
+    top, ca, sa = math.pi - alpha, math.cos(alpha), math.sin(alpha)
+    out = []
+    for beta in betas:
+        sg = math.sin(top - beta)
+        sb = math.sin(beta)
+        cx = sb * ca / sg
+        cy = sb * sa / sg
+        a = math.sqrt((1.0 - cx) ** 2 + (0.0 - cy) ** 2)
+        b = math.sqrt((0.0 - cx) ** 2 + (0.0 - cy) ** 2)
+        s_a = 1.0 / (b + 1.0)
+        s_b = 1.0 / (a + 1.0)
+        a1x, a1y = 1.0 + (cx - 1.0) * s_a, cy * s_a
+        b1x, b1y = cx * s_b, cy * s_b
+        ux, uy = 1.0 - b1x, 0.0 - b1y
+        wx, wy = a1x - b1x, a1y - b1y
+        out.append((ux * wx + uy * wy)
+                   / math.sqrt((ux * ux + uy * uy) * (wx * wx + wy * wy))
+                   - _COS_30)
+    return out
 
 
 # -- registry and scanning ----------------------------------------------------
 
 @dataclass(frozen=True)
 class Scenario:
-    """``name``, the ``residual`` over (alpha, beta), the ``branches`` that
-    hold its roots, whether that containment is ``asserted``, and
-    ``max_angle``, the scan's bound on both base angles (radians)."""
+    """``name``, the ``residual``, a row function over (alpha, [beta, ...]),
+    the ``branches`` that hold its roots, whether that containment is
+    ``asserted``, and ``max_angle``, the scan's bound on both base angles
+    (radians)."""
     name: str
-    residual: Callable[..., float]
+    residual: Callable[..., List[float]]
     branches: Tuple[Branch, ...]
     asserted: bool = True
     max_angle: float = math.pi
@@ -310,24 +363,25 @@ def level_set_scan(name: str, grid_step: float, refine_tol: float = 1e-12,
 
     The grid holds the nodes (i, j) * ``grid_step`` with alpha, beta <= the
     scenario's ``max_angle`` and gamma above the floor; with none, it raises
-    ``DegenerateInputError``.  Each node is zero, negative, or
-    positive-or-NaN, and the walk visits only the nodes that hold an exact
-    zero or a sign change.  ``checks.run_parts`` cuts the rows into one
-    contiguous chunk per usable CPU, balanced by node count, and scans each
-    chunk after the first in a forked worker while this process scans the
-    first.  A chunk's pass keeps two rows alive and walks each of its rows
-    against the next, its last row against the next chunk's first, which it
-    evaluates but does not count; then it bisects what the walk queued.  So
-    the chunks' queues, in order, are the queue of one serial pass, the
-    roots are deduped in its order, and the report is the one-process report
-    bit for bit (``taskset -c 0`` runs that one process).  ``evaluations``
-    counts the residual calls of the one-process scan: the row that each
-    chunk after the first shares with the chunk before it is counted once,
-    though both evaluate it.  A worker that fails has its chunk rerun here,
-    which raises its error.  Every refined root is
-    attributed to the nearest conclusion branch within ``delta`` (ties go
-    to the isosceles branch first); roots matching no branch are violations
-    of containment.
+    ``DegenerateInputError``.  The residual is called once per grid row and
+    once per bisection midpoint, as a row of one.  Each node is zero,
+    negative, or positive-or-NaN, and the walk visits only the nodes that
+    hold an exact zero or a sign change.  ``checks.run_parts`` cuts the rows
+    into one contiguous chunk per usable CPU, balanced by node count, and
+    scans each chunk after the first in a forked worker while this process
+    scans the first.  A chunk's pass keeps two rows alive and walks each of
+    its rows against the next, its last row against the next chunk's first,
+    which it evaluates but does not count; then it bisects what the walk
+    queued.  So the chunks' queues, in order, are the queue of one serial
+    pass, the roots are deduped in its order, and the report is the
+    one-process report bit for bit (``taskset -c 0`` runs that one process).
+    ``evaluations`` counts the nodes that the one-process scan evaluates:
+    the row that each chunk after the first shares with the chunk before it
+    is counted once, though both evaluate it.  A worker that fails has its
+    chunk rerun here, which raises its error.  Every refined root is
+    attributed to the nearest conclusion branch within ``delta`` (ties go to
+    the isosceles branch first); roots matching no branch are violations of
+    containment.
     """
     sc = get_scenario(name)
     h = grid_step
@@ -369,8 +423,8 @@ def level_set_scan(name: str, grid_step: float, refine_tol: float = 1e-12,
         return queue
 
     def refine(queue):
-        # the root of each queued edge, in order, and the residual calls
-        # made.  A zero node is its own root.  An edge is bisected past
+        # the root of each queued edge, in order, and the midpoints
+        # evaluated.  A zero node is its own root.  An edge is bisected past
         # |f| <= tol until the bracket is tight, else a root at a
         # tangency/branch crossing is localized no better than sqrt(tol); lo
         # keeps the sign of flo, and the first midpoint is the best so far
@@ -384,7 +438,7 @@ def level_set_scan(name: str, grid_step: float, refine_tol: float = 1e-12,
             span = math.hypot(dx, dy)
             lo, hi, mid = 0.0, 1.0, 0.5
             ma, mb = ax + dx * mid, ay + dy * mid
-            fm = f(ma, mb)
+            fm = f(ma, [mb])[0]
             best, least, calls = (ma, mb, fm), abs(fm), 1
             while calls < 90 and hi - lo >= 1e-16 and not (
                     abs(fm) <= refine_tol and (hi - lo) * span <= 1e-10):
@@ -394,7 +448,7 @@ def level_set_scan(name: str, grid_step: float, refine_tol: float = 1e-12,
                     hi = mid
                 mid = (lo + hi) / 2
                 ma, mb = ax + dx * mid, ay + dy * mid
-                fm = f(ma, mb)
+                fm = f(ma, [mb])[0]
                 calls += 1
                 if abs(fm) < least:
                     best, least = (ma, mb, fm), abs(fm)
@@ -410,7 +464,7 @@ def level_set_scan(name: str, grid_step: float, refine_tol: float = 1e-12,
         if os.getpid() != owner != os.getppid():
             os._exit(1)
         a, n = rows[i]
-        row = [f(a, b) for b in col[:n]]
+        row = f(a, col[:n])
         return a, row, bytes([2 if v < 0.0 else 6 if v != 0.0 else 1
                               for v in row])
 
@@ -418,8 +472,8 @@ def level_set_scan(name: str, grid_step: float, refine_tol: float = 1e-12,
         # the rows of chunk, a range of row indices, each walked against the
         # next, and the queue bisected after the last, so that a process's
         # grid calls come before its bisection calls, in increasing (alpha,
-        # beta) (the benchmark's tracer splits them so); returns the roots
-        # in queue order and the residual calls, not counting the next
+        # betas) (the benchmark's tracer splits them so); returns the roots
+        # in queue order and the nodes evaluated, not counting the next
         # chunk's first row
         queue, evaluations = [], 0
         above = evaluate(chunk[0])
@@ -466,7 +520,7 @@ def suite_forward(scenario: Scenario, branch: Branch, samples: int,
         alpha, beta = branch.point(math.radians(rng.uniform(*branch.free_deg)))
         witness.update(alpha_deg=math.degrees(alpha),
                        beta_deg=math.degrees(beta))
-        resid = abs(scenario.residual(alpha, beta, **scenario_kwargs))
+        resid = abs(scenario.residual(alpha, [beta], **scenario_kwargs)[0])
         return resid, ({"residual": resid} if resid > TOL else None)
 
     return run_check(f"forward-{branch.name}", samples, sample)

@@ -2,13 +2,16 @@
 
 ``reference_scan`` holds every grid value until the grid pass ends, then
 walks the stored rows for exact zeros and sign changes, bisecting each as
-the walk meets it, all in one process.  ``planicheck.scenarios.level_set_scan``
-must return the same report and, cut into one chunk (one usable CPU, as
-under ``taskset -c 0``), call the residual with the same arguments in the
-same order; ``tests/test_scenarios.py`` compares the two.  With more chunks
-the scan keeps two rows alive per chunk and the workers' residual calls are
-made in other processes, so those tests pin one chunk and compare the
-chunked scan with the one-chunk scan instead.
+the walk meets it, all in one process.  It calls the registered residual, a
+row function, once per node, as a row of one.
+``planicheck.scenarios.level_set_scan`` must return the same report and,
+cut into one chunk (one usable CPU, as under ``taskset -c 0``), evaluate
+the same nodes in the same order: its calls, one per grid row and one per
+bisection midpoint, flattened into their (alpha, beta) nodes, must give the
+reference's sequence of calls; ``tests/test_scenarios.py`` compares the
+two.  With more chunks the scan keeps two rows alive per chunk and the
+workers' residual calls are made in other processes, so those tests pin one
+chunk and compare the chunked scan with the one-chunk scan instead.
 """
 
 import functools
@@ -49,7 +52,7 @@ def reference_scan(name: str, grid_step: float, refine_tol: float = 1e-12,
             b = j * h
             if top - b < _GAMMA_FLOOR:
                 break
-            row.append(f(a, b) if a <= bound and b <= bound else None)
+            row.append(f(a, [b])[0] if a <= bound and b <= bound else None)
         evaluations += len(row) - row.count(None)
         rows.append(row)
     if not evaluations:
@@ -72,7 +75,7 @@ def reference_scan(name: str, grid_step: float, refine_tol: float = 1e-12,
         for _ in range(90):
             mid = (lo + hi) / 2
             ma, mb = ax + (bx - ax) * mid, ay + (by - ay) * mid
-            fm = f(ma, mb)
+            fm = f(ma, [mb])[0]
             evaluations += 1
             if best is None or abs(fm) < abs(best[2]):
                 best = (ma, mb, fm)

@@ -1,9 +1,13 @@
 """Shape-space scenarios: residuals, figure audits, and level-set scans.
 
-Each residual is straight-line binary64 code.  ``kernel_constructions``
-keeps the figure compositions it was written from: the labelled points of
-each scenario figure, and each residual composed from them.  The residuals
-must equal those compositions bit for bit, and the compositions' figures are
+Each residual is a row function of straight-line binary64 code: one alpha
+and a list of betas in, one value per node out.  The tests read one node as
+a row of one (``node``), and the residuals they plant, written over one
+node, go into the registry through ``row_function``.
+``kernel_constructions`` keeps the figure compositions the residuals were
+written from: the labelled points of each scenario figure, and each
+residual composed from them.  The residuals must equal those compositions
+bit for bit, row by row and node by node, and the compositions' figures are
 audited with constructions on the geometry kernel and incidence tests of the
 public kernel API, never with code of ``planicheck.scenarios`` itself.  The
 scan tests also hold the scan to the call order that the benchmark's tracer
@@ -59,6 +63,7 @@ from planicheck.scenarios import (
     UnknownScenarioError,
     _grid_rows,
     bisector30_residual,
+    bisector_feet,
     get_scenario,
     incenter_residual,
     level_set_scan,
@@ -75,6 +80,19 @@ FB = FloatBackend()
 
 def shape(alpha_deg, beta_deg):
     return math.radians(alpha_deg), math.radians(beta_deg)
+
+
+def node(residual, alpha, beta, *args):
+    """A row residual's value at one node: its row of one."""
+    return residual(alpha, [beta], *args)[0]
+
+
+def row_function(node_residual):
+    """The row residual, as the registry holds it, of a residual written
+    over one node."""
+    def residual(alpha, betas):
+        return [node_residual(alpha, beta) for beta in betas]
+    return residual
 
 
 def angle_at(v, p, q):
@@ -125,7 +143,7 @@ def test_traces_match_kernel_constructions():
         assert gap(g_kernel, g) < 1e-9
         bisector_c = internal_bisector_line(t, "C")
         assert abs(abs(signed_distance(bisector_c, g_kernel).as_float())
-                   - abs(medial_residual(alpha, beta))) < 1e-9
+                   - abs(node(medial_residual, alpha, beta))) < 1e-9
 
         a_pt, b_pt, c_pt, j, foot_a, foot_b = incenter_figure(alpha, beta)
         assert gap(t.C, c_pt) == 0.0
@@ -135,10 +153,10 @@ def test_traces_match_kernel_constructions():
         assert gap(feet.foot_b, foot_b) < 1e-9
         assert abs((squared_distance(feet.incenter, feet.foot_a)
                     - squared_distance(feet.incenter, feet.foot_b)).as_float()
-                   - incenter_residual(alpha, beta)) < 1e-9
+                   - node(incenter_residual, alpha, beta)) < 1e-9
         cos_b1 = angle_cos(feet.foot_b, t.B, feet.foot_a).as_float()
         assert abs(cos_b1 - math.cos(math.pi / 6)
-                   - bisector30_residual(alpha, beta)) < 1e-9
+                   - node(bisector30_residual, alpha, beta)) < 1e-9
 
 
 # -- straight-line residuals against their reference compositions -------------
@@ -168,37 +186,63 @@ def guard_inputs():
 @pytest.mark.parametrize("name", sorted(RESIDUALS))
 def test_residuals_equal_their_reference_compositions_bit_for_bit(name):
     # the pinned bodies round to 12 digits, so only == sees a reordered
-    # operation; out-of-domain inputs must raise the same error
+    # operation.  Each row of the scan's 1 degree grid, continued past the
+    # square domain, equals the reference node by node or raises what its
+    # first raising node raises; a row of one through each guard input gives
+    # that node's value, or raises its error and message
     fn, ref = RESIDUALS[name], REFERENCE_RESIDUALS[name]
     heights = ((), (0.25,), (0.5,), (0.9,)) if name == "rectangle-center" \
         else ((),)
+    col, rows = _grid_rows(STEP_1DEG, math.pi)
     raised = 0
-    for alpha, beta in guard_inputs():
-        for extra in heights:
+    for extra in heights:
+        for alpha, n in rows:
+            want = [outcome(ref, alpha, beta, *extra) for beta in col[:n]]
+            errors = [w for w in want if isinstance(w, tuple)]
+            got = outcome(fn, alpha, col[:n], *extra)
+            assert got == (errors[0] if errors else want), (name, alpha, extra)
+        for alpha, beta in guard_inputs():
             want = outcome(ref, alpha, beta, *extra)
-            got = outcome(fn, alpha, beta, *extra)
+            got = outcome(node, fn, alpha, beta, *extra)
             assert got == want, (name, alpha, beta, extra)
             raised += isinstance(want, tuple)
     if name in ("square-center", "rectangle-center"):
         assert raised > 0  # the grid reaches past the square domain
     for t in (0.0, 1.0, 1.5):
         if name == "rectangle-center":
-            assert outcome(fn, 0.8, 0.6, t) == outcome(ref, 0.8, 0.6, t) \
+            assert outcome(node, fn, 0.8, 0.6, t) \
+                == outcome(ref, 0.8, 0.6, t) \
                 == (DegenerateInputError,
                     "height fraction t must lie in (0, 1)")
+
+
+def test_the_spot_checks_feet_equal_the_reference_figure_bit_for_bit():
+    # the bisector-30 spot checks read C and the feet from bisector_feet,
+    # which keeps its own copy of the code of the residuals' loops
+    def spot_points(alpha, beta):
+        cx, cy, _, _, *feet = bisector_feet(alpha, beta)
+        return cx, cy, *feet
+
+    def reference_points(alpha, beta):
+        _, _, c_pt, _, foot_a, foot_b = incenter_figure(alpha, beta)
+        return *c_pt, *foot_a, *foot_b
+
+    for alpha, beta in guard_inputs():
+        assert outcome(spot_points, alpha, beta) \
+            == outcome(reference_points, alpha, beta), (alpha, beta)
 
 
 # -- medial-circumcenter ------------------------------------------------------
 
 def test_medial_residual_zero_on_both_branches():
-    assert abs(medial_residual(math.radians(60), math.radians(60))) < 1e-12
-    assert abs(medial_residual(math.radians(50), math.radians(50))) < 1e-12
+    assert abs(node(medial_residual, *shape(60, 60))) < 1e-12
+    assert abs(node(medial_residual, *shape(50, 50))) < 1e-12
     # gamma = 60, scalene
-    assert abs(medial_residual(math.radians(70), math.radians(50))) < 1e-12
+    assert abs(node(medial_residual, *shape(70, 50))) < 1e-12
 
 
 def test_medial_residual_nonzero_off_the_conclusion_set():
-    assert abs(medial_residual(math.radians(70), math.radians(60))) > 1e-4
+    assert abs(node(medial_residual, *shape(70, 60))) > 1e-4
 
 
 def test_medial_trace_nine_point_oracle():
@@ -236,9 +280,9 @@ def test_medial_flags():
 # -- incenter-segments --------------------------------------------------------
 
 def test_incenter_residual_branches():
-    assert abs(incenter_residual(math.radians(47), math.radians(47))) < 1e-12
-    assert abs(incenter_residual(math.radians(75), math.radians(45))) < 1e-12
-    assert abs(incenter_residual(math.radians(80), math.radians(50))) > 1e-4
+    assert abs(node(incenter_residual, *shape(47, 47))) < 1e-12
+    assert abs(node(incenter_residual, *shape(75, 45))) < 1e-12
+    assert abs(node(incenter_residual, *shape(80, 50))) > 1e-4
 
 
 def test_incenter_trace_exterior_angle_predictions():
@@ -260,9 +304,9 @@ def test_incenter_trace_exterior_angle_predictions():
 # -- square-center / rectangle-center ----------------------------------------
 
 def test_square_residual_branches():
-    assert abs(square_residual(math.radians(50), math.radians(40))) < 1e-12
-    assert abs(square_residual(math.radians(70), math.radians(70))) < 1e-12
-    assert abs(square_residual(math.radians(60), math.radians(40))) > 1e-4
+    assert abs(node(square_residual, *shape(50, 40))) < 1e-12
+    assert abs(node(square_residual, *shape(70, 70))) < 1e-12
+    assert abs(node(square_residual, *shape(60, 40))) > 1e-4
 
 
 def inscribed_audits(alpha, beta, t=None):
@@ -309,9 +353,9 @@ def test_inscribed_square_feet_domain():
     with pytest.raises(FeetOffSegmentError):
         inscribed_figure(*shape(100.0, 50.0))
     with pytest.raises(FeetOffSegmentError):
-        square_residual(*shape(100.0, 50.0))
+        node(square_residual, *shape(100.0, 50.0))
     with pytest.raises(FeetOffSegmentError):
-        rectangle_residual(math.radians(100), math.radians(50))
+        node(rectangle_residual, *shape(100, 50))
     # boundary right angle stays valid: Q coincides with M on the vertical leg
     _, m, _, _, q, _ = inscribed_figure(*shape(90.0, 45.0))
     assert q[0] == pytest.approx(m[0])
@@ -319,15 +363,14 @@ def test_inscribed_square_feet_domain():
 
 def test_rectangle_residual_zero_for_every_height_when_isosceles():
     for t in (0.3, 0.5, 0.7):
-        assert abs(rectangle_residual(math.radians(65), math.radians(65), t)) \
-            < 1e-12
+        assert abs(node(rectangle_residual, *shape(65, 65), t)) < 1e-12
 
 
 def test_rectangle_residual_validates_height():
     with pytest.raises(DegenerateInputError):
-        rectangle_residual(math.radians(50), math.radians(40), 0.0)
+        node(rectangle_residual, *shape(50, 40), 0.0)
     with pytest.raises(DegenerateInputError):
-        rectangle_residual(math.radians(50), math.radians(40), 1.0)
+        node(rectangle_residual, *shape(50, 40), 1.0)
 
 
 def test_rectangle_at_square_height_matches_square_trace():
@@ -338,19 +381,19 @@ def test_rectangle_at_square_height_matches_square_trace():
     rect = inscribed_figure(alpha, beta, t_star)
     for sq_pt, rect_pt in zip(square, rect):
         assert rect_pt == pytest.approx(sq_pt)
-    assert rectangle_residual(alpha, beta, t_star) == \
-        pytest.approx(square_residual(alpha, beta), abs=1e-15)
+    assert node(rectangle_residual, alpha, beta, t_star) == \
+        pytest.approx(node(square_residual, alpha, beta), abs=1e-15)
 
 
 # -- bisector-30 --------------------------------------------------------------
 
 def test_bisector30_residual_on_both_branches():
     # gamma = 60 (full angles 70, 50, 60)
-    assert abs(bisector30_residual(math.radians(70), math.radians(50))) < 1e-12
+    assert abs(node(bisector30_residual, *shape(70, 50))) < 1e-12
     # alpha = 120, beta = 25
-    assert abs(bisector30_residual(math.radians(120), math.radians(25))) < 1e-12
+    assert abs(node(bisector30_residual, *shape(120, 25))) < 1e-12
     # right isosceles is off both branches
-    assert abs(bisector30_residual(math.radians(45), math.radians(45))) > 1e-3
+    assert abs(node(bisector30_residual, *shape(45, 45))) > 1e-3
 
 
 def mirror_of_a1(alpha, beta):
@@ -440,14 +483,15 @@ def test_residuals_are_odd_under_label_swap():
             if f in (square_residual, rectangle_residual) and \
                     (a > math.pi / 2 or b > math.pi / 2):
                 continue
-            assert f(a, b) == pytest.approx(-f(b, a), abs=1e-12)
+            assert node(f, a, b) == pytest.approx(-node(f, b, a),
+                                                  abs=1e-12)
 
 
 def test_bisector30_swap_matches_mirrored_angle():
     for a, b in random_shapes(25, 606):
         a_pt, _, _, _, foot_a, foot_b = incenter_figure(a, b)
         mirrored = angle_at(foot_a, a_pt, foot_b)
-        assert bisector30_residual(b, a) == pytest.approx(
+        assert node(bisector30_residual, b, a) == pytest.approx(
             math.cos(mirrored) - math.cos(math.pi / 6), abs=1e-12)
 
 
@@ -493,20 +537,29 @@ def test_scan_containment_smoke():
 
 
 def scan_with_calls(monkeypatch, scan, name, step, **kwargs):
-    """``scan``'s report and the (alpha, beta) of each residual call."""
+    """``scan``'s report and the (alpha, betas) of each residual call."""
     original = SCENARIOS[name]
     calls = []
 
-    def counting_residual(a, b, **kw):
-        calls.append((a, b))
+    def counting_residual(a, betas, **kw):
+        # the tracer orders calls as (alpha, betas) tuples, which a tuple of
+        # betas would break on a tie in alpha
+        assert type(betas) is list
+        calls.append((a, betas))
         assert kw == kwargs
-        return original.residual(a, b, **kw)
+        return original.residual(a, betas, **kw)
 
     monkeypatch.setitem(SCENARIOS, name, dataclasses.replace(
         original, residual=counting_residual))
     report = scan(name, step, **kwargs)
     monkeypatch.setitem(SCENARIOS, name, original)
     return report, calls
+
+
+def nodes_of(calls):
+    """The (alpha, beta) of each node of the row calls ``calls``, in
+    order."""
+    return [(a, b) for a, betas in calls for b in betas]
 
 
 @pytest.mark.parametrize("name,kwargs", [
@@ -516,7 +569,7 @@ def scan_with_calls(monkeypatch, scan, name, step, **kwargs):
 def test_scan_call_order_splits_grid_from_bisection(monkeypatch, name, kwargs):
     # the benchmark's tracer swaps a counting residual into the registry
     # and tells grid from bisection calls by their order: the grid comes
-    # first, in strictly increasing (alpha, beta), and whatever breaks that
+    # first, in strictly increasing (alpha, betas), and whatever breaks that
     # order is bisection
     bound = SCENARIOS[name].max_angle
     plain = level_set_scan(name, STEP_1DEG, **kwargs)
@@ -524,7 +577,7 @@ def test_scan_call_order_splits_grid_from_bisection(monkeypatch, name, kwargs):
                                      STEP_1DEG, **kwargs)
 
     assert counted == plain
-    assert len(calls) == plain.evaluations
+    assert len(nodes_of(calls)) == plain.evaluations
     n_grid = 1
     while n_grid < len(calls) and calls[n_grid] > calls[n_grid - 1]:
         n_grid += 1
@@ -532,8 +585,25 @@ def test_scan_call_order_splits_grid_from_bisection(monkeypatch, name, kwargs):
     # within the angle bound, each once, before the first bisection call
     nodes = sorted(shape(i, j) for i in range(1, 180) for j in range(1, 180)
                    if i + j < 180 and max(shape(i, j)) <= bound)
-    assert calls[:n_grid] == nodes
+    assert nodes_of(calls[:n_grid]) == nodes
     assert len(calls) > n_grid  # the scan bisected after the grid
+
+
+@pytest.mark.parametrize("name,kwargs", [
+    *((name, {}) for name in sorted(SCENARIOS)),
+    ("rectangle-center", {"t": 0.3})], ids=str)
+@pytest.mark.usefixtures("one_chunk")
+def test_a_one_chunk_scan_calls_the_residual_once_per_grid_row(monkeypatch,
+                                                               name, kwargs):
+    # the grid pass makes one call per row, on the row's alpha and its
+    # prefix of the beta column; each bisection midpoint is a row of one
+    report, calls = scan_with_calls(monkeypatch, level_set_scan, name,
+                                    STEP_1DEG, **kwargs)
+    col, rows = _grid_rows(STEP_1DEG, SCENARIOS[name].max_angle)
+    grid, bisection = calls[:len(rows)], calls[len(rows):]
+    assert grid == [(a, col[:n]) for a, n in rows]
+    assert bisection and all(len(betas) == 1 for _, betas in bisection)
+    assert report.evaluations == sum(n for _, n in rows) + len(bisection)
 
 
 def assert_scan_matches_reference(monkeypatch, name, step, **kwargs):
@@ -547,7 +617,7 @@ def assert_scan_matches_reference(monkeypatch, name, step, **kwargs):
         assert list(map(repr, getattr(streamed, field))) \
             == list(map(repr, getattr(held, field)))
     assert repr(streamed) == repr(held)
-    assert calls == reference_calls
+    assert nodes_of(calls) == nodes_of(reference_calls)
     return streamed
 
 
@@ -568,7 +638,7 @@ def test_streamed_scan_matches_the_whole_grid_reference(monkeypatch, name,
 _PLANTED_NODE = (40 * STEP_1DEG, 20 * STEP_1DEG)
 
 
-def planted_residual(alpha, beta):
+def planted_node(alpha, beta):
     """(alpha - beta) * g * 1e30 on the 1 degree grid, NaN past beta = 2.09.
 
     alpha - beta is exactly 0.0 on the diagonal nodes, which the scan notes
@@ -604,7 +674,7 @@ def test_streamed_scan_matches_the_reference_on_zeros_nans_and_duplicates(
     assert nan_edges and all(r.residual < 0 for r in nan_edges)
 
 
-def row_end_residual(alpha, beta):
+def row_end_node(alpha, beta):
     """alpha + beta - 178.5 deg, negative on all but the last node of each
     row; its sign is turned at beta < 45.5 deg on rows 55 to 75, and it is
     NaN at beta 40 and 50 deg on rows 61 to 69, so that on those rows the
@@ -649,8 +719,10 @@ def test_streamed_scan_matches_the_reference_around_nans_and_row_ends(
 
 
 PLANTED = {sc.name: sc for sc in (
-    Scenario("planted", planted_residual, (ISOSCELES,), asserted=False),
-    Scenario("row-ends", row_end_residual, (ISOSCELES,), asserted=False))}
+    Scenario("planted", row_function(planted_node), (ISOSCELES,),
+             asserted=False),
+    Scenario("row-ends", row_function(row_end_node), (ISOSCELES,),
+             asserted=False))}
 
 
 def boundary_marks(name, step, parts, **kwargs):
@@ -664,8 +736,8 @@ def boundary_marks(name, step, parts, **kwargs):
     marks = 0
     for chunk, following in pairwise(chunks):
         (a, n), (a_below, n_below) = chunk[-1], following[0]
-        row = [f(a, b) for b in col[:n]]
-        below = [f(a_below, b) for b in col[:n_below]]
+        row = f(a, col[:n])
+        below = f(a_below, col[:n_below])
         marks += row.count(0.0)   # never a NaN
         marks += sum(u != 0.0 and v != 0.0 and (u < 0) != (v < 0)
                      for u, v in zip(row, below))
@@ -717,7 +789,7 @@ def test_the_chunks_meet_on_zero_nodes_and_flips_down(monkeypatch, parts):
 @pytest.mark.parametrize("parts", [2, 3, 4])
 def test_a_chunked_scan_keeps_the_serial_root_of_each_key(monkeypatch,
                                                           parts):
-    # a negative node, as in planted_residual, on each side of every cut:
+    # a negative node, as in planted_node, on each side of every cut:
     # its four edges refine into one key, and the scan keeps the root of the
     # edge down from the node above, which one serial pass queues first,
     # though another process queues the other edges
@@ -726,13 +798,13 @@ def test_a_chunked_scan_keeps_the_serial_root_of_each_key(monkeypatch,
     nodes = [*((chunk[-1][0], 5 * STEP_1DEG) for chunk in chunks[:-1]),
              *((chunk[0][0], 10 * STEP_1DEG) for chunk in chunks[1:])]
 
-    def cut_residual(alpha, beta):
+    def cut_node(alpha, beta):
         g = min((alpha - pa) ** 2 + (beta - pb) ** 2
                 for pa, pb in nodes) - 1e-28
         return (alpha - beta) * g * 1e30
 
     monkeypatch.setitem(SCENARIOS, "cuts", Scenario(
-        "cuts", cut_residual, (ISOSCELES,), asserted=False))
+        "cuts", row_function(cut_node), (ISOSCELES,), asserted=False))
     pin_cpus(monkeypatch, 1)
     whole = level_set_scan("cuts", STEP_1DEG)
     pin_cpus(monkeypatch, parts)
@@ -750,13 +822,13 @@ def test_a_failing_worker_raises_its_error_here_and_leaves_no_child(
     first_alpha = balanced_parts(rows, [n for _, n in rows], 2)[1][0][0]
     last_alpha = rows[-1][0]
 
-    def failing_residual(alpha, beta):
+    def failing_node(alpha, beta):
         if alpha >= first_alpha:   # a grid row of the second chunk
             raise DegenerateInputError(f"no residual at alpha {alpha!r}")
-        return medial_residual(alpha, beta)
+        return node(medial_residual, alpha, beta)
 
     monkeypatch.setitem(SCENARIOS, "failing", Scenario(
-        "failing", failing_residual, (ISOSCELES,)))
+        "failing", row_function(failing_node), (ISOSCELES,)))
     assert first_alpha < last_alpha
     pin_cpus(monkeypatch, 1)
     with pytest.raises(DegenerateInputError) as serial:
@@ -773,13 +845,13 @@ def test_a_failing_worker_raises_its_error_here_and_leaves_no_child(
     # a worker that dies without raising has its chunk rerun here too
     scanner = os.getpid()
 
-    def dying_residual(alpha, beta):
+    def dying_node(alpha, beta):
         if os.getpid() != scanner:
             os._exit(1)
-        return medial_residual(alpha, beta)
+        return node(medial_residual, alpha, beta)
 
     monkeypatch.setitem(SCENARIOS, "dying", Scenario(
-        "dying", dying_residual, (ISOSCELES, GAMMA_60)))
+        "dying", row_function(dying_node), (ISOSCELES, GAMMA_60)))
     rerun = level_set_scan("dying", STEP_1DEG)
     assert_no_child_left()
     pin_cpus(monkeypatch, 1)

@@ -111,7 +111,9 @@ def test_a_nan_residual_is_a_failing_witness():
     assert result.worst_residual == 0.0
     assert result.witnesses == [{"error": "residual is not a number"}] * 3
 
-    result = forward_check(lambda alpha, beta: math.nan)(7, Random(3))
+    # a residual is a row function: one value per beta
+    result = forward_check(lambda alpha, betas: [math.nan] * len(betas))(
+        7, Random(3))
     assert not result.passed
     assert result.samples == 7 and result.worst_residual == 0.0
     assert len(result.witnesses) == 5

@@ -131,14 +131,16 @@ ALPHA_120 = Branch("alpha-120", 0.0, 2 * math.pi / 3, (0.5, 59.5))
 # pi - alpha are taken once per row; (pi - alpha) - beta is what
 # pi - alpha - beta evaluates.  The apex, and the bisector feet where a
 # residual reads them, are written out in each loop: a call per node costs
-# more than the arithmetic it would share.  Terms of the fixed base are
-# folded (x + 0.0, 1.0 * x and the like are dropped), which changes no
-# nonzero value; every other operation is the one the construction makes, in
-# its order, so the residuals agree bit for bit with the figure compositions
-# that ``tests/kernel_constructions.py`` keeps as their reference.  So a
-# square stays ``x ** 2`` or ``x * x`` as written there: pow's last bit
-# differs from ``x * x`` for about one double in 1,100 (879 of 10**6 drawn
-# uniformly from [-2, 2] with seed 1).
+# more than the arithmetic it would share.  Squares are products, as in
+# ``congruence.measure``: x * x is correctly rounded, and the libm pow that
+# ``x ** 2`` calls is not, and costs more.  Terms of the fixed base are folded
+# (x + 0.0, 1.0 * x and the like are dropped), which changes no nonzero value.
+# A term the construction computes twice is computed once, and an operation
+# is rewritten, only where the result stays bit-identical: (0.0 - y) squared
+# is y * y, 1.0 + (x - 1.0) * s is 1.0 - (1.0 - x) * s, and x / 2 is
+# x * 0.5.  Every other operation is the one the construction makes, in its
+# order, so the residuals agree bit for bit with the figure compositions that
+# ``tests/kernel_constructions.py`` keeps as their reference.
 
 def bisector_feet(alpha: float, beta: float) -> Tuple[float, ...]:
     """C = (cx, cy), the sides a = BC and b = CA, and the feet A1 = (a1x,
@@ -149,11 +151,12 @@ def bisector_feet(alpha: float, beta: float) -> Tuple[float, ...]:
     sb = math.sin(beta)
     cx = sb * math.cos(alpha) / sg
     cy = sb * math.sin(alpha) / sg
-    a = math.sqrt((1.0 - cx) ** 2 + (0.0 - cy) ** 2)
-    b = math.sqrt((0.0 - cx) ** 2 + (0.0 - cy) ** 2)
+    ex, cc = 1.0 - cx, cy * cy
+    a = math.sqrt(ex * ex + cc)
+    b = math.sqrt(cx * cx + cc)
     s_a = 1.0 / (b + 1.0)
     s_b = 1.0 / (a + 1.0)
-    return cx, cy, a, b, 1.0 + (cx - 1.0) * s_a, cy * s_a, cx * s_b, cy * s_b
+    return cx, cy, a, b, 1.0 - ex * s_a, cy * s_a, cx * s_b, cy * s_b
 
 
 def medial_residual(alpha: float, betas: List[float]) -> List[float]:
@@ -168,20 +171,23 @@ def medial_residual(alpha: float, betas: List[float]) -> List[float]:
         cy = sb * sa / sg
         # midpoints F of BC and D of CA share the height cy/2, so the terms
         # of their height difference drop out; E = (1/2, 0)
-        fx = (1.0 + cx) / 2
-        dx = cx / 2
-        hy = cy / 2
+        fx = (1.0 + cx) * 0.5
+        dx = cx * 0.5
+        hy = cy * 0.5
         # G, the circumcenter of FDE (the nine-point center)
-        den = 2.0 * ((dx - fx) * (0.0 - hy))
-        ff = fx * fx + hy * hy
-        dd = dx * dx + hy * hy
-        gx = (ff * hy + dd * (0.0 - hy)) / den
-        gy = (ff * (0.5 - dx) + dd * (fx - 0.5) + 0.25 * (dx - fx)) / den
+        nh, df = 0.0 - hy, dx - fx
+        den = 2.0 * (df * nh)
+        hh = hy * hy
+        ff = fx * fx + hh
+        dd = dx * dx + hh
+        gx = (ff * hy + dd * nh) / den
+        gy = (ff * (0.5 - dx) + dd * (fx - 0.5) + 0.25 * df) / den
         # unit normal of the bisector at C, turned toward A
         ax, ay = 0.0 - cx, 0.0 - cy
-        lp = math.sqrt(cx ** 2 + cy ** 2)
-        lq = math.sqrt((cx - 1.0) ** 2 + cy ** 2)
-        ux = ax / lp + (1.0 - cx) / lq
+        ex, cc = 1.0 - cx, cy * cy
+        lp = math.sqrt(cx * cx + cc)
+        lq = math.sqrt(ex * ex + cc)
+        ux = ax / lp + ex / lq
         uy = ay / lp + ay / lq
         n = math.hypot(ux, uy)
         nx, ny = -uy / n, ux / n
@@ -201,17 +207,19 @@ def incenter_residual(alpha: float, betas: List[float]) -> List[float]:
         sb = math.sin(beta)
         cx = sb * ca / sg
         cy = sb * sa / sg
-        a = math.sqrt((1.0 - cx) ** 2 + (0.0 - cy) ** 2)
-        b = math.sqrt((0.0 - cx) ** 2 + (0.0 - cy) ** 2)
+        ex, cc = 1.0 - cx, cy * cy
+        a = math.sqrt(ex * ex + cc)
+        b = math.sqrt(cx * cx + cc)
         s_a = 1.0 / (b + 1.0)
         s_b = 1.0 / (a + 1.0)
-        a1x, a1y = 1.0 + (cx - 1.0) * s_a, cy * s_a
+        a1x, a1y = 1.0 - ex * s_a, cy * s_a
         b1x, b1y = cx * s_b, cy * s_b
         p = a + b + 1.0
         jx = (b + cx) / p
         jy = cy / p
-        out.append(((jx - a1x) ** 2 + (jy - a1y) ** 2)
-                   - ((jx - b1x) ** 2 + (jy - b1y) ** 2))
+        ux, uy = jx - a1x, jy - a1y
+        wx, wy = jx - b1x, jy - b1y
+        out.append((ux * ux + uy * uy) - (wx * wx + wy * wy))
     return out
 
 
@@ -232,15 +240,16 @@ def _center_offsets(alpha, betas, t):
         cx = sb * ca / sg
         h = sb * sa / sg
         s = 1.0 / (1.0 + h) if t is None else t
-        # O is the midpoint of Q = (s cx, s h) and P = (1 - s (1 - cx), s h)
-        wx = (s * cx + (1.0 - s * (1.0 - cx))) / 2 - cx
-        wy = s * h / 2 - h
-        ww = wx * wx + wy * wy
         # CA = (ax, ay) and CB = (bx, ay)
         ax, ay = 0.0 - cx, 0.0 - h
         bx = 1.0 - cx
-        out.append((ax * wx + ay * wy) / math.sqrt((ax * ax + ay * ay) * ww)
-                   - (bx * wx + ay * wy) / math.sqrt((bx * bx + ay * ay) * ww))
+        # O is the midpoint of Q = (s cx, s h) and P = (1 - s bx, s h)
+        wx = (s * cx + (1.0 - s * bx)) * 0.5 - cx
+        wy = s * h * 0.5 - h
+        ww = wx * wx + wy * wy
+        hh = ay * ay
+        out.append((ax * wx + ay * wy) / math.sqrt((ax * ax + hh) * ww)
+                   - (bx * wx + ay * wy) / math.sqrt((bx * bx + hh) * ww))
     return out
 
 
@@ -267,11 +276,12 @@ def bisector30_residual(alpha: float, betas: List[float]) -> List[float]:
         sb = math.sin(beta)
         cx = sb * ca / sg
         cy = sb * sa / sg
-        a = math.sqrt((1.0 - cx) ** 2 + (0.0 - cy) ** 2)
-        b = math.sqrt((0.0 - cx) ** 2 + (0.0 - cy) ** 2)
+        ex, cc = 1.0 - cx, cy * cy
+        a = math.sqrt(ex * ex + cc)
+        b = math.sqrt(cx * cx + cc)
         s_a = 1.0 / (b + 1.0)
         s_b = 1.0 / (a + 1.0)
-        a1x, a1y = 1.0 + (cx - 1.0) * s_a, cy * s_a
+        a1x, a1y = 1.0 - ex * s_a, cy * s_a
         b1x, b1y = cx * s_b, cy * s_b
         ux, uy = 1.0 - b1x, 0.0 - b1y
         wx, wy = a1x - b1x, a1y - b1y

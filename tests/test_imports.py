@@ -703,3 +703,48 @@ def test_only_solve_ssa_builds_an_unchecked_triangle():
                              for p in sorted(bench.glob("*.py"))}}
     assert len(sources) > len(SOURCES)
     assert set(name_readers(sources, "trusted_triangle")) == TRUSTED_BUILDERS
+
+
+# a square in the scan's per-node code is a product, correctly rounded and
+# cheaper than the libm pow that ``**`` calls: no function the scan calls
+# at each node, nor the spot checks' copy of the feet, holds a power
+PER_NODE = {"medial_residual", "incenter_residual", "square_residual",
+            "rectangle_residual", "bisector30_residual", "_center_offsets",
+            "bisector_feet"}
+
+
+def powers(source, functions=PER_NODE):
+    """(function, line) of each ``**``, ``**=`` and ``pow`` call in the
+    top-level functions of ``source`` that ``functions`` names, and
+    (function, None) for each of them that ``source`` does not define."""
+    defined = {n.name: n for n in ast.parse(source).body
+               if isinstance(n, _FUNCTIONS) and n.name in functions}
+    found = [(name, None) for name in sorted(functions - defined.keys())]
+    for name, fn in sorted(defined.items()):
+        for n in ast.walk(fn):
+            if isinstance(getattr(n, "op", None), ast.Pow) or (
+                    isinstance(n, ast.Call) and "pow" in (
+                        getattr(n.func, "id", None),
+                        getattr(n.func, "attr", None))):
+                found.append((name, n.lineno))
+    return found
+
+
+def test_the_check_sees_a_power_in_per_node_code():
+    src = ("import math\n\n"
+           "def medial_residual(a, bs):\n    return [b ** 2 for b in bs]\n\n"
+           "def incenter_residual(a, bs):\n    x = a\n    x **= 2\n"
+           "    return [math.pow(b, 2) + pow(b, 2) for b in bs]\n\n"
+           "def level_set_scan(n, h):\n    return h ** 2\n\n"
+           "def bisector_feet(a, b):\n    return a * a + b * b\n")
+    functions = {"medial_residual", "incenter_residual", "level_set_scan",
+                 "bisector_feet", "bisector30_residual"}
+    assert powers(src, functions - {"level_set_scan"}) == [
+        ("bisector30_residual", None), ("incenter_residual", 8),
+        ("incenter_residual", 9), ("incenter_residual", 9),
+        ("medial_residual", 4)]
+    assert ("level_set_scan", 12) in powers(src, functions)
+
+
+def test_the_scan_squares_by_multiplication():
+    assert powers(SOURCES["scenarios.py"]) == []

@@ -28,6 +28,7 @@ from itertools import pairwise
 
 import pytest
 
+import kernel_constructions
 from conftest import assert_no_child_left, pin_cpus
 from kernel_constructions import (
     REFERENCE_RESIDUALS,
@@ -230,6 +231,26 @@ def test_the_spot_checks_feet_equal_the_reference_figure_bit_for_bit():
     for alpha, beta in guard_inputs():
         assert outcome(spot_points, alpha, beta) \
             == outcome(reference_points, alpha, beta), (alpha, beta)
+
+
+def pow_d2(p, q):
+    """``d2`` squaring with libm's pow, which is not correctly rounded."""
+    return (p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2
+
+
+@pytest.mark.parametrize("name", ["medial-circumcenter", "incenter-segments",
+                                  "bisector-30", "spot-check feet"])
+def test_the_bit_for_bit_checks_see_a_pow_square_in_the_reference(
+        monkeypatch, name):
+    # every figure that reads d2 feeds one of these checks; with pow's last
+    # bit in d2, the reference no longer equals the products of the code
+    monkeypatch.setattr(kernel_constructions, "d2", pow_d2)
+    check = (test_the_spot_checks_feet_equal_the_reference_figure_bit_for_bit
+             if name == "spot-check feet" else functools.partial(
+                 test_residuals_equal_their_reference_compositions_bit_for_bit,
+                 name))
+    with pytest.raises(AssertionError):
+        check()
 
 
 # -- medial-circumcenter ------------------------------------------------------

@@ -13,15 +13,14 @@ construction.
 labelled points of each scenario figure in raw binary64, from small point
 helpers (``d2``, ``cos_at``, ``lerp``, ``circumcenter``,
 ``bisector_signed_distance``), and ``REFERENCE_RESIDUALS`` composes each
-scenario residual from them.  They are the literal constructions: each
-point helper computes every term it needs, and ``d2`` squares by
-multiplication, ``dx * dx + dy * dy``, as ``measure`` does.  The
-straight-line residuals must perform the same IEEE operations in the same
-order, so both agree bit for bit.  They compute a term the compositions
-compute twice once, and rewrite an operation (``x / 2`` as ``x * 0.5``,
-``1.0 + (x - 1.0) * s`` as ``1.0 - (1.0 - x) * s``), only where the result
-stays bit-identical; a ``d2`` that squared with ``** 2``, libm's pow, would
-differ from them in the last bit.  The kernel audits check these figures.
+scenario residual from them.  These are the literal constructions, each
+helper computing every term it needs; ``d2`` squares by multiplication,
+``dx * dx + dy * dy``, as ``measure`` does.  The straight-line residuals
+must perform the same IEEE operations in the same order, so both agree bit
+for bit; where a residual shares a term or rewrites an operation (``x / 2``
+as ``x * 0.5``), the result is bit-identical.  A ``d2`` squaring with
+``** 2``, libm's pow, would differ from them in the last bit.  The kernel
+audits check these figures.
 
 ``reference_measure``, ``reference_orient`` and ``reference_solutions`` are
 ``measure``, ``orient`` and ``solve_ssa`` written in ``Scalar`` arithmetic

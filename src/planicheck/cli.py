@@ -160,7 +160,7 @@ def _print_checks(checks: List[CheckResult]):
 def cmd_ssa(args) -> Outcome:
     from fractions import Fraction
     from .scalars import EXACT, FloatBackend
-    from .kernel import point, squared_distance
+    from .kernel import squared_distance
     from .ssa import (SsaSpec, Supplementary, classify_pair, predict_case,
                       solve_ssa)
 
@@ -179,14 +179,13 @@ def cmd_ssa(args) -> Outcome:
     # float() reads), so the query is deterministic either way.  Whether the
     # exact backend can represent the answer is its payloads' decision
     backend = EXACT if args.backend == "exact" else FloatBackend(args.eps)
-    spec_sides = [backend.scalar(v) for v in (args.a, args.b)]
-    cos_scalar = backend.scalar(cos_fraction)
-
-    opposite, adjacent = spec_sides
+    opposite, adjacent = args.a, args.b
     if args.opposite == "b" and not args.included:
         opposite, adjacent = adjacent, opposite
-    # validates the sides and the angle of either designation
-    spec = SsaSpec(backend, opposite, adjacent, cos_scalar)
+    # validates the sides and the angle of either designation; the printed
+    # arithmetic runs on its Scalar views
+    spec = SsaSpec(backend, opposite, adjacent, cos_fraction)
+    opposite, adjacent, cos_scalar = spec.side_a, spec.side_b, spec.cos_angle
 
     # everything that can fail is computed before the first line goes out,
     # so an invalid or overflowing query leaves stdout empty
@@ -197,16 +196,15 @@ def cmd_ssa(args) -> Outcome:
     if args.included:
         # unique triangle by the included-angle criterion; place the first
         # side along the x axis
-        a_val, b_val = spec_sides
-        apex = point(backend, a_val * cos_scalar,
-                     a_val * (backend.scalar(1) - cos_scalar * cos_scalar).sqrt())
-        third_sq = (a_val * a_val + b_val * b_val
-                    - backend.scalar(2) * a_val * b_val * cos_scalar)
+        apex_x = opposite * cos_scalar
+        apex_y = opposite * (backend.scalar(1) - cos_scalar * cos_scalar).sqrt()
+        third_sq = (opposite * opposite + adjacent * adjacent
+                    - backend.scalar(2) * opposite * adjacent * cos_scalar)
         third = third_sq.sqrt().as_float()
         lines += ["1 solution (included angle):",
                   f"  solution 1: third side {rpt.round12(third)}, "
-                  f"apex at ({rpt.round12(apex.x.as_float())}, "
-                  f"{rpt.round12(apex.y.as_float())})"]
+                  f"apex at ({rpt.round12(apex_x.as_float())}, "
+                  f"{rpt.round12(apex_y.as_float())})"]
         solutions.append({"third_side": third})
     else:
         tris = solve_ssa(spec)
@@ -218,12 +216,13 @@ def cmd_ssa(args) -> Outcome:
             # degree 1 by the laws of sines and cosines: acos of a cosine
             # loses digits near 0 and 180 deg, and measure's cosines divide
             # by a degree-4 root that overflows at sides the solver accepts
-            third_side = squared_distance(tri.A, tri.B).sqrt()
+            third_side = backend.scalar(squared_distance(tri.A, tri.B)).sqrt()
             apex_deg = _atan2_deg(adjacent * sin_scalar,
                                   third_side - adjacent * cos_scalar)
-            base_deg = _atan2_deg(third_side * sin_scalar, adjacent - tri.B.x)
+            base_deg = _atan2_deg(third_side * sin_scalar,
+                                  adjacent - backend.scalar(tri.B._x))
             third = third_side.as_float()
-            bx, by = tri.B.x.as_float(), tri.B.y.as_float()
+            bx, by = tri.B.as_floats()
             lines.append(f"  solution {i + 1}: third side {rpt.round12(third)}, "
                          f"apex angle {rpt.round12(apex_deg)} deg, "
                          f"base angle {rpt.round12(base_deg)} deg, "

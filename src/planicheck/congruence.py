@@ -21,8 +21,8 @@ order, as a ``kernel.Point`` holds one backend and its coordinates'
 payloads.  Each criterion checks once that its two sets share a backend,
 then compares payloads by index: every correspondence has an index triple,
 and the designations a criterion searches when it is given none have index
-triples too, all built at import.  ``cos_at`` wraps one cosine in a
-``Scalar`` on each read, for the SSA verdicts.
+triples too, all built at import.  The SSA verdicts read a cosine by its
+position, as payloads too.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from typing import Optional, Tuple
 
 from .kernel import LABELS, Triangle, angle_cos
 from .record import Record, _set
-from .scalars import Backend, Scalar, common_backend
+from .scalars import Backend, common_backend
 
 # a label's position in a payload triple
 _AT = {label: i for i, label in enumerate(LABELS)}
@@ -47,23 +47,18 @@ class TriangleElements(Record):
     opposite A, B and C) and ``_cosines`` (the cosine of the interior
     angle at A, B and C).
 
-    ``measure`` builds one; ``cos_at(X)`` wraps the payload for label X in
-    a ``Scalar`` on each read.  Equality, hashing, ``repr``, ``copy`` and
+    ``measure`` builds one.  Equality, hashing, ``repr``, ``copy`` and
     ``pickle`` go by the backend and the payload triples, as ``Record``
     gives them."""
 
     __slots__ = ("backend", "_sides", "_cosines")
-
-    def cos_at(self, label: str) -> Scalar:
-        """The cosine of the interior angle at vertex ``label``."""
-        return Scalar(self.backend, self._cosines[_AT[label]])
 
 
 def measure(t: Triangle) -> TriangleElements:
     """Extract the element set of a triangle once; criteria then reuse it.
 
     The squared sides come from the vertices' payloads; each cosine is
-    ``angle_cos``'s payload."""
+    what ``angle_cos`` returns."""
     a, b, c = t.A, t.B, t.C
     ax, ay, bx, by, cx, cy = a._x, a._y, b._x, b._y, c._x, c._y
     dx, dy = cx - bx, cy - by
@@ -74,8 +69,8 @@ def measure(t: Triangle) -> TriangleElements:
     e = _new(TriangleElements)
     _set(e, "backend", a.backend)
     _set(e, "_sides", (sa, sb, dx * dx + dy * dy))
-    _set(e, "_cosines", (angle_cos(a, b, c)._v, angle_cos(b, a, c)._v,
-                         angle_cos(c, a, b)._v))
+    _set(e, "_cosines", (angle_cos(a, b, c), angle_cos(b, a, c),
+                         angle_cos(c, a, b)))
     return e
 
 

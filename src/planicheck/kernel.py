@@ -24,15 +24,14 @@ a point of the kernels of Hert, Hoffmann, Kettner, Pion and Seel ("An
 adaptable and extensible geometry kernel", CGTA 38, 2007) is parameterised
 by one kernel and holds plain numbers.  Its one constructor,
 ``Point(backend, x, y)``, takes that backend and two of its payloads, so
-it has nothing to check; ``point`` converts two numbers or ``Scalar``s by
-the backend's ``payload``, which checks a ``Scalar``'s backend.  ``x`` and
-``y`` wrap a payload in a ``Scalar`` on each read, for callers at the
-package boundary; the kernel reads the payloads.  ``squared_distance``,
-``angle_cos``, ``side`` (the orientation and its scale in one pass),
-``concyclic``, ``concyclicity_determinant``, ``dot``, ``cross``, ``Point``
-subtraction and ``Isometry.apply`` compute on the payloads, after checking
-that the values share one backend, and wrap in a ``Scalar`` only the values
-they return.
+it has nothing to check; ``point`` converts two numbers by the backend's
+``payload``.  An ``Isometry`` holds one backend and the payloads of its
+rotation and translation.  ``squared_distance``, ``angle_cos``, ``side``
+(the orientation and its scale in one pass), ``concyclic``,
+``concyclicity_determinant``, ``dot``, ``cross``, ``Point`` subtraction
+and ``Isometry.apply`` check that the values share one backend, then
+compute on the payloads and return payloads: no ``Scalar`` appears here,
+and two angles are supplementary when ``backend.eq(cos1, -cos2)``.
 
 Every zero test goes through the backend's ``vanishes(value, scale,
 degree)`` on a payload: exact zero on the exact backend, |value| <=
@@ -57,7 +56,6 @@ from .scalars import (
     BackendMismatchError,
     DegenerateInputError,
     LengthMismatchError,
-    Scalar,
     common_backend,
     same_backend,
     to_float,
@@ -71,10 +69,9 @@ _new = object.__new__
 
 class Point(Record):
     """A point of one backend: ``backend`` and the payloads ``_x`` and
-    ``_y`` of its coordinates.  ``x`` and ``y`` wrap them in a ``Scalar``
-    on each read, for callers at the package boundary; equality, hashing,
-    ``repr``, ``copy`` and ``pickle`` go by the backend and the payloads,
-    as ``Record`` gives them."""
+    ``_y`` of its coordinates.  Equality, hashing, ``repr``, ``copy`` and
+    ``pickle`` go by the backend and the payloads, as ``Record`` gives
+    them."""
 
     __slots__ = ("backend", "_x", "_y")
 
@@ -85,14 +82,6 @@ class Point(Record):
         _set(self, "_x", x)
         _set(self, "_y", y)
 
-    @property
-    def x(self) -> Scalar:
-        return Scalar(self.backend, self._x)
-
-    @property
-    def y(self) -> Scalar:
-        return Scalar(self.backend, self._y)
-
     def __sub__(self, other: "Point") -> "Point":
         return Point(_backend(self, other), self._x - other._x,
                      self._y - other._y)
@@ -102,22 +91,24 @@ class Point(Record):
         return eq(self._x, other._x) and eq(self._y, other._y)
 
     def as_floats(self) -> Tuple[float, float]:
-        """The coordinates as binary64, without a ``Scalar``."""
+        """The coordinates as binary64."""
         return to_float(self._x), to_float(self._y)
 
 
 def point(backend: Backend, x, y) -> Point:
-    """The ``Point`` of ``backend`` at two numbers or ``Scalar``s, each
-    converted by the backend's ``payload``."""
+    """The ``Point`` of ``backend`` at two numbers, each converted by the
+    backend's ``payload``."""
     return Point(backend, backend.payload(x), backend.payload(y))
 
 
-def dot(u: Point, v: Point) -> Scalar:
-    return Scalar(_backend(u, v), u._x * v._x + u._y * v._y)
+def dot(u: Point, v: Point):
+    _backend(u, v)
+    return u._x * v._x + u._y * v._y
 
 
-def cross(u: Point, v: Point) -> Scalar:
-    return Scalar(_backend(u, v), u._x * v._y - u._y * v._x)
+def cross(u: Point, v: Point):
+    _backend(u, v)
+    return u._x * v._y - u._y * v._x
 
 
 def _backend(p: Point, *others: Point) -> Backend:
@@ -130,10 +121,10 @@ def _backend(p: Point, *others: Point) -> Backend:
     return backend
 
 
-def squared_distance(p: Point, q: Point) -> Scalar:
-    backend = _backend(p, q)
+def squared_distance(p: Point, q: Point):
+    _backend(p, q)
     dx, dy = q._x - p._x, q._y - p._y
-    return Scalar(backend, dx * dx + dy * dy)
+    return dx * dx + dy * dy
 
 
 def coord_scale(*points: Point) -> float:
@@ -167,7 +158,7 @@ def collinear(p: Point, q: Point, r: Point) -> bool:
     return side(p, q, r) == 0
 
 
-def angle_cos(vertex: Point, end1: Point, end2: Point) -> Scalar:
+def angle_cos(vertex: Point, end1: Point, end2: Point):
     """Cosine of the angle at ``vertex`` subtended by the two ends,
     dot(u, w) / sqrt(|u|^2 |w|^2), as the backend's ``cosine`` forms it.
 
@@ -181,41 +172,32 @@ def angle_cos(vertex: Point, end1: Point, end2: Point) -> Scalar:
     if (eq(vx, x1) and eq(vy, y1)) or (eq(vx, x2) and eq(vy, y2)):
         raise DegenerateInputError("angle at coincident points")
     ux, uy, wx, wy = x1 - vx, y1 - vy, x2 - vx, y2 - vy
-    return Scalar(backend, backend.cosine(ux * wx + uy * wy,
-                                          ux * ux + uy * uy,
-                                          wx * wx + wy * wy))
-
-
-def supplementary(cos1: Scalar, cos2: Scalar) -> bool:
-    """True iff the two angles sum to a straight angle (cos1 == -cos2),
-    decided on the payloads once the two backends may meet."""
-    backend = common_backend(cos1.backend, cos2.backend)
-    return backend.eq(cos1._v, -cos2._v)
+    return backend.cosine(ux * wx + uy * wy, ux * ux + uy * uy,
+                          wx * wx + wy * wy)
 
 
 class Isometry(Record):
     """Rigid motion p -> R * M * p + t with R a rotation and M an optional
-    mirror across the x axis (applied first when ``mirror`` is set)."""
+    mirror across the x axis (applied first when ``mirror`` is set): one
+    backend and the payloads of the rotation's cosine and sine and of the
+    translation."""
 
-    __slots__ = ("cos_t", "sin_t", "tx", "ty", "mirror")
+    __slots__ = ("backend", "cos_t", "sin_t", "tx", "ty", "mirror")
 
-    def __init__(self, cos_t: Scalar, sin_t: Scalar, tx: Scalar, ty: Scalar,
+    def __init__(self, backend: Backend, cos_t, sin_t, tx, ty,
                  mirror: bool = False):
-        for v in (sin_t, tx, ty):
-            common_backend(cos_t.backend, v.backend)
-        n = cos_t * cos_t + sin_t * sin_t
-        if not n.eq(1):
+        if not backend.eq(cos_t * cos_t + sin_t * sin_t, 1):
             raise ValueError("rotation part must satisfy cos^2 + sin^2 = 1")
-        Record.__init__(self, cos_t, sin_t, tx, ty, mirror)
+        Record.__init__(self, backend, cos_t, sin_t, tx, ty, mirror)
 
     def apply(self, obj):
         if isinstance(obj, Point):
-            # on the payloads: the rotated (and mirrored) point, then the shift
-            backend = common_backend(self.cos_t.backend, obj.backend)
-            c, s = self.cos_t._v, self.sin_t._v
+            # the rotated (and mirrored) point, then the shift
+            backend = common_backend(self.backend, obj.backend)
+            c, s = self.cos_t, self.sin_t
             x, y = (obj._x, -obj._y) if self.mirror else (obj._x, obj._y)
-            return Point(backend, (c * x - s * y) + self.tx._v,
-                         (s * x + c * y) + self.ty._v)
+            return Point(backend, (c * x - s * y) + self.tx,
+                         (s * x + c * y) + self.ty)
         if isinstance(obj, Triangle):
             return Triangle(self.apply(obj.A), self.apply(obj.B), self.apply(obj.C))
         raise TypeError(f"cannot apply isometry to {type(obj).__name__}")
@@ -231,19 +213,20 @@ def isometry_taking_segment_to_segment(src1: Point, src2: Point,
     """
     su = src2 - src1
     dv = dst2 - dst1
+    backend = _backend(su, dv)
     n2 = dot(su, su)
-    if n2.sign() == 0 or not n2.eq(dot(dv, dv)):
+    if backend.sign(n2) == 0 or not backend.eq(n2, dot(dv, dv)):
         raise LengthMismatchError("segments must be nonzero and of equal length")
     if mirror:
-        su = Point(su.backend, su._x, -su._y)
+        su = Point(backend, su._x, -su._y)
     c = dot(su, dv) / n2
     s = cross(su, dv) / n2
     # renormalize against float rounding drift; the exact norm is 1
-    n = (c * c + s * s).sqrt()
+    n = backend.sqrt(c * c + s * s)
     c, s = c / n, s / n
-    g0 = Isometry(c, s, c - c, c - c, mirror)  # zero translation, same backend
-    t = dst1 - g0.apply(src1)
-    return Isometry(c, s, t.x, t.y, mirror)
+    zero = backend.payload(0)
+    t = dst1 - Isometry(backend, c, s, zero, zero, mirror).apply(src1)
+    return Isometry(backend, c, s, t._x, t._y, mirror)
 
 
 class Triangle(Record):
@@ -285,14 +268,14 @@ def trusted_triangle(A: Point, B: Point, C: Point) -> Triangle:
     return t
 
 
-def concyclicity_determinant(p1: Point, p2: Point, p3: Point, p4: Point) -> Scalar:
+def concyclicity_determinant(p1: Point, p2: Point, p3: Point, p4: Point):
     """Determinant of rows [x, y, x^2 + y^2, 1]; zero iff concyclic (given the
     no-three-collinear precondition).  Homogeneous of degree 4 in coordinates.
 
     Computed on the payloads, reducing each of the first three rows by the
     fourth: rows (x - x4, y - y4, (x^2 + y^2) - (x4^2 + y4^2)) and their
     3x3 determinant, expanded along the first row."""
-    backend = _backend(p1, p2, p3, p4)
+    _backend(p1, p2, p3, p4)
     x4, y4 = p4._x, p4._y
     n4 = x4 * x4 + y4 * y4
     rows = []
@@ -300,13 +283,11 @@ def concyclicity_determinant(p1: Point, p2: Point, p3: Point, p4: Point) -> Scal
         x, y = p._x, p._y
         rows.append((x - x4, y - y4, (x * x + y * y) - n4))
     (a1, b1, c1), (a2, b2, c2), (a3, b3, c3) = rows
-    return Scalar(backend, a1 * (b2 * c3 - b3 * c2)
-                  - b1 * (a2 * c3 - a3 * c2)
-                  + c1 * (a2 * b3 - a3 * b2))
+    return (a1 * (b2 * c3 - b3 * c2) - b1 * (a2 * c3 - a3 * c2)
+            + c1 * (a2 * b3 - a3 * b2))
 
 
-def concyclic(p1: Point, p2: Point, p3: Point,
-              p4: Point) -> Tuple[bool, Scalar]:
+def concyclic(p1: Point, p2: Point, p3: Point, p4: Point) -> tuple:
     """Whether the four points lie on one circle, that is whether their
     ``concyclicity_determinant`` vanishes at degree 4, and that determinant.
 
@@ -327,4 +308,4 @@ def concyclic(p1: Point, p2: Point, p3: Point,
         if collinear(*trio):
             raise DegenerateInputError("three of the points are collinear")
     det = concyclicity_determinant(*pts)
-    return backend.vanishes(det._v, scale, 4), det
+    return backend.vanishes(det, scale, 4), det

@@ -8,9 +8,8 @@ Two backends underlie every predicate in this package:
   No nested radicals and no sums across distinct radicals; such results
   raise ``ExactValueError`` loudly instead of approximating.  The
   rational payload is the private ``_Rational``, a gcd-reduced integer
-  pair; ``Fraction`` appears only at the boundary: ``scalar`` and
-  ``coerce`` take it (and ``scalar`` a str), and ``exact_value`` returns
-  one.
+  pair; ``Fraction`` appears only at the boundary: ``payload`` and
+  ``scalar`` take it (and a str), and ``exact_value`` returns one.
 * ``FloatBackend(eps)``: binary64 with a relative comparison tolerance.
   Its one tolerance rule is ``vanishes(value, scale, degree)``:
   |value| <= eps * scale^degree for a quantity of that degree in lengths.
@@ -19,37 +18,41 @@ Two backends underlie every predicate in this package:
   apply the degree-1 case written out, which decides alike because a first
   power cannot overflow.
 
-A backend owns every decision that differs between the two: turning an
-input into a payload (``payload``, which ``scalar`` wraps, so there is one
+A backend owns every decision that differs between the two: turning a
+number into a payload (``payload``, which ``scalar`` wraps, so there is one
 conversion rule; it returns a payload of the backend as it is, so the
-records that hold payloads rebuild through their one constructor), coercing
-an operand, ``eq``/``lt``/``sign``, ``sqrt``, ``cosine`` (the float backend
-takes a degree-4 root as two degree-2 ones where the product leaves the
-normal binary64 range), ``vanishes`` and ``size``, the configuration size
-``vanishes`` scales by (the exact backend ignores it and never converts a
-payload to binary64 for it).  The backends are ``Record``s.  Each ``Scalar``
-operator applies its payloads' own arithmetic (float, ``_Rational``, or the
-radical ``_Sqrt``) and never asks which backend it is on, and no module
-outside this one asks either: the exact payloads alone decide what is
-representable, raising ``ExactValueError`` where a result leaves the
-rationals plus single radicals.  ``is_rational`` tells a rational exact
-payload from a radical.  Values from different backends never mix;
-arithmetic between them raises ``BackendMismatchError`` rather than
-coercing.
+records that hold payloads rebuild through their one constructor, and it
+refuses a ``Scalar``), ``eq``/``lt``/``sign``, ``sqrt``, ``cosine`` (the
+float backend takes a degree-4 root as two degree-2 ones where the product
+leaves the normal binary64 range), ``vanishes`` and ``size``, the
+configuration size ``vanishes`` scales by (the exact backend ignores it and
+never converts a payload to binary64 for it).  The backends are
+``Record``s.  Payload arithmetic is the payloads' own (float,
+``_Rational``, or the radical ``_Sqrt``) and never asks which backend it is
+on, and no module outside this one asks either: the exact payloads alone
+decide what is representable, raising ``ExactValueError`` where a result
+leaves the rationals plus single radicals.  ``is_rational`` tells a
+rational exact payload from a radical.  Values from different backends
+never mix; arithmetic between them raises ``BackendMismatchError`` rather
+than coercing.
 
-``Scalar`` is the API at the package boundary, a ``Record`` of its backend
-and payload, so it compares and hashes structurally and copies and
-pickles.  Inside, ``kernel.Point``, ``ssa.SsaSpec`` and
-``congruence.TriangleElements`` hold one backend and raw payloads, each
-built by one constructor over those fields, and the kernel predicates,
-``measure``/``congruent_any`` and ``solve_ssa`` compute on the payloads
-(``Scalar._v`` and those fields) and wrap only the values they hand out:
-every decision, zero tests included, goes to the backend object (``eq``,
-``sign``, ``sqrt``, ``vanishes``) on payloads, and ``common_backend``
-checks two objects before their payloads meet, so a rational never meets a
-float silently.  Exact payloads are canonical (rationals in lowest terms,
-and a radical whose square is a perfect square collapses to a rational), so
-exact equality is structural.
+Every layer below the command line computes on raw payloads, as the
+kernels of Hert et al. ("An adaptable and extensible geometry kernel", CGTA
+38, 2007) compute on the number type their kernel names: ``kernel.Point``,
+``kernel.Isometry``, ``ssa.SsaSpec``, ``congruence.TriangleElements`` and
+the SSA verdicts hold one backend and payloads, the predicates, ``measure``
+and ``solve_ssa`` return payloads, and every decision, zero tests included,
+goes to the backend object (``eq``, ``sign``, ``sqrt``, ``vanishes``) on
+payloads; ``common_backend`` checks two objects before their payloads meet,
+so a rational never meets a float silently.  Exact payloads are canonical
+(rationals in lowest terms, and a radical whose square is a perfect square
+collapses to a rational), so exact equality is structural.
+
+``Scalar`` is the number type of the command boundary alone: a ``Record``
+of one backend and one payload, so it compares and hashes structurally and
+copies and pickles, whose operators take another ``Scalar`` of the same
+backend.  The ``ssa`` command computes the values it prints in it, and
+``SsaSpec``'s three views wrap a payload in one on each read.
 """
 
 from __future__ import annotations
@@ -336,25 +339,16 @@ def is_rational(payload) -> bool:
 
 
 class _Backend(Record):
-    """What the two backends share: ``payload``, the one rule that turns an
-    input into a payload, and ``scalar``, which wraps that same payload."""
+    """What the two backends share: ``scalar``, which wraps the backend's
+    ``payload`` of a value, the one rule that turns an input into a
+    payload."""
 
     __slots__ = ()
 
-    def payload(self, value):
-        """``value`` as a payload of this backend: a ``Scalar``'s own, once
-        its backend may meet this one, or a number (or a payload, which it
-        returns as it is) as ``_convert`` reads it."""
-        if isinstance(value, Scalar):
-            common_backend(self, value.backend)
-            return value._v
-        return self._convert(value)
-
     def scalar(self, value) -> "Scalar":
-        """``value`` as a ``Scalar`` of this backend: a ``Scalar`` of it as
-        it is, a number wrapped around its ``payload``."""
-        payload = self.payload(value)
-        return value if isinstance(value, Scalar) else Scalar(self, payload)
+        """``value``, a number or a payload of this backend, as a
+        ``Scalar`` of it."""
+        return Scalar(self, self.payload(value))
 
 
 class ExactBackend(_Backend):
@@ -362,7 +356,9 @@ class ExactBackend(_Backend):
 
     __slots__ = ()
 
-    def _convert(self, value):
+    def payload(self, value):
+        """``value`` as a payload: a payload as it is, an int, ``Fraction``
+        or str as a ``_Rational``; a float, or a ``Scalar``, raises."""
         if isinstance(value, (_Rational, _Sqrt)):
             return value  # a payload of this backend already
         if isinstance(value, float):
@@ -371,12 +367,6 @@ class ExactBackend(_Backend):
         if q is None:
             f = Fraction(value)  # a str, or raises
             q = _Rational(f.numerator, f.denominator)
-        return q
-
-    def coerce(self, value):
-        q = _rational(value)
-        if q is None:
-            raise TypeError(f"cannot combine Scalar with {type(value).__name__}")
         return q
 
     def size(self, *values) -> float:
@@ -421,13 +411,9 @@ class FloatBackend(_Backend):
             raise ValueError("eps must be positive")
         _set(self, "eps", eps)
 
-    def _convert(self, value):
+    def payload(self, value):
+        """``value`` as a binary64 payload; a ``Scalar`` raises."""
         return to_float(value)
-
-    def coerce(self, value):
-        if isinstance(value, (int, Fraction, float)):
-            return float(value)
-        raise TypeError(f"cannot combine Scalar with {type(value).__name__}")
 
     def size(self, *values) -> float:
         """Configuration size of coordinate payloads, the ``scale`` of
@@ -532,14 +518,13 @@ class Scalar(Record):
 
     # -- plumbing ---------------------------------------------------------
 
-    def _mate(self, other):
-        """The payload of ``other`` on this scalar's backend."""
-        if isinstance(other, Scalar):
-            # same_backend's identity test, inlined: this is the hot path
-            if other.backend is not self.backend:
-                common_backend(self.backend, other.backend)
-            return other._v
-        return self.backend.coerce(other)
+    def _mate(self, other: "Scalar"):
+        """The payload of the ``Scalar`` ``other``, once its backend may
+        meet this one's."""
+        # same_backend's identity test, inlined
+        if other.backend is not self.backend:
+            common_backend(self.backend, other.backend)
+        return other._v
 
     def as_float(self) -> float:
         return to_float(self._v)
@@ -556,15 +541,11 @@ class Scalar(Record):
     def __add__(self, other):
         return Scalar(self.backend, self._v + self._mate(other))
 
-    __radd__ = __add__
-
     def __sub__(self, other):
         return Scalar(self.backend, self._v - self._mate(other))
 
     def __mul__(self, other):
         return Scalar(self.backend, self._v * self._mate(other))
-
-    __rmul__ = __mul__
 
     def __truediv__(self, other):
         return Scalar(self.backend, self._v / self._mate(other))
@@ -579,9 +560,6 @@ class Scalar(Record):
 
     def gt(self, other) -> bool:
         return self.backend.lt(self._mate(other), self._v)
-
-    def sign(self) -> int:
-        return self.backend.sign(self._v)
 
     def __repr__(self):
         v = self._v

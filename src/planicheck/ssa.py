@@ -16,15 +16,18 @@ copy of their sides or angles, which ``congruence.measure`` reads.
 
 ``SsaSpec`` is a slotted ``Record`` of one backend and three payloads.
 Its one constructor, ``SsaSpec(backend, side_a, side_b, cos_angle)``,
-converts three numbers, ``Scalar``s or payloads of ``backend`` by its
-``payload`` and runs the side and angle checks, so ``copy`` and ``pickle``
-rebuild a spec from its fields through it.  ``side_a``, ``side_b`` and
-``cos_angle`` wrap a payload in a ``Scalar`` on each read, for callers at
-the package boundary; ``solve_ssa`` reads the payloads, and builds its
-points (the origin, the base end and each apex) from payloads, so a kept
-triangle costs no ``Scalar``.  It builds each kept triangle with
-``kernel.trusted_triangle``, the one constructor that skips
-``Triangle``'s checks: the triangle's orientation is -(height * b), bit
+converts three numbers or payloads of ``backend`` by its ``payload`` and
+runs the side and angle checks, so ``copy`` and ``pickle`` rebuild a spec
+from its fields through it.  ``side_a``, ``side_b`` and ``cos_angle`` wrap
+a payload in a ``Scalar`` on each read, the one place below the ``cli``
+that builds one, for the ``ssa`` command's printed arithmetic and the exact
+dichotomy's witness.  Everything else here computes on payloads:
+``solve_ssa`` builds its points (the origin, the base end and each apex)
+from the spec's payloads, the verdicts hold the payloads of the cosines
+and the determinant they were decided on, and two angles are
+supplementary when ``backend.eq(cos1, -cos2)``.  ``solve_ssa`` builds each
+kept triangle with ``kernel.trusted_triangle``, the one constructor that
+skips ``Triangle``'s checks: the triangle's orientation is -(height * b), bit
 for bit on the float backend and exactly on the exact one (a radical there
 when the height is), and its size max(1, |t cos|, t sin, b) is at most the
 solver's size(a, b, t), so the collinearity band the solver cleared is at
@@ -54,7 +57,6 @@ from .kernel import (
     isometry_taking_segment_to_segment,
     side,
     squared_distance,
-    supplementary,
     trusted_triangle,
 )
 from .record import Record, _set
@@ -73,8 +75,7 @@ class SsaSpec(Record):
     ``side_a`` is opposite the given angle, ``side_b`` adjacent to it, and
     ``cos_angle`` the cosine of the angle (strictly between -1 and 1).  The
     spec holds one ``backend`` and the three payloads; those three names
-    wrap a payload in a ``Scalar`` on each read, for callers at the
-    package boundary.
+    wrap a payload in a ``Scalar`` on each read, for the command boundary.
     """
 
     __slots__ = ("backend", "_a", "_b", "_cos")
@@ -227,9 +228,8 @@ def classify_pair(t1: Triangle, t2: Triangle) -> DichotomyVerdict:
 
     Each triangle is measured once.  ``criterion_d`` checks that the two
     element sets share a backend before any comparison, and it and
-    ``congruent_any`` compare their payloads by index; the two angles at
-    B of a Supplementary verdict are the only values wrapped in a
-    ``Scalar`` outside ``measure``.
+    ``congruent_any`` compare their payloads by index; a Supplementary
+    verdict holds the payloads of the two angles' cosines at B.
     """
     e1, e2 = measure(t1), measure(t2)
     if criterion_d(e1, e2, _IDENTITY, _SOLVER_TRIPLE) is Applicability.FAILS:
@@ -237,8 +237,9 @@ def classify_pair(t1: Triangle, t2: Triangle) -> DichotomyVerdict:
     witness = congruent_any(e1, e2)
     if witness is not None:
         return Congruent(witness)
-    cos1, cos2 = e1.cos_at("B"), e2.cos_at("B")
-    if not supplementary(cos1, cos2):
+    # payload position 1 is B
+    cos1, cos2 = e1._cosines[1], e2._cosines[1]
+    if not e1.backend.eq(cos1, -cos2):
         raise DichotomyViolationError(
             "non-congruent matched pair with non-supplementary remaining angles")
     return Supplementary(cos1, cos2)
@@ -247,8 +248,9 @@ def classify_pair(t1: Triangle, t2: Triangle) -> DichotomyVerdict:
 class LemmaReport(Record):
     """Outcome of the common-side configuration check.
 
-    ``is_concyclic`` and ``concyclicity_det`` are None for a same-side pair;
-    otherwise the determinant is the one ``concyclic`` decided by.
+    The cosines and the determinant are payloads.  ``is_concyclic`` and
+    ``concyclicity_det`` are None for a same-side pair; otherwise the
+    determinant is the one ``concyclic`` decided by.
     """
 
     __slots__ = ("supplementary_angles", "cos_acb", "cos_adb",
@@ -271,7 +273,7 @@ def lemma_common_side_check(t_abc: Triangle, t_abd: Triangle) -> LemmaReport:
         raise LemmaPreconditionError("shared-side", "triangles do not share side AB")
     e_abc, e_abd = measure(t_abc), measure(t_abd)
     # payload position 1 is B: the side AC (resp. AD) and the angle at B;
-    # side position 2 is AB
+    # position 2 is C (resp. D): the side AB and the angle at C
     ac, ab = e_abc._sides[1], e_abc._sides[2]
     if not backend.eq(ac, e_abd._sides[1]):
         raise LemmaPreconditionError("unequal-ac-ad", "AC and AD differ")
@@ -280,9 +282,8 @@ def lemma_common_side_check(t_abc: Triangle, t_abd: Triangle) -> LemmaReport:
     if congruent_any(e_abc, e_abd) is not None:
         raise LemmaPreconditionError("congruent", "the triangles are congruent")
 
-    cos_acb = e_abc.cos_at("C")
-    cos_adb = e_abd.cos_at("C")
-    supp = supplementary(cos_acb, cos_adb)
+    cos_acb, cos_adb = e_abc._cosines[2], e_abd._cosines[2]
+    supp = backend.eq(cos_acb, -cos_adb)
 
     opposite = side(a1, b1, c) * side(a1, b1, d) < 0
     is_cyc = det = None
@@ -309,7 +310,9 @@ def to_common_side(t1: Triangle, t2: Triangle, corr: Correspondence,
     p_lab, q_lab = t1.others(common_label)
     dst1, dst2 = t1.vertex(p_lab), t1.vertex(q_lab)
     src1, src2 = t2.vertex(corr.image(p_lab)), t2.vertex(corr.image(q_lab))
-    if not squared_distance(src1, src2).eq(squared_distance(dst1, dst2)):
+    backend = common_backend(t1.backend, t2.backend)
+    if not backend.eq(squared_distance(src1, src2),
+                      squared_distance(dst1, dst2)):
         raise LengthMismatchError("matched sides differ in length")
     want = side(dst1, dst2, t1.vertex(common_label))
     if placement == "opposite":

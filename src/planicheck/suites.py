@@ -11,9 +11,10 @@ number of CPUs; ``taskset -c 0`` runs every suite in one process.  The
 scenario forward checks live in ``scenarios``, so a ``scenario`` run loads
 no SSA layer, and the oracle's ``angle_at`` lives in ``rawgeom``, so a
 ``verify`` run loads no scenario layer (nor the ``dataclasses`` and
-``inspect`` it brings).  The suites stay on the ``Scalar`` API and read a
-point's coordinates as binary64 through ``Point.as_floats``, which builds
-no ``Scalar``.
+``inspect`` it brings).  The suites compute on the payloads that the
+solver, the verdicts and the lemma report hand out, and read a point's
+coordinates as binary64 through ``Point.as_floats``; only the exact
+dichotomy's witness reads a spec through its ``Scalar`` views.
 
 Sample counts scale the acceptance defaults: with the standard 100000
 samples the verify runner executes 100000 oracle comparisons, 10000 float
@@ -29,7 +30,7 @@ from random import Random
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .scalars import EXACT, FloatBackend
-from .kernel import Isometry, Triangle, collinear, coord_scale, point
+from .kernel import Isometry, Point, Triangle, collinear, coord_scale, point
 from .ssa import (Congruent, NotSsaMatched, SsaSpec, Supplementary,
                   classify_pair, lemma_common_side_check, solve_ssa)
 from .rawgeom import angle_at
@@ -143,7 +144,7 @@ def suite_dichotomy_float(samples: int, rng: Random,
         witness["verdict"] = type(verdict).__name__
         if not isinstance(verdict, Supplementary):
             return 0.0, {}
-        resid = abs(verdict.cos1.as_float() + verdict.cos2.as_float())
+        resid = abs(verdict.cos1 + verdict.cos2)
         return resid, ({"cos_sum": resid} if resid > TOL else None)
 
     return run_check("dichotomy-supplementary-float", samples, sample)
@@ -165,8 +166,7 @@ def sample_rational_two_solution_spec(rng: Random) -> SsaSpec:
     t1 = 2 * b * cos_t * Fraction(k, 20)
     t2 = 2 * b * cos_t - t1
     a_sq = b * b - t1 * t2
-    side_a = EXACT.scalar(a_sq).sqrt()
-    return SsaSpec(EXACT, side_a, b, cos_t)
+    return SsaSpec(EXACT, EXACT.sqrt(EXACT.payload(a_sq)), b, cos_t)
 
 
 def suite_dichotomy_exact(samples: int, rng: Random) -> CheckResult:
@@ -184,7 +184,7 @@ def suite_dichotomy_exact(samples: int, rng: Random) -> CheckResult:
         verdict = classify_pair(*tris)
         if not isinstance(verdict, Supplementary):
             return 0.0, {"verdict": type(verdict).__name__}
-        if (verdict.cos1 + verdict.cos2).sign() != 0:
+        if EXACT.sign(verdict.cos1 + verdict.cos2) != 0:
             return 0.0, {"cos_sum": "nonzero"}
         return 0.0, None
 
@@ -209,11 +209,11 @@ def suite_lemma(samples: int, rng: Random,
         x2, y2 = apex2.as_floats()
         t_abd = Triangle(shared_a, shared_b, point(float_backend, x2, -y2))
         report = lemma_common_side_check(t_abc, t_abd)
-        residual = abs(report.cos_acb.as_float() + report.cos_adb.as_float())
+        residual = abs(report.cos_acb + report.cos_adb)
         det_norm = None  # the report has no determinant for a same-side pair
         if report.opposite_sides:
             scale = coord_scale(shared_a, shared_b, t_abc.C, t_abd.C)
-            det_norm = abs(report.concyclicity_det.as_float()) / scale ** 4
+            det_norm = abs(report.concyclicity_det) / scale ** 4
             residual = max(det_norm, residual)
         if (report.supplementary_angles and report.opposite_sides
                 and report.is_concyclic and report.ac_less_than_ab
@@ -256,9 +256,8 @@ def _rational_isometry_image(tri: Triangle, rng: Random) -> Triangle:
         s = -s
     if rng.random() < 0.5:
         c, s = s, c
-    g = Isometry(EXACT.scalar(c), EXACT.scalar(s),
-                 EXACT.scalar(Fraction(rng.randint(-5, 5), 2)),
-                 EXACT.scalar(Fraction(rng.randint(-5, 5), 2)),
+    tx, ty = (Fraction(rng.randint(-5, 5), 2) for _ in range(2))
+    g = Isometry(EXACT, *map(EXACT.payload, (c, s, tx, ty)),
                  mirror=rng.random() < 0.5)
     return g.apply(tri)
 
@@ -283,10 +282,11 @@ def suite_backend_cross(samples: int, rng: Random) -> CheckResult:
             e1 = _rational_triangle(rng)
             e2 = _rational_isometry_image(e1, rng)
             if kind == "mismatch":
-                grow = EXACT.scalar(Fraction(101, 100))
-                e2 = Triangle(e2.A, e2.B,
-                              point(EXACT, e2.A.x + (e2.C.x - e2.A.x) * grow,
-                                    e2.A.y + (e2.C.y - e2.A.y) * grow))
+                grow = EXACT.payload(Fraction(101, 100))
+                a, c = e2.A, e2.C
+                e2 = Triangle(a, e2.B,
+                              Point(EXACT, a._x + (c._x - a._x) * grow,
+                                    a._y + (c._y - a._y) * grow))
         exact_verdict = classify_pair(e1, e2)
         float_verdict = classify_pair(_to_float_triangle(e1),
                                       _to_float_triangle(e2))

@@ -7,7 +7,8 @@ scenario residuals compute in straight-line binary64 (``planicheck.
 scenarios``), and the kernel answers side-of-line questions with ``side``.
 These constructions use only the public kernel API, on either backend, so
 the tests can check the scenario figures against a second, independent
-construction.
+construction.  They compute on backend payloads, as the kernel does, and
+decide signs and roots by the backend.
 
 ``medial_figure``, ``incenter_figure`` and ``inscribed_figure`` build the
 labelled points of each scenario figure in raw binary64, from small point
@@ -23,11 +24,12 @@ as ``x * 0.5``), the result is bit-identical.  A ``d2`` squaring with
 audits check these figures.
 
 ``reference_measure``, ``reference_orient`` and ``reference_solutions`` are
-``measure``, ``orient`` and ``solve_ssa`` written in ``Scalar`` arithmetic
-on ``dot``, ``cross`` and ``Point`` subtraction.  The program computes on
-the payloads instead; on the float backend both must perform the same IEEE
-operations in the same order, so their results agree bit for bit.
-``orient`` wraps the payload orientation that ``kernel.side`` decides on.
+``measure``, ``orient`` and ``solve_ssa`` written in ``Scalar`` arithmetic,
+on the points' coordinates and the spec's views wrapped in ``Scalar``s
+(``scalars``).  The program computes on the payloads instead; on the float
+backend both must perform the same IEEE operations in the same order, so
+their results agree bit for bit.  ``orient`` is the payload orientation
+that ``kernel.side`` decides on.
 """
 
 from __future__ import annotations
@@ -41,66 +43,75 @@ from planicheck.kernel import (
     Point,
     Triangle,
     _orientation,
-    cross,
     dot,
     point,
     squared_distance,
 )
 from planicheck.scalars import (
+    EXACT,
     Backend,
     DegenerateInputError,
     ExactBackend,
     ExactValueError,
     Scalar,
+    common_backend,
 )
 from planicheck.scenarios import FeetOffSegmentError
 
 
+def scalars(p: Point):
+    """The coordinates of ``p`` as ``Scalar``s of its backend."""
+    return Scalar(p.backend, p._x), Scalar(p.backend, p._y)
+
+
+def rational(payload):
+    """An exact payload's value as a ``Fraction``; raises for a radical."""
+    return EXACT.scalar(payload).exact_value()
+
+
 @dataclass(frozen=True)
 class Line:
-    """Locus u*x + v*y + w = 0, canonicalized at construction.
+    """Locus u*x + v*y + w = 0 on one backend, with payload coefficients,
+    canonicalized at construction.
 
     Exact lines divide through by the first nonzero of (u, v); float lines
     carry a unit normal, so evaluating a point gives its signed distance.
     """
 
-    u: Scalar
-    v: Scalar
-    w: Scalar
+    backend: Backend
+    u: object
+    v: object
+    w: object
 
     def __post_init__(self):
+        backend = self.backend
         n2 = self.u * self.u + self.v * self.v
-        if n2.sign() == 0:
+        if backend.sign(n2) == 0:
             raise DegenerateInputError("line normal must be nonzero")
-        if isinstance(self.u.backend, ExactBackend):
-            lead = self.u if self.u.sign() != 0 else self.v
-            object.__setattr__(self, "u", self.u / lead)
-            object.__setattr__(self, "v", self.v / lead)
-            object.__setattr__(self, "w", self.w / lead)
+        if isinstance(backend, ExactBackend):
+            lead = self.u if backend.sign(self.u) != 0 else self.v
+            u, v, w = self.u / lead, self.v / lead, self.w / lead
         else:
-            n = n2.sqrt()
+            n = backend.sqrt(n2)
             u, v, w = self.u / n, self.v / n, self.w / n
-            if u.as_float() < 0 or (u.as_float() == 0.0 and v.as_float() < 0):
-                u, v, w = u * -1, v * -1, w * -1
-            object.__setattr__(self, "u", u)
-            object.__setattr__(self, "v", v)
-            object.__setattr__(self, "w", w)
+            if u < 0 or (u == 0.0 and v < 0):
+                u, v, w = -u, -v, -w
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "v", v)
+        object.__setattr__(self, "w", w)
 
-    @property
-    def backend(self) -> Backend:
-        return self.u.backend
-
-    def eval(self, p: Point) -> Scalar:
-        return self.u * p.x + self.v * p.y + self.w
+    def eval(self, p: Point):
+        common_backend(self.backend, p.backend)
+        return self.u * p._x + self.v * p._y + self.w
 
 
 def line_through(p: Point, q: Point) -> Line:
-    if squared_distance(p, q).sign() == 0:
+    if p.backend.sign(squared_distance(p, q)) == 0:
         raise DegenerateInputError("line through two coincident points")
-    u = p.y - q.y
-    v = q.x - p.x
-    w = p.x * q.y - q.x * p.y
-    return Line(u, v, w)
+    u = p._y - q._y
+    v = q._x - p._x
+    w = p._x * q._y - q._x * p._y
+    return Line(p.backend, u, v, w)
 
 
 def triangle(backend, a, b, c) -> Triangle:
@@ -111,10 +122,10 @@ def triangle(backend, a, b, c) -> Triangle:
 @dataclass(frozen=True)
 class Circle:
     center: Point
-    radius_sq: Scalar
+    radius_sq: object
 
     def __post_init__(self):
-        if self.radius_sq.sign() <= 0:
+        if self.center.backend.sign(self.radius_sq) <= 0:
             raise DegenerateInputError("circle needs positive squared radius")
 
 
@@ -123,9 +134,9 @@ def circumcircle(t: Triangle) -> Circle:
     a, b, c = t.A, t.B, t.C
     d = orient(a, b, c) * 2
     aa, bb, cc = dot(a, a), dot(b, b), dot(c, c)
-    ux = (aa * (b.y - c.y) + bb * (c.y - a.y) + cc * (a.y - b.y)) / d
-    uy = (aa * (c.x - b.x) + bb * (a.x - c.x) + cc * (b.x - a.x)) / d
-    center = point(t.backend, ux, uy)
+    ux = (aa * (b._y - c._y) + bb * (c._y - a._y) + cc * (a._y - b._y)) / d
+    uy = (aa * (c._x - b._x) + bb * (a._x - c._x) + cc * (b._x - a._x)) / d
+    center = Point(t.backend, ux, uy)
     return Circle(center, squared_distance(center, a))
 
 
@@ -136,9 +147,9 @@ class IncenterResult(NamedTuple):
     foot_c: Point  # from C, on AB
 
 
-def _length(p: Point, q: Point, what: str) -> Scalar:
+def _length(p: Point, q: Point, what: str):
     try:
-        return squared_distance(p, q).sqrt()
+        return p.backend.sqrt(squared_distance(p, q))
     except ExactValueError:
         raise ExactValueError(
             f"{what} needs rational lengths on the exact backend") from None
@@ -146,7 +157,8 @@ def _length(p: Point, q: Point, what: str) -> Scalar:
 
 def _along(p: Point, q: Point, k) -> Point:
     """The point p + k (q - p)."""
-    return point(p.backend, p.x + (q.x - p.x) * k, p.y + (q.y - p.y) * k)
+    return Point(p.backend, p._x + (q._x - p._x) * k,
+                 p._y + (q._y - p._y) * k)
 
 
 def incenter_and_bisector_feet(t: Triangle) -> IncenterResult:
@@ -159,8 +171,8 @@ def incenter_and_bisector_feet(t: Triangle) -> IncenterResult:
     b = _length(t.A, t.C, "incenter")
     c = _length(t.A, t.B, "incenter")
     p = a + b + c
-    j = point(t.backend, (t.A.x * a + t.B.x * b + t.C.x * c) / p,
-              (t.A.y * a + t.B.y * b + t.C.y * c) / p)
+    j = Point(t.backend, (t.A._x * a + t.B._x * b + t.C._x * c) / p,
+              (t.A._y * a + t.B._y * b + t.C._y * c) / p)
     return IncenterResult(j, _along(t.B, t.C, c / (b + c)),
                           _along(t.A, t.C, c / (a + c)),
                           _along(t.A, t.B, b / (a + b)))
@@ -172,18 +184,19 @@ def internal_bisector_line(t: Triangle, label: str) -> Line:
     p, q = (t.vertex(l) for l in t.others(label))
     lp = _length(v, p, "bisector")
     lq = _length(v, q, "bisector")
-    dx = (p.x - v.x) / lp + (q.x - v.x) / lq
-    dy = (p.y - v.y) / lp + (q.y - v.y) / lq
-    return line_through(v, point(v.backend, v.x + dx, v.y + dy))
+    dx = (p._x - v._x) / lp + (q._x - v._x) / lq
+    dy = (p._y - v._y) / lp + (q._y - v._y) / lq
+    return line_through(v, Point(v.backend, v._x + dx, v._y + dy))
 
 
-def signed_distance(l: Line, p: Point) -> Scalar:
+def signed_distance(l: Line, p: Point):
     """Signed distance from p to l (sign follows the stored normal)."""
     val = l.eval(p)
-    if not isinstance(val.backend, ExactBackend):
+    backend = l.backend
+    if not isinstance(backend, ExactBackend):
         return val
     n2 = l.u * l.u + l.v * l.v
-    return (val * val / n2).sqrt() * val.sign()
+    return backend.sqrt(val * val / n2) * backend.sign(val)
 
 
 def reflect(obj, l: Line):
@@ -194,36 +207,48 @@ def reflect(obj, l: Line):
         raise TypeError(f"cannot reflect {type(obj).__name__}")
     n2 = l.u * l.u + l.v * l.v
     k = (l.eval(obj) / n2) * 2
-    return point(obj.backend, obj.x - k * l.u, obj.y - k * l.v)
+    return Point(obj.backend, obj._x - k * l.u, obj._y - k * l.v)
 
 
-def orient(p: Point, q: Point, r: Point) -> Scalar:
-    """Twice the signed area of pqr, as ``kernel.side`` computes it."""
-    backend, value, _scale = _orientation(p, q, r)
-    return Scalar(backend, value)
+def orient(p: Point, q: Point, r: Point):
+    """Twice the signed area of pqr, the payload ``kernel.side`` decides
+    on."""
+    return _orientation(p, q, r)[1]
+
+
+def _sdot(u, w):
+    """The dot product of two (x, y) pairs of ``Scalar``s."""
+    return u[0] * w[0] + u[1] * w[1]
+
+
+def _sminus(p, q):
+    """The (x, y) pair of ``Scalar``s p - q."""
+    return p[0] - q[0], p[1] - q[1]
 
 
 def reference_orient(p: Point, q: Point, r: Point) -> Scalar:
     """Twice the signed area of pqr."""
-    return cross(q - p, r - p)
+    p, q, r = scalars(p), scalars(q), scalars(r)
+    (ux, uy), (wx, wy) = _sminus(q, p), _sminus(r, p)
+    return ux * wy - uy * wx
 
 
 def reference_measure(t: Triangle):
     """(squared side opposite, cosine at) each vertex label of ``t``."""
     side_sq, cos_at = {}, {}
     for label in LABELS:
-        v = t.vertex(label)
-        p, q = (t.vertex(l) for l in t.others(label))
-        d = q - p
-        side_sq[label] = dot(d, d)
-        u, w = p - v, q - v
-        cos_at[label] = dot(u, w) / (dot(u, u) * dot(w, w)).sqrt()
+        v = scalars(t.vertex(label))
+        p, q = (scalars(t.vertex(l)) for l in t.others(label))
+        d = _sminus(q, p)
+        side_sq[label] = _sdot(d, d)
+        u, w = _sminus(p, v), _sminus(q, v)
+        cos_at[label] = _sdot(u, w) / (_sdot(u, u) * _sdot(w, w)).sqrt()
     return side_sq, cos_at
 
 
 def reference_solutions(spec):
     """Per solution of an SSA spec, ascending by third side: the apex B of
-    the canonical pose and the third side."""
+    the canonical pose, as a pair of ``Scalar``s, and the third side."""
     backend = spec.backend
     a, b, c0 = spec.side_a, spec.side_b, spec.cos_angle
     sin2 = backend.scalar(1) - c0 * c0
@@ -233,7 +258,7 @@ def reference_solutions(spec):
     bc0 = b * c0
     if backend.vanishes(disc._v, s, 2):
         roots = [bc0]
-    elif disc.sign() < 0:
+    elif backend.sign(disc._v) < 0:
         roots = []
     else:
         root = disc.sqrt()
@@ -242,10 +267,10 @@ def reference_solutions(spec):
     for t in roots:
         scale = max(s, t.as_float())
         height = t * sin_t
-        if (t.sign() <= 0 or backend.vanishes(t._v, scale, 1)
+        if (backend.sign(t._v) <= 0 or backend.vanishes(t._v, scale, 1)
                 or backend.vanishes((height * b)._v, scale, 2)):
             continue
-        out.append((point(backend, t * c0, height), t))
+        out.append(((t * c0, height), t))
     return out
 
 

@@ -19,9 +19,9 @@ from planicheck.congruence import (
     criterion_d,
     measure,
 )
-from kernel_constructions import (line_through, reference_measure, reflect,
-                                  triangle)
-from planicheck.kernel import LABELS, Isometry, Triangle, point
+from kernel_constructions import (line_through, rational, reference_measure,
+                                  reflect, triangle)
+from planicheck.kernel import LABELS, Isometry, Point, Triangle, point
 from planicheck.scalars import (EXACT, BackendMismatchError,
                                 DegenerateInputError, FloatBackend)
 from planicheck.ssa import SsaSpec, solve_ssa
@@ -48,8 +48,10 @@ def test_measure_elements_of_3_4_5():
     e = measure(T345)
     assert e._sides == (9, 16, 25)
     # law of cosines: cos A = (16 + 25 - 9) / (2 * 4 * 5)
-    assert e.cos_at("A").exact_value() == Fraction(4, 5)
-    assert e.cos_at("C").exact_value() == 0
+    # the cosines in label order, as payloads
+    cos_a, _, cos_c = map(rational, e._cosines)
+    assert cos_a == Fraction(4, 5)
+    assert cos_c == 0
 
 
 def test_criterion_a_on_identical_elements():
@@ -178,9 +180,8 @@ def test_sss_implies_sas_and_aas():
     for _ in range(25):
         t1 = bases[rng.randrange(len(bases))]
         c, s = rotations[rng.randrange(3)]
-        g = Isometry(EXACT.scalar(c), EXACT.scalar(s),
-                     EXACT.scalar(rng.randint(-3, 3)),
-                     EXACT.scalar(rng.randint(-3, 3)),
+        tx, ty = rng.randint(-3, 3), rng.randint(-3, 3)
+        g = Isometry(EXACT, *map(EXACT.payload, (c, s, tx, ty)),
                      mirror=rng.random() < 0.5)
         t2 = g.apply(t1)
         e1, e2 = measure(t1), measure(t2)
@@ -292,13 +293,12 @@ def partners(t, rng):
            for p in permutations(LABELS)]
     c, s = rng.choice([(Fraction(3, 5), Fraction(4, 5)),
                        (Fraction(5, 13), Fraction(-12, 13))])
-    g = Isometry(backend.scalar(c), backend.scalar(s),
-                 backend.scalar(Fraction(rng.randint(-9, 9), 4)),
-                 backend.scalar(rng.randint(-3, 3)), mirror=rng.random() < 0.5)
+    tx, ty = Fraction(rng.randint(-9, 9), 4), rng.randint(-3, 3)
+    g = Isometry(backend, *map(backend.payload, (c, s, tx, ty)),
+                 mirror=rng.random() < 0.5)
     out.append(g.apply(t))
-    k = Fraction(101, 100)
-    out.append(Triangle(*(point(backend, backend.scalar(k) * p.x,
-                                backend.scalar(k) * p.y) for p in pts)))
+    k = backend.payload(Fraction(101, 100))
+    out.append(Triangle(*(Point(backend, k * p._x, k * p._y) for p in pts)))
     return out
 
 

@@ -76,8 +76,9 @@ PROTOCOL = {
     ("scalars.py", "Scalar.__repr__"): "debugging display of a Scalar",
     ("logic.py", "EquivalenceResult.__bool__"):
         "acceptance criterion 6 reads a result as a truth value",
-    ("scalars.py", "FloatBackend.coerce"):
-        "a float Scalar meets a plain number, as an exact one does",
+    ("scalars.py", "Scalar.__truediv__"):
+        "bench/run.py's op mix divides two SsaSpec views; item 3 deletes it "
+        "with Scalar",
     ("errors.py", "LemmaPreconditionError.__init__"):
         "only a failed precondition of the common-side lemma raises it",
 }
@@ -303,9 +304,10 @@ def test_only_the_backends_ask_which_backend_a_value_is_on():
     assert backend_tests(SOURCES) == []
 
 
-# the modules that compute on a Scalar's payload; suites, cli and report
-# stay on the Scalar API
-PAYLOAD_READERS = {"scalars.py", "kernel.py", "congruence.py", "ssa.py"}
+# only scalars reads a Scalar's payload: the layers below cli hold payloads
+# in their own records and compute on them, and cli reads a Scalar through
+# its arithmetic
+PAYLOAD_READERS = {"scalars.py"}
 
 
 def payload_reads(sources, allowed=PAYLOAD_READERS):
@@ -320,64 +322,72 @@ def payload_reads(sources, allowed=PAYLOAD_READERS):
 def test_the_check_sees_a_payload_read():
     sources = {"kernel.py": "def f(p):\n    return p.x._v\n",
                "suites.py": "def g(s):\n    v = s.as_float()\n    return s._v\n",
+               "scalars.py": "def h(s):\n    return s._v\n",
                "report.py": "x = y.v + z._value\n"}
-    assert payload_reads(sources) == [("suites.py", 3)]
+    assert payload_reads(sources) == [("kernel.py", 2), ("suites.py", 3)]
 
 
-def test_only_the_arithmetic_modules_read_payloads():
+def test_only_the_scalar_module_reads_payloads():
     assert payload_reads(SOURCES) == []
 
 
-# a Point, an SsaSpec and a TriangleElements hold payloads, and their
-# coordinate and field names, and the element set's label reader, wrap one
-# in a new Scalar on each read: reading ._v through them builds a Scalar
-# only to unwrap it
-WRAPPED_FIELDS = {"x", "y", "side_a", "side_b", "cos_angle"}
-WRAPPED_READERS = {"cos_at"}
+# below the command boundary every layer computes on payloads: the kernel,
+# the criteria, the solver and the suites build no Scalar, by the class or
+# by a backend's scalar, except the three SsaSpec views, which the ssa
+# command's printed arithmetic and the exact dichotomy's witness read
+BELOW_CLI = ("kernel.py", "congruence.py", "ssa.py", "suites.py")
+SCALAR_VIEWS = {("ssa.py", "SsaSpec.side_a"), ("ssa.py", "SsaSpec.side_b"),
+                ("ssa.py", "SsaSpec.cos_angle")}
 
 
-def wrapped_payload_reads(sources, fields=WRAPPED_FIELDS,
-                          readers=WRAPPED_READERS):
-    """(module, line) of each ``._v`` read whose object is an attribute that
-    ``fields`` names (``p.x._v``, ``spec.side_a._v``) or a call of a method
-    that ``readers`` names (``e.cos_at("B")._v``), in ``sources`` (module
-    name -> text)."""
+def scalar_builds(sources, modules=BELOW_CLI, allowed=SCALAR_VIEWS):
+    """(module, qualified definition, line) of each call of ``Scalar``, by
+    name or attribute, and of each ``.scalar(...)`` method in the modules
+    of ``sources`` (module name -> text) that ``modules`` names, outside
+    the definitions that ``allowed`` names; statements outside any
+    definition are reported as ``<module>``."""
+    found = []
 
-    def wraps(n):
-        if isinstance(n, ast.Attribute):
-            return n.attr in fields
-        return (isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
-                and n.func.attr in readers)
+    def visit(mod, node, qual):
+        for sub in ast.iter_child_nodes(node):
+            if isinstance(sub, ast.Call):
+                f = sub.func
+                name = f.id if isinstance(f, ast.Name) else getattr(
+                    f, "attr", None)
+                if ((name == "Scalar" or (name == "scalar"
+                                          and isinstance(f, ast.Attribute)))
+                        and (mod, qual) not in allowed):
+                    found.append((mod, qual or "<module>", sub.lineno))
+            inner = qual
+            if isinstance(sub, (*_FUNCTIONS, ast.ClassDef)):
+                inner = f"{qual}.{sub.name}" if qual else sub.name
+            visit(mod, sub, inner)
 
-    return [(mod, n.lineno) for mod, text in sources.items()
-            for n in ast.walk(ast.parse(text))
-            if isinstance(n, ast.Attribute) and n.attr == "_v"
-            and wraps(n.value)]
-
-
-def test_the_check_sees_a_payload_read_through_a_wrapper():
-    sources = {"kernel.py": ("def f(p, q):\n    return p.x._v - q._x\n\n"
-                             "def g(s, c):\n"
-                             "    a = (s.side_a._v, s._a)\n"
-                             "    return c._v, s.cos_angle.sqrt()._v\n"),
-               "ssa.py": "b = spec.side_b._v + tri.B.y._v\n"}
-    assert wrapped_payload_reads(sources) == [
-        ("kernel.py", 2), ("kernel.py", 5), ("ssa.py", 1), ("ssa.py", 1)]
-
-
-def test_the_check_sees_a_payload_read_through_a_label_reader():
-    sources = {"ssa.py": ("def f(e, t):\n"
-                          "    c = e.cos_at('B')._v + e._cosines[1]\n"
-                          "    s = e.cos_at('C').sqrt()._v\n"
-                          "    return angle_cos(t.A, t.B, t.C)._v, c, s\n"
-                          "\nx = e1.cos_at('A')._v\n"),
-               "congruence.py": "y = cos_at('A')._v + e.cos_at._v\n"}
-    assert sorted(wrapped_payload_reads(sources)) == [("ssa.py", 2),
-                                                     ("ssa.py", 6)]
+    for mod in modules:
+        if mod in sources:
+            visit(mod, ast.parse(sources[mod]), "")
+    return found
 
 
-def test_no_module_unwraps_a_coordinate_or_a_spec_field():
-    assert wrapped_payload_reads(SOURCES) == []
+def test_the_check_sees_a_scalar_built_below_the_cli():
+    sources = {
+        "kernel.py": ("def f(b, v):\n    return Scalar(b, v)\n\n"
+                      "x = scalars.Scalar(b, 1)\n"),
+        "ssa.py": ("class SsaSpec:\n    @property\n    def side_a(self):\n"
+                   "        return Scalar(self.backend, self._a)\n\n"
+                   "    def other(self):\n"
+                   "        return self.backend.scalar(1)\n"),
+        "suites.py": ("def g():\n"
+                      "    return EXACT.scalar(2).sqrt(), EXACT.payload(2)\n"),
+        "cli.py": "y = backend.scalar(1)\n",
+    }
+    assert scalar_builds(sources) == [
+        ("kernel.py", "f", 2), ("kernel.py", "<module>", 4),
+        ("ssa.py", "SsaSpec.other", 7), ("suites.py", "g", 2)]
+
+
+def test_nothing_below_the_cli_builds_a_scalar_but_the_spec_views():
+    assert scalar_builds(SOURCES) == []
 
 
 # main is the one place that ends a run: it reads the clock, builds and

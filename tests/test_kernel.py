@@ -15,6 +15,7 @@ from kernel_constructions import (
     internal_bisector_line,
     line_through,
     orient,
+    rational,
     reflect,
     signed_distance,
     triangle,
@@ -31,7 +32,6 @@ from planicheck.kernel import (
     point,
     side,
     squared_distance,
-    supplementary,
 )
 from planicheck.scalars import (
     EXACT,
@@ -39,7 +39,6 @@ from planicheck.scalars import (
     DegenerateInputError,
     FloatBackend,
     LengthMismatchError,
-    Scalar,
 )
 
 FB = FloatBackend()
@@ -52,11 +51,10 @@ def exact_pt(x, y):
 def test_points_and_triangles_keep_to_one_backend():
     # equal float backends are one backend; exact and float never mix
     Triangle(point(FB, 0, 0), point(FloatBackend(), 1, 0), point(FB, 0, 1))
-    # point converts a Scalar only on its own backend
-    with pytest.raises(BackendMismatchError, match="cannot mix"):
-        point(FB, FB.scalar(0.0), EXACT.scalar(1))
-    with pytest.raises(BackendMismatchError, match="cannot mix"):
-        point(EXACT, FB.scalar(0.0), 1)
+    # point converts numbers, and refuses a Scalar of either backend
+    for backend in (FB, EXACT):
+        with pytest.raises(TypeError):
+            point(backend, backend.scalar(0), 1)
     with pytest.raises(BackendMismatchError,
                        match="triangle vertices from different backends"):
         Triangle(exact_pt(0, 0), exact_pt(1, 0), point(FB, 0, 1))
@@ -68,6 +66,8 @@ def test_points_and_triangles_keep_to_one_backend():
                 predicate(p, q, r)
         with pytest.raises(BackendMismatchError):
             squared_distance(p, r)
+        with pytest.raises(BackendMismatchError):
+            isometry_taking_segment_to_segment(p, q, r, point(other, 1, 1))
 
 
 def test_points_and_triangles_are_values():
@@ -78,9 +78,9 @@ def test_points_and_triangles_are_values():
     p, q = point(FB, 1, 2), point(FB, 1.0, 2.0)
     assert p == q and p is not q and hash(p) == hash(q) == hash((FB, 1.0, 2.0))
     assert p == Point(FB, 1.0, 2.0) and hash(p) == hash(Point(FB, 1.0, 2.0))
-    assert p == point(FB, p.x, p.y)
+    assert p == point(FB, *p.as_floats())
     assert p != point(FB, 2, 1) and p != point(EXACT, 1, 2)
-    assert p != (p.x, p.y)
+    assert p != p.as_floats()
     assert repr(p) == "Point(backend=FloatBackend(eps=1e-09), _x=1.0, _y=2.0)"
     t = Triangle(exact_pt(0, 0), exact_pt(4, 0), exact_pt(0, 3))
     u = Triangle(exact_pt(0, 0), exact_pt(4, 0), exact_pt(0, 3))
@@ -88,7 +88,7 @@ def test_points_and_triangles_are_values():
     assert t != Triangle(t.B, t.A, t.C)
     assert {p: 1}[q] == 1
     assert copy.copy(t) == t and copy.copy(p) == p
-    for record, field in ((p, "x"), (t, "A")):
+    for record, field in ((p, "_x"), (t, "A")):
         with pytest.raises(AttributeError):
             setattr(record, field, getattr(record, field))
         with pytest.raises(AttributeError):
@@ -102,18 +102,18 @@ def test_points_and_triangles_are_values():
 
 def test_angle_cos_right_angle():
     c = angle_cos(exact_pt(0, 0), exact_pt(1, 0), exact_pt(0, 1))
-    assert c.exact_value() == 0
+    assert rational(c) == 0
 
 
 def test_angle_cos_45_degrees():
     c = angle_cos(point(FB, 0.0, 0.0), point(FB, 1.0, 0.0), point(FB, 1.0, 1.0))
-    assert c.as_float() == pytest.approx(math.sqrt(2) / 2)
+    assert c == pytest.approx(math.sqrt(2) / 2)
 
 
 def test_angle_cos_rational_value():
     # dot = 6, |u| |v| = 2 * 5
     c = angle_cos(exact_pt(0, 0), exact_pt(2, 0), exact_pt(3, 4))
-    assert c.exact_value() == Fraction(3, 5)
+    assert rational(c) == Fraction(3, 5)
 
 
 def test_angle_cos_keeps_its_bits_in_range_and_its_value_past_it():
@@ -134,11 +134,11 @@ def test_angle_cos_keeps_its_bits_in_range_and_its_value_past_it():
                 (ux * ux + uy * uy) * (wx * wx + wy * wy))
             c = angle_cos(point(fb, vx, vy), point(fb, x1, y1),
                           point(fb, x2, y2))
-            assert c.as_float() == expected
+            assert c == expected
         for scale in (2.0 ** 330, 2.0 ** -330):
             pts = [point(fb, xy[i] * scale, xy[i + 1] * scale)
                    for i in (0, 2, 4)]
-            assert angle_cos(*pts).as_float() == pytest.approx(
+            assert angle_cos(*pts) == pytest.approx(
                 expected, rel=1e-14, abs=1e-15)
     # where even |u| |w| is not a normal double the cosine is a named error
     tiny = FloatBackend(1e-320)
@@ -152,70 +152,45 @@ def test_angle_cos_coincident_vertex_raises():
         angle_cos(exact_pt(1, 1), exact_pt(1, 1), exact_pt(0, 0))
 
 
-def test_supplementary():
-    assert supplementary(FB.scalar(0.5), FB.scalar(-0.5))
-    assert supplementary(FB.scalar(0.0), FB.scalar(0.0))
-    assert not supplementary(FB.scalar(0.5), FB.scalar(-0.4))
+HALF = EXACT.payload(Fraction(1, 2))
+ROOT_HALF = EXACT.sqrt(HALF)  # cos 45 deg, a radical
 
 
-HALF = EXACT.scalar(Fraction(1, 2))
-ROOT_HALF = EXACT.scalar(Fraction(1, 2)).sqrt()  # cos 45 deg, a radical
-
-
-@pytest.mark.parametrize("cos1, cos2, verdict", [
-    (FB.scalar(0.5), FB.scalar(-0.5), True),
-    (FB.scalar(0.5), FB.scalar(-0.5 + 1e-12), True),   # within eps
-    (FB.scalar(0.5), FB.scalar(-0.4), False),
-    (FB.scalar(0.0), FB.scalar(-0.0), True),
-    (FB.scalar(math.sqrt(0.5)), FB.scalar(-math.sqrt(0.5)), True),
-    (HALF, HALF * -1, True),
-    (HALF, HALF, False),
-    (EXACT.scalar(0), EXACT.scalar(0), True),
-    (ROOT_HALF, ROOT_HALF * -1, True),
-    (ROOT_HALF, ROOT_HALF, False),
-    (ROOT_HALF, HALF * -1, False),
+@pytest.mark.parametrize("backend, cos1, cos2, verdict", [
+    (FB, 0.5, -0.5, True),
+    (FB, 0.5, -0.5 + 1e-12, True),   # within eps
+    (FB, 0.5, -0.4, False),
+    (FB, 0.0, 0.0, True),
+    (FB, 0.0, -0.0, True),
+    (FB, math.sqrt(0.5), -math.sqrt(0.5), True),
+    (EXACT, HALF, -HALF, True),
+    (EXACT, HALF, HALF, False),
+    (EXACT, EXACT.payload(0), EXACT.payload(0), True),
+    (EXACT, ROOT_HALF, -ROOT_HALF, True),
+    (EXACT, ROOT_HALF, ROOT_HALF, False),
+    (EXACT, ROOT_HALF, -HALF, False),
 ], ids=str)
-def test_supplementary_decides_alike_on_both_backends(monkeypatch, cos1, cos2,
-                                                       verdict):
-    # the verdict of the Scalar comparison cos1 == -cos2, without building
-    # the negated Scalar
-    assert cos1.eq(cos2 * -1) is verdict and cos2.eq(cos1 * -1) is verdict
-    built = []
-    init = Scalar.__init__
-
-    def counting_init(scalar, backend, payload):
-        built.append(payload)
-        init(scalar, backend, payload)
-
-    monkeypatch.setattr(Scalar, "__init__", counting_init)
-    assert supplementary(cos1, cos2) is verdict
-    assert supplementary(cos2, cos1) is verdict
-    assert built == []
-
-
-def test_supplementary_rejects_mixed_backends():
-    for cos1, cos2 in ((HALF, FB.scalar(-0.5)), (FB.scalar(0.5), HALF * -1),
-                       (FB.scalar(0.5), FloatBackend(1e-6).scalar(-0.5))):
-        with pytest.raises(BackendMismatchError):
-            cos1.eq(cos2 * -1)
-        with pytest.raises(BackendMismatchError):
-            supplementary(cos1, cos2)
+def test_supplementary_cosines_decide_alike_on_both_backends(backend, cos1,
+                                                             cos2, verdict):
+    # two angles are supplementary when their cosines' payloads satisfy
+    # backend.eq(cos1, -cos2), in either order
+    assert backend.eq(cos1, -cos2) is verdict
+    assert backend.eq(cos2, -cos1) is verdict
 
 
 def test_circumcircle_right_triangle():
     t = triangle(EXACT, (0, 0), (2, 0), (0, 2))
     k = circumcircle(t)
     assert k.center.eq(exact_pt(1, 1))
-    assert k.radius_sq.exact_value() == 2
+    assert rational(k.radius_sq) == 2
     for v in (t.A, t.B, t.C):
-        assert squared_distance(k.center, v).eq(k.radius_sq)
+        assert EXACT.eq(squared_distance(k.center, v), k.radius_sq)
 
 
 def test_circumcircle_equilateral_center():
     t = triangle(FB, (0.0, 0.0), (1.0, 0.0), (0.5, math.sqrt(3) / 2))
     k = circumcircle(t)
-    assert k.center.x.as_float() == pytest.approx(0.5)
-    assert k.center.y.as_float() == pytest.approx(math.sqrt(3) / 6)
+    assert k.center.as_floats() == pytest.approx((0.5, math.sqrt(3) / 6))
 
 
 def test_circumcircle_collinear_raises():
@@ -237,15 +212,15 @@ def test_bisector_foot_ratio():
     assert res.foot_a.eq(exact_pt(Fraction(12, 7), Fraction(12, 7)))
     ba1 = squared_distance(t.B, res.foot_a)
     a1c = squared_distance(res.foot_a, t.C)
-    assert (ba1 * 9).eq(a1c * 16)
+    assert EXACT.eq(ba1 * 9, a1c * 16)
 
 
 def test_incenter_on_bisector_segments():
     t = triangle(EXACT, (0, 0), (4, 0), (0, 3))
     res = incenter_and_bisector_feet(t)
-    assert orient(t.A, res.incenter, res.foot_a).sign() == 0
-    assert orient(t.B, res.incenter, res.foot_b).sign() == 0
-    assert orient(t.C, res.incenter, res.foot_c).sign() == 0
+    assert EXACT.sign(orient(t.A, res.incenter, res.foot_a)) == 0
+    assert EXACT.sign(orient(t.B, res.incenter, res.foot_b)) == 0
+    assert EXACT.sign(orient(t.C, res.incenter, res.foot_c)) == 0
 
 
 def test_incenter_equidistant_from_sides():
@@ -254,22 +229,21 @@ def test_incenter_equidistant_from_sides():
     j = incenter_and_bisector_feet(t).incenter
     for p, q in ((t.A, t.B), (t.B, t.C), (t.C, t.A)):
         d = signed_distance(line_through(p, q), j)
-        assert (d * d).exact_value() == 1
+        assert rational(d * d) == 1
 
 
 def test_incenter_equilateral_is_centroid():
     t = triangle(FB, (0.0, 0.0), (1.0, 0.0), (0.5, math.sqrt(3) / 2))
     j = incenter_and_bisector_feet(t).incenter
-    assert j.x.as_float() == pytest.approx(0.5)
-    assert j.y.as_float() == pytest.approx(math.sqrt(3) / 6)
+    assert j.as_floats() == pytest.approx((0.5, math.sqrt(3) / 6))
 
 
 def test_internal_bisector_line_passes_through_foot():
     t = triangle(EXACT, (0, 0), (4, 0), (0, 3))
     res = incenter_and_bisector_feet(t)
     bis = internal_bisector_line(t, "A")
-    assert bis.eval(res.foot_a).sign() == 0
-    assert bis.eval(res.incenter).sign() == 0
+    assert EXACT.sign(bis.eval(res.foot_a)) == 0
+    assert EXACT.sign(bis.eval(res.incenter)) == 0
 
 
 def test_concyclic_unit_circle_and_square():
@@ -283,8 +257,8 @@ def test_concyclic_rejects_off_circle_point():
     pts = [exact_pt(0, 0), exact_pt(1, 0), exact_pt(0, 1), exact_pt(2, 2)]
     is_cyc, det = concyclic(*pts)
     assert not is_cyc
-    assert det.exact_value() == -4
-    assert det.eq(concyclicity_determinant(*pts))
+    assert rational(det) == -4
+    assert EXACT.eq(det, concyclicity_determinant(*pts))
 
 
 def test_concyclic_degenerate_inputs_raise():
@@ -324,8 +298,8 @@ def test_reflect_is_an_exact_isometric_involution():
         assert reflect(q, axis).eq(p)
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
-            assert squared_distance(pts[i], pts[j]).eq(
-                squared_distance(images[i], images[j]))
+            assert EXACT.eq(squared_distance(pts[i], pts[j]),
+                            squared_distance(images[i], images[j]))
 
 
 def test_collinear():
@@ -393,12 +367,12 @@ def test_isometry_length_mismatch_raises():
 
 
 def test_angle_cos_is_isometry_invariant():
-    g = Isometry(EXACT.scalar(Fraction(3, 5)), EXACT.scalar(Fraction(4, 5)),
-                 EXACT.scalar(2), EXACT.scalar(-1), mirror=True)
+    g = Isometry(EXACT, *map(EXACT.payload, (Fraction(3, 5), Fraction(4, 5),
+                                             2, -1)), mirror=True)
     v, p, q = exact_pt(0, 0), exact_pt(2, 0), exact_pt(3, 4)
     before = angle_cos(v, p, q)
     after = angle_cos(g.apply(v), g.apply(p), g.apply(q))
-    assert before.eq(after)
+    assert EXACT.eq(before, after)
 
 
 def test_float_triangle_collinear_within_tolerance_raises():
@@ -408,7 +382,7 @@ def test_float_triangle_collinear_within_tolerance_raises():
 
 def test_circle_rejects_zero_radius():
     with pytest.raises(DegenerateInputError):
-        Circle(exact_pt(0, 0), EXACT.scalar(0))
+        Circle(exact_pt(0, 0), EXACT.payload(0))
 
 
 def test_float_agrees_with_exact_on_rational_inputs():
@@ -417,13 +391,12 @@ def test_float_agrees_with_exact_on_rational_inputs():
         coords = [Fraction(rng.randint(-20, 20), rng.randint(1, 5))
                   for _ in range(8)]
         e_pts = [exact_pt(coords[i], coords[i + 1]) for i in range(0, 8, 2)]
-        f_pts = [point(FB, float(c.x.exact_value()), float(c.y.exact_value()))
-                 for c in e_pts]
+        f_pts = [point(FB, *c.as_floats()) for c in e_pts]
         try:
             want = concyclic(*e_pts)[0]
         except DegenerateInputError:
             continue
-        det = concyclicity_determinant(*f_pts).as_float()
+        det = concyclicity_determinant(*f_pts)
         # only compare when the float margin is decisive
         if abs(det) > 10 * FB.eps or want:
             assert concyclic(*f_pts)[0] == want

@@ -22,8 +22,7 @@ from planicheck.logic import (And, Atom, EquivalenceResult, Iff, Implies,
                               LogicCheck, Not, Or, ProblemScheme, Xor,
                               compose_scheme)
 from planicheck.report import CheckResult
-from planicheck.scalars import (EXACT, BackendMismatchError,
-                                DegenerateInputError, ExactBackend,
+from planicheck.scalars import (EXACT, DegenerateInputError, ExactBackend,
                                 FloatBackend)
 from planicheck.scenarios import ISOSCELES, Branch, ScanRoot
 from planicheck.ssa import (Congruent, LemmaReport, NotSsaMatched, SsaSpec,
@@ -34,13 +33,13 @@ P, Q = Atom("p"), Atom("q")
 
 
 def iso(tx=2, mirror=True):
-    return Isometry(EXACT.scalar(Fraction(3, 5)), EXACT.scalar(Fraction(4, 5)),
-                    EXACT.scalar(tx), EXACT.scalar(-7), mirror=mirror)
+    return Isometry(EXACT, *map(EXACT.payload, (Fraction(3, 5), Fraction(4, 5),
+                                                tx, -7)), mirror=mirror)
 
 
 def lemma(det=None):
-    c = FB.scalar(0.5)
-    return LemmaReport(True, c, c * -1, det is not None, det is not None, det, True)
+    c = 0.5
+    return LemmaReport(True, c, -c, det is not None, det is not None, det, True)
 
 
 # (build, a different value, field names in order, repr); build makes a new
@@ -84,18 +83,18 @@ CASES = {
         "correspondence",
         "Congruent(correspondence=Correspondence(mapping=('B', 'C', 'A')))"),
     "Supplementary": (
-        lambda: Supplementary(FB.scalar(0.5), FB.scalar(-0.5)),
-        lambda: Supplementary(FB.scalar(-0.5), FB.scalar(0.5)),
-        "cos1 cos2", "Supplementary(cos1=Scalar(0.5), cos2=Scalar(-0.5))"),
+        lambda: Supplementary(0.5, -0.5),
+        lambda: Supplementary(-0.5, 0.5),
+        "cos1 cos2", "Supplementary(cos1=0.5, cos2=-0.5)"),
     "NotSsaMatched": (NotSsaMatched, lambda: Supplementary(0, 0), "",
                       "NotSsaMatched()"),
     "LemmaReport": (
-        lambda: lemma(FB.scalar(0.0)), lemma,
+        lambda: lemma(0.0), lemma,
         "supplementary_angles cos_acb cos_adb opposite_sides is_concyclic "
         "concyclicity_det ac_less_than_ab",
-        "LemmaReport(supplementary_angles=True, cos_acb=Scalar(0.5), "
-        "cos_adb=Scalar(-0.5), opposite_sides=True, is_concyclic=True, "
-        "concyclicity_det=Scalar(0.0), ac_less_than_ab=True)"),
+        "LemmaReport(supplementary_angles=True, cos_acb=0.5, "
+        "cos_adb=-0.5, opposite_sides=True, is_concyclic=True, "
+        "concyclicity_det=0.0, ac_less_than_ab=True)"),
     "Correspondence": (
         lambda: Correspondence(("C", "A", "B")),
         lambda: Correspondence(("B", "C", "A")), "mapping",
@@ -105,9 +104,10 @@ CASES = {
         lambda: ElementTriple(("A", "B"), "C"), "side_labels angle_label",
         "ElementTriple(side_labels=('A', 'B'), angle_label='A')"),
     "Isometry": (
-        iso, lambda: iso(mirror=False), "cos_t sin_t tx ty mirror",
-        "Isometry(cos_t=Scalar(3/5), sin_t=Scalar(4/5), tx=Scalar(2), "
-        "ty=Scalar(-7), mirror=True)"),
+        iso, lambda: iso(mirror=False), "backend cos_t sin_t tx ty mirror",
+        "Isometry(backend=ExactBackend(), cos_t=_Rational(3, 5), "
+        "sin_t=_Rational(4, 5), tx=_Rational(2, 1), ty=_Rational(-7, 1), "
+        "mirror=True)"),
     "ExactBackend": (ExactBackend, FloatBackend, "", "ExactBackend()"),
     "FloatBackend": (lambda: FloatBackend(1e-9), lambda: FloatBackend(1e-6),
                      "eps", "FloatBackend(eps=1e-09)"),
@@ -179,11 +179,10 @@ HOLDERS = {
     "Point-exact": lambda: point(EXACT, 1, "3/7"),
     "Point-radical": lambda: ssa_pair()[1].B,
     "Triangle": lambda: ssa_pair()[0],
-    "SsaSpec": lambda: SsaSpec(FB, FB.scalar(1.0), FB.scalar(2.0),
-                               FB.scalar(0.25)),
+    "SsaSpec": lambda: SsaSpec(FB, *map(FB.payload, (1, 2, Fraction(1, 4)))),
     "SsaSpec-converted": lambda: SsaSpec(FB, 1.0, 2.0, 0.25),
     "SsaSpec-exact": lambda: SsaSpec(
-        EXACT, EXACT.scalar(2).sqrt(), 3, Fraction(1, 2)),
+        EXACT, EXACT.sqrt(EXACT.payload(2)), 3, Fraction(1, 2)),
     "SsaSpec-sampled": sampled_radical_spec,
     "TriangleElements": public_elements,
     "TriangleElements-measured": lambda: measure(ssa_pair()[1]),
@@ -214,24 +213,25 @@ def test_a_payload_value_prints_its_payloads_and_reads_its_scalars():
     p = HOLDERS["Point-converted"]()
     assert repr(p) == ("Point(backend=ExactBackend(), _x=_Rational(1, 3), "
                        "_y=_Rational(-2, 1))")
-    assert (p.x, p.y) == (EXACT.scalar(Fraction(1, 3)), EXACT.scalar(-2))
-    assert Point(EXACT, p._x, p._y) == p == point(EXACT, p.x, p.y)
+    assert p.as_floats() == (1 / 3, -2.0)
+    assert Point(EXACT, p._x, p._y) == p
     spec = HOLDERS["SsaSpec-exact"]()
     assert repr(spec) == (
         "SsaSpec(backend=ExactBackend(), "
         "_a=_Sqrt(sign=1, square=_Rational(2, 1)), _b=_Rational(3, 1), "
         "_cos=_Rational(1, 2))")
-    assert SsaSpec(EXACT, spec.side_a, spec.side_b, spec.cos_angle) == spec
+    assert (spec.side_a, spec.side_b, spec.cos_angle) == (
+        EXACT.scalar(2).sqrt(), EXACT.scalar(3), EXACT.scalar(Fraction(1, 2)))
     assert SsaSpec(EXACT, spec._a, spec._b, spec._cos) == spec
-    assert SsaSpec(backend=EXACT, side_a=spec.side_a, side_b=spec.side_b,
-                   cos_angle=spec.cos_angle) == spec
+    assert SsaSpec(backend=EXACT, side_a=spec._a, side_b=spec._b,
+                   cos_angle=spec._cos) == spec
     e = HOLDERS["TriangleElements-measured"]()
     assert repr(e) == (
         "TriangleElements(backend=ExactBackend(), "
         "_sides=(_Rational(49, 1), _Rational(64, 1), _Rational(25, 1)), "
         "_cosines=(_Rational(1, 2), _Rational(1, 7), _Rational(11, 14)))")
-    assert e.cos_at("C") == EXACT.scalar(Fraction(11, 14))
-    for value, field in ((p, "x"), (p, "backend"), (spec, "side_a"),
+    assert e._cosines[2] == EXACT.payload(Fraction(11, 14))
+    for value, field in ((p, "_x"), (p, "backend"), (spec, "side_a"),
                          (spec, "backend"), (e, "backend"), (e, "_sides")):
         with pytest.raises(AttributeError):
             setattr(value, field, None)
@@ -239,45 +239,34 @@ def test_a_payload_value_prints_its_payloads_and_reads_its_scalars():
             delattr(value, field)
 
 
-# (side_a, side_b, cos_angle, error, message); ``other`` stands for a Scalar
-# of the backend the spec is not built on
+# (side_a, side_b, cos_angle, message)
 BAD_SPECS = [
-    (0, 2, "1/2", DegenerateInputError, "sides must be positive"),
-    (1, -2, "1/2", DegenerateInputError, "sides must be positive"),
-    (1, 2, 1, DegenerateInputError, "angle must be strictly inside"),
-    (1, 2, -1, DegenerateInputError, "angle must be strictly inside"),
-    (1, "other", "1/2", BackendMismatchError, "cannot mix"),
-    (1, 2, "other", BackendMismatchError, "cannot mix"),
+    (0, 2, "1/2", "sides must be positive"),
+    (1, -2, "1/2", "sides must be positive"),
+    (1, 2, 1, "angle must be strictly inside"),
+    (1, 2, -1, "angle must be strictly inside"),
 ]
 
 
 @pytest.mark.parametrize("backend", [FB, EXACT], ids=["float", "exact"])
-@pytest.mark.parametrize("a, b, c, error, message", BAD_SPECS)
-def test_the_spec_rejects_scalars_and_numbers_alike(backend, a, b, c, error,
-                                                    message):
-    other = EXACT if backend is FB else FB
-
-    def value(v):
-        if v == "other":
-            return other.scalar(1)
-        return Fraction(v) if backend is EXACT else float(Fraction(v))
-
-    values = [value(v) for v in (a, b, c)]
-    with pytest.raises(error, match=message) as scalars:
-        SsaSpec(backend, *(v if hasattr(v, "_v") else backend.scalar(v)
-                           for v in values))
-    with pytest.raises(error, match=message) as numbers:
+@pytest.mark.parametrize("a, b, c, message", BAD_SPECS)
+def test_the_spec_rejects_bad_numbers(backend, a, b, c, message):
+    values = [Fraction(v) if backend is EXACT else float(Fraction(v))
+              for v in (a, b, c)]
+    with pytest.raises(DegenerateInputError, match=message):
         SsaSpec(backend, *values)
-    assert str(scalars.value) == str(numbers.value)
 
 
 @pytest.mark.parametrize("backend", [FB, EXACT], ids=["float", "exact"])
-def test_point_rejects_a_scalar_of_another_backend(backend):
-    other = EXACT if backend is FB else FB
-    for x, y in ((other.scalar(1), 2), (1, other.scalar(2))):
-        with pytest.raises(BackendMismatchError, match="cannot mix"):
-            point(backend, x, y)
-    assert point(backend, backend.scalar(1), 2) == point(backend, 1, 2)
+def test_the_spec_and_point_refuse_a_scalar(backend):
+    # both convert numbers and payloads; a Scalar of either backend is
+    # neither, so its backend is never asked
+    for scalar in (FB.scalar(1), EXACT.scalar(1)):
+        with pytest.raises(TypeError):
+            SsaSpec(backend, 2, scalar, Fraction(1, 2))
+        for x, y in ((scalar, 2), (1, scalar)):
+            with pytest.raises(TypeError):
+                point(backend, x, y)
 
 
 def test_a_scalar_refuses_assignment_and_deletion():
@@ -311,7 +300,7 @@ def test_keyword_construction_where_the_package_uses_it():
     assert scheme == compose_scheme("t", "p", "q", "r", "inclusive")
     assert iso(mirror=True).mirror is True and iso(mirror=False).mirror is False
     g = iso()
-    assert Isometry(g.cos_t, g.sin_t, g.tx, g.ty).mirror is False
+    assert Isometry(g.backend, g.cos_t, g.sin_t, g.tx, g.ty).mirror is False
     assert Branch("isosceles", -1.0, 0.0, (1.0, 89.5)) == ISOSCELES
 
 
@@ -324,8 +313,8 @@ def test_keyword_construction_where_the_package_uses_it():
     (lambda: FloatBackend(0.0), "eps must be positive"),
     (lambda: FloatBackend(-1e-9), "eps must be positive"),
     (lambda: FloatBackend(float("nan")), "eps must be positive"),
-    (lambda: Isometry(EXACT.scalar(1), EXACT.scalar(1), EXACT.scalar(0),
-                      EXACT.scalar(0)), "rotation part must satisfy"),
+    (lambda: Isometry(EXACT, *map(EXACT.payload, (1, 1, 0, 0))),
+     "rotation part must satisfy"),
 ])
 def test_a_validating_record_raises_its_dataclass_error(build, message):
     with pytest.raises(ValueError, match=message):

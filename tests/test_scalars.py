@@ -24,7 +24,7 @@ FB = FloatBackend()
 
 def test_exact_rational_arithmetic():
     third = EXACT.scalar(Fraction(1, 3))
-    assert (third * 3).eq(1)
+    assert (third * EXACT.scalar(3)).eq(EXACT.scalar(1))
     assert (third + third + third).exact_value() == 1
     assert EXACT.scalar("3/7").exact_value() == Fraction(3, 7)
 
@@ -61,7 +61,7 @@ def test_sum_across_distinct_radicals_raises():
 def test_zero_plus_radical_is_fine():
     r2 = EXACT.scalar(2).sqrt()
     assert (EXACT.scalar(0) + r2).eq(r2)
-    assert (r2 - 0).eq(r2)
+    assert (r2 - EXACT.scalar(0)).eq(r2)
 
 
 def test_nested_radical_raises():
@@ -80,10 +80,10 @@ def test_exact_total_order_on_radicals():
     r2 = EXACT.scalar(2).sqrt()
     r3 = EXACT.scalar(3).sqrt()
     assert r3.gt(r2)
-    assert EXACT.scalar(0).gt(r2 * -1)
-    assert r2.gt(1)
+    assert EXACT.scalar(0).gt(r2 * EXACT.scalar(-1))
+    assert r2.gt(EXACT.scalar(1))
     assert EXACT.scalar(Fraction(3, 2)).gt(r2)
-    assert EXACT.scalar(Fraction(9, 4)).sqrt().eq(Fraction(3, 2))
+    assert EXACT.scalar(Fraction(9, 4)).sqrt().eq(EXACT.scalar(Fraction(3, 2)))
 
 
 def test_exact_equality_agrees_with_the_total_order():
@@ -93,34 +93,36 @@ def test_exact_equality_agrees_with_the_total_order():
     rng = Random(4)
     pool = [EXACT.scalar(Fraction(rng.randint(-9, 9), rng.randint(1, 4)))
             for _ in range(30)]
-    pool += [x.sqrt() * sign for x in pool if x.sign() > 0 for sign in (1, -1)]
+    zero, four = EXACT.scalar(0), EXACT.scalar(4)
+    pool += [x.sqrt() * EXACT.scalar(sign) for x in pool if x.gt(zero)
+             for sign in (1, -1)]
     # equal values built in different ways: 3/2, sqrt(1/2), sqrt(2)/4
     pool += [EXACT.scalar(Fraction(9, 4)).sqrt(), EXACT.scalar("3/2"),
-             EXACT.scalar(8).sqrt() / 4, EXACT.scalar("1/2").sqrt(),
-             (EXACT.scalar(1) / 8).sqrt(), EXACT.scalar(2).sqrt() / 4]
+             EXACT.scalar(8).sqrt() / four, EXACT.scalar("1/2").sqrt(),
+             (EXACT.scalar(1) / EXACT.scalar(8)).sqrt(),
+             EXACT.scalar(2).sqrt() / four]
     for x in pool:
         for y in pool:
             assert x.eq(y) == (not x.gt(y) and not y.gt(x)), (x, y)
 
 
 def test_exact_sign_and_zero():
-    assert EXACT.scalar(0).sign() == 0
-    assert EXACT.scalar(0).sign() == 0
-    assert (EXACT.scalar(3).sqrt() * -1).sign() == -1
+    assert EXACT.sign(EXACT.payload(0)) == 0
+    assert EXACT.sign(-EXACT.sqrt(EXACT.payload(3))) == -1
 
 
 def test_float_relative_equality():
     big = FB.scalar(1e12)
-    assert big.eq(1e12 + 1.0)          # relative slack grows with magnitude
-    assert not FB.scalar(1.0).eq(1.0 + 1e-8)
-    assert FB.scalar(0.0).eq(1e-10)    # floor at absolute eps
-    assert FB.scalar(1e-10).sign() == 0
+    assert big.eq(FB.scalar(1e12 + 1.0))  # relative slack grows with magnitude
+    assert not FB.scalar(1.0).eq(FB.scalar(1.0 + 1e-8))
+    assert FB.scalar(0.0).eq(FB.scalar(1e-10))  # floor at absolute eps
+    assert FB.sign(1e-10) == 0
 
 
 def test_float_strict_comparisons_respect_tolerance():
     a = FB.scalar(1.0)
     assert not FB.scalar(1.0 + 1e-12).gt(a)
-    assert a.eq(1.0 + 1e-12)
+    assert a.eq(FB.scalar(1.0 + 1e-12))
     assert FB.scalar(1.1).gt(a)
     assert FB.scalar(2.0).gt(a)
 
@@ -138,7 +140,7 @@ def test_equal_backends_are_one_backend():
     assert same_backend(FloatBackend(1e-6), FloatBackend(1e-6))
     assert not same_backend(FloatBackend(1e-6), FB)
     assert not same_backend(EXACT, FB)
-    assert (FloatBackend().scalar(1.0) + FB.scalar(2.0)).eq(3.0)
+    assert (FloatBackend().scalar(1.0) + FB.scalar(2.0)).eq(FB.scalar(3.0))
 
 
 def test_radical_converts_where_its_square_overflows():
@@ -184,7 +186,7 @@ def test_exact_value_refuses_irrationals_and_floats():
 def test_as_float_matches_radical():
     r2 = EXACT.scalar(2).sqrt()
     assert r2.as_float() == pytest.approx(2 ** 0.5)
-    assert (r2 * -1).as_float() == pytest.approx(-(2 ** 0.5))
+    assert (r2 * EXACT.scalar(-1)).as_float() == pytest.approx(-(2 ** 0.5))
 
 
 def test_eps_must_be_positive():

@@ -119,12 +119,13 @@ def kpt(xy):
 
 
 def gap(p, xy):
-    return math.hypot(p.x.as_float() - xy[0], p.y.as_float() - xy[1])
+    x, y = p.as_floats()
+    return math.hypot(x - xy[0], y - xy[1])
 
 
 def off_line(p, q, x):
     """Twice the area of pqx: zero iff x lies on line pq."""
-    return abs(orient(kpt(p), kpt(q), kpt(x)).as_float())
+    return abs(orient(kpt(p), kpt(q), kpt(x)))
 
 
 def on_branches(name, alpha, beta, tol=1e-9):
@@ -143,7 +144,7 @@ def test_traces_match_kernel_constructions():
         g_kernel = circumcircle(Triangle(kpt(f), kpt(d), kpt(e))).center
         assert gap(g_kernel, g) < 1e-9
         bisector_c = internal_bisector_line(t, "C")
-        assert abs(abs(signed_distance(bisector_c, g_kernel).as_float())
+        assert abs(abs(signed_distance(bisector_c, g_kernel))
                    - abs(node(medial_residual, alpha, beta))) < 1e-9
 
         a_pt, b_pt, c_pt, j, foot_a, foot_b = incenter_figure(alpha, beta)
@@ -153,9 +154,9 @@ def test_traces_match_kernel_constructions():
         assert gap(feet.foot_a, foot_a) < 1e-9
         assert gap(feet.foot_b, foot_b) < 1e-9
         assert abs((squared_distance(feet.incenter, feet.foot_a)
-                    - squared_distance(feet.incenter, feet.foot_b)).as_float()
+                    - squared_distance(feet.incenter, feet.foot_b))
                    - node(incenter_residual, alpha, beta)) < 1e-9
-        cos_b1 = angle_cos(feet.foot_b, t.B, feet.foot_a).as_float()
+        cos_b1 = angle_cos(feet.foot_b, t.B, feet.foot_a)
         assert abs(cos_b1 - math.cos(math.pi / 6)
                    - node(bisector30_residual, alpha, beta)) < 1e-9
 
@@ -272,14 +273,14 @@ def test_medial_trace_nine_point_oracle():
     for alpha, beta in random_shapes(40, 101):
         a_pt, b_pt, c_pt, f, d, e, g = medial_figure(alpha, beta)
         o = circumcircle(Triangle(kpt(a_pt), kpt(b_pt), kpt(c_pt))).center
-        ox, oy = o.x.as_float(), o.y.as_float()
+        ox, oy = o.as_floats()
         hx = a_pt[0] + b_pt[0] + c_pt[0] - 2 * ox
         hy = a_pt[1] + b_pt[1] + c_pt[1] - 2 * oy
         assert math.hypot(g[0] - (ox + hx) / 2, g[1] - (oy + hy) / 2) < 1e-9
         gk = kpt(g)
-        r2 = squared_distance(gk, kpt(e)).as_float()
+        r2 = squared_distance(gk, kpt(e))
         for m in (f, d):
-            assert abs(squared_distance(gk, kpt(m)).as_float() - r2) < 1e-9
+            assert abs(squared_distance(gk, kpt(m)) - r2) < 1e-9
 
 
 def test_medial_trace_points_are_midpoints():
@@ -422,7 +423,7 @@ def mirror_of_a1(alpha, beta):
     fig = incenter_figure(alpha, beta)
     _, b_pt, _, _, foot_a, foot_b = fig
     a_mirror = reflect(kpt(foot_a), line_through(kpt(b_pt), kpt(foot_b)))
-    return fig, (a_mirror.x.as_float(), a_mirror.y.as_float())
+    return fig, a_mirror.as_floats()
 
 
 def test_bisector30_angle_value_on_gamma60():
@@ -456,8 +457,8 @@ def test_bisector30_mirror_audit_everywhere():
     for alpha, beta in random_shapes(40, 405):
         (a_pt, b_pt, _, _, foot_a, foot_b), a_mirror = mirror_of_a1(alpha, beta)
         b1 = kpt(foot_b)
-        assert abs((squared_distance(b1, kpt(a_mirror))
-                    - squared_distance(b1, kpt(foot_a))).as_float()) < 1e-9
+        assert abs(squared_distance(b1, kpt(a_mirror))
+                   - squared_distance(b1, kpt(foot_a))) < 1e-9
         assert off_line(b_pt, a_pt, a_mirror) < 1e-9
 
 
@@ -468,7 +469,7 @@ def test_bisector30_concyclic_audit_on_gamma60_slice():
     assert angle_at(j, fig[0], fig[1]) == pytest.approx(2 * math.pi / 3,
                                                         abs=1e-12)
     pts = [kpt(xy) for xy in (c_pt, foot_a, j, foot_b)]
-    assert abs(concyclicity_determinant(*pts).as_float()) < 1e-9
+    assert abs(concyclicity_determinant(*pts)) < 1e-9
     assert concyclic(*pts)[0]
     _, _, c_pt, j, foot_a, foot_b = incenter_figure(*shape(80.0, 50.0))
     is_cyc, _ = concyclic(*(kpt(xy) for xy in (c_pt, foot_a, j, foot_b)))
@@ -480,8 +481,7 @@ def test_bisector30_equidistance_audit_on_alpha120_slice():
         a_pt, b_pt, c_pt, _, foot_a, foot_b = incenter_figure(
             *shape(alpha_deg, beta_deg))
         b1 = kpt(foot_b)
-        return [abs(signed_distance(line_through(kpt(p), kpt(q)), b1)
-                    .as_float())
+        return [abs(signed_distance(line_through(kpt(p), kpt(q)), b1))
                 for p, q in ((b_pt, a_pt), (b_pt, c_pt), (a_pt, foot_a))]
 
     # B1 is on the bisector from B, so it is equidistant from BA and BC; on
@@ -888,10 +888,12 @@ def test_a_failing_worker_raises_its_error_here_and_leaves_no_child(
 
 
 def traced_peak_bytes(scan):
-    """Peak traced allocation of one 1 degree medial-circumcenter scan."""
+    """Peak traced allocation of one 1 degree incenter-segments scan: the
+    grid and the roots of medial-circumcenter's, at half its traced time,
+    because its residual allocates fewer floats per node."""
     tracemalloc.start()
     try:
-        scan("medial-circumcenter", STEP_1DEG)
+        scan("incenter-segments", STEP_1DEG)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -900,8 +902,8 @@ def traced_peak_bytes(scan):
 @pytest.mark.usefixtures("one_chunk")
 def test_scan_memory_grows_with_the_roots_not_the_grid():
     # the grid pass keeps two rows alive: at 1 degree the streamed scan
-    # peaks near 0.25 MB and the reference scan, which holds the whole grid,
-    # near 0.7 MB, so the bound tells the two designs apart
+    # peaks near 0.13 MB and the reference scan, which holds the whole grid,
+    # near 0.66 MB, so the bound tells the two designs apart
     bound = 0.45e6
     assert traced_peak_bytes(level_set_scan) < bound
     assert traced_peak_bytes(reference_scan) > bound

@@ -9,6 +9,7 @@ import pytest
 
 from kernel_constructions import (
     orient,
+    rational,
     reference_measure,
     reference_orient,
     reference_solutions,
@@ -19,6 +20,7 @@ from planicheck.congruence import Correspondence, measure
 from planicheck.kernel import (
     LABELS,
     Isometry,
+    Point,
     Triangle,
     collinear,
     coord_scale,
@@ -57,23 +59,29 @@ def float_spec(a, b, theta_deg):
     return SsaSpec(FB, a, b, math.cos(math.radians(theta_deg)))
 
 
-def deg(cos_scalar):
-    return math.degrees(math.acos(max(-1.0, min(1.0, cos_scalar.as_float()))))
+def deg(cos):
+    return math.degrees(math.acos(max(-1.0, min(1.0, float(cos)))))
+
+
+def exact_isometry(cos_t, sin_t, tx, ty, mirror=False):
+    """The ``Isometry`` of the exact backend at four numbers."""
+    return Isometry(EXACT, *map(EXACT.payload, (cos_t, sin_t, tx, ty)),
+                    mirror)
 
 
 def elements(tri):
-    """The third side |AB| of a solved triangle, and its cosines at B (the
-    remaining angle) and at C, as ``measure`` reads them."""
+    """The payloads of the third side |AB| of a solved triangle, and of its
+    cosines at B (the remaining angle) and at C, as ``measure`` reads
+    them."""
     e = measure(tri)
-    return (Scalar(e.backend, e._sides[2]).sqrt(), e.cos_at("B"),
-            e.cos_at("C"))
+    return e.backend.sqrt(e._sides[2]), e._cosines[1], e._cosines[2]
 
 
 def test_two_solution_case():
     tris = solve_ssa(float_spec(1.0, math.sqrt(3), 30.0))
     assert len(tris) == 2
     solved = [elements(t) for t in tris]
-    assert [third.as_float() for third, _, _ in solved] == pytest.approx(
+    assert [third for third, _, _ in solved] == pytest.approx(
         [1.0, 2.0])
     angle_pairs = [(deg(apex), deg(base)) for _, apex, base in solved]
     assert angle_pairs[0] == pytest.approx((120.0, 30.0))
@@ -84,7 +92,7 @@ def test_equal_sides_give_one_triangle():
     tris = solve_ssa(float_spec(1.0, 1.0, 60.0))
     assert len(tris) == 1
     third, apex, _ = elements(tris[0])
-    assert third.as_float() == pytest.approx(1.0)
+    assert third == pytest.approx(1.0)
     assert deg(apex) == pytest.approx(60.0)
 
 
@@ -100,8 +108,8 @@ def test_right_angle_boundary_returns_one_right_triangle():
     tris = solve_ssa(float_spec(1.0, 2.0, 30.0))   # b sin(theta) == a exactly
     assert len(tris) == 1
     third, apex, _ = elements(tris[0])
-    assert apex.sign() == 0
-    assert third.as_float() == pytest.approx(math.sqrt(3))
+    assert FB.sign(apex) == 0
+    assert third == pytest.approx(math.sqrt(3))
 
 
 def test_obtuse_angle_opposite_not_greater_side_has_no_solution():
@@ -117,11 +125,11 @@ def test_solutions_reproduce_the_given_elements():
         spec = float_spec(rng.uniform(0.1, 10.0), rng.uniform(0.1, 10.0),
                           rng.uniform(5.0, 175.0))
         for t in solve_ssa(spec):
-            assert math.isclose(squared_distance(t.C, t.B).as_float(),
+            assert math.isclose(squared_distance(t.C, t.B),
                                 spec.side_a.as_float() ** 2, rel_tol=1e-9)
-            assert math.isclose(squared_distance(t.A, t.C).as_float(),
+            assert math.isclose(squared_distance(t.A, t.C),
                                 spec.side_b.as_float() ** 2, rel_tol=1e-9)
-            assert math.isclose(measure(t).cos_at("A").as_float(),
+            assert math.isclose(measure(t)._cosines[0],
                                 spec.cos_angle.as_float(), abs_tol=1e-9)
 
 
@@ -136,7 +144,7 @@ def test_ssa_spec_validation():
 
 def test_ssa_spec_is_a_value():
     spec = SsaSpec(EXACT, 4, 5, Fraction(3, 5))
-    same = SsaSpec(EXACT, EXACT.scalar(4), EXACT.scalar(5), EXACT.scalar("3/5"))
+    same = SsaSpec(EXACT, EXACT.payload(4), EXACT.payload(5), "3/5")
     assert spec == same and hash(spec) == hash(same)
     assert spec != SsaSpec(EXACT, 5, 4, Fraction(3, 5))
     assert (spec.side_a, spec.side_b, spec.cos_angle) == tuple(
@@ -155,15 +163,14 @@ def test_predict_case():
 
 def test_exact_rational_two_solution_spec():
     # t^2 - 6t + 8 = 0: third sides 2 and 4 for b=5, cos=3/5, a=sqrt(17)
-    spec = SsaSpec(EXACT, EXACT.scalar(17).sqrt(), EXACT.scalar(5),
-                   EXACT.scalar(Fraction(3, 5)))
+    spec = SsaSpec(EXACT, EXACT.sqrt(EXACT.payload(17)), 5, Fraction(3, 5))
     tris = solve_ssa(spec)
     assert len(tris) == 2
-    assert elements(tris[0])[0].eq(2)
-    assert elements(tris[1])[0].eq(4)
+    assert EXACT.eq(elements(tris[0])[0], 2)
+    assert EXACT.eq(elements(tris[1])[0], 4)
     verdict = classify_pair(*tris)
     assert isinstance(verdict, Supplementary)
-    assert (verdict.cos1 + verdict.cos2).sign() == 0
+    assert EXACT.sign(verdict.cos1 + verdict.cos2) == 0
 
 
 # rational specs (side_a, side_b, cos_angle, count) in every count regime
@@ -189,8 +196,8 @@ def test_exact_and_float_solutions_agree(regime):
     approx = solve_ssa(SsaSpec(FB, float(a), float(b), float(cos)))
     assert len(exact) == len(approx) == count
     for e, f in zip(exact, approx):
-        assert floats(*elements(e)) == pytest.approx(floats(*elements(f)),
-                                                     abs=1e-12)
+        assert list(map(float, elements(e))) == pytest.approx(
+            list(elements(f)), abs=1e-12)
 
 
 def test_textbook_pair_is_supplementary_with_exact_cosines():
@@ -198,17 +205,17 @@ def test_textbook_pair_is_supplementary_with_exact_cosines():
     # are radicals, and the payload arithmetic represents every value the
     # solve and the classification need
     tris = solve_ssa(SsaSpec(EXACT, 7, 8, Fraction(1, 2)))
-    assert [elements(t)[0].exact_value() for t in tris] == [3, 5]
+    assert [rational(elements(t)[0]) for t in tris] == [3, 5]
     verdict = classify_pair(*tris)
     assert isinstance(verdict, Supplementary)
-    assert (verdict.cos1.exact_value(), verdict.cos2.exact_value()) == (
+    assert (rational(verdict.cos1), rational(verdict.cos2)) == (
         Fraction(-1, 7), Fraction(1, 7))
     # the lemma's determinant subtracts the heights 3 sqrt(3)/2 and
     # -5 sqrt(3)/2, two radicals of distinct squares, which the single
     # radical payload cannot add
     t1, t2 = tris
     t_abc = Triangle(t1.C, t1.A, t1.B)
-    t_abd = Triangle(t1.C, t1.A, point(EXACT, t2.B.x, t2.B.y * -1))
+    t_abd = Triangle(t1.C, t1.A, Point(EXACT, t2.B._x, -t2.B._y))
     with pytest.raises(ExactValueError,
                        match="sum of distinct radicals is not representable"):
         lemma_common_side_check(t_abc, t_abd)
@@ -216,8 +223,7 @@ def test_textbook_pair_is_supplementary_with_exact_cosines():
 
 def test_classify_pair_congruent_under_isometry():
     t1 = triangle(EXACT, (0, 0), (5, 0), (Fraction(16, 5), Fraction(12, 5)))
-    g = Isometry(EXACT.scalar(Fraction(3, 5)), EXACT.scalar(Fraction(4, 5)),
-                 EXACT.scalar(2), EXACT.scalar(-7), mirror=True)
+    g = exact_isometry(Fraction(3, 5), Fraction(4, 5), 2, -7, mirror=True)
     verdict = classify_pair(t1, g.apply(t1))
     assert isinstance(verdict, Congruent)
 
@@ -235,7 +241,7 @@ def test_classify_pair_is_symmetric():
     v12 = classify_pair(t1, t2)
     v21 = classify_pair(t2, t1)
     assert isinstance(v12, Supplementary) and isinstance(v21, Supplementary)
-    assert v12.cos1.eq(v21.cos2) and v12.cos2.eq(v21.cos1)
+    assert FB.eq(v12.cos1, v21.cos2) and FB.eq(v12.cos2, v21.cos1)
 
 
 def test_unambiguous_cases_never_classify_supplementary():
@@ -251,14 +257,10 @@ def lemma_pair(a, b, theta_deg):
     """Build the two-triangle common-side configuration from an SSA spec."""
     tris = solve_ssa(float_spec(a, b, theta_deg))
     assert len(tris) == 2
-    shared_a, shared_b = tris[0].C, tris[0].A
-    apex1 = tris[0].B
-    apex2 = tris[1].B
-    below = point(FB, apex2.x.as_float(), -apex2.y.as_float())
-    t_abc = triangle(FB, (shared_a.x.as_float(), 0.0), (0.0, 0.0),
-                     (apex1.x.as_float(), apex1.y.as_float()))
-    t_abd = triangle(FB, (shared_a.x.as_float(), 0.0), (0.0, 0.0),
-                     (below.x.as_float(), below.y.as_float()))
+    ax = tris[0].C.as_floats()[0]
+    x2, y2 = tris[1].B.as_floats()
+    t_abc = triangle(FB, (ax, 0.0), (0.0, 0.0), tris[0].B.as_floats())
+    t_abd = triangle(FB, (ax, 0.0), (0.0, 0.0), (x2, -y2))
     return t_abc, t_abd
 
 
@@ -274,12 +276,10 @@ def test_lemma_example_configuration():
 
 def test_lemma_rejects_mirror_copy():
     tris = solve_ssa(float_spec(1.2, 2.0, 30.0))
-    apex1 = tris[0].B
-    ax = tris[0].C.x.as_float()
-    t_abc = triangle(FB, (ax, 0.0), (0.0, 0.0),
-                     (apex1.x.as_float(), apex1.y.as_float()))
-    t_abd = triangle(FB, (ax, 0.0), (0.0, 0.0),
-                     (apex1.x.as_float(), -apex1.y.as_float()))
+    x1, y1 = tris[0].B.as_floats()
+    ax = tris[0].C.as_floats()[0]
+    t_abc = triangle(FB, (ax, 0.0), (0.0, 0.0), (x1, y1))
+    t_abd = triangle(FB, (ax, 0.0), (0.0, 0.0), (x1, -y1))
     with pytest.raises(LemmaPreconditionError) as err:
         lemma_common_side_check(t_abc, t_abd)
     assert err.value.reason == "congruent"
@@ -287,9 +287,8 @@ def test_lemma_rejects_mirror_copy():
 
 def test_lemma_same_side_pair_reports_no_concyclicity():
     solved = solve_ssa(float_spec(1.2, 2.0, 30.0))
-    ax = solved[0].C.x.as_float()
-    tris = [triangle(FB, (ax, 0.0), (0.0, 0.0),
-                     (t.B.x.as_float(), t.B.y.as_float()))
+    ax = solved[0].C.as_floats()[0]
+    tris = [triangle(FB, (ax, 0.0), (0.0, 0.0), t.B.as_floats())
             for t in solved]
     report = lemma_common_side_check(tris[0], tris[1])
     assert report.supplementary_angles
@@ -299,8 +298,8 @@ def test_lemma_same_side_pair_reports_no_concyclicity():
 
 def test_lemma_precondition_reasons():
     t_abc, t_abd = lemma_pair(1.2, 2.0, 30.0)
-    shifted = triangle(FB, (t_abd.A.x.as_float(), 0.0), (0.1, 0.0),
-                       (t_abd.C.x.as_float(), t_abd.C.y.as_float()))
+    shifted = triangle(FB, (t_abd.A.as_floats()[0], 0.0), (0.1, 0.0),
+                       t_abd.C.as_floats())
     with pytest.raises(LemmaPreconditionError) as err:
         lemma_common_side_check(t_abc, shifted)
     assert err.value.reason == "shared-side"
@@ -349,8 +348,7 @@ def count_measuring(monkeypatch):
 def test_matched_classify_pair_measures_each_triangle_once(monkeypatch):
     solved = solve_ssa(float_spec(1.3, 2.0, 35.0))
     t1 = triangle(EXACT, (0, 0), (5, 0), (Fraction(16, 5), Fraction(12, 5)))
-    g = Isometry(EXACT.scalar(Fraction(3, 5)), EXACT.scalar(Fraction(4, 5)),
-                 EXACT.scalar(2), EXACT.scalar(-7), mirror=True)
+    g = exact_isometry(Fraction(3, 5), Fraction(4, 5), 2, -7, mirror=True)
     counts = count_measuring(monkeypatch)
     pairs = ((*solved, Supplementary),
              (t1, g.apply(t1), Congruent))
@@ -399,6 +397,15 @@ def floats(*scalars):
     return [x.as_float() for x in scalars]
 
 
+def lemma_triangles(tris):
+    """The lemma's pair ABC, ABD from two SSA solutions: A and B are the
+    first solution's C and A, C its apex, and D the second's apex mirrored
+    across AB."""
+    t1, t2 = tris
+    return (Triangle(t1.C, t1.A, t1.B),
+            Triangle(t1.C, t1.A, Point(t2.backend, t2.B._x, -t2.B._y)))
+
+
 def test_float_payload_arithmetic_matches_scalar_arithmetic_bit_for_bit():
     # solve_ssa, measure and orient compute on the payloads; the reference
     # does the same in Scalar arithmetic, so a reordered operation shows as
@@ -416,17 +423,16 @@ def test_float_payload_arithmetic_matches_scalar_arithmetic_bit_for_bit():
         shapes = [triangle(FB, *[(rng.uniform(-9.0, 9.0),
                                   rng.uniform(-9.0, 9.0)) for _ in "ABC"])]
         for tri, (apex, _third) in zip(tris, expected):
-            assert floats(tri.B.x, tri.B.y) == floats(apex.x, apex.y)
-            assert floats(tri.C.x, tri.A.x, tri.A.y, tri.C.y) == floats(
+            assert list(tri.B.as_floats()) == floats(*apex)
+            assert [*tri.C.as_floats(), *tri.A.as_floats()] == floats(
                 spec.side_b) + [0.0] * 3
             shapes.append(tri)
         for t in shapes:
             e = measure(t)
             side_sq, cos_at = reference_measure(t)
             assert list(e._sides) == floats(*(side_sq[l] for l in LABELS))
-            assert floats(*(e.cos_at(l) for l in LABELS)) == floats(
-                *(cos_at[l] for l in LABELS))
-            assert floats(orient(t.A, t.B, t.C)) == floats(
+            assert list(e._cosines) == floats(*(cos_at[l] for l in LABELS))
+            assert [orient(t.A, t.B, t.C)] == floats(
                 reference_orient(t.A, t.B, t.C))
 
 
@@ -449,9 +455,7 @@ def test_two_backends_never_meet(first, second):
     with pytest.raises(BackendMismatchError):
         lemma_common_side_check(t1, t2)
     with pytest.raises(BackendMismatchError):
-        SsaSpec(first, first.scalar(3), second.scalar(4), second.scalar(0))
-    with pytest.raises(BackendMismatchError):
-        SsaSpec(second, first.scalar(3), second.scalar(4), second.scalar(0))
+        to_common_side(t1, t2, IDENT)
 
 
 def test_solve_ssa_overflow_is_a_degenerate_input():
@@ -463,11 +467,10 @@ def test_exact_solve_ssa_takes_sides_beyond_binary64():
     # the exact backend sizes its tolerances without converting a side,
     # so the 5-5 spec with cos 3/5 solves at 5 * 10**400 as it does at 5
     for n in (5, 5 * 10**400):
-        spec = SsaSpec(EXACT, EXACT.scalar(n), EXACT.scalar(n),
-                       EXACT.scalar(Fraction(3, 5)))
+        spec = SsaSpec(EXACT, n, n, Fraction(3, 5))
         tris = solve_ssa(spec)
         assert len(tris) == 1
-        assert elements(tris[0])[0].exact_value() == Fraction(6, 5) * n
+        assert rational(elements(tris[0])[0]) == Fraction(6, 5) * n
 
 
 def test_lemma_longer_equal_sides_leave_no_pair():
@@ -477,8 +480,7 @@ def test_lemma_longer_equal_sides_leave_no_pair():
 
 def test_to_common_side_identity_overlay():
     t1 = triangle(EXACT, (0, 0), (5, 0), (Fraction(16, 5), Fraction(12, 5)))
-    shift = Isometry(EXACT.scalar(1), EXACT.scalar(0),
-                     EXACT.scalar(11), EXACT.scalar(-4))
+    shift = exact_isometry(1, 0, 11, -4)
     kept, moved, g = to_common_side(t1, shift.apply(t1), IDENT, "C", "same")
     assert kept is t1
     assert not g.mirror
@@ -511,7 +513,8 @@ def test_to_common_side_moves_a_radical_side_exactly():
     _, moved, g = to_common_side(t1, t1, IDENT, "C", "opposite")
     assert g.mirror
     assert moved.A.eq(t1.A) and moved.B.eq(t1.B)
-    assert moved.C.eq(point(EXACT, -4, EXACT.scalar(48).sqrt()))
+    assert moved.C.eq(Point(EXACT, EXACT.payload(-4),
+                            EXACT.sqrt(EXACT.payload(48))))
 
 
 def test_to_common_side_mirrors_a_thin_float_triangle():
@@ -520,9 +523,9 @@ def test_to_common_side_mirrors_a_thin_float_triangle():
     t = triangle(FB, (-1.0, -1.0), (1.0, 1.0), (0.5 - 5e-10, 0.5 + 5e-10))
     _, moved, g = to_common_side(t, t, IDENT, "C", "opposite")
     assert g.mirror is True
-    before = orient(t.A, t.B, t.C).sign()
+    before = FB.sign(orient(t.A, t.B, t.C))
     assert before != 0
-    assert orient(t.A, t.B, moved.C).sign() == -before
+    assert FB.sign(orient(t.A, t.B, moved.C)) == -before
 
 
 def test_to_common_side_validation():
@@ -540,15 +543,15 @@ def test_to_common_side_two_ssa_solutions_give_figure_one():
     t_small, t_big = solve_ssa(float_spec(1.0, math.sqrt(3), 30.0))
     _, moved, g = to_common_side(t_big, t_small, IDENT, "B", "opposite")
     assert g.mirror
-    assert moved.B.y.as_float() == pytest.approx(-0.5)
-    mirror_back = point(FB, moved.B.x.as_float(), -moved.B.y.as_float())
-    assert mirror_back.x.as_float() == pytest.approx(math.sqrt(3) / 2)
-    assert mirror_back.y.as_float() == pytest.approx(0.5)
+    bx, by = moved.B.as_floats()
+    assert by == pytest.approx(-0.5)
+    mirror_back = point(FB, bx, -by)
+    assert mirror_back.as_floats() == pytest.approx((math.sqrt(3) / 2, 0.5))
     # G sits strictly between B and C of the bigger triangle
     b_pt, c_pt = t_big.A, t_big.B
     assert collinear(b_pt, mirror_back, c_pt)
-    along = dot(mirror_back - b_pt, c_pt - b_pt).as_float()
-    total = dot(c_pt - b_pt, c_pt - b_pt).as_float()
+    along = dot(mirror_back - b_pt, c_pt - b_pt)
+    total = dot(c_pt - b_pt, c_pt - b_pt)
     assert 0.0 < along < total
 
 
@@ -585,18 +588,18 @@ def test_solve_ssa_triangles_pass_the_checks_they_skip():
     # size(a, b, t), so the band the solver cleared covers Triangle's
     counts, kept, margins = [0, 0, 0], 0, []
     for spec in trust_table(random.Random(31)):
-        a, b = spec.side_a._v, spec.side_b._v
+        a, b = spec._a, spec._b
         tris = solve_ssa(spec)
         counts[len(tris)] += 1
         # the reference's apex equals the solver's bit for bit, so its t is
         # the solver's root
         expected = reference_solutions(spec)
-        assert [floats(tri.B.x, tri.B.y) for tri in tris] == [
-            floats(apex.x, apex.y) for apex, _ in expected]
+        assert [list(tri.B.as_floats()) for tri in tris] == [
+            floats(*apex) for apex, _ in expected]
         for tri, (_apex, third) in zip(tris, expected):
             assert Triangle(tri.A, tri.B, tri.C) == tri
-            value = orient(tri.A, tri.B, tri.C)._v
-            assert abs(value) == abs(tri.B.y._v * b)
+            value = orient(tri.A, tri.B, tri.C)
+            assert abs(value) == abs(tri.B._y * b)
             size = FB.size(a, b, third._v)
             assert coord_scale(tri.A, tri.B, tri.C) <= size
             margins.append(abs(value) / (FB.eps * size * size))
@@ -609,14 +612,14 @@ def test_solve_ssa_triangles_pass_the_checks_they_skip():
     # where the height is a radical, and it is not zero
     radical = 0
     for spec, thirds in exact_radical_table():
-        b = spec.side_b._v
+        b = spec._b
         tris = solve_ssa(spec)
-        assert [elements(tri)[0].exact_value() for tri in tris] == thirds
+        assert [rational(elements(tri)[0]) for tri in tris] == thirds
         for tri in tris:
             assert Triangle(tri.A, tri.B, tri.C) == tri
-            value = orient(tri.A, tri.B, tri.C)._v
-            assert value == -(tri.B.y._v * b) and EXACT.sign(value) == -1
-            radical += not is_rational(tri.B.y._v)
+            value = orient(tri.A, tri.B, tri.C)
+            assert value == -(tri.B._y * b) and EXACT.sign(value) == -1
+            radical += not is_rational(tri.B._y)
     assert radical == 25
 
 
@@ -634,8 +637,7 @@ def exact_radical_table():
             b = (t1 + t2) / (2 * c)
             a2 = b * b - t1 * t2
             if b > 0 and a2 > 0:
-                spec = SsaSpec(EXACT, EXACT.scalar(a2).sqrt(),
-                               EXACT.scalar(b), EXACT.scalar(c))
+                spec = SsaSpec(EXACT, EXACT.sqrt(EXACT.payload(a2)), b, c)
                 table.append((spec, [t for t in (t1, t2) if t > 0]))
     return table
 
@@ -644,19 +646,19 @@ def exact_radical_table():
     lambda: float_spec(1.0, math.sqrt(3), 30.0),
     lambda: suites.sample_rational_two_solution_spec(random.Random(4)),
 ], ids=["float", "exact"])
-def test_scalar_init_sees_every_scalar_of_a_solve_and_classify(
+def test_scalar_init_sees_no_scalar_of_a_solve_classify_and_lemma(
         monkeypatch, make_spec):
     # the benchmark counts scalars.constructed by wrapping Scalar.__init__;
     # a finalizer sees every Scalar that goes away, so one built without
-    # __init__ would show as a death with no birth
+    # __init__ would show as a death with no birth: the solver, the verdict
+    # and the lemma report compute on payloads, and build none either way
     spec = make_spec()
     gc.collect()
-    born, strays, built = set(), [], []
+    born, strays = set(), []
     init = Scalar.__init__
 
     def counting_init(scalar, backend, payload):
         born.add(id(scalar))
-        built.append(payload)
         init(scalar, backend, payload)
 
     def finalize(scalar):
@@ -670,16 +672,15 @@ def test_scalar_init_sees_every_scalar_of_a_solve_and_classify(
     gc.disable()
     try:
         tris = solve_ssa(spec)
-        verdict = classify_pair(*tris)
-        assert isinstance(verdict, Supplementary)
-        reached = [v for t in tris for p in (t.A, t.B, t.C)
-                   for v in (p.x, p.y)] + [verdict.cos1, verdict.cos2]
-        assert all(id(v) in born for v in reached if v is not spec.side_b)
-        del tris, verdict, reached
+        assert isinstance(classify_pair(*tris), Supplementary)
+        report = lemma_common_side_check(*lemma_triangles(tris))
+        assert report.supplementary_angles and report.is_concyclic
+        assert born == set()
+        del tris, report
     finally:
         gc.enable()
         gc.collect()
-    assert built and strays == [] and born == set()
+    assert born == set() and strays == []
 
 
 @pytest.mark.parametrize("backend, values, kept", [
@@ -707,11 +708,16 @@ def test_solve_ssa_builds_no_scalar(monkeypatch, backend, values, kept):
     assert built == []
 
 
-def test_float_classify_pair_builds_eight_scalars(monkeypatch):
-    # measure keeps the payloads of its three angle_cos Scalars and forms
-    # the squared sides on the points' payloads; the criteria compare
-    # payloads, and only the two angles at B of the verdict are wrapped
-    tris = solve_ssa(float_spec(1.0, math.sqrt(3), 30.0))
+@pytest.mark.parametrize("backend", [FB, EXACT], ids=["float", "exact"])
+def test_classify_pair_builds_no_scalar(monkeypatch, backend):
+    # measure keeps angle_cos's payloads and forms the squared sides on the
+    # points' payloads, the criteria compare payloads, and a Supplementary
+    # verdict holds the payloads of the two angles at B
+    solved = solve_ssa(SsaSpec(backend, Fraction(41, 10), 5, Fraction(3, 5)))
+    t1, mirrored, wider = (
+        triangle(backend, (0, 0), (width, 0), (Fraction(16, 5), y))
+        for width, y in ((5, Fraction(12, 5)), (5, Fraction(-12, 5)),
+                         (6, Fraction(12, 5))))
     built = []
     init = Scalar.__init__
 
@@ -720,7 +726,8 @@ def test_float_classify_pair_builds_eight_scalars(monkeypatch):
         init(scalar, backend, payload)
 
     monkeypatch.setattr(Scalar, "__init__", counting_init)
-    verdict = classify_pair(*tris)
-    assert isinstance(verdict, Supplementary)
-    assert len(built) == 2 * 3 + 2
-    assert built[-2:] == [verdict.cos1._v, verdict.cos2._v]
+    verdicts = [classify_pair(*solved), classify_pair(t1, mirrored),
+                classify_pair(t1, wider)]
+    assert [type(v) for v in verdicts] == [Supplementary, Congruent,
+                                           NotSsaMatched]
+    assert built == []

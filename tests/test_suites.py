@@ -15,7 +15,7 @@ from planicheck.errors import DegenerateInputError, ExactValueError
 from planicheck.kernel import point
 from planicheck.checks import run_check
 from planicheck.report import check_to_dict
-from planicheck.scalars import Scalar
+from planicheck.scalars import EXACT, Scalar
 
 
 @pytest.mark.parametrize("suite", [suites.suite_dichotomy_float,
@@ -50,6 +50,30 @@ def test_the_two_solution_draw_records_its_cosine_and_builds_no_scalar(
     assert built == []
     assert list(witness) == ["theta_deg", "a", "b", "cos_angle"]
     assert witness["cos_angle"] == math.cos(math.radians(witness["theta_deg"]))
+
+
+@pytest.mark.parametrize("backend", ["float", "exact"])
+def test_verify_builds_scalars_only_for_the_exact_witness(monkeypatch,
+                                                          backend):
+    # the suites compute on payloads: a verify run builds the five Scalars
+    # of each exact dichotomy witness (the spec's three views and the
+    # square of side_a) and no other; one CPU, so that no Scalar is built
+    # in a worker out of this counter's sight
+    pin_cpus(monkeypatch, 1)
+    built = []
+    init = Scalar.__init__
+
+    def counting_init(scalar, backend, payload):
+        built.append(backend)
+        init(scalar, backend, payload)
+
+    monkeypatch.setattr(Scalar, "__init__", counting_init)
+    checks = suites.run_verify_suites(2000, 42, backend)
+    exact = next(c for c in checks
+                 if c.name == "dichotomy-supplementary-exact")
+    assert exact.passed and exact.samples > 0
+    assert len(built) == 5 * exact.samples
+    assert all(b is EXACT for b in built)
 
 
 def test_a_same_side_lemma_pair_is_a_failed_check(monkeypatch):

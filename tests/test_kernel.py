@@ -366,6 +366,27 @@ def test_isometry_length_mismatch_raises():
             exact_pt(0, 0), exact_pt(1, 0), exact_pt(0, 0), exact_pt(2, 0))
 
 
+def test_an_isometry_holds_payloads_of_its_backend():
+    # a 3-4-5 rotation of a length-5 segment: rational on the exact backend,
+    # the same binary64 values on the float one
+    for mirror in (False, True):
+        g = isometry_taking_segment_to_segment(
+            exact_pt(0, 0), exact_pt(5, 0), exact_pt(1, 1), exact_pt(4, 5),
+            mirror=mirror)
+        assert g.backend is EXACT and g.mirror is mirror
+        assert [rational(v) for v in (g.cos_t, g.sin_t, g.tx, g.ty)] == [
+            Fraction(3, 5), Fraction(4, 5), 1, 1]
+    h = isometry_taking_segment_to_segment(
+        point(FB, 0, 0), point(FB, 5, 0), point(FB, 1, 1), point(FB, 4, 5))
+    assert h.backend is FB
+    assert (h.cos_t, h.sin_t, h.tx, h.ty) == pytest.approx((0.6, 0.8, 1, 1))
+    # it moves points of its own backend only
+    with pytest.raises(BackendMismatchError):
+        g.apply(point(FB, 0, 0))
+    with pytest.raises(BackendMismatchError):
+        h.apply(exact_pt(0, 0))
+
+
 def test_angle_cos_is_isometry_invariant():
     g = Isometry(EXACT, *map(EXACT.payload, (Fraction(3, 5), Fraction(4, 5),
                                              2, -1)), mirror=True)

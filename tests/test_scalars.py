@@ -14,6 +14,7 @@ from planicheck.scalars import (
     DegenerateInputError,
     ExactValueError,
     FloatBackend,
+    Scalar,
     _Rational,
     _Sqrt,
     same_backend,
@@ -132,6 +133,42 @@ def test_backends_do_not_mix():
         EXACT.scalar(1) + FB.scalar(1.0)
     with pytest.raises(BackendMismatchError):
         FloatBackend(1e-6).scalar(1.0) + FB.scalar(1.0)
+
+
+BACKEND_ONES = pytest.mark.parametrize("backend, one", [(EXACT, 1), (FB, 1.0)],
+                                       ids=["exact", "float"])
+
+
+@BACKEND_ONES
+def test_a_backend_converts_numbers_and_refuses_a_scalar(backend, one):
+    # payload is each backend's one conversion rule: a number converts, a
+    # payload passes as it is, and scalar wraps what payload returns
+    v = backend.payload(one)
+    assert backend.payload(v) is v
+    assert backend.scalar(Fraction(3, 4)) == Scalar(
+        backend, backend.payload(Fraction(3, 4)))
+    # a Scalar is neither a number nor a payload, whatever its backend
+    for s in (EXACT.scalar(1), FB.scalar(1.0)):
+        with pytest.raises(TypeError):
+            backend.payload(s)
+        with pytest.raises(TypeError):
+            backend.scalar(s)
+
+
+@BACKEND_ONES
+def test_scalar_arithmetic_takes_only_a_scalar(backend, one):
+    # a Scalar meets another Scalar only: a plain number has no backend to
+    # read on the right, and no reflected operator takes it on the left
+    s = backend.scalar(one)
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        assert op(s, s) == Scalar(backend, op(s._v, s._v))
+        with pytest.raises(AttributeError):
+            op(s, one)
+        with pytest.raises(TypeError):
+            op(one, s)
+    for compare in (s.eq, s.gt):
+        with pytest.raises(AttributeError):
+            compare(one)
 
 
 

@@ -32,7 +32,7 @@ from itertools import permutations
 from typing import Optional, Tuple
 
 from .kernel import LABELS, Triangle, angle_cos
-from .record import Record, _set
+from .record import Record, setters
 from .scalars import Backend, common_backend
 
 # a label's position in a payload triple
@@ -54,6 +54,9 @@ class TriangleElements(Record):
     __slots__ = ("backend", "_sides", "_cosines")
 
 
+_set_backend, _set_sides, _set_cosines = setters(TriangleElements)
+
+
 def measure(t: Triangle) -> TriangleElements:
     """Extract the element set of a triangle once; criteria then reuse it.
 
@@ -67,10 +70,10 @@ def measure(t: Triangle) -> TriangleElements:
     sb = dx * dx + dy * dy
     dx, dy = bx - ax, by - ay
     e = _new(TriangleElements)
-    _set(e, "backend", a.backend)
-    _set(e, "_sides", (sa, sb, dx * dx + dy * dy))
-    _set(e, "_cosines", (angle_cos(a, b, c), angle_cos(b, a, c),
-                         angle_cos(c, a, b)))
+    _set_backend(e, a.backend)
+    _set_sides(e, (sa, sb, dx * dx + dy * dy))
+    _set_cosines(e, (angle_cos(a, b, c), angle_cos(b, a, c),
+                     angle_cos(c, a, b)))
     return e
 
 
@@ -85,7 +88,7 @@ class Correspondence(Record):
     def __init__(self, mapping: Tuple[str, str, str]):
         if sorted(mapping) != sorted(LABELS):
             raise ValueError("mapping must be a permutation of A, B, C")
-        _set(self, "mapping", mapping)
+        _set_mapping(self, mapping)
 
     def image(self, label: str) -> str:
         return self.mapping[LABELS.index(label)]
@@ -95,6 +98,9 @@ class Correspondence(Record):
         for src, dst in zip(LABELS, self.mapping):
             inv[LABELS.index(dst)] = src
         return Correspondence(tuple(inv))
+
+
+_set_mapping, = setters(Correspondence)
 
 
 def _canonical_key(corr: Correspondence):
@@ -129,12 +135,15 @@ class ElementTriple(Record):
         y, z = side_labels
         if y == z or y not in LABELS or z not in LABELS or angle_label not in LABELS:
             raise ValueError("element designation needs two distinct side labels")
-        _set(self, "side_labels", side_labels)
-        _set(self, "angle_label", angle_label)
+        _set_side_labels(self, side_labels)
+        _set_angle_label(self, angle_label)
 
     @property
     def included(self) -> bool:
         return self.angle_label not in self.side_labels
+
+
+_set_side_labels, _set_angle_label = setters(ElementTriple)
 
 
 def _positions(triple: ElementTriple) -> Tuple[int, int, int]:

@@ -64,7 +64,7 @@ from math import gcd
 from typing import NamedTuple, Union
 
 from .errors import DegenerateInputError, ExactValueError
-from .record import Record, _set
+from .record import Record, setters
 
 
 class BackendMismatchError(TypeError):
@@ -409,11 +409,16 @@ class FloatBackend(_Backend):
     def __init__(self, eps: float = 1e-9):
         if not eps > 0:
             raise ValueError("eps must be positive")
-        _set(self, "eps", eps)
+        _set_eps(self, eps)
 
     def payload(self, value):
         """``value`` as a binary64 payload; a ``Scalar`` raises."""
-        return to_float(value)
+        # to_float, in this frame; a value that overflows goes through it
+        # again, for its error
+        try:
+            return float(value)
+        except OverflowError:
+            return to_float(value)
 
     def size(self, *values) -> float:
         """Configuration size of coordinate payloads, the ``scale`` of
@@ -438,13 +443,21 @@ class FloatBackend(_Backend):
         return abs(value) <= bound
 
     # eq, lt and sign apply vanishes at degree 1, written out: a first power
-    # cannot overflow, so the bound is eps * scale with no check
+    # cannot overflow, so the bound is eps * scale with no check.  The scale
+    # max(1, |x|, |y|) is formed by the builtin max's own two > tests, which
+    # keep 1 against a NaN, without the cost of calling it
 
     def eq(self, x, y) -> bool:
-        return abs(x - y) <= self.eps * max(1.0, abs(x), abs(y))
+        m, n = abs(x), abs(y)
+        m = m if m > 1.0 else 1.0
+        return abs(x - y) <= self.eps * (n if n > m else m)
 
     def lt(self, x, y) -> bool:
-        return x < y and not abs(x - y) <= self.eps * max(1.0, abs(x), abs(y))
+        if not x < y:
+            return False
+        m, n = abs(x), abs(y)
+        m = m if m > 1.0 else 1.0
+        return not abs(x - y) <= self.eps * (n if n > m else m)
 
     def sign(self, v) -> int:
         if abs(v) <= self.eps:
@@ -473,6 +486,8 @@ class FloatBackend(_Backend):
                 "an angle's cosine at these sizes is out of binary64 range")
         return dot / root
 
+
+_set_eps, = setters(FloatBackend)
 
 EXACT = ExactBackend()
 
@@ -513,8 +528,8 @@ class Scalar(Record):
     def __init__(self, backend: Backend, payload):
         # its own two-field __init__: Record's takes names and checks counts,
         # and this is the hot path
-        _set(self, "backend", backend)
-        _set(self, "_v", payload)
+        _set_scalar_backend(self, backend)
+        _set_v(self, payload)
 
     # -- plumbing ---------------------------------------------------------
 
@@ -567,3 +582,6 @@ class Scalar(Record):
             pre = "-" if v.sign < 0 else ""
             return f"Scalar({pre}sqrt({v.square}))"
         return f"Scalar({v})"
+
+
+_set_scalar_backend, _set_v = setters(Scalar)

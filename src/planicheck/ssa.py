@@ -59,7 +59,7 @@ from .kernel import (
     squared_distance,
     trusted_triangle,
 )
-from .record import Record, _set
+from .record import Record, setters
 from .scalars import (
     Backend,
     DegenerateInputError,
@@ -81,15 +81,16 @@ class SsaSpec(Record):
     __slots__ = ("backend", "_a", "_b", "_cos")
 
     def __init__(self, backend: Backend, side_a, side_b, cos_angle):
-        a, b, c = map(backend.payload, (side_a, side_b, cos_angle))
+        payload = backend.payload
+        a, b, c = payload(side_a), payload(side_b), payload(cos_angle)
         if backend.sign(a) <= 0 or backend.sign(b) <= 0:
             raise DegenerateInputError("sides must be positive")
         if not (backend.lt(c, 1) and backend.lt(-1, c)):
             raise DegenerateInputError("angle must be strictly inside (0, pi)")
-        _set(self, "backend", backend)
-        _set(self, "_a", a)
-        _set(self, "_b", b)
-        _set(self, "_cos", c)
+        _set_backend(self, backend)
+        _set_a(self, a)
+        _set_b(self, b)
+        _set_cos(self, c)
 
     @property
     def side_a(self) -> Scalar:
@@ -102,6 +103,9 @@ class SsaSpec(Record):
     @property
     def cos_angle(self) -> Scalar:
         return Scalar(self.backend, self._cos)
+
+
+_set_backend, _set_a, _set_b, _set_cos = setters(SsaSpec)
 
 
 class CriterionCase(enum.Enum):

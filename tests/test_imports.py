@@ -758,3 +758,54 @@ def test_the_check_sees_a_power_in_per_node_code():
 
 def test_the_scan_squares_by_multiplication():
     assert powers(SOURCES["scenarios.py"]) == []
+
+
+# every record stores its fields through ``record.setters``, the slot
+# descriptors' own ``__set__``: no module stores a field by name through
+# ``object.__setattr__``, called as it is or under a name bound to it
+def _object_setattr(node) -> bool:
+    return (isinstance(node, ast.Attribute) and node.attr == "__setattr__"
+            and isinstance(node.value, ast.Name) and node.value.id == "object")
+
+
+def stores_by_name(sources):
+    """(module, line) of each call of ``object.__setattr__`` in ``sources``
+    (module name -> text): as it is, under a name the module assigns it to,
+    or as ``_set``, the name the package once imported it under."""
+    found = []
+    for mod, text in sources.items():
+        tree = ast.parse(text)
+        aliases = {"_set"}
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Assign) and _object_setattr(n.value):
+                aliases.update(t.id for t in n.targets
+                               if isinstance(t, ast.Name))
+        found += [(mod, n.lineno) for n in ast.walk(tree)
+                  if isinstance(n, ast.Call) and (
+                      _object_setattr(n.func) or (
+                          isinstance(n.func, ast.Name)
+                          and n.func.id in aliases))]
+    return sorted(found)
+
+
+def test_the_check_sees_a_store_by_name():
+    sources = {
+        "kernel.py": ("class P(Record):\n    def __init__(self, x):\n"
+                      "        object.__setattr__(self, 'x', x)\n"),
+        "ssa.py": ("from .record import _set\n\n"
+                   "def f(spec, a):\n    _set(spec, '_a', a)\n"),
+        "scalars.py": ("store = object.__setattr__\n\n"
+                       "class S(Record):\n    def __init__(self, v):\n"
+                       "        store(self, '_v', v)\n"
+                       "        _set_v(self, v)\n"),
+        # a mutable record restores the store by name for assignment
+        "report.py": ("class C(Record):\n"
+                      "    __setattr__ = object.__setattr__\n\n"
+                      "    def fail(self):\n        self.passed = False\n"),
+    }
+    assert stores_by_name(sources) == [
+        ("kernel.py", 3), ("scalars.py", 5), ("ssa.py", 4)]
+
+
+def test_every_record_stores_through_its_slot_setters():
+    assert stores_by_name(SOURCES) == []

@@ -4,6 +4,7 @@
 import copy
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -324,6 +325,31 @@ def test_exact_coordinates_beyond_binary64_build_and_decide():
     on_circle, _ = concyclic(exact_pt(big, 0), exact_pt(0, big),
                              exact_pt(-big, 0), exact_pt(0, -big))
     assert on_circle
+
+
+def test_a_conversion_past_binary64_is_a_degenerate_input():
+    # the float backend's payload and a point's as_floats convert in their
+    # own frame: a value past binary64, an int, a rational or a radical,
+    # still raises the named error, never a bare OverflowError
+    big = 10 ** 400
+    huge_root = EXACT.sqrt(EXACT.payload(2 * big * big))
+    for convert in (lambda: FB.payload(big),
+                    lambda: FB.payload(-big),
+                    lambda: FB.payload(Fraction(big, 3)),
+                    lambda: point(EXACT, big, 1).as_floats(),
+                    lambda: point(EXACT, 1, -big).as_floats(),
+                    lambda: Point(EXACT, huge_root, EXACT.payload(1))
+                    .as_floats()):
+        with pytest.raises(DegenerateInputError,
+                           match="too large for binary64"):
+            convert()
+    # a value that fits converts as float() does, the largest one included
+    assert FB.payload(10 ** 300) == 1e300
+    assert FB.payload(Fraction(1, 3)) == 1 / 3
+    assert point(EXACT, 10 ** 300, Fraction(-1, 3)).as_floats() == (
+        1e300, -1 / 3)
+    assert point(EXACT, int(sys.float_info.max), 0).as_floats() == (
+        sys.float_info.max, 0.0)
 
 
 def test_side_uses_the_triangle_validity_rule():

@@ -17,7 +17,8 @@ import pytest
 from planicheck.congruence import (Correspondence, ElementTriple,
                                    TriangleElements, measure)
 from planicheck import suites
-from planicheck.kernel import Isometry, Point, point
+from planicheck.kernel import (Isometry, Point, Triangle, point,
+                               trusted_triangle)
 from planicheck.logic import (And, Atom, EquivalenceResult, Iff, Implies,
                               LogicCheck, Not, Or, ProblemScheme, Xor,
                               compose_scheme)
@@ -35,6 +36,10 @@ P, Q = Atom("p"), Atom("q")
 def iso(tx=2, mirror=True):
     return Isometry(EXACT, *map(EXACT.payload, (Fraction(3, 5), Fraction(4, 5),
                                                 tx, -7)), mirror=mirror)
+
+
+def right_triangle(build=Triangle, apex=3):
+    return build(*(point(EXACT, x, y) for x, y in ((0, 0), (4, 0), (0, apex))))
 
 
 def lemma(det=None):
@@ -108,6 +113,14 @@ CASES = {
         "Isometry(backend=ExactBackend(), cos_t=_Rational(3, 5), "
         "sin_t=_Rational(4, 5), tx=_Rational(2, 1), ty=_Rational(-7, 1), "
         "mirror=True)"),
+    # built without Triangle's __init__, it is the Triangle that validates
+    "Triangle-trusted": (
+        lambda: right_triangle(trusted_triangle),
+        lambda: right_triangle(trusted_triangle, apex=5), "A B C",
+        "Triangle(A=Point(backend=ExactBackend(), _x=_Rational(0, 1), "
+        "_y=_Rational(0, 1)), B=Point(backend=ExactBackend(), "
+        "_x=_Rational(4, 1), _y=_Rational(0, 1)), C=Point(backend="
+        "ExactBackend(), _x=_Rational(0, 1), _y=_Rational(3, 1)))"),
     "ExactBackend": (ExactBackend, FloatBackend, "", "ExactBackend()"),
     "FloatBackend": (lambda: FloatBackend(1e-9), lambda: FloatBackend(1e-6),
                      "eps", "FloatBackend(eps=1e-09)"),
@@ -179,6 +192,8 @@ HOLDERS = {
     "Point-exact": lambda: point(EXACT, 1, "3/7"),
     "Point-radical": lambda: ssa_pair()[1].B,
     "Triangle": lambda: ssa_pair()[0],
+    "Triangle-checked": lambda: right_triangle(),
+    "Triangle-trusted": lambda: right_triangle(trusted_triangle),
     "SsaSpec": lambda: SsaSpec(FB, *map(FB.payload, (1, 2, Fraction(1, 4)))),
     "SsaSpec-converted": lambda: SsaSpec(FB, 1.0, 2.0, 0.25),
     "SsaSpec-exact": lambda: SsaSpec(
@@ -200,7 +215,8 @@ def test_a_value_that_holds_scalars_copies_and_pickles(name):
 
 @pytest.mark.parametrize("built, converted", [
     ("Point", "Point-converted"), ("SsaSpec", "SsaSpec-converted"),
-    ("TriangleElements", "TriangleElements-measured")])
+    ("TriangleElements", "TriangleElements-measured"),
+    ("Triangle-checked", "Triangle-trusted")])
 def test_the_converter_builds_the_constructed_value(built, converted):
     a, b = HOLDERS[built](), HOLDERS[converted]()
     assert a == b and hash(a) == hash(b) and repr(a) == repr(b)

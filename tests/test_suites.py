@@ -148,6 +148,52 @@ def test_a_nan_residual_is_a_failing_witness():
     json.dumps(check_to_dict(result), allow_nan=False)
 
 
+# (outcome per sample: an error it raises or (residual, failure), worst
+# residual, witnesses); each witness starts with the sample's index
+RESIDUAL_RUNS = {
+    "negative-zero-then-zero": (
+        [(-0.0, None), (0.0, None)], 0.0, []),
+    "negative-zero-alone": ([(-0.0, None)], 0.0, []),
+    "nan-between-finite": (
+        [(1e-12, None), (math.nan, None), (3e-13, None)], 1e-12,
+        [{"i": 1, "error": "residual is not a number"}]),
+    "larger-after-failure": (
+        [(2e-9, {"angle_diff": 2e-9}), (5e-9, None), (1e-9, None)], 5e-9,
+        [{"i": 0, "angle_diff": 2e-9}]),
+    "larger-after-rejection": (
+        [DegenerateInputError("rejected"), (1e-10, None)], 1e-10,
+        [{"i": 0, "error": "rejected"}]),
+}
+
+
+@pytest.mark.parametrize("name", RESIDUAL_RUNS)
+def test_the_worst_residual_is_the_max_fold_of_the_kept_residuals(name):
+    # run_check keeps the worst residual as max(worst, residual) over the
+    # samples that neither raise nor return a NaN, from 0.0: the builtin
+    # max keeps the earlier of two equal values, so the sign of a zero too
+    outcomes, worst, witnesses = RESIDUAL_RUNS[name]
+
+    def sample(index, witness):
+        witness["i"] = index
+        outcome = outcomes[index]
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
+
+    result = run_check(name, len(outcomes), sample)
+    fold = 0.0
+    for outcome in outcomes:
+        if not isinstance(outcome, Exception) and not math.isnan(outcome[0]):
+            fold = max(fold, outcome[0])
+    for value in (worst, fold):
+        assert result.worst_residual == value
+        assert math.copysign(1.0, result.worst_residual) == math.copysign(
+            1.0, value)
+    assert result.witnesses == witnesses
+    assert result.passed == (not witnesses)
+    assert result.samples == len(outcomes)
+
+
 def test_the_sampler_draws_without_solving(monkeypatch):
     def no_solving(spec):
         raise AssertionError("the sampler called the solver")

@@ -42,7 +42,7 @@ class Record:
     """Immutable slotted record: ``==``, ``hash`` and ``repr`` over the
     fields in ``_names``, which ``__init_subclass__`` collects from the
     ``__slots__`` along the class's bases, as a frozen dataclass defines
-    them, and stores them through ``_setters``, their ``setters``."""
+    them; ``_setters`` holds their ``setters``."""
 
     __slots__ = ()
 
